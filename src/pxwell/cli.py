@@ -443,9 +443,9 @@ def _cmd_ode_verify(args) -> int:
         _, branch = ode_bounds.envelope(q)
         lines.append(
             ",".join(repr(float(x)) for x in (q.C1, q.C2, q.alpha, q.beta, q.h0))
-            + f",{branch},{v!r}"
+            + f",{branch},{float(v)!r}"
         )
-        worst = max(worst, v)
+        worst = max(worst, float(v))
     if out:
         out.mkdir(parents=True, exist_ok=True)
         (out / "ode_verify.csv").write_text("\n".join(lines) + "\n")

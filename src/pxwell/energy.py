@@ -1,10 +1,14 @@
 """Potential-well machinery: energy/Nehari functionals, rays, depth, radii.
 
 J(u) is the diffusion energy minus the source energy, I(u) the difference of
-the corresponding modulars; the Nehari manifold is {I = 0}.  Because the
-modulars are inhomogeneous under scaling when the exponents vary, every ray
-evaluation I(lambda u), J(lambda u) needs a full quadrature -- there is no
-power law to exploit.
+the corresponding modulars; the Nehari manifold is {I = 0}.  The modulars are
+inhomogeneous under scaling when the exponents vary, so every ray evaluation
+I(lambda u), J(lambda u) is a full quadrature.  The Nehari scaling lambda* is
+found by Newton's method on the log-ratio of the two modulars in log lambda:
+the derivative is a difference of exponent means weighted by the powered
+integrands, so each iterate costs one pair of power sums, and a few iterates
+suffice because the log-ratio is exactly linear when the exponents are
+constant.
 
 Depth and level-set radii are sampled estimates: the depth upper bound is a
 minimum of Nehari values over witnesses (refined by stochastic descent), and
@@ -114,22 +118,29 @@ def snapshot(u: GridFunction, p: ExponentField, r: ExponentField, t: float = 0.0
                           source_modular=smod, delta0=delta0, l2sq=l2sq)
 
 
+# cap on ray evaluations in find_lambda_star; Newton needs about five
+_MAX_RAY_EVALS = 100
+
+
 class _Ray:
     """Cached quadrature data for evaluating I and J along {lambda * u}."""
 
     def __init__(self, u: GridFunction, p: ExponentField, r: ExponentField):
         self.vol = u.grid.cell_volume
-        self.gm = cell_gradient_magnitude(u)
-        self.au = np.abs(u.values)
-        self.pv = p.values
-        self.rv = r.values
+        self.gm = cell_gradient_magnitude(u).ravel()
+        self.au = np.abs(u.values).ravel()
+        self.pv = p.values.ravel()
+        self.rv = r.values.ravel()
+
+    def powers(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per-cell integrands (lambda |grad u|)^p and (lambda |u|)^r."""
+        return (lam * self.gm) ** self.pv, (lam * self.au) ** self.rv
 
     def modulars(self, lam: float) -> tuple[float, float]:
         if lam == 0.0:
             return 0.0, 0.0
-        g = self.vol * float(np.sum((lam * self.gm) ** self.pv))
-        s = self.vol * float(np.sum((lam * self.au) ** self.rv))
-        return g, s
+        gp, sp = self.powers(lam)
+        return self.vol * float(np.sum(gp)), self.vol * float(np.sum(sp))
 
     def I(self, lam: float) -> float:
         g, s = self.modulars(lam)
@@ -162,46 +173,57 @@ def find_lambda_star(
 ) -> float:
     """Scaling that lands u on the Nehari manifold: I(lambda* u) = 0.
 
-    Valid in the source-dominant regime r_minus > p_plus.  The bracket comes
-    from the power bounds I(lam u) >= lam^{p_plus} a - lam^{r_minus} b for
-    lam < 1 (and the reverse for lam >= 1), so a sign change is guaranteed
-    for non-degenerate u.
+    Valid in the source-dominant regime r_minus > p_plus.  Newton's method
+    from lambda = 1 on f(s) = log G(e^s u) - log S(e^s u), s = log lambda,
+    with G, S the gradient and source modulars; f'(s) is the mean of p under
+    the weights (lambda |grad u|)^p minus the mean of r under (lambda |u|)^r,
+    so f and f' come from one pair of power sums.  It stops at the first
+    iterate with |I| <= tol * G.
+
+    The power bounds I(lam u) >= lam^{p_plus} a - lam^{r_minus} b for lam < 1
+    (and the reverse for lam >= 1) bracket the root; every evaluation shrinks
+    the bracket, and an iterate that is not finite or leaves it is replaced by
+    the bracket's geometric midpoint.  Raises ValueError on degenerate input,
+    and when the tolerance is not met within the evaluation cap or before the
+    bracket or the Newton step shrinks to rounding.
     """
     if r.p_minus <= p.p_plus:
         raise ValueError("lambda* requires r_minus > p_plus")
     ray = _Ray(u, p, r)
-    a, b = ray.modulars(1.0)
+    lam = 1.0
+    gp, sp = ray.powers(lam)
+    a, b = ray.vol * float(np.sum(gp)), ray.vol * float(np.sum(sp))
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ValueError("degenerate trial field: non-finite modulars")
     if a <= 0.0:
         raise ValueError("degenerate trial field: zero gradient modular")
     if b <= 0.0:
         raise ValueError("degenerate trial field: zero source modular, I(lam u) > 0 for all lam")
 
-    q = 1.0 / (r.p_minus - p.p_plus)
-    lam_lo = 0.9 * min(1.0, (a / b) ** q)
-    grows = 0
-    while ray.I(lam_lo) <= 0.0:
-        lam_lo *= 0.5
-        grows += 1
-        if grows > 200:
-            raise ValueError("no positive bracket endpoint found (degenerate trial field)")
-    lam_hi = max(1.1, 1.1 * (a / b) ** q)
-    while ray.I(lam_hi) >= 0.0:
-        lam_hi *= 2.0
-        grows += 1
-        if grows > 200:
-            raise ValueError("no negative bracket endpoint found (degenerate trial field)")
-
-    for _ in range(200):
-        lam = 0.5 * (lam_lo + lam_hi)
-        val = ray.I(lam)
-        gmod, _ = ray.modulars(lam)
+    c = (a / b) ** (1.0 / (r.p_minus - p.p_plus))
+    lo, hi = 0.9 * min(1.0, c), 1.1 * max(1.0, c)
+    for _ in range(_MAX_RAY_EVALS):
+        gsum, ssum = float(np.sum(gp)), float(np.sum(sp))
+        gmod = ray.vol * gsum
+        val = gmod - ray.vol * ssum
         if abs(val) <= tol * gmod:
-            return lam
+            return float(lam)
         if val > 0.0:
-            lam_lo = lam
+            lo = lam
         else:
-            lam_hi = lam
-    return 0.5 * (lam_lo + lam_hi)
+            hi = lam
+        nxt = float("nan")
+        if gsum > 0.0 and ssum > 0.0:
+            slope = float(np.dot(ray.pv, gp)) / gsum - float(np.dot(ray.rv, sp)) / ssum
+            nxt = lam * float(np.exp((np.log(ssum) - np.log(gsum)) / slope))
+        if nxt == lam or hi - lo <= np.finfo(float).eps * lam:
+            break
+        lam = nxt if lo < nxt < hi else float(np.sqrt(lo * hi))
+        gp, sp = ray.powers(lam)
+    raise ValueError(
+        f"lambda* not converged to tol {tol}: bracket [{lo!r}, {hi!r}] after "
+        f"{_MAX_RAY_EVALS} evaluations or at rounding"
+    )
 
 
 def depth_lower_formula(p: ExponentField, r: ExponentField, B_constant: float) -> float:

@@ -1,10 +1,10 @@
 """Modulars, Luxemburg norms and numerically estimated embedding constants.
 
 The modular rho(u) = integral of |u|^{q(x)} is inhomogeneous when q varies,
-so the norm is recovered by bisection on the scaling parameter: ||u|| is the
-lambda at which rho(u/lambda) = 1.  All the modular-norm relations below are
-exact statements about the discrete measure space (cells with weight equal to
-the cell volume), so the tests can assert them tightly.
+so the norm is the lambda at which rho(u/lambda) = 1, found by Newton's method
+on log rho, which is convex and decreasing in log lambda.  All the modular-norm
+relations below are exact statements about the discrete measure space (cells
+with weight equal to the cell volume), so the tests can assert them tightly.
 
 Embedding constants are sampled lower bounds obtained by maximizing Rayleigh
 quotients over witness fields; they are never certified and every consumer
@@ -76,57 +76,60 @@ def modular(f: GridFunction, q: ExponentField) -> float:
     return f.grid.cell_volume * float(np.sum(np.abs(f.values) ** q.values))
 
 
-def _modular_scaled(abs_values: np.ndarray, q_values: np.ndarray, cell_volume: float, lam: float) -> float:
-    return cell_volume * float(np.sum((abs_values / lam) ** q_values))
+# cap on modular evaluations in luxemburg_norm; Newton needs about five
+_MAX_NORM_EVALS = 200
 
 
 def luxemburg_norm(f: GridFunction, q: ExponentField, tol: float = 1e-12) -> NormResult:
-    """inf{lambda > 0 : modular(f/lambda) <= 1} by bisection.
+    """inf{lambda > 0 : modular(f/lambda) <= 1}, to |modular - 1| <= tol.
 
-    The modular is strictly decreasing in lambda for nonzero f, so a bracket
-    grown geometrically from the constant-exponent power heuristics always
-    contains the root.  Returns 0 for the zero field.
+    Newton's method from lambda = 1 on log rho(f/lambda) in t = log lambda,
+    whose derivative is minus the mean of q under the weights |f/lambda|^q.
+    The function is convex and decreasing, so after the first step the
+    iterates rise monotonically to the root.  The power relations between
+    norm and modular bracket the root, widened by a factor 2 for rounding;
+    every evaluation shrinks the bracket, and an iterate that is not finite
+    or leaves it is replaced by the bracket's geometric midpoint.  When the
+    bracket or the Newton step shrinks to rounding first, the last iterate is
+    returned with its true residual.  `iterations` counts modular
+    evaluations.  Returns 0 for the zero field; raises ValueError on a
+    non-finite modular or when the evaluation cap is reached.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    av = np.abs(f.values)
+    av = np.abs(f.values).ravel()
     if not np.any(av):
         return NormResult(0.0, 0, 0.0)
-    qv = q.values
+    qv = q.values.ravel()
     vol = f.grid.cell_volume
-    rho = vol * float(np.sum(av**qv))
+    lam = 1.0
+    w = av**qv
+    rho = vol * float(np.sum(w))
     if not np.isfinite(rho):
         raise ValueError("modular is non-finite; input field not admissible")
 
-    # power relations bracket the norm when the modular is finite
-    guesses = sorted((rho ** (1.0 / q.p_minus), rho ** (1.0 / q.p_plus)))
-    lo, hi = guesses[0], guesses[1]
-    grow = 0
-    while _modular_scaled(av, qv, vol, hi) > 1.0:
-        hi *= 2.0
-        grow += 1
-        if grow > 200:
-            raise ValueError("bracket failure after 200 doublings; non-finite input?")
-    while _modular_scaled(av, qv, vol, lo) < 1.0:
-        lo *= 0.5
-        grow += 1
-        if grow > 200:
-            raise ValueError("bracket failure after 200 doublings; non-finite input?")
-
-    iterations = grow
-    lam = 0.5 * (lo + hi)
-    res = _modular_scaled(av, qv, vol, lam) - 1.0
-    while abs(res) > tol and iterations < 2000:
+    lo, hi = sorted((rho ** (1.0 / q.p_minus), rho ** (1.0 / q.p_plus)))
+    lo, hi = 0.5 * lo, 2.0 * hi
+    for evaluations in range(1, _MAX_NORM_EVALS + 1):
+        res = rho - 1.0
+        if abs(res) <= tol:
+            return NormResult(float(lam), evaluations, abs(res))
         if res > 0.0:
             lo = lam
         else:
             hi = lam
-        lam = 0.5 * (lo + hi)
-        res = _modular_scaled(av, qv, vol, lam) - 1.0
-        iterations += 1
-        if hi - lo <= np.finfo(float).eps * lam:
-            break
-    return NormResult(float(lam), iterations, abs(res))
+        nxt = float("nan")
+        if rho > 0.0:
+            nxt = lam * float(np.exp(np.log(rho) * np.sum(w) / np.dot(qv, w)))
+        if nxt == lam or hi - lo <= np.finfo(float).eps * lam:
+            return NormResult(float(lam), evaluations, abs(res))
+        lam = nxt if lo < nxt < hi else float(np.sqrt(lo * hi))
+        w = (av / lam) ** qv
+        rho = vol * float(np.sum(w))
+    raise ValueError(
+        f"Luxemburg norm not converged to tol {tol} in {_MAX_NORM_EVALS} evaluations: "
+        f"bracket [{lo!r}, {hi!r}]"
+    )
 
 
 @dataclass(frozen=True)

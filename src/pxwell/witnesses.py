@@ -3,10 +3,18 @@
 Products of cos(k pi x / L) are exactly mean-zero under the midpoint rule
 (for 1 <= k < 2n), so the witness families used by the embedding, depth and
 level-set estimators stay in the zero-mean class to round-off.
+
+Every mode with wavenumbers up to kmax is built once per (grid, kmax) into a
+read-only basis matrix, one mode per row, held in a small bounded cache.  A
+random draw is then one coefficient vector times that matrix, and
+`mode_catalogue` reads rows of the same matrix.  `mode_field` evaluates its
+one mode with the code that fills the rows, so an arbitrary wavenumber never
+builds a large basis.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -15,54 +23,67 @@ from .grid import Grid, GridFunction, project_mean_zero
 
 __all__ = ["mode_field", "mode_catalogue", "random_field"]
 
+# wavenumber band of random_field; mode_catalogue shares its basis
+_KMAX = 4
+
+
+def _mode_values(grid: Grid, ks: tuple[int, ...]) -> np.ndarray:
+    vals = np.ones(grid.shape)
+    coords = grid.centers()
+    for axis, k in enumerate(ks):
+        if k:
+            vals = vals * np.cos(k * np.pi * coords[axis] / grid.lengths[axis])
+    return vals
+
+
+@lru_cache(maxsize=8)
+def _mode_basis(grid: Grid, kmax: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """Wavenumber tuples and the (modes x cells) matrix of their fields.
+
+    Rows are the non-constant modes with every wavenumber <= kmax, in
+    itertools.product order.  The matrix is shared by every caller, so it is
+    read-only; at 64x64 and kmax 4 it holds 24 x 4096 floats.
+    """
+    modes = tuple(ks for ks in product(range(kmax + 1), repeat=grid.dimension) if any(ks))
+    basis = np.empty((len(modes), int(np.prod(grid.shape))))
+    for row, ks in zip(basis, modes):
+        row[:] = _mode_values(grid, ks).ravel()
+    basis.flags.writeable = False
+    return modes, basis
+
 
 def mode_field(grid: Grid, ks: tuple[int, ...]) -> GridFunction:
     """Product of cosine modes, one wavenumber per axis; not all zero."""
     if all(k == 0 for k in ks):
         raise ValueError("all-zero mode is constant, not a witness")
-    vals = np.ones(grid.shape)
-    coords = grid.centers()
-    for axis, k in enumerate(ks):
-        if k == 0:
-            continue
-        vals = vals * np.cos(k * np.pi * coords[axis] / grid.lengths[axis])
-    return GridFunction(grid, vals)
+    return GridFunction(grid, _mode_values(grid, ks))
 
 
 def mode_catalogue(grid: Grid, kmax: int = 3) -> list[GridFunction]:
     """All pure modes with wavenumbers up to kmax (deterministic order)."""
-    ranges = [range(kmax + 1)] * grid.dimension
-    out = []
-    for ks in product(*ranges):
-        if all(k == 0 for k in ks):
-            continue
-        out.append(mode_field(grid, ks))
-    return out
+    modes, basis = _mode_basis(grid, max(_KMAX, kmax))
+    return [GridFunction(grid, row.reshape(grid.shape))
+            for ks, row in zip(modes, basis) if max(ks) <= kmax]
 
 
 def random_field(
     grid: Grid,
     rng: np.random.Generator,
-    kmax: int = 4,
+    kmax: int = _KMAX,
     amp_range: tuple[float, float] = (1e-1, 1e1),
 ) -> GridFunction:
-    """Band-limited random combination of modes with log-uniform amplitude."""
-    ranges = [range(kmax + 1)] * grid.dimension
-    vals = np.zeros(grid.shape)
-    coords = grid.centers()
-    for ks in product(*ranges):
-        if all(k == 0 for k in ks):
-            continue
-        c = rng.normal()
-        term = np.full(grid.shape, c)
-        for axis, k in enumerate(ks):
-            if k:
-                term = term * np.cos(k * np.pi * coords[axis] / grid.lengths[axis])
-        vals += term
+    """Band-limited random combination of modes with log-uniform amplitude.
+
+    Draws one standard normal coefficient per mode of the kmax basis, in
+    basis order, then the amplitude; the stream is that of one scalar draw
+    per mode.
+    """
+    _, basis = _mode_basis(grid, kmax)
+    vals = (rng.normal(size=basis.shape[0]) @ basis).reshape(grid.shape)
     lo, hi = amp_range
     amp = np.exp(rng.uniform(np.log(lo), np.log(hi)))
     scale = np.max(np.abs(vals))
     if scale == 0.0:
-        vals = np.cos(np.pi * coords[0] / grid.lengths[0])
+        vals = np.cos(np.pi * grid.centers()[0] / grid.lengths[0])
         scale = np.max(np.abs(vals))
     return project_mean_zero(GridFunction(grid, amp * vals / scale))

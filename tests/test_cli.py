@@ -128,3 +128,42 @@ def test_diffusion_dominant_pipeline(tmp_path):
     assert rec["outcome"].kind == "GlobalUntilTend"
     kinds = [e["kind"] for e in rec["envelopes"]]
     assert "Thm53Bound" in kinds
+
+
+def test_ode_verify_writes_plain_floats(tmp_path, capsys):
+    assert main(["ode-verify", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "ode_verify.csv").read_text().strip().split("\n")
+    header = lines[0].split(",")
+    after_branch = header.index("branch") + 1
+    assert header[after_branch:] == ["max_violation"]
+    for line in lines[1:]:
+        for field in line.split(",")[after_branch:]:
+            float(field)
+    worst = capsys.readouterr().out.split("worst signed violation ")[1].split()[0]
+    float(worst)
+
+
+# estimates at seed 0 from the per-mode witness loop and bisection
+# root-finders; all three configs share grid and exponents
+_PINNED_SEED0 = {
+    "B0": 0.3148619624810213,
+    "B": 0.34854009282279924,
+    "depth": 28.619535014580052,
+    "Ctilde": 1.1610763071797496,
+}
+
+
+@pytest.mark.parametrize("name", ["blowup_2d", "global_2d", "high_energy"])
+def test_estimates_pinned(tmp_path, name):
+    rec = run(CONFIGS / f"{name}.ini", tmp_path, seed=0, do_simulate=False, quiet=True)
+    est = rec["estimates"]
+    got = {"B0": est["B0"].constant, "B": est["B"].constant,
+           "depth": est["depth"].upper, "Ctilde": est["Ctilde"].constant}
+    assert got == pytest.approx(_PINNED_SEED0, rel=1e-9)
+    if name == "high_energy":
+        radii = est["radii"]
+        assert (radii.lambda_s, radii.Lambda_s) == pytest.approx(
+            (3.1424048841000793, 3.8465984858323425), rel=1e-9)
+        assert radii.kept == 3
+    else:
+        assert "radii" not in est
