@@ -2,8 +2,10 @@
 
 Configs are flat INI files with a fixed key vocabulary; unknown sections or
 keys are hard errors so that a stored config echo pins a run completely.
-Given the same config and seed, every artifact is reproduced byte for byte
-(wall time goes to a sidecar meta file, never into the record).
+Given the same config and seed, every artifact is reproduced byte for byte.
+Wall times and counters go to the sidecar `meta.json`, never into the
+record: the total and per-stage wall times and, for a simulated run, the
+stepper's accepted and rejected steps and kernel evaluations.
 
 Exit codes: 0 success, 2 config error, 3 pipeline error, 4 assertion or
 acceptance failure.
@@ -236,13 +238,22 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
         "events": [],
     }
 
-    stage = "fields"
+    stage_s: dict[str, float] = {}
+    stage, t_stage = "fields", time.monotonic()
+
+    def enter(name: str) -> None:
+        nonlocal stage, t_stage
+        now = time.monotonic()
+        stage_s[stage] = now - t_stage
+        stage, t_stage = name, now
+
+    meta: dict = {"stage_s": stage_s}
     try:
         grid = _build_grid(cfg)
         p = _build_exponent(cfg, grid, "p")
         r = _build_exponent(cfg, grid, "r")
 
-        stage = "hypotheses"
+        enter("hypotheses")
         hyp = check_hypotheses(p, r)
         record["hypotheses"] = hyp
         record["regularity"] = {
@@ -250,7 +261,7 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
             "r": check_log_holder(r, seed=seed),
         }
 
-        stage = "estimates"
+        enter("estimates")
         trials = int(_get(cfg, "estimates", "trials", default="24"))
         descent = int(_get(cfg, "estimates", "descent_steps", default="50"))
         ascent = int(_get(cfg, "estimates", "ascent_steps", default="12"))
@@ -264,18 +275,22 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
             depth = estimate_depth(grid, p, r, trials=trials, seed=seed,
                                    B_est=B, descent_steps=descent)
             record["estimates"]["depth"] = depth
+            if depth.skipped:
+                record["events"].append(
+                    f"depth estimate skipped {depth.skipped} witnesses or proposals "
+                    "on which lambda* failed")
             try:
                 ctilde = estimate_gn_constant(grid, p, r, trials=trials, seed=seed + 2)
                 record["estimates"]["Ctilde"] = ctilde
             except ValueError as exc:
                 record["events"].append(f"interpolation constant unavailable: {exc}")
 
-        stage = "initial"
+        enter("initial")
         u0 = _build_initial(cfg, grid, p, r, depth)
         s0 = snapshot(u0, p, r)
         record["initial"] = s0
 
-        stage = "classify"
+        enter("classify")
         radii = None
         if depth is not None:
             band = 1e-3 * (1.0 + depth.upper)
@@ -287,6 +302,9 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
                         depth_upper=depth.upper, ctilde=ctilde,
                     )
                     record["estimates"]["radii"] = radii
+                    if radii.skipped:
+                        record["events"].append(
+                            f"level radii skipped {radii.skipped} samples on which lambda* failed")
                 except ValueError as exc:
                     record["events"].append(f"level radii unavailable: {exc}")
             verdict = classify(u0, p, r, depth, level_radii=radii, B_est=B)
@@ -296,7 +314,7 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
         record["verdict"] = verdict
 
         if do_simulate:
-            stage = "simulate"
+            enter("simulate")
             scfg = _solver_config(cfg)
             traj = simulate(u0, p, r, scfg)
             record["outcome"] = traj.outcome
@@ -307,13 +325,15 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
                 "rejected_steps": traj.rejected_steps,
                 "energy_budget_used": traj.energy_budget_used,
             }
+            meta["steps"] = {"accepted": traj.step_count, "rejected": traj.rejected_steps,
+                             "kernel_evals": traj.kernel_evals}
 
-            stage = "audit"
+            enter("audit")
             d_for_audit = depth.upper if depth is not None else None
             record["audit"] = audit_trajectory(traj, d_hat=d_for_audit)
             record["delta0_hat"] = delta0_hat(traj)
 
-            stage = "envelopes"
+            enter("envelopes")
             env_rows = _envelope_rows(record, traj, p, r, depth, B0, B, grid)
             (run_dir / "trajectory.csv").write_text(trajectory_csv(traj))
             record["trajectory_ref"] = "trajectory.csv"
@@ -325,8 +345,10 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
         _write_json(run_dir / "record.json", record)
         raise PipelineError(f"stage {stage}: {exc}") from exc
 
+    stage_s[stage] = time.monotonic() - t_stage
     _write_json(run_dir / "record.json", record)
-    _write_json(run_dir / "meta.json", {"wall_time_s": time.monotonic() - t_wall})
+    meta["wall_time_s"] = time.monotonic() - t_wall
+    _write_json(run_dir / "meta.json", meta)
     if not quiet:
         pred = record["verdict"].prediction
         out = record.get("outcome")

@@ -64,7 +64,8 @@ class DepthEstimate:
     lower_formula: the analytic bound evaluated at a sampled embedding
     constant; since that constant is itself a lower bound raised to negative
     exponents, this number is not a certified lower bound and may exceed
-    `upper`.
+    `upper`.  skipped: witnesses and descent proposals dropped because
+    lambda* failed on them.
     """
 
     upper: float
@@ -72,6 +73,7 @@ class DepthEstimate:
     witnesses: int
     B_used: str
     seed: int
+    skipped: int = 0
 
     @property
     def ident(self) -> str:
@@ -80,13 +82,15 @@ class DepthEstimate:
 
 @dataclass(frozen=True)
 class LevelRadii:
-    """Sampled min/max L2 norms over the Nehari slice at level s."""
+    """Sampled min/max L2 norms over the Nehari slice at level s; skipped
+    counts the samples dropped because lambda* failed on them."""
 
     s: float
     lambda_s: float
     Lambda_s: float
     M_bound: Optional[float]
     kept: int
+    skipped: int = 0
 
 
 def grad_modular(u: GridFunction, p: ExponentField) -> float:
@@ -187,9 +191,19 @@ def find_lambda_star(
     and when the tolerance is not met within the evaluation cap or before the
     bracket or the Newton step shrinks to rounding.
     """
+    return _nehari_point(_Ray(u, p, r), p, r, tol)[0]
+
+
+def _nehari_point(
+    ray: _Ray,
+    p: ExponentField,
+    r: ExponentField,
+    tol: float = 1e-10,
+) -> tuple[float, float]:
+    """lambda* of `find_lambda_star` on a built ray, with J(lambda* u) from
+    the converged iterate's powers (the same sums as `_Ray.J`)."""
     if r.p_minus <= p.p_plus:
         raise ValueError("lambda* requires r_minus > p_plus")
-    ray = _Ray(u, p, r)
     lam = 1.0
     gp, sp = ray.powers(lam)
     a, b = ray.vol * float(np.sum(gp)), ray.vol * float(np.sum(sp))
@@ -207,7 +221,8 @@ def find_lambda_star(
         gmod = ray.vol * gsum
         val = gmod - ray.vol * ssum
         if abs(val) <= tol * gmod:
-            return float(lam)
+            J = ray.vol * float(np.sum(gp / ray.pv)) - ray.vol * float(np.sum(sp / ray.rv))
+            return float(lam), J
         if val > 0.0:
             lo = lam
         else:
@@ -241,32 +256,33 @@ def _descend(
     J_start: float,
     rng: np.random.Generator,
     steps: int,
-) -> float:
+) -> tuple[float, int]:
     """Greedy perturbation descent of the Nehari value from one witness.
 
     Pure function of (witness, rng state): per-witness seeding keeps the
-    depth estimate monotone in the number of trials.
+    depth estimate monotone in the number of trials.  Returns the best value
+    and the number of proposals skipped because lambda* failed.
     """
     best = J_start
     w = u
     sigma = 0.3
     grid = u.grid
+    skipped = 0
     for _ in range(steps):
         noise = random_field(grid, rng, amp_range=(1.0, 1.0))
         scale = np.max(np.abs(w.values)) or 1.0
         trial = project_mean_zero(GridFunction(grid, w.values + sigma * scale * noise.values))
         try:
-            lam = find_lambda_star(trial, p, r)
+            _, val = _nehari_point(_Ray(trial, p, r), p, r)
         except ValueError:
+            skipped += 1
             sigma *= 0.8
             continue
-        ray = _Ray(trial, p, r)
-        val = ray.J(lam)
         if val < best:
             best, w = val, trial
         else:
             sigma *= 0.8
-    return best
+    return best, skipped
 
 
 def estimate_depth(
@@ -292,17 +308,19 @@ def estimate_depth(
         candidates.append(random_field(grid, rng_draw))
     upper = np.inf
     n_ok = 0
+    skipped = 0
     for i, w in enumerate(candidates):
         try:
-            lam = find_lambda_star(w, p, r)
+            lam, val = _nehari_point(_Ray(w, p, r), p, r)
         except ValueError:
+            skipped += 1
             continue
         n_ok += 1
-        ray = _Ray(w, p, r)
-        val = ray.J(lam)
         if descent_steps > 0:
             rng_desc = np.random.default_rng((seed, 0xDE5C, i))
-            val = _descend(GridFunction(grid, lam * w.values), p, r, val, rng_desc, descent_steps)
+            val, lost = _descend(GridFunction(grid, lam * w.values), p, r, val, rng_desc,
+                                 descent_steps)
+            skipped += lost
         upper = min(upper, val)
     if n_ok < 1:
         raise ValueError("no admissible witness produced a Nehari point")
@@ -315,6 +333,7 @@ def estimate_depth(
         witnesses=trials,
         B_used=B_est.ident if B_est is not None else "none",
         seed=seed,
+        skipped=skipped,
     )
 
 
@@ -364,13 +383,14 @@ def estimate_level_radii(
     for _ in range(samples):
         candidates.append(random_field(grid, rng))
     norms = []
+    skipped = 0
     for w in candidates:
         try:
-            lam = find_lambda_star(w, p, r)
+            lam, val = _nehari_point(_Ray(w, p, r), p, r)
         except ValueError:
+            skipped += 1
             continue
-        ray = _Ray(w, p, r)
-        if ray.J(lam) <= s:
+        if val <= s:
             norms.append(l2_norm(GridFunction(grid, lam * w.values)))
     if not norms:
         raise ValueError(
@@ -385,4 +405,5 @@ def estimate_level_radii(
         Lambda_s=float(max(norms)),
         M_bound=m_bound,
         kept=len(norms),
+        skipped=skipped,
     )

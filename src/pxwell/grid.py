@@ -4,11 +4,18 @@ Cell-centered finite volumes on an interval or a rectangle.  Gradients live
 on faces, scalar fields on cells; all outer-boundary faces carry zero flux,
 which is the discrete form of the homogeneous Neumann condition.  Every
 integral in the package reduces to the midpoint rule on this grid.
+
+The p(x)-flux, its face-quadrature energy and the source term are computed
+in one place, the private `_Kernel`: built once per exponent pair, it
+evaluates a state to J(u) and the right-hand side together, sharing the face
+differences and the powers between them.  `px_flux_divergence`,
+`dirichlet_energy` and the solver all call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -142,59 +149,78 @@ def cell_gradient_magnitude(u: GridFunction) -> np.ndarray:
     return np.sqrt(mag2)
 
 
-def face_exponents(p_values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Exponent on each face: arithmetic mean of the two adjacent cells.
+class _Kernel:
+    """J(u) and the right-hand side div(flux) + source - mean(source), from one
+    power per axis and one per cell.
 
-    Boundary faces keep the adjacent cell's value (their flux is zero anyway).
+    Per axis the face difference g gives q = g^2 + delta^2 and one power
+    w = q^{(p_f - 2)/2}, with p_f the mean of the two adjacent cell exponents:
+    the flux is w g and the energy density (q w - delta^{p_f}) / p_f, the
+    exact antiderivative of the flux, so the right-hand side is the exact L2
+    gradient of -J.  Outer-boundary faces carry zero flux.  Per cell one power
+    a = |u|^{r-1} gives the source sign(u) a and its energy |u| a / r; without
+    `r_values` the source is off.  Everything that depends only on the
+    exponents and delta is computed once, here.
     """
-    dim = p_values.ndim
-    out = []
-    for axis in range(dim):
-        shape = list(p_values.shape)
-        shape[axis] += 1
-        pf = np.empty(shape)
-        interior = [slice(None)] * dim
-        interior[axis] = slice(1, -1)
-        left = [slice(None)] * dim
-        left[axis] = slice(0, -1)
-        right = [slice(None)] * dim
-        right[axis] = slice(1, None)
-        pf[tuple(interior)] = 0.5 * (p_values[tuple(left)] + p_values[tuple(right)])
-        first = [slice(None)] * dim
-        first[axis] = slice(0, 1)
-        last = [slice(None)] * dim
-        last[axis] = slice(-1, None)
-        pf[tuple(first)] = p_values[tuple(first)]
-        pf[tuple(last)] = p_values[tuple(last)]
-        out.append(pf)
-    return tuple(out)
+
+    def __init__(self, grid: Grid, p_values: np.ndarray, delta: float,
+                 r_values: Optional[np.ndarray] = None):
+        if delta < 0:
+            raise ValueError("delta must be nonnegative")
+        self.shape = grid.shape
+        self.vol, self.omega = grid.cell_volume, grid.volume
+        self.d2 = delta * delta
+        self.offset = 0.0  # sum over faces of delta^{p_f} / p_f
+        self.axes = []
+        for axis in range(grid.dimension):
+            lo, hi, inner = _face_slices(grid.dimension, axis)
+            pf = 0.5 * (p_values[lo] + p_values[hi])
+            inv_pf = 1.0 / pf
+            if delta > 0.0:
+                self.offset += float(np.vdot(np.exp(np.log(delta) * pf), inv_pf))
+            shape = list(grid.shape)
+            shape[axis] += 1
+            flux = np.zeros(shape)  # outer-boundary faces stay zero
+            self.axes.append((grid.spacing[axis], lo, hi, 0.5 * (pf - 2.0), inv_pf,
+                              flux[inner], flux[lo], flux[hi]))
+        self.source = r_values is not None
+        if self.source:
+            self.r1 = r_values - 1.0
+            self.inv_r = 1.0 / r_values
+
+    def __call__(self, uv: np.ndarray) -> tuple[float, np.ndarray]:
+        div = np.zeros(self.shape)
+        energy = -self.offset
+        for h, lo, hi, expo, inv_pf, flux, flux_in, flux_out in self.axes:
+            g = (uv[hi] - uv[lo]) / h
+            q = g * g
+            q += self.d2
+            w = q**expo
+            np.multiply(w, g, out=flux)
+            div += (flux_out - flux_in) / h
+            q *= w
+            energy += float(np.vdot(q, inv_pf))
+        J = self.vol * energy
+        if self.source:
+            au = np.abs(uv)
+            a = au**self.r1
+            s = np.copysign(a, uv)
+            s -= self.vol * s.sum() / self.omega
+            div += s
+            au *= a
+            J -= self.vol * float(np.vdot(au, self.inv_r))
+        return J, div
 
 
-def _flux_divergence_from_pf(
-    u_values: np.ndarray,
-    grid: Grid,
-    pf: tuple[np.ndarray, ...],
-    delta: float,
-) -> np.ndarray:
-    """div((|grad u|^2 + delta^2)^{(p-2)/2} grad u) with precomputed face exponents."""
-    div = np.zeros(grid.shape)
-    d2 = delta * delta
-    for axis in range(grid.dimension):
-        h = grid.spacing[axis]
-        shape = list(grid.shape)
-        shape[axis] += 1
-        flux = np.zeros(shape)
-        interior = [slice(None)] * grid.dimension
-        interior[axis] = slice(1, -1)
-        g = np.diff(u_values, axis=axis) / h
-        pf_int = pf[axis][tuple(interior)]
-        flux[tuple(interior)] = (g * g + d2) ** (0.5 * (pf_int - 2.0)) * g
-        lo = [slice(None)] * grid.dimension
-        hi = [slice(None)] * grid.dimension
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        div += (flux[tuple(hi)] - flux[tuple(lo)]) / h
-    return div
+def _face_slices(dim: int, axis: int) -> tuple[tuple, tuple, tuple]:
+    """Cells left and right of each interior face, and the interior faces."""
+    lo = [slice(None)] * dim
+    hi = [slice(None)] * dim
+    lo[axis] = slice(0, -1)
+    hi[axis] = slice(1, None)
+    inner = [slice(None)] * dim
+    inner[axis] = slice(1, -1)
+    return tuple(lo), tuple(hi), tuple(inner)
 
 
 def px_flux_divergence(u: GridFunction, p, delta: float = 1e-8) -> GridFunction:
@@ -204,41 +230,12 @@ def px_flux_divergence(u: GridFunction, p, delta: float = 1e-8) -> GridFunction:
     gradient and p_f the mean of the two adjacent cell exponents; delta
     regularizes the singular case p < 2 at vanishing gradients.
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    pf = face_exponents(p.values)
-    div = _flux_divergence_from_pf(u.values, u.grid, pf, delta)
-    return GridFunction(u.grid, div)
-
-
-def _dirichlet_energy_from_pf(
-    u_values: np.ndarray,
-    grid: Grid,
-    pf: tuple[np.ndarray, ...],
-    delta: float,
-) -> float:
-    """Face-quadrature potential whose L2 gradient is -px_flux_divergence.
-
-    Per face the density is ((g^2 + delta^2)^{p/2} - delta^p) / p, the exact
-    antiderivative of the regularized flux; this makes the explicit stepper's
-    energy audit a pure time-discretization residual.
-    """
-    total = 0.0
-    d2 = delta * delta
-    for axis in range(grid.dimension):
-        h = grid.spacing[axis]
-        g = np.diff(u_values, axis=axis) / h
-        interior = [slice(None)] * grid.dimension
-        interior[axis] = slice(1, -1)
-        pf_int = pf[axis][tuple(interior)]
-        dens = ((g * g + d2) ** (0.5 * pf_int) - delta**pf_int) / pf_int
-        total += float(np.sum(dens))
-    return grid.cell_volume * total
+    return GridFunction(u.grid, _Kernel(u.grid, p.values, delta)(u.values)[1])
 
 
 def dirichlet_energy(u: GridFunction, p, delta: float = 1e-8) -> float:
-    pf = face_exponents(p.values)
-    return _dirichlet_energy_from_pf(u.values, u.grid, pf, delta)
+    """Face-quadrature potential whose L2 gradient is -px_flux_divergence."""
+    return _Kernel(u.grid, p.values, delta)(u.values)[0]
 
 
 def project_mean_zero(u: GridFunction) -> GridFunction:

@@ -6,11 +6,16 @@ the discrete energy identity
     J(u+) - J(u) + dt ||(u+ - u)/dt||_2^2  ~  0
 
 holds to the configured tolerance.  The J used for this audit is the
-face-quadrature potential from `grid.dirichlet_energy` minus the source
-energy; its L2 gradient equals the discrete right-hand side exactly, so the
-residual is a pure time-discretization remainder and halving dt on rejection
-always wins eventually.  Snapshots report the cell-RMS quadrature J used by
-the classification layer; the two agree up to spatial-quadrature differences.
+face-quadrature potential of `grid.dirichlet_energy` minus the source energy;
+its L2 gradient equals the discrete right-hand side exactly, so the residual
+is a pure time-discretization remainder and halving dt on rejection always
+wins eventually.  One kernel evaluation of a trial state gives both its J and
+its right-hand side from the same powers; when the step is accepted they are
+reused as the current state's, so each trial step evaluates the energy once.
+The accepted state is then shifted to zero mean; the right-hand side has zero
+mean, so the shift is round-off and J and the right-hand side still stand.
+Snapshots report the cell-RMS quadrature J used by the classification layer;
+the two agree up to spatial-quadrature differences.
 
 Blow-up is declared when the sup norm crosses the configured threshold (a
 finite trigger yields a lower bound on the escape time), or when dt collapses
@@ -26,14 +31,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .exponents import ExponentField
-from .grid import (
-    Grid,
-    GridFunction,
-    _dirichlet_energy_from_pf,
-    _flux_divergence_from_pf,
-    face_exponents,
-    project_mean_zero,
-)
+from .grid import GridFunction, _Kernel, project_mean_zero
 from .energy import EnergySnapshot, snapshot
 
 __all__ = [
@@ -95,11 +93,7 @@ class Trajectory:
     mean_drift_max: float
     rejected_steps: int = 0
     internal_J: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-
-def _source(u_values: np.ndarray, r_values: np.ndarray) -> np.ndarray:
-    # sign(u)|u|^{r-1}; zero at u = 0 since r > 1
-    return np.sign(u_values) * np.abs(u_values) ** (r_values - 1.0)
+    kernel_evals: int = 0
 
 
 def step(
@@ -112,12 +106,8 @@ def step(
 ) -> GridFunction:
     """One explicit Euler step; the mean-corrected source keeps the spatial
     mean of u conserved to round-off."""
-    pf = face_exponents(p.values)
-    rhs = _flux_divergence_from_pf(u.values, u.grid, pf, delta)
-    if with_source:
-        s = _source(u.values, r.values)
-        rhs = rhs + (s - u.grid.cell_volume * np.sum(s) / u.grid.volume)
-    return GridFunction(u.grid, u.values + dt * rhs)
+    kernel = _Kernel(u.grid, p.values, delta, r.values if with_source else None)
+    return GridFunction(u.grid, u.values + dt * kernel(u.values)[1])
 
 
 def simulate(
@@ -129,30 +119,13 @@ def simulate(
 ) -> Trajectory:
     grid = u0.grid
     vol = grid.cell_volume
-    omega = grid.volume
-    pf = face_exponents(p.values)
-    rv = r.values
-    delta = cfg.delta
-
-    def rhs_of(uv: np.ndarray) -> np.ndarray:
-        out = _flux_divergence_from_pf(uv, grid, pf, delta)
-        if with_source:
-            s = _source(uv, rv)
-            out = out + (s - vol * np.sum(s) / omega)
-        return out
-
-    def source_energy(uv: np.ndarray) -> float:
-        if not with_source:
-            return 0.0
-        return vol * float(np.sum(np.abs(uv) ** rv / rv))
-
-    def internal_J(uv: np.ndarray) -> float:
-        return _dirichlet_energy_from_pf(uv, grid, pf, delta) - source_energy(uv)
+    kernel = _Kernel(grid, p.values, cfg.delta, r.values if with_source else None)
 
     u = project_mean_zero(u0).values
     t = 0.0
     dt = cfg.dt_init
-    Jf = internal_J(u)
+    Jf, rhs = kernel(u)
+    evals = 1
 
     snaps = [snapshot(GridFunction(grid, u), p, r, t=0.0)]
     times = [0.0]
@@ -180,17 +153,20 @@ def simulate(
 
     while t < cfg.t_end:
         dt_eff = min(dt, cfg.t_end - t)
-        u_new = u + dt_eff * rhs_of(u)
+        u_new = u + dt_eff * rhs
         accepted = False
         if np.all(np.isfinite(u_new)):
-            J_new = internal_J(u_new)
+            J_new, rhs_new = kernel(u_new)
+            evals += 1
             diff = (u_new - u) / dt_eff
             udot2 = vol * float(np.sum(diff * diff))
             residual = abs(J_new - Jf + dt_eff * udot2)
             accepted = np.isfinite(J_new) and residual <= cfg.energy_tol * (1.0 + abs(Jf))
 
         if accepted:
-            # re-zero the mean: analytically a no-op, keeps round-off drift flat
+            # the right-hand side has zero mean, so this is a round-off shift
+            # that keeps the drift flat; J and the right-hand side of u_new
+            # stand for the shifted state
             u = u_new - np.sum(u_new) / u_new.size
             t += dt_eff
             steps += 1
@@ -199,7 +175,7 @@ def simulate(
             budget += dt_eff * udot2
             res_sum += residual
             max_rel_res = max(max_rel_res, residual / (1.0 + abs(Jf)))
-            Jf = internal_J(u)
+            Jf, rhs = J_new, rhs_new
             l2 = np.sqrt(vol * float(np.sum(u * u)))
             drift_max = max(drift_max, abs(vol * float(np.sum(u))) / (1.0 + l2))
             supn = float(np.max(np.abs(u)))
@@ -245,6 +221,7 @@ def simulate(
         mean_drift_max=drift_max,
         rejected_steps=rejected,
         internal_J=np.array(internal),
+        kernel_evals=evals,
     )
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from pxwell import energy
 from pxwell.exponents import build_field
 from pxwell.grid import Grid, GridFunction, project_mean_zero
 from pxwell.witnesses import mode_field
@@ -38,3 +39,19 @@ def random_exponent(grid, rng, lo=1.2, hi=4.0):
     if grid.dimension == 2:
         vals = vals + wobble * np.cos(np.pi * coords[1] / grid.lengths[1])
     return build_field(np.asarray(vals), grid)
+
+
+def fail_nehari_calls(monkeypatch, failing):
+    """Make the lambda* core raise on the given call indices; returns the
+    one-element call counter."""
+    original = energy._nehari_point
+    calls = [0]
+
+    def flaky(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] - 1 in failing:
+            raise ValueError("lambda* failure injected by the test")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(energy, "_nehari_point", flaky)
+    return calls

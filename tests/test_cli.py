@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import fail_nehari_calls
 from pxwell.cli import ConfigError, _load_config, main, run
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -76,6 +79,16 @@ def test_record_structure(tmp_path):
     assert "wall_time_s" not in rec  # timing lives in the sidecar meta file
     meta = json.loads((tmp_path / "global_2d-s1" / "meta.json").read_text())
     assert meta["wall_time_s"] > 0
+    stages = {"fields", "hypotheses", "estimates", "initial", "classify",
+              "simulate", "audit", "envelopes"}
+    assert set(meta["stage_s"]) == stages
+    assert all(v >= 0 for v in meta["stage_s"].values())
+    assert sum(meta["stage_s"].values()) <= meta["wall_time_s"]
+    steps = meta["steps"]
+    assert steps["accepted"] == rec["residuals"]["step_count"]
+    assert steps["rejected"] == rec["residuals"]["rejected_steps"]
+    assert steps["kernel_evals"] == 1 + steps["accepted"] + steps["rejected"]
+    assert not {"stage_s", "steps"} & set(rec)
 
 
 def test_classify_subcommand_no_trajectory(tmp_path):
@@ -120,6 +133,21 @@ def test_report_subcommand(tmp_path):
 
 def test_report_empty_dir(tmp_path):
     assert main(["report", "--out", str(tmp_path), "--quiet"]) == 3
+
+
+def test_module_entry_point(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["pxwell", "report", "--out", str(tmp_path), "--quiet"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("pxwell", run_name="__main__")
+    assert exc.value.code == 3
+
+
+def test_skipped_witnesses_reported(tmp_path, monkeypatch):
+    fail_nehari_calls(monkeypatch, {0})
+    rec = run(CONFIGS / "zero.ini", tmp_path, seed=0, do_simulate=False, quiet=True)
+    assert rec["estimates"]["depth"].skipped == 1
+    assert rec["events"] == [
+        "depth estimate skipped 1 witnesses or proposals on which lambda* failed"]
 
 
 def test_diffusion_dominant_pipeline(tmp_path):

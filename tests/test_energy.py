@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import mixed_mode, random_gridfunction
+from conftest import fail_nehari_calls, mixed_mode, random_gridfunction
 from pxwell.energy import (
     estimate_depth,
     estimate_level_radii,
@@ -153,6 +153,26 @@ def test_level_radii(pw):
     assert r2.Lambda_s >= r1.Lambda_s
     with pytest.raises(ValueError, match="exceed"):
         estimate_level_radii(g, 0.5 * dep.upper, p, r, samples=4, seed=5, depth_upper=dep.upper)
+
+
+def test_skipped_witnesses_counted(pw, monkeypatch):
+    g, p, r = pw
+    clean = estimate_depth(g, p, r, trials=2, seed=3, descent_steps=4)
+    assert clean.skipped == 0
+    # calls 0 and 1 are catalogue witnesses, call 9 a descent proposal
+    fail_nehari_calls(monkeypatch, {0, 1, 9})
+    assert estimate_depth(g, p, r, trials=2, seed=3, descent_steps=4).skipped == 3
+    monkeypatch.undo()
+    s_level = 9.0 * clean.upper
+    calls = fail_nehari_calls(monkeypatch, set())
+    every = estimate_level_radii(g, s_level, p, r, samples=8, seed=5)
+    assert every.skipped == 0
+    n_candidates = calls[0]
+    monkeypatch.undo()
+    calls = fail_nehari_calls(monkeypatch, {2, n_candidates - 1})
+    radii = estimate_level_radii(g, s_level, p, r, samples=8, seed=5)
+    assert radii.skipped == 2 and calls[0] == n_candidates
+    assert every.kept - 2 <= radii.kept < every.kept
 
 
 def test_level_radii_floor_when_defined():

@@ -6,7 +6,14 @@ import pytest
 from conftest import mixed_mode, random_gridfunction
 from pxwell.energy import find_lambda_star, snapshot
 from pxwell.exponents import build_field
-from pxwell.grid import Grid, GridFunction, integrate, project_mean_zero, px_flux_divergence
+from pxwell.grid import (
+    Grid,
+    GridFunction,
+    _Kernel,
+    integrate,
+    project_mean_zero,
+    px_flux_divergence,
+)
 from pxwell.solver import (
     BLOWUP_DETECTED,
     GLOBAL_UNTIL_TEND,
@@ -169,3 +176,142 @@ def test_trajectory_csv_format(setup2d):
     assert len(lines) == len(traj.snapshots) + 1
     row = lines[1].split(",")
     assert float(row[0]) == 0.0
+
+
+@pytest.mark.parametrize("source", [True, False], ids=["source", "no-source"])
+@pytest.mark.parametrize("grid, p_spec, r_spec", [
+    (Grid((40,), (1.0,)), "affine:1.4+1.2x", "affine:2.5+1.0x"),
+    (Grid((14, 10), (1.0, 0.7)), "affine:1.5+0.6x+0.8y", "const:3.0"),
+], ids=["1d", "2d"])
+def test_kernel_rhs_is_energy_gradient(grid, p_spec, r_spec, source):
+    # p_f runs from below 2 to above 2; with the source the right-hand side
+    # is the gradient of -J along mean-zero directions
+    p, r = build_field(p_spec, grid), build_field(r_spec, grid)
+    assert p.values.min() < 2.0 < p.values.max()
+    rng = np.random.default_rng(8)
+    for delta in (1e-8, 0.3):
+        kernel = _Kernel(grid, p.values, delta, r.values if source else None)
+        u = project_mean_zero(random_gridfunction(grid, rng)).values
+        v = project_mean_zero(random_gridfunction(grid, rng)).values
+        J, rhs = kernel(u)
+        eps = 1e-6
+        fd = (kernel(u + eps * v)[0] - kernel(u - eps * v)[0]) / (2 * eps)
+        pairing = grid.cell_volume * float(np.sum(rhs * v))
+        assert fd == pytest.approx(-pairing, rel=1e-8)
+        assert J == pytest.approx(_reference_J(u, grid, p, r if source else None, delta),
+                                  rel=1e-12)
+
+
+def _interior_face_exponents(grid, p):
+    out = []
+    for axis in range(grid.dimension):
+        lo = [slice(None)] * grid.dimension
+        hi = [slice(None)] * grid.dimension
+        lo[axis], hi[axis] = slice(0, -1), slice(1, None)
+        out.append(0.5 * (p.values[tuple(lo)] + p.values[tuple(hi)]))
+    return out
+
+
+def _reference_J(uv, grid, p, r, delta):
+    """The stepper's energy as computed before the one-pass kernel."""
+    total = 0.0
+    for axis, pf in enumerate(_interior_face_exponents(grid, p)):
+        g = np.diff(uv, axis=axis) / grid.spacing[axis]
+        total += float(np.sum(((g * g + delta**2) ** (0.5 * pf) - delta**pf) / pf))
+    J = grid.cell_volume * total
+    if r is not None:
+        J -= grid.cell_volume * float(np.sum(np.abs(uv) ** r.values / r.values))
+    return J
+
+
+def _reference_simulate(u0, p, r, cfg):
+    """The stepper loop before the one-pass kernel: separate right-hand side
+    and energy passes, and J evaluated again after the mean re-zero.  Returns
+    (outcome, accepted, rejected, recorded internal J)."""
+    grid = u0.grid
+    vol, omega, delta = grid.cell_volume, grid.volume, cfg.delta
+    pf = _interior_face_exponents(grid, p)
+
+    def rhs_of(uv):
+        div = np.zeros(grid.shape)
+        for axis in range(grid.dimension):
+            h = grid.spacing[axis]
+            g = np.diff(uv, axis=axis) / h
+            flux = (g * g + delta**2) ** (0.5 * (pf[axis] - 2.0)) * g
+            pad = [(0, 0)] * grid.dimension
+            pad[axis] = (1, 1)
+            div += np.diff(np.pad(flux, pad), axis=axis) / h
+        s = np.sign(uv) * np.abs(uv) ** (r.values - 1.0)
+        return div + (s - vol * np.sum(s) / omega)
+
+    def internal_J(uv):
+        return _reference_J(uv, grid, p, r, delta)
+
+    u = project_mean_zero(u0).values
+    t, dt = 0.0, cfg.dt_init
+    Jf = internal_J(u)
+    internal = [Jf]
+    steps = rejected = consec = since_record = 0
+    linf_hist = [float(np.max(np.abs(u)))]
+    outcome = None
+    while t < cfg.t_end:
+        dt_eff = min(dt, cfg.t_end - t)
+        u_new = u + dt_eff * rhs_of(u)
+        accepted = False
+        if np.all(np.isfinite(u_new)):
+            J_new = internal_J(u_new)
+            diff = (u_new - u) / dt_eff
+            udot2 = vol * float(np.sum(diff * diff))
+            residual = abs(J_new - Jf + dt_eff * udot2)
+            accepted = np.isfinite(J_new) and residual <= cfg.energy_tol * (1.0 + abs(Jf))
+        if accepted:
+            u = u_new - np.sum(u_new) / u_new.size
+            t += dt_eff
+            steps += 1
+            consec += 1
+            since_record += 1
+            Jf = internal_J(u)
+            supn = float(np.max(np.abs(u)))
+            linf_hist = (linf_hist + [supn])[-64:]
+            if consec >= 5:
+                dt, consec = min(dt * 1.25, cfg.dt_max), 0
+            if since_record >= cfg.record_every:
+                internal.append(Jf)
+                since_record = 0
+            if supn >= cfg.blowup_threshold:
+                outcome = (BLOWUP_DETECTED, t)
+                break
+        else:
+            rejected += 1
+            consec = 0
+            dt *= 0.5
+            if dt < cfg.dt_min:
+                growing = len(linf_hist) >= 2 and linf_hist[-1] > 1.05 * min(linf_hist)
+                outcome = (BLOWUP_DETECTED, t) if growing else (STALLED_DT, None)
+                break
+    if outcome is None:
+        outcome = (GLOBAL_UNTIL_TEND, None)
+    if since_record > 0:
+        internal.append(Jf)
+    return outcome, steps, rejected, np.array(internal)
+
+
+@pytest.mark.parametrize("factor, cfg", [
+    (1.7, SolverConfig(dt_init=1e-6, t_end=1.0, blowup_threshold=1e4, record_every=5)),
+    (0.25, SolverConfig(dt_init=1e-5, t_end=0.02, record_every=5)),
+], ids=["blowup", "decay"])
+def test_simulate_matches_reference_loop(factor, cfg):
+    g = Grid((16, 16), (1.0, 1.0))
+    p, r = build_field("affine:1.8+0.35x+0.35y", g), build_field(4.0, g)
+    phi = mixed_mode(g)
+    u0 = GridFunction(g, factor * find_lambda_star(phi, p, r) * phi.values)
+    (kind, t_b), steps, rejected, internal = _reference_simulate(u0, p, r, cfg)
+    traj = simulate(u0, p, r, cfg)
+    assert traj.outcome.kind == kind
+    assert (traj.step_count, traj.rejected_steps) == (steps, rejected)
+    assert traj.kernel_evals == 1 + steps + rejected
+    if t_b is None:
+        assert traj.outcome.t_b is None
+    else:
+        assert traj.outcome.t_b == pytest.approx(t_b, rel=1e-12, abs=0.0)
+    assert traj.internal_J == pytest.approx(internal, rel=1e-12, abs=0.0)
