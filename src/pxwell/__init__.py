@@ -10,9 +10,7 @@ envelopes and the modular Poincare counterexample at desk scale.
 from .grid import (
     Grid,
     GridFunction,
-    FaceField,
     integrate,
-    gradient,
     px_flux_divergence,
     project_mean_zero,
 )

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .exponents import ExponentField, check_hypotheses
+from .exponents import ExponentField, build_field, check_hypotheses
 from .energy import (
     DepthEstimate,
     LevelRadii,
@@ -329,8 +329,7 @@ def inequality_317_check(traj: Trajectory, d_hat_upper: float, r_minus: float,
 def prop48_check(u0: GridFunction, p: ExponentField, r_const: float, omega_vol: float) -> bool:
     """Large-data test for constant source exponent:
     (p_plus r/(r - p_plus)) |Omega|^{(r-2)/2} J(u0) <= ||u0||_2^r."""
-    r_field = ExponentField(u0.grid, np.full(u0.grid.shape, float(r_const)),
-                            float(r_const), float(r_const), "r")
+    r_field = build_field(float(r_const), u0.grid, label="r")
     s0 = snapshot(u0, p, r_field)
     lhs = p.p_plus * r_const / (r_const - p.p_plus) * omega_vol ** ((r_const - 2.0) / 2.0) * s0.J
     rhs = l2_norm(u0) ** r_const
@@ -369,8 +368,7 @@ def construct_high_energy_datum(
         raise ValueError("M_target must exceed the depth upper estimate")
     if not (r_const > p.p_plus):
         raise ValueError("needs constant source exponent above p_plus")
-    r_field = ExponentField(grid, np.full(grid.shape, float(r_const)),
-                            float(r_const), float(r_const), "r")
+    r_field = build_field(float(r_const), grid, label="r")
     n = grid.cells[0]
     half = n // 2
     if half < 6:

@@ -3,17 +3,18 @@
 J(u) is the diffusion energy minus the source energy, I(u) the difference of
 the corresponding modulars; the Nehari manifold is {I = 0}.  The modulars are
 inhomogeneous under scaling when the exponents vary, so every ray evaluation
-I(lambda u), J(lambda u) is a full quadrature.  The Nehari scaling lambda* is
-found by Newton's method on the log-ratio of the two modulars in log lambda:
-the derivative is a difference of exponent means weighted by the powered
-integrands, so each iterate costs one pair of power sums, and a few iterates
-suffice because the log-ratio is exactly linear when the exponents are
-constant.
+I(lambda u), J(lambda u) is a full quadrature, done in one place, the private
+`_Ray`, for `snapshot` too.  The Nehari scaling lambda* is found by Newton's
+method on the log-ratio of the two modulars in log lambda: the derivative is
+a difference of exponent means weighted by the powered integrands, so each
+iterate costs one pair of power sums, and a few iterates suffice because the
+log-ratio is exactly linear when the exponents are constant.
 
-Depth and level-set radii are sampled estimates: the depth upper bound is a
-minimum of Nehari values over witnesses (refined by stochastic descent), and
-the analytic lower bound is evaluated at a sampled embedding constant, which
-makes it non-certified; both directions are reported with provenance.
+Depth and level-set radii are sampled estimates over `witness_bank`: the
+depth upper bound is a minimum of Nehari values over witnesses (refined by
+stochastic descent), and the analytic lower bound is evaluated at a sampled
+embedding constant, which makes it non-certified; both directions are
+reported with provenance.
 """
 
 from __future__ import annotations
@@ -24,17 +25,15 @@ from typing import Optional
 import numpy as np
 
 from .exponents import ExponentField
-from .grid import Grid, GridFunction, cell_gradient_magnitude, project_mean_zero
+from .grid import Grid, GridFunction, cell_gradient_magnitude
 from .norms import EmbeddingEstimate, l2_norm
-from .witnesses import mode_catalogue, random_field
+from .witnesses import perturb, witness_bank
 
 __all__ = [
     "EnergySnapshot",
     "DepthEstimate",
     "LevelRadii",
     "snapshot",
-    "grad_modular",
-    "source_modular",
     "ray_profile",
     "find_lambda_star",
     "estimate_depth",
@@ -93,15 +92,6 @@ class LevelRadii:
     skipped: int = 0
 
 
-def grad_modular(u: GridFunction, p: ExponentField) -> float:
-    gm = cell_gradient_magnitude(u)
-    return u.grid.cell_volume * float(np.sum(gm**p.values))
-
-
-def source_modular(u: GridFunction, r: ExponentField) -> float:
-    return u.grid.cell_volume * float(np.sum(np.abs(u.values) ** r.values))
-
-
 def snapshot(u: GridFunction, p: ExponentField, r: ExponentField, t: float = 0.0) -> EnergySnapshot:
     """Evaluate J, I and the modulars by cell-wise quadrature.
 
@@ -109,15 +99,10 @@ def snapshot(u: GridFunction, p: ExponentField, r: ExponentField, t: float = 0.0
     delta0 is the source/diffusion modular ratio (NaN when the gradient
     modular vanishes).
     """
-    vol = u.grid.cell_volume
-    gm = cell_gradient_magnitude(u)
-    gpow = gm**p.values
-    spow = np.abs(u.values) ** r.values
-    gmod = vol * float(np.sum(gpow))
-    smod = vol * float(np.sum(spow))
-    J = vol * float(np.sum(gpow / p.values)) - vol * float(np.sum(spow / r.values))
+    ray = _Ray(u, p, r)
+    gmod, smod, J = ray.quadrature(*ray.powers(1.0))
     delta0 = smod / gmod if gmod > 0.0 else float("nan")
-    l2sq = vol * float(np.sum(u.values**2))
+    l2sq = ray.vol * float(np.sum(u.values**2))
     return EnergySnapshot(t=float(t), J=J, I=gmod - smod, grad_modular=gmod,
                           source_modular=smod, delta0=delta0, l2sq=l2sq)
 
@@ -140,11 +125,16 @@ class _Ray:
         """Per-cell integrands (lambda |grad u|)^p and (lambda |u|)^r."""
         return (lam * self.gm) ** self.pv, (lam * self.au) ** self.rv
 
+    def quadrature(self, gp: np.ndarray, sp: np.ndarray) -> tuple[float, float, float]:
+        """Modulars G, S and energy J: the cell quadrature of `powers`."""
+        G, S = self.vol * float(np.sum(gp)), self.vol * float(np.sum(sp))
+        J = self.vol * float(np.sum(gp / self.pv)) - self.vol * float(np.sum(sp / self.rv))
+        return G, S, J
+
     def modulars(self, lam: float) -> tuple[float, float]:
         if lam == 0.0:
             return 0.0, 0.0
-        gp, sp = self.powers(lam)
-        return self.vol * float(np.sum(gp)), self.vol * float(np.sum(sp))
+        return self.quadrature(*self.powers(lam))[:2]
 
     def I(self, lam: float) -> float:
         g, s = self.modulars(lam)
@@ -153,9 +143,7 @@ class _Ray:
     def J(self, lam: float) -> float:
         if lam == 0.0:
             return 0.0
-        g = self.vol * float(np.sum((lam * self.gm) ** self.pv / self.pv))
-        s = self.vol * float(np.sum((lam * self.au) ** self.rv / self.rv))
-        return g - s
+        return self.quadrature(*self.powers(lam))[2]
 
 
 def ray_profile(
@@ -201,7 +189,7 @@ def _nehari_point(
     tol: float = 1e-10,
 ) -> tuple[float, float]:
     """lambda* of `find_lambda_star` on a built ray, with J(lambda* u) from
-    the converged iterate's powers (the same sums as `_Ray.J`)."""
+    the converged iterate's powers (the quadrature of `_Ray.J`)."""
     if r.p_minus <= p.p_plus:
         raise ValueError("lambda* requires r_minus > p_plus")
     lam = 1.0
@@ -221,8 +209,7 @@ def _nehari_point(
         gmod = ray.vol * gsum
         val = gmod - ray.vol * ssum
         if abs(val) <= tol * gmod:
-            J = ray.vol * float(np.sum(gp / ray.pv)) - ray.vol * float(np.sum(sp / ray.rv))
-            return float(lam), J
+            return float(lam), ray.quadrature(gp, sp)[2]
         if val > 0.0:
             lo = lam
         else:
@@ -266,12 +253,10 @@ def _descend(
     best = J_start
     w = u
     sigma = 0.3
-    grid = u.grid
     skipped = 0
     for _ in range(steps):
-        noise = random_field(grid, rng, amp_range=(1.0, 1.0))
         scale = np.max(np.abs(w.values)) or 1.0
-        trial = project_mean_zero(GridFunction(grid, w.values + sigma * scale * noise.values))
+        trial = perturb(w, rng, sigma * scale)
         try:
             _, val = _nehari_point(_Ray(trial, p, r), p, r)
         except ValueError:
@@ -301,15 +286,10 @@ def estimate_depth(
     """
     if r.p_minus <= p.p_plus:
         raise ValueError("depth estimation requires r_minus > p_plus")
-    rng_draw = np.random.default_rng(seed)
-    # fixed low-mode catalogue first, then a prefix-stable random sequence
-    candidates = mode_catalogue(grid, kmax=2)
-    for _ in range(trials):
-        candidates.append(random_field(grid, rng_draw))
     upper = np.inf
     n_ok = 0
     skipped = 0
-    for i, w in enumerate(candidates):
+    for i, (_, w) in enumerate(witness_bank(grid, seed, trials)):
         try:
             lam, val = _nehari_point(_Ray(w, p, r), p, r)
         except ValueError:
@@ -378,13 +358,9 @@ def estimate_level_radii(
         raise ValueError(f"level s={s} must exceed the depth upper estimate {depth_upper}")
     if N is None:
         N = grid.dimension
-    rng = np.random.default_rng(seed)
-    candidates = mode_catalogue(grid, kmax=2)
-    for _ in range(samples):
-        candidates.append(random_field(grid, rng))
     norms = []
     skipped = 0
-    for w in candidates:
+    for _, w in witness_bank(grid, seed, samples):
         try:
             lam, val = _nehari_point(_Ray(w, p, r), p, r)
         except ValueError:

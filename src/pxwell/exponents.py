@@ -14,7 +14,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, _face_slices
 
 __all__ = [
     "ExponentField",
@@ -165,34 +165,28 @@ def check_log_holder(
     if n < 2:
         raise ValueError("need at least 2 cells")
 
-    pairs: set[tuple[int, int]] = set()
-    # axis-adjacent pairs, in flat index space
-    idx = np.arange(n).reshape(grid.shape)
-    for axis in range(grid.dimension):
-        lo = [slice(None)] * grid.dimension
-        hi = [slice(None)] * grid.dimension
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        for a, b in zip(idx[tuple(lo)].ravel(), idx[tuple(hi)].ravel()):
-            pairs.add((int(a), int(b)))
-
     total_pairs = n * (n - 1) // 2
     if total_pairs <= pair_budget:
-        ii, jj = np.triu_indices(n, k=1)
-        pairs.update(zip(ii.tolist(), jj.tolist()))
+        ii, jj = np.triu_indices(n, k=1)  # every pair, the adjacent ones among them
     else:
+        # a pair (a, b) with a < b is the integer key a * n + b; adjacent first
+        idx = np.arange(n).reshape(grid.shape)
+        adjacent = []
+        for axis in range(grid.dimension):
+            lo, hi, _ = _face_slices(grid.dimension, axis)
+            adjacent.append((idx[lo] * n + idx[hi]).ravel())
+        keys = np.concatenate(adjacent)
         rng = np.random.default_rng(seed)
-        while len(pairs) < pair_budget:
+        while keys.size < pair_budget:
             draw = rng.integers(0, n, size=(pair_budget, 2))
-            for a, b in draw:
-                if a == b:
-                    continue
-                pairs.add((int(min(a, b)), int(max(a, b))))
-                if len(pairs) >= pair_budget:
-                    break
+            drawn = draw.min(axis=1) * n + draw.max(axis=1)
+            drawn = drawn[draw[:, 0] != draw[:, 1]]
+            # unseen pairs in order of first draw, up to the budget
+            uniq, first = np.unique(drawn, return_index=True)
+            new = drawn[np.sort(first[~np.isin(uniq, keys)])]
+            keys = np.concatenate([keys, new[: pair_budget - keys.size]])
+        ii, jj = np.divmod(keys, n)
 
-    ii = np.fromiter((a for a, _ in pairs), dtype=int)
-    jj = np.fromiter((b for _, b in pairs), dtype=int)
     dist = np.linalg.norm(pts[ii] - pts[jj], axis=1)
     mask = (dist > 0.0) & (dist < 1.0)
     if not np.any(mask):

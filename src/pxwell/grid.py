@@ -3,7 +3,8 @@
 Cell-centered finite volumes on an interval or a rectangle.  Gradients live
 on faces, scalar fields on cells; all outer-boundary faces carry zero flux,
 which is the discrete form of the homogeneous Neumann condition.  Every
-integral in the package reduces to the midpoint rule on this grid.
+integral in the package reduces to the midpoint rule on this grid.  Face
+differences are formed where they are used, never stored as a field.
 
 The p(x)-flux, its face-quadrature energy and the source term are computed
 in one place, the private `_Kernel`: built once per exponent pair, it
@@ -14,7 +15,7 @@ differences and the powers between them.  `px_flux_divergence`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,9 +23,7 @@ import numpy as np
 __all__ = [
     "Grid",
     "GridFunction",
-    "FaceField",
     "integrate",
-    "gradient",
     "cell_gradient_magnitude",
     "px_flux_divergence",
     "dirichlet_energy",
@@ -105,47 +104,23 @@ class GridFunction:
         return GridFunction(self.grid, self.values.copy())
 
 
-@dataclass
-class FaceField:
-    """Per-axis face-centered values; outer-boundary faces are zero."""
-
-    grid: Grid
-    faces: tuple[np.ndarray, ...] = field(default_factory=tuple)
-
-
 def integrate(f: GridFunction) -> float:
     """Midpoint-rule integral over the whole domain."""
     return f.grid.cell_volume * float(np.sum(f.values))
 
 
-def gradient(u: GridFunction) -> FaceField:
-    """Forward-difference gradient; boundary faces set to zero (mirror ghost)."""
-    g = u.grid
-    out = []
-    for axis in range(g.dimension):
-        h = g.spacing[axis]
-        shape = list(g.shape)
-        shape[axis] += 1
-        faces = np.zeros(shape)
-        interior = [slice(None)] * g.dimension
-        interior[axis] = slice(1, -1)
-        faces[tuple(interior)] = np.diff(u.values, axis=axis) / h
-        out.append(faces)
-    return FaceField(g, tuple(out))
-
-
 def cell_gradient_magnitude(u: GridFunction) -> np.ndarray:
-    """|grad u| at cells: per-axis RMS of the two adjacent face values."""
+    """|grad u| at cells: per-axis RMS of the two adjacent face differences,
+    an outer-boundary face counting as zero (mirror ghost)."""
     g = u.grid
-    grad = gradient(u)
     mag2 = np.zeros(g.shape)
     for axis in range(g.dimension):
-        f2 = grad.faces[axis] ** 2
-        lo = [slice(None)] * g.dimension
-        hi = [slice(None)] * g.dimension
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        mag2 += 0.5 * (f2[tuple(lo)] + f2[tuple(hi)])
+        lo, hi, _ = _face_slices(g.dimension, axis)
+        f2 = (np.diff(u.values, axis=axis) / g.spacing[axis]) ** 2
+        pair = np.zeros(g.shape)  # per cell: the sum over its two faces
+        pair[lo] = f2
+        pair[hi] += f2
+        mag2 += 0.5 * pair
     return np.sqrt(mag2)
 
 

@@ -14,13 +14,13 @@ records which estimate it used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .exponents import ExponentField
-from .grid import Grid, GridFunction, cell_gradient_magnitude, integrate, project_mean_zero
-from .witnesses import mode_catalogue, random_field
+from .exponents import ExponentField, build_field
+from .grid import Grid, GridFunction, cell_gradient_magnitude, integrate
+from .witnesses import perturb, witness_bank
 
 __all__ = [
     "NormResult",
@@ -226,15 +226,6 @@ def estimate_embedding(
     constant and is labeled as such.
     """
     kind = "B0" if isinstance(target, str) else "B"
-    rng_draw = np.random.default_rng(seed)
-    best = -np.inf
-    best_w: Optional[GridFunction] = None
-    best_id = ""
-    candidates: list[tuple[str, GridFunction]] = [
-        (f"mode{i}", w) for i, w in enumerate(mode_catalogue(grid, kmax=2))
-    ]
-    for i in range(trials):
-        candidates.append((f"draw{i}", random_field(grid, rng_draw)))
 
     def quotient(w: GridFunction) -> float:
         denom = gradient_norm(w, p)
@@ -242,30 +233,38 @@ def estimate_embedding(
             return -np.inf  # degenerate witness: constant after projection
         return _target_norm(w, target) / denom
 
-    for ident, w in candidates:
-        qv = quotient(w)
-        if qv > best:
-            best, best_w, best_id = qv, w, ident
-
+    best, w, best_id = _best_quotient(witness_bank(grid, seed, trials), quotient)
     rng_ascent = np.random.default_rng((seed, 0xA5CE17))
-    if best_w is not None and ascent_steps > 0:
+    if ascent_steps > 0:
         sigma = 0.5
-        w = best_w
         scale = np.max(np.abs(w.values)) or 1.0
         for _ in range(ascent_steps):
-            noise = random_field(grid, rng_ascent, amp_range=(1.0, 1.0))
-            trial = project_mean_zero(
-                GridFunction(grid, w.values + sigma * scale * noise.values)
-            )
+            trial = perturb(w, rng_ascent, sigma * scale)
             qv = quotient(trial)
             if qv > best:
                 best, w = qv, trial
                 best_id += "+asc"
             else:
                 sigma *= 0.7
+    return EmbeddingEstimate(float(best), kind, None, trials, seed, best_id)
+
+
+def _best_quotient(
+    bank: list[tuple[str, GridFunction]],
+    quotient: Callable[[GridFunction], float],
+) -> tuple[float, GridFunction, str]:
+    """Largest quotient over the bank, with its witness and label; a
+    degenerate witness scores -inf.  Raises when every witness is degenerate."""
+    best = -np.inf
+    best_w: Optional[GridFunction] = None
+    best_id = ""
+    for ident, w in bank:
+        qv = quotient(w)
+        if qv > best:
+            best, best_w, best_id = qv, w, ident
     if not np.isfinite(best):
         raise ValueError("no admissible witness found (all degenerate)")
-    return EmbeddingEstimate(float(best), kind, None, trials, seed, best_id)
+    return best, best_w, best_id
 
 
 def gn_theta(p_minus: float, r_plus: float, N: int) -> float:
@@ -291,23 +290,16 @@ def estimate_gn_constant(
     theta = gn_theta(p.p_minus, r.p_plus, N)
     if not (0.0 < theta < 1.0):
         raise ValueError(f"interpolation exponent {theta} outside (0,1); hypotheses violated")
-    rplus_field = ExponentField(grid, np.full(grid.shape, r.p_plus), r.p_plus, r.p_plus, "r+")
+    rplus_field = build_field(float(r.p_plus), grid, label="r+")
     vol_factor = 1.0 + grid.volume
-    rng = np.random.default_rng(seed)
-    best = -np.inf
-    best_id = ""
-    candidates = [(f"mode{i}", w) for i, w in enumerate(mode_catalogue(grid, kmax=2))]
-    for i in range(trials):
-        candidates.append((f"draw{i}", random_field(grid, rng)))
-    for ident, w in candidates:
+
+    def quotient(w: GridFunction) -> float:
         gnorm = gradient_norm(w, p)
         l2 = l2_norm(w)
         if gnorm == 0.0 or l2 == 0.0:
-            continue
+            return -np.inf
         num = vol_factor * luxemburg_norm(w, rplus_field).value
-        qv = num / (gnorm**theta * l2 ** (1.0 - theta))
-        if qv > best:
-            best, best_id = qv, ident
-    if not np.isfinite(best):
-        raise ValueError("no admissible witness found (all degenerate)")
+        return num / (gnorm**theta * l2 ** (1.0 - theta))
+
+    best, _, best_id = _best_quotient(witness_bank(grid, seed, trials), quotient)
     return EmbeddingEstimate(float(best), "Ctilde", float(theta), trials, seed, best_id)

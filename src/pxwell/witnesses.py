@@ -10,6 +10,9 @@ random draw is then one coefficient vector times that matrix, and
 `mode_catalogue` reads rows of the same matrix.  `mode_field` evaluates its
 one mode with the code that fills the rows, so an arbitrary wavenumber never
 builds a large basis.
+
+Every sampled estimator (B0, B, C-tilde, depth, level radii) scans the same
+`witness_bank`, and their local refinements step with `perturb`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .grid import Grid, GridFunction, project_mean_zero
 
-__all__ = ["mode_field", "mode_catalogue", "random_field"]
+__all__ = ["mode_field", "mode_catalogue", "random_field", "witness_bank", "perturb"]
 
 # wavenumber band of random_field; mode_catalogue shares its basis
 _KMAX = 4
@@ -69,16 +72,15 @@ def mode_catalogue(grid: Grid, kmax: int = 3) -> list[GridFunction]:
 def random_field(
     grid: Grid,
     rng: np.random.Generator,
-    kmax: int = _KMAX,
     amp_range: tuple[float, float] = (1e-1, 1e1),
 ) -> GridFunction:
     """Band-limited random combination of modes with log-uniform amplitude.
 
-    Draws one standard normal coefficient per mode of the kmax basis, in
+    Draws one standard normal coefficient per mode of the kmax = 4 basis, in
     basis order, then the amplitude; the stream is that of one scalar draw
     per mode.
     """
-    _, basis = _mode_basis(grid, kmax)
+    _, basis = _mode_basis(grid, _KMAX)
     vals = (rng.normal(size=basis.shape[0]) @ basis).reshape(grid.shape)
     lo, hi = amp_range
     amp = np.exp(rng.uniform(np.log(lo), np.log(hi)))
@@ -87,3 +89,18 @@ def random_field(
         vals = np.cos(np.pi * grid.centers()[0] / grid.lengths[0])
         scale = np.max(np.abs(vals))
     return project_mean_zero(GridFunction(grid, amp * vals / scale))
+
+
+def witness_bank(grid: Grid, seed: int, n: int) -> list[tuple[str, GridFunction]]:
+    """The kmax = 2 catalogue as mode<i>, then n draws of `random_field` from
+    default_rng(seed) as draw<i>; prefix-stable in n."""
+    bank = [(f"mode{i}", w) for i, w in enumerate(mode_catalogue(grid, kmax=2))]
+    rng = np.random.default_rng(seed)
+    bank.extend((f"draw{i}", random_field(grid, rng)) for i in range(n))
+    return bank
+
+
+def perturb(w: GridFunction, rng: np.random.Generator, amp: float) -> GridFunction:
+    """w plus amp times a unit-amplitude random field, projected to mean zero."""
+    noise = random_field(w.grid, rng, amp_range=(1.0, 1.0))
+    return project_mean_zero(GridFunction(w.grid, w.values + amp * noise.values))

@@ -121,3 +121,59 @@ def test_hypotheses_monotone_in_r():
         low = check_hypotheses(p, r_low).r_plus_below_p_minus
         high = check_hypotheses(p, r_high).r_plus_below_p_minus
         assert low or not high  # raising r cannot flip false -> true
+
+
+def _log_holder_set_loop(field, pair_budget=20000, cap=10.0, seed=0):
+    """The pair selection as a Python set of (a, b) tuples, kept as an oracle
+    for the integer-key selection in check_log_holder."""
+    grid = field.grid
+    pts = np.stack([c.ravel() for c in grid.centers()], axis=1)
+    q = field.values.ravel()
+    n = q.size
+    pairs = set()
+    idx = np.arange(n).reshape(grid.shape)
+    for axis in range(grid.dimension):
+        lo = [slice(None)] * grid.dimension
+        hi = [slice(None)] * grid.dimension
+        lo[axis] = slice(0, -1)
+        hi[axis] = slice(1, None)
+        for a, b in zip(idx[tuple(lo)].ravel(), idx[tuple(hi)].ravel()):
+            pairs.add((int(a), int(b)))
+    if n * (n - 1) // 2 <= pair_budget:
+        ii, jj = np.triu_indices(n, k=1)
+        pairs.update(zip(ii.tolist(), jj.tolist()))
+    else:
+        rng = np.random.default_rng(seed)
+        while len(pairs) < pair_budget:
+            draw = rng.integers(0, n, size=(pair_budget, 2))
+            for a, b in draw:
+                if a == b:
+                    continue
+                pairs.add((int(min(a, b)), int(max(a, b))))
+                if len(pairs) >= pair_budget:
+                    break
+    ii = np.fromiter((a for a, _ in pairs), dtype=int)
+    jj = np.fromiter((b for _, b in pairs), dtype=int)
+    dist = np.linalg.norm(pts[ii] - pts[jj], axis=1)
+    mask = (dist > 0.0) & (dist < 1.0)
+    if not np.any(mask):
+        return 0.0, True, 0, cap
+    max_mod = float((np.abs(q[ii[mask]] - q[jj[mask]]) * np.log(1.0 / dist[mask])).max())
+    return max_mod, bool(np.isfinite(max_mod) and max_mod <= cap), int(mask.sum()), cap
+
+
+@pytest.mark.parametrize("cells, budget, seed", [
+    ((64,), 20000, 0),        # exhaustive
+    ((200,), 20000, 0),       # exhaustive, 19900 pairs
+    ((32, 32), 20000, 3),     # one draw batch fills the budget
+    ((16, 16), 20000, 1),     # several draw batches
+    ((128, 128), 20000, 0),   # adjacent pairs alone exceed the budget
+])
+def test_log_holder_matches_set_loop(cells, budget, seed):
+    g = Grid(cells, (1.0,) * len(cells))
+    spec = "sin:2.0+0.4*sin(3pix)" if len(cells) == 1 else "affine:1.6+0.5x+0.9y"
+    # a sharp bump makes the maximum depend on which pairs are drawn
+    f = build_field(build_field(spec, g).values + 0.5 * (g.centers()[0] > 0.37), g)
+    rep = check_log_holder(f, pair_budget=budget, seed=seed)
+    assert (rep.max_log_modulus, rep.passes, rep.pairs_checked, rep.cap) == \
+        _log_holder_set_loop(f, pair_budget=budget, seed=seed)

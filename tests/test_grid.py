@@ -7,8 +7,8 @@ from pxwell.exponents import build_field
 from pxwell.grid import (
     Grid,
     GridFunction,
+    cell_gradient_magnitude,
     dirichlet_energy,
-    gradient,
     integrate,
     load_gridfunction_csv,
     project_mean_zero,
@@ -40,19 +40,25 @@ def test_integrate_affine_exact(grid1d):
 
 
 def test_gradient_constant_and_linear(grid1d):
-    zero = gradient(GridFunction(grid1d, np.full(64, 3.7)))
-    assert np.all(zero.faces[0] == 0.0)
-    lin = gradient(GridFunction(grid1d, grid1d.axis_centers(0)))
-    assert np.allclose(lin.faces[0][1:-1], 1.0)
-    assert lin.faces[0][0] == 0.0 and lin.faces[0][-1] == 0.0
+    zero = cell_gradient_magnitude(GridFunction(grid1d, np.full(64, 3.7)))
+    assert np.all(zero == 0.0)
+    # unit slope on every interior face; an end cell also sees one zero
+    # outer-boundary face, so its RMS is sqrt(1/2)
+    lin = cell_gradient_magnitude(GridFunction(grid1d, grid1d.axis_centers(0)))
+    assert np.allclose(lin[1:-1], 1.0)
+    assert np.allclose(lin[[0, -1]], np.sqrt(0.5))
 
 
 def test_gradient_axis_separation():
     g = Grid((8, 8), (1.0, 1.0))
-    _, y = g.centers()
-    gr = gradient(GridFunction(g, y))
-    assert np.all(gr.faces[0] == 0.0)
-    assert np.allclose(gr.faces[1][:, 1:-1], 1.0)
+    x, y = g.centers()
+    profile = np.full(8, 1.0)
+    profile[[0, -1]] = np.sqrt(0.5)
+    # a field varying along one axis sees no difference across the other
+    along_y = cell_gradient_magnitude(GridFunction(g, y))
+    assert np.allclose(along_y, np.broadcast_to(profile, g.shape))
+    along_x = cell_gradient_magnitude(GridFunction(g, x))
+    assert np.allclose(along_x, along_y.T)
 
 
 def test_flux_divergence_zero_for_constant(grid2d):

@@ -17,7 +17,7 @@ from pxwell.energy import _nehari_point, _Ray, find_lambda_star
 from pxwell.exponents import build_field
 from pxwell.grid import Grid, GridFunction, cell_gradient_magnitude, project_mean_zero
 from pxwell.norms import luxemburg_norm
-from pxwell.witnesses import mode_catalogue, mode_field, random_field
+from pxwell.witnesses import mode_catalogue, mode_field, random_field, witness_bank
 
 
 def _mode_field_loop(grid, ks):
@@ -115,6 +115,24 @@ def test_pure_modes_match_mode_loop(grid):
             assert np.array_equal(w.values, _mode_field_loop(grid, ks))
     ks = (7,) if grid.dimension == 1 else (0, 9)
     assert np.array_equal(mode_field(grid, ks).values, _mode_field_loop(grid, ks))
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d"])
+def test_witness_bank_catalogue_then_draws(grid):
+    bank = witness_bank(grid, seed=5, n=7)
+    cat = mode_catalogue(grid, kmax=2)
+    assert [label for label, _ in bank] == (
+        [f"mode{i}" for i in range(len(cat))] + [f"draw{i}" for i in range(7)])
+    for (_, w), ref in zip(bank, cat):
+        assert np.array_equal(w.values, ref.values)
+    rng = np.random.default_rng(5)
+    for _, w in bank[len(cat):]:
+        assert np.array_equal(w.values, random_field(grid, rng).values)
+    # prefix-stable: a longer bank starts with the shorter one
+    longer = witness_bank(grid, seed=5, n=12)
+    assert all(a == b and np.array_equal(v.values, w.values)
+               for (a, v), (b, w) in zip(bank, longer))
+    assert len(longer) == len(cat) + 12
 
 
 def _nehari_witnesses(grid):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_exponent, random_gridfunction
 from pxwell.exponents import ExponentField, build_field
-from pxwell.grid import Grid, GridFunction, gradient, integrate
+from pxwell.grid import Grid, GridFunction, integrate
 from pxwell.norms import (
     check_holder,
     check_unit_ball_relations,
