@@ -5,7 +5,10 @@ keys are hard errors so that a stored config echo pins a run completely.
 Given the same config and seed, every artifact is reproduced byte for byte.
 Wall times and counters go to the sidecar `meta.json`, never into the
 record: the total and per-stage wall times and, for a simulated run, the
-stepper's accepted and rejected steps and kernel evaluations.
+stepper's accepted and rejected steps and kernel evaluations, in total and
+binned by the decade floor(log10 ||u||_inf) of the state each trial step
+starts from (decade null for the zero state).  `report` collects each run's
+verdict, outcome and step counts into `summary.csv`.
 
 Exit codes: 0 success, 2 config error, 3 pipeline error, 4 assertion or
 acceptance failure.
@@ -325,8 +328,16 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
                 "rejected_steps": traj.rejected_steps,
                 "energy_budget_used": traj.energy_budget_used,
             }
-            meta["steps"] = {"accepted": traj.step_count, "rejected": traj.rejected_steps,
-                             "kernel_evals": traj.kernel_evals}
+            meta["steps"] = {
+                "accepted": traj.step_count, "rejected": traj.rejected_steps,
+                "kernel_evals": traj.kernel_evals,
+                "by_decade": [
+                    {"decade": k, "accepted": acc, "rejected": rej}
+                    for k, (acc, rej) in sorted(
+                        traj.steps_by_decade.items(),
+                        key=lambda kv: -float("inf") if kv[0] is None else kv[0])
+                ],
+            }
 
             enter("audit")
             d_for_audit = depth.upper if depth is not None else None
@@ -508,15 +519,19 @@ def _cmd_report(args) -> int:
     if not records:
         print(f"no records under {out}", file=sys.stderr)
         return 3
-    lines = ["id,prediction,rule,outcome,J0,I0"]
+    lines = ["id,prediction,rule,outcome,J0,I0,accepted,rejected"]
     for rec_path in records:
         rec = json.loads(rec_path.read_text())
         verdict = rec.get("verdict", {})
         outcome = (rec.get("outcome") or {}).get("kind", "")
         init = rec.get("initial", {})
+        meta_path = rec_path.with_name("meta.json")
+        meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
+        steps = meta.get("steps", {})  # absent for classify-only runs
         lines.append(
             f"{rec['id']},{verdict.get('prediction','')},{verdict.get('rule','')},"
-            f"{outcome},{init.get('J','')},{init.get('I','')}"
+            f"{outcome},{init.get('J','')},{init.get('I','')},"
+            f"{steps.get('accepted','')},{steps.get('rejected','')}"
         )
         if not args.quiet:
             print(lines[-1])

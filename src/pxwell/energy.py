@@ -127,14 +127,18 @@ class _Ray:
 
     def quadrature(self, gp: np.ndarray, sp: np.ndarray) -> tuple[float, float, float]:
         """Modulars G, S and energy J: the cell quadrature of `powers`."""
-        G, S = self.vol * float(np.sum(gp)), self.vol * float(np.sum(sp))
-        J = self.vol * float(np.sum(gp / self.pv)) - self.vol * float(np.sum(sp / self.rv))
-        return G, S, J
+        return (*self._modulars(gp, sp), self._energy(gp, sp))
+
+    def _modulars(self, gp: np.ndarray, sp: np.ndarray) -> tuple[float, float]:
+        return self.vol * float(np.sum(gp)), self.vol * float(np.sum(sp))
+
+    def _energy(self, gp: np.ndarray, sp: np.ndarray) -> float:
+        return self.vol * float(np.sum(gp / self.pv)) - self.vol * float(np.sum(sp / self.rv))
 
     def modulars(self, lam: float) -> tuple[float, float]:
         if lam == 0.0:
             return 0.0, 0.0
-        return self.quadrature(*self.powers(lam))[:2]
+        return self._modulars(*self.powers(lam))
 
     def I(self, lam: float) -> float:
         g, s = self.modulars(lam)
@@ -143,7 +147,7 @@ class _Ray:
     def J(self, lam: float) -> float:
         if lam == 0.0:
             return 0.0
-        return self.quadrature(*self.powers(lam))[2]
+        return self._energy(*self.powers(lam))
 
 
 def ray_profile(
@@ -194,7 +198,8 @@ def _nehari_point(
         raise ValueError("lambda* requires r_minus > p_plus")
     lam = 1.0
     gp, sp = ray.powers(lam)
-    a, b = ray.vol * float(np.sum(gp)), ray.vol * float(np.sum(sp))
+    gsum, ssum = float(np.sum(gp)), float(np.sum(sp))
+    a, b = ray.vol * gsum, ray.vol * ssum
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("degenerate trial field: non-finite modulars")
     if a <= 0.0:
@@ -205,11 +210,10 @@ def _nehari_point(
     c = (a / b) ** (1.0 / (r.p_minus - p.p_plus))
     lo, hi = 0.9 * min(1.0, c), 1.1 * max(1.0, c)
     for _ in range(_MAX_RAY_EVALS):
-        gsum, ssum = float(np.sum(gp)), float(np.sum(sp))
         gmod = ray.vol * gsum
         val = gmod - ray.vol * ssum
         if abs(val) <= tol * gmod:
-            return float(lam), ray.quadrature(gp, sp)[2]
+            return float(lam), ray._energy(gp, sp)
         if val > 0.0:
             lo = lam
         else:
@@ -222,6 +226,7 @@ def _nehari_point(
             break
         lam = nxt if lo < nxt < hi else float(np.sqrt(lo * hi))
         gp, sp = ray.powers(lam)
+        gsum, ssum = float(np.sum(gp)), float(np.sum(sp))
     raise ValueError(
         f"lambda* not converged to tol {tol}: bracket [{lo!r}, {hi!r}] after "
         f"{_MAX_RAY_EVALS} evaluations or at rounding"

@@ -88,6 +88,10 @@ def test_record_structure(tmp_path):
     assert steps["accepted"] == rec["residuals"]["step_count"]
     assert steps["rejected"] == rec["residuals"]["rejected_steps"]
     assert steps["kernel_evals"] == 1 + steps["accepted"] + steps["rejected"]
+    decades = [row["decade"] for row in steps["by_decade"]]
+    assert decades == sorted(decades) and len(set(decades)) == len(decades)
+    assert sum(row["accepted"] for row in steps["by_decade"]) == steps["accepted"]
+    assert sum(row["rejected"] for row in steps["by_decade"]) == steps["rejected"]
     assert not {"stage_s", "steps"} & set(rec)
 
 
@@ -124,11 +128,23 @@ def test_poincare_subcommand(tmp_path):
 
 
 def test_report_subcommand(tmp_path):
-    run(CONFIGS / "zero.ini", tmp_path, seed=0, quiet=True)
+    rec = run(CONFIGS / "zero.ini", tmp_path, seed=0, quiet=True)
+    run(CONFIGS / "zero.ini", tmp_path, seed=1, do_simulate=False, quiet=True)
     code = main(["report", "--out", str(tmp_path), "--quiet"])
     assert code == 0
-    summary = (tmp_path / "summary.csv").read_text()
-    assert "zero-s0,Global" in summary
+    header, *rows = (tmp_path / "summary.csv").read_text().strip().split("\n")
+    assert header == "id,prediction,rule,outcome,J0,I0,accepted,rejected"
+    simulated, classified = (dict(zip(header.split(","), row.split(","))) for row in rows)
+    assert simulated["id"] == "zero-s0" and simulated["prediction"] == "Global"
+    residuals = rec["residuals"]
+    assert (simulated["accepted"], simulated["rejected"]) == (
+        str(residuals["step_count"]), str(residuals["rejected_steps"]))
+    assert classified["id"] == "zero-s1" and classified["outcome"] == ""
+    assert (classified["accepted"], classified["rejected"]) == ("", "")
+    meta = json.loads((tmp_path / "zero-s0" / "meta.json").read_text())
+    # the zero datum never leaves the zero state
+    assert meta["steps"]["by_decade"] == [
+        {"decade": None, "accepted": residuals["step_count"], "rejected": 0}]
 
 
 def test_report_empty_dir(tmp_path):

@@ -226,8 +226,9 @@ def _reference_J(uv, grid, p, r, delta):
 
 def _reference_simulate(u0, p, r, cfg):
     """The stepper loop before the one-pass kernel: separate right-hand side
-    and energy passes, and J evaluated again after the mean re-zero.  Returns
-    (outcome, accepted, rejected, recorded internal J)."""
+    and energy passes, and J evaluated again after the mean re-zero, with the
+    stepper's dt rule.  Returns (outcome, accepted, rejected, recorded
+    internal J)."""
     grid = u0.grid
     vol, omega, delta = grid.cell_volume, grid.volume, cfg.delta
     pf = _interior_face_exponents(grid, p)
@@ -263,7 +264,8 @@ def _reference_simulate(u0, p, r, cfg):
             diff = (u_new - u) / dt_eff
             udot2 = vol * float(np.sum(diff * diff))
             residual = abs(J_new - Jf + dt_eff * udot2)
-            accepted = np.isfinite(J_new) and residual <= cfg.energy_tol * (1.0 + abs(Jf))
+            tol = cfg.energy_tol * (1.0 + abs(Jf))
+            accepted = np.isfinite(J_new) and residual <= tol
         if accepted:
             u = u_new - np.sum(u_new) / u_new.size
             t += dt_eff
@@ -273,7 +275,9 @@ def _reference_simulate(u0, p, r, cfg):
             Jf = internal_J(u)
             supn = float(np.max(np.abs(u)))
             linf_hist = (linf_hist + [supn])[-64:]
-            if consec >= 5:
+            if supn > linf_hist[-2] and 0.97 * np.sqrt(tol / residual) < 1.0:
+                dt, consec = dt * (0.97 * np.sqrt(tol / residual)), 0
+            elif consec >= 5:
                 dt, consec = min(dt * 1.25, cfg.dt_max), 0
             if since_record >= cfg.record_every:
                 internal.append(Jf)
@@ -285,10 +289,10 @@ def _reference_simulate(u0, p, r, cfg):
             rejected += 1
             consec = 0
             dt *= 0.5
-            if dt < cfg.dt_min:
-                growing = len(linf_hist) >= 2 and linf_hist[-1] > 1.05 * min(linf_hist)
-                outcome = (BLOWUP_DETECTED, t) if growing else (STALLED_DT, None)
-                break
+        if dt < cfg.dt_min:
+            growing = len(linf_hist) >= 2 and linf_hist[-1] > 1.05 * min(linf_hist)
+            outcome = (BLOWUP_DETECTED, t) if growing else (STALLED_DT, None)
+            break
     if outcome is None:
         outcome = (GLOBAL_UNTIL_TEND, None)
     if since_record > 0:
@@ -296,15 +300,24 @@ def _reference_simulate(u0, p, r, cfg):
     return outcome, steps, rejected, np.array(internal)
 
 
-@pytest.mark.parametrize("factor, cfg", [
-    (1.7, SolverConfig(dt_init=1e-6, t_end=1.0, blowup_threshold=1e4, record_every=5)),
-    (0.25, SolverConfig(dt_init=1e-5, t_end=0.02, record_every=5)),
-], ids=["blowup", "decay"])
-def test_simulate_matches_reference_loop(factor, cfg):
+def _mixed_mode_datum(factor):
     g = Grid((16, 16), (1.0, 1.0))
     p, r = build_field("affine:1.8+0.35x+0.35y", g), build_field(4.0, g)
     phi = mixed_mode(g)
-    u0 = GridFunction(g, factor * find_lambda_star(phi, p, r) * phi.values)
+    return GridFunction(g, factor * find_lambda_star(phi, p, r) * phi.values), p, r
+
+
+# While the sup norm grows, dt is a continuous function of the energy
+# residual, a difference of O(|J|) sums that the two loops round differently;
+# from the first shrink on their dt differ in the last bits, and their J drift
+# apart to 1.7e-11 by the threshold.  The decaying run never shrinks, so its
+# dt, and hence its J, stay in lockstep.
+@pytest.mark.parametrize("factor, cfg, j_rel", [
+    (1.7, SolverConfig(dt_init=1e-6, t_end=1.0, blowup_threshold=1e4, record_every=5), 1e-10),
+    (0.25, SolverConfig(dt_init=1e-5, t_end=0.02, record_every=5), 1e-12),
+], ids=["blowup", "decay"])
+def test_simulate_matches_reference_loop(factor, cfg, j_rel):
+    u0, p, r = _mixed_mode_datum(factor)
     (kind, t_b), steps, rejected, internal = _reference_simulate(u0, p, r, cfg)
     traj = simulate(u0, p, r, cfg)
     assert traj.outcome.kind == kind
@@ -314,4 +327,58 @@ def test_simulate_matches_reference_loop(factor, cfg):
         assert traj.outcome.t_b is None
     else:
         assert traj.outcome.t_b == pytest.approx(t_b, rel=1e-12, abs=0.0)
-    assert traj.internal_J == pytest.approx(internal, rel=1e-12, abs=0.0)
+    assert traj.internal_J == pytest.approx(internal, rel=j_rel, abs=0.0)
+
+
+@pytest.fixture(scope="module")
+def blowup16():
+    u0, p, r = _mixed_mode_datum(1.7)
+    cfg = SolverConfig(dt_init=1e-6, t_end=1.0, blowup_threshold=1e4, record_every=5)
+    return cfg, simulate(u0, p, r, cfg)
+
+
+def test_shrink_on_growth_cuts_blowup_tail(blowup16):
+    # the grow-and-halve rule without the shrink took 20,569 accepted and
+    # 1,340 rejected steps on this run and reached the threshold at
+    # t_b = 0.001922505878113067; quartering energy_tol moves t_b by 3.5e-4
+    cfg, traj = blowup16
+    assert traj.outcome.kind == BLOWUP_DETECTED
+    assert traj.step_count + traj.rejected_steps <= 0.8 * (20569 + 1340)
+    assert traj.outcome.t_b == pytest.approx(0.001922505878113067, rel=1e-3, abs=0.0)
+    assert traj.max_rel_residual <= cfg.energy_tol
+
+
+def test_outcome_t_b_is_plain_float(blowup16):
+    assert type(blowup16[1].outcome.t_b) is float
+
+
+def test_shrink_is_gated_on_growth():
+    # a decaying run never shrinks ahead of the residual: the counts of the
+    # grow-and-halve rule stand
+    u0, p, r = _mixed_mode_datum(0.25)
+    traj = simulate(u0, p, r, SolverConfig(dt_init=1e-5, t_end=0.02, record_every=5))
+    assert traj.outcome.kind == GLOBAL_UNTIL_TEND
+    assert (traj.step_count, traj.rejected_steps) == (826, 51)
+
+
+def test_dt_collapse_through_shrink_reported():
+    # dt_max caps the opening steps below the admissible step, so nothing is
+    # rejected and dt can only fall under dt_min through the shrink
+    u0, p, r = _mixed_mode_datum(1.7)
+    cfg = SolverConfig(dt_init=1e-6, dt_max=1e-6, dt_min=1e-8, t_end=1.0, energy_tol=1e-4,
+                       blowup_threshold=1e30, record_every=50)
+    traj = simulate(u0, p, r, cfg)
+    assert traj.rejected_steps == 0
+    assert traj.outcome.kind == BLOWUP_DETECTED
+    assert traj.outcome.t_b == traj.times[-1] < cfg.t_end
+    assert traj.dt_at_snapshot[-1] < cfg.dt_min
+    assert traj.linf[-1] < cfg.blowup_threshold
+
+
+def test_steps_by_decade_add_up(blowup16):
+    _, traj = blowup16
+    by_decade = traj.steps_by_decade
+    assert sum(acc for acc, _ in by_decade.values()) == traj.step_count
+    assert sum(rej for _, rej in by_decade.values()) == traj.rejected_steps
+    # from the datum's decade up to the threshold's, each one crossed
+    assert sorted(by_decade) == list(range(min(by_decade), 4))
