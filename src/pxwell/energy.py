@@ -100,7 +100,9 @@ def snapshot(u: GridFunction, p: ExponentField, r: ExponentField, t: float = 0.0
     modular vanishes).
     """
     ray = _Ray(u, p, r)
-    gmod, smod, J = ray.quadrature(*ray.powers(1.0))
+    gp, sp = ray.powers(1.0)
+    gmod, smod = ray._modulars(gp, sp)
+    J = ray._energy(gp, sp)
     delta0 = smod / gmod if gmod > 0.0 else float("nan")
     l2sq = ray.vol * float(np.sum(u.values**2))
     return EnergySnapshot(t=float(t), J=J, I=gmod - smod, grad_modular=gmod,
@@ -125,14 +127,12 @@ class _Ray:
         """Per-cell integrands (lambda |grad u|)^p and (lambda |u|)^r."""
         return (lam * self.gm) ** self.pv, (lam * self.au) ** self.rv
 
-    def quadrature(self, gp: np.ndarray, sp: np.ndarray) -> tuple[float, float, float]:
-        """Modulars G, S and energy J: the cell quadrature of `powers`."""
-        return (*self._modulars(gp, sp), self._energy(gp, sp))
-
     def _modulars(self, gp: np.ndarray, sp: np.ndarray) -> tuple[float, float]:
+        """Modulars G, S: the cell quadrature of `powers`."""
         return self.vol * float(np.sum(gp)), self.vol * float(np.sum(sp))
 
     def _energy(self, gp: np.ndarray, sp: np.ndarray) -> float:
+        """Energy J: the cell quadrature of `powers`."""
         return self.vol * float(np.sum(gp / self.pv)) - self.vol * float(np.sum(sp / self.rv))
 
     def modulars(self, lam: float) -> tuple[float, float]:

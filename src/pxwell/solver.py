@@ -30,6 +30,14 @@ fewer trial steps.  The shrink is gated on growth: in a decaying,
 stability-limited run the residual says little about the next step, and the
 grow-until-reject sawtooth takes larger steps on average there.
 
+The step was accepted, so the shrink factor lies in [0.97, 1); it is floored
+to a multiple of 2^-10.  The residual is a difference of O(|J|) sums, so its
+round-off is about eps |J| / residual ~ 1e-10 relative.  Unfloored, that
+round-off would set the last bits of dt, and two evaluations of the same J
+that sum in a different order would drift onto different trajectories;
+floored, dt depends on the residual only through comparisons, as it does
+under growth and halving.
+
 Blow-up is declared when the sup norm crosses the configured threshold (a
 finite trigger yields a lower bound on the escape time), or when dt collapses
 below dt_min, through a rejection or a shrink, while the sup norm is still
@@ -67,9 +75,11 @@ BLOWUP_DETECTED = "BlowupDetected"
 STALLED_DT = "StalledDt"
 
 # an accepted step on growth aims the next step's residual at _AIM**2 of the
-# tolerance; the factor is taken only past that mark
+# tolerance; the factor is taken only past that mark, and floored to a
+# multiple of 1/_GRID
 _AIM = 0.97
 _AIM2 = _AIM * _AIM
+_GRID = 1024.0
 
 
 @dataclass(frozen=True)
@@ -215,7 +225,7 @@ def simulate(
             decade = _decade(supn)
             if supn > linf_hist[-2] and residual > _AIM2 * tol:
                 # residual ~ dt^2: the next step at this dt would fail
-                dt *= _AIM * math.sqrt(tol / residual)
+                dt *= math.floor(_AIM * math.sqrt(tol / residual) * _GRID) / _GRID
                 consec = 0
             elif consec >= 5:
                 dt = min(dt * 1.25, cfg.dt_max)
