@@ -101,19 +101,43 @@ def _load_config(path: Path) -> dict[str, dict[str, str]]:
     return cfg
 
 
-def _get(cfg, section, key, default=None, required=False):
+def _get(cfg, section, key, default=None, required=False, cast=None):
+    """[section] key, or `default` when absent, parsed by `cast`; a value that
+    `cast` rejects is a config error."""
     try:
-        return cfg[section][key]
+        raw = cfg[section][key]
     except KeyError:
         if required:
             raise ConfigError(f"missing required key [{section}] {key}")
-        return default
+        raw = default
+    if cast is None or raw is None:
+        return raw
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split())
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split())
+
+
+def _load_csv(path: str, what: str) -> GridFunction:
+    """A grid function from a file that the config names."""
+    try:
+        return load_gridfunction_csv(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def _build_grid(cfg) -> Grid:
-    dim = int(_get(cfg, "domain", "dimension", required=True))
-    cells = tuple(int(tok) for tok in _get(cfg, "domain", "cells", required=True).split())
-    lengths = tuple(float(tok) for tok in _get(cfg, "domain", "lengths", required=True).split())
+    dim = _get(cfg, "domain", "dimension", required=True, cast=int)
+    cells = _get(cfg, "domain", "cells", required=True, cast=_ints)
+    lengths = _get(cfg, "domain", "lengths", required=True, cast=_floats)
     if len(cells) != dim or len(lengths) != dim:
         raise ConfigError("cells/lengths do not match the declared dimension")
     try:
@@ -124,13 +148,14 @@ def _build_grid(cfg) -> Grid:
 
 def _build_exponent(cfg, grid: Grid, key: str) -> ExponentField:
     spec = _get(cfg, "exponents", key, required=True)
+    values = spec
     if spec.endswith(".csv"):
-        gf = load_gridfunction_csv(spec)
+        gf = _load_csv(spec, f"[exponents] {key}")
         if gf.grid != grid:
             raise ConfigError(f"tabulated exponent {spec} does not match the domain grid")
-        return build_field(gf.values, grid, label=key)
+        values = gf.values
     try:
-        return build_field(spec, grid, label=key)
+        return build_field(values, grid, label=key)
     except ValueError as exc:
         raise ConfigError(f"[exponents] {key}: {exc}") from exc
 
@@ -145,8 +170,10 @@ def _parse_mode_terms(text: str, dim: int):
             raise ConfigError(
                 f"mode term {chunk!r} must be {dim} wavenumber(s) followed by a coefficient"
             )
-        ks = tuple(int(t) for t in toks[:dim])
-        terms.append((ks, float(toks[dim])))
+        try:
+            terms.append((tuple(int(t) for t in toks[:dim]), float(toks[dim])))
+        except ValueError as exc:
+            raise ConfigError(f"mode term {chunk!r}: {exc}") from exc
     if not terms:
         raise ConfigError("no mode terms given")
     return terms
@@ -159,12 +186,12 @@ def _build_initial(cfg, grid: Grid, p: ExponentField, r: ExponentField,
         return GridFunction(grid, np.zeros(grid.shape))
     if kind == "csv":
         path = _get(cfg, "initial", "csv", required=True)
-        gf = load_gridfunction_csv(path)
+        gf = _load_csv(path, "[initial] csv")
         if gf.grid != grid:
             raise ConfigError(f"initial datum {path} does not match the domain grid")
         return project_mean_zero(gf)
     if kind == "modes":
-        amplitude = float(_get(cfg, "initial", "amplitude", default="1.0"))
+        amplitude = _get(cfg, "initial", "amplitude", default="1.0", cast=float)
         terms = _parse_mode_terms(_get(cfg, "initial", "modes", required=True), grid.dimension)
         vals = np.zeros(grid.shape)
         for ks, coef in terms:
@@ -176,7 +203,7 @@ def _build_initial(cfg, grid: Grid, p: ExponentField, r: ExponentField,
     if kind == "highenergy":
         if depth is None:
             raise PipelineError("highenergy initial data needs a depth estimate (source-dominant regime)")
-        factor = float(_get(cfg, "initial", "mtarget_factor", default="10.0"))
+        factor = _get(cfg, "initial", "mtarget_factor", default="10.0", cast=float)
         if r.p_minus != r.p_plus:
             raise PipelineError("highenergy construction needs a constant source exponent")
         return construct_high_energy_datum(
@@ -192,9 +219,9 @@ def _solver_config(cfg) -> SolverConfig:
         ("energy_tol", float), ("blowup_threshold", float), ("delta", float),
         ("record_every", int),
     ):
-        raw = _get(cfg, "solver", key)
-        if raw is not None:
-            kw[key] = cast(raw)
+        value = _get(cfg, "solver", key, cast=cast)
+        if value is not None:
+            kw[key] = value
     try:
         return SolverConfig(**kw)
     except ValueError as exc:
@@ -265,9 +292,9 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
         }
 
         enter("estimates")
-        trials = int(_get(cfg, "estimates", "trials", default="24"))
-        descent = int(_get(cfg, "estimates", "descent_steps", default="50"))
-        ascent = int(_get(cfg, "estimates", "ascent_steps", default="12"))
+        trials = _get(cfg, "estimates", "trials", default="24", cast=int)
+        descent = _get(cfg, "estimates", "descent_steps", default="50", cast=int)
+        ascent = _get(cfg, "estimates", "ascent_steps", default="12", cast=int)
         B0 = estimate_embedding(grid, p, "L2", trials=trials, seed=seed, ascent_steps=ascent)
         record["estimates"]["B0"] = B0
         B = estimate_embedding(grid, p, r, trials=trials, seed=seed + 1, ascent_steps=ascent)
@@ -298,7 +325,7 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
         if depth is not None:
             band = 1e-3 * (1.0 + depth.upper)
             if s0.J > depth.upper + band:
-                samples = int(_get(cfg, "estimates", "radii_samples", default="48"))
+                samples = _get(cfg, "estimates", "radii_samples", default="48", cast=int)
                 try:
                     radii = estimate_level_radii(
                         grid, s0.J, p, r, samples=samples, seed=seed,
@@ -434,10 +461,13 @@ def _write_envelopes_csv(path: Path, rows: list[dict]) -> None:
 
 def _cmd_norm(args) -> int:
     cfg = _load_config(Path(args.config))
-    path = _get(cfg, "norm", "field_csv", required=True)
-    gf = load_gridfunction_csv(path)
-    q = build_field(_get(cfg, "norm", "exponent", required=True), gf.grid, label="q")
-    tol = float(_get(cfg, "norm", "tol", default="1e-12"))
+    gf = _load_csv(_get(cfg, "norm", "field_csv", required=True), "[norm] field_csv")
+    spec = _get(cfg, "norm", "exponent", required=True)
+    try:
+        q = build_field(spec, gf.grid, label="q")
+    except ValueError as exc:
+        raise ConfigError(f"[norm] exponent: {exc}") from exc
+    tol = _get(cfg, "norm", "tol", default="1e-12", cast=float)
     result = luxemburg_norm(gf, q, tol=tol)
     if not args.quiet:
         print(f"value={result.value!r} iterations={result.iterations} residual={result.residual!r}")
@@ -465,8 +495,8 @@ def _ode_grid() -> list[ode_bounds.OdeParams]:
 
 def _cmd_ode_verify(args) -> int:
     cfg = _load_config(Path(args.config)) if args.config else {}
-    t_end = float(_get(cfg, "ode", "t_end", default="12.0"))
-    dt = float(_get(cfg, "ode", "dt", default="1e-3"))
+    t_end = _get(cfg, "ode", "t_end", default="12.0", cast=float)
+    dt = _get(cfg, "ode", "dt", default="1e-3", cast=float)
     batch = _ode_grid()
     violations = ode_bounds.verify_batch(batch, T=t_end, dt=dt)
     out = Path(args.out) if args.out else None
@@ -490,9 +520,8 @@ def _cmd_ode_verify(args) -> int:
 
 def _cmd_poincare(args) -> int:
     cfg = _load_config(Path(args.config)) if args.config else {}
-    eps_raw = _get(cfg, "poincare", "epsilons", default="1e2 1e3 1e4 1e6")
-    n_quad = int(_get(cfg, "poincare", "n_quad", default="64"))
-    epsilons = [float(tok) for tok in eps_raw.split()]
+    epsilons = list(_get(cfg, "poincare", "epsilons", default="1e2 1e3 1e4 1e6", cast=_floats))
+    n_quad = _get(cfg, "poincare", "n_quad", default="64", cast=int)
     try:
         rows = radial_gap.quotient_sweep(epsilons, n_quad=n_quad)
     except AssertionError as exc:

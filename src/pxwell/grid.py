@@ -6,11 +6,13 @@ which is the discrete form of the homogeneous Neumann condition.  Every
 integral in the package reduces to the midpoint rule on this grid.  Face
 differences are formed where they are used, never stored as a field.
 
-The p(x)-flux, its face-quadrature energy and the source term are computed
-in one place, the private `_Kernel`: built once per exponent pair, it
-evaluates a state to J(u) and the right-hand side together, sharing the face
-differences and the powers between them.  `px_flux_divergence`,
-`dirichlet_energy` and the solver all call it.
+The cell-RMS |grad u|^2 is formed in one place, `_cell_grad2`.  The discrete
+energy J is its cell quadrature, and the p(x)-flux is the exact L2 gradient
+of that energy.  The private `_Kernel` computes both, with the source term:
+built once per exponent pair, it evaluates a state to J(u), the right-hand
+side and the two modulars together, sharing the face differences and the
+powers between them.  `px_flux_divergence`, `dirichlet_energy` and the
+solver all call it.
 """
 
 from __future__ import annotations
@@ -112,30 +114,55 @@ def integrate(f: GridFunction) -> float:
 def cell_gradient_magnitude(u: GridFunction) -> np.ndarray:
     """|grad u| at cells: per-axis RMS of the two adjacent face differences,
     an outer-boundary face counting as zero (mirror ghost)."""
-    g = u.grid
-    mag2 = np.zeros(g.shape)
-    for axis in range(g.dimension):
-        lo, hi, _ = _face_slices(g.dimension, axis)
-        f2 = (np.diff(u.values, axis=axis) / g.spacing[axis]) ** 2
-        pair = np.zeros(g.shape)  # per cell: the sum over its two faces
-        pair[lo] = f2
-        pair[hi] += f2
-        mag2 += 0.5 * pair
+    mag2 = np.empty(u.grid.shape)
+    _cell_grad2(u.values, _faces(u.grid), mag2)
     return np.sqrt(mag2)
 
 
-class _Kernel:
-    """J(u) and the right-hand side div(flux) + source - mean(source), from one
-    power per axis and one per cell.
+def _faces(grid: Grid) -> list[tuple]:
+    """Per axis: the spacing, the face slices of `_face_slices` and a face
+    array whose two outer-boundary faces stay zero (the mirror ghost); `lo`
+    and `hi` also pick each cell's left and right face out of that array."""
+    out = []
+    for axis in range(grid.dimension):
+        shape = list(grid.shape)
+        shape[axis] += 1
+        out.append((grid.spacing[axis], *_face_slices(grid.dimension, axis), np.zeros(shape)))
+    return out
 
-    Per axis the face difference g gives q = g^2 + delta^2 and one power
-    w = q^{(p_f - 2)/2}, with p_f the mean of the two adjacent cell exponents:
-    the flux is w g and the energy density (q w - delta^{p_f}) / p_f, the
-    exact antiderivative of the flux, so the right-hand side is the exact L2
-    gradient of -J.  Outer-boundary faces carry zero flux.  Per cell one power
-    a = |u|^{r-1} gives the source sign(u) a and its energy |u| a / r; without
-    `r_values` the source is off.  Everything that depends only on the
-    exponents and delta is computed once, here.
+
+def _cell_grad2(uv: np.ndarray, faces: list[tuple], mag2: np.ndarray) -> list[np.ndarray]:
+    """The cell-RMS |grad u|^2 into `mag2`: per axis, half the sum of the
+    squared differences on a cell's two faces.  Returns the interior face
+    differences per axis; the face arrays of `faces` are left holding their
+    squares."""
+    gs = []
+    mag2.fill(0.0)
+    for h, lo, hi, inner, face in faces:
+        g = uv[hi] - uv[lo]
+        g /= h
+        np.multiply(g, g, out=face[inner])
+        mag2 += face[lo] + face[hi]
+        gs.append(g)
+    mag2 *= 0.5
+    return gs
+
+
+class _Kernel:
+    """J(u), the right-hand side div(flux) + source - mean(source), and the
+    modulars G and S, from one power per cell for the flux and one for the
+    source.
+
+    With m the cell-RMS |grad u|^2 of `cell_gradient_magnitude`, each cell
+    takes q = m + delta^2 and w = q^{(p - 2)/2}: its energy density is
+    (q w - delta^p) / p and its share of G is w m, which is |grad u|^p at
+    delta = 0.  The face flux (w_L + w_R) g / 2 is the exact L2 gradient of
+    that energy, so the right-hand side is the exact gradient of -J; at
+    p = 2 it is the 5-point Laplacian.  Outer-boundary faces carry zero flux.
+    Per cell one power a = |u|^{r-1} gives the source sign(u) a, its modular
+    S from |u| a and its energy from |u| a / r; without `r_values` the source
+    is off and S = 0.  Everything that depends only on the exponents and delta
+    is computed once, here.
     """
 
     def __init__(self, grid: Grid, p_values: np.ndarray, delta: float,
@@ -145,37 +172,37 @@ class _Kernel:
         self.shape = grid.shape
         self.vol, self.omega = grid.cell_volume, grid.volume
         self.d2 = delta * delta
-        self.offset = 0.0  # sum over faces of delta^{p_f} / p_f
-        self.axes = []
-        for axis in range(grid.dimension):
-            lo, hi, inner = _face_slices(grid.dimension, axis)
-            pf = 0.5 * (p_values[lo] + p_values[hi])
-            inv_pf = 1.0 / pf
-            if delta > 0.0:
-                self.offset += float(np.vdot(np.exp(np.log(delta) * pf), inv_pf))
-            shape = list(grid.shape)
-            shape[axis] += 1
-            flux = np.zeros(shape)  # outer-boundary faces stay zero
-            self.axes.append((grid.spacing[axis], lo, hi, 0.5 * (pf - 2.0), inv_pf,
-                              flux[inner], flux[lo], flux[hi]))
+        self.faces = _faces(grid)
+        self.expo = 0.5 * (p_values - 2.0)
+        self.inv_p = 1.0 / p_values
+        self.mag2, self.q, self.w = (np.empty(grid.shape) for _ in range(3))
+        # sum over cells of delta^p / p, formed as q w is at a zero gradient,
+        # so that the zero state's energy is exactly zero
+        self.offset = 0.0
+        if delta > 0.0:
+            q0 = np.full(grid.shape, self.d2)
+            self.offset = float(np.vdot(q0 * q0**self.expo, self.inv_p))
         self.source = r_values is not None
         if self.source:
             self.r1 = r_values - 1.0
             self.inv_r = 1.0 / r_values
 
-    def __call__(self, uv: np.ndarray) -> tuple[float, np.ndarray]:
+    def __call__(self, uv: np.ndarray) -> tuple[float, np.ndarray, float, float]:
+        """(J, right-hand side, G, S) at the state `uv`."""
+        mag2, q, w = self.mag2, self.q, self.w
+        gs = _cell_grad2(uv, self.faces, mag2)
+        np.add(mag2, self.d2, out=q)
+        np.power(q, self.expo, out=w)
+        G = self.vol * float(np.vdot(w, mag2))
+        q *= w
+        J = self.vol * (float(np.vdot(q, self.inv_p)) - self.offset)
         div = np.zeros(self.shape)
-        energy = -self.offset
-        for h, lo, hi, expo, inv_pf, flux, flux_in, flux_out in self.axes:
-            g = (uv[hi] - uv[lo]) / h
-            q = g * g
-            q += self.d2
-            w = q**expo
-            np.multiply(w, g, out=flux)
-            div += (flux_out - flux_in) / h
-            q *= w
-            energy += float(np.vdot(q, inv_pf))
-        J = self.vol * energy
+        for (h, lo, hi, inner, face), g in zip(self.faces, gs):
+            flux = face[inner]
+            np.add(w[lo], w[hi], out=flux)
+            flux *= g
+            div += (face[hi] - face[lo]) * (0.5 / h)
+        S = 0.0
         if self.source:
             au = np.abs(uv)
             a = au**self.r1
@@ -183,8 +210,9 @@ class _Kernel:
             s -= self.vol * s.sum() / self.omega
             div += s
             au *= a
+            S = self.vol * float(au.sum())
             J -= self.vol * float(np.vdot(au, self.inv_r))
-        return J, div
+        return J, div, G, S
 
 
 def _face_slices(dim: int, axis: int) -> tuple[tuple, tuple, tuple]:
@@ -201,15 +229,17 @@ def _face_slices(dim: int, axis: int) -> tuple[tuple, tuple, tuple]:
 def px_flux_divergence(u: GridFunction, p, delta: float = 1e-8) -> GridFunction:
     """Variable-exponent flux divergence with zero Neumann boundary flux.
 
-    The face flux is (|g|^2 + delta^2)^{(p_f - 2)/2} g with g the face
-    gradient and p_f the mean of the two adjacent cell exponents; delta
-    regularizes the singular case p < 2 at vanishing gradients.
+    The face flux is (w_L + w_R) g / 2 with g the face difference and
+    w = (|grad u|^2 + delta^2)^{(p - 2)/2} in the two adjacent cells, |grad u|
+    the cell-RMS gradient; delta regularizes the singular case p < 2 at
+    vanishing gradients.
     """
     return GridFunction(u.grid, _Kernel(u.grid, p.values, delta)(u.values)[1])
 
 
 def dirichlet_energy(u: GridFunction, p, delta: float = 1e-8) -> float:
-    """Face-quadrature potential whose L2 gradient is -px_flux_divergence."""
+    """Cell-RMS potential sum (q w - delta^p) / p, q = |grad u|^2 + delta^2,
+    whose L2 gradient is -px_flux_divergence."""
     return _Kernel(u.grid, p.values, delta)(u.values)[0]
 
 

@@ -5,17 +5,18 @@ the discrete energy identity
 
     J(u+) - J(u) + dt ||(u+ - u)/dt||_2^2  ~  0
 
-holds to the configured tolerance.  The J used for this audit is the
-face-quadrature potential of `grid.dirichlet_energy` minus the source energy;
-its L2 gradient equals the discrete right-hand side exactly, so the residual
-is a pure time-discretization remainder and halving dt on rejection always
-wins eventually.  One kernel evaluation of a trial state gives both its J and
-its right-hand side from the same powers; when the step is accepted they are
-reused as the current state's, so each trial step evaluates the energy once.
-The accepted state is then shifted to zero mean; the right-hand side has zero
-mean, so the shift is round-off and J and the right-hand side still stand.
-Snapshots report the cell-RMS quadrature J used by the classification layer;
-the two agree up to spatial-quadrature differences.
+holds to the configured tolerance.  J is the cell-RMS potential of
+`grid.dirichlet_energy` minus the source energy, the J that `energy.snapshot`
+and the classifier read; its L2 gradient equals the discrete right-hand side
+exactly, so the residual is a pure time-discretization remainder and halving
+dt on rejection always wins eventually.  One kernel evaluation of a trial
+state gives its J, its right-hand side and its two modulars from the same
+powers; when the step is accepted they are reused as the current state's, so
+each trial step evaluates the energy once, and a recorded snapshot is built
+from them and ||u||_2^2 without another quadrature.  The accepted state is
+then shifted to zero mean; the right-hand side has zero mean, so the shift
+is round-off and the kernel's values still stand.  With the source off the
+snapshots report S = 0 and the diffusion energy as J: the flow that ran.
 
 The step rule: dt grows by 1.25 after five accepted steps in a row and halves
 on a rejection.  While the sup norm grows, an accepted step also shrinks dt
@@ -54,7 +55,7 @@ import numpy as np
 
 from .exponents import ExponentField
 from .grid import GridFunction, _Kernel, project_mean_zero
-from .energy import EnergySnapshot, snapshot
+from .energy import EnergySnapshot, _energy_snapshot
 
 __all__ = [
     "SolverConfig",
@@ -121,7 +122,6 @@ class Trajectory:
     residual_sum: float
     mean_drift_max: float
     rejected_steps: int = 0
-    internal_J: np.ndarray = field(default_factory=lambda: np.zeros(0))
     kernel_evals: int = 0
     # [accepted, rejected] trial steps by floor(log10 ||u||_inf) of the state
     # they start from; the key is None for the zero state
@@ -160,14 +160,20 @@ def simulate(
     u = project_mean_zero(u0).values
     t = 0.0
     dt = cfg.dt_init
-    Jf, rhs = kernel(u)
+    Jf, rhs, G, S = kernel(u)
     evals = 1
+    snaps: list[EnergySnapshot] = []
+    times: list[float] = []
+    linfs: list[float] = []
+    dts: list[float] = []
 
-    snaps = [snapshot(GridFunction(grid, u), p, r, t=0.0)]
-    times = [0.0]
-    linfs = [float(np.max(np.abs(u)))]
-    dts = [dt]
-    internal = [Jf]
+    def record(dt_now: float) -> None:
+        snaps.append(_energy_snapshot(t, Jf, G, S, vol * float(np.vdot(u, u))))
+        times.append(t)
+        linfs.append(float(np.max(np.abs(u))))
+        dts.append(dt_now)
+
+    record(dt)
 
     steps = 0
     rejected = 0
@@ -182,19 +188,12 @@ def simulate(
     by_decade: dict = {}
     decade = _decade(linfs[0])
 
-    def record(dt_now: float) -> None:
-        snaps.append(snapshot(GridFunction(grid, u), p, r, t=t))
-        times.append(t)
-        linfs.append(float(np.max(np.abs(u))))
-        dts.append(dt_now)
-        internal.append(Jf)
-
     while t < cfg.t_end:
         dt_eff = min(dt, cfg.t_end - t)
         u_new = u + dt_eff * rhs
         accepted = False
         if np.all(np.isfinite(u_new)):
-            J_new, rhs_new = kernel(u_new)
+            J_new, rhs_new, G_new, S_new = kernel(u_new)
             evals += 1
             diff = (u_new - u) / dt_eff
             udot2 = vol * float(np.sum(diff * diff))
@@ -204,8 +203,8 @@ def simulate(
 
         if accepted:
             # the right-hand side has zero mean, so this is a round-off shift
-            # that keeps the drift flat; J and the right-hand side of u_new
-            # stand for the shifted state
+            # that keeps the drift flat; the kernel's values at u_new stand
+            # for the shifted state
             u = u_new - np.sum(u_new) / u_new.size
             t += dt_eff
             steps += 1
@@ -215,7 +214,7 @@ def simulate(
             budget += dt_eff * udot2
             res_sum += residual
             max_rel_res = max(max_rel_res, residual / (1.0 + abs(Jf)))
-            Jf, rhs = J_new, rhs_new
+            Jf, rhs, G, S = J_new, rhs_new, G_new, S_new
             l2 = np.sqrt(vol * float(np.sum(u * u)))
             drift_max = max(drift_max, abs(vol * float(np.sum(u))) / (1.0 + l2))
             supn = float(np.max(np.abs(u)))
@@ -266,7 +265,6 @@ def simulate(
         residual_sum=res_sum,
         mean_drift_max=drift_max,
         rejected_steps=rejected,
-        internal_J=np.array(internal),
         kernel_evals=evals,
         steps_by_decade=by_decade,
     )
@@ -292,9 +290,7 @@ def audit_trajectory(
 ) -> AuditReport:
     """Consistency checks on a recorded trajectory.
 
-    (a) snapshot J non-increasing within a relative allowance (the snapshot
-        quadrature differs from the stepper's internal energy by a spatial
-        quadrature term);
+    (a) snapshot J non-increasing within a relative allowance;
     (b) central differences of ||u||_2^2 against -2 I, relative;
     (c) when the initial energy sits below a supplied depth estimate, the
         sign of I must not flip (discrete invariant-set check);

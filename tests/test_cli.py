@@ -52,10 +52,41 @@ def test_zero_config_global_verdict(tmp_path):
     assert (run_dir / "trajectory.csv").exists()
 
 
-def test_blowup_config_agrees(tmp_path):
-    rec = run(CONFIGS / "blowup_2d.ini", tmp_path, seed=0, quiet=True)
-    assert rec["verdict"].prediction == "Blowup"
-    assert rec["outcome"].kind == "BlowupDetected"
+_OUTCOME = {"Blowup": "BlowupDetected", "Global": "GlobalUntilTend"}
+
+
+@pytest.mark.parametrize("name, verdict", [
+    ("blowup_2d", "Blowup"),
+    ("high_energy", "Blowup"),
+    ("global_2d", "Global"),
+    ("diffusion_dominant", "Global"),
+    ("negative_energy", "Global"),
+    ("zero", "Global"),
+])
+def test_shipped_config_agrees(tmp_path, name, verdict):
+    # every shipped simulate config: its verdict, and the simulated outcome
+    # that goes with it
+    rec = run(CONFIGS / f"{name}.ini", tmp_path, seed=0, quiet=True)
+    assert rec["verdict"].prediction == verdict
+    assert rec["outcome"].kind == _OUTCOME[verdict]
+
+
+@pytest.mark.parametrize("command, text", [
+    ("simulate", "[domain]\ndimension = 2\ncells = 16 x\nlengths = 1.0 1.0\n"),
+    ("simulate", "[domain]\ndimension = 1\ncells = 16\nlengths = 1.0\n"
+                 "[exponents]\np = missing.csv\nr = const:4.0\n"),
+    ("norm", "[norm]\nfield_csv = missing.csv\nexponent = const:3.0\n"),
+    ("norm", f"[norm]\nfield_csv = {CONFIGS / 'sample_field.csv'}\nexponent = bogus:1\n"),
+    ("ode-verify", "[ode]\nt_end = twelve\n"),
+    ("poincare", "[poincare]\nn_quad = x\n"),
+], ids=["simulate-cells", "simulate-exponent-csv", "norm-field-csv", "norm-exponent",
+        "ode-verify-t_end", "poincare-n_quad"])
+def test_config_value_errors_exit_2(tmp_path, capsys, command, text):
+    # an unparsable value, an unknown exponent spec or a missing file that
+    # the config names is a config error, not a traceback or a pipeline error
+    path = _write(tmp_path, text)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -80,6 +80,37 @@ def test_flux_divergence_p2_is_laplacian(grid1d):
     assert np.allclose(div.values, lap, rtol=0, atol=1e-12 * np.abs(lap).max())
 
 
+def test_flux_divergence_p2_is_five_point_laplacian():
+    # the cell weights are q^0 = 1 at p = 2 and delta = 0, so the face flux is
+    # the face difference on both axes, spacings unequal
+    g = Grid((12, 9), (1.0, 0.6))
+    u = GridFunction(g, np.random.default_rng(6).standard_normal(g.shape))
+    div = px_flux_divergence(u, build_field(2.0, g), delta=0.0)
+    ghosted = np.pad(u.values, 1, mode="edge")  # mirror ghosts
+    hx, hy = g.spacing
+    lap = ((ghosted[:-2, 1:-1] - 2.0 * u.values + ghosted[2:, 1:-1]) / hx**2
+           + (ghosted[1:-1, :-2] - 2.0 * u.values + ghosted[1:-1, 2:]) / hy**2)
+    assert np.allclose(div.values, lap, rtol=0, atol=1e-12 * np.abs(lap).max())
+
+
+def test_flux_divergence_isotropic_plane_wave():
+    # cos(k s) at p = 3 has div(|grad u| grad u) = -2 k^3 |sin(k s)| cos(k s);
+    # the interior error of a wave along x and of the same wave turned 45
+    # degrees must be alike (a per-axis weight gives 1 % against 30 %)
+    g = Grid((64, 64), (1.0, 1.0))
+    x, y = g.centers()
+    p3 = build_field(3.0, g)
+    k = 4.0 * np.pi
+    inner = (slice(4, -4),) * 2
+    errs = []
+    for s in (x, (x + y) / np.sqrt(2.0)):
+        exact = (-2.0 * k**3 * np.abs(np.sin(k * s)) * np.cos(k * s))[inner]
+        div = px_flux_divergence(GridFunction(g, np.cos(k * s)), p3).values[inner]
+        errs.append(np.linalg.norm(div - exact) / np.linalg.norm(exact))
+    assert max(errs) <= 1.5 * min(errs)
+    assert max(errs) < 0.05
+
+
 def test_flux_divergence_quadratic_interior(grid1d):
     x = grid1d.axis_centers(0)
     u = GridFunction(grid1d, x * (1.0 - x))

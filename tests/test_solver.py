@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import mixed_mode, random_gridfunction
 from pxwell.energy import find_lambda_star, snapshot
+from pxwell import solver
 from pxwell.exponents import build_field
 from pxwell.grid import (
     Grid,
@@ -89,7 +91,8 @@ def test_simulate_source_off_dissipative(setup2d):
     cfg = SolverConfig(dt_init=1e-5, t_end=0.01, record_every=5)
     traj = simulate(u0, p, r, cfg, with_source=False)
     assert traj.outcome.kind == GLOBAL_UNTIL_TEND
-    assert np.all(np.diff(traj.internal_J) <= 1e-12 * (1 + np.abs(traj.internal_J[:-1])))
+    J = np.array([s.J for s in traj.snapshots])
+    assert np.all(np.diff(J) <= 1e-12 * (1 + np.abs(J[:-1])))
     assert traj.max_rel_residual <= cfg.energy_tol
 
 
@@ -196,7 +199,7 @@ def test_kernel_rhs_is_energy_gradient(grid, p_spec, r_spec, source):
         kernel = _Kernel(grid, p.values, delta, r.values if source else None)
         u = project_mean_zero(random_gridfunction(grid, rng)).values
         v = project_mean_zero(random_gridfunction(grid, rng)).values
-        J, rhs = kernel(u)
+        J, rhs, _, _ = kernel(u)
         eps = 1e-6
         fd = (kernel(u + eps * v)[0] - kernel(u - eps * v)[0]) / (2 * eps)
         pairing = grid.cell_volume * float(np.sum(rhs * v))
@@ -205,23 +208,69 @@ def test_kernel_rhs_is_energy_gradient(grid, p_spec, r_spec, source):
                                   rel=1e-12)
 
 
-def _interior_face_exponents(grid, p):
-    out = []
+@pytest.mark.parametrize("grid, p_spec, r_spec", [
+    (Grid((40,), (1.0,)), "affine:1.4+1.2x", "affine:2.5+1.0x"),
+    (Grid((14, 10), (1.0, 0.7)), "affine:1.5+0.6x+0.8y", "const:3.0"),
+], ids=["1d", "2d"])
+def test_kernel_modulars_match_snapshot(grid, p_spec, r_spec):
+    # the stepper's J, G and S are the classifier's, up to delta = 1e-8, with
+    # p_c below and above 2; the zero state gives exact zeros
+    p, r = build_field(p_spec, grid), build_field(r_spec, grid)
+    assert p.values.min() < 2.0 < p.values.max()
+    kernel = _Kernel(grid, p.values, 1e-8, r.values)
+    J, rhs, G, S = kernel(np.zeros(grid.shape))
+    assert (J, G, S) == (0.0, 0.0, 0.0) and not rhs.any()
+    rng = np.random.default_rng(9)
+    for amp in (0.1, 1.0, 10.0):
+        u = project_mean_zero(random_gridfunction(grid, rng, amp=amp))
+        J, _, G, S = kernel(u.values)
+        snap = snapshot(u, p, r)
+        assert (J, G, S) == pytest.approx(
+            (snap.J, snap.grad_modular, snap.source_modular), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("factor", [0.25, 1.7])
+def test_recorded_snapshots_are_snapshots_of_the_state(monkeypatch, factor):
+    # the state at a recorded time is the last one a copy of the run stopped
+    # there evaluates, shifted to zero mean as an accepted state is
+    u0, p, r = _mixed_mode_datum(factor)
+    cfg = SolverConfig(dt_init=1e-5, t_end=2e-4, record_every=5)
+    traj = simulate(u0, p, r, cfg)
+    assert len(traj.snapshots) >= 4
+    last = {}
+
+    class LastState(_Kernel):
+        def __call__(self, uv):
+            last["u"] = uv.copy()
+            return super().__call__(uv)
+
+    monkeypatch.setattr(solver, "_Kernel", LastState)
+    for t_k, recorded in zip(traj.times, traj.snapshots):
+        copy = simulate(u0, p, r, dataclasses.replace(cfg, t_end=t_k))
+        assert copy.times[-1] == t_k
+        state = last["u"] - np.sum(last["u"]) / last["u"].size
+        expect = snapshot(GridFunction(u0.grid, state), p, r, t=t_k)
+        assert dataclasses.astuple(recorded) == pytest.approx(
+            dataclasses.astuple(expect), rel=1e-12, abs=0.0)
+
+
+def _cell_rms2(uv, grid):
+    """|grad u|^2 per cell: per axis, the mean of the squared differences on
+    the cell's two faces, from a copy padded with mirror ghosts."""
+    m = np.zeros(grid.shape)
     for axis in range(grid.dimension):
-        lo = [slice(None)] * grid.dimension
-        hi = [slice(None)] * grid.dimension
-        lo[axis], hi[axis] = slice(0, -1), slice(1, None)
-        out.append(0.5 * (p.values[tuple(lo)] + p.values[tuple(hi)]))
-    return out
+        pad = [(0, 0)] * grid.dimension
+        pad[axis] = (1, 1)
+        g2 = (np.diff(np.pad(uv, pad, mode="edge"), axis=axis) / grid.spacing[axis]) ** 2
+        n = grid.cells[axis]
+        m += 0.5 * (g2.take(range(n), axis=axis) + g2.take(range(1, n + 1), axis=axis))
+    return m
 
 
 def _reference_J(uv, grid, p, r, delta):
-    """The stepper's energy as computed before the one-pass kernel."""
-    total = 0.0
-    for axis, pf in enumerate(_interior_face_exponents(grid, p)):
-        g = np.diff(uv, axis=axis) / grid.spacing[axis]
-        total += float(np.sum(((g * g + delta**2) ** (0.5 * pf) - delta**pf) / pf))
-    J = grid.cell_volume * total
+    """The cell-RMS energy by direct summation over cells."""
+    q = _cell_rms2(uv, grid) + delta**2
+    J = grid.cell_volume * float(np.sum((q ** (0.5 * p.values) - delta**p.values) / p.values))
     if r is not None:
         J -= grid.cell_volume * float(np.sum(np.abs(uv) ** r.values / r.values))
     return J
@@ -230,18 +279,20 @@ def _reference_J(uv, grid, p, r, delta):
 def _reference_simulate(u0, p, r, cfg):
     """The stepper loop before the one-pass kernel: separate right-hand side
     and energy passes, and J evaluated again after the mean re-zero, with the
-    stepper's dt rule.  Returns (outcome, accepted, rejected, recorded
-    internal J)."""
+    stepper's dt rule.  Returns (outcome, accepted, rejected, recorded J)."""
     grid = u0.grid
     vol, omega, delta = grid.cell_volume, grid.volume, cfg.delta
-    pf = _interior_face_exponents(grid, p)
 
     def rhs_of(uv):
+        # face flux: the mean of the two cells' (|grad u|^2 + delta^2)^{(p-2)/2}
+        # times the face difference
+        w = (_cell_rms2(uv, grid) + delta**2) ** (0.5 * (p.values - 2.0))
         div = np.zeros(grid.shape)
         for axis in range(grid.dimension):
             h = grid.spacing[axis]
             g = np.diff(uv, axis=axis) / h
-            flux = (g * g + delta**2) ** (0.5 * (pf[axis] - 2.0)) * g
+            n = grid.cells[axis]
+            flux = 0.5 * (w.take(range(n - 1), axis=axis) + w.take(range(1, n), axis=axis)) * g
             pad = [(0, 0)] * grid.dimension
             pad[axis] = (1, 1)
             div += np.diff(np.pad(flux, pad), axis=axis) / h
@@ -324,7 +375,7 @@ def _mixed_mode_run(factor, cfg):
 # grow-and-halve rule stand
 @pytest.mark.parametrize("factor, cfg, counts", [
     (1.7, _BLOWUP16, None),
-    (0.25, _DECAY16, (826, 51)),
+    (0.25, _DECAY16, (846, 52)),
 ], ids=["blowup", "decay"])
 def test_simulate_matches_reference_loop(factor, cfg, counts):
     u0, p, r = _mixed_mode_datum(factor)
@@ -338,18 +389,18 @@ def test_simulate_matches_reference_loop(factor, cfg, counts):
         assert traj.outcome.t_b is None
     else:
         assert traj.outcome.t_b == pytest.approx(t_b, rel=1e-12, abs=0.0)
-    assert traj.internal_J == pytest.approx(internal, rel=1e-12, abs=0.0)
+    assert [s.J for s in traj.snapshots] == pytest.approx(internal, rel=1e-12, abs=0.0)
 
 
 def test_shrink_on_growth_cuts_blowup_tail():
-    # the grow-and-halve rule without the shrink took 20,569 accepted and
+    # the grow-and-halve rule without the shrink took 20,577 accepted and
     # 1,340 rejected steps on this run and reached the threshold at
-    # t_b = 0.001922505878113067; quartering energy_tol moves t_b by 3.5e-4
+    # t_b = 0.0019199658940874768; quartering energy_tol moves t_b by 3.6e-4
     traj = _mixed_mode_run(1.7, _BLOWUP16)
     assert traj.outcome.kind == BLOWUP_DETECTED
-    assert traj.step_count + traj.rejected_steps <= 0.8 * (20569 + 1340)
+    assert traj.step_count + traj.rejected_steps <= 0.8 * (20577 + 1340)
     assert type(traj.outcome.t_b) is float
-    assert traj.outcome.t_b == pytest.approx(0.001922505878113067, rel=1e-3, abs=0.0)
+    assert traj.outcome.t_b == pytest.approx(0.0019199658940874768, rel=1e-3, abs=0.0)
     assert traj.max_rel_residual <= _BLOWUP16.energy_tol
     by_decade = traj.steps_by_decade
     assert sum(acc for acc, _ in by_decade.values()) == traj.step_count
