@@ -16,10 +16,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import ode_bounds
 from .exponents import ExponentField, build_field, check_hypotheses
 from .energy import (
     DepthEstimate,
     LevelRadii,
+    _nehari_point,
     _Ray,
     snapshot,
 )
@@ -362,7 +364,8 @@ def construct_high_energy_datum(
     discrete energies add exactly: the first is scaled until its energy is
     nonpositive and its L2 mass beats the large-data threshold at level
     M_target; the second is scaled by bisection until the total energy equals
-    M_target.
+    M_target.  d/dc J(c w) = I(c w) / c, so J(c w) rises to its one peak at
+    the Nehari scaling c = lambda*(w), and the bisection runs on [0, lambda*].
     """
     if not (M_target > depth_upper):
         raise ValueError("M_target must exceed the depth upper estimate")
@@ -398,19 +401,7 @@ def construct_high_energy_datum(
     for periods in range(1, 40):
         w = GridFunction(grid, _support_profile(grid, half + 2, n, periods=periods))
         ray_w = _Ray(w, p, r_field)
-        c_hi = 1.0
-        peak_c, peak_J = 0.0, 0.0
-        c = 1e-3
-        prev = 0.0
-        # coarse geometric scan for the rising branch and the peak
-        while c < 1e9:
-            val = ray_w.J(c)
-            if val > peak_J:
-                peak_J, peak_c = val, c
-            if val < prev and val < 0.0:
-                break
-            prev = val
-            c *= 1.3
+        peak_c, peak_J = _nehari_point(ray_w, p, r_field)
         if peak_J < J_omega_target:
             continue
         lo, hi = 0.0, peak_c
@@ -437,8 +428,12 @@ def thm53_envelope(
 ) -> Envelope:
     """Bound on w(t) = ||u||_2^2 / B0^2 in the diffusion-dominant regime r_plus < p_minus.
 
-    M1 is the Young-inequality constant (max of four powers of 2 B_hat); the
-    case split compares 2 M1 with 1 and w0 with the matching threshold.
+    M1 is the Young-inequality constant (max of four powers of 2 B_hat).  w
+    satisfies w' + min(w^{p_plus/2}, w^{p_minus/2}) / B0^2 <= 2 M1 / B0^2, so
+    the bound is the comparison lemma's envelope `ode_bounds.envelope` with
+    C1 = 1/B0^2, C2 = 2 M1/B0^2, alpha = p_plus/2, beta = p_minus/2, h0 = w0:
+    2 M1 >= 1 is the lemma's source-dominant regime, and its threshold is
+    (2 M1)^{2/p_minus} there and (2 M1)^{2/p_plus} otherwise.
     """
     pm, pp = p.p_minus, p.p_plus
     rm, rp = r.p_minus, r.p_plus
@@ -450,78 +445,16 @@ def thm53_envelope(
         (2.0 * B_hat**rm) ** (pm / (pm - rm)),
         (2.0 * B_hat**rm) ** (pp / (pp - rm)),
     )
-    consts: dict[str, float] = {"M1": M1, "B_hat": B_hat, "B0_hat": B0_hat, "w0": w0}
-    hyp = ["r_plus < p_minus"]
-
-    if M1 >= 0.5:
-        threshold = (2.0 * M1) ** (2.0 / pm)
-        consts["threshold"] = threshold
-        if w0 <= threshold:
-            eval_fn = _const_envelope(threshold)
-            kind = "Thm53Bound"
-            hyp.append("w0 <= (2 M1)^{2/p_minus}")
-        elif pm > 2.0:
-            rate = (pm - 2.0) / (2.0 * B0_hat**2)
-            eval_fn = _algebraic_envelope(threshold, w0, pm, rate)
-            kind = "Thm53Bound"
-            consts["rate"] = rate
-        else:
-            rate = w0 ** ((pm - 2.0) / 2.0) / B0_hat**2
-            coeff = 2.0 * M1
-            eval_fn = _exponential_envelope(coeff, w0, pm, rate)
-            kind = "Thm53Bound"
-            consts["rate"] = rate
-    else:
-        threshold = (2.0 * M1) ** (2.0 / pp)
-        consts["threshold"] = threshold
-        if w0 <= threshold:
-            eval_fn = _const_envelope(threshold)
-            kind = "Thm53Bound"
-            hyp.append("w0 <= (2 M1)^{2/p_plus}")
-        elif pm > 2.0:
-            C3 = (2.0 * M1) ** ((pp - pm) / (pp - pm + 2.0)) * (pm - 2.0) / (2.0 * B0_hat**2)
-            consts["C3"] = C3
-            eval_fn = _algebraic_envelope(threshold, w0, pm, C3)
-            kind = "Thm53Bound"
-        else:
-            C4 = w0 ** ((pm - 2.0) / 2.0) / B0_hat**2 * (2.0 * M1) ** ((pp - pm) / pp)
-            consts["C4"] = C4
-            coeff = (2.0 * M1) ** (pm / pp)
-            eval_fn = _exponential_envelope(coeff, w0, pm, C4)
-            kind = "Thm53Bound"
-
-    return Envelope(kind=kind, constants=consts, eval=eval_fn, valid_hypotheses=tuple(hyp))
-
-
-def _const_envelope(value: float):
-    def eval_fn(t):
-        t = np.asarray(t, dtype=float)
-        return np.full_like(t, value)
-
-    return eval_fn
-
-
-def _algebraic_envelope(threshold: float, w0: float, pm: float, rate: float):
-    # threshold + [ (w0 - threshold)^{(2-pm)/2} + rate t ]^{2/(2-pm)}, pm > 2
-    base = (w0 - threshold) ** ((2.0 - pm) / 2.0)
-
-    def eval_fn(t):
-        t = np.asarray(t, dtype=float)
-        return threshold + (base + rate * t) ** (2.0 / (2.0 - pm))
-
-    return eval_fn
-
-
-def _exponential_envelope(coeff: float, w0: float, pm: float, rate: float):
-    # coeff w0^{(2-pm)/2} + w0 (1 - coeff w0^{-pm/2}) e^{-rate t}, pm <= 2
-    limit = coeff * w0 ** ((2.0 - pm) / 2.0)
-    slope = w0 * (1.0 - coeff * w0 ** (-pm / 2.0))
-
-    def eval_fn(t):
-        t = np.asarray(t, dtype=float)
-        return limit + slope * np.exp(-rate * t)
-
-    return eval_fn
+    lemma = ode_bounds.OdeParams(C1=1.0 / B0_hat**2, C2=2.0 * M1 / B0_hat**2,
+                                 alpha=0.5 * pp, beta=0.5 * pm, h0=w0)
+    threshold = ode_bounds._threshold(lemma.C1, lemma.C2, lemma.alpha, lemma.beta)
+    eval_fn, branch = ode_bounds.envelope(lemma)
+    hyp = ("r_plus < p_minus",)
+    if branch.endswith("saturated"):
+        hyp += ("w0 <= threshold",)
+    consts = {"M1": M1, "B_hat": B_hat, "B0_hat": B0_hat, "w0": w0,
+              "threshold": threshold, "C1": lemma.C1, "C2": lemma.C2}
+    return Envelope(kind="Thm53Bound", constants=consts, eval=eval_fn, valid_hypotheses=hyp)
 
 
 def thm54_bounds(

@@ -486,8 +486,7 @@ def _ode_grid() -> list[ode_bounds.OdeParams]:
                 for beta in (0.5, 1.0, 2.0):
                     if beta > alpha:
                         continue
-                    ratio = C2 / C1
-                    threshold = ratio ** (1.0 / beta) if C2 >= C1 else ratio ** (1.0 / alpha)
+                    threshold = ode_bounds._threshold(C1, C2, alpha, beta)
                     for h0 in (0.1, threshold, 10.0 * threshold):
                         cells.append(ode_bounds.OdeParams(C1, C2, alpha, beta, h0))
     return cells

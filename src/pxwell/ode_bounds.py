@@ -41,16 +41,21 @@ class OdeParams:
             raise ValueError("h0 must be nonnegative")
 
 
+def _threshold(C1: float, C2: float, alpha: float, beta: float) -> float:
+    """The level at which C1 min(h^alpha, h^beta) = C2: (C2/C1)^{1/beta} when
+    C2 >= C1, else (C2/C1)^{1/alpha}."""
+    return (C2 / C1) ** (1.0 / (beta if C2 >= C1 else alpha))
+
+
 def envelope(params: OdeParams) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
     """Return (bound, branch-id) for the matching printed formula."""
     C1, C2, a, b, h0 = params.C1, params.C2, params.alpha, params.beta, params.h0
     ratio = C2 / C1
+    threshold = _threshold(C1, C2, a, b)
     if C2 >= C1:
-        threshold = ratio ** (1.0 / b)
         regime = "source-dominant"
         rate_factor = C1
     else:
-        threshold = ratio ** (1.0 / a)
         regime = "dissipation-dominant"
         rate_factor = C1 * ratio ** ((a - b) / (a - b + 1.0))
 

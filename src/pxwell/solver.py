@@ -41,8 +41,13 @@ under growth and halving.
 
 Blow-up is declared when the sup norm crosses the configured threshold (a
 finite trigger yields a lower bound on the escape time), or when dt collapses
-below dt_min, through a rejection or a shrink, while the sup norm is still
-climbing; a dt collapse without growth is reported as stalling, not blow-up.
+below dt_min, through a rejection or a shrink, after at least one accepted
+step and at a state whose source modular S exceeds its gradient modular G.
+For this kernel <u, rhs> = -(G - S) = -I exactly, so S > G means the L2 norm
+is still growing.  A collapse before any accepted step, or at a state with
+S <= G, is reported as stalling, not blow-up.  A datum whose J, G or S is not
+finite (delta = 0 with p_minus < 2 on a datum with a flat cell) raises
+ValueError before the first step.
 """
 
 from __future__ import annotations
@@ -162,6 +167,11 @@ def simulate(
     dt = cfg.dt_init
     Jf, rhs, G, S = kernel(u)
     evals = 1
+    if not all(map(math.isfinite, (Jf, G, S))):
+        raise ValueError(
+            f"initial energy is not finite (J={Jf!r}, G={G!r}, S={S!r}) at "
+            f"delta={cfg.delta!r}, p_minus={p.p_minus!r}; delta = 0 with "
+            "p_minus < 2 gives a cell with a zero gradient an infinite weight")
     snaps: list[EnergySnapshot] = []
     times: list[float] = []
     linfs: list[float] = []
@@ -184,9 +194,9 @@ def simulate(
     consec = 0
     since_record = 0
     outcome: Optional[Outcome] = None
-    linf_hist = [linfs[0]]
+    supn = linfs[0]
     by_decade: dict = {}
-    decade = _decade(linfs[0])
+    decade = _decade(supn)
 
     while t < cfg.t_end:
         dt_eff = min(dt, cfg.t_end - t)
@@ -217,12 +227,9 @@ def simulate(
             Jf, rhs, G, S = J_new, rhs_new, G_new, S_new
             l2 = np.sqrt(vol * float(np.sum(u * u)))
             drift_max = max(drift_max, abs(vol * float(np.sum(u))) / (1.0 + l2))
-            supn = float(np.max(np.abs(u)))
-            linf_hist.append(supn)
-            if len(linf_hist) > 64:
-                linf_hist.pop(0)
+            supn, supn_prev = float(np.max(np.abs(u))), supn
             decade = _decade(supn)
-            if supn > linf_hist[-2] and residual > _AIM2 * tol:
+            if supn > supn_prev and residual > _AIM2 * tol:
                 # residual ~ dt^2: the next step at this dt would fail
                 dt *= math.floor(_AIM * math.sqrt(tol / residual) * _GRID) / _GRID
                 consec = 0
@@ -241,8 +248,8 @@ def simulate(
             consec = 0
             dt *= 0.5
         if dt < cfg.dt_min:
-            growing = len(linf_hist) >= 2 and linf_hist[-1] > 1.05 * min(linf_hist)
-            if growing:
+            # S > G is I < 0: the L2 norm is still growing
+            if steps > 0 and S > G:
                 outcome = Outcome(BLOWUP_DETECTED, t_b=t)
             else:
                 outcome = Outcome(STALLED_DT)

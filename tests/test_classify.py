@@ -24,6 +24,8 @@ from pxwell.energy import EnergySnapshot, estimate_depth, find_lambda_star, snap
 from pxwell.exponents import build_field
 from pxwell.grid import Grid, GridFunction, integrate
 from pxwell.norms import estimate_embedding
+from pxwell.ode_bounds import OdeParams, verify_batch
+from pxwell.ode_bounds import envelope as ode_envelope
 from pxwell.solver import Outcome, SolverConfig, Trajectory, simulate
 
 
@@ -241,6 +243,28 @@ def test_thm53_case_i_constant():
     M1 = env.constants["M1"]
     assert M1 >= 0.5
     assert env.constants["threshold"] == pytest.approx((2 * M1) ** (2 / 2.5))
+
+
+def test_thm53_envelope_passes_rk4_check():
+    # one datum per branch of the comparison lemma; the RK4 falsifier runs on
+    # the lemma inputs that each bound records
+    g = Grid((8, 8), (1.0, 1.0))
+    r = build_field(1.5, g)
+    cases = [(2.5, 0.3, 1e-4), (2.5, 0.3, 0.5), (1.9, 0.3, 0.5),
+             (2.5, 1.2, 0.1), (2.5, 1.2, 50.0), (1.9, 1.2, 1e3)]
+    batch, branches = [], []
+    for p_const, B_hat, w0 in cases:
+        p = build_field(p_const, g)
+        env = thm53_envelope(w0, p, r, B_hat=B_hat, B0_hat=0.3)
+        c = env.constants
+        q = OdeParams(c["C1"], c["C2"], 0.5 * p.p_plus, 0.5 * p.p_minus, c["w0"])
+        bound, branch = ode_envelope(q)
+        t = np.linspace(0.0, 12.0, 25)
+        assert np.array_equal(env.eval(t), bound(t))
+        batch.append(q)
+        branches.append(branch)
+    assert len(set(branches)) == len(cases)
+    assert np.all(verify_batch(batch) <= 1e-6)
 
 
 def test_thm54_bounds_pinch_and_limits():

@@ -5,6 +5,7 @@ import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import fail_nehari_calls
@@ -87,6 +88,24 @@ def test_config_value_errors_exit_2(tmp_path, capsys, command, text):
     path = _write(tmp_path, text)
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_nonfinite_initial_energy_exit_3(tmp_path, capsys):
+    # delta = 0 with p < 2 on a datum flat on half the square: the initial
+    # energy is NaN, a pipeline error that names delta and p_minus
+    x = (np.arange(16) + 0.5) / 16
+    v = np.zeros((16, 16))
+    v[8:, :] = np.cos(2.0 * np.pi * x[8:])[:, None]
+    csv = _write(tmp_path, "# grid 16 16 1.0 1.0\n" + "\n".join(map(repr, v.ravel().tolist())),
+                 name="flat.csv")
+    path = _write(tmp_path, "[domain]\ndimension = 2\ncells = 16 16\nlengths = 1.0 1.0\n"
+                  "[exponents]\np = const:1.5\nr = const:4.0\n"
+                  f"[initial]\nkind = csv\ncsv = {csv}\n"
+                  "[estimates]\ntrials = 4\nascent_steps = 2\n[solver]\ndelta = 0.0\n")
+    with np.errstate(all="ignore"):
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 3
+    assert "delta=0.0, p_minus=1.5" in capsys.readouterr().err
 
 
 def test_determinism_byte_identical(tmp_path):

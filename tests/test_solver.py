@@ -302,12 +302,18 @@ def _reference_simulate(u0, p, r, cfg):
     def internal_J(uv):
         return _reference_J(uv, grid, p, r, delta)
 
+    def nehari_gap(uv):
+        # I = G - S by direct summation over cells
+        m = _cell_rms2(uv, grid)
+        G = np.sum((m + delta**2) ** (0.5 * (p.values - 2.0)) * m)
+        return vol * float(G - np.sum(np.abs(uv) ** r.values))
+
     u = project_mean_zero(u0).values
     t, dt = 0.0, cfg.dt_init
     Jf = internal_J(u)
     internal = [Jf]
     steps = rejected = consec = since_record = 0
-    linf_hist = [float(np.max(np.abs(u)))]
+    supn = float(np.max(np.abs(u)))
     outcome = None
     while t < cfg.t_end:
         dt_eff = min(dt, cfg.t_end - t)
@@ -327,9 +333,8 @@ def _reference_simulate(u0, p, r, cfg):
             consec += 1
             since_record += 1
             Jf = internal_J(u)
-            supn = float(np.max(np.abs(u)))
-            linf_hist = (linf_hist + [supn])[-64:]
-            if supn > linf_hist[-2] and residual > 0.97 * 0.97 * tol:
+            supn, supn_prev = float(np.max(np.abs(u))), supn
+            if supn > supn_prev and residual > 0.97 * 0.97 * tol:
                 dt, consec = dt * (math.floor(0.97 * math.sqrt(tol / residual) * 1024.0) / 1024.0), 0
             elif consec >= 5:
                 dt, consec = min(dt * 1.25, cfg.dt_max), 0
@@ -344,7 +349,7 @@ def _reference_simulate(u0, p, r, cfg):
             consec = 0
             dt *= 0.5
         if dt < cfg.dt_min:
-            growing = len(linf_hist) >= 2 and linf_hist[-1] > 1.05 * min(linf_hist)
+            growing = steps > 0 and nehari_gap(u) < 0.0
             outcome = (BLOWUP_DETECTED, t) if growing else (STALLED_DT, None)
             break
     if outcome is None:
@@ -363,6 +368,9 @@ def _mixed_mode_datum(factor):
 
 _BLOWUP16 = SolverConfig(dt_init=1e-6, t_end=1.0, blowup_threshold=1e4, record_every=5)
 _DECAY16 = SolverConfig(dt_init=1e-5, t_end=0.02, record_every=5)
+# dt_max holds dt under the admissible step until dt falls under dt_min
+_COLLAPSE16 = SolverConfig(dt_init=1e-6, dt_max=1e-6, dt_min=1e-9, t_end=1.0,
+                           blowup_threshold=1e30, record_every=50)
 
 
 @functools.lru_cache(maxsize=None)
@@ -376,7 +384,8 @@ def _mixed_mode_run(factor, cfg):
 @pytest.mark.parametrize("factor, cfg, counts", [
     (1.7, _BLOWUP16, None),
     (0.25, _DECAY16, (846, 52)),
-], ids=["blowup", "decay"])
+    (1.7, _COLLAPSE16, (8558, 0)),
+], ids=["blowup", "decay", "collapse"])
 def test_simulate_matches_reference_loop(factor, cfg, counts):
     u0, p, r = _mixed_mode_datum(factor)
     (kind, t_b), steps, rejected, internal = _reference_simulate(u0, p, r, cfg)
@@ -421,3 +430,26 @@ def test_dt_collapse_through_shrink_reported():
     assert traj.outcome.t_b == traj.times[-1] < cfg.t_end
     assert traj.dt_at_snapshot[-1] < cfg.dt_min
     assert traj.linf[-1] < cfg.blowup_threshold
+
+
+def test_dt_collapse_in_controlled_climb_is_blowup():
+    # at the default tolerance the sup norm climbs about 2 % per 64 steps
+    # when dt reaches dt_min; the state has I < 0, so ||u||_2 still grows
+    traj = _mixed_mode_run(1.7, _COLLAPSE16)
+    assert traj.snapshots[-1].I < 0.0
+    assert traj.outcome.kind == BLOWUP_DETECTED
+    # the threshold run of test_shrink_on_growth_cuts_blowup_tail escapes
+    # at t_b = 0.0019199658940874768
+    assert traj.outcome.t_b == pytest.approx(0.0019199658940874768, rel=1e-3, abs=0.0)
+
+
+def test_nonfinite_initial_energy_raises():
+    # delta = 0 with p < 2 gives a cell with a zero gradient an infinite
+    # weight; the datum is flat on half the square
+    g = Grid((16, 16), (1.0, 1.0))
+    x = (np.arange(16) + 0.5) / 16
+    v = np.zeros(g.shape)
+    v[8:, :] = np.cos(2.0 * np.pi * x[8:])[:, None]
+    u0 = project_mean_zero(GridFunction(g, v))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="delta=0.0, p_minus=1.5"):
+        simulate(u0, build_field(1.5, g), build_field(4.0, g), SolverConfig(delta=0.0))
