@@ -21,8 +21,8 @@ from .exponents import ExponentField, build_field, check_hypotheses
 from .energy import (
     DepthEstimate,
     LevelRadii,
-    _nehari_point,
     _Ray,
+    find_lambda_star,
     snapshot,
 )
 from .grid import Grid, GridFunction
@@ -47,6 +47,9 @@ __all__ = [
 GLOBAL = "Global"
 BLOWUP = "Blowup"
 UNDETERMINED = "Undetermined"
+
+# half-width of the critical band around the sampled depth, relative to 1 + d_hat
+_CRITICAL_BAND_REL = 1e-3
 
 _RADII_DIRECTION_NOTE = (
     "supercritical large-data test uses the norm >= sampled-max direction; "
@@ -79,11 +82,11 @@ def high_energy_blowup_flag(
     p: ExponentField,
     r: ExponentField,
     B_hat: float,
-    N: int,
 ) -> tuple[bool, dict[str, float]]:
     """Sufficient escape test: initial energy below the threshold E1 while the
     initial diffusion modular exceeds alpha1 (both built from B_hat + 1), under
-    the stricter source-exponent window it requires."""
+    the stricter source-exponent window it requires, N the grid's dimension."""
+    N = p.grid.dimension
     B1 = B_hat + 1.0
     alpha1 = B1 ** (r.p_plus * p.p_plus / (p.p_plus - r.p_minus))
     E1 = (r.p_minus - p.p_plus) / (p.p_plus * r.p_minus) * alpha1
@@ -102,23 +105,25 @@ def classify(
     u0: GridFunction,
     p: ExponentField,
     r: ExponentField,
-    depth: DepthEstimate,
+    depth: Optional[DepthEstimate] = None,
     level_radii: Optional[LevelRadii] = None,
     B_est: Optional[EmbeddingEstimate] = None,
-    N: Optional[int] = None,
-    band_rel: float = 1e-3,
 ) -> Verdict:
     """Map the initial datum to a predicted regime and outcome.
 
     Subcritical (J0 below the sampled depth): the sign of I0 decides.
-    Critical band (|J0 - d_hat| within band_rel * (1 + d_hat)): I0 >= 0 gives
-    global, I0 < 0 gives escape.  Supercritical: sampled level radii decide
-    when the norm comparisons apply, otherwise undetermined.  Outside the
-    source-dominant hypotheses the diffusion-dominant rules apply.
+    Critical band (|J0 - d_hat| within _CRITICAL_BAND_REL * (1 + d_hat), a
+    fixed relative half-width of 1e-3 that only this function applies):
+    I0 >= 0 gives global, I0 < 0 gives escape, even when level radii are
+    given.  Supercritical: sampled level radii decide when the norm
+    comparisons apply, otherwise undetermined.  Outside the source-dominant
+    hypotheses (condition H) the diffusion-dominant rules apply, which use no
+    depth (a given one is only recorded); under them a missing depth raises
+    ValueError.
     """
-    if N is None:
-        N = u0.grid.dimension
-    hyp = check_hypotheses(p, r, N)
+    hyp = check_hypotheses(p, r)
+    if hyp.condition_H and depth is None:
+        raise ValueError("classification under condition H needs a depth estimate")
     s0 = snapshot(u0, p, r)
     J0, I0 = s0.J, s0.I
     constants: dict[str, float] = {
@@ -126,15 +131,17 @@ def classify(
         "I0": I0,
         "grad_modular0": s0.grad_modular,
         "l2_0": np.sqrt(max(s0.l2sq, 0.0)),
-        "d_hat_upper": depth.upper,
-        "d_hat_lower_formula": depth.lower_formula,
     }
-    estimates = [depth.ident]
+    estimates: list[str] = []
+    if depth is not None:
+        constants["d_hat_upper"] = depth.upper
+        constants["d_hat_lower_formula"] = depth.lower_formula
+        estimates.append(depth.ident)
     notes: list[str] = [_RADII_DIRECTION_NOTE]
 
     flag = False
     if B_est is not None:
-        flag, flag_consts = high_energy_blowup_flag(J0, s0.grad_modular, p, r, B_est.constant, N)
+        flag, flag_consts = high_energy_blowup_flag(J0, s0.grad_modular, p, r, B_est.constant)
         constants.update(flag_consts)
         constants["high_energy_blowup_flag"] = float(flag)
         estimates.append(B_est.ident)
@@ -178,7 +185,7 @@ def classify(
         )
 
     d_hat = depth.upper
-    band = band_rel * (1.0 + d_hat)
+    band = _CRITICAL_BAND_REL * (1.0 + d_hat)
     constants["critical_band"] = band
 
     if J0 < d_hat - band:
@@ -400,13 +407,15 @@ def construct_high_energy_datum(
 
     for periods in range(1, 40):
         w = GridFunction(grid, _support_profile(grid, half + 2, n, periods=periods))
-        ray_w = _Ray(w, p, r_field)
-        peak_c, peak_J = _nehari_point(ray_w, p, r_field)
+        peak_c, peak_J = find_lambda_star(w, p, r_field)
         if peak_J < J_omega_target:
             continue
+        ray_w = _Ray(w, p, r_field)
         lo, hi = 0.0, peak_c
         for _ in range(200):
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
             if ray_w.J(mid) < J_omega_target:
                 lo = mid
             else:

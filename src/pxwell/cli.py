@@ -322,26 +322,20 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
 
         enter("classify")
         radii = None
-        if depth is not None:
-            band = 1e-3 * (1.0 + depth.upper)
-            if s0.J > depth.upper + band:
-                samples = _get(cfg, "estimates", "radii_samples", default="48", cast=int)
-                try:
-                    radii = estimate_level_radii(
-                        grid, s0.J, p, r, samples=samples, seed=seed,
-                        depth_upper=depth.upper, ctilde=ctilde,
-                    )
-                    record["estimates"]["radii"] = radii
-                    if radii.skipped:
-                        record["events"].append(
-                            f"level radii skipped {radii.skipped} samples on which lambda* failed")
-                except ValueError as exc:
-                    record["events"].append(f"level radii unavailable: {exc}")
-            verdict = classify(u0, p, r, depth, level_radii=radii, B_est=B)
-        else:
-            verdict = classify(u0, p, r,
-                               DepthEstimate(float("inf"), float("nan"), 0, "none", seed))
-        record["verdict"] = verdict
+        if depth is not None and s0.J > depth.upper:
+            samples = _get(cfg, "estimates", "radii_samples", default="48", cast=int)
+            try:
+                radii = estimate_level_radii(
+                    grid, s0.J, p, r, samples=samples, seed=seed,
+                    depth_upper=depth.upper, ctilde=ctilde,
+                )
+                record["estimates"]["radii"] = radii
+                if radii.skipped:
+                    record["events"].append(
+                        f"level radii skipped {radii.skipped} samples on which lambda* failed")
+            except ValueError as exc:
+                record["events"].append(f"level radii unavailable: {exc}")
+        record["verdict"] = classify(u0, p, r, depth, level_radii=radii, B_est=B)
 
         if do_simulate:
             enter("simulate")

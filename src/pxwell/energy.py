@@ -171,8 +171,10 @@ def find_lambda_star(
     p: ExponentField,
     r: ExponentField,
     tol: float = 1e-10,
-) -> float:
-    """Scaling that lands u on the Nehari manifold: I(lambda* u) = 0.
+) -> tuple[float, float]:
+    """Nehari point of u: the scaling lambda* with I(lambda* u) = 0, and
+    J(lambda* u) from the converged iterate's powers (the quadrature of
+    `_Ray.J`).
 
     Valid in the source-dominant regime r_minus > p_plus.  Newton's method
     from lambda = 1 on f(s) = log G(e^s u) - log S(e^s u), s = log lambda,
@@ -188,19 +190,9 @@ def find_lambda_star(
     and when the tolerance is not met within the evaluation cap or before the
     bracket or the Newton step shrinks to rounding.
     """
-    return _nehari_point(_Ray(u, p, r), p, r, tol)[0]
-
-
-def _nehari_point(
-    ray: _Ray,
-    p: ExponentField,
-    r: ExponentField,
-    tol: float = 1e-10,
-) -> tuple[float, float]:
-    """lambda* of `find_lambda_star` on a built ray, with J(lambda* u) from
-    the converged iterate's powers (the quadrature of `_Ray.J`)."""
     if r.p_minus <= p.p_plus:
         raise ValueError("lambda* requires r_minus > p_plus")
+    ray = _Ray(u, p, r)
     lam = 1.0
     gp, sp = ray.powers(lam)
     gsum, ssum = float(np.sum(gp)), float(np.sum(sp))
@@ -268,7 +260,7 @@ def _descend(
         scale = np.max(np.abs(w.values)) or 1.0
         trial = perturb(w, rng, sigma * scale)
         try:
-            _, val = _nehari_point(_Ray(trial, p, r), p, r)
+            _, val = find_lambda_star(trial, p, r)
         except ValueError:
             skipped += 1
             sigma *= 0.8
@@ -301,7 +293,7 @@ def estimate_depth(
     skipped = 0
     for i, (_, w) in enumerate(witness_bank(grid, seed, trials)):
         try:
-            lam, val = _nehari_point(_Ray(w, p, r), p, r)
+            lam, val = find_lambda_star(w, p, r)
         except ValueError:
             skipped += 1
             continue
@@ -332,13 +324,13 @@ def level_radius_floor(
     r: ExponentField,
     depth: float,
     ctilde: EmbeddingEstimate,
-    N: int,
 ) -> Optional[float]:
     """s-independent floor for the minimal L2 norm on Nehari slices.
 
-    Defined when 2 <= r_plus <= (1 + 2/N) p_minus; evaluated at the sampled
-    interpolation constant, hence non-certified.
+    Defined when 2 <= r_plus <= (1 + 2/N) p_minus, N the grid's dimension;
+    evaluated at the sampled interpolation constant, hence non-certified.
     """
+    N = p.grid.dimension
     if not (2.0 <= r.p_plus <= (1.0 + 2.0 / N) * p.p_minus):
         return None
     theta = ctilde.theta
@@ -361,18 +353,15 @@ def estimate_level_radii(
     seed: int = 0,
     depth_upper: Optional[float] = None,
     ctilde: Optional[EmbeddingEstimate] = None,
-    N: Optional[int] = None,
 ) -> LevelRadii:
     """Sampled extremes of the L2 norm over the Nehari slice {I=0, J<=s}."""
     if depth_upper is not None and not (s > depth_upper):
         raise ValueError(f"level s={s} must exceed the depth upper estimate {depth_upper}")
-    if N is None:
-        N = grid.dimension
     norms = []
     skipped = 0
     for _, w in witness_bank(grid, seed, samples):
         try:
-            lam, val = _nehari_point(_Ray(w, p, r), p, r)
+            lam, val = find_lambda_star(w, p, r)
         except ValueError:
             skipped += 1
             continue
@@ -384,7 +373,7 @@ def estimate_level_radii(
         )
     m_bound = None
     if ctilde is not None and depth_upper is not None:
-        m_bound = level_radius_floor(p, r, depth_upper, ctilde, N)
+        m_bound = level_radius_floor(p, r, depth_upper, ctilde)
     return LevelRadii(
         s=float(s),
         lambda_s=float(min(norms)),

@@ -196,16 +196,16 @@ def check_log_holder(
     return RegularityReport(max_mod, bool(np.isfinite(max_mod) and max_mod <= cap), int(mask.sum()), cap)
 
 
-def check_hypotheses(p: ExponentField, r: ExponentField, N: Optional[int] = None) -> HypothesisReport:
-    """Evaluate the structural inequalities the classification theorems need.
+def check_hypotheses(p: ExponentField, r: ExponentField) -> HypothesisReport:
+    """Evaluate the structural inequalities the classification theorems need,
+    with N the grid's dimension.
 
     Strictness is as written; extrema are exact over the sample so no
     tolerance is applied.
     """
     if p.grid is not r.grid and p.grid != r.grid:
         raise ValueError("exponent fields must share one grid")
-    if N is None:
-        N = p.grid.dimension
+    N = p.grid.dimension
 
     lower = max(1.0, 2.0 * N / (N + 2.0))
     details: list[tuple[str, float, float, bool]] = []

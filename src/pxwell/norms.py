@@ -281,13 +281,11 @@ def estimate_gn_constant(
     r: ExponentField,
     trials: int = 32,
     seed: int = 0,
-    N: Optional[int] = None,
 ) -> EmbeddingEstimate:
     """Sampled interpolation constant for (1+|Omega|)||w||_{r_plus} against
-    ||grad w||_p^theta ||w||_2^{1-theta}."""
-    if N is None:
-        N = grid.dimension
-    theta = gn_theta(p.p_minus, r.p_plus, N)
+    ||grad w||_p^theta ||w||_2^{1-theta}, theta balanced in the grid's
+    dimension."""
+    theta = gn_theta(p.p_minus, r.p_plus, grid.dimension)
     if not (0.0 < theta < 1.0):
         raise ValueError(f"interpolation exponent {theta} outside (0,1); hypotheses violated")
     rplus_field = build_field(float(r.p_plus), grid, label="r+")

@@ -41,10 +41,10 @@ def random_exponent(grid, rng, lo=1.2, hi=4.0):
     return build_field(np.asarray(vals), grid)
 
 
-def fail_nehari_calls(monkeypatch, failing):
-    """Make the lambda* core raise on the given call indices; returns the
-    one-element call counter."""
-    original = energy._nehari_point
+def fail_lambda_star_calls(monkeypatch, failing):
+    """Make `energy.find_lambda_star` raise on the given call indices; returns
+    the one-element call counter."""
+    original = energy.find_lambda_star
     calls = [0]
 
     def flaky(*args, **kwargs):
@@ -53,5 +53,5 @@ def fail_nehari_calls(monkeypatch, failing):
             raise ValueError("lambda* failure injected by the test")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(energy, "_nehari_point", flaky)
+    monkeypatch.setattr(energy, "find_lambda_star", flaky)
     return calls

@@ -20,7 +20,7 @@ from pxwell.classify import (
     thm53_envelope,
     thm54_bounds,
 )
-from pxwell.energy import EnergySnapshot, estimate_depth, find_lambda_star, snapshot
+from pxwell.energy import EnergySnapshot, _Ray, estimate_depth, find_lambda_star, snapshot
 from pxwell.exponents import build_field
 from pxwell.grid import Grid, GridFunction, integrate
 from pxwell.norms import estimate_embedding
@@ -49,7 +49,7 @@ def test_zero_datum_global(setting):
 def test_ray_scaled_verdicts(setting):
     g, p, r, B, dep = setting
     phi = mixed_mode(g)
-    lam = find_lambda_star(phi, p, r)
+    lam, _ = find_lambda_star(phi, p, r)
 
     small = GridFunction(g, 0.15 * lam * phi.values)
     s = snapshot(small, p, r)
@@ -64,6 +64,13 @@ def test_ray_scaled_verdicts(setting):
     assert vb.regime == "subcritical" and vb.prediction == BLOWUP
     # Remark-style sharpness: a subcritical datum with I != 0 is never undetermined
     assert v.prediction != UNDETERMINED and vb.prediction != UNDETERMINED
+
+
+def test_condition_H_needs_depth(setting):
+    g, p, r, B, dep = setting
+    u = GridFunction(g, 0.3 * mixed_mode(g).values)
+    with pytest.raises(ValueError, match="depth"):
+        classify(u, p, r, B_est=B)
 
 
 def test_classify_deterministic(setting):
@@ -160,7 +167,7 @@ def test_inequality_317_trivial_and_vacuous():
 def test_prop48_trivial_cases(setting):
     g, p, r, B, dep = setting
     phi = mixed_mode(g)
-    lam = find_lambda_star(phi, p, r)
+    lam, _ = find_lambda_star(phi, p, r)
     big = GridFunction(g, 3.0 * lam * phi.values)
     assert snapshot(big, p, r).J <= 0
     assert prop48_check(big, p, 4.0, g.volume)  # nonpositive left side
@@ -187,6 +194,25 @@ def test_high_energy_datum_pipeline(setting):
     assert traj.outcome.kind == "BlowupDetected"
 
 
+def test_high_energy_bisection_stops_at_rounding(monkeypatch):
+    # the shipped high_energy datum: 32x32, its p, r = 4, M = 10 d_hat at seed 0;
+    # the bisection ends once its midpoint no longer splits the bracket
+    g = Grid((32, 32), (1.0, 1.0))
+    p = build_field("affine:1.8+0.35x+0.35y", g)
+    d_hat = 28.619535014580052
+    calls = [0]
+    ray_J = _Ray.J
+
+    def counting(self, lam):
+        calls[0] += 1
+        return ray_J(self, lam)
+
+    monkeypatch.setattr(_Ray, "J", counting)
+    u = construct_high_energy_datum(10.0 * d_hat, g, p, 4.0, d_hat)
+    assert snapshot(u, p, build_field(4.0, g)).J == pytest.approx(10.0 * d_hat, rel=1e-6)
+    assert 0 < calls[0] <= 80
+
+
 def test_high_energy_flag_consistency():
     # the flag's source-exponent window in 2D forces r_plus <= 1 + p_minus
     g = Grid((24, 24), (1.0, 1.0))
@@ -195,10 +221,10 @@ def test_high_energy_flag_consistency():
     B = estimate_embedding(g, p, r, trials=6, seed=1, ascent_steps=4)
     dep = estimate_depth(g, p, r, trials=6, seed=0, B_est=B, descent_steps=8)
     phi = mixed_mode(g)
-    lam = find_lambda_star(phi, p, r)
+    lam, _ = find_lambda_star(phi, p, r)
     big = GridFunction(g, 3.0 * lam * phi.values)
     s = snapshot(big, p, r)
-    flag, consts = high_energy_blowup_flag(s.J, s.grad_modular, p, r, B.constant, 2)
+    flag, consts = high_energy_blowup_flag(s.J, s.grad_modular, p, r, B.constant)
     assert consts["hypotheses_hold"] == 1.0
     assert flag  # deep negative energy with large diffusion modular
     assert s.I < 0  # arithmetic consequence of the flag
@@ -206,7 +232,7 @@ def test_high_energy_flag_consistency():
     assert v.prediction == BLOWUP  # flag never contradicts the threshold verdict
     small = GridFunction(g, 1e-2 * phi.values)
     ssm = snapshot(small, p, r)
-    flag2, _ = high_energy_blowup_flag(ssm.J, ssm.grad_modular, p, r, B.constant, 2)
+    flag2, _ = high_energy_blowup_flag(ssm.J, ssm.grad_modular, p, r, B.constant)
     assert not flag2
 
 

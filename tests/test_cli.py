@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fail_nehari_calls
+from conftest import fail_lambda_star_calls
 from pxwell.cli import ConfigError, _load_config, main, run
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -209,7 +209,7 @@ def test_module_entry_point(tmp_path, monkeypatch):
 
 
 def test_skipped_witnesses_reported(tmp_path, monkeypatch):
-    fail_nehari_calls(monkeypatch, {0})
+    fail_lambda_star_calls(monkeypatch, {0})
     rec = run(CONFIGS / "zero.ini", tmp_path, seed=0, do_simulate=False, quiet=True)
     assert rec["estimates"]["depth"].skipped == 1
     assert rec["events"] == [
@@ -222,6 +222,17 @@ def test_diffusion_dominant_pipeline(tmp_path):
     assert rec["outcome"].kind == "GlobalUntilTend"
     kinds = [e["kind"] for e in rec["envelopes"]]
     assert "Thm53Bound" in kinds
+
+
+@pytest.mark.parametrize("name", ["diffusion_dominant", "negative_energy"])
+def test_weak_source_verdict_cites_no_depth(tmp_path, name):
+    assert main(["classify", "--config", str(CONFIGS / f"{name}.ini"),
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    rec = json.loads((tmp_path / f"{name}-s0" / "record.json").read_text())
+    verdict = rec["verdict"]
+    assert "depth" not in rec["estimates"]
+    assert "d_hat_upper" not in verdict["constants"]
+    assert not [e for e in verdict["estimates_used"] if e.startswith("depth-")]
 
 
 def test_ode_verify_writes_plain_floats(tmp_path, capsys):

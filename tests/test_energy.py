@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import fail_nehari_calls, mixed_mode, random_gridfunction
+from conftest import fail_lambda_star_calls, mixed_mode, random_gridfunction
 from pxwell.energy import (
     estimate_depth,
     estimate_level_radii,
@@ -72,15 +72,15 @@ def test_lambda_star_analytic_roots():
     u = mixed_mode(g)
     s = snapshot(u, p2, r4)
     a, b = s.grad_modular, s.source_modular
-    lam = find_lambda_star(u, p2, r4)
+    lam, _ = find_lambda_star(u, p2, r4)
     assert lam == pytest.approx(np.sqrt(a / b), rel=1e-9)
     # rescale so a = b: root at 1
     c = np.sqrt(a / b)
     balanced = GridFunction(g, c * u.values)
-    assert find_lambda_star(balanced, p2, r4) == pytest.approx(1.0, rel=1e-9)
+    assert find_lambda_star(balanced, p2, r4)[0] == pytest.approx(1.0, rel=1e-9)
     # a Nehari point maps to itself
     on_manifold = GridFunction(g, lam * u.values)
-    assert find_lambda_star(on_manifold, p2, r4) == pytest.approx(1.0, rel=1e-8)
+    assert find_lambda_star(on_manifold, p2, r4)[0] == pytest.approx(1.0, rel=1e-8)
 
 
 def test_lambda_star_preconditions(pw):
@@ -116,7 +116,7 @@ def test_nehari_energy_identity(pw):
     for _ in range(6):
         w = random_gridfunction(g, rng)
         w = project_mean_zero(w)
-        lam = find_lambda_star(w, p, r)
+        lam, _ = find_lambda_star(w, p, r)
         s = snapshot(GridFunction(g, lam * w.values), p, r)
         assert s.J >= coeff * s.grad_modular - 1e-8 * (1 + abs(s.J))
 
@@ -160,16 +160,16 @@ def test_skipped_witnesses_counted(pw, monkeypatch):
     clean = estimate_depth(g, p, r, trials=2, seed=3, descent_steps=4)
     assert clean.skipped == 0
     # calls 0 and 1 are catalogue witnesses, call 9 a descent proposal
-    fail_nehari_calls(monkeypatch, {0, 1, 9})
+    fail_lambda_star_calls(monkeypatch, {0, 1, 9})
     assert estimate_depth(g, p, r, trials=2, seed=3, descent_steps=4).skipped == 3
     monkeypatch.undo()
     s_level = 9.0 * clean.upper
-    calls = fail_nehari_calls(monkeypatch, set())
+    calls = fail_lambda_star_calls(monkeypatch, set())
     every = estimate_level_radii(g, s_level, p, r, samples=8, seed=5)
     assert every.skipped == 0
     n_candidates = calls[0]
     monkeypatch.undo()
-    calls = fail_nehari_calls(monkeypatch, {2, n_candidates - 1})
+    calls = fail_lambda_star_calls(monkeypatch, {2, n_candidates - 1})
     radii = estimate_level_radii(g, s_level, p, r, samples=8, seed=5)
     assert radii.skipped == 2 and calls[0] == n_candidates
     assert every.kept - 2 <= radii.kept < every.kept
@@ -193,7 +193,7 @@ def test_depth_upper_vs_single_mode(pw):
     # descent should do no worse than the best raw candidate
     g, p, r = pw
     u = mixed_mode(g)
-    lam = find_lambda_star(u, p, r)
+    lam, _ = find_lambda_star(u, p, r)
     J_mode = snapshot(GridFunction(g, lam * u.values), p, r).J
     dep = estimate_depth(g, p, r, trials=4, seed=0, descent_steps=8)
     assert dep.upper <= J_mode + 1e-9

@@ -94,18 +94,18 @@ def test_hypotheses_examples():
     g = Grid((8, 8), (1.0, 1.0))
     p = build_field(lambda x, y: 1.8 + 0.1 * (x + y) / 2, g)
     r = build_field(4.0, g)
-    rep = check_hypotheses(p, r, N=2)
+    rep = check_hypotheses(p, r)
     assert rep.condition_H
     assert not rep.r_plus_below_p_minus
     assert rep.critical_sobolev == pytest.approx(2 * p.p_minus / (2 - p.p_minus))
 
-    rep2 = check_hypotheses(build_field(2.5, g), build_field(1.5, g), N=2)
+    rep2 = check_hypotheses(build_field(2.5, g), build_field(1.5, g))
     assert not rep2.condition_H
     assert rep2.r_plus_below_p_minus
     assert rep2.thm54_regime
 
     g1 = Grid((8,), (1.0,))
-    rep3 = check_hypotheses(build_field(1.5, g1), build_field(4.0, g1), N=1)
+    rep3 = check_hypotheses(build_field(1.5, g1), build_field(4.0, g1))
     assert not rep3.condition_H  # p_minus < N impossible with p > 1, N = 1
 
 

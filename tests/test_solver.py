@@ -99,7 +99,7 @@ def test_simulate_source_off_dissipative(setup2d):
 def test_simulate_global_small_amplitude(setup2d):
     g, p, r = setup2d
     phi = mixed_mode(g)
-    lam = find_lambda_star(phi, p, r)
+    lam, _ = find_lambda_star(phi, p, r)
     u0 = GridFunction(g, 0.25 * lam * phi.values)
     assert snapshot(u0, p, r).I > 0
     cfg = SolverConfig(dt_init=1e-5, t_end=0.02, record_every=5)
@@ -118,7 +118,7 @@ def test_simulate_global_small_amplitude(setup2d):
 def test_simulate_blowup_large_amplitude(setup2d):
     g, p, r = setup2d
     phi = mixed_mode(g)
-    lam = find_lambda_star(phi, p, r)
+    lam, _ = find_lambda_star(phi, p, r)
     u0 = GridFunction(g, 1.7 * lam * phi.values)
     assert snapshot(u0, p, r).I < 0
     cfg = SolverConfig(dt_init=1e-6, t_end=1.0, blowup_threshold=1e4, record_every=5)
@@ -363,7 +363,7 @@ def _mixed_mode_datum(factor):
     g = Grid((16, 16), (1.0, 1.0))
     p, r = build_field("affine:1.8+0.35x+0.35y", g), build_field(4.0, g)
     phi = mixed_mode(g)
-    return GridFunction(g, factor * find_lambda_star(phi, p, r) * phi.values), p, r
+    return GridFunction(g, factor * find_lambda_star(phi, p, r)[0] * phi.values), p, r
 
 
 _BLOWUP16 = SolverConfig(dt_init=1e-6, t_end=1.0, blowup_threshold=1e4, record_every=5)
