@@ -85,7 +85,13 @@ def high_energy_blowup_flag(
 ) -> tuple[bool, dict[str, float]]:
     """Sufficient escape test: initial energy below the threshold E1 while the
     initial diffusion modular exceeds alpha1 (both built from B_hat + 1), under
-    the stricter source-exponent window it requires, N the grid's dimension."""
+    the stricter source-exponent window it requires, N the grid's dimension.
+
+    The thresholds exist only for r_minus > p_plus (the exponent of B1 has
+    p_plus - r_minus in its denominator); below that order the test cannot
+    hold and only `hypotheses_hold = 0` is recorded."""
+    if r.p_minus <= p.p_plus:
+        return False, {"hypotheses_hold": 0.0}
     N = p.grid.dimension
     B1 = B_hat + 1.0
     alpha1 = B1 ** (r.p_plus * p.p_plus / (p.p_plus - r.p_minus))

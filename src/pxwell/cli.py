@@ -405,14 +405,14 @@ def _envelope_rows(record, traj, p, r, depth, B0, B, grid):
     s0 = record["initial"]
     table: dict[str, np.ndarray] = {"t": t}
 
-    if (hyp.condition_H and depth is not None and verdict.prediction == GLOBAL
+    if (hyp.condition_H and verdict.prediction == GLOBAL
             and p.p_plus >= 2.0 and np.isfinite(d0) and 0.0 < d0 < 1.0 and s0.J > 0.0):
         env = decay_envelope(s0.J, p, r, B0.constant, d0, depth.upper)
         record["envelopes"].append({"kind": env.kind, "constants": env.constants})
         bound = env.eval(t)
         table.update({"J": J, "J_bound": bound, "grad_modular": gmod,
                       "grad_bound": env.constants["grad_multiplier"] * bound})
-    if hyp.condition_H and depth is not None and verdict.prediction == BLOWUP:
+    if hyp.condition_H and verdict.prediction == BLOWUP:
         bf = blowup_functional(traj, r.p_minus)
         chk = inequality_317_check(traj, depth.upper, r.p_minus)
         record["envelopes"].append({

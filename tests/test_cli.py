@@ -235,6 +235,23 @@ def test_weak_source_verdict_cites_no_depth(tmp_path, name):
     assert not [e for e in verdict["estimates_used"] if e.startswith("depth-")]
 
 
+# r_minus = p_plus zeroes the denominator of the escape flag's alpha1
+# exponent, and r_minus just below p_plus makes it about -4000 times too big
+@pytest.mark.parametrize("r_field", ["const:2.0", "const:1.999"])
+def test_source_order_at_or_below_diffusion_classifies(tmp_path, r_field):
+    path = _write(tmp_path, "[domain]\ndimension = 2\ncells = 8 8\nlengths = 1.0 1.0\n"
+                  f"[exponents]\np = const:2.0\nr = {r_field}\n"
+                  "[initial]\nkind = modes\nmodes = 1 0 1.0\namplitude = 0.5\n",
+                  name="edge.ini")
+    assert main(["classify", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+    verdict = json.loads((tmp_path / "edge-s0" / "record.json").read_text())["verdict"]
+    assert verdict["constants"]["hypotheses_hold"] == 0.0
+    assert verdict["constants"]["high_energy_blowup_flag"] == 0.0
+    assert "alpha1" not in verdict["constants"] and "E1" not in verdict["constants"]
+    if r_field == "const:2.0":
+        assert (verdict["prediction"], verdict["rule"]) == ("Undetermined", "hypotheses-not-met")
+
+
 def test_ode_verify_writes_plain_floats(tmp_path, capsys):
     assert main(["ode-verify", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "ode_verify.csv").read_text().strip().split("\n")
