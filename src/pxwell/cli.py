@@ -5,9 +5,10 @@ keys are hard errors so that a stored config echo pins a run completely.
 Given the same config and seed, every artifact is reproduced byte for byte.
 Wall times and counters go to the sidecar `meta.json`, never into the
 record: the total and per-stage wall times and, for a simulated run, the
-stepper's accepted and rejected steps and kernel evaluations, in total and
+stepper's kernel evaluations and its accepted and rejected steps, in total,
 binned by the decade floor(log10 ||u||_inf) of the state each trial step
-starts from (decade null for the zero state).  `report` collects each run's
+starts from (decade null for the zero state) and binned by the trial's
+RKL2 stage count.  `report` collects each run's
 verdict, outcome and step counts into `summary.csv`.
 
 Exit codes: 0 success, 2 config error, 3 pipeline error, 4 assertion or
@@ -357,6 +358,10 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
                     for k, (acc, rej) in sorted(
                         traj.steps_by_decade.items(),
                         key=lambda kv: -float("inf") if kv[0] is None else kv[0])
+                ],
+                "by_stages": [
+                    {"stages": s, "accepted": acc, "rejected": rej}
+                    for s, (acc, rej) in sorted(traj.steps_by_stages.items())
                 ],
             }
 

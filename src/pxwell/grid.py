@@ -11,12 +11,14 @@ energy J is its cell quadrature, and the p(x)-flux is the exact L2 gradient
 of that energy.  The private `_Kernel` computes both, with the source term:
 built once per exponent pair, it evaluates a state to J(u), the right-hand
 side and the two modulars together, sharing the face differences and the
-powers between them.  `px_flux_divergence`, `dirichlet_energy` and the
-solver all call it.
+powers between them, or to the right-hand side alone where no energy is
+read (the solver's inner stages).  `px_flux_divergence`, `dirichlet_energy`
+and the solver all call it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -182,6 +184,8 @@ class _Kernel:
         if delta > 0.0:
             q0 = np.full(grid.shape, self.d2)
             self.offset = float(np.vdot(q0 * q0**self.expo, self.inv_p))
+        # Gershgorin radius of the flux divergence at frozen weights, over w
+        self.radius = 4.0 * sum(1.0 / (h * h) for h in grid.spacing)
         self.source = r_values is not None
         if self.source:
             self.r1 = r_values - 1.0
@@ -189,30 +193,56 @@ class _Kernel:
 
     def __call__(self, uv: np.ndarray) -> tuple[float, np.ndarray, float, float]:
         """(J, right-hand side, G, S) at the state `uv`."""
+        div, au, a = self._rhs(uv)
+        G = self.vol * float(np.vdot(self.w, self.mag2))
+        q = self.q
+        q *= self.w
+        J = self.vol * (float(np.vdot(q, self.inv_p)) - self.offset)
+        S = 0.0
+        if self.source:
+            au *= a
+            S = self.vol * float(au.sum())
+            J -= self.vol * float(np.vdot(au, self.inv_r))
+        return J, div, G, S
+
+    def rhs(self, uv: np.ndarray) -> np.ndarray:
+        """The right-hand side at `uv` without J, G and S."""
+        return self._rhs(uv)[0]
+
+    def _rhs(self, uv: np.ndarray
+             ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+        """The right-hand side, and |u| and a = |u|^{r-1} with the source on;
+        |grad u|^2, q and w stay in their buffers for the sums of J and G."""
         mag2, q, w = self.mag2, self.q, self.w
         gs = _cell_grad2(uv, self.faces, mag2)
         np.add(mag2, self.d2, out=q)
         np.power(q, self.expo, out=w)
-        G = self.vol * float(np.vdot(w, mag2))
-        q *= w
-        J = self.vol * (float(np.vdot(q, self.inv_p)) - self.offset)
         div = np.zeros(self.shape)
         for (h, lo, hi, inner, face), g in zip(self.faces, gs):
             flux = face[inner]
             np.add(w[lo], w[hi], out=flux)
             flux *= g
             div += (face[hi] - face[lo]) * (0.5 / h)
-        S = 0.0
-        if self.source:
-            au = np.abs(uv)
-            a = au**self.r1
-            s = np.copysign(a, uv)
-            s -= self.vol * s.sum() / self.omega
-            div += s
-            au *= a
-            S = self.vol * float(au.sum())
-            J -= self.vol * float(np.vdot(au, self.inv_r))
-        return J, div, G, S
+        if not self.source:
+            return div, None, None
+        au = np.abs(uv)
+        a = au**self.r1
+        s = np.copysign(a, uv)
+        s -= self.vol * s.sum() / self.omega
+        div += s
+        return div, au, a
+
+    def explicit_dt(self) -> float:
+        """0.8 of explicit Euler's stability bound 2 / rho at the state last
+        evaluated, whose cell weights w are still held, with rho = 4 max(w)
+        sum 1/h^2 the Gershgorin radius of the flux divergence at frozen
+        weights.  The weights' own variation stiffens only modes smooth on
+        the cell scale, so rho bounds the linearized right-hand side's
+        spectral radius on every state measured; the energy-residual test,
+        not this bound, decides whether a step stands.  Infinite when every
+        weight is zero (delta = 0, p > 2 and a flat state)."""
+        w_max = float(np.max(self.w))
+        return 1.6 / (self.radius * w_max) if w_max > 0.0 else math.inf
 
 
 def _face_slices(dim: int, axis: int) -> tuple[tuple, tuple, tuple]:
@@ -234,7 +264,7 @@ def px_flux_divergence(u: GridFunction, p, delta: float = 1e-8) -> GridFunction:
     the cell-RMS gradient; delta regularizes the singular case p < 2 at
     vanishing gradients.
     """
-    return GridFunction(u.grid, _Kernel(u.grid, p.values, delta)(u.values)[1])
+    return GridFunction(u.grid, _Kernel(u.grid, p.values, delta).rhs(u.values))
 
 
 def dirichlet_energy(u: GridFunction, p, delta: float = 1e-8) -> float:

@@ -1,7 +1,8 @@
 """Time integration of the nonlocal Neumann diffusion problem.
 
-Explicit Euler with energy-residual step control: a step is accepted only if
-the discrete energy identity
+Second-order Runge-Kutta-Legendre steps (RKL2: Meyer, Balsara and Aslam,
+J. Comput. Phys. 257, 2014) with energy-residual step control: a step is
+accepted only if the discrete energy identity
 
     J(u+) - J(u) + dt ||(u+ - u)/dt||_2^2  ~  0
 
@@ -9,27 +10,41 @@ holds to the configured tolerance.  J is the cell-RMS potential of
 `grid.dirichlet_energy` minus the source energy, the J that `energy.snapshot`
 and the classifier read; its L2 gradient equals the discrete right-hand side
 exactly, so the residual is a pure time-discretization remainder and halving
-dt on rejection always wins eventually.  One kernel evaluation of a trial
-state gives its J, its right-hand side and its two modulars from the same
-powers; when the step is accepted they are reused as the current state's, so
-each trial step evaluates the energy once, and a recorded snapshot is built
-from them and ||u||_2^2 without another quadrature.  The accepted state is
-then shifted to zero mean; the right-hand side has zero mean, so the shift
-is round-off and the kernel's values still stand.  With the source off the
-snapshots report S = 0 and the diffusion energy as J: the flow that ran.
+dt on rejection always wins eventually.  For a second-order step that
+remainder is O(dt^3).
+
+An s-stage step is the three-term Legendre recurrence of the scheme, with
+the weights mu_j, nu_j, mu~_j and gamma~_j of `_rkl2_weights`.  Its first
+stage reuses the current state's right-hand side, so a trial step costs s
+kernel evaluations: s - 1 inner stages, which need the right-hand side
+alone, and the trial state itself.  The stage
+count is not a setting.  For the step dt it is the least s >= 2 with
+dt <= dt_E (s^2 + s - 2)/4, the width of the scheme's real stability
+interval, where dt_E is the kernel's explicit Euler bound at the current
+state (`_Kernel.explicit_dt`).  In the accuracy-limited blow-up tail s stays
+at 2 or near it; in a decaying, stability-limited run dt grows past dt_E and
+s grows like its square root.  Every stage is a combination of the current
+state and zero-mean right-hand sides, so the mean is conserved.
+
+One kernel evaluation of a trial state gives its J, its right-hand side and
+its two modulars from the same powers; when the step is accepted they are
+reused as the current state's, and a recorded snapshot is built from them
+and ||u||_2^2 without another quadrature.  The accepted state is then
+shifted to zero mean; the shift is round-off and the kernel's values still
+stand.  With the source off the snapshots report S = 0 and the diffusion
+energy as J: the flow that ran.
 
 The step rule: dt grows by 1.25 after five accepted steps in a row and halves
 on a rejection.  While the sup norm grows, an accepted step also shrinks dt
-ahead of the residual.  The remainder of explicit Euler on a gradient flow
-grows like dt^2, so when the step's residual exceeds 0.97^2 of the tolerance,
-dt is scaled by 0.97 sqrt(tol / residual): the step at which the same
-remainder would sit at 0.97^2 of the tolerance.  In the blow-up tail the
-admissible step falls like the source ODE's scale ||u||_inf^{2-r}; the shrink
-keeps dt on it instead of sawtoothing between half and all of it through
-rejections, and the shipped blow-up configs reach the threshold in about 30 %
-fewer trial steps.  The shrink is gated on growth: in a decaying,
-stability-limited run the residual says little about the next step, and the
-grow-until-reject sawtooth takes larger steps on average there.
+ahead of the residual.  The remainder grows like dt^3, the power
+order + 1, so when the step's residual exceeds 0.97^3 of the tolerance, dt is
+scaled by 0.97 (tol / residual)^(1/3): the step at which the same remainder
+would sit at 0.97^3 of the tolerance.  In the blow-up tail the admissible
+step falls like the source ODE's scale ||u||_inf^{2-r}; the shrink keeps dt
+on it instead of sawtoothing between half and all of it through rejections.
+The shrink is gated on growth: in a decaying, stability-limited run the
+residual says little about the next step, and the grow-until-reject
+sawtooth takes larger steps on average there.
 
 The step was accepted, so the shrink factor lies in [0.97, 1); it is floored
 to a multiple of 2^-10.  The residual is a difference of O(|J|) sums, so its
@@ -52,6 +67,7 @@ ValueError before the first step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -80,11 +96,11 @@ GLOBAL_UNTIL_TEND = "GlobalUntilTend"
 BLOWUP_DETECTED = "BlowupDetected"
 STALLED_DT = "StalledDt"
 
-# an accepted step on growth aims the next step's residual at _AIM**2 of the
+# an accepted step on growth aims the next step's residual at _AIM**3 of the
 # tolerance; the factor is taken only past that mark, and floored to a
 # multiple of 1/_GRID
 _AIM = 0.97
-_AIM2 = _AIM * _AIM
+_AIM3 = _AIM**3
 _GRID = 1024.0
 
 
@@ -127,14 +143,60 @@ class Trajectory:
     residual_sum: float
     mean_drift_max: float
     rejected_steps: int = 0
+    # one for the datum and s per s-stage trial step; a trial whose state is
+    # not finite is rejected unevaluated and costs s - 1
     kernel_evals: int = 0
     # [accepted, rejected] trial steps by floor(log10 ||u||_inf) of the state
     # they start from; the key is None for the zero state
     steps_by_decade: dict[Optional[int], list[int]] = field(default_factory=dict)
+    # [accepted, rejected] trial steps by their stage count s
+    steps_by_stages: dict[int, list[int]] = field(default_factory=dict)
 
 
 def _decade(supn: float) -> Optional[int]:
     return math.floor(math.log10(supn)) if supn > 0.0 else None
+
+
+@functools.lru_cache(maxsize=None)
+def _rkl2_weights(s: int) -> tuple[tuple[float, float, float, float], ...]:
+    """mu~_1, then (mu_j, nu_j, mu~_j, gamma~_j) for j = 2..s, of the s-stage
+    RKL2 scheme: with b_0 = b_1 = 1/3, b_j = (j^2 + j - 2) / (2j(j + 1)) and
+    w_1 = 4 / (s^2 + s - 2), mu~_1 = w_1 b_1, mu_j = (2j - 1)/j b_j/b_{j-1},
+    nu_j = -(j - 1)/j b_j/b_{j-2}, mu~_j = w_1 mu_j and
+    gamma~_j = -(1 - b_{j-1}) mu~_j."""
+    b = [1.0 / 3.0] * 2 + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(2, s + 1)]
+    w1 = 4.0 / (s * s + s - 2)
+    rows: list = [b[1] * w1]
+    for j in range(2, s + 1):
+        mu = (2 * j - 1) / j * b[j] / b[j - 1]
+        nu = -(j - 1) / j * b[j] / b[j - 2]
+        rows.append((mu, nu, w1 * mu, -(1.0 - b[j - 1]) * w1 * mu))
+    return tuple(rows)
+
+
+def _stages(dt: float, dt_e: float) -> int:
+    """The least s >= 2 whose stability interval dt_e (s^2 + s - 2)/4 holds dt."""
+    return max(2, math.ceil(0.5 * (math.sqrt(9.0 + 16.0 * (dt / dt_e)) - 1.0)))
+
+
+def _rkl2_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float,
+               s: int) -> np.ndarray:
+    """The s-stage RKL2 state from u, whose right-hand side is rhs; it costs
+    s - 1 kernel evaluations, one per inner stage.  Subtracting u from the
+    stage recurrence Y_j = mu Y_{j-1} + nu Y_{j-2} + (1 - mu - nu) u + ...
+    leaves one on the increments d_j = Y_j - u, whose round-off scales with
+    the step rather than with the state: the blow-up tail amplifies a change
+    in the last bit of the state many times over."""
+    mu1, *rows = _rkl2_weights(s)
+    prev, d = 0.0, (mu1 * dt) * rhs
+    for mu, nu, mut, gt in rows:
+        inc = kernel.rhs(u + d)
+        inc *= mut * dt
+        inc += (gt * dt) * rhs
+        inc += mu * d
+        inc += nu * prev
+        prev, d = d, inc
+    return u + d
 
 
 def step(
@@ -145,10 +207,13 @@ def step(
     delta: float = 1e-8,
     with_source: bool = True,
 ) -> GridFunction:
-    """One explicit Euler step; the mean-corrected source keeps the spatial
-    mean of u conserved to round-off."""
+    """One RKL2 step of `simulate`, with the stage count its stage rule picks
+    for dt at u; the mean-corrected source keeps the spatial mean of u
+    conserved to round-off."""
     kernel = _Kernel(u.grid, p.values, delta, r.values if with_source else None)
-    return GridFunction(u.grid, u.values + dt * kernel(u.values)[1])
+    rhs = kernel.rhs(u.values)
+    s = _stages(dt, kernel.explicit_dt())
+    return GridFunction(u.grid, _rkl2_step(kernel, u.values, rhs, dt, s))
 
 
 def simulate(
@@ -172,6 +237,7 @@ def simulate(
             f"initial energy is not finite (J={Jf!r}, G={G!r}, S={S!r}) at "
             f"delta={cfg.delta!r}, p_minus={p.p_minus!r}; delta = 0 with "
             "p_minus < 2 gives a cell with a zero gradient an infinite weight")
+    dt_e = kernel.explicit_dt()
     snaps: list[EnergySnapshot] = []
     times: list[float] = []
     linfs: list[float] = []
@@ -196,11 +262,14 @@ def simulate(
     outcome: Optional[Outcome] = None
     supn = linfs[0]
     by_decade: dict = {}
+    by_stages: dict = {}
     decade = _decade(supn)
 
     while t < cfg.t_end:
         dt_eff = min(dt, cfg.t_end - t)
-        u_new = u + dt_eff * rhs
+        s = _stages(dt_eff, dt_e)
+        u_new = _rkl2_step(kernel, u, rhs, dt_eff, s)
+        evals += s - 1
         accepted = False
         if np.all(np.isfinite(u_new)):
             J_new, rhs_new, G_new, S_new = kernel(u_new)
@@ -219,19 +288,22 @@ def simulate(
             t += dt_eff
             steps += 1
             by_decade.setdefault(decade, [0, 0])[0] += 1
+            by_stages.setdefault(s, [0, 0])[0] += 1
             consec += 1
             since_record += 1
             budget += dt_eff * udot2
             res_sum += residual
             max_rel_res = max(max_rel_res, residual / (1.0 + abs(Jf)))
             Jf, rhs, G, S = J_new, rhs_new, G_new, S_new
+            # the kernel's last evaluation was of this state
+            dt_e = kernel.explicit_dt()
             l2 = np.sqrt(vol * float(np.sum(u * u)))
             drift_max = max(drift_max, abs(vol * float(np.sum(u))) / (1.0 + l2))
             supn, supn_prev = float(np.max(np.abs(u))), supn
             decade = _decade(supn)
-            if supn > supn_prev and residual > _AIM2 * tol:
-                # residual ~ dt^2: the next step at this dt would fail
-                dt *= math.floor(_AIM * math.sqrt(tol / residual) * _GRID) / _GRID
+            if supn > supn_prev and residual > _AIM3 * tol:
+                # residual ~ dt^3: the next step at this dt would fail
+                dt *= math.floor(_AIM * (tol / residual) ** (1.0 / 3.0) * _GRID) / _GRID
                 consec = 0
             elif consec >= 5:
                 dt = min(dt * 1.25, cfg.dt_max)
@@ -245,6 +317,7 @@ def simulate(
         else:
             rejected += 1
             by_decade.setdefault(decade, [0, 0])[1] += 1
+            by_stages.setdefault(s, [0, 0])[1] += 1
             consec = 0
             dt *= 0.5
         if dt < cfg.dt_min:
@@ -274,6 +347,7 @@ def simulate(
         rejected_steps=rejected,
         kernel_evals=evals,
         steps_by_decade=by_decade,
+        steps_by_stages=by_stages,
     )
 
 
@@ -298,7 +372,9 @@ def audit_trajectory(
     """Consistency checks on a recorded trajectory.
 
     (a) snapshot J non-increasing within a relative allowance;
-    (b) central differences of ||u||_2^2 against -2 I, relative;
+    (b) the derivative of ||u||_2^2 against -2 I, relative, at each interior
+        snapshot from it and its two neighbours (second order at uneven
+        snapshot times);
     (c) when the initial energy sits below a supplied depth estimate, the
         sign of I must not flip (discrete invariant-set check);
     (d) spatial-mean drift.
@@ -316,10 +392,12 @@ def audit_trajectory(
 
     max_rel = 0.0
     for k in range(1, len(t) - 1):
-        dtk = t[k + 1] - t[k - 1]
-        if dtk <= 0.0:
+        h1, h2 = t[k] - t[k - 1], t[k + 1] - t[k]
+        if h1 <= 0.0 or h2 <= 0.0:
             continue
-        rate = (l2sq[k + 1] - l2sq[k - 1]) / dtk
+        # the three-point derivative, exact on quadratics at any spacing
+        rate = (h1 * h1 * (l2sq[k + 1] - l2sq[k]) + h2 * h2 * (l2sq[k] - l2sq[k - 1])) / (
+            h1 * h2 * (h1 + h2))
         target = -2.0 * Ivals[k]
         if rate == 0.0 and target == 0.0:
             continue

@@ -137,7 +137,13 @@ def test_record_structure(tmp_path):
     steps = meta["steps"]
     assert steps["accepted"] == rec["residuals"]["step_count"]
     assert steps["rejected"] == rec["residuals"]["rejected_steps"]
-    assert steps["kernel_evals"] == 1 + steps["accepted"] + steps["rejected"]
+    # an s-stage trial step costs s kernel evaluations
+    stages = [row["stages"] for row in steps["by_stages"]]
+    assert stages == sorted(stages) and len(set(stages)) == len(stages) and stages[0] >= 2
+    assert steps["kernel_evals"] == 1 + sum(
+        row["stages"] * (row["accepted"] + row["rejected"]) for row in steps["by_stages"])
+    assert sum(row["accepted"] for row in steps["by_stages"]) == steps["accepted"]
+    assert sum(row["rejected"] for row in steps["by_stages"]) == steps["rejected"]
     decades = [row["decade"] for row in steps["by_decade"]]
     assert decades == sorted(decades) and len(set(decades)) == len(decades)
     assert sum(row["accepted"] for row in steps["by_decade"]) == steps["accepted"]

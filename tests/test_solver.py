@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import mixed_mode, random_gridfunction
-from pxwell.energy import find_lambda_star, snapshot
+from pxwell.energy import _energy_snapshot, find_lambda_star, snapshot
 from pxwell import solver
 from pxwell.exponents import build_field
 from pxwell.grid import (
@@ -55,15 +55,25 @@ def test_step_zero_fixed_point(setup2d):
 
 
 def test_step_r2_p2_oracle():
-    # r = 2 makes the source u - mean(u) = u on mean-zero states
+    # p = r = 2 and delta = 0 make the right-hand side the linear map
+    # L v = (5-point Laplacian) v + v - mean(v); a two-stage step of a
+    # second-order scheme is then exactly u + dt L u + dt^2 L^2 u / 2
     g = Grid((24,), (1.0,))
     p2, r2 = build_field(2.0, g), build_field(2.0, g)
     rng = np.random.default_rng(1)
     u = project_mean_zero(random_gridfunction(g, rng))
+
+    def L(v):
+        return px_flux_divergence(GridFunction(g, v), p2, 0.0).values + v - v.mean()
+
     dt = 1e-4
+    kernel = _Kernel(g, p2.values, 0.0, r2.values)
+    kernel(u.values)
+    assert solver._stages(dt, kernel.explicit_dt()) == 2
     out = step(u, p2, r2, dt, delta=0.0)
-    expect = u.values + dt * (px_flux_divergence(u, p2, 0.0).values + u.values)
-    assert np.allclose(out.values, expect, atol=1e-15)
+    Lu = L(u.values)
+    expect = u.values + dt * Lu + 0.5 * dt * dt * L(Lu)
+    assert np.max(np.abs(out.values - expect)) <= 1e-15
 
 
 def test_step_mean_conservation(setup2d):
@@ -85,12 +95,27 @@ def test_simulate_zero_datum(setup2d):
     assert np.all(np.diff(traj.times) > 0)
 
 
+def test_simulate_zero_datum_unregularized():
+    # delta = 0 and p > 2 give the flat state zero weights: no stability
+    # bound, and the two-stage step keeps the state at zero
+    g = Grid((8, 8), (1.0, 1.0))
+    cfg = SolverConfig(dt_init=1e-3, t_end=0.01, delta=0.0)
+    traj = simulate(GridFunction(g, np.zeros(g.shape)), build_field(2.5, g),
+                    build_field(4.0, g), cfg)
+    assert traj.outcome.kind == GLOBAL_UNTIL_TEND
+    assert set(traj.steps_by_stages) == {2}
+    assert all(s.J == 0.0 and s.l2sq == 0.0 for s in traj.snapshots)
+
+
 def test_simulate_source_off_dissipative(setup2d):
+    # diffusion alone is stability-limited: dt grows past the explicit bound
+    # and the stage rule answers with s > 2, while J still falls
     g, p, r = setup2d
     u0 = GridFunction(g, 2.0 * mixed_mode(g).values)
     cfg = SolverConfig(dt_init=1e-5, t_end=0.01, record_every=5)
     traj = simulate(u0, p, r, cfg, with_source=False)
     assert traj.outcome.kind == GLOBAL_UNTIL_TEND
+    assert max(traj.steps_by_stages) > 2
     J = np.array([s.J for s in traj.snapshots])
     assert np.all(np.diff(J) <= 1e-12 * (1 + np.abs(J[:-1])))
     assert traj.max_rel_residual <= cfg.energy_tol
@@ -150,6 +175,25 @@ def test_audit_zero_trajectory(setup2d):
     assert rep.j_nonincreasing and rep.l2_rate_ok and rep.mean_drift_ok
     assert rep.l2_rate_max_rel_err == 0.0
     assert rep.i_sign_persistent  # vacuous: no significant I values
+
+
+def test_audit_rate_exact_on_uneven_quadratic():
+    # ||u||_2^2 = 5 - 3t - t^2 has d/dt = -2I with I = (3 + 2t)/2; at uneven
+    # snapshot times the three-point derivative is exact, the central
+    # difference is not
+    t = np.array([0.0, 0.1, 0.15, 0.4, 0.45, 0.9, 1.0])
+    l2sq = 5.0 - 3.0 * t - t * t
+    I = 0.5 * (3.0 + 2.0 * t)
+    snaps = [_energy_snapshot(tk, 10.0 - tk, Ik + 1.0, 1.0, lk) for tk, Ik, lk in zip(t, I, l2sq)]
+    n = len(t)
+    traj = solver.Trajectory(
+        times=t, snapshots=snaps, outcome=solver.Outcome(GLOBAL_UNTIL_TEND), step_count=n - 1,
+        energy_budget_used=0.0, linf=np.ones(n), dt_at_snapshot=np.diff(t, append=1.1),
+        max_rel_residual=0.0, residual_sum=0.0, mean_drift_max=0.0)
+    rep = audit_trajectory(traj)
+    assert rep.l2_rate_max_rel_err <= 1e-12 and rep.l2_rate_ok
+    central = (l2sq[2:] - l2sq[:-2]) / (t[2:] - t[:-2])
+    assert np.max(np.abs(central + 2.0 * I[1:-1]) / (2.0 * I[1:-1])) > 1e-2
 
 
 def test_blowup_functional_zero(setup2d):
@@ -277,16 +321,21 @@ def _reference_J(uv, grid, p, r, delta):
 
 
 def _reference_simulate(u0, p, r, cfg):
-    """The stepper loop before the one-pass kernel: separate right-hand side
-    and energy passes, and J evaluated again after the mean re-zero, with the
-    stepper's dt rule.  Returns (outcome, accepted, rejected, recorded J)."""
+    """An independent RKL2 stepper loop: separate right-hand side and energy
+    passes, J evaluated again after the mean re-zero, the RKL2 weights formed
+    stage by stage from the recurrences of Meyer, Balsara and Aslam (2014),
+    the stage count found by counting up, and the stepper's dt rule.
+    Returns (outcome, accepted, rejected, kernel evaluations, recorded J)."""
     grid = u0.grid
     vol, omega, delta = grid.cell_volume, grid.volume, cfg.delta
+
+    def weights(uv):
+        return (_cell_rms2(uv, grid) + delta**2) ** (0.5 * (p.values - 2.0))
 
     def rhs_of(uv):
         # face flux: the mean of the two cells' (|grad u|^2 + delta^2)^{(p-2)/2}
         # times the face difference
-        w = (_cell_rms2(uv, grid) + delta**2) ** (0.5 * (p.values - 2.0))
+        w = weights(uv)
         div = np.zeros(grid.shape)
         for axis in range(grid.dimension):
             h = grid.spacing[axis]
@@ -308,16 +357,46 @@ def _reference_simulate(u0, p, r, cfg):
         G = np.sum((m + delta**2) ** (0.5 * (p.values - 2.0)) * m)
         return vol * float(G - np.sum(np.abs(uv) ** r.values))
 
+    def euler_dt(uv):
+        # 0.8 of 2 over the Gershgorin radius 4 max(w) sum 1/h^2
+        radius = 4.0 * float(weights(uv).max()) * sum(h**-2 for h in grid.spacing)
+        return 0.8 * 2.0 / radius
+
+    def b(j):
+        return 1.0 / 3.0 if j < 2 else (j * j + j - 2) / (2.0 * j * (j + 1))
+
+    def rkl2(u, dt, s):
+        # Y_j = mu Y_{j-1} + nu Y_{j-2} + (1 - mu - nu) u + mu~ dt L(Y_{j-1})
+        # + gamma~ dt L(u), run on the increments Y_j - u
+        w1 = 4.0 / (s * s + s - 2)
+        m0 = rhs_of(u)
+        older, old = np.zeros_like(u), b(1) * w1 * dt * m0
+        for j in range(2, s + 1):
+            mu = (2 * j - 1) / j * b(j) / b(j - 1)
+            nu = -(j - 1) / j * b(j) / b(j - 2)
+            mu_t = mu * w1
+            gamma_t = -(1.0 - b(j - 1)) * mu_t
+            # summed in the stepper's order: the blow-up amplifies a one-ulp
+            # difference in the state like the square of the growth of ||u||_inf
+            new = (mu_t * dt) * rhs_of(u + old) + (gamma_t * dt) * m0 + mu * old + nu * older
+            older, old = old, new
+        return u + old
+
     u = project_mean_zero(u0).values
     t, dt = 0.0, cfg.dt_init
     Jf = internal_J(u)
     internal = [Jf]
     steps = rejected = consec = since_record = 0
+    evals = 1
     supn = float(np.max(np.abs(u)))
     outcome = None
     while t < cfg.t_end:
         dt_eff = min(dt, cfg.t_end - t)
-        u_new = u + dt_eff * rhs_of(u)
+        s = 2
+        while dt_eff > euler_dt(u) * (s * s + s - 2) / 4.0:
+            s += 1
+        u_new = rkl2(u, dt_eff, s)
+        evals += s
         accepted = False
         if np.all(np.isfinite(u_new)):
             J_new = internal_J(u_new)
@@ -334,8 +413,9 @@ def _reference_simulate(u0, p, r, cfg):
             since_record += 1
             Jf = internal_J(u)
             supn, supn_prev = float(np.max(np.abs(u))), supn
-            if supn > supn_prev and residual > 0.97 * 0.97 * tol:
-                dt, consec = dt * (math.floor(0.97 * math.sqrt(tol / residual) * 1024.0) / 1024.0), 0
+            if supn > supn_prev and residual > 0.97**3 * tol:
+                shrink = math.floor(0.97 * (tol / residual) ** (1.0 / 3.0) * 1024.0) / 1024.0
+                dt, consec = dt * shrink, 0
             elif consec >= 5:
                 dt, consec = min(dt * 1.25, cfg.dt_max), 0
             if since_record >= cfg.record_every:
@@ -356,7 +436,7 @@ def _reference_simulate(u0, p, r, cfg):
         outcome = (GLOBAL_UNTIL_TEND, None)
     if since_record > 0:
         internal.append(Jf)
-    return outcome, steps, rejected, np.array(internal)
+    return outcome, steps, rejected, evals, np.array(internal)
 
 
 def _mixed_mode_datum(factor):
@@ -383,17 +463,18 @@ def _mixed_mode_run(factor, cfg):
 # grow-and-halve rule stand
 @pytest.mark.parametrize("factor, cfg, counts", [
     (1.7, _BLOWUP16, None),
-    (0.25, _DECAY16, (846, 52)),
-    (1.7, _COLLAPSE16, (8558, 0)),
+    (0.25, _DECAY16, (127, 3)),
+    (1.7, _COLLAPSE16, (2581, 0)),
 ], ids=["blowup", "decay", "collapse"])
 def test_simulate_matches_reference_loop(factor, cfg, counts):
     u0, p, r = _mixed_mode_datum(factor)
-    (kind, t_b), steps, rejected, internal = _reference_simulate(u0, p, r, cfg)
+    (kind, t_b), steps, rejected, evals, internal = _reference_simulate(u0, p, r, cfg)
     traj = _mixed_mode_run(factor, cfg)
     assert traj.outcome.kind == kind
     assert (traj.step_count, traj.rejected_steps) == (steps, rejected)
     assert counts is None or (steps, rejected) == counts
-    assert traj.kernel_evals == 1 + steps + rejected
+    assert traj.kernel_evals == evals == 1 + sum(
+        s * (acc + rej) for s, (acc, rej) in traj.steps_by_stages.items())
     if t_b is None:
         assert traj.outcome.t_b is None
     else:
@@ -402,14 +483,14 @@ def test_simulate_matches_reference_loop(factor, cfg, counts):
 
 
 def test_shrink_on_growth_cuts_blowup_tail():
-    # the grow-and-halve rule without the shrink took 20,577 accepted and
-    # 1,340 rejected steps on this run and reached the threshold at
-    # t_b = 0.0019199658940874768; quartering energy_tol moves t_b by 3.6e-4
+    # the grow-and-halve rule without the shrink took 1,943 accepted and 139
+    # rejected steps on this run and reached the threshold at
+    # t_b = 0.0019189537871855374
     traj = _mixed_mode_run(1.7, _BLOWUP16)
     assert traj.outcome.kind == BLOWUP_DETECTED
-    assert traj.step_count + traj.rejected_steps <= 0.8 * (20577 + 1340)
+    assert traj.step_count + traj.rejected_steps <= 0.8 * (1943 + 139)
     assert type(traj.outcome.t_b) is float
-    assert traj.outcome.t_b == pytest.approx(0.0019199658940874768, rel=1e-3, abs=0.0)
+    assert traj.outcome.t_b == pytest.approx(0.0019189537871855374, rel=1e-4, abs=0.0)
     assert traj.max_rel_residual <= _BLOWUP16.energy_tol
     by_decade = traj.steps_by_decade
     assert sum(acc for acc, _ in by_decade.values()) == traj.step_count
@@ -418,11 +499,21 @@ def test_shrink_on_growth_cuts_blowup_tail():
     assert sorted(by_decade) == list(range(min(by_decade), 4))
 
 
+def test_escape_time_matches_fine_euler():
+    # explicit Euler at energy_tol 1e-8 reaches the threshold at
+    # t_b = 0.0019190019618725354 after 219,800 kernel evaluations; Euler at
+    # the default 1e-6 was 6.7e-4 off after 15,328, a second-order step is
+    # within 1e-4 at a fifth of that
+    traj = _mixed_mode_run(1.7, _BLOWUP16)
+    assert traj.outcome.t_b == pytest.approx(0.0019190019618725354, rel=1e-4, abs=0.0)
+    assert traj.kernel_evals <= 15328 / 5
+
+
 def test_dt_collapse_through_shrink_reported():
     # dt_max caps the opening steps below the admissible step, so nothing is
     # rejected and dt can only fall under dt_min through the shrink
     u0, p, r = _mixed_mode_datum(1.7)
-    cfg = SolverConfig(dt_init=1e-6, dt_max=1e-6, dt_min=1e-8, t_end=1.0, energy_tol=1e-4,
+    cfg = SolverConfig(dt_init=1e-6, dt_max=1e-6, dt_min=1e-8, t_end=1.0, energy_tol=1e-5,
                        blowup_threshold=1e30, record_every=50)
     traj = simulate(u0, p, r, cfg)
     assert traj.rejected_steps == 0
@@ -433,14 +524,14 @@ def test_dt_collapse_through_shrink_reported():
 
 
 def test_dt_collapse_in_controlled_climb_is_blowup():
-    # at the default tolerance the sup norm climbs about 2 % per 64 steps
-    # when dt reaches dt_min; the state has I < 0, so ||u||_2 still grows
+    # at the default tolerance the sup norm still climbs when dt reaches
+    # dt_min; the state has I < 0, so ||u||_2 still grows
     traj = _mixed_mode_run(1.7, _COLLAPSE16)
     assert traj.snapshots[-1].I < 0.0
     assert traj.outcome.kind == BLOWUP_DETECTED
-    # the threshold run of test_shrink_on_growth_cuts_blowup_tail escapes
-    # at t_b = 0.0019199658940874768
-    assert traj.outcome.t_b == pytest.approx(0.0019199658940874768, rel=1e-3, abs=0.0)
+    # the threshold run of test_escape_time_matches_fine_euler escapes at
+    # t_b = 0.0019190019618725354
+    assert traj.outcome.t_b == pytest.approx(0.0019190019618725354, rel=1e-3, abs=0.0)
 
 
 def test_nonfinite_initial_energy_raises():
