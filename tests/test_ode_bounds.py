@@ -3,7 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pxwell.ode_bounds import OdeParams, envelope, rk4_min_ode, verify, verify_batch
+from pxwell import cli
+from pxwell.ode_bounds import OdeParams, _halving_pass, envelope, rk4_min_ode, verify, verify_batch
+
+# (C1, C2, alpha, beta, h0) whose trajectories cross the kink h = 1 before t = 4:
+# two upward (beta = 2 and 0.5 above the kink), two downward (beta = 1 and 0.5)
+CROSSING_CASES = np.array(
+    [(0.5, 1.0, 3.0, 2.0, 0.1), (1.0, 2.0, 2.0, 0.5, 0.1),
+     (2.0, 0.5, 3.0, 1.0, 10.0), (1.0, 0.5, 2.0, 0.5, 5.0)]
+).T
 
 
 def test_params_validation():
@@ -95,3 +103,42 @@ def test_verify_batch_matches_scalar():
     vals = verify_batch(batch, T=6.0, dt=1e-3)
     for q, v in zip(batch, vals):
         assert verify(q, T=6.0, dt=1e-3) == pytest.approx(v, abs=1e-12)
+
+
+def test_kink_split_keeps_fourth_order():
+    # the final-state error against dt = 1e-4 falls ~16x per halving of dt
+    # when each crossing step is split at h = 1; unsplit, every case falls
+    # less than 3x at one of the two halvings
+    _, ref = rk4_min_ode(*CROSSING_CASES, T=4.0, dt=1e-4)
+    assert np.all((ref[0] - 1.0) * (ref[-1] - 1.0) < 0.0)
+    errs = [
+        np.abs(rk4_min_ode(*CROSSING_CASES, T=4.0, dt=dt)[1][-1] - ref[-1])
+        for dt in (0.04, 0.02, 0.01)
+    ]
+    assert np.all(errs[0] >= 8.0 * errs[1])
+    assert np.all(errs[1] >= 8.0 * errs[2])
+
+
+def test_halving_pass_matches_separate_runs():
+    # the stacked pass stores exactly the dt run and ends on exactly the dt/2 run
+    cells = np.concatenate((CROSSING_CASES, [[1.0], [2.0], [3.0], [2.0], [4.0]]), axis=1)
+    times, path, half = _halving_pass(*cells, T=4.0, dt=0.01)
+    t_ref, path_ref = rk4_min_ode(*cells, T=4.0, dt=0.01)
+    _, half_ref = rk4_min_ode(*cells, T=4.0, dt=0.005)
+    np.testing.assert_array_equal(times, t_ref)
+    np.testing.assert_array_equal(path, path_ref)
+    np.testing.assert_array_equal(half, half_ref[-1])
+
+
+def test_step_halving_gate_rejects_coarse_dt():
+    with pytest.raises(ValueError, match="step-halving agreement"):
+        verify_batch(cli._ode_grid(), dt=0.05)
+
+
+@pytest.mark.parametrize("h0", [1e160, np.inf])
+def test_verify_rejects_non_finite_trajectory(h0):
+    # 1e160 overflows in its first step, across h = 1; inf is never finite
+    q = OdeParams(1.0, 1.0, 3.0, 2.0, h0=h0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="not finite"):
+            verify(q, T=1.0, dt=1e-3)
