@@ -76,7 +76,7 @@ _SCHEMA: dict[str, set[str]] = {
         "blowup_threshold", "delta", "record_every",
     },
     "norm": {"field_csv", "exponent", "tol"},
-    "ode": {"t_end", "dt"},
+    "ode": {"t_end"},
     "poincare": {"epsilons", "n_quad"},
 }
 
@@ -494,9 +494,10 @@ def _ode_grid() -> list[ode_bounds.OdeParams]:
 def _cmd_ode_verify(args) -> int:
     cfg = _load_config(Path(args.config)) if args.config else {}
     t_end = _get(cfg, "ode", "t_end", default="12.0", cast=float)
-    dt = _get(cfg, "ode", "dt", default="1e-3", cast=float)
+    if not 0.0 < t_end < np.inf:
+        raise ConfigError(f"[ode] t_end must be positive and finite, got {t_end!r}")
     batch = _ode_grid()
-    violations = ode_bounds.verify_batch(batch, T=t_end, dt=dt)
+    violations = ode_bounds.verify_batch(batch, T=t_end)
     out = Path(args.out) if args.out else None
     lines = ["C1,C2,alpha,beta,h0,branch,max_violation"]
     worst = -np.inf
@@ -520,6 +521,10 @@ def _cmd_poincare(args) -> int:
     cfg = _load_config(Path(args.config)) if args.config else {}
     epsilons = list(_get(cfg, "poincare", "epsilons", default="1e2 1e3 1e4 1e6", cast=_floats))
     n_quad = _get(cfg, "poincare", "n_quad", default="64", cast=int)
+    try:
+        radial_gap.check_sweep(epsilons, n_quad)
+    except ValueError as exc:
+        raise ConfigError(f"[poincare] {exc}") from exc
     try:
         rows = radial_gap.quotient_sweep(epsilons, n_quad=n_quad)
     except AssertionError as exc:

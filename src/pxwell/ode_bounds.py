@@ -1,22 +1,35 @@
-"""Closed-form envelopes for h' + C1 min(h^alpha, h^beta) <= C2, with an RK4
-falsifier.
+"""Closed-form envelopes for h' + C1 min(h^alpha, h^beta) <= C2, with a
+quadrature falsifier.
 
 The envelope dispatch covers six printed formulas: the regime split is
 C2 >= C1 versus C1 > C2, then the initial value against the matching
 threshold (C2/C1)^{1/beta} or (C2/C1)^{1/alpha}, then beta > 1 (algebraic
 tail) versus beta <= 1 (exponential tail).
 
-Verification integrates the equality ODE h' = C2 - C1 min(h^alpha, h^beta)
+Verification follows the equality ODE h' = f(h) = C2 - C1 min(h^alpha, h^beta)
 -- the extremal trajectory among all functions satisfying the differential
 inequality -- and reports the largest signed excess of h over the envelope.
-The integration runs at dt and at dt/2 in one stacked pass, and their final
-states must agree.  The right-hand side is only C0 at h = 1 where the min
-switches branch, so a step that crosses that kink is split at the crossing
-(event location, as in Hairer, Norsett and Wanner, Solving Ordinary
-Differential Equations I, Sec. II.6): a bracketed secant finds the time at
-which the RK4 step reaches h = 1, and a second RK4 step goes on from h = 1.
-Neither part straddles the kink, so the step-halving agreement stays at the
-level RK4's smooth order promises.
+f is autonomous and decreasing, so the trajectory moves monotonically toward
+the equilibrium h* (the threshold above) and its clock is a quadrature,
+t(h) = int_{h0}^{h} ds / f(s).  In y = log(|s - h*| / h*) the integrand
+dt/dy = -(s - h*) / f(s) is smooth and bounded, because f'(h*) != 0.  It is
+integrated on Gauss-Legendre panels of width 0.02 in y, with a panel end at
+the kink s = 1 where the min switches branch.  The accuracy guard is panel
+agreement: a panel whose 8-node and 16-node values differ by more than 1e-12
+(relative) is bisected, and one that still differs after 40 bisections
+raises ValueError.  Near h*, f is formed without cancellation as
+-C1 h*^g expm1(g log1p((s - h*)/h*)), with g the exponent on the side of
+h = 1 that the trajectory approaches h* from.  Below |s - h*| = 4 eps h* the
+trajectory follows its linearisation, |s - h*| proportional to
+exp(f'(h*) t).  The excess is taken at t = 0, at every panel end reached
+before T, and at h(T), which a Newton solve in y finds inside the panel that
+holds T.
+
+`rk4_min_ode` is an independent classical RK4 integrator of the same ODE,
+with each step that crosses h = 1 split at the crossing (event location, as
+in Hairer, Norsett and Wanner, Solving Ordinary Differential Equations I,
+Sec. II.6).  The falsifier does not use it; it is the reference the
+quadrature is tested against.
 """
 
 from __future__ import annotations
@@ -25,6 +38,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .quadrature import gauss_legendre
 
 __all__ = ["OdeParams", "envelope", "verify", "verify_batch", "rk4_min_ode"]
 
@@ -186,17 +201,18 @@ def rk4_min_ode(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized RK4 for the equality ODE over a parameter batch.
 
+    The five inputs broadcast against each other, so scalar parameters with
+    an array of h0 integrate one cell per h0.
+
     A step that carries an element across h = 1 (the kink of the min) is
     split at the crossing: RK4 to the located crossing time, then RK4 from
     h = 1 for the rest of the step, so the crossing does not degrade the
     global order.  Raises ValueError if a crossing step overflows.
     Returns (times, h_path) with h_path of shape (n_steps + 1, batch).
     """
-    C1 = np.atleast_1d(np.asarray(C1, dtype=float))
-    C2 = np.atleast_1d(np.asarray(C2, dtype=float))
-    a = np.atleast_1d(np.asarray(alpha, dtype=float))
-    b = np.atleast_1d(np.asarray(beta, dtype=float))
-    h = np.atleast_1d(np.asarray(h0, dtype=float)).copy()
+    C1, C2, a, b, h = (
+        np.array(x, dtype=float, ndmin=1) for x in np.broadcast_arrays(C1, C2, alpha, beta, h0)
+    )
     n_steps = int(round(T / dt))
     times = np.linspace(0.0, n_steps * dt, n_steps + 1)
     path = np.empty((n_steps + 1, h.size))
@@ -207,67 +223,169 @@ def rk4_min_ode(
     return times, path
 
 
-def _halving_pass(C1, C2, a, b, h0, T, dt):
-    """The dt run and the dt/2 run of the batch as one stacked state of 2n cells.
+# The falsifier's panels in y = log(|h - h*| / h*): their width, the node
+# count of the coarse rule (the fine rule has twice as many), the relative
+# agreement each panel must reach, and the bisections a panel may take to
+# reach it.
+_PANEL_WIDTH = 0.02
+_NODES = 8
+_AGREEMENT = 1e-12
+_MAX_BISECTIONS = 40
+# Panels integrated per pass before the elapsed time is compared with T; a
+# pass may bisect at most this many panels at a time.
+_CHUNK = 512
+# |h - h*| / h* below which the trajectory follows its linearisation at h*.
+_TAIL = 4.0 * np.finfo(float).eps
+# Newton iterations allowed to locate h(T) inside its panel.
+_NEWTON_MAX_ITER = 30
 
-    Each outer step advances all 2n cells by one `_step` (dt for the first n,
-    dt/2 for the last n), then the last n by their second dt/2 step.  Only the
-    dt run's path is stored.  Returns (times, dt path, final state of the dt/2
-    run); raises ValueError if a state of either run is not finite.
+
+def _panel_sums(g, lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """The n-point Gauss-Legendre value of int_lo^hi g(y) dy, per panel."""
+    x, w = gauss_legendre(n)
+    half = 0.5 * (hi - lo)
+    y = (0.5 * (hi + lo))[:, None] + half[:, None] * x
+    return half * (g(y) @ w)
+
+
+def _guarded_panels(g, hi: np.ndarray, lo: np.ndarray):
+    """Panels tiling [lo[-1], hi[0]] in descending y, with their integrals of g.
+
+    A panel whose 8-node and 16-node values differ by more than _AGREEMENT
+    (relative to the 16-node value) is split in two and both halves are
+    checked again.  Raises ValueError when a value is not finite, when a
+    panel still disagrees after _MAX_BISECTIONS splits, or when more than
+    _CHUNK panels disagree at once.  Returns (hi, lo, 16-node values).
     """
-    n = h0.size
-    n_steps = int(round(T / dt))
-    times = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    both = tuple(np.concatenate((x, x)) for x in (C1, C2, a, b))
-    steps = np.repeat([dt, 0.5 * dt], n)
-    h = np.concatenate((h0, h0))
-    path = np.empty((n_steps + 1, n))
-    path[0] = h0
-    for k in range(n_steps):
-        h = _step(h, steps, *both)
-        h[n:] = _step(h[n:], 0.5 * dt, C1, C2, a, b)
-        path[k + 1] = h[:n]
-    half = h[n:]
-    if not (np.all(np.isfinite(path)) and np.all(np.isfinite(half))):
-        raise ValueError("RK4 state is not finite; the trajectory overflows")
-    return times, path, half
-
-
-def verify(params: OdeParams, T: float = 12.0, dt: float = 1e-3) -> float:
-    """Largest signed excess h(t) - envelope(t) of the equality trajectory.
-
-    Integrates at dt and dt/2 first and requires agreement at the final time
-    to 1e-9 (scaled), which certifies that the RK4 error is negligible
-    relative to the reported violation.
-    """
-    res = verify_batch([params], T=T, dt=dt)
-    return float(res[0])
-
-
-def verify_batch(batch: Sequence[OdeParams], T: float = 12.0, dt: float = 1e-3) -> np.ndarray:
-    """Largest signed excess h(t) - envelope(t) for each cell of the batch.
-
-    Runs the dt and dt/2 integrations as one stacked pass (`_halving_pass`),
-    raises ValueError unless their final states agree to 1e-9, scaled by
-    1 + max |h| along the dt path, then takes each cell's largest excess of
-    the dt path over its closed-form envelope.
-    """
-    C1 = np.array([q.C1 for q in batch])
-    C2 = np.array([q.C2 for q in batch])
-    a = np.array([q.alpha for q in batch])
-    b = np.array([q.beta for q in batch])
-    h0 = np.array([q.h0 for q in batch])
-
-    times, path, half = _halving_pass(C1, C2, a, b, h0, T, dt)
-    scale = 1.0 + np.max(np.abs(path), axis=0)
-    worst = float(np.max(np.abs(path[-1] - half) / scale))
-    if not worst <= 1e-9:
+    parts = []
+    for _ in range(_MAX_BISECTIONS + 1):
+        coarse = _panel_sums(g, lo, hi, _NODES)
+        fine = _panel_sums(g, lo, hi, 2 * _NODES)
+        if not np.all(np.isfinite(fine)):
+            raise ValueError("trajectory time is not finite on a quadrature panel")
+        ok = np.abs(fine - coarse) <= _AGREEMENT * np.abs(fine)
+        parts.append((hi[ok], lo[ok], fine[ok]))
+        if ok.all() or np.count_nonzero(~ok) > _CHUNK:
+            break
+        hi, lo = hi[~ok], lo[~ok]
+        mid = 0.5 * (hi + lo)
+        hi, lo = np.concatenate((hi, mid)), np.concatenate((mid, lo))
+    if not ok.all():
+        worst = float(np.max(np.abs(fine - coarse) / np.abs(fine)))
         raise ValueError(
-            f"step-halving agreement {worst:.3e} exceeds 1e-9; decrease dt"
+            f"quadrature panels disagree by {worst:.3e} (relative) after "
+            f"{len(parts) - 1} bisections; the trajectory time is not resolved"
         )
+    hi, lo, vals = (np.concatenate(x) for x in zip(*parts))
+    order = np.argsort(-hi)
+    return hi[order], lo[order], vals[order]
 
-    out = np.empty(len(batch))
-    for j, q in enumerate(batch):
-        bound, _ = envelope(q)
-        out[j] = float(np.max(path[:, j] - bound(times)))
-    return out
+
+def _time_density(sigma: float, A: float, B: float, g: float):
+    """dt/dy on one side of the kink, with u = |h - h*| / h* = e^y.
+
+    f(h) = h* (B - A expm1(g log1p(sigma u))), with A = C1 h*^{g-1} and B the
+    offset (C2 - C1 h*^g) / h*, which is 0 on the side of h*; so dt/dy =
+    sigma u h* / -f(h) has no cancellation as u -> 0.
+    """
+    def density(y):
+        su = sigma * np.exp(y)
+        return su / (A * np.expm1(g * np.log1p(su)) - B)
+
+    return density
+
+
+def _solve_time(density, lo: float, hi: float, t_hi: float, t_lo: float, T: float) -> float:
+    """The y in [lo, hi] at which t_hi + int_y^hi density reaches T (Newton)."""
+    y = hi - (hi - lo) * (T - t_hi) / (t_lo - t_hi)
+    for _ in range(_NEWTON_MAX_ITER):
+        resid = t_hi + _panel_sums(density, np.array([y]), np.array([hi]), 2 * _NODES)[0] - T
+        if abs(resid) <= 4.0 * np.finfo(float).eps * T:
+            return y
+        y_new = min(max(y + resid / float(density(y)), lo), hi)
+        if abs(y_new - y) <= 4.0 * np.finfo(float).eps * (1.0 + abs(y)):
+            return y_new
+        y = y_new
+    raise ValueError(f"h(T) not located within {_NEWTON_MAX_ITER} Newton iterations")
+
+
+def _path(q: OdeParams, h_star: float, sigma: float, T: float):
+    """y = log(|h - h*| / h*) and t at each panel end before T, then at T.
+
+    Integrates dt/dy panel by panel from h0 toward h*, one segment on each
+    side of the kink, and stops in the panel that holds T.  Past the tail
+    threshold the trajectory follows its linearisation at h*.
+    """
+    C1, C2, a, b, h0 = q.C1, q.C2, q.alpha, q.beta, q.h0
+    # the exponent of the min on the side of h = 1 that h approaches h* from
+    gamma = b if h_star > 1.0 or (h_star == 1.0 and sigma > 0.0) else a
+    y = float(np.log(abs(h0 - h_star) / h_star))
+    y_tail = min(float(np.log(_TAIL)), y)
+    segments = []  # (y from, y to, exponent, offset of f)
+    if (h0 - 1.0) * (h_star - 1.0) < 0.0:  # crosses the kink at y_kink
+        far = a if h0 < 1.0 else b
+        y_kink = float(np.log(abs(1.0 - h_star) / h_star))
+        segments.append((y, y_kink, far, C2 - C1 * h_star**far))
+        y = y_kink
+    segments.append((y, y_tail, gamma, 0.0))
+
+    t = 0.0
+    ys, ts = [], []
+    for y_from, y_to, g, offset in segments:
+        density = _time_density(sigma, C1 * h_star ** (g - 1.0), offset / h_star, g)
+        n = max(int(np.ceil((y_from - y_to) / _PANEL_WIDTH)), 0)
+        edges = np.linspace(y_from, y_to, n + 1)
+        for k in range(0, n, _CHUNK):
+            chunk = edges[k:k + _CHUNK + 1]
+            hi, lo, dt = _guarded_panels(density, chunk[:-1], chunk[1:])
+            t_end = t + np.cumsum(dt)
+            j = int(np.searchsorted(t_end, T))  # the first panel that ends at or after T
+            ys.append(lo[:j])
+            ts.append(t_end[:j])
+            if j < t_end.size:
+                t_start = t_end[j - 1] if j else t
+                y_T = _solve_time(density, lo[j], hi[j], t_start, t_end[j], T)
+                return np.append(np.concatenate(ys), y_T), np.append(np.concatenate(ts), T)
+            t = float(t_end[-1])
+    # T lies past the tail threshold: |h - h*| decays like exp(f'(h*) t)
+    y_T = y_tail - C1 * gamma * h_star ** (gamma - 1.0) * (T - t)
+    return np.concatenate(ys + [[y_T]]), np.concatenate(ts + [[T]])
+
+
+def _cell_excess(q: OdeParams, T: float) -> float:
+    """Largest h(t) - envelope(t) over [0, T] for one cell, by quadrature."""
+    bound, _ = envelope(q)
+    h0 = q.h0
+    h_star = _threshold(q.C1, q.C2, q.alpha, q.beta)
+    if h0 == h_star:  # the trajectory rests at the equilibrium
+        return float(np.max(h_star - bound(np.array([0.0, T]))))
+    if not np.isfinite(_rhs(np.float64(h0), q.C1, q.C2, q.alpha, q.beta)):
+        raise ValueError(f"h' is not finite at h0 = {h0!r}; the trajectory overflows")
+    sigma = 1.0 if h0 > h_star else -1.0
+    y, t = _path(q, h_star, sigma, T)
+    h = h_star + sigma * h_star * np.exp(y)
+    return float(max(h0 - bound(0.0), np.max(h - bound(t))))
+
+
+def verify(params: OdeParams, T: float = 12.0) -> float:
+    """Largest signed excess h(t) - envelope(t) of the equality trajectory on [0, T].
+
+    See `verify_batch`.
+    """
+    return float(verify_batch([params], T=T)[0])
+
+
+def verify_batch(batch: Sequence[OdeParams], T: float = 12.0) -> np.ndarray:
+    """Largest signed excess h(t) - envelope(t) on [0, T] for each cell of the batch.
+
+    Each cell's trajectory is the quadrature t(h) = int_{h0}^{h} ds / f(s) in
+    y = log(|s - h*| / h*), on Gauss-Legendre panels that end at the kink
+    h = 1 and are bisected until their 8-node and 16-node values agree to
+    1e-12 (relative); see the module docstring.  The excess is taken at
+    t = 0, at each panel end before T and at h(T).  Raises ValueError when T
+    is not positive and finite, when h' is not finite at h0 (the trajectory
+    overflows), or when the panel agreement is not reached.
+    """
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"T must be positive and finite, got {T!r}")
+    return np.array([_cell_excess(q, T) for q in batch], dtype=float)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import gauss_legendre
+
 __all__ = [
     "exponent_profile",
     "radial_profile",
@@ -28,11 +30,14 @@ __all__ = [
     "function_modular",
     "shell_modular_exact",
     "quotient_sweep",
+    "check_sweep",
     "SweepRow",
 ]
 
 _PIECES = ((0.0, 1.0), (1.0, 2.0), (2.0, 3.0))
 _SLOPE_OUTER = 104.0 / 172.0
+# Fewest Gauss nodes per panel that resolve the gradient modular.
+_MIN_N_QUAD = 64
 
 
 def exponent_profile(rr: np.ndarray) -> np.ndarray:
@@ -63,7 +68,7 @@ def continuity_gaps() -> dict[str, float]:
 
 
 def _panel_quad(fn, lo: float, hi: float, n: int) -> float:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = gauss_legendre(n)
     x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     return 0.5 * (hi - lo) * float(np.sum(weights * fn(x)))
 
@@ -100,8 +105,8 @@ def gradient_modular(epsilon: float, n_quad: int = 64) -> float:
     """Gradient modular of the eps-scaled profile over the big ball."""
     if epsilon <= 1.0:
         raise ValueError("epsilon must exceed 1")
-    if n_quad < 64:
-        raise ValueError("n_quad must be at least 64")
+    if n_quad < _MIN_N_QUAD:
+        raise ValueError(f"n_quad must be at least {_MIN_N_QUAD}")
     return _checked(lambda r: np.abs(epsilon * radial_slope(r)) ** exponent_profile(r), n_quad)
 
 
@@ -170,12 +175,27 @@ def quotient_bound(epsilon: float) -> float:
     return 960.0 * (epsilon - 1.0) / (7.0 * epsilon * np.log(epsilon))
 
 
+def check_sweep(epsilons, n_quad: int) -> list[float]:
+    """The sweep's epsilons as floats; ValueError unless there is at least
+    one, each is finite and exceeds 1, they strictly increase, and n_quad is
+    at least 64."""
+    eps = [float(e) for e in epsilons]
+    if not eps:
+        raise ValueError("no epsilons given")
+    if n_quad < _MIN_N_QUAD:
+        raise ValueError(f"n_quad must be at least {_MIN_N_QUAD}, got {n_quad}")
+    if not all(1.0 < e < np.inf for e in eps):
+        raise ValueError(f"epsilons must be finite and exceed 1, got {eps}")
+    if any(b <= a for a, b in zip(eps, eps[1:])):
+        raise ValueError(f"epsilons must be strictly increasing, got {eps}")
+    return eps
+
+
 def quotient_sweep(epsilons, n_quad: int = 64) -> list[SweepRow]:
     """Quotients along an increasing epsilon sweep, checked against the
-    closed-form bound and for strict decrease from e^2 on."""
-    eps = [float(e) for e in epsilons]
-    if any(b <= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("epsilons must be strictly increasing")
+    closed-form bound and for strict decrease from e^2 on.  Raises
+    ValueError on inputs that `check_sweep` rejects."""
+    eps = check_sweep(epsilons, n_quad)
     rows = []
     for e in eps:
         num = gradient_modular(e, n_quad)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from pxwell import energy
+from pxwell.classify import thm53_envelope
 from pxwell.exponents import build_field
 from pxwell.grid import Grid, GridFunction, project_mean_zero
+from pxwell.ode_bounds import OdeParams
 from pxwell.witnesses import mode_field
 
 
@@ -55,3 +57,21 @@ def fail_lambda_star_calls(monkeypatch, failing):
 
     monkeypatch.setattr(energy, "find_lambda_star", flaky)
     return calls
+
+
+def thm53_lemma_cases():
+    """One Thm 5.3 bound per branch of the comparison lemma, with the lemma
+    inputs it records: a list of (Envelope, OdeParams).  The first datum,
+    w0 = 1e-4 with alpha = 1.25, starts next to the singular point s = 0 of
+    s^alpha."""
+    g = Grid((8, 8), (1.0, 1.0))
+    r = build_field(1.5, g)
+    cases = [(2.5, 0.3, 1e-4), (2.5, 0.3, 0.5), (1.9, 0.3, 0.5),
+             (2.5, 1.2, 0.1), (2.5, 1.2, 50.0), (1.9, 1.2, 1e3)]
+    out = []
+    for p_const, B_hat, w0 in cases:
+        p = build_field(p_const, g)
+        env = thm53_envelope(w0, p, r, B_hat=B_hat, B0_hat=0.3)
+        c = env.constants
+        out.append((env, OdeParams(c["C1"], c["C2"], 0.5 * p.p_plus, 0.5 * p.p_minus, c["w0"])))
+    return out

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import mixed_mode
+from conftest import mixed_mode, thm53_lemma_cases
 from pxwell.classify import (
     BLOWUP,
     GLOBAL,
@@ -24,7 +24,7 @@ from pxwell.energy import EnergySnapshot, _Ray, estimate_depth, find_lambda_star
 from pxwell.exponents import build_field
 from pxwell.grid import Grid, GridFunction, integrate
 from pxwell.norms import estimate_embedding
-from pxwell.ode_bounds import OdeParams, verify_batch
+from pxwell.ode_bounds import verify_batch
 from pxwell.ode_bounds import envelope as ode_envelope
 from pxwell.solver import Outcome, SolverConfig, Trajectory, simulate
 
@@ -272,18 +272,11 @@ def test_thm53_case_i_constant():
 
 
 def test_thm53_envelope_passes_rk4_check():
-    # one datum per branch of the comparison lemma; the RK4 falsifier runs on
+    # one datum per branch of the comparison lemma; the ODE falsifier runs on
     # the lemma inputs that each bound records
-    g = Grid((8, 8), (1.0, 1.0))
-    r = build_field(1.5, g)
-    cases = [(2.5, 0.3, 1e-4), (2.5, 0.3, 0.5), (1.9, 0.3, 0.5),
-             (2.5, 1.2, 0.1), (2.5, 1.2, 50.0), (1.9, 1.2, 1e3)]
+    cases = thm53_lemma_cases()
     batch, branches = [], []
-    for p_const, B_hat, w0 in cases:
-        p = build_field(p_const, g)
-        env = thm53_envelope(w0, p, r, B_hat=B_hat, B0_hat=0.3)
-        c = env.constants
-        q = OdeParams(c["C1"], c["C2"], 0.5 * p.p_plus, 0.5 * p.p_minus, c["w0"])
+    for env, q in cases:
         bound, branch = ode_envelope(q)
         t = np.linspace(0.0, 12.0, 25)
         assert np.array_equal(env.eval(t), bound(t))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import fail_lambda_star_calls
+from pxwell import radial_gap
 from pxwell.cli import ConfigError, _load_config, main, run
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -80,11 +81,23 @@ def test_shipped_config_agrees(tmp_path, name, verdict):
     ("norm", f"[norm]\nfield_csv = {CONFIGS / 'sample_field.csv'}\nexponent = bogus:1\n"),
     ("ode-verify", "[ode]\nt_end = twelve\n"),
     ("poincare", "[poincare]\nn_quad = x\n"),
+    ("ode-verify", "[ode]\nt_end = -1\n"),
+    ("ode-verify", "[ode]\nt_end = nan\n"),
+    ("ode-verify", "[ode]\nt_end = inf\n"),
+    ("ode-verify", "[ode]\ndt = 1e-3\n"),
+    ("poincare", "[poincare]\nn_quad = 8\n"),
+    ("poincare", "[poincare]\nepsilons = 0.5 2\n"),
+    ("poincare", "[poincare]\nepsilons = 10 5\n"),
+    ("poincare", "[poincare]\nepsilons =\n"),
 ], ids=["simulate-cells", "simulate-exponent-csv", "norm-field-csv", "norm-exponent",
-        "ode-verify-t_end", "poincare-n_quad"])
+        "ode-verify-t_end", "poincare-n_quad", "ode-verify-t_end-negative",
+        "ode-verify-t_end-nan", "ode-verify-t_end-inf", "ode-verify-dt-removed",
+        "poincare-n_quad-small", "poincare-epsilon-below-1", "poincare-epsilons-decreasing",
+        "poincare-epsilons-empty"])
 def test_config_value_errors_exit_2(tmp_path, capsys, command, text):
-    # an unparsable value, an unknown exponent spec or a missing file that
-    # the config names is a config error, not a traceback or a pipeline error
+    # an unparsable or out-of-range value, an unknown key, an unknown
+    # exponent spec or a missing file that the config names is a config
+    # error, not a traceback or a pipeline error
     path = _write(tmp_path, text)
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
@@ -181,6 +194,14 @@ def test_poincare_subcommand(tmp_path):
     text = (tmp_path / "poincare.csv").read_text()
     assert text.startswith("epsilon,numerator,denominator,quotient,bound")
     assert len(text.strip().split("\n")) == 5
+
+
+def test_poincare_failed_bound_exit_4(tmp_path, monkeypatch, capsys):
+    # a quotient above its closed-form bound fails the sweep with exit code 4
+    monkeypatch.setattr(radial_gap, "quotient_bound", lambda eps: 1e-9)
+    assert main(["poincare", "--out", str(tmp_path), "--quiet"]) == 4
+    assert "sweep failed: quotient" in capsys.readouterr().err
+    assert not (tmp_path / "poincare.csv").exists()
 
 
 def test_report_subcommand(tmp_path):

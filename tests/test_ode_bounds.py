@@ -3,8 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pxwell import cli
-from pxwell.ode_bounds import OdeParams, _halving_pass, envelope, rk4_min_ode, verify, verify_batch
+from conftest import thm53_lemma_cases
+from pxwell import cli, ode_bounds
+from pxwell.ode_bounds import OdeParams, envelope, rk4_min_ode, verify, verify_batch
 
 # (C1, C2, alpha, beta, h0) whose trajectories cross the kink h = 1 before t = 4:
 # two upward (beta = 2 and 0.5 above the kink), two downward (beta = 1 and 0.5)
@@ -55,9 +56,9 @@ def test_envelope_dissipation_dominant_rate_factor():
 
 
 def test_verify_small_cases():
-    assert verify(OdeParams(1.0, 1.0, 2.0, 2.0, h0=0.5), T=8.0, dt=1e-3) <= 1e-9
-    assert verify(OdeParams(1.0, 2.0, 3.0, 2.0, h0=10.0), T=8.0, dt=1e-3) <= 1e-6
-    assert verify(OdeParams(2.0, 1.0, 3.0, 0.5, h0=4.0), T=8.0, dt=1e-3) <= 1e-6
+    assert verify(OdeParams(1.0, 1.0, 2.0, 2.0, h0=0.5), T=8.0) <= 1e-9
+    assert verify(OdeParams(1.0, 2.0, 3.0, 2.0, h0=10.0), T=8.0) <= 1e-6
+    assert verify(OdeParams(2.0, 1.0, 3.0, 0.5, h0=4.0), T=8.0) <= 1e-6
 
 
 def test_equilibrium_at_threshold():
@@ -89,7 +90,7 @@ def test_kink_crossing_accuracy():
     # trajectory crosses h = 1 where the min switches branch
     q = OdeParams(0.5, 1.0, 3.0, 2.0, h0=0.1)
     bound, _ = envelope(q)
-    violation = verify(q, T=10.0, dt=1e-3)  # must not raise on step-halving
+    violation = verify(q, T=10.0)  # must not raise on panel agreement
     assert violation <= 1e-6
     t, path = rk4_min_ode(q.C1, q.C2, q.alpha, q.beta, q.h0, T=10.0, dt=1e-3)
     assert path[0, 0] < 1.0 < path[-1, 0]
@@ -100,9 +101,9 @@ def test_verify_batch_matches_scalar():
         OdeParams(0.5, 1.0, 2.0, 0.5, h0=0.1),
         OdeParams(1.0, 2.0, 3.0, 2.0, h0=4.0),
     ]
-    vals = verify_batch(batch, T=6.0, dt=1e-3)
+    vals = verify_batch(batch, T=6.0)
     for q, v in zip(batch, vals):
-        assert verify(q, T=6.0, dt=1e-3) == pytest.approx(v, abs=1e-12)
+        assert verify(q, T=6.0) == pytest.approx(v, abs=1e-12)
 
 
 def test_kink_split_keeps_fourth_order():
@@ -119,26 +120,74 @@ def test_kink_split_keeps_fourth_order():
     assert np.all(errs[1] >= 8.0 * errs[2])
 
 
-def test_halving_pass_matches_separate_runs():
-    # the stacked pass stores exactly the dt run and ends on exactly the dt/2 run
-    cells = np.concatenate((CROSSING_CASES, [[1.0], [2.0], [3.0], [2.0], [4.0]]), axis=1)
-    times, path, half = _halving_pass(*cells, T=4.0, dt=0.01)
-    t_ref, path_ref = rk4_min_ode(*cells, T=4.0, dt=0.01)
-    _, half_ref = rk4_min_ode(*cells, T=4.0, dt=0.005)
-    np.testing.assert_array_equal(times, t_ref)
-    np.testing.assert_array_equal(path, path_ref)
-    np.testing.assert_array_equal(half, half_ref[-1])
-
-
-def test_step_halving_gate_rejects_coarse_dt():
-    with pytest.raises(ValueError, match="step-halving agreement"):
-        verify_batch(cli._ode_grid(), dt=0.05)
-
-
 @pytest.mark.parametrize("h0", [1e160, np.inf])
 def test_verify_rejects_non_finite_trajectory(h0):
-    # 1e160 overflows in its first step, across h = 1; inf is never finite
+    # h0^beta overflows at 1e160, where the time integrand would silently
+    # read -0.0; inf is never finite
     q = OdeParams(1.0, 1.0, 3.0, 2.0, h0=h0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="not finite"):
-            verify(q, T=1.0, dt=1e-3)
+            verify(q, T=1.0)
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
+def test_verify_rejects_bad_horizon(T):
+    with pytest.raises(ValueError, match="positive and finite"):
+        verify_batch([OdeParams(1.0, 2.0, 3.0, 2.0, h0=4.0)], T=T)
+
+
+def test_rk4_broadcasts_scalar_parameters():
+    # scalar parameters with an array h0; the third cell crosses h = 1
+    t, path = rk4_min_ode(1.0, 2.0, 2.0, 1.0, np.array([0.5, 3.0, 0.2]), T=2.0, dt=1e-2)
+    assert path.shape == (t.size, 3)
+    for j, h0 in enumerate((0.5, 3.0, 0.2)):
+        _, alone = rk4_min_ode(1.0, 2.0, 2.0, 1.0, h0, T=2.0, dt=1e-2)
+        np.testing.assert_array_equal(path[:, j], alone[:, 0])
+
+
+def _rk4_excess(batch, T, dt):
+    """Largest excess of the RK4 path (step dt) over each cell's envelope."""
+    cells = np.array([(q.C1, q.C2, q.alpha, q.beta, q.h0) for q in batch]).T
+    t, path = rk4_min_ode(*cells, T=T, dt=dt)
+    return np.array([np.max(path[:, j] - envelope(q)[0](t)) for j, q in enumerate(batch)])
+
+
+@pytest.mark.parametrize("which", ["crossing", "thm53-lemma"])
+def test_quadrature_matches_rk4_oracle(which):
+    # the quadrature falsifier against the independent kink-split RK4 path:
+    # both see the same largest excess to within RK4's error at dt = 1e-3
+    if which == "crossing":
+        batch, T = [OdeParams(*cell) for cell in CROSSING_CASES.T], 4.0
+    else:
+        batch, T = [q for _, q in thm53_lemma_cases()], 12.0
+    assert np.max(np.abs(verify_batch(batch, T=T) - _rk4_excess(batch, T, 1e-3))) <= 1e-12
+
+
+def test_lowered_envelope_is_caught(monkeypatch, tmp_path):
+    # an envelope 1e-6 below the printed one is reported as violated by at
+    # least 1e-6, and ode-verify then fails with exit code 4
+    printed = ode_bounds.envelope
+
+    def lowered(q):
+        bound, branch = printed(q)
+        return (lambda t: bound(t) - 1e-6), branch
+
+    monkeypatch.setattr(ode_bounds, "envelope", lowered)
+    assert np.max(verify_batch(cli._ode_grid())) >= 1e-6
+    assert cli.main(["ode-verify", "--out", str(tmp_path), "--quiet"]) == 4
+
+
+def test_panel_guard_needs_bisection(monkeypatch):
+    # the h0 = 1e-4 lemma cell starts 1e-4 from the singular point s = 0 of
+    # s^alpha; its first panels pass the 8/16-node agreement only once bisected
+    _, q = thm53_lemma_cases()[0]
+    assert verify(q) <= 1e-6
+    monkeypatch.setattr(ode_bounds, "_MAX_BISECTIONS", 0)
+    with pytest.raises(ValueError, match="panels disagree"):
+        verify(q)
+
+
+def test_verify_from_zero():
+    # h0 = 0 sits on the singular point of s^alpha itself
+    batch = [OdeParams(1.0, 2.0, 1.25, 0.95, h0=0.0), OdeParams(1.0, 0.5, 0.95, 0.5, h0=0.0)]
+    assert np.max(np.abs(verify_batch(batch) - _rk4_excess(batch, 12.0, 1e-3))) <= 1e-12
