@@ -11,7 +11,7 @@ construction; `eval` accepts scalars or arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,6 +50,8 @@ UNDETERMINED = "Undetermined"
 
 # half-width of the critical band around the sampled depth, relative to 1 + d_hat
 _CRITICAL_BAND_REL = 1e-3
+# allowance of the (3.17) gap check, relative to 1 + |bound|
+_TOL_317 = 1e-9
 
 _RADII_DIRECTION_NOTE = (
     "supercritical large-data test uses the norm >= sampled-max direction; "
@@ -73,7 +75,6 @@ class Envelope:
     kind: str
     constants: dict[str, float]
     eval: Callable[[np.ndarray], np.ndarray]
-    valid_hypotheses: tuple[str, ...] = ()
 
 
 def high_energy_blowup_flag(
@@ -285,7 +286,6 @@ def decay_envelope(
         constants={"K0": K0, "K1": K1, "B0_hat": B0_hat, "delta0_hat": delta0_hat,
                    "d_hat": d_hat, "grad_multiplier": grad_multiplier},
         eval=eval_fn,
-        valid_hypotheses=("p_plus >= 2", "0 < delta0_hat < 1", "J0 > 0"),
     )
 
 
@@ -323,30 +323,27 @@ class Inequality317Report:
     ok: bool
 
 
-def inequality_317_check(traj: Trajectory, d_hat_upper: float, r_minus: float,
-                         tol: float = 1e-9) -> Inequality317Report:
-    """At every recorded snapshot with I < 0, verify I <= r_minus (J - d_hat)."""
-    checked = 0
-    violations = 0
-    max_v = 0.0
-    for s in traj.snapshots:
-        if s.I >= 0.0:
-            continue
-        checked += 1
-        bound = r_minus * (s.J - d_hat_upper)
-        excess = s.I - bound
-        if excess > tol * (1.0 + abs(bound)):
-            violations += 1
-            max_v = max(max_v, excess)
-    return Inequality317Report(checked, violations, max_v, violations == 0)
+def inequality_317_check(traj: Trajectory, d_hat_upper: float,
+                         r_minus: float) -> Inequality317Report:
+    """At every recorded row with I < 0, verify I <= r_minus (J - d_hat), to
+    _TOL_317 relative to 1 + |bound|; max_violation is the largest excess
+    over the bound among the violating rows, 0 when there are none."""
+    neg = traj.I < 0.0
+    bound = r_minus * (traj.J[neg] - d_hat_upper)
+    excess = traj.I[neg] - bound
+    bad = excess > _TOL_317 * (1.0 + np.abs(bound))
+    violations = int(bad.sum())
+    return Inequality317Report(int(neg.sum()), violations,
+                               float(np.max(excess[bad], initial=0.0)), violations == 0)
 
 
-def prop48_check(u0: GridFunction, p: ExponentField, r_const: float, omega_vol: float) -> bool:
+def prop48_check(u0: GridFunction, p: ExponentField, r_const: float) -> bool:
     """Large-data test for constant source exponent:
     (p_plus r/(r - p_plus)) |Omega|^{(r-2)/2} J(u0) <= ||u0||_2^r."""
     r_field = build_field(float(r_const), u0.grid, label="r")
     s0 = snapshot(u0, p, r_field)
-    lhs = p.p_plus * r_const / (r_const - p.p_plus) * omega_vol ** ((r_const - 2.0) / 2.0) * s0.J
+    lhs = (p.p_plus * r_const / (r_const - p.p_plus)
+           * p.grid.volume ** ((r_const - 2.0) / 2.0) * s0.J)
     rhs = l2_norm(u0) ** r_const
     return bool(lhs <= rhs)
 
@@ -463,13 +460,10 @@ def thm53_envelope(
     lemma = ode_bounds.OdeParams(C1=1.0 / B0_hat**2, C2=2.0 * M1 / B0_hat**2,
                                  alpha=0.5 * pp, beta=0.5 * pm, h0=w0)
     threshold = ode_bounds._threshold(lemma.C1, lemma.C2, lemma.alpha, lemma.beta)
-    eval_fn, branch = ode_bounds.envelope(lemma)
-    hyp = ("r_plus < p_minus",)
-    if branch.endswith("saturated"):
-        hyp += ("w0 <= threshold",)
+    eval_fn, _ = ode_bounds.envelope(lemma)
     consts = {"M1": M1, "B_hat": B_hat, "B0_hat": B0_hat, "w0": w0,
               "threshold": threshold, "C1": lemma.C1, "C2": lemma.C2}
-    return Envelope(kind="Thm53Bound", constants=consts, eval=eval_fn, valid_hypotheses=hyp)
+    return Envelope(kind="Thm53Bound", constants=consts, eval=eval_fn)
 
 
 def thm54_bounds(
@@ -478,10 +472,10 @@ def thm54_bounds(
     p: ExponentField,
     r: ExponentField,
     B0_hat: float,
-    omega_vol: float,
 ) -> tuple[Envelope, Envelope]:
     """Two-sided bounds on G(t) = ||u||_2^2 for negative initial energy in the
-    weak-source regime r_minus <= min(p_plus, 2), r_plus < 2."""
+    weak-source regime r_minus <= min(p_plus, 2), r_plus < 2, on the domain
+    of p's grid."""
     pm, pp = p.p_minus, p.p_plus
     rm, rp = r.p_minus, r.p_plus
     if not (E0 < 0.0):
@@ -493,6 +487,7 @@ def thm54_bounds(
     if not (pp > rm):
         raise ValueError("needs p_plus > r_minus (constants degenerate at equality)")
 
+    omega_vol = p.grid.volume
     vol_factor = (1.0 + omega_vol) ** rp
     inner = pp * rm * E0 / ((rm - pp) * vol_factor)
     M2 = max(G0, inner ** (2.0 / rp), inner ** (2.0 / rm))
@@ -508,8 +503,6 @@ def thm54_bounds(
     )
     consts = {"M2": M2, "C5": C5, "C6": C6, "C7": C7, "G0": G0, "E0": E0,
               "B0_hat": B0_hat, "omega_vol": omega_vol}
-    hyp = ("E0 < 0", "r_minus <= min(p_plus, 2)", "r_plus < 2")
-
     offset = -2.0 * pp * E0 / C5  # positive since E0 < 0
 
     def lower_fn(t):
@@ -523,6 +516,6 @@ def thm54_bounds(
         t = np.asarray(t, dtype=float)
         return (ratio + (base - ratio) * np.exp(-C6 * t)) ** (2.0 / (2.0 - rp))
 
-    lower = Envelope("L2SandwichLower", dict(consts), lower_fn, hyp)
-    upper = Envelope("L2SandwichUpper", dict(consts), upper_fn, hyp)
+    lower = Envelope("L2SandwichLower", dict(consts), lower_fn)
+    upper = Envelope("L2SandwichUpper", dict(consts), upper_fn)
     return lower, upper

@@ -11,6 +11,11 @@ starts from (decade null for the zero state) and binned by the trial's
 RKL2 stage count.  `report` collects each run's
 verdict, outcome and step counts into `summary.csv`.
 
+The numeric tables of a run (`trajectory.csv`, `envelopes.csv`) and of
+`poincare` (`poincare.csv`) are column tables written by one writer,
+`solver.columns_csv`; `ode_verify.csv`, with its string `branch` column,
+is written in place.
+
 Exit codes: 0 success, 2 config error, 3 pipeline error, 4 assertion or
 acceptance failure.
 """
@@ -45,10 +50,10 @@ from .exponents import ExponentField, build_field, check_hypotheses, check_log_h
 from .grid import Grid, GridFunction, load_gridfunction_csv, project_mean_zero
 from .norms import estimate_embedding, estimate_gn_constant, luxemburg_norm
 from .solver import (
-    BLOWUP_DETECTED,
     SolverConfig,
     audit_trajectory,
     blowup_functional,
+    columns_csv,
     delta0_hat,
     simulate,
     trajectory_csv,
@@ -371,10 +376,10 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
             record["delta0_hat"] = delta0_hat(traj)
 
             enter("envelopes")
-            env_rows = _envelope_rows(record, traj, p, r, depth, B0, B, grid)
+            env_table = _envelope_table(record, traj, p, r, depth, B0, B)
             (run_dir / "trajectory.csv").write_text(trajectory_csv(traj))
             record["trajectory_ref"] = "trajectory.csv"
-            _write_envelopes_csv(run_dir / "envelopes.csv", env_rows)
+            (run_dir / "envelopes.csv").write_text(columns_csv(env_table))
     except (ConfigError,):
         raise
     except Exception as exc:
@@ -394,16 +399,14 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
     return record
 
 
-def _envelope_rows(record, traj, p, r, depth, B0, B, grid):
+def _envelope_table(record, traj, p, r, depth, B0, B) -> dict[str, np.ndarray]:
     """Evaluate every closed-form bound applicable to this run.
 
-    Column families share the snapshot time grid, so multiple applicable
-    bounds merge into one wide table.
+    Column families share the trajectory's time column, so multiple
+    applicable bounds merge into one wide table; with none, the table is
+    empty.
     """
-    t = traj.times
-    J = np.array([s.J for s in traj.snapshots])
-    gmod = np.array([s.grad_modular for s in traj.snapshots])
-    l2sq = np.array([s.l2sq for s in traj.snapshots])
+    t, J, l2sq = traj.t, traj.J, traj.l2sq
     verdict = record["verdict"]
     hyp = record["hypotheses"]
     d0 = record["delta0_hat"]
@@ -415,7 +418,7 @@ def _envelope_rows(record, traj, p, r, depth, B0, B, grid):
         env = decay_envelope(s0.J, p, r, B0.constant, d0, depth.upper)
         record["envelopes"].append({"kind": env.kind, "constants": env.constants})
         bound = env.eval(t)
-        table.update({"J": J, "J_bound": bound, "grad_modular": gmod,
+        table.update({"J": J, "J_bound": bound, "grad_modular": traj.G,
                       "grad_bound": env.constants["grad_multiplier"] * bound})
     if hyp.condition_H and verdict.prediction == BLOWUP:
         bf = blowup_functional(traj, r.p_minus)
@@ -437,25 +440,11 @@ def _envelope_rows(record, traj, p, r, depth, B0, B, grid):
         record["envelopes"].append({"kind": env.kind, "constants": env.constants})
         table.update({"w": l2sq / B0.constant**2, "w_bound": env.eval(t)})
     if hyp.thm54_regime and s0.J < 0.0 and p.p_plus > r.p_minus:
-        lower, upper = thm54_bounds(l2sq[0], s0.J, p, r, B0.constant, grid.volume)
+        lower, upper = thm54_bounds(l2sq[0], s0.J, p, r, B0.constant)
         record["envelopes"].append({"kind": "L2Sandwich", "constants": lower.constants})
         table.update({"G": l2sq, "G_lower": lower.eval(t), "G_upper": upper.eval(t)})
 
-    if len(table) == 1:
-        return []
-    cols = list(table.keys())
-    return [{c: table[c][k] for c in cols} for k in range(len(t))]
-
-
-def _write_envelopes_csv(path: Path, rows: list[dict]) -> None:
-    if not rows:
-        path.write_text("")
-        return
-    cols = list(rows[0].keys())
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(repr(float(row[c])) for c in cols))
-    path.write_text("\n".join(lines) + "\n")
+    return table if len(table) > 1 else {}
 
 
 def _cmd_norm(args) -> int:
@@ -530,14 +519,12 @@ def _cmd_poincare(args) -> int:
     except AssertionError as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 4
-    lines = ["epsilon,numerator,denominator,quotient,bound"]
-    for row in rows:
-        lines.append(",".join(repr(float(x)) for x in
-                              (row.epsilon, row.numerator, row.denominator, row.quotient, row.bound)))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "poincare.csv").write_text("\n".join(lines) + "\n")
+        (out / "poincare.csv").write_text(columns_csv(
+            {f.name: [getattr(row, f.name) for row in rows]
+             for f in dataclasses.fields(radial_gap.SweepRow)}))
     if not args.quiet:
         for row in rows:
             print(f"eps={row.epsilon:g} quotient={row.quotient!r} bound={row.bound!r}")

@@ -97,21 +97,17 @@ def snapshot(u: GridFunction, p: ExponentField, r: ExponentField, t: float = 0.0
 
     The gradient magnitude is the RMS of adjacent face values per axis.
     delta0 is the source/diffusion modular ratio (NaN when the gradient
-    modular vanishes).  `solver.simulate` records the same quantities from
-    its kernel, which regularizes the gradient by its delta.
+    modular vanishes).  `solver.simulate` records J, the two modulars and
+    ||u||_2^2 as columns from its kernel, which regularizes the gradient by
+    its delta.
     """
     ray = _Ray(u, p, r)
     gp, sp = ray.powers(1.0)
-    return _energy_snapshot(t, ray._energy(gp, sp), *ray._modulars(gp, sp),
-                            ray.vol * float(np.sum(u.values**2)))
-
-
-def _energy_snapshot(t: float, J: float, gmod: float, smod: float,
-                     l2sq: float) -> EnergySnapshot:
-    """The snapshot of J, the two modulars and ||u||_2^2."""
-    delta0 = smod / gmod if gmod > 0.0 else float("nan")
-    return EnergySnapshot(t=float(t), J=J, I=gmod - smod, grad_modular=gmod,
-                          source_modular=smod, delta0=delta0, l2sq=l2sq)
+    gmod, smod = ray._modulars(gp, sp)
+    return EnergySnapshot(t=float(t), J=ray._energy(gp, sp), I=gmod - smod, grad_modular=gmod,
+                          source_modular=smod,
+                          delta0=smod / gmod if gmod > 0.0 else float("nan"),
+                          l2sq=ray.vol * float(np.sum(u.values**2)))
 
 
 # cap on ray evaluations in find_lambda_star; Newton needs about five

@@ -145,10 +145,13 @@ def build_field(spec: FieldSpec, grid: Grid, label: str = "p") -> ExponentField:
     )
 
 
+# the largest |q(x) - q(y)| ln(1/|x - y|) a passing audit allows
+_LOG_HOLDER_CAP = 10.0
+
+
 def check_log_holder(
     field: ExponentField,
     pair_budget: int = 20000,
-    cap: float = 10.0,
     seed: int = 0,
 ) -> RegularityReport:
     """Sampled audit of |q(x)-q(y)| * ln(1/|x-y|) over cell pairs with |x-y| < 1.
@@ -190,10 +193,11 @@ def check_log_holder(
     dist = np.linalg.norm(pts[ii] - pts[jj], axis=1)
     mask = (dist > 0.0) & (dist < 1.0)
     if not np.any(mask):
-        return RegularityReport(0.0, True, 0, cap)
+        return RegularityReport(0.0, True, 0, _LOG_HOLDER_CAP)
     moduli = np.abs(q[ii[mask]] - q[jj[mask]]) * np.log(1.0 / dist[mask])
     max_mod = float(moduli.max())
-    return RegularityReport(max_mod, bool(np.isfinite(max_mod) and max_mod <= cap), int(mask.sum()), cap)
+    return RegularityReport(max_mod, bool(np.isfinite(max_mod) and max_mod <= _LOG_HOLDER_CAP),
+                            int(mask.sum()), _LOG_HOLDER_CAP)
 
 
 def check_hypotheses(p: ExponentField, r: ExponentField) -> HypothesisReport:

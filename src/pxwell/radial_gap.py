@@ -79,7 +79,11 @@ def _radial_integral(fn, n_quad: int, pieces=_PIECES) -> float:
     return 4.0 * np.pi * total
 
 
-def _checked(fn, n_quad: int, pieces=_PIECES, rel_tol: float = 1e-8) -> float:
+# allowed node-doubling disagreement, relative to the integral of |fn|
+_REL_TOL = 1e-8
+
+
+def _checked(fn, n_quad: int, pieces=_PIECES) -> float:
     """Node-doubling agreement guard; returns the finer value.
 
     Agreement is measured against the integral of |fn|, so exact cancellation
@@ -88,7 +92,7 @@ def _checked(fn, n_quad: int, pieces=_PIECES, rel_tol: float = 1e-8) -> float:
     coarse = _radial_integral(fn, n_quad, pieces)
     fine = _radial_integral(fn, 2 * n_quad, pieces)
     scale = _radial_integral(lambda r: np.abs(fn(r)), 2 * n_quad, pieces)
-    if abs(fine - coarse) > rel_tol * (abs(scale) + 1e-300):
+    if abs(fine - coarse) > _REL_TOL * (abs(scale) + 1e-300):
         raise ValueError(
             f"quadrature disagreement {abs(fine - coarse):.3e} at n={n_quad}; integrand not resolved"
         )

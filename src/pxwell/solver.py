@@ -28,11 +28,16 @@ state and zero-mean right-hand sides, so the mean is conserved.
 
 One kernel evaluation of a trial state gives its J, its right-hand side and
 its two modulars from the same powers; when the step is accepted they are
-reused as the current state's, and a recorded snapshot is built from them
-and ||u||_2^2 without another quadrature.  The accepted state is then
-shifted to zero mean; the shift is round-off and the kernel's values still
-stand.  With the source off the snapshots report S = 0 and the diffusion
+reused as the current state's, and a recorded row takes them with
+||u||_2^2 and ||u||_inf without another quadrature.  The accepted state is
+then shifted to zero mean; the shift is round-off and the kernel's values
+still stand.  With the source off the rows report S = 0 and the diffusion
 energy as J: the flow that ran.
+
+The recorded run is a `Trajectory`: one column per recorded quantity, one
+row per `record_every` accepted steps plus the datum and the final state.
+The audit, the blow-up functional, delta0 and the CSV read the columns, and
+`columns_csv` writes this table and every other numeric table of a run.
 
 The step rule: dt grows by 1.25 after five accepted steps in a row and halves
 on a rejection.  While the sup norm grows, an accepted step also shrinks dt
@@ -76,7 +81,6 @@ import numpy as np
 
 from .exponents import ExponentField
 from .grid import GridFunction, _Kernel, project_mean_zero
-from .energy import EnergySnapshot, _energy_snapshot
 
 __all__ = [
     "SolverConfig",
@@ -90,6 +94,7 @@ __all__ = [
     "BlowupFunctional",
     "delta0_hat",
     "trajectory_csv",
+    "columns_csv",
 ]
 
 GLOBAL_UNTIL_TEND = "GlobalUntilTend"
@@ -118,8 +123,14 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
-        if self.blowup_threshold <= 0.0:
-            raise ValueError("blowup_threshold must be positive")
+        if not (0.0 < self.t_end < math.inf):
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end!r}")
+        if not (0.0 < self.energy_tol < math.inf):
+            raise ValueError(f"energy_tol must be positive and finite, got {self.energy_tol!r}")
+        if not (self.blowup_threshold > 0.0):
+            raise ValueError(f"blowup_threshold must be positive, got {self.blowup_threshold!r}")
+        if not (0.0 <= self.delta < math.inf):
+            raise ValueError(f"delta must be non-negative and finite, got {self.delta!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -132,13 +143,23 @@ class Outcome:
 
 @dataclass
 class Trajectory:
-    times: np.ndarray
-    snapshots: list[EnergySnapshot]
+    """The recorded run as a table of equal-length columns, one row per
+    recorded state: its time t, energy J, gradient and source modulars G and
+    S, ||u||_2^2 and ||u||_inf, and a step size dt: that of the step that
+    reached the state, or for the datum's row and a final row off the
+    `record_every` cadence, the one the stepper would take next.  I and
+    delta0 are derived from the columns."""
+
+    t: np.ndarray
+    J: np.ndarray
+    G: np.ndarray
+    S: np.ndarray
+    l2sq: np.ndarray
+    linf: np.ndarray
+    dt: np.ndarray
     outcome: Outcome
     step_count: int
     energy_budget_used: float
-    linf: np.ndarray
-    dt_at_snapshot: np.ndarray
     max_rel_residual: float
     residual_sum: float
     mean_drift_max: float
@@ -151,6 +172,15 @@ class Trajectory:
     steps_by_decade: dict[Optional[int], list[int]] = field(default_factory=dict)
     # [accepted, rejected] trial steps by their stage count s
     steps_by_stages: dict[int, list[int]] = field(default_factory=dict)
+
+    @property
+    def I(self) -> np.ndarray:
+        return self.G - self.S
+
+    @property
+    def delta0(self) -> np.ndarray:
+        """S/G, NaN where G vanishes."""
+        return np.divide(self.S, self.G, out=np.full_like(self.G, np.nan), where=self.G > 0.0)
 
 
 def _decade(supn: float) -> Optional[int]:
@@ -238,16 +268,12 @@ def simulate(
             f"delta={cfg.delta!r}, p_minus={p.p_minus!r}; delta = 0 with "
             "p_minus < 2 gives a cell with a zero gradient an infinite weight")
     dt_e = kernel.explicit_dt()
-    snaps: list[EnergySnapshot] = []
-    times: list[float] = []
-    linfs: list[float] = []
-    dts: list[float] = []
+    supn = float(np.max(np.abs(u)))
+    # the rows of the trajectory's columns, in the order of its fields
+    rows: list[tuple[float, ...]] = []
 
     def record(dt_now: float) -> None:
-        snaps.append(_energy_snapshot(t, Jf, G, S, vol * float(np.vdot(u, u))))
-        times.append(t)
-        linfs.append(float(np.max(np.abs(u))))
-        dts.append(dt_now)
+        rows.append((t, Jf, G, S, vol * float(np.vdot(u, u)), supn, dt_now))
 
     record(dt)
 
@@ -260,7 +286,6 @@ def simulate(
     consec = 0
     since_record = 0
     outcome: Optional[Outcome] = None
-    supn = linfs[0]
     by_decade: dict = {}
     by_stages: dict = {}
     decade = _decade(supn)
@@ -330,17 +355,14 @@ def simulate(
 
     if outcome is None:
         outcome = Outcome(GLOBAL_UNTIL_TEND)
-    if times[-1] != t or since_record > 0:
+    if since_record > 0:
         record(dt)
 
     return Trajectory(
-        times=np.array(times),
-        snapshots=snaps,
+        *map(np.array, zip(*rows)),
         outcome=outcome,
         step_count=steps,
         energy_budget_used=budget,
-        linf=np.array(linfs),
-        dt_at_snapshot=np.array(dts),
         max_rel_residual=max_rel_res,
         residual_sum=res_sum,
         mean_drift_max=drift_max,
@@ -349,6 +371,13 @@ def simulate(
         steps_by_decade=by_decade,
         steps_by_stages=by_stages,
     )
+
+
+# audit allowances: (a) a relative J uptick, (b) the relative error of the
+# ||u||_2^2 rate, (d) the spatial-mean drift
+_J_TOL = 1e-3
+_RATE_TOL = 0.05
+_DRIFT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -362,62 +391,48 @@ class AuditReport:
     mean_drift_ok: bool
 
 
-def audit_trajectory(
-    traj: Trajectory,
-    d_hat: Optional[float] = None,
-    j_tol: float = 1e-3,
-    rate_tol: float = 0.05,
-    drift_tol: float = 1e-12,
-) -> AuditReport:
+def audit_trajectory(traj: Trajectory, d_hat: Optional[float] = None) -> AuditReport:
     """Consistency checks on a recorded trajectory.
 
-    (a) snapshot J non-increasing within a relative allowance;
+    (a) recorded J non-increasing within a relative allowance;
     (b) the derivative of ||u||_2^2 against -2 I, relative, at each interior
-        snapshot from it and its two neighbours (second order at uneven
-        snapshot times);
+        row from it and its two neighbours (second order at uneven recorded
+        times); rows with a non-increasing time are skipped;
     (c) when the initial energy sits below a supplied depth estimate, the
         sign of I must not flip (discrete invariant-set check);
     (d) spatial-mean drift.
     """
-    if len(traj.snapshots) < 2:
-        raise ValueError("need at least 2 snapshots to audit")
-    J = np.array([s.J for s in traj.snapshots])
-    Ivals = np.array([s.I for s in traj.snapshots])
-    l2sq = np.array([s.l2sq for s in traj.snapshots])
-    t = traj.times
+    if len(traj.t) < 2:
+        raise ValueError("need at least 2 recorded states to audit")
+    J, I, l2sq = traj.J, traj.I, traj.l2sq
 
     upticks = (J[1:] - J[:-1]) / (1.0 + np.abs(J[:-1]))
     max_uptick = float(upticks.max()) if upticks.size else 0.0
-    j_ok = max_uptick <= j_tol
 
-    max_rel = 0.0
-    for k in range(1, len(t) - 1):
-        h1, h2 = t[k] - t[k - 1], t[k + 1] - t[k]
-        if h1 <= 0.0 or h2 <= 0.0:
-            continue
+    h = np.diff(traj.t)
+    h1, h2 = h[:-1], h[1:]
+    dl = np.diff(l2sq)
+    target = -2.0 * I[1:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
         # the three-point derivative, exact on quadratics at any spacing
-        rate = (h1 * h1 * (l2sq[k + 1] - l2sq[k]) + h2 * h2 * (l2sq[k] - l2sq[k - 1])) / (
-            h1 * h2 * (h1 + h2))
-        target = -2.0 * Ivals[k]
-        if rate == 0.0 and target == 0.0:
-            continue
-        denom = max(abs(target), 1e-300)
-        max_rel = max(max_rel, abs(rate - target) / denom)
+        rate = (h1 * h1 * dl[1:] + h2 * h2 * dl[:-1]) / (h1 * h2 * (h1 + h2))
+        rel = np.abs(rate - target) / np.maximum(np.abs(target), 1e-300)
+    max_rel = float(np.max(rel[(h1 > 0.0) & (h2 > 0.0)], initial=0.0))
 
     sign_ok: Optional[bool] = None
-    if d_hat is not None and traj.snapshots[0].J < d_hat:
-        scale = 1e-12 * (1.0 + np.abs(Ivals).max())
-        signs = np.sign(Ivals[np.abs(Ivals) > scale])
+    if d_hat is not None and J[0] < d_hat:
+        scale = 1e-12 * (1.0 + np.abs(I).max())
+        signs = np.sign(I[np.abs(I) > scale])
         sign_ok = bool(signs.size == 0 or np.all(signs == signs[0]))
 
     return AuditReport(
-        j_nonincreasing=bool(j_ok),
+        j_nonincreasing=bool(max_uptick <= _J_TOL),
         max_j_uptick_rel=max_uptick,
-        l2_rate_max_rel_err=float(max_rel),
-        l2_rate_ok=bool(max_rel <= rate_tol),
+        l2_rate_max_rel_err=max_rel,
+        l2_rate_ok=bool(max_rel <= _RATE_TOL),
         i_sign_persistent=sign_ok,
         mean_drift_max=traj.mean_drift_max,
-        mean_drift_ok=bool(traj.mean_drift_max <= drift_tol),
+        mean_drift_ok=bool(traj.mean_drift_max <= _DRIFT_TOL),
     )
 
 
@@ -433,39 +448,37 @@ def blowup_functional(traj: Trajectory, r_minus: float) -> BlowupFunctional:
     """Time integral of ||u||_2^2 with its derivatives and the concavity
     diagnostic M'' M - ((r_minus + 2)/4) (M')^2 (positive in the escape
     regime)."""
-    t = traj.times
-    l2sq = np.array([s.l2sq for s in traj.snapshots])
-    Ivals = np.array([s.I for s in traj.snapshots])
+    t, Mp = traj.t, traj.l2sq
     M = np.zeros_like(t)
-    if len(t) > 1:
-        incr = 0.5 * (l2sq[1:] + l2sq[:-1]) * np.diff(t)
-        M[1:] = np.cumsum(incr)
-    Mp = l2sq
-    Mpp = -2.0 * Ivals
+    M[1:] = np.cumsum(0.5 * (Mp[1:] + Mp[:-1]) * np.diff(t))
+    Mpp = -2.0 * traj.I
     diag = Mpp * M - 0.25 * (r_minus + 2.0) * Mp**2
     return BlowupFunctional(t=t, M=M, M_prime=Mp, M_second_proxy=Mpp, diagnostic=diag)
 
 
 def delta0_hat(traj: Trajectory) -> float:
-    """Running maximum of the source/diffusion modular ratio (NaN-safe)."""
-    ratios = [s.delta0 for s in traj.snapshots if np.isfinite(s.delta0)]
-    return max(ratios) if ratios else float("nan")
+    """Maximum of the source/diffusion modular ratio over the recorded rows
+    where it is finite; NaN when it is finite on none."""
+    d0 = traj.delta0
+    d0 = d0[np.isfinite(d0)]
+    return float(d0.max()) if d0.size else float("nan")
+
+
+def columns_csv(table: dict[str, np.ndarray]) -> str:
+    """Deterministic CSV of equal-length numeric columns under a header of
+    their names, each value in the shortest round-trip float format; an empty
+    table is the empty string."""
+    if not table:
+        return ""
+    cols = [np.asarray(c, dtype=float).tolist() for c in table.values()]
+    lines = [",".join(table), *(",".join(map(repr, row)) for row in zip(*cols, strict=True))]
+    return "\n".join(lines) + "\n"
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    """Deterministic CSV serialization (shortest round-trip float format)."""
-    lines = ["t,l2,linf,grad_modular,source_modular,J,I,delta0,dt"]
-    for k, s in enumerate(traj.snapshots):
-        row = [
-            s.t,
-            np.sqrt(max(s.l2sq, 0.0)),
-            traj.linf[k],
-            s.grad_modular,
-            s.source_modular,
-            s.J,
-            s.I,
-            s.delta0,
-            traj.dt_at_snapshot[k],
-        ]
-        lines.append(",".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
+    """The trajectory's columns, I, delta0 and the L2 norm as CSV."""
+    return columns_csv({
+        "t": traj.t, "l2": np.sqrt(np.maximum(traj.l2sq, 0.0)), "linf": traj.linf,
+        "grad_modular": traj.G, "source_modular": traj.S, "J": traj.J, "I": traj.I,
+        "delta0": traj.delta0, "dt": traj.dt,
+    })

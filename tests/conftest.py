@@ -8,6 +8,7 @@ from pxwell.classify import thm53_envelope
 from pxwell.exponents import build_field
 from pxwell.grid import Grid, GridFunction, project_mean_zero
 from pxwell.ode_bounds import OdeParams
+from pxwell.solver import GLOBAL_UNTIL_TEND, Outcome, Trajectory
 from pxwell.witnesses import mode_field
 
 
@@ -57,6 +58,16 @@ def fail_lambda_star_calls(monkeypatch, failing):
 
     monkeypatch.setattr(energy, "find_lambda_star", flaky)
     return calls
+
+
+def column_trajectory(**columns):
+    """A trajectory table with the given columns and zeros in the others."""
+    n = len(next(iter(columns.values())))
+    table = {name: np.zeros(n) for name in ("t", "J", "G", "S", "l2sq", "linf", "dt")}
+    table.update({name: np.asarray(col, dtype=float) for name, col in columns.items()})
+    return Trajectory(**table, outcome=Outcome(GLOBAL_UNTIL_TEND), step_count=n - 1,
+                      energy_budget_used=0.0, max_rel_residual=0.0, residual_sum=0.0,
+                      mean_drift_max=0.0)
 
 
 def thm53_lemma_cases():

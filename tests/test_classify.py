@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import mixed_mode, thm53_lemma_cases
+from conftest import column_trajectory, mixed_mode, thm53_lemma_cases
 from pxwell.classify import (
     BLOWUP,
     GLOBAL,
@@ -20,13 +20,13 @@ from pxwell.classify import (
     thm53_envelope,
     thm54_bounds,
 )
-from pxwell.energy import EnergySnapshot, _Ray, estimate_depth, find_lambda_star, snapshot
+from pxwell.energy import _Ray, estimate_depth, find_lambda_star, snapshot
 from pxwell.exponents import build_field
 from pxwell.grid import Grid, GridFunction, integrate
 from pxwell.norms import estimate_embedding
 from pxwell.ode_bounds import verify_batch
 from pxwell.ode_bounds import envelope as ode_envelope
-from pxwell.solver import Outcome, SolverConfig, Trajectory, simulate
+from pxwell.solver import SolverConfig, simulate
 
 
 @pytest.fixture(scope="module")
@@ -138,30 +138,56 @@ def test_blowup_tstar_values():
         blowup_tstar(0.6, 0.5, 2.0, 2.5, 4.0, 1.0, 0.3)
 
 
-def _mini_traj(snaps):
-    n = len(snaps)
-    return Trajectory(
-        times=np.array([s.t for s in snaps]),
-        snapshots=snaps,
-        outcome=Outcome("GlobalUntilTend"),
-        step_count=n,
-        energy_budget_used=0.0,
-        linf=np.zeros(n),
-        dt_at_snapshot=np.zeros(n),
-        max_rel_residual=0.0,
-        residual_sum=0.0,
-        mean_drift_max=0.0,
-    )
-
-
 def test_inequality_317_trivial_and_vacuous():
     d_hat = 1.0
-    neg = EnergySnapshot(t=0.0, J=1.0, I=-1.0, grad_modular=1, source_modular=2, delta0=2.0, l2sq=1)
-    rep = inequality_317_check(_mini_traj([neg, neg]), d_hat, r_minus=4.0)
+    # J = 1, I = G - S = -1
+    rep = inequality_317_check(column_trajectory(J=[1.0, 1.0], G=[1.0, 1.0], S=[2.0, 2.0]),
+                               d_hat, r_minus=4.0)
     assert rep.ok and rep.checked == 2  # -1 <= 4 (1 - 1) = 0
-    pos = EnergySnapshot(t=0.0, J=0.5, I=2.0, grad_modular=3, source_modular=1, delta0=0.3, l2sq=1)
-    rep2 = inequality_317_check(_mini_traj([pos, pos]), d_hat, r_minus=4.0)
+    # J = 0.5, I = 2
+    rep2 = inequality_317_check(column_trajectory(J=[0.5, 0.5], G=[3.0, 3.0], S=[1.0, 1.0]),
+                                d_hat, r_minus=4.0)
     assert rep2.ok and rep2.checked == 0  # vacuous off the negative side
+
+
+def test_inequality_317_mixed_table():
+    # d_hat = 1, r_minus = 4, so the bound on I < 0 rows is 4 (J - 1), with
+    # an allowance of 1e-9 (1 + |bound|)
+    J = [0.5, 2.0, 2.0, 1.0, 0.5, 0.0, 0.75, 0.75]
+    S = [0.0, 1.0, 2.0, 2.0, 2.5, 4.0, 2.0 - 1e-9, 2.0 - 3e-9]
+    # I:  1, 0 (both unchecked), -1 under 4, -1 under 0, -1.5 over -2 by 0.5,
+    # -3 over -4 by 1, and -1 + 1e-9 and -1 + 3e-9 against -1 (allowance 2e-9)
+    rep = inequality_317_check(column_trajectory(J=J, G=np.ones(8), S=S), 1.0, r_minus=4.0)
+    assert (rep.checked, rep.violations, rep.max_violation, rep.ok) == (6, 3, 1.0, False)
+
+
+def _inequality_317_loop(J, I, d_hat, r_minus):
+    """The row-by-row (3.17) check, with its allowance of 1e-9 (1 + |bound|)."""
+    checked = violations = 0
+    max_v = 0.0
+    for Jk, Ik in zip(J, I):
+        if Ik >= 0.0:
+            continue
+        checked += 1
+        bound = r_minus * (Jk - d_hat)
+        excess = Ik - bound
+        if excess > 1e-9 * (1.0 + abs(bound)):
+            violations += 1
+            max_v = max(max_v, excess)
+    return checked, violations, max_v
+
+
+def test_inequality_317_matches_row_loop():
+    rng = np.random.default_rng(3)
+    J = rng.uniform(-2.0, 2.0, 400)
+    G = rng.uniform(0.0, 3.0, 400)
+    S = np.where(rng.random(400) < 0.1, G, rng.uniform(0.0, 6.0, 400))
+    traj = column_trajectory(J=J, G=G, S=S)
+    rep = inequality_317_check(traj, 1.0, r_minus=4.0)
+    expect = _inequality_317_loop(J, traj.I, 1.0, 4.0)
+    assert expect[0] < 400 and 0 < expect[1] < expect[0]
+    assert (rep.checked, rep.violations, rep.max_violation) == expect
+    assert rep.ok == (expect[1] == 0)
 
 
 def test_prop48_trivial_cases(setting):
@@ -170,10 +196,10 @@ def test_prop48_trivial_cases(setting):
     lam, _ = find_lambda_star(phi, p, r)
     big = GridFunction(g, 3.0 * lam * phi.values)
     assert snapshot(big, p, r).J <= 0
-    assert prop48_check(big, p, 4.0, g.volume)  # nonpositive left side
+    assert prop48_check(big, p, 4.0)  # nonpositive left side
     tiny = GridFunction(g, 1e-3 * phi.values)
     assert snapshot(tiny, p, r).J > 0
-    assert not prop48_check(tiny, p, 4.0, g.volume)
+    assert not prop48_check(tiny, p, 4.0)
     with pytest.raises(ValueError, match="constant"):
         construct_high_energy_datum(30.0, g, p, r_const=p.p_plus, depth_upper=20.0)
     with pytest.raises(ValueError, match="exceed"):
@@ -186,7 +212,7 @@ def test_high_energy_datum_pipeline(setting):
     u = construct_high_energy_datum(M, g, p, 4.0, dep.upper)
     s = snapshot(u, p, r)
     assert s.J == pytest.approx(M, rel=1e-6)
-    assert prop48_check(u, p, 4.0, g.volume)
+    assert prop48_check(u, p, 4.0)
     assert abs(integrate(u)) <= 1e-12 * (1 + np.abs(u.values).max())
     assert s.I < 0
     cfg = SolverConfig(dt_init=1e-7, t_end=1.0, blowup_threshold=1e4, record_every=10)
@@ -291,7 +317,8 @@ def test_thm54_bounds_pinch_and_limits():
     p = build_field(2.5, g)
     r = build_field(1.5, g)
     G0, E0 = 0.04, -0.01
-    lower, upper = thm54_bounds(G0, E0, p, r, B0_hat=0.3, omega_vol=1.0)
+    lower, upper = thm54_bounds(G0, E0, p, r, B0_hat=0.3)
+    assert lower.constants["omega_vol"] == g.volume == 1.0
     assert lower.eval(0.0) == pytest.approx(G0)
     assert upper.eval(0.0) == pytest.approx(G0)
     C5, C6, C7 = lower.constants["C5"], lower.constants["C6"], lower.constants["C7"]
@@ -304,9 +331,9 @@ def test_thm54_bounds_pinch_and_limits():
     ):
         with pytest.raises(ValueError):
             if "r_override" in bad:
-                thm54_bounds(G0, E0, p, build_field(bad["r_override"], g), 0.3, 1.0)
+                thm54_bounds(G0, E0, p, build_field(bad["r_override"], g), 0.3)
             else:
-                thm54_bounds(bad["G0"], bad["E0"], p, r, 0.3, 1.0)
+                thm54_bounds(bad["G0"], bad["E0"], p, r, 0.3)
 
 
 def test_verdict_serializable(setting):

@@ -73,6 +73,18 @@ def test_shipped_config_agrees(tmp_path, name, verdict):
     assert rec["outcome"].kind == _OUTCOME[verdict]
 
 
+# a zero datum on 8 cells with two-witness estimates: the [solver] section is
+# read at the simulate stage, after the estimates
+_TINY = ("[domain]\ndimension = 1\ncells = 8\nlengths = 1.0\n"
+         "[exponents]\np = const:2.0\nr = const:4.0\n"
+         "[estimates]\ntrials = 2\ndescent_steps = 0\nascent_steps = 0\n")
+# each failed at the audit stage (exit 3) or, for blowup_threshold = nan,
+# ran with threshold detection off (exit 0); t_end = inf, which never
+# returned, is checked in test_solver.test_config_validation
+_BAD_SOLVER_LINES = ("t_end = 0", "t_end = -1", "t_end = nan", "energy_tol = -1",
+                     "energy_tol = nan", "blowup_threshold = nan", "delta = -1", "delta = nan")
+
+
 @pytest.mark.parametrize("command, text", [
     ("simulate", "[domain]\ndimension = 2\ncells = 16 x\nlengths = 1.0 1.0\n"),
     ("simulate", "[domain]\ndimension = 1\ncells = 16\nlengths = 1.0\n"
@@ -89,11 +101,13 @@ def test_shipped_config_agrees(tmp_path, name, verdict):
     ("poincare", "[poincare]\nepsilons = 0.5 2\n"),
     ("poincare", "[poincare]\nepsilons = 10 5\n"),
     ("poincare", "[poincare]\nepsilons =\n"),
+    *(("simulate", _TINY + f"[solver]\n{line}\n") for line in _BAD_SOLVER_LINES),
 ], ids=["simulate-cells", "simulate-exponent-csv", "norm-field-csv", "norm-exponent",
         "ode-verify-t_end", "poincare-n_quad", "ode-verify-t_end-negative",
         "ode-verify-t_end-nan", "ode-verify-t_end-inf", "ode-verify-dt-removed",
         "poincare-n_quad-small", "poincare-epsilon-below-1", "poincare-epsilons-decreasing",
-        "poincare-epsilons-empty"])
+        "poincare-epsilons-empty",
+        *("simulate-" + line.replace(" = ", "-") for line in _BAD_SOLVER_LINES)])
 def test_config_value_errors_exit_2(tmp_path, capsys, command, text):
     # an unparsable or out-of-range value, an unknown key, an unknown
     # exponent spec or a missing file that the config names is a config

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import mixed_mode, random_gridfunction
-from pxwell.energy import _energy_snapshot, find_lambda_star, snapshot
+from conftest import column_trajectory, mixed_mode, random_gridfunction
+from pxwell.energy import find_lambda_star, snapshot
 from pxwell import solver
 from pxwell.exponents import build_field
 from pxwell.grid import (
@@ -46,6 +46,14 @@ def test_config_validation():
         SolverConfig(dt_init=1e-3, dt_min=1e-2)
     with pytest.raises(ValueError):
         SolverConfig(blowup_threshold=0.0)
+    # t_end = inf used to step forever; the others failed late or never
+    for bad in (dict(t_end=math.inf), dict(t_end=0.0), dict(t_end=-1.0), dict(t_end=math.nan),
+                dict(energy_tol=-1.0), dict(energy_tol=math.nan), dict(energy_tol=math.inf),
+                dict(blowup_threshold=math.nan), dict(delta=-1.0), dict(delta=math.nan),
+                dict(delta=math.inf)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SolverConfig(**bad)
+    assert SolverConfig(delta=0.0, blowup_threshold=math.inf).delta == 0.0
 
 
 def test_step_zero_fixed_point(setup2d):
@@ -91,8 +99,8 @@ def test_simulate_zero_datum(setup2d):
     cfg = SolverConfig(dt_init=1e-4, t_end=0.05)
     traj = simulate(GridFunction(g, np.zeros(g.shape)), p, r, cfg)
     assert traj.outcome.kind == GLOBAL_UNTIL_TEND
-    assert all(s.J == 0.0 and s.l2sq == 0.0 for s in traj.snapshots)
-    assert np.all(np.diff(traj.times) > 0)
+    assert np.all(traj.J == 0.0) and np.all(traj.l2sq == 0.0)
+    assert np.all(np.diff(traj.t) > 0)
 
 
 def test_simulate_zero_datum_unregularized():
@@ -104,7 +112,7 @@ def test_simulate_zero_datum_unregularized():
                     build_field(4.0, g), cfg)
     assert traj.outcome.kind == GLOBAL_UNTIL_TEND
     assert set(traj.steps_by_stages) == {2}
-    assert all(s.J == 0.0 and s.l2sq == 0.0 for s in traj.snapshots)
+    assert np.all(traj.J == 0.0) and np.all(traj.l2sq == 0.0)
 
 
 def test_simulate_source_off_dissipative(setup2d):
@@ -116,7 +124,7 @@ def test_simulate_source_off_dissipative(setup2d):
     traj = simulate(u0, p, r, cfg, with_source=False)
     assert traj.outcome.kind == GLOBAL_UNTIL_TEND
     assert max(traj.steps_by_stages) > 2
-    J = np.array([s.J for s in traj.snapshots])
+    J = traj.J
     assert np.all(np.diff(J) <= 1e-12 * (1 + np.abs(J[:-1])))
     assert traj.max_rel_residual <= cfg.energy_tol
 
@@ -130,9 +138,8 @@ def test_simulate_global_small_amplitude(setup2d):
     cfg = SolverConfig(dt_init=1e-5, t_end=0.02, record_every=5)
     traj = simulate(u0, p, r, cfg)
     assert traj.outcome.kind == GLOBAL_UNTIL_TEND
-    Ivals = [s.I for s in traj.snapshots]
-    assert all(v > 0 for v in Ivals)
-    assert traj.snapshots[-1].J < traj.snapshots[0].J
+    assert np.all(traj.I > 0)
+    assert traj.J[-1] < traj.J[0]
     assert traj.mean_drift_max <= 1e-12
     rep = audit_trajectory(traj, d_hat=1e9)
     assert rep.j_nonincreasing and rep.l2_rate_ok and rep.i_sign_persistent
@@ -151,7 +158,7 @@ def test_simulate_blowup_large_amplitude(setup2d):
     assert traj.outcome.kind == BLOWUP_DETECTED
     assert traj.outcome.t_b is not None and 0 < traj.outcome.t_b < 1.0
     assert traj.linf[-1] >= 1e4 or traj.outcome.t_b > 0
-    assert all(s.I < 0 for s in traj.snapshots)
+    assert np.all(traj.I < 0)
     bf = blowup_functional(traj, r.p_minus)
     pos = np.where(bf.diagnostic > 0)[0]
     assert pos.size > 0
@@ -184,16 +191,49 @@ def test_audit_rate_exact_on_uneven_quadratic():
     t = np.array([0.0, 0.1, 0.15, 0.4, 0.45, 0.9, 1.0])
     l2sq = 5.0 - 3.0 * t - t * t
     I = 0.5 * (3.0 + 2.0 * t)
-    snaps = [_energy_snapshot(tk, 10.0 - tk, Ik + 1.0, 1.0, lk) for tk, Ik, lk in zip(t, I, l2sq)]
     n = len(t)
-    traj = solver.Trajectory(
-        times=t, snapshots=snaps, outcome=solver.Outcome(GLOBAL_UNTIL_TEND), step_count=n - 1,
-        energy_budget_used=0.0, linf=np.ones(n), dt_at_snapshot=np.diff(t, append=1.1),
-        max_rel_residual=0.0, residual_sum=0.0, mean_drift_max=0.0)
+    traj = column_trajectory(t=t, J=10.0 - t, G=I + 1.0, S=np.ones(n), l2sq=l2sq,
+                             linf=np.ones(n), dt=np.diff(t, append=1.1))
     rep = audit_trajectory(traj)
     assert rep.l2_rate_max_rel_err <= 1e-12 and rep.l2_rate_ok
     central = (l2sq[2:] - l2sq[:-2]) / (t[2:] - t[:-2])
     assert np.max(np.abs(central + 2.0 * I[1:-1]) / (2.0 * I[1:-1])) > 1e-2
+
+
+def _rate_err_loop(t, l2sq, I):
+    """Audit check (b) row by row: the largest relative error of the
+    three-point derivative of ||u||_2^2 against -2 I."""
+    max_rel = 0.0
+    for k in range(1, len(t) - 1):
+        h1, h2 = t[k] - t[k - 1], t[k + 1] - t[k]
+        if h1 <= 0.0 or h2 <= 0.0:
+            continue
+        rate = (h1 * h1 * (l2sq[k + 1] - l2sq[k]) + h2 * h2 * (l2sq[k] - l2sq[k - 1])) / (
+            h1 * h2 * (h1 + h2))
+        target = -2.0 * I[k]
+        if rate == 0.0 and target == 0.0:
+            continue
+        max_rel = max(max_rel, abs(rate - target) / max(abs(target), 1e-300))
+    return max_rel
+
+
+def test_audit_rate_matches_row_loop():
+    # the last table repeats a time: both stencils through it are skipped
+    runs = [_mixed_mode_run(1.7, _BLOWUP16), _mixed_mode_run(0.25, _DECAY16)]
+    t = np.array([0.0, 0.1, 0.1, 0.3, 0.35, 0.6])
+    runs.append(column_trajectory(t=t, G=np.cos(t) + 2.0, S=np.ones(6), l2sq=np.exp(-t)))
+    for traj in runs:
+        expect = _rate_err_loop(traj.t, traj.l2sq, traj.I)
+        assert expect > 0.0
+        assert audit_trajectory(traj).l2_rate_max_rel_err == expect
+
+
+def test_delta0_hat_skips_rows_without_gradient():
+    # S/G would be inf in the G = 0 row, above every finite ratio
+    traj = column_trajectory(G=[0.0, 2.0, 4.0, 0.0], S=[1.0, 1.0, 3.0, 0.0])
+    assert np.isnan(traj.delta0[[0, 3]]).all()
+    assert delta0_hat(traj) == 0.75
+    assert math.isnan(delta0_hat(column_trajectory(G=[0.0, 0.0], S=[1.0, 0.0])))
 
 
 def test_blowup_functional_zero(setup2d):
@@ -223,7 +263,7 @@ def test_trajectory_csv_format(setup2d):
     text = trajectory_csv(traj)
     lines = text.strip().split("\n")
     assert lines[0] == "t,l2,linf,grad_modular,source_modular,J,I,delta0,dt"
-    assert len(lines) == len(traj.snapshots) + 1
+    assert len(lines) == len(traj.t) + 1
     row = lines[1].split(",")
     assert float(row[0]) == 0.0
 
@@ -276,11 +316,13 @@ def test_kernel_modulars_match_snapshot(grid, p_spec, r_spec):
 @pytest.mark.parametrize("factor", [0.25, 1.7])
 def test_recorded_snapshots_are_snapshots_of_the_state(monkeypatch, factor):
     # the state at a recorded time is the last one a copy of the run stopped
-    # there evaluates, shifted to zero mean as an accepted state is
+    # there evaluates, shifted to zero mean as an accepted state is; t_end
+    # must be positive, so the datum's row is the datum made mean-zero
     u0, p, r = _mixed_mode_datum(factor)
     cfg = SolverConfig(dt_init=1e-5, t_end=2e-4, record_every=5)
     traj = simulate(u0, p, r, cfg)
-    assert len(traj.snapshots) >= 4
+    assert len(traj.t) >= 4 and traj.t[0] == 0.0
+    states = [project_mean_zero(u0).values]
     last = {}
 
     class LastState(_Kernel):
@@ -289,13 +331,16 @@ def test_recorded_snapshots_are_snapshots_of_the_state(monkeypatch, factor):
             return super().__call__(uv)
 
     monkeypatch.setattr(solver, "_Kernel", LastState)
-    for t_k, recorded in zip(traj.times, traj.snapshots):
+    for t_k in traj.t[1:]:
         copy = simulate(u0, p, r, dataclasses.replace(cfg, t_end=t_k))
-        assert copy.times[-1] == t_k
-        state = last["u"] - np.sum(last["u"]) / last["u"].size
-        expect = snapshot(GridFunction(u0.grid, state), p, r, t=t_k)
-        assert dataclasses.astuple(recorded) == pytest.approx(
-            dataclasses.astuple(expect), rel=1e-12, abs=0.0)
+        assert copy.t[-1] == t_k
+        states.append(last["u"] - np.sum(last["u"]) / last["u"].size)
+    expect = [snapshot(GridFunction(u0.grid, s), p, r, t=t_k) for s, t_k in zip(states, traj.t)]
+    for column, name in ((traj.t, "t"), (traj.J, "J"), (traj.I, "I"), (traj.G, "grad_modular"),
+                         (traj.S, "source_modular"), (traj.delta0, "delta0"),
+                         (traj.l2sq, "l2sq")):
+        assert column == pytest.approx([getattr(e, name) for e in expect], rel=1e-12, abs=0.0)
+    assert traj.linf == pytest.approx([np.max(np.abs(s)) for s in states], rel=1e-12, abs=0.0)
 
 
 def _cell_rms2(uv, grid):
@@ -479,7 +524,7 @@ def test_simulate_matches_reference_loop(factor, cfg, counts):
         assert traj.outcome.t_b is None
     else:
         assert traj.outcome.t_b == pytest.approx(t_b, rel=1e-12, abs=0.0)
-    assert [s.J for s in traj.snapshots] == pytest.approx(internal, rel=1e-12, abs=0.0)
+    assert traj.J == pytest.approx(internal, rel=1e-12, abs=0.0)
 
 
 def test_shrink_on_growth_cuts_blowup_tail():
@@ -518,8 +563,8 @@ def test_dt_collapse_through_shrink_reported():
     traj = simulate(u0, p, r, cfg)
     assert traj.rejected_steps == 0
     assert traj.outcome.kind == BLOWUP_DETECTED
-    assert traj.outcome.t_b == traj.times[-1] < cfg.t_end
-    assert traj.dt_at_snapshot[-1] < cfg.dt_min
+    assert traj.outcome.t_b == traj.t[-1] < cfg.t_end
+    assert traj.dt[-1] < cfg.dt_min
     assert traj.linf[-1] < cfg.blowup_threshold
 
 
@@ -527,7 +572,7 @@ def test_dt_collapse_in_controlled_climb_is_blowup():
     # at the default tolerance the sup norm still climbs when dt reaches
     # dt_min; the state has I < 0, so ||u||_2 still grows
     traj = _mixed_mode_run(1.7, _COLLAPSE16)
-    assert traj.snapshots[-1].I < 0.0
+    assert traj.I[-1] < 0.0
     assert traj.outcome.kind == BLOWUP_DETECTED
     # the threshold run of test_escape_time_matches_fine_euler escapes at
     # t_b = 0.0019190019618725354
