@@ -9,7 +9,9 @@ stepper's kernel evaluations and its accepted and rejected steps, in total,
 binned by the decade floor(log10 ||u||_inf) of the state each trial step
 starts from (decade null for the zero state) and binned by the trial's
 RKL2 stage count.  `report` collects each run's
-verdict, outcome and step counts into `summary.csv`.
+verdict, outcome, step counts and kernel evaluations into `summary.csv`.
+The `[solver]` section of a `simulate` config is parsed with the domain and
+exponents, so a bad value is a config error before any estimate runs.
 
 The numeric tables of a run (`trajectory.csv`, `envelopes.csv`) and of
 `poincare` (`poincare.csv`) are column tables written by one writer,
@@ -288,6 +290,8 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
         grid = _build_grid(cfg)
         p = _build_exponent(cfg, grid, "p")
         r = _build_exponent(cfg, grid, "r")
+        # a bad [solver] value fails here, before the estimates run
+        scfg = _solver_config(cfg) if do_simulate else None
 
         enter("hypotheses")
         hyp = check_hypotheses(p, r)
@@ -345,7 +349,6 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
 
         if do_simulate:
             enter("simulate")
-            scfg = _solver_config(cfg)
             traj = simulate(u0, p, r, scfg)
             record["outcome"] = traj.outcome
             record["residuals"] = {
@@ -538,7 +541,7 @@ def _cmd_report(args) -> int:
     if not records:
         print(f"no records under {out}", file=sys.stderr)
         return 3
-    lines = ["id,prediction,rule,outcome,J0,I0,accepted,rejected"]
+    lines = ["id,prediction,rule,outcome,J0,I0,accepted,rejected,kernel_evals"]
     for rec_path in records:
         rec = json.loads(rec_path.read_text())
         verdict = rec.get("verdict", {})
@@ -550,7 +553,8 @@ def _cmd_report(args) -> int:
         lines.append(
             f"{rec['id']},{verdict.get('prediction','')},{verdict.get('rule','')},"
             f"{outcome},{init.get('J','')},{init.get('I','')},"
-            f"{steps.get('accepted','')},{steps.get('rejected','')}"
+            f"{steps.get('accepted','')},{steps.get('rejected','')},"
+            f"{steps.get('kernel_evals','')}"
         )
         if not args.quiet:
             print(lines[-1])

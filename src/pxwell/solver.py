@@ -38,9 +38,17 @@ The recorded run is a `Trajectory`: one column per recorded quantity, one
 row per `record_every` accepted steps plus the datum and the final state.
 The audit, the blow-up functional, delta0 and the CSV read the columns, and
 `columns_csv` writes this table and every other numeric table of a run.
+Beside it the trajectory keeps t, ||u||_2^2 and I = G - S of the datum and of
+every accepted state, values each accepted step already has.  Audit check (b)
+differentiates these, so its stencil spans single steps whatever the
+recording cadence, and long steps do not fail it for being far apart.
 
 The step rule: dt grows by 1.25 after five accepted steps in a row and halves
-on a rejection.  While the sup norm grows, an accepted step also shrinks dt
+on a rejection.  There is no cap by default (`SolverConfig.dt_max` is inf):
+in a decaying run dt grows until the residual test stops it, and since the
+stage count grows like sqrt(dt / dt_E), an s-stage step covers a dt that grows
+like s^2, so the longer the step, the fewer kernel evaluations per unit time.
+While the sup norm grows, an accepted step also shrinks dt
 ahead of the residual.  The remainder grows like dt^3, the power
 order + 1, so when the step's residual exceeds 0.97^3 of the tolerance, dt is
 scaled by 0.97 (tol / residual)^(1/3): the step at which the same remainder
@@ -111,9 +119,17 @@ _GRID = 1024.0
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The stepper's settings: the first trial step dt_init; dt_min, under
+    which dt collapses and the run ends; dt_max, a cap on dt that is off (inf)
+    by default and set only to hold dt under the admissible step; the final
+    time t_end; the energy-residual tolerance energy_tol, relative to
+    1 + |J|; the sup norm blowup_threshold that declares blow-up; the
+    regularization delta of the gradient weight; and record_every, the
+    number of accepted steps per recorded row."""
+
     dt_init: float = 1e-5
     dt_min: float = 1e-18
-    dt_max: float = 1e-2
+    dt_max: float = math.inf
     t_end: float = 1.0
     energy_tol: float = 1e-6
     blowup_threshold: float = 1e6
@@ -145,10 +161,12 @@ class Outcome:
 class Trajectory:
     """The recorded run as a table of equal-length columns, one row per
     recorded state: its time t, energy J, gradient and source modulars G and
-    S, ||u||_2^2 and ||u||_inf, and a step size dt: that of the step that
-    reached the state, or for the datum's row and a final row off the
-    `record_every` cadence, the one the stepper would take next.  I and
-    delta0 are derived from the columns."""
+    S, ||u||_2^2 and ||u||_inf, and the size dt of the step that reached the
+    state (0 for the datum).  I and delta0 are derived from the columns.
+
+    The accepted_* columns are a second table of equal-length columns, one
+    row for the datum and one for every accepted state, recorded or not: its
+    time, ||u||_2^2 and I = G - S.  Audit check (b) reads them."""
 
     t: np.ndarray
     J: np.ndarray
@@ -157,6 +175,9 @@ class Trajectory:
     l2sq: np.ndarray
     linf: np.ndarray
     dt: np.ndarray
+    accepted_t: np.ndarray
+    accepted_l2sq: np.ndarray
+    accepted_I: np.ndarray
     outcome: Outcome
     step_count: int
     energy_budget_used: float
@@ -188,20 +209,23 @@ def _decade(supn: float) -> Optional[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _rkl2_weights(s: int) -> tuple[tuple[float, float, float, float], ...]:
-    """mu~_1, then (mu_j, nu_j, mu~_j, gamma~_j) for j = 2..s, of the s-stage
-    RKL2 scheme: with b_0 = b_1 = 1/3, b_j = (j^2 + j - 2) / (2j(j + 1)) and
-    w_1 = 4 / (s^2 + s - 2), mu~_1 = w_1 b_1, mu_j = (2j - 1)/j b_j/b_{j-1},
-    nu_j = -(j - 1)/j b_j/b_{j-2}, mu~_j = w_1 mu_j and
-    gamma~_j = -(1 - b_{j-1}) mu~_j."""
+def _rkl2_weights(s: int) -> np.ndarray:
+    """The s-stage RKL2 scheme's weights, one row per stage: (mu~_1, 0, 0, 0),
+    then (mu_j, nu_j, mu~_j, gamma~_j) for j = 2..s, with b_0 = b_1 = 1/3,
+    b_j = (j^2 + j - 2) / (2j(j + 1)) and w_1 = 4 / (s^2 + s - 2),
+    mu~_1 = w_1 b_1, mu_j = (2j - 1)/j b_j/b_{j-1}, nu_j = -(j - 1)/j
+    b_j/b_{j-2}, mu~_j = w_1 mu_j and gamma~_j = -(1 - b_{j-1}) mu~_j.  A
+    decaying run meets dozens of stage counts, so each cached rule is one
+    float array rather than tuples of Python floats, which would take about
+    six times the memory."""
     b = [1.0 / 3.0] * 2 + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(2, s + 1)]
     w1 = 4.0 / (s * s + s - 2)
-    rows: list = [b[1] * w1]
+    rows = [(b[1] * w1, 0.0, 0.0, 0.0)]
     for j in range(2, s + 1):
         mu = (2 * j - 1) / j * b[j] / b[j - 1]
         nu = -(j - 1) / j * b[j] / b[j - 2]
         rows.append((mu, nu, w1 * mu, -(1.0 - b[j - 1]) * w1 * mu))
-    return tuple(rows)
+    return np.array(rows)
 
 
 def _stages(dt: float, dt_e: float) -> int:
@@ -217,7 +241,7 @@ def _rkl2_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float,
     leaves one on the increments d_j = Y_j - u, whose round-off scales with
     the step rather than with the state: the blow-up tail amplifies a change
     in the last bit of the state many times over."""
-    mu1, *rows = _rkl2_weights(s)
+    (mu1, *_), *rows = _rkl2_weights(s).tolist()
     prev, d = 0.0, (mu1 * dt) * rhs
     for mu, nu, mut, gt in rows:
         inc = kernel.rhs(u + d)
@@ -269,13 +293,21 @@ def simulate(
             "p_minus < 2 gives a cell with a zero gradient an infinite weight")
     dt_e = kernel.explicit_dt()
     supn = float(np.max(np.abs(u)))
-    # the rows of the trajectory's columns, in the order of its fields
+    # the size of the step that reached u; 0 for the datum
+    dt_last = 0.0
+    # the rows of the trajectory's recorded columns, in the order of its
+    # fields; and the columns t, ||u||_2^2 (the sum that the drift check
+    # takes) and I of the datum and of every accepted state, doubled in
+    # length when full
     rows: list[tuple[float, ...]] = []
+    states = np.empty((3, 256))
+    states[:, 0] = t, vol * float(np.sum(u * u)), G - S
+    n_states = 1
 
-    def record(dt_now: float) -> None:
-        rows.append((t, Jf, G, S, vol * float(np.vdot(u, u)), supn, dt_now))
+    def record() -> None:
+        rows.append((t, Jf, G, S, vol * float(np.vdot(u, u)), supn, dt_last))
 
-    record(dt)
+    record()
 
     steps = 0
     rejected = 0
@@ -311,6 +343,7 @@ def simulate(
             # for the shifted state
             u = u_new - np.sum(u_new) / u_new.size
             t += dt_eff
+            dt_last = dt_eff
             steps += 1
             by_decade.setdefault(decade, [0, 0])[0] += 1
             by_stages.setdefault(s, [0, 0])[0] += 1
@@ -322,8 +355,12 @@ def simulate(
             Jf, rhs, G, S = J_new, rhs_new, G_new, S_new
             # the kernel's last evaluation was of this state
             dt_e = kernel.explicit_dt()
-            l2 = np.sqrt(vol * float(np.sum(u * u)))
-            drift_max = max(drift_max, abs(vol * float(np.sum(u))) / (1.0 + l2))
+            l2sq = vol * float(np.sum(u * u))
+            if n_states == states.shape[1]:
+                states = np.concatenate((states, np.empty_like(states)), axis=1)
+            states[:, n_states] = t, l2sq, G - S
+            n_states += 1
+            drift_max = max(drift_max, abs(vol * float(np.sum(u))) / (1.0 + np.sqrt(l2sq)))
             supn, supn_prev = float(np.max(np.abs(u))), supn
             decade = _decade(supn)
             if supn > supn_prev and residual > _AIM3 * tol:
@@ -334,7 +371,7 @@ def simulate(
                 dt = min(dt * 1.25, cfg.dt_max)
                 consec = 0
             if since_record >= cfg.record_every:
-                record(dt_eff)
+                record()
                 since_record = 0
             if supn >= cfg.blowup_threshold:
                 outcome = Outcome(BLOWUP_DETECTED, t_b=t)
@@ -356,10 +393,14 @@ def simulate(
     if outcome is None:
         outcome = Outcome(GLOBAL_UNTIL_TEND)
     if since_record > 0:
-        record(dt)
+        record()
 
+    accepted_t, accepted_l2sq, accepted_I = states[:, :n_states].copy()
     return Trajectory(
         *map(np.array, zip(*rows)),
+        accepted_t=accepted_t,
+        accepted_l2sq=accepted_l2sq,
+        accepted_I=accepted_I,
         outcome=outcome,
         step_count=steps,
         energy_budget_used=budget,
@@ -392,27 +433,30 @@ class AuditReport:
 
 
 def audit_trajectory(traj: Trajectory, d_hat: Optional[float] = None) -> AuditReport:
-    """Consistency checks on a recorded trajectory.
+    """Consistency checks on a simulated trajectory.
 
     (a) recorded J non-increasing within a relative allowance;
     (b) the derivative of ||u||_2^2 against -2 I, relative, at each interior
-        row from it and its two neighbours (second order at uneven recorded
-        times); rows with a non-increasing time are skipped;
+        accepted state from it and its two neighbours in the accepted-state
+        columns (second order at uneven times); states with a non-increasing
+        time are skipped.  The neighbours are one step apart whatever
+        `record_every` is, so the stencil's error follows the step size, not
+        the recording cadence;
     (c) when the initial energy sits below a supplied depth estimate, the
-        sign of I must not flip (discrete invariant-set check);
+        sign of the recorded I must not flip (discrete invariant-set check);
     (d) spatial-mean drift.
     """
     if len(traj.t) < 2:
         raise ValueError("need at least 2 recorded states to audit")
-    J, I, l2sq = traj.J, traj.I, traj.l2sq
+    J, I = traj.J, traj.I
 
     upticks = (J[1:] - J[:-1]) / (1.0 + np.abs(J[:-1]))
     max_uptick = float(upticks.max()) if upticks.size else 0.0
 
-    h = np.diff(traj.t)
+    h = np.diff(traj.accepted_t)
     h1, h2 = h[:-1], h[1:]
-    dl = np.diff(l2sq)
-    target = -2.0 * I[1:-1]
+    dl = np.diff(traj.accepted_l2sq)
+    target = -2.0 * traj.accepted_I[1:-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         # the three-point derivative, exact on quadratics at any spacing
         rate = (h1 * h1 * dl[1:] + h2 * h2 * dl[:-1]) / (h1 * h2 * (h1 + h2))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import fail_lambda_star_calls
-from pxwell import radial_gap
+from pxwell import cli, radial_gap
 from pxwell.cli import ConfigError, _load_config, main, run
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -74,7 +74,7 @@ def test_shipped_config_agrees(tmp_path, name, verdict):
 
 
 # a zero datum on 8 cells with two-witness estimates: the [solver] section is
-# read at the simulate stage, after the estimates
+# read with the domain and exponents, before the estimates
 _TINY = ("[domain]\ndimension = 1\ncells = 8\nlengths = 1.0\n"
          "[exponents]\np = const:2.0\nr = const:4.0\n"
          "[estimates]\ntrials = 2\ndescent_steps = 0\nascent_steps = 0\n")
@@ -115,6 +115,19 @@ def test_config_value_errors_exit_2(tmp_path, capsys, command, text):
     path = _write(tmp_path, text)
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("line", _BAD_SOLVER_LINES)
+def test_bad_solver_value_fails_before_estimates(tmp_path, monkeypatch, line):
+    # each value is a config error before the estimates run: an estimate
+    # that would raise is never reached
+    def unreachable(*args, **kwargs):
+        raise AssertionError("estimates ran before [solver] was checked")
+
+    monkeypatch.setattr(cli, "estimate_embedding", unreachable)
+    path = _write(tmp_path, _TINY + f"[solver]\n{line}\n")
+    with pytest.raises(ConfigError, match=r"^\[solver\]"):
+        run(path, tmp_path / "o", quiet=True)
 
 
 def test_nonfinite_initial_energy_exit_3(tmp_path, capsys):
@@ -224,15 +237,17 @@ def test_report_subcommand(tmp_path):
     code = main(["report", "--out", str(tmp_path), "--quiet"])
     assert code == 0
     header, *rows = (tmp_path / "summary.csv").read_text().strip().split("\n")
-    assert header == "id,prediction,rule,outcome,J0,I0,accepted,rejected"
+    assert header == "id,prediction,rule,outcome,J0,I0,accepted,rejected,kernel_evals"
     simulated, classified = (dict(zip(header.split(","), row.split(","))) for row in rows)
     assert simulated["id"] == "zero-s0" and simulated["prediction"] == "Global"
     residuals = rec["residuals"]
-    assert (simulated["accepted"], simulated["rejected"]) == (
-        str(residuals["step_count"]), str(residuals["rejected_steps"]))
-    assert classified["id"] == "zero-s1" and classified["outcome"] == ""
-    assert (classified["accepted"], classified["rejected"]) == ("", "")
     meta = json.loads((tmp_path / "zero-s0" / "meta.json").read_text())
+    assert (simulated["accepted"], simulated["rejected"], simulated["kernel_evals"]) == (
+        str(residuals["step_count"]), str(residuals["rejected_steps"]),
+        str(meta["steps"]["kernel_evals"]))
+    assert classified["id"] == "zero-s1" and classified["outcome"] == ""
+    assert (classified["accepted"], classified["rejected"], classified["kernel_evals"]) == (
+        "", "", "")
     # the zero datum never leaves the zero state
     assert meta["steps"]["by_decade"] == [
         {"decade": None, "accepted": residuals["step_count"], "rejected": 0}]

@@ -218,12 +218,14 @@ def _rate_err_loop(t, l2sq, I):
 
 
 def test_audit_rate_matches_row_loop():
-    # the last table repeats a time: both stencils through it are skipped
-    runs = [_mixed_mode_run(1.7, _BLOWUP16), _mixed_mode_run(0.25, _DECAY16)]
+    # check (b) runs on the accepted-state columns; the last table repeats a
+    # time: both stencils through it are skipped
+    runs = [_mixed_mode_run(1.7, _BLOWUP16), _mixed_mode_run(0.25, _DECAY16),
+            _mixed_mode_run(0.25, _DECAY16_LONG)]
     t = np.array([0.0, 0.1, 0.1, 0.3, 0.35, 0.6])
     runs.append(column_trajectory(t=t, G=np.cos(t) + 2.0, S=np.ones(6), l2sq=np.exp(-t)))
     for traj in runs:
-        expect = _rate_err_loop(traj.t, traj.l2sq, traj.I)
+        expect = _rate_err_loop(traj.accepted_t, traj.accepted_l2sq, traj.accepted_I)
         assert expect > 0.0
         assert audit_trajectory(traj).l2_rate_max_rel_err == expect
 
@@ -493,6 +495,10 @@ def _mixed_mode_datum(factor):
 
 _BLOWUP16 = SolverConfig(dt_init=1e-6, t_end=1.0, blowup_threshold=1e4, record_every=5)
 _DECAY16 = SolverConfig(dt_init=1e-5, t_end=0.02, record_every=5)
+# long enough for dt to pass the old default cap dt_max = 1e-2, and with the
+# cap set: the capped run's counts are those of the old default
+_DECAY16_LONG = SolverConfig(dt_init=1e-5, t_end=1.0, record_every=5)
+_DECAY16_CAPPED = SolverConfig(dt_init=1e-5, dt_max=1e-2, t_end=1.0, record_every=5)
 # dt_max holds dt under the admissible step until dt falls under dt_min
 _COLLAPSE16 = SolverConfig(dt_init=1e-6, dt_max=1e-6, dt_min=1e-9, t_end=1.0,
                            blowup_threshold=1e30, record_every=50)
@@ -509,8 +515,10 @@ def _mixed_mode_run(factor, cfg):
 @pytest.mark.parametrize("factor, cfg, counts", [
     (1.7, _BLOWUP16, None),
     (0.25, _DECAY16, (127, 3)),
+    (0.25, _DECAY16_LONG, (359, 11)),
+    (0.25, _DECAY16_CAPPED, (395, 11)),
     (1.7, _COLLAPSE16, (2581, 0)),
-], ids=["blowup", "decay", "collapse"])
+], ids=["blowup", "decay", "decay-uncapped", "decay-capped", "collapse"])
 def test_simulate_matches_reference_loop(factor, cfg, counts):
     u0, p, r = _mixed_mode_datum(factor)
     (kind, t_b), steps, rejected, evals, internal = _reference_simulate(u0, p, r, cfg)
@@ -564,7 +572,9 @@ def test_dt_collapse_through_shrink_reported():
     assert traj.rejected_steps == 0
     assert traj.outcome.kind == BLOWUP_DETECTED
     assert traj.outcome.t_b == traj.t[-1] < cfg.t_end
-    assert traj.dt[-1] < cfg.dt_min
+    # the last step was at least dt_min, and a shrink by at least 0.97 took
+    # dt under it
+    assert cfg.dt_min <= traj.dt[-1] < cfg.dt_min / 0.97
     assert traj.linf[-1] < cfg.blowup_threshold
 
 
@@ -589,3 +599,33 @@ def test_nonfinite_initial_energy_raises():
     u0 = project_mean_zero(GridFunction(g, v))
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="delta=0.0, p_minus=1.5"):
         simulate(u0, build_field(1.5, g), build_field(4.0, g), SolverConfig(delta=0.0))
+
+
+def test_uncapped_decay_steps_past_old_cap():
+    # without a dt cap the decaying run takes steps above the old default
+    # dt_max = 1e-2 and fewer kernel evaluations; check (b), on single steps,
+    # holds at the unchanged tolerance, while on the recorded rows, five
+    # steps apart, it read 0.107 even under the old cap
+    traj = _mixed_mode_run(0.25, _DECAY16_LONG)
+    capped = _mixed_mode_run(0.25, _DECAY16_CAPPED)
+    assert traj.outcome.kind == capped.outcome.kind == GLOBAL_UNTIL_TEND
+    assert len(traj.accepted_t) == len(traj.accepted_l2sq) == len(traj.accepted_I) == (
+        traj.step_count + 1)
+    assert np.diff(capped.accepted_t).max() == pytest.approx(1e-2, rel=1e-12, abs=0.0)
+    assert np.diff(traj.accepted_t).max() > 2e-2
+    assert (traj.kernel_evals, capped.kernel_evals) == (1637, 1978)
+    rep = audit_trajectory(traj)
+    assert rep.l2_rate_ok and rep.l2_rate_max_rel_err <= solver._RATE_TOL == 0.05
+    assert traj.max_rel_residual <= _DECAY16_LONG.energy_tol
+
+
+def test_dt_column_is_the_step_that_reached_the_row():
+    # the datum's row holds 0; every other row, the final one off the
+    # record_every cadence too, the size of the accepted step into its state
+    traj = _mixed_mode_run(0.25, _DECAY16_LONG)
+    assert traj.step_count % _DECAY16_LONG.record_every != 0
+    assert traj.dt[0] == 0.0 and traj.t[-1] == traj.accepted_t[-1] == _DECAY16_LONG.t_end
+    at = np.searchsorted(traj.accepted_t, traj.t[1:])
+    assert np.array_equal(traj.accepted_t[at], traj.t[1:])
+    steps = traj.accepted_t[at] - traj.accepted_t[at - 1]
+    assert traj.dt[1:] == pytest.approx(steps, rel=1e-9, abs=0.0)
