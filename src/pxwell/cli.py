@@ -10,8 +10,9 @@ binned by the decade floor(log10 ||u||_inf) of the state each trial step
 starts from (decade null for the zero state) and binned by the trial's
 RKL2 stage count.  `report` collects each run's
 verdict, outcome, step counts and kernel evaluations into `summary.csv`.
-The `[solver]` section of a `simulate` config is parsed with the domain and
-exponents, so a bad value is a config error before any estimate runs.
+The `[solver]` section of a `simulate` config and the `[estimates]` counts
+are parsed with the domain and exponents, so a bad value is a config error
+before any estimate runs; a negative count is a bad value, zero is not.
 
 The numeric tables of a run (`trajectory.csv`, `envelopes.csv`) and of
 `poincare` (`poincare.csv`) are column tables written by one writer,
@@ -73,15 +74,15 @@ class PipelineError(RuntimeError):
     pass
 
 
+# the [estimates] counts and their defaults
+_ESTIMATE_COUNTS = {"trials": 24, "descent_steps": 50, "ascent_steps": 12, "radii_samples": 48}
+
 _SCHEMA: dict[str, set[str]] = {
     "domain": {"dimension", "cells", "lengths"},
     "exponents": {"p", "r"},
     "initial": {"kind", "amplitude", "modes", "csv", "mtarget_factor"},
-    "estimates": {"trials", "descent_steps", "radii_samples", "ascent_steps"},
-    "solver": {
-        "dt_init", "dt_min", "dt_max", "t_end", "energy_tol",
-        "blowup_threshold", "delta", "record_every",
-    },
+    "estimates": set(_ESTIMATE_COUNTS),
+    "solver": {f.name for f in dataclasses.fields(SolverConfig)},
     "norm": {"field_csv", "exponent", "tol"},
     "ode": {"t_end"},
     "poincare": {"epsilons", "n_quad"},
@@ -221,19 +222,29 @@ def _build_initial(cfg, grid: Grid, p: ExponentField, r: ExponentField,
 
 
 def _solver_config(cfg) -> SolverConfig:
+    """The [solver] section as a SolverConfig: every field is a float, read in
+    the order of the fields, and an absent key keeps its default."""
     kw = {}
-    for key, cast in (
-        ("dt_init", float), ("dt_min", float), ("dt_max", float), ("t_end", float),
-        ("energy_tol", float), ("blowup_threshold", float), ("delta", float),
-        ("record_every", int),
-    ):
-        value = _get(cfg, "solver", key, cast=cast)
+    for f in dataclasses.fields(SolverConfig):
+        value = _get(cfg, "solver", f.name, cast=float)
         if value is not None:
-            kw[key] = value
+            kw[f.name] = value
     try:
         return SolverConfig(**kw)
     except ValueError as exc:
         raise ConfigError(f"[solver]: {exc}") from exc
+
+
+def _estimate_counts(cfg) -> dict[str, int]:
+    """The [estimates] counts, each an integer >= 0; an absent key keeps its
+    default."""
+    counts = {}
+    for key, default in _ESTIMATE_COUNTS.items():
+        value = _get(cfg, "estimates", key, default=default, cast=int)
+        if value < 0:
+            raise ConfigError(f"[estimates] {key} must be >= 0, got {value}")
+        counts[key] = value
+    return counts
 
 
 def _to_jsonable(obj):
@@ -290,8 +301,10 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
         grid = _build_grid(cfg)
         p = _build_exponent(cfg, grid, "p")
         r = _build_exponent(cfg, grid, "r")
-        # a bad [solver] value fails here, before the estimates run
+        # a bad [solver] or [estimates] value fails here, before the
+        # estimates run
         scfg = _solver_config(cfg) if do_simulate else None
+        counts = _estimate_counts(cfg)
 
         enter("hypotheses")
         hyp = check_hypotheses(p, r)
@@ -302,9 +315,7 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
         }
 
         enter("estimates")
-        trials = _get(cfg, "estimates", "trials", default="24", cast=int)
-        descent = _get(cfg, "estimates", "descent_steps", default="50", cast=int)
-        ascent = _get(cfg, "estimates", "ascent_steps", default="12", cast=int)
+        trials, descent, ascent = counts["trials"], counts["descent_steps"], counts["ascent_steps"]
         B0 = estimate_embedding(grid, p, "L2", trials=trials, seed=seed, ascent_steps=ascent)
         record["estimates"]["B0"] = B0
         B = estimate_embedding(grid, p, r, trials=trials, seed=seed + 1, ascent_steps=ascent)
@@ -333,10 +344,9 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
         enter("classify")
         radii = None
         if depth is not None and s0.J > depth.upper:
-            samples = _get(cfg, "estimates", "radii_samples", default="48", cast=int)
             try:
                 radii = estimate_level_radii(
-                    grid, s0.J, p, r, samples=samples, seed=seed,
+                    grid, s0.J, p, r, samples=counts["radii_samples"], seed=seed,
                     depth_upper=depth.upper, ctilde=ctilde,
                 )
                 record["estimates"]["radii"] = radii
@@ -459,7 +469,12 @@ def _cmd_norm(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"[norm] exponent: {exc}") from exc
     tol = _get(cfg, "norm", "tol", default="1e-12", cast=float)
-    result = luxemburg_norm(gf, q, tol=tol)
+    if not 0.0 < tol < np.inf:
+        raise ConfigError(f"[norm] tol must be positive and finite, got {tol!r}")
+    try:
+        result = luxemburg_norm(gf, q, tol=tol)
+    except ValueError as exc:
+        raise PipelineError(f"luxemburg norm: {exc}") from exc
     if not args.quiet:
         print(f"value={result.value!r} iterations={result.iterations} residual={result.residual!r}")
     if args.out:

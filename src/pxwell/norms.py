@@ -103,7 +103,9 @@ def luxemburg_norm(f: GridFunction, q: ExponentField, tol: float = 1e-12) -> Nor
     qv = q.values.ravel()
     vol = f.grid.cell_volume
     lam = 1.0
-    w = av**qv
+    with np.errstate(over="ignore"):
+        # an overflow is the inadmissible field that the check below rejects
+        w = av**qv
     rho = vol * float(np.sum(w))
     if not np.isfinite(rho):
         raise ValueError("modular is non-finite; input field not admissible")

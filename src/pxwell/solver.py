@@ -28,20 +28,19 @@ state and zero-mean right-hand sides, so the mean is conserved.
 
 One kernel evaluation of a trial state gives its J, its right-hand side and
 its two modulars from the same powers; when the step is accepted they are
-reused as the current state's, and a recorded row takes them with
-||u||_2^2 and ||u||_inf without another quadrature.  The accepted state is
-then shifted to zero mean; the shift is round-off and the kernel's values
-still stand.  With the source off the rows report S = 0 and the diffusion
-energy as J: the flow that ran.
+reused as the current state's, and its row takes them with ||u||_2^2 and
+||u||_inf without another quadrature.  The accepted state is then shifted to
+zero mean; the shift is round-off and the kernel's values still stand.  With
+the source off the rows report S = 0 and the diffusion energy as J: the flow
+that ran.
 
-The recorded run is a `Trajectory`: one column per recorded quantity, one
-row per `record_every` accepted steps plus the datum and the final state.
-The audit, the blow-up functional, delta0 and the CSV read the columns, and
-`columns_csv` writes this table and every other numeric table of a run.
-Beside it the trajectory keeps t, ||u||_2^2 and I = G - S of the datum and of
-every accepted state, values each accepted step already has.  Audit check (b)
-differentiates these, so its stencil spans single steps whatever the
-recording cadence, and long steps do not fail it for being far apart.
+The run is a `Trajectory`: one column per recorded quantity, one row for the
+datum and one for every accepted state, so the run's accepted steps are its
+rows less one.  ||u||_2^2 is reduced once per state; the l2sq column, the
+drift check and audit check (b) all read that one value.  The audit, the
+blow-up functional, delta0 and the CSV read the columns, each identity on
+single steps, and `columns_csv` writes this table and every other numeric
+table of a run.
 
 The step rule: dt grows by 1.25 after five accepted steps in a row and halves
 on a rejection.  There is no cap by default (`SolverConfig.dt_max` is inf):
@@ -81,6 +80,7 @@ ValueError before the first step.
 from __future__ import annotations
 
 import functools
+import io
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -123,9 +123,9 @@ class SolverConfig:
     which dt collapses and the run ends; dt_max, a cap on dt that is off (inf)
     by default and set only to hold dt under the admissible step; the final
     time t_end; the energy-residual tolerance energy_tol, relative to
-    1 + |J|; the sup norm blowup_threshold that declares blow-up; the
-    regularization delta of the gradient weight; and record_every, the
-    number of accepted steps per recorded row."""
+    1 + |J|; the sup norm blowup_threshold that declares blow-up; and the
+    regularization delta of the gradient weight.  The trajectory records
+    every accepted state, so no setting thins it."""
 
     dt_init: float = 1e-5
     dt_min: float = 1e-18
@@ -134,7 +134,6 @@ class SolverConfig:
     energy_tol: float = 1e-6
     blowup_threshold: float = 1e6
     delta: float = 1e-8
-    record_every: int = 1
 
     def __post_init__(self):
         if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
@@ -147,8 +146,6 @@ class SolverConfig:
             raise ValueError(f"blowup_threshold must be positive, got {self.blowup_threshold!r}")
         if not (0.0 <= self.delta < math.inf):
             raise ValueError(f"delta must be non-negative and finite, got {self.delta!r}")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -159,14 +156,11 @@ class Outcome:
 
 @dataclass
 class Trajectory:
-    """The recorded run as a table of equal-length columns, one row per
-    recorded state: its time t, energy J, gradient and source modulars G and
-    S, ||u||_2^2 and ||u||_inf, and the size dt of the step that reached the
-    state (0 for the datum).  I and delta0 are derived from the columns.
-
-    The accepted_* columns are a second table of equal-length columns, one
-    row for the datum and one for every accepted state, recorded or not: its
-    time, ||u||_2^2 and I = G - S.  Audit check (b) reads them."""
+    """The run as a table of equal-length columns, one row for the datum and
+    one for every accepted state: its time t, energy J, gradient and source
+    modulars G and S, ||u||_2^2 and ||u||_inf, and the size dt of the step
+    that reached the state (0 for the datum).  I, delta0 and the count of
+    accepted steps are derived from the columns."""
 
     t: np.ndarray
     J: np.ndarray
@@ -175,11 +169,7 @@ class Trajectory:
     l2sq: np.ndarray
     linf: np.ndarray
     dt: np.ndarray
-    accepted_t: np.ndarray
-    accepted_l2sq: np.ndarray
-    accepted_I: np.ndarray
     outcome: Outcome
-    step_count: int
     energy_budget_used: float
     max_rel_residual: float
     residual_sum: float
@@ -193,6 +183,11 @@ class Trajectory:
     steps_by_decade: dict[Optional[int], list[int]] = field(default_factory=dict)
     # [accepted, rejected] trial steps by their stage count s
     steps_by_stages: dict[int, list[int]] = field(default_factory=dict)
+
+    @property
+    def step_count(self) -> int:
+        """The accepted steps: every row but the datum's."""
+        return len(self.t) - 1
 
     @property
     def I(self) -> np.ndarray:
@@ -293,30 +288,19 @@ def simulate(
             "p_minus < 2 gives a cell with a zero gradient an infinite weight")
     dt_e = kernel.explicit_dt()
     supn = float(np.max(np.abs(u)))
-    # the size of the step that reached u; 0 for the datum
-    dt_last = 0.0
-    # the rows of the trajectory's recorded columns, in the order of its
-    # fields; and the columns t, ||u||_2^2 (the sum that the drift check
-    # takes) and I of the datum and of every accepted state, doubled in
-    # length when full
-    rows: list[tuple[float, ...]] = []
-    states = np.empty((3, 256))
-    states[:, 0] = t, vol * float(np.sum(u * u)), G - S
-    n_states = 1
+    # the trajectory's table, transposed: one buffer row per column, in the
+    # order of its fields, and one buffer column per state, the datum's first;
+    # doubled in length when full
+    table = np.empty((7, 256))
+    table[:, 0] = t, Jf, G, S, vol * float(np.vdot(u, u)), supn, 0.0
+    n = 1
 
-    def record() -> None:
-        rows.append((t, Jf, G, S, vol * float(np.vdot(u, u)), supn, dt_last))
-
-    record()
-
-    steps = 0
     rejected = 0
     budget = 0.0
     max_rel_res = 0.0
     res_sum = 0.0
     drift_max = 0.0
     consec = 0
-    since_record = 0
     outcome: Optional[Outcome] = None
     by_decade: dict = {}
     by_stages: dict = {}
@@ -343,23 +327,16 @@ def simulate(
             # for the shifted state
             u = u_new - np.sum(u_new) / u_new.size
             t += dt_eff
-            dt_last = dt_eff
-            steps += 1
             by_decade.setdefault(decade, [0, 0])[0] += 1
             by_stages.setdefault(s, [0, 0])[0] += 1
             consec += 1
-            since_record += 1
             budget += dt_eff * udot2
             res_sum += residual
             max_rel_res = max(max_rel_res, residual / (1.0 + abs(Jf)))
             Jf, rhs, G, S = J_new, rhs_new, G_new, S_new
             # the kernel's last evaluation was of this state
             dt_e = kernel.explicit_dt()
-            l2sq = vol * float(np.sum(u * u))
-            if n_states == states.shape[1]:
-                states = np.concatenate((states, np.empty_like(states)), axis=1)
-            states[:, n_states] = t, l2sq, G - S
-            n_states += 1
+            l2sq = vol * float(np.vdot(u, u))
             drift_max = max(drift_max, abs(vol * float(np.sum(u))) / (1.0 + np.sqrt(l2sq)))
             supn, supn_prev = float(np.max(np.abs(u))), supn
             decade = _decade(supn)
@@ -370,9 +347,10 @@ def simulate(
             elif consec >= 5:
                 dt = min(dt * 1.25, cfg.dt_max)
                 consec = 0
-            if since_record >= cfg.record_every:
-                record()
-                since_record = 0
+            if n == table.shape[1]:
+                table = np.concatenate((table, np.empty_like(table)), axis=1)
+            table[:, n] = t, Jf, G, S, l2sq, supn, dt_eff
+            n += 1
             if supn >= cfg.blowup_threshold:
                 outcome = Outcome(BLOWUP_DETECTED, t_b=t)
                 break
@@ -384,7 +362,7 @@ def simulate(
             dt *= 0.5
         if dt < cfg.dt_min:
             # S > G is I < 0: the L2 norm is still growing
-            if steps > 0 and S > G:
+            if n > 1 and S > G:
                 outcome = Outcome(BLOWUP_DETECTED, t_b=t)
             else:
                 outcome = Outcome(STALLED_DT)
@@ -392,17 +370,10 @@ def simulate(
 
     if outcome is None:
         outcome = Outcome(GLOBAL_UNTIL_TEND)
-    if since_record > 0:
-        record()
 
-    accepted_t, accepted_l2sq, accepted_I = states[:, :n_states].copy()
     return Trajectory(
-        *map(np.array, zip(*rows)),
-        accepted_t=accepted_t,
-        accepted_l2sq=accepted_l2sq,
-        accepted_I=accepted_I,
+        *table[:, :n].copy(),
         outcome=outcome,
-        step_count=steps,
         energy_budget_used=budget,
         max_rel_residual=max_rel_res,
         residual_sum=res_sum,
@@ -435,28 +406,27 @@ class AuditReport:
 def audit_trajectory(traj: Trajectory, d_hat: Optional[float] = None) -> AuditReport:
     """Consistency checks on a simulated trajectory.
 
-    (a) recorded J non-increasing within a relative allowance;
+    Every accepted state is a row, so each check spans single steps.
+
+    (a) J non-increasing within a relative allowance;
     (b) the derivative of ||u||_2^2 against -2 I, relative, at each interior
-        accepted state from it and its two neighbours in the accepted-state
-        columns (second order at uneven times); states with a non-increasing
-        time are skipped.  The neighbours are one step apart whatever
-        `record_every` is, so the stencil's error follows the step size, not
-        the recording cadence;
+        row from it and its two neighbours (second order at uneven times);
+        rows with a non-increasing time are skipped;
     (c) when the initial energy sits below a supplied depth estimate, the
-        sign of the recorded I must not flip (discrete invariant-set check);
+        sign of I must not flip (discrete invariant-set check);
     (d) spatial-mean drift.
     """
     if len(traj.t) < 2:
-        raise ValueError("need at least 2 recorded states to audit")
+        raise ValueError("need at least 2 states to audit")
     J, I = traj.J, traj.I
 
     upticks = (J[1:] - J[:-1]) / (1.0 + np.abs(J[:-1]))
     max_uptick = float(upticks.max()) if upticks.size else 0.0
 
-    h = np.diff(traj.accepted_t)
+    h = np.diff(traj.t)
     h1, h2 = h[:-1], h[1:]
-    dl = np.diff(traj.accepted_l2sq)
-    target = -2.0 * traj.accepted_I[1:-1]
+    dl = np.diff(traj.l2sq)
+    target = -2.0 * I[1:-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         # the three-point derivative, exact on quadratics at any spacing
         rate = (h1 * h1 * dl[1:] + h2 * h2 * dl[:-1]) / (h1 * h2 * (h1 + h2))
@@ -511,12 +481,17 @@ def delta0_hat(traj: Trajectory) -> float:
 def columns_csv(table: dict[str, np.ndarray]) -> str:
     """Deterministic CSV of equal-length numeric columns under a header of
     their names, each value in the shortest round-trip float format; an empty
-    table is the empty string."""
+    table is the empty string.  The rows go one at a time into one buffer:
+    a list of every row's values and strings would leave a trajectory of
+    thousands of rows about 1 MB of small-object arenas after it is freed."""
     if not table:
         return ""
-    cols = [np.asarray(c, dtype=float).tolist() for c in table.values()]
-    lines = [",".join(table), *(",".join(map(repr, row)) for row in zip(*cols, strict=True))]
-    return "\n".join(lines) + "\n"
+    rows = np.column_stack([np.asarray(c, dtype=float) for c in table.values()])
+    out = io.StringIO()
+    out.write(",".join(table) + "\n")
+    for row in rows:
+        out.write(",".join(map(repr, row.tolist())) + "\n")
+    return out.getvalue()
 
 
 def trajectory_csv(traj: Trajectory) -> str:

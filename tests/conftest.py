@@ -61,16 +61,12 @@ def fail_lambda_star_calls(monkeypatch, failing):
 
 
 def column_trajectory(**columns):
-    """A trajectory table with the given columns and zeros in the others,
-    whose rows are all its accepted states."""
+    """A trajectory table with the given columns and zeros in the others."""
     n = len(next(iter(columns.values())))
     table = {name: np.zeros(n) for name in ("t", "J", "G", "S", "l2sq", "linf", "dt")}
     table.update({name: np.asarray(col, dtype=float) for name, col in columns.items()})
-    return Trajectory(**table, accepted_t=table["t"], accepted_l2sq=table["l2sq"],
-                      accepted_I=table["G"] - table["S"],
-                      outcome=Outcome(GLOBAL_UNTIL_TEND), step_count=n - 1,
-                      energy_budget_used=0.0, max_rel_residual=0.0, residual_sum=0.0,
-                      mean_drift_max=0.0)
+    return Trajectory(**table, outcome=Outcome(GLOBAL_UNTIL_TEND), energy_budget_used=0.0,
+                      max_rel_residual=0.0, residual_sum=0.0, mean_drift_max=0.0)
 
 
 def thm53_lemma_cases():

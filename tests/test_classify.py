@@ -215,7 +215,7 @@ def test_high_energy_datum_pipeline(setting):
     assert prop48_check(u, p, 4.0)
     assert abs(integrate(u)) <= 1e-12 * (1 + np.abs(u.values).max())
     assert s.I < 0
-    cfg = SolverConfig(dt_init=1e-7, t_end=1.0, blowup_threshold=1e4, record_every=10)
+    cfg = SolverConfig(dt_init=1e-7, t_end=1.0, blowup_threshold=1e4)
     traj = simulate(u, p, r, cfg)
     assert traj.outcome.kind == "BlowupDetected"
 

@@ -66,23 +66,33 @@ _OUTCOME = {"Blowup": "BlowupDetected", "Global": "GlobalUntilTend"}
     ("zero", "Global"),
 ])
 def test_shipped_config_agrees(tmp_path, name, verdict):
-    # every shipped simulate config: its verdict, and the simulated outcome
-    # that goes with it
+    # every shipped simulate config: its verdict, the simulated outcome that
+    # goes with it, and a trajectory row for the datum and each accepted step
     rec = run(CONFIGS / f"{name}.ini", tmp_path, seed=0, quiet=True)
     assert rec["verdict"].prediction == verdict
     assert rec["outcome"].kind == _OUTCOME[verdict]
+    run_dir = tmp_path / f"{name}-s0"
+    meta = json.loads((run_dir / "meta.json").read_text())
+    header, *rows = (run_dir / "trajectory.csv").read_text().strip().split("\n")
+    assert len(rows) == meta["steps"]["accepted"] + 1
 
 
-# a zero datum on 8 cells with two-witness estimates: the [solver] section is
-# read with the domain and exponents, before the estimates
-_TINY = ("[domain]\ndimension = 1\ncells = 8\nlengths = 1.0\n"
-         "[exponents]\np = const:2.0\nr = const:4.0\n"
-         "[estimates]\ntrials = 2\ndescent_steps = 0\nascent_steps = 0\n")
+# a zero datum on 8 cells with two-witness estimates: the [solver] and
+# [estimates] sections are read with the domain and exponents, before the
+# estimates
+_TINY_FIELDS = ("[domain]\ndimension = 1\ncells = 8\nlengths = 1.0\n"
+                "[exponents]\np = const:2.0\nr = const:4.0\n")
+_TINY = _TINY_FIELDS + "[estimates]\ntrials = 2\ndescent_steps = 0\nascent_steps = 0\n"
 # each failed at the audit stage (exit 3) or, for blowup_threshold = nan,
 # ran with threshold detection off (exit 0); t_end = inf, which never
 # returned, is checked in test_solver.test_config_validation
 _BAD_SOLVER_LINES = ("t_end = 0", "t_end = -1", "t_end = nan", "energy_tol = -1",
                      "energy_tol = nan", "blowup_threshold = nan", "delta = -1", "delta = nan")
+# each ran and recorded the negative count (exit 0)
+_BAD_ESTIMATES_LINES = ("trials = -5", "descent_steps = -3", "ascent_steps = -1",
+                        "radii_samples = -1")
+_BAD_LINES = (*(_TINY + f"[solver]\n{line}\n" for line in _BAD_SOLVER_LINES),
+              *(_TINY_FIELDS + f"[estimates]\n{line}\n" for line in _BAD_ESTIMATES_LINES))
 
 
 @pytest.mark.parametrize("command, text", [
@@ -101,13 +111,17 @@ _BAD_SOLVER_LINES = ("t_end = 0", "t_end = -1", "t_end = nan", "energy_tol = -1"
     ("poincare", "[poincare]\nepsilons = 0.5 2\n"),
     ("poincare", "[poincare]\nepsilons = 10 5\n"),
     ("poincare", "[poincare]\nepsilons =\n"),
-    *(("simulate", _TINY + f"[solver]\n{line}\n") for line in _BAD_SOLVER_LINES),
+    ("simulate", _TINY + "[solver]\nrecord_every = 5\n"),
+    ("norm", f"[norm]\nfield_csv = {CONFIGS / 'sample_field.csv'}\nexponent = const:3.0\n"
+             "tol = -1\n"),
+    *(("simulate", text) for text in _BAD_LINES),
 ], ids=["simulate-cells", "simulate-exponent-csv", "norm-field-csv", "norm-exponent",
         "ode-verify-t_end", "poincare-n_quad", "ode-verify-t_end-negative",
         "ode-verify-t_end-nan", "ode-verify-t_end-inf", "ode-verify-dt-removed",
         "poincare-n_quad-small", "poincare-epsilon-below-1", "poincare-epsilons-decreasing",
-        "poincare-epsilons-empty",
-        *("simulate-" + line.replace(" = ", "-") for line in _BAD_SOLVER_LINES)])
+        "poincare-epsilons-empty", "simulate-record_every-removed", "norm-tol-negative",
+        *("simulate-" + line.replace(" = ", "-")
+          for line in (*_BAD_SOLVER_LINES, *_BAD_ESTIMATES_LINES))])
 def test_config_value_errors_exit_2(tmp_path, capsys, command, text):
     # an unparsable or out-of-range value, an unknown key, an unknown
     # exponent spec or a missing file that the config names is a config
@@ -117,17 +131,30 @@ def test_config_value_errors_exit_2(tmp_path, capsys, command, text):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
-@pytest.mark.parametrize("line", _BAD_SOLVER_LINES)
-def test_bad_solver_value_fails_before_estimates(tmp_path, monkeypatch, line):
-    # each value is a config error before the estimates run: an estimate
-    # that would raise is never reached
+@pytest.mark.parametrize("text", _BAD_LINES,
+                         ids=(*_BAD_SOLVER_LINES, *_BAD_ESTIMATES_LINES))
+def test_bad_solver_value_fails_before_estimates(tmp_path, monkeypatch, text):
+    # each value is a config error before the estimates run, with the
+    # classifier's hypotheses: neither is reached
     def unreachable(*args, **kwargs):
-        raise AssertionError("estimates ran before [solver] was checked")
+        raise AssertionError("the pipeline ran before [solver] and [estimates] were checked")
 
+    monkeypatch.setattr(cli, "check_hypotheses", unreachable)
     monkeypatch.setattr(cli, "estimate_embedding", unreachable)
-    path = _write(tmp_path, _TINY + f"[solver]\n{line}\n")
-    with pytest.raises(ConfigError, match=r"^\[solver\]"):
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=r"^\[(solver|estimates)\]"):
         run(path, tmp_path / "o", quiet=True)
+
+
+def test_inadmissible_norm_field_exit_3(tmp_path, capsys):
+    # |u|^3 overflows on a field of +-1e300: the modular is not finite, a
+    # pipeline error rather than a traceback
+    csv = _write(tmp_path, "# grid 8 1.0\n" + "\n".join(["1e300", "-1e300"] * 4), name="big.csv")
+    path = _write(tmp_path, f"[norm]\nfield_csv = {csv}\nexponent = const:3.0\n")
+    assert main(["norm", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pipeline error: ") and "not admissible" in err
+    assert not (tmp_path / "o" / "norm.json").exists()
 
 
 def test_nonfinite_initial_energy_exit_3(tmp_path, capsys):

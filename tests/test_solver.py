@@ -120,7 +120,7 @@ def test_simulate_source_off_dissipative(setup2d):
     # and the stage rule answers with s > 2, while J still falls
     g, p, r = setup2d
     u0 = GridFunction(g, 2.0 * mixed_mode(g).values)
-    cfg = SolverConfig(dt_init=1e-5, t_end=0.01, record_every=5)
+    cfg = SolverConfig(dt_init=1e-5, t_end=0.01)
     traj = simulate(u0, p, r, cfg, with_source=False)
     assert traj.outcome.kind == GLOBAL_UNTIL_TEND
     assert max(traj.steps_by_stages) > 2
@@ -135,7 +135,7 @@ def test_simulate_global_small_amplitude(setup2d):
     lam, _ = find_lambda_star(phi, p, r)
     u0 = GridFunction(g, 0.25 * lam * phi.values)
     assert snapshot(u0, p, r).I > 0
-    cfg = SolverConfig(dt_init=1e-5, t_end=0.02, record_every=5)
+    cfg = SolverConfig(dt_init=1e-5, t_end=0.02)
     traj = simulate(u0, p, r, cfg)
     assert traj.outcome.kind == GLOBAL_UNTIL_TEND
     assert np.all(traj.I > 0)
@@ -153,7 +153,7 @@ def test_simulate_blowup_large_amplitude(setup2d):
     lam, _ = find_lambda_star(phi, p, r)
     u0 = GridFunction(g, 1.7 * lam * phi.values)
     assert snapshot(u0, p, r).I < 0
-    cfg = SolverConfig(dt_init=1e-6, t_end=1.0, blowup_threshold=1e4, record_every=5)
+    cfg = SolverConfig(dt_init=1e-6, t_end=1.0, blowup_threshold=1e4)
     traj = simulate(u0, p, r, cfg)
     assert traj.outcome.kind == BLOWUP_DETECTED
     assert traj.outcome.t_b is not None and 0 < traj.outcome.t_b < 1.0
@@ -218,14 +218,14 @@ def _rate_err_loop(t, l2sq, I):
 
 
 def test_audit_rate_matches_row_loop():
-    # check (b) runs on the accepted-state columns; the last table repeats a
-    # time: both stencils through it are skipped
+    # check (b) runs on the trajectory's rows, one per accepted state; the
+    # last table repeats a time: both stencils through it are skipped
     runs = [_mixed_mode_run(1.7, _BLOWUP16), _mixed_mode_run(0.25, _DECAY16),
             _mixed_mode_run(0.25, _DECAY16_LONG)]
     t = np.array([0.0, 0.1, 0.1, 0.3, 0.35, 0.6])
     runs.append(column_trajectory(t=t, G=np.cos(t) + 2.0, S=np.ones(6), l2sq=np.exp(-t)))
     for traj in runs:
-        expect = _rate_err_loop(traj.accepted_t, traj.accepted_l2sq, traj.accepted_I)
+        expect = _rate_err_loop(traj.t, traj.l2sq, traj.I)
         assert expect > 0.0
         assert audit_trajectory(traj).l2_rate_max_rel_err == expect
 
@@ -249,7 +249,7 @@ def test_blowup_functional_zero(setup2d):
 def test_blowup_functional_decaying_sublinear(setup2d):
     g, p, r = setup2d
     u0 = GridFunction(g, 0.3 * mixed_mode(g).values)
-    cfg = SolverConfig(dt_init=1e-5, t_end=0.05, record_every=10)
+    cfg = SolverConfig(dt_init=1e-5, t_end=0.05)
     traj = simulate(u0, p, r, cfg)
     bf = blowup_functional(traj, r.p_minus)
     # M' decays, M grows sublinearly
@@ -321,7 +321,7 @@ def test_recorded_snapshots_are_snapshots_of_the_state(monkeypatch, factor):
     # there evaluates, shifted to zero mean as an accepted state is; t_end
     # must be positive, so the datum's row is the datum made mean-zero
     u0, p, r = _mixed_mode_datum(factor)
-    cfg = SolverConfig(dt_init=1e-5, t_end=2e-4, record_every=5)
+    cfg = SolverConfig(dt_init=1e-5, t_end=2e-4)
     traj = simulate(u0, p, r, cfg)
     assert len(traj.t) >= 4 and traj.t[0] == 0.0
     states = [project_mean_zero(u0).values]
@@ -372,7 +372,8 @@ def _reference_simulate(u0, p, r, cfg):
     passes, J evaluated again after the mean re-zero, the RKL2 weights formed
     stage by stage from the recurrences of Meyer, Balsara and Aslam (2014),
     the stage count found by counting up, and the stepper's dt rule.
-    Returns (outcome, accepted, rejected, kernel evaluations, recorded J)."""
+    Returns (outcome, accepted, rejected, kernel evaluations, J of the datum
+    and of every accepted state)."""
     grid = u0.grid
     vol, omega, delta = grid.cell_volume, grid.volume, cfg.delta
 
@@ -433,7 +434,7 @@ def _reference_simulate(u0, p, r, cfg):
     t, dt = 0.0, cfg.dt_init
     Jf = internal_J(u)
     internal = [Jf]
-    steps = rejected = consec = since_record = 0
+    steps = rejected = consec = 0
     evals = 1
     supn = float(np.max(np.abs(u)))
     outcome = None
@@ -457,17 +458,14 @@ def _reference_simulate(u0, p, r, cfg):
             t += dt_eff
             steps += 1
             consec += 1
-            since_record += 1
             Jf = internal_J(u)
+            internal.append(Jf)
             supn, supn_prev = float(np.max(np.abs(u))), supn
             if supn > supn_prev and residual > 0.97**3 * tol:
                 shrink = math.floor(0.97 * (tol / residual) ** (1.0 / 3.0) * 1024.0) / 1024.0
                 dt, consec = dt * shrink, 0
             elif consec >= 5:
                 dt, consec = min(dt * 1.25, cfg.dt_max), 0
-            if since_record >= cfg.record_every:
-                internal.append(Jf)
-                since_record = 0
             if supn >= cfg.blowup_threshold:
                 outcome = (BLOWUP_DETECTED, t)
                 break
@@ -481,8 +479,6 @@ def _reference_simulate(u0, p, r, cfg):
             break
     if outcome is None:
         outcome = (GLOBAL_UNTIL_TEND, None)
-    if since_record > 0:
-        internal.append(Jf)
     return outcome, steps, rejected, evals, np.array(internal)
 
 
@@ -493,15 +489,15 @@ def _mixed_mode_datum(factor):
     return GridFunction(g, factor * find_lambda_star(phi, p, r)[0] * phi.values), p, r
 
 
-_BLOWUP16 = SolverConfig(dt_init=1e-6, t_end=1.0, blowup_threshold=1e4, record_every=5)
-_DECAY16 = SolverConfig(dt_init=1e-5, t_end=0.02, record_every=5)
+_BLOWUP16 = SolverConfig(dt_init=1e-6, t_end=1.0, blowup_threshold=1e4)
+_DECAY16 = SolverConfig(dt_init=1e-5, t_end=0.02)
 # long enough for dt to pass the old default cap dt_max = 1e-2, and with the
 # cap set: the capped run's counts are those of the old default
-_DECAY16_LONG = SolverConfig(dt_init=1e-5, t_end=1.0, record_every=5)
-_DECAY16_CAPPED = SolverConfig(dt_init=1e-5, dt_max=1e-2, t_end=1.0, record_every=5)
+_DECAY16_LONG = SolverConfig(dt_init=1e-5, t_end=1.0)
+_DECAY16_CAPPED = SolverConfig(dt_init=1e-5, dt_max=1e-2, t_end=1.0)
 # dt_max holds dt under the admissible step until dt falls under dt_min
 _COLLAPSE16 = SolverConfig(dt_init=1e-6, dt_max=1e-6, dt_min=1e-9, t_end=1.0,
-                           blowup_threshold=1e30, record_every=50)
+                           blowup_threshold=1e30)
 
 
 @functools.lru_cache(maxsize=None)
@@ -567,7 +563,7 @@ def test_dt_collapse_through_shrink_reported():
     # rejected and dt can only fall under dt_min through the shrink
     u0, p, r = _mixed_mode_datum(1.7)
     cfg = SolverConfig(dt_init=1e-6, dt_max=1e-6, dt_min=1e-8, t_end=1.0, energy_tol=1e-5,
-                       blowup_threshold=1e30, record_every=50)
+                       blowup_threshold=1e30)
     traj = simulate(u0, p, r, cfg)
     assert traj.rejected_steps == 0
     assert traj.outcome.kind == BLOWUP_DETECTED
@@ -604,15 +600,13 @@ def test_nonfinite_initial_energy_raises():
 def test_uncapped_decay_steps_past_old_cap():
     # without a dt cap the decaying run takes steps above the old default
     # dt_max = 1e-2 and fewer kernel evaluations; check (b), on single steps,
-    # holds at the unchanged tolerance, while on the recorded rows, five
-    # steps apart, it read 0.107 even under the old cap
+    # holds at the unchanged tolerance, while on rows five steps apart it
+    # read 0.107 even under the old cap
     traj = _mixed_mode_run(0.25, _DECAY16_LONG)
     capped = _mixed_mode_run(0.25, _DECAY16_CAPPED)
     assert traj.outcome.kind == capped.outcome.kind == GLOBAL_UNTIL_TEND
-    assert len(traj.accepted_t) == len(traj.accepted_l2sq) == len(traj.accepted_I) == (
-        traj.step_count + 1)
-    assert np.diff(capped.accepted_t).max() == pytest.approx(1e-2, rel=1e-12, abs=0.0)
-    assert np.diff(traj.accepted_t).max() > 2e-2
+    assert np.diff(capped.t).max() == pytest.approx(1e-2, rel=1e-12, abs=0.0)
+    assert np.diff(traj.t).max() > 2e-2
     assert (traj.kernel_evals, capped.kernel_evals) == (1637, 1978)
     rep = audit_trajectory(traj)
     assert rep.l2_rate_ok and rep.l2_rate_max_rel_err <= solver._RATE_TOL == 0.05
@@ -620,12 +614,8 @@ def test_uncapped_decay_steps_past_old_cap():
 
 
 def test_dt_column_is_the_step_that_reached_the_row():
-    # the datum's row holds 0; every other row, the final one off the
-    # record_every cadence too, the size of the accepted step into its state
+    # the datum's row holds 0; every other row, the final one too, the size
+    # of the accepted step into its state, which is the row's time step
     traj = _mixed_mode_run(0.25, _DECAY16_LONG)
-    assert traj.step_count % _DECAY16_LONG.record_every != 0
-    assert traj.dt[0] == 0.0 and traj.t[-1] == traj.accepted_t[-1] == _DECAY16_LONG.t_end
-    at = np.searchsorted(traj.accepted_t, traj.t[1:])
-    assert np.array_equal(traj.accepted_t[at], traj.t[1:])
-    steps = traj.accepted_t[at] - traj.accepted_t[at - 1]
-    assert traj.dt[1:] == pytest.approx(steps, rel=1e-9, abs=0.0)
+    assert traj.dt[0] == 0.0 and traj.t[-1] == _DECAY16_LONG.t_end
+    assert traj.dt[1:] == pytest.approx(np.diff(traj.t), rel=1e-9, abs=0.0)
