@@ -3,6 +3,7 @@
 Configs are flat INI files with a fixed key vocabulary; unknown sections or
 keys are hard errors so that a stored config echo pins a run completely.
 Given the same config and seed, every artifact is reproduced byte for byte.
+The JSON files are strict JSON: a non-finite number is written as null.
 Wall times and counters go to the sidecar `meta.json`, never into the
 record: the total and per-stage wall times and, for a simulated run, the
 stepper's kernel evaluations and its accepted and rejected steps, in total,
@@ -29,6 +30,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -248,12 +250,16 @@ def _estimate_counts(cfg) -> dict[str, int]:
 
 
 def _to_jsonable(obj):
+    """Plain JSON values of `obj`; a non-finite float becomes None (null),
+    since strict JSON has no NaN or Infinity."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {k: _to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
     if isinstance(obj, np.ndarray):
         return [_to_jsonable(x) for x in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     if isinstance(obj, dict):
         return {k: _to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -262,7 +268,8 @@ def _to_jsonable(obj):
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(_to_jsonable(payload), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(_to_jsonable(payload), sort_keys=True, indent=2,
+                               allow_nan=False) + "\n")
 
 
 def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,

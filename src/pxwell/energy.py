@@ -10,6 +10,16 @@ a difference of exponent means weighted by the powered integrands, so each
 iterate costs one pair of power sums, and a few iterates suffice because the
 log-ratio is exactly linear when the exponents are constant.
 
+Along a ray d/dlambda J(lambda u) = I(lambda u) / lambda, and with r_minus >
+p_plus I changes sign exactly once, at lambda*, so J(lambda u) <= J(lambda* u)
+for every lambda.  The depth descent passes its best value to
+`find_lambda_star` as a threshold: once an iterate's J exceeds it by more than
+1e-12 times the sum of that iterate's diffusion and source energies (a margin
+for rounding), the proposal cannot win and the solve returns without
+converging.  The descent accepts and rejects exactly the proposals it would
+with full solves; only a proposal whose full solve would have failed after
+that iterate counts as rejected instead of skipped.
+
 Depth and level-set radii are sampled estimates over `witness_bank`: the
 depth upper bound is a minimum of Nehari values over witnesses (refined by
 stochastic descent), and the analytic lower bound is evaluated at a sampled
@@ -19,6 +29,7 @@ reported with provenance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -112,10 +123,20 @@ def snapshot(u: GridFunction, p: ExponentField, r: ExponentField, t: float = 0.0
 
 # cap on ray evaluations in find_lambda_star; Newton needs about five
 _MAX_RAY_EVALS = 100
+# rounding floor of the lambda* bracket, relative to the iterate
+_EPS = float(np.finfo(float).eps)
+# margin of find_lambda_star's early return, relative to the sum of the two
+# energy terms: it covers the rounding of J's quadrature and the gap, second
+# order in the tolerance, between J(lambda* u) and J at the converged iterate
+_REJECT_MARGIN = 1e-12
 
 
 class _Ray:
-    """Cached quadrature data for evaluating I and J along {lambda * u}."""
+    """Cached quadrature data for evaluating I and J along {lambda * u}.
+
+    The gradient magnitude is formed in the grid's cached face scratch
+    (`grid._faces`), so building a ray allocates only its own arrays.
+    """
 
     def __init__(self, u: GridFunction, p: ExponentField, r: ExponentField):
         self.vol = u.grid.cell_volume
@@ -130,11 +151,16 @@ class _Ray:
 
     def _modulars(self, gp: np.ndarray, sp: np.ndarray) -> tuple[float, float]:
         """Modulars G, S: the cell quadrature of `powers`."""
-        return self.vol * float(np.sum(gp)), self.vol * float(np.sum(sp))
+        return self.vol * float(gp.sum()), self.vol * float(sp.sum())
+
+    def _energy_terms(self, gp: np.ndarray, sp: np.ndarray) -> tuple[float, float]:
+        """The diffusion and source energies, whose difference is J."""
+        return self.vol * float((gp / self.pv).sum()), self.vol * float((sp / self.rv).sum())
 
     def _energy(self, gp: np.ndarray, sp: np.ndarray) -> float:
         """Energy J: the cell quadrature of `powers`."""
-        return self.vol * float(np.sum(gp / self.pv)) - self.vol * float(np.sum(sp / self.rv))
+        diffusion, source = self._energy_terms(gp, sp)
+        return diffusion - source
 
     def modulars(self, lam: float) -> tuple[float, float]:
         if lam == 0.0:
@@ -167,6 +193,7 @@ def find_lambda_star(
     p: ExponentField,
     r: ExponentField,
     tol: float = 1e-10,
+    threshold: float = math.inf,
 ) -> tuple[float, float]:
     """Nehari point of u: the scaling lambda* with I(lambda* u) = 0, and
     J(lambda* u) from the converged iterate's powers (the quadrature of
@@ -182,44 +209,76 @@ def find_lambda_star(
     The power bounds I(lam u) >= lam^{p_plus} a - lam^{r_minus} b for lam < 1
     (and the reverse for lam >= 1) bracket the root; every evaluation shrinks
     the bracket, and an iterate that is not finite or leaves it is replaced by
-    the bracket's geometric midpoint.  Raises ValueError on degenerate input,
-    and when the tolerance is not met within the evaluation cap or before the
-    bracket or the Newton step shrinks to rounding.
+    the bracket's geometric midpoint.  Overflow is not warned about: an
+    evaluation whose modulars overflow caps the bracket from above and sends
+    the next iterate to the midpoint.  Raises ValueError on degenerate input,
+    on a bracket that over- or underflows, and when the tolerance is not met
+    within the evaluation cap or before the bracket or the Newton step shrinks
+    to rounding.
+
+    Early return: d/dlambda J(lambda u) = I(lambda u) / lambda, and with
+    r_minus > p_plus I changes sign once, at lambda*, so J(lambda u) <=
+    J(lambda* u) at every iterate.  Once an unconverged iterate's J exceeds a
+    finite `threshold` by more than 1e-12 times the sum of its two energy
+    terms (the diffusion and the source energy), J at the Nehari point
+    exceeds the threshold too, and that iterate and its J are returned
+    unconverged: the margin covers the rounding of the quadrature and the
+    second-order gap between J(lambda* u) and J at the converged iterate.
+    A caller that only asks whether J(lambda* u) < threshold gets the answer
+    of the full solve; a solve that returns early is not checked further.
     """
     if r.p_minus <= p.p_plus:
         raise ValueError("lambda* requires r_minus > p_plus")
     ray = _Ray(u, p, r)
-    lam = 1.0
-    gp, sp = ray.powers(lam)
-    gsum, ssum = float(np.sum(gp)), float(np.sum(sp))
-    a, b = ray.vol * gsum, ray.vol * ssum
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError("degenerate trial field: non-finite modulars")
-    if a <= 0.0:
-        raise ValueError("degenerate trial field: zero gradient modular")
-    if b <= 0.0:
-        raise ValueError("degenerate trial field: zero source modular, I(lam u) > 0 for all lam")
-
-    c = (a / b) ** (1.0 / (r.p_minus - p.p_plus))
-    lo, hi = 0.9 * min(1.0, c), 1.1 * max(1.0, c)
-    for _ in range(_MAX_RAY_EVALS):
-        gmod = ray.vol * gsum
-        val = gmod - ray.vol * ssum
-        if abs(val) <= tol * gmod:
-            return float(lam), ray._energy(gp, sp)
-        if val > 0.0:
-            lo = lam
-        else:
-            hi = lam
-        nxt = float("nan")
-        if gsum > 0.0 and ssum > 0.0:
-            slope = float(np.dot(ray.pv, gp)) / gsum - float(np.dot(ray.rv, sp)) / ssum
-            nxt = lam * float(np.exp((np.log(ssum) - np.log(gsum)) / slope))
-        if nxt == lam or hi - lo <= np.finfo(float).eps * lam:
-            break
-        lam = nxt if lo < nxt < hi else float(np.sqrt(lo * hi))
+    vol = ray.vol
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = 1.0
         gp, sp = ray.powers(lam)
-        gsum, ssum = float(np.sum(gp)), float(np.sum(sp))
+        gsum, ssum = float(gp.sum()), float(sp.sum())
+        a, b = vol * gsum, vol * ssum
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError("degenerate trial field: non-finite modulars")
+        if a <= 0.0:
+            raise ValueError("degenerate trial field: zero gradient modular")
+        if b <= 0.0:
+            raise ValueError("degenerate trial field: zero source modular, I(lam u) > 0 for all lam")
+
+        try:
+            c = (a / b) ** (1.0 / (r.p_minus - p.p_plus))
+        except OverflowError:
+            c = math.inf
+        lo, hi = 0.9 * min(1.0, c), 1.1 * max(1.0, c)
+        if not (lo > 0.0 and hi < math.inf):
+            raise ValueError(
+                f"lambda* bracket out of range: modular ratio {a / b!r} to the power "
+                f"1/(r_minus - p_plus) = {1.0 / (r.p_minus - p.p_plus)!r}"
+            )
+        for _ in range(_MAX_RAY_EVALS):
+            gmod = vol * gsum
+            val = gmod - vol * ssum
+            nxt = math.nan
+            if not math.isfinite(val):
+                # a modular overflowed, which only a large lambda does
+                hi = lam
+            else:
+                if abs(val) <= tol * gmod:
+                    return float(lam), ray._energy(gp, sp)
+                if threshold < math.inf:
+                    diffusion, source = ray._energy_terms(gp, sp)
+                    if diffusion - source > threshold + _REJECT_MARGIN * (diffusion + source):
+                        return float(lam), diffusion - source
+                if val > 0.0:
+                    lo = lam
+                else:
+                    hi = lam
+                if gsum > 0.0 and ssum > 0.0:
+                    slope = float(np.dot(ray.pv, gp)) / gsum - float(np.dot(ray.rv, sp)) / ssum
+                    nxt = lam * float(np.exp((np.log(ssum) - np.log(gsum)) / slope))
+            if nxt == lam or hi - lo <= _EPS * lam:
+                break
+            lam = nxt if lo < nxt < hi else float(np.sqrt(lo * hi))
+            gp, sp = ray.powers(lam)
+            gsum, ssum = float(gp.sum()), float(sp.sum())
     raise ValueError(
         f"lambda* not converged to tol {tol}: bracket [{lo!r}, {hi!r}] after "
         f"{_MAX_RAY_EVALS} evaluations or at rounding"
@@ -245,24 +304,27 @@ def _descend(
     """Greedy perturbation descent of the Nehari value from one witness.
 
     Pure function of (witness, rng state): per-witness seeding keeps the
-    depth estimate monotone in the number of trials.  Returns the best value
-    and the number of proposals skipped because lambda* failed.
+    depth estimate monotone in the number of trials.  Each proposal's lambda*
+    solve takes the best value so far as its threshold, so a proposal that
+    cannot win stops early.  Returns the best value and the number of
+    proposals skipped because lambda* failed.
     """
     best = J_start
     w = u
+    scale = np.abs(w.values).max() or 1.0
     sigma = 0.3
     skipped = 0
     for _ in range(steps):
-        scale = np.max(np.abs(w.values)) or 1.0
         trial = perturb(w, rng, sigma * scale)
         try:
-            _, val = find_lambda_star(trial, p, r)
+            _, val = find_lambda_star(trial, p, r, threshold=best)
         except ValueError:
             skipped += 1
             sigma *= 0.8
             continue
         if val < best:
             best, w = val, trial
+            scale = np.abs(w.values).max() or 1.0
         else:
             sigma *= 0.8
     return best, skipped

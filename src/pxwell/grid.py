@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -39,7 +40,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid on an axis-aligned box, 1D or 2D."""
+    """Uniform grid on an axis-aligned box, 1D or 2D; the spacing and the
+    volumes are computed once per instance."""
 
     cells: tuple[int, ...]
     lengths: tuple[float, ...]
@@ -56,18 +58,18 @@ class Grid:
     def dimension(self) -> int:
         return len(self.cells)
 
-    @property
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.lengths, self.cells))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         vol = 1.0
         for h in self.spacing:
             vol *= h
         return vol
 
-    @property
+    @cached_property
     def volume(self) -> float:
         vol = 1.0
         for L in self.lengths:
@@ -118,22 +120,29 @@ def cell_gradient_magnitude(u: GridFunction) -> np.ndarray:
     an outer-boundary face counting as zero (mirror ghost)."""
     mag2 = np.empty(u.grid.shape)
     _cell_grad2(u.values, _faces(u.grid), mag2)
-    return np.sqrt(mag2)
+    return np.sqrt(mag2, out=mag2)
 
 
-def _faces(grid: Grid) -> list[tuple]:
+@lru_cache(maxsize=8)
+def _faces(grid: Grid) -> tuple[tuple, ...]:
     """Per axis: the spacing, the face slices of `_face_slices` and a face
     array whose two outer-boundary faces stay zero (the mirror ghost); `lo`
-    and `hi` also pick each cell's left and right face out of that array."""
+    and `hi` also pick each cell's left and right face out of that array.
+
+    Built once per grid and held in a small bounded cache: the face arrays
+    are scratch that every caller on the grid overwrites within one call and
+    never reads across calls, so `cell_gradient_magnitude` (hence every ray
+    of `energy`) and every `_Kernel` on the grid share them.
+    """
     out = []
     for axis in range(grid.dimension):
         shape = list(grid.shape)
         shape[axis] += 1
         out.append((grid.spacing[axis], *_face_slices(grid.dimension, axis), np.zeros(shape)))
-    return out
+    return tuple(out)
 
 
-def _cell_grad2(uv: np.ndarray, faces: list[tuple], mag2: np.ndarray) -> list[np.ndarray]:
+def _cell_grad2(uv: np.ndarray, faces: tuple[tuple, ...], mag2: np.ndarray) -> list[np.ndarray]:
     """The cell-RMS |grad u|^2 into `mag2`: per axis, half the sum of the
     squared differences on a cell's two faces.  Returns the interior face
     differences per axis; the face arrays of `faces` are left holding their
@@ -275,8 +284,12 @@ def dirichlet_energy(u: GridFunction, p, delta: float = 1e-8) -> float:
 
 def project_mean_zero(u: GridFunction) -> GridFunction:
     """Subtract the spatial mean; idempotent up to round-off."""
-    mean = integrate(u) / u.grid.volume
-    return GridFunction(u.grid, u.values - mean)
+    return GridFunction(u.grid, _minus_mean(u.grid, u.values))
+
+
+def _minus_mean(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """`values` less their midpoint-rule mean over the grid."""
+    return values - grid.cell_volume * float(values.sum()) / grid.volume
 
 
 def save_gridfunction_csv(u: GridFunction, path) -> None:

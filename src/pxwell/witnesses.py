@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .grid import Grid, GridFunction, project_mean_zero
+from .grid import Grid, GridFunction, _minus_mean
 
 __all__ = ["mode_field", "mode_catalogue", "random_field", "witness_bank", "perturb"]
 
@@ -69,26 +69,32 @@ def mode_catalogue(grid: Grid, kmax: int = 3) -> list[GridFunction]:
             for ks, row in zip(modes, basis) if max(ks) <= kmax]
 
 
+def _draw(grid: Grid, rng: np.random.Generator, lo: float, hi: float) -> np.ndarray:
+    """Values of a band-limited random combination of modes, peak scaled to a
+    log-uniform amplitude in [lo, hi] and projected to mean zero.
+
+    Draws one standard normal coefficient per mode of the kmax = 4 basis, in
+    basis order, then the amplitude (also when lo == hi); the stream is that
+    of one scalar draw per mode.
+    """
+    _, basis = _mode_basis(grid, _KMAX)
+    vals = (rng.normal(size=basis.shape[0]) @ basis).reshape(grid.shape)
+    amp = np.exp(rng.uniform(np.log(lo), np.log(hi)))
+    scale = np.abs(vals).max()
+    if scale == 0.0:
+        vals = np.cos(np.pi * grid.centers()[0] / grid.lengths[0])
+        scale = np.abs(vals).max()
+    return _minus_mean(grid, amp * vals / scale)
+
+
 def random_field(
     grid: Grid,
     rng: np.random.Generator,
     amp_range: tuple[float, float] = (1e-1, 1e1),
 ) -> GridFunction:
-    """Band-limited random combination of modes with log-uniform amplitude.
-
-    Draws one standard normal coefficient per mode of the kmax = 4 basis, in
-    basis order, then the amplitude; the stream is that of one scalar draw
-    per mode.
-    """
-    _, basis = _mode_basis(grid, _KMAX)
-    vals = (rng.normal(size=basis.shape[0]) @ basis).reshape(grid.shape)
-    lo, hi = amp_range
-    amp = np.exp(rng.uniform(np.log(lo), np.log(hi)))
-    scale = np.max(np.abs(vals))
-    if scale == 0.0:
-        vals = np.cos(np.pi * grid.centers()[0] / grid.lengths[0])
-        scale = np.max(np.abs(vals))
-    return project_mean_zero(GridFunction(grid, amp * vals / scale))
+    """Band-limited random combination of modes with log-uniform amplitude
+    (the draw of `_draw`)."""
+    return GridFunction(grid, _draw(grid, rng, *amp_range))
 
 
 def witness_bank(grid: Grid, seed: int, n: int) -> list[tuple[str, GridFunction]]:
@@ -101,6 +107,6 @@ def witness_bank(grid: Grid, seed: int, n: int) -> list[tuple[str, GridFunction]
 
 
 def perturb(w: GridFunction, rng: np.random.Generator, amp: float) -> GridFunction:
-    """w plus amp times a unit-amplitude random field, projected to mean zero."""
-    noise = random_field(w.grid, rng, amp_range=(1.0, 1.0))
-    return project_mean_zero(GridFunction(w.grid, w.values + amp * noise.values))
+    """w plus amp times a unit-amplitude draw of `random_field`, projected to
+    mean zero."""
+    return GridFunction(w.grid, _minus_mean(w.grid, w.values + amp * _draw(w.grid, rng, 1.0, 1.0)))

@@ -57,6 +57,13 @@ def test_zero_config_global_verdict(tmp_path):
 _OUTCOME = {"Blowup": "BlowupDetected", "Global": "GlobalUntilTend"}
 
 
+def _strict_json(path):
+    """The JSON in `path`, parsed with NaN and Infinity tokens refused."""
+    def refuse(token):
+        raise ValueError(f"{path.name}: non-strict JSON token {token}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 @pytest.mark.parametrize("name, verdict", [
     ("blowup_2d", "Blowup"),
     ("high_energy", "Blowup"),
@@ -72,7 +79,8 @@ def test_shipped_config_agrees(tmp_path, name, verdict):
     assert rec["verdict"].prediction == verdict
     assert rec["outcome"].kind == _OUTCOME[verdict]
     run_dir = tmp_path / f"{name}-s0"
-    meta = json.loads((run_dir / "meta.json").read_text())
+    _strict_json(run_dir / "record.json")
+    meta = _strict_json(run_dir / "meta.json")
     header, *rows = (run_dir / "trajectory.csv").read_text().strip().split("\n")
     assert len(rows) == meta["steps"]["accepted"] + 1
 
@@ -280,6 +288,20 @@ def test_report_subcommand(tmp_path):
         {"decade": None, "accepted": residuals["step_count"], "rejected": 0}]
 
 
+def test_json_writes_non_finite_as_null(tmp_path):
+    path = tmp_path / "x.json"
+    cli._write_json(path, {"a": float("nan"), "b": [np.inf, -np.inf, np.float64("nan")],
+                           "c": np.array([1.5, np.nan]), "d": 2.0})
+    assert _strict_json(path) == {"a": None, "b": [None, None, None], "c": [1.5, None],
+                                  "d": 2.0}
+    # the zero datum's delta0 = S/G is undefined: null in the record, which
+    # the report still reads
+    run(CONFIGS / "zero.ini", tmp_path, seed=0, do_simulate=False, quiet=True)
+    assert _strict_json(tmp_path / "zero-s0" / "record.json")["initial"]["delta0"] is None
+    assert main(["report", "--out", str(tmp_path), "--quiet"]) == 0
+    assert (tmp_path / "summary.csv").read_text().splitlines()[1].startswith("zero-s0,Global,")
+
+
 def test_report_empty_dir(tmp_path):
     assert main(["report", "--out", str(tmp_path), "--quiet"]) == 3
 
@@ -365,10 +387,13 @@ def test_estimates_pinned(tmp_path, name):
     got = {"B0": est["B0"].constant, "B": est["B"].constant,
            "depth": est["depth"].upper, "Ctilde": est["Ctilde"].constant}
     assert got == pytest.approx(_PINNED_SEED0, rel=1e-9)
+    # the depth descent's early rejection of proposals leaves these bits alone
+    assert (est["depth"].upper, est["depth"].skipped) == (28.619535014580045, 0)
     if name == "high_energy":
         radii = est["radii"]
         assert (radii.lambda_s, radii.Lambda_s) == pytest.approx(
             (3.1424048841000793, 3.8465984858323425), rel=1e-9)
+        assert (radii.lambda_s, radii.Lambda_s) == (3.1424048841111145, 3.8465984857428577)
         assert radii.kept == 3
     else:
         assert "radii" not in est

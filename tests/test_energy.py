@@ -197,3 +197,80 @@ def test_depth_upper_vs_single_mode(pw):
     J_mode = snapshot(GridFunction(g, lam * u.values), p, r).J
     dep = estimate_depth(g, p, r, trials=4, seed=0, descent_steps=8)
     assert dep.upper <= J_mode + 1e-9
+
+
+@pytest.mark.parametrize("r_spec", ["const:4.0", "affine:3.4+0.4x+0.3y"])
+def test_lambda_star_threshold_decides_as_the_full_solve(r_spec):
+    # proposals around Nehari points, as the depth descent makes them: with a
+    # threshold, J(lambda* u) < threshold comes out as the full solve says,
+    # for thresholds just above and just below the full solve's J
+    from pxwell.witnesses import perturb, witness_bank
+
+    g = Grid((16, 16), (1.0, 1.0))
+    p, r = build_field("affine:1.8+0.35x+0.35y", g), build_field(r_spec, g)
+    rng = np.random.default_rng(21)
+    early = compared = 0
+    for _, w in witness_bank(g, seed=2, n=6):
+        lam, _ = find_lambda_star(w, p, r)
+        nehari = GridFunction(g, lam * w.values)
+        scale = np.max(np.abs(nehari.values))
+        for sigma in (0.3, 0.05, 1e-3, 1e-6):
+            trial = perturb(nehari, rng, sigma * scale)
+            lam_full, J_full = find_lambda_star(trial, p, r)
+            rel = (1e-3, 1e-8, 1e-11, 1e-13, 1e-15, 0.0)
+            thresholds = [J_full * (1.0 + s * d) for d in rel for s in (1.0, -1.0)]
+            thresholds += [np.nextafter(J_full, np.inf), np.nextafter(J_full, -np.inf), 0.5 * J_full]
+            for t in thresholds:
+                lam_t, J_t = find_lambda_star(trial, p, r, threshold=t)
+                assert (J_t > t) == (J_full > t) and (J_t < t) == (J_full < t)
+                if lam_t != lam_full:
+                    # an early return is an unconverged iterate, below the
+                    # Nehari value up to rounding, and only ever reports J
+                    # above the threshold
+                    early += 1
+                    assert t < J_t <= J_full + 1e-12 * abs(J_full)
+                else:
+                    assert J_t == J_full
+                compared += 1
+    assert compared == 14 * 4 * 15 and early > 0
+
+
+# p = 2 against r just above 2: the lambda* bracket (a/b)^(1/(r - 2)) of the
+# (8, 8) mode overflows at r = 2.005, and at r = 2.01 the powers overflow
+# near its Nehari point; pytest turns any numpy warning into an error
+def test_lambda_star_overflow_is_a_value_error():
+    from pxwell.witnesses import mode_field
+
+    g = Grid((32, 32), (1.0, 1.0))
+    p = build_field("const:2.0", g)
+    w = mode_field(g, (8, 8))
+    with pytest.raises(ValueError, match="bracket out of range"):
+        find_lambda_star(w, p, build_field("const:2.005", g))
+    with pytest.raises(ValueError, match="not converged"):
+        find_lambda_star(w, p, build_field("const:2.01", g))
+
+
+def test_depth_skips_overflowing_witnesses(monkeypatch):
+    # on a 3 x 3 square the (1, 0) mode's modular ratio is near 1, so its
+    # Nehari point is representable, while the (8, 8) bracket overflows
+    from pxwell import energy
+    from pxwell.witnesses import mode_field
+
+    g = Grid((32, 32), (3.0, 3.0))
+    p, r = build_field("const:2.0", g), build_field("const:2.005", g)
+    bank = [("low", mode_field(g, (1, 0))), ("high", mode_field(g, (8, 8)))]
+    monkeypatch.setattr(energy, "witness_bank", lambda grid, seed, n: bank)
+    depth = estimate_depth(g, p, r, trials=0, seed=0, descent_steps=0)
+    assert depth.skipped == 1
+    assert depth.upper == find_lambda_star(bank[0][1], p, r)[1]
+    monkeypatch.undo()
+    # on the unit square every bank witness fails, and the estimate says so
+    g = Grid((32, 32), (1.0, 1.0))
+    with pytest.raises(ValueError, match="no admissible witness"):
+        estimate_depth(g, build_field("const:2.0", g), build_field("const:2.005", g), seed=0)
+
+
+def test_depth_near_critical_source_is_warning_free():
+    g = Grid((32, 32), (1.0, 1.0))
+    depth = estimate_depth(g, build_field("const:2.0", g), build_field("const:2.01", g), seed=0)
+    assert 0.0 < depth.upper < np.inf and depth.skipped > 0

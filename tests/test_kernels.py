@@ -15,9 +15,9 @@ from conftest import random_gridfunction
 from pxwell import norms
 from pxwell.energy import _Ray, find_lambda_star
 from pxwell.exponents import build_field
-from pxwell.grid import Grid, GridFunction, cell_gradient_magnitude, project_mean_zero
+from pxwell.grid import Grid, GridFunction, _Kernel, cell_gradient_magnitude, project_mean_zero
 from pxwell.norms import luxemburg_norm
-from pxwell.witnesses import mode_catalogue, mode_field, random_field, witness_bank
+from pxwell.witnesses import mode_catalogue, mode_field, perturb, random_field, witness_bank
 
 
 def _mode_field_loop(grid, ks):
@@ -103,6 +103,54 @@ def test_random_field_matches_mode_loop(grid, amp_range):
         np.testing.assert_allclose(new, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
     # same stream consumed, so later draws stay prefix-stable
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d"])
+def test_perturb_is_a_unit_random_field_step(grid):
+    # perturb draws as random_field at amplitude (1, 1) does, bit for bit
+    rng_new, rng_ref = np.random.default_rng(12), np.random.default_rng(12)
+    w = random_field(grid, np.random.default_rng(3))
+    for amp in (0.3, 2.5e-3, np.float64(7.0)):
+        new = perturb(w, rng_new, amp)
+        noise = random_field(grid, rng_ref, amp_range=(1.0, 1.0))
+        ref = project_mean_zero(GridFunction(grid, w.values + amp * noise.values))
+        assert np.array_equal(new.values, ref.values)
+        w = new
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def _cell_gradient_oracle(u):
+    """Per-axis RMS of the two face differences, zero on outer faces."""
+    mag2 = np.zeros(u.grid.shape)
+    for axis, h in enumerate(u.grid.spacing):
+        d = np.diff(u.values, axis=axis) / h
+        pad = [(0, 0)] * u.grid.dimension
+        pad[axis] = (1, 1)
+        d2 = np.pad(d * d, pad)
+        lo = [slice(None)] * u.grid.dimension
+        hi = [slice(None)] * u.grid.dimension
+        lo[axis], hi[axis] = slice(0, -1), slice(1, None)
+        mag2 += 0.5 * (d2[tuple(lo)] + d2[tuple(hi)])
+    return np.sqrt(mag2)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d"])
+def test_shared_face_scratch_between_rays_and_kernels(grid):
+    # rays and kernels on one grid share its cached face arrays; each use
+    # leaves the outer faces zero and no value that a later use reads
+    rng = np.random.default_rng(13)
+    p = build_field(2.5, grid)
+    kernel = _Kernel(grid, p.values, 1e-8, build_field(4.0, grid).values)
+    fields = [random_field(grid, rng) for _ in range(3)]
+    rays = []
+    for u in fields:
+        kernel(rng.standard_normal(grid.shape))
+        rays.append(_Ray(u, p, p))
+        kernel.rhs(rng.standard_normal(grid.shape))
+    for u, ray in zip(fields, rays):
+        np.testing.assert_allclose(ray.gm.reshape(grid.shape), _cell_gradient_oracle(u),
+                                   rtol=1e-14, atol=0.0)
+        assert np.array_equal(cell_gradient_magnitude(u), ray.gm.reshape(grid.shape))
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d"])
