@@ -8,9 +8,11 @@ Wall times and counters go to the sidecar `meta.json`, never into the
 record: the total and per-stage wall times and, for a simulated run, the
 stepper's kernel evaluations and its accepted and rejected steps, in total,
 binned by the decade floor(log10 ||u||_inf) of the state each trial step
-starts from (decade null for the zero state) and binned by the trial's
-RKL2 stage count.  `report` collects each run's
-verdict, outcome, step counts and kernel evaluations into `summary.csv`.
+starts from (decade null for the zero state), binned by the stepper (RKL2 or
+RK4) and, for RKL2 trials, binned by their stage count.  `report` collects
+each run's verdict, outcome, step counts, accepted RK4 steps and kernel
+evaluations into `summary.csv`; a `meta.json` written before RK4 steps were
+counted leaves that column empty.
 The `[solver]` section of a `simulate` config and the `[estimates]` counts
 are parsed with the domain and exponents, so a bad value is a config error
 before any estimate runs; a negative count is a bad value, zero is not.
@@ -388,6 +390,10 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
                     {"stages": s, "accepted": acc, "rejected": rej}
                     for s, (acc, rej) in sorted(traj.steps_by_stages.items())
                 ],
+                "by_stepper": [
+                    {"stepper": name, "accepted": acc, "rejected": rej}
+                    for name, (acc, rej) in traj.steps_by_stepper.items()
+                ],
             }
 
             enter("audit")
@@ -563,7 +569,7 @@ def _cmd_report(args) -> int:
     if not records:
         print(f"no records under {out}", file=sys.stderr)
         return 3
-    lines = ["id,prediction,rule,outcome,J0,I0,accepted,rejected,kernel_evals"]
+    lines = ["id,prediction,rule,outcome,J0,I0,accepted,rejected,rk4_accepted,kernel_evals"]
     for rec_path in records:
         rec = json.loads(rec_path.read_text())
         verdict = rec.get("verdict", {})
@@ -572,10 +578,12 @@ def _cmd_report(args) -> int:
         meta_path = rec_path.with_name("meta.json")
         meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
         steps = meta.get("steps", {})  # absent for classify-only runs
+        rk4 = next((row["accepted"] for row in steps.get("by_stepper", ())
+                    if row["stepper"] == "rk4"), "")
         lines.append(
             f"{rec['id']},{verdict.get('prediction','')},{verdict.get('rule','')},"
             f"{outcome},{init.get('J','')},{init.get('I','')},"
-            f"{steps.get('accepted','')},{steps.get('rejected','')},"
+            f"{steps.get('accepted','')},{steps.get('rejected','')},{rk4},"
             f"{steps.get('kernel_evals','')}"
         )
         if not args.quiet:

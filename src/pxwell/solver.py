@@ -1,30 +1,49 @@
 """Time integration of the nonlocal Neumann diffusion problem.
 
-Second-order Runge-Kutta-Legendre steps (RKL2: Meyer, Balsara and Aslam,
-J. Comput. Phys. 257, 2014) with energy-residual step control: a step is
-accepted only if the discrete energy identity
+Two explicit trial steps with energy-residual step control: second-order
+Runge-Kutta-Legendre steps (RKL2: Meyer, Balsara and Aslam, J. Comput. Phys.
+257, 2014) everywhere but the blow-up tail, and classical fourth-order
+Runge-Kutta steps (RK4) in it.  A step is accepted only if the discrete
+energy identity
 
-    J(u+) - J(u) + dt ||(u+ - u)/dt||_2^2  ~  0
+    J(u+) - J(u) + int_0^dt ||du/dt||_2^2  ~  0
 
-holds to the configured tolerance.  J is the cell-RMS potential of
-`grid.dirichlet_energy` minus the source energy, the J that `energy.snapshot`
-and the classifier read; its L2 gradient equals the discrete right-hand side
-exactly, so the residual is a pure time-discretization remainder and halving
-dt on rejection always wins eventually.  For a second-order step that
-remainder is O(dt^3).
+holds to the configured tolerance, energy_tol (1 + |J|).  J is the cell-RMS
+potential of `grid.dirichlet_energy` minus the source energy, the J that
+`energy.snapshot` and the classifier read; its L2 gradient equals the discrete
+right-hand side exactly, so the residual is a pure time-discretization
+remainder and halving dt on rejection always wins eventually.
 
-An s-stage step is the three-term Legendre recurrence of the scheme, with
-the weights mu_j, nu_j, mu~_j and gamma~_j of `_rkl2_weights`.  Its first
-stage reuses the current state's right-hand side, so a trial step costs s
-kernel evaluations: s - 1 inner stages, which need the right-hand side
-alone, and the trial state itself.  The stage
-count is not a setting.  For the step dt it is the least s >= 2 with
-dt <= dt_E (s^2 + s - 2)/4, the width of the scheme's real stability
-interval, where dt_E is the kernel's explicit Euler bound at the current
-state (`_Kernel.explicit_dt`).  In the accuracy-limited blow-up tail s stays
-at 2 or near it; in a decaying, stability-limited run dt grows past dt_E and
-s grows like its square root.  Every stage is a combination of the current
-state and zero-mean right-hand sides, so the mean is conserved.
+Each stepper has its own quadrature of the dissipation.  An RKL2 step takes
+the rectangle dt ||(u+ - u)/dt||^2, which misses the dissipation by O(dt^3)
+even on the exact flow: the remainder of a second-order step.  An RK4 step
+takes Simpson's rule (dt/6)(||f||^2 + 4 ||f_m||^2 + ||f+||^2), where f and
+f+ are the right-hand sides at u and u+ and f_m the right-hand side at the
+midpoint u_m = (u + u+)/2 + dt (f - f+)/8 of the step's cubic Hermite
+interpolant (Hairer, Norsett and Wanner, Solving ODEs I); on the exact flow
+it misses by O(dt^5), so the test does not cap a fourth-order step.
+
+An s-stage RKL2 step is the three-term Legendre recurrence of the scheme,
+with the weights mu_j, nu_j, mu~_j and gamma~_j of `_rkl2_weights`.  Its
+first stage reuses the current state's right-hand side, so a trial step costs
+s kernel evaluations: s - 1 inner stages, which need the right-hand side
+alone, and the trial state itself.  The stage count is not a setting.  For
+the step dt it is the least s >= 2 with dt <= dt_E (s^2 + s - 2)/4, the width
+of the scheme's real stability interval, where dt_E is the kernel's explicit
+Euler bound at the current state (`_Kernel.explicit_dt`).  In the
+accuracy-limited blow-up tail s stays at 2 or near it; in a decaying,
+stability-limited run dt grows past dt_E and s grows like its square root.
+An RK4 step also reuses the current right-hand side: three inner stages,
+the trial state, and the Simpson midpoint make five kernel evaluations.
+Every stage is a combination of the current state and zero-mean right-hand
+sides, so the mean is conserved.
+
+The blow-up tail starts on the accepted step at which the growth shrink
+(below) fires, and ends at the first accepted step on which ||u||_inf does
+not grow.  Inside it, a step is RK4 wherever the stage rule would pick s = 2,
+that is dt <= dt_E, well inside RK4's real stability interval of about
+2.79 / rho = 1.74 dt_E; elsewhere it is RKL2.  A decaying run never shrinks
+on growth, so it takes exactly the RKL2 steps it would take alone.
 
 One kernel evaluation of a trial state gives its J, its right-hand side and
 its two modulars from the same powers; when the step is accepted they are
@@ -47,18 +66,19 @@ on a rejection.  There is no cap by default (`SolverConfig.dt_max` is inf):
 in a decaying run dt grows until the residual test stops it, and since the
 stage count grows like sqrt(dt / dt_E), an s-stage step covers a dt that grows
 like s^2, so the longer the step, the fewer kernel evaluations per unit time.
-While the sup norm grows, an accepted step also shrinks dt
-ahead of the residual.  The remainder grows like dt^3, the power
-order + 1, so when the step's residual exceeds 0.97^3 of the tolerance, dt is
-scaled by 0.97 (tol / residual)^(1/3): the step at which the same remainder
-would sit at 0.97^3 of the tolerance.  In the blow-up tail the admissible
-step falls like the source ODE's scale ||u||_inf^{2-r}; the shrink keeps dt
-on it instead of sawtoothing between half and all of it through rejections.
-The shrink is gated on growth: in a decaying, stability-limited run the
-residual says little about the next step, and the grow-until-reject
-sawtooth takes larger steps on average there.
+While the sup norm grows, an accepted step also shrinks dt ahead of the
+residual.  The remainder of a step of order k grows like dt^(k+1), so when the
+step's residual exceeds aim^(k+1) of the tolerance, dt is scaled by
+aim (tol / residual)^(1/(k+1)): the step at which the same remainder would sit
+at aim^(k+1) of the tolerance.  An RKL2 step has k = 2 and aim 0.97; an RK4
+step k = 4 and aim 0.8, whose fifth power leaves the same margin in dt.  In
+the blow-up tail the admissible step falls like the source ODE's scale
+||u||_inf^{2-r}; the shrink keeps dt on it instead of sawtoothing between
+half and all of it through rejections.  The shrink is gated on growth: in a
+decaying, stability-limited run the residual says little about the next step,
+and the grow-until-reject sawtooth takes larger steps on average there.
 
-The step was accepted, so the shrink factor lies in [0.97, 1); it is floored
+The step was accepted, so the shrink factor lies in [aim, 1); it is floored
 to a multiple of 2^-10.  The residual is a difference of O(|J|) sums, so its
 round-off is about eps |J| / residual ~ 1e-10 relative.  Unfloored, that
 round-off would set the last bits of dt, and two evaluations of the same J
@@ -109,11 +129,10 @@ GLOBAL_UNTIL_TEND = "GlobalUntilTend"
 BLOWUP_DETECTED = "BlowupDetected"
 STALLED_DT = "StalledDt"
 
-# an accepted step on growth aims the next step's residual at _AIM**3 of the
-# tolerance; the factor is taken only past that mark, and floored to a
-# multiple of 1/_GRID
-_AIM = 0.97
-_AIM3 = _AIM**3
+# an accepted step of order k on growth aims the next step's residual at
+# aim**(k + 1) of the tolerance; the factor is taken only past that mark, and
+# floored to a multiple of 1/_GRID
+_ORDER_AIM = {"rkl2": (2, 0.97), "rk4": (4, 0.8)}
 _GRID = 1024.0
 
 
@@ -123,9 +142,11 @@ class SolverConfig:
     which dt collapses and the run ends; dt_max, a cap on dt that is off (inf)
     by default and set only to hold dt under the admissible step; the final
     time t_end; the energy-residual tolerance energy_tol, relative to
-    1 + |J|; the sup norm blowup_threshold that declares blow-up; and the
-    regularization delta of the gradient weight.  The trajectory records
-    every accepted state, so no setting thins it."""
+    1 + |J|, which both trial steps meet, each with its own quadrature of
+    the dissipation; the sup norm blowup_threshold that declares blow-up;
+    and the regularization delta of the gradient weight.  Which stepper a
+    step takes, its stage count and its shrink are not settings, and the
+    trajectory records every accepted state, so no setting thins it."""
 
     dt_init: float = 1e-5
     dt_min: float = 1e-18
@@ -175,14 +196,17 @@ class Trajectory:
     residual_sum: float
     mean_drift_max: float
     rejected_steps: int = 0
-    # one for the datum and s per s-stage trial step; a trial whose state is
-    # not finite is rejected unevaluated and costs s - 1
+    # one for the datum, s per s-stage RKL2 trial step and 5 per RK4 trial
+    # step (three stages, the state and the Simpson midpoint); a trial whose
+    # state is not finite is rejected unevaluated and costs s - 1 or 3
     kernel_evals: int = 0
     # [accepted, rejected] trial steps by floor(log10 ||u||_inf) of the state
     # they start from; the key is None for the zero state
     steps_by_decade: dict[Optional[int], list[int]] = field(default_factory=dict)
-    # [accepted, rejected] trial steps by their stage count s
+    # [accepted, rejected] RKL2 trial steps by their stage count s
     steps_by_stages: dict[int, list[int]] = field(default_factory=dict)
+    # [accepted, rejected] trial steps by stepper, "rkl2" and "rk4"
+    steps_by_stepper: dict[str, list[int]] = field(default_factory=dict)
 
     @property
     def step_count(self) -> int:
@@ -248,6 +272,42 @@ def _rkl2_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float,
     return u + d
 
 
+def _rk4_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float) -> np.ndarray:
+    """The classical RK4 state from u, whose right-hand side is rhs; it costs
+    three kernel evaluations, one per inner stage.  As in `_rkl2_step` the
+    increment is summed before it is added to u, with the tableau's weights
+    b = (1/6, 1/3, 1/3, 1/6) times dt."""
+    k2 = kernel.rhs(u + (0.5 * dt) * rhs)
+    k3 = kernel.rhs(u + (0.5 * dt) * k2)
+    k4 = kernel.rhs(u + dt * k3)
+    b1, b2 = 1.0 / 6.0 * dt, 1.0 / 3.0 * dt
+    d = b1 * rhs
+    d += b2 * k2
+    d += b2 * k3
+    d += b1 * k4
+    return u + d
+
+
+def _rectangle_dissipation(kernel: _Kernel, u: np.ndarray, u_new: np.ndarray,
+                           dt: float) -> float:
+    """dt ||(u_new - u)/dt||_2^2: the dissipation of a step of size dt by
+    the rectangle rule, O(dt^3) off on the exact flow."""
+    diff = (u_new - u) / dt
+    return dt * kernel.vol * float(np.sum(diff * diff))
+
+
+def _simpson_dissipation(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, u_new: np.ndarray,
+                         rhs_new: np.ndarray, dt: float) -> float:
+    """The dissipation int ||du/dt||_2^2 of a step of size dt from u to u_new,
+    whose right-hand sides are rhs and rhs_new, by Simpson's rule, O(dt^5) off
+    on the exact flow; the midpoint is the cubic Hermite interpolant's, and
+    its right-hand side costs one kernel evaluation."""
+    mid = kernel.rhs(0.5 * (u + u_new) + (0.125 * dt) * (rhs - rhs_new))
+    return dt / 6.0 * kernel.vol * (
+        float(np.vdot(rhs, rhs)) + 4.0 * float(np.vdot(mid, mid))
+        + float(np.vdot(rhs_new, rhs_new)))
+
+
 def step(
     u: GridFunction,
     p: ExponentField,
@@ -304,22 +364,42 @@ def simulate(
     outcome: Optional[Outcome] = None
     by_decade: dict = {}
     by_stages: dict = {}
+    by_stepper = {"rkl2": [0, 0], "rk4": [0, 0]}
     decade = _decade(supn)
+    # in the blow-up tail: from the first growth shrink to the first accepted
+    # step on which ||u||_inf does not grow
+    tail = False
 
     while t < cfg.t_end:
         dt_eff = min(dt, cfg.t_end - t)
         s = _stages(dt_eff, dt_e)
-        u_new = _rkl2_step(kernel, u, rhs, dt_eff, s)
-        evals += s - 1
+        stepper = "rk4" if tail and s == 2 else "rkl2"
+        if stepper == "rk4":
+            u_new = _rk4_step(kernel, u, rhs, dt_eff)
+            evals += 3
+        else:
+            u_new = _rkl2_step(kernel, u, rhs, dt_eff, s)
+            evals += s - 1
         accepted = False
         if np.all(np.isfinite(u_new)):
             J_new, rhs_new, G_new, S_new = kernel(u_new)
+            # read before the Simpson midpoint's evaluation replaces the
+            # kernel's weights at u_new
+            dt_e_new = kernel.explicit_dt()
             evals += 1
-            diff = (u_new - u) / dt_eff
-            udot2 = vol * float(np.sum(diff * diff))
-            residual = abs(J_new - Jf + dt_eff * udot2)
+            if stepper == "rk4":
+                dissipation = _simpson_dissipation(kernel, u, rhs, u_new, rhs_new, dt_eff)
+                evals += 1
+            else:
+                dissipation = _rectangle_dissipation(kernel, u, u_new, dt_eff)
+            residual = abs(J_new - Jf + dissipation)
             tol = cfg.energy_tol * (1.0 + abs(Jf))
             accepted = math.isfinite(J_new) and residual <= tol
+        slot = 0 if accepted else 1  # of [accepted, rejected]
+        by_decade.setdefault(decade, [0, 0])[slot] += 1
+        if stepper == "rkl2":
+            by_stages.setdefault(s, [0, 0])[slot] += 1
+        by_stepper[stepper][slot] += 1
 
         if accepted:
             # the right-hand side has zero mean, so this is a round-off shift
@@ -327,23 +407,22 @@ def simulate(
             # for the shifted state
             u = u_new - np.sum(u_new) / u_new.size
             t += dt_eff
-            by_decade.setdefault(decade, [0, 0])[0] += 1
-            by_stages.setdefault(s, [0, 0])[0] += 1
             consec += 1
-            budget += dt_eff * udot2
+            budget += dissipation
             res_sum += residual
             max_rel_res = max(max_rel_res, residual / (1.0 + abs(Jf)))
-            Jf, rhs, G, S = J_new, rhs_new, G_new, S_new
-            # the kernel's last evaluation was of this state
-            dt_e = kernel.explicit_dt()
+            Jf, rhs, G, S, dt_e = J_new, rhs_new, G_new, S_new, dt_e_new
             l2sq = vol * float(np.vdot(u, u))
             drift_max = max(drift_max, abs(vol * float(np.sum(u))) / (1.0 + np.sqrt(l2sq)))
             supn, supn_prev = float(np.max(np.abs(u))), supn
             decade = _decade(supn)
-            if supn > supn_prev and residual > _AIM3 * tol:
-                # residual ~ dt^3: the next step at this dt would fail
-                dt *= math.floor(_AIM * (tol / residual) ** (1.0 / 3.0) * _GRID) / _GRID
+            k, aim = _ORDER_AIM[stepper]
+            tail = tail and supn > supn_prev
+            if supn > supn_prev and residual > aim ** (k + 1) * tol:
+                # residual ~ dt^(k + 1): the next step at this dt would fail
+                dt *= math.floor(aim * (tol / residual) ** (1.0 / (k + 1)) * _GRID) / _GRID
                 consec = 0
+                tail = True
             elif consec >= 5:
                 dt = min(dt * 1.25, cfg.dt_max)
                 consec = 0
@@ -356,8 +435,6 @@ def simulate(
                 break
         else:
             rejected += 1
-            by_decade.setdefault(decade, [0, 0])[1] += 1
-            by_stages.setdefault(s, [0, 0])[1] += 1
             consec = 0
             dt *= 0.5
         if dt < cfg.dt_min:
@@ -382,6 +459,7 @@ def simulate(
         kernel_evals=evals,
         steps_by_decade=by_decade,
         steps_by_stages=by_stages,
+        steps_by_stepper=by_stepper,
     )
 
 

@@ -212,9 +212,13 @@ def test_record_structure(tmp_path):
     steps = meta["steps"]
     assert steps["accepted"] == rec["residuals"]["step_count"]
     assert steps["rejected"] == rec["residuals"]["rejected_steps"]
-    # an s-stage trial step costs s kernel evaluations
+    # an s-stage RKL2 trial step costs s kernel evaluations and an RK4 trial
+    # step 5; this decaying run takes no RK4 step
     stages = [row["stages"] for row in steps["by_stages"]]
     assert stages == sorted(stages) and len(set(stages)) == len(stages) and stages[0] >= 2
+    assert steps["by_stepper"] == [
+        {"stepper": "rkl2", "accepted": steps["accepted"], "rejected": steps["rejected"]},
+        {"stepper": "rk4", "accepted": 0, "rejected": 0}]
     assert steps["kernel_evals"] == 1 + sum(
         row["stages"] * (row["accepted"] + row["rejected"]) for row in steps["by_stages"])
     assert sum(row["accepted"] for row in steps["by_stages"]) == steps["accepted"]
@@ -272,20 +276,36 @@ def test_report_subcommand(tmp_path):
     code = main(["report", "--out", str(tmp_path), "--quiet"])
     assert code == 0
     header, *rows = (tmp_path / "summary.csv").read_text().strip().split("\n")
-    assert header == "id,prediction,rule,outcome,J0,I0,accepted,rejected,kernel_evals"
+    assert header == "id,prediction,rule,outcome,J0,I0,accepted,rejected,rk4_accepted,kernel_evals"
     simulated, classified = (dict(zip(header.split(","), row.split(","))) for row in rows)
     assert simulated["id"] == "zero-s0" and simulated["prediction"] == "Global"
     residuals = rec["residuals"]
     meta = json.loads((tmp_path / "zero-s0" / "meta.json").read_text())
-    assert (simulated["accepted"], simulated["rejected"], simulated["kernel_evals"]) == (
-        str(residuals["step_count"]), str(residuals["rejected_steps"]),
+    assert (simulated["accepted"], simulated["rejected"], simulated["rk4_accepted"],
+            simulated["kernel_evals"]) == (
+        str(residuals["step_count"]), str(residuals["rejected_steps"]), "0",
         str(meta["steps"]["kernel_evals"]))
     assert classified["id"] == "zero-s1" and classified["outcome"] == ""
-    assert (classified["accepted"], classified["rejected"], classified["kernel_evals"]) == (
-        "", "", "")
+    assert (classified["accepted"], classified["rejected"], classified["rk4_accepted"],
+            classified["kernel_evals"]) == ("", "", "", "")
     # the zero datum never leaves the zero state
     assert meta["steps"]["by_decade"] == [
         {"decade": None, "accepted": residuals["step_count"], "rejected": 0}]
+
+
+def test_report_reads_meta_without_stepper_counts(tmp_path):
+    # a meta.json written before steps were counted by stepper still reports,
+    # with an empty RK4 column
+    run(CONFIGS / "zero.ini", tmp_path, seed=0, quiet=True)
+    meta_path = tmp_path / "zero-s0" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["steps"]["by_stepper"]
+    meta_path.write_text(json.dumps(meta))
+    assert main(["report", "--out", str(tmp_path), "--quiet"]) == 0
+    header, row = (tmp_path / "summary.csv").read_text().strip().split("\n")
+    summary = dict(zip(header.split(","), row.split(",")))
+    assert summary["rk4_accepted"] == ""
+    assert summary["kernel_evals"] == str(meta["steps"]["kernel_evals"])
 
 
 def test_json_writes_non_finite_as_null(tmp_path):

@@ -31,6 +31,7 @@ from pxwell.solver import (
     step,
     trajectory_csv,
 )
+from pxwell.witnesses import mode_field
 
 
 @pytest.fixture(scope="module")
@@ -368,12 +369,13 @@ def _reference_J(uv, grid, p, r, delta):
 
 
 def _reference_simulate(u0, p, r, cfg):
-    """An independent RKL2 stepper loop: separate right-hand side and energy
+    """An independent stepper loop: separate right-hand side and energy
     passes, J evaluated again after the mean re-zero, the RKL2 weights formed
     stage by stage from the recurrences of Meyer, Balsara and Aslam (2014),
-    the stage count found by counting up, and the stepper's dt rule.
-    Returns (outcome, accepted, rejected, kernel evaluations, J of the datum
-    and of every accepted state)."""
+    the stage count found by counting up, RK4 steps formed from the Butcher
+    tableau with a Simpson dissipation in the blow-up tail, and the stepper's
+    dt rule.  Returns (outcome, accepted, rejected, kernel evaluations, J of
+    the datum and of every accepted state)."""
     grid = u0.grid
     vol, omega, delta = grid.cell_volume, grid.volume, cfg.delta
 
@@ -430,6 +432,25 @@ def _reference_simulate(u0, p, r, cfg):
             older, old = old, new
         return u + old
 
+    # the classical RK4 tableau: stage j is u + dt sum_l a_jl k_l, and the
+    # step u + dt sum_j b_j k_j
+    tableau_a = ((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0))
+    tableau_b = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
+
+    def rk4(u, dt):
+        ks = []
+        for row in tableau_a:
+            ks.append(rhs_of(u + sum((a * dt) * k for a, k in zip(row, ks) if a != 0.0)))
+        return u + sum((b * dt) * k for b, k in zip(tableau_b, ks))
+
+    def simpson_dissipation(u, u_new, dt):
+        # Simpson's rule on ||du/dt||^2 over the step, the midpoint from the
+        # cubic Hermite interpolant through (u, f) and (u_new, f_new)
+        f, f_new = rhs_of(u), rhs_of(u_new)
+        f_mid = rhs_of(0.5 * (u + u_new) + (0.125 * dt) * (f - f_new))
+        return dt / 6.0 * vol * float(np.sum(f * f) + 4.0 * np.sum(f_mid * f_mid)
+                                      + np.sum(f_new * f_new))
+
     u = project_mean_zero(u0).values
     t, dt = 0.0, cfg.dt_init
     Jf = internal_J(u)
@@ -438,19 +459,28 @@ def _reference_simulate(u0, p, r, cfg):
     evals = 1
     supn = float(np.max(np.abs(u)))
     outcome = None
+    tail = False
     while t < cfg.t_end:
         dt_eff = min(dt, cfg.t_end - t)
         s = 2
         while dt_eff > euler_dt(u) * (s * s + s - 2) / 4.0:
             s += 1
-        u_new = rkl2(u, dt_eff, s)
-        evals += s
+        fourth = tail and s == 2
+        u_new = rk4(u, dt_eff) if fourth else rkl2(u, dt_eff, s)
+        finite = np.all(np.isfinite(u_new))
+        if fourth:
+            evals += 5 if finite else 3
+        else:
+            evals += s if finite else s - 1
         accepted = False
-        if np.all(np.isfinite(u_new)):
+        if finite:
             J_new = internal_J(u_new)
-            diff = (u_new - u) / dt_eff
-            udot2 = vol * float(np.sum(diff * diff))
-            residual = abs(J_new - Jf + dt_eff * udot2)
+            if fourth:
+                dissipation = simpson_dissipation(u, u_new, dt_eff)
+            else:
+                diff = (u_new - u) / dt_eff
+                dissipation = dt_eff * vol * float(np.sum(diff * diff))
+            residual = abs(J_new - Jf + dissipation)
             tol = cfg.energy_tol * (1.0 + abs(Jf))
             accepted = np.isfinite(J_new) and residual <= tol
         if accepted:
@@ -461,9 +491,11 @@ def _reference_simulate(u0, p, r, cfg):
             Jf = internal_J(u)
             internal.append(Jf)
             supn, supn_prev = float(np.max(np.abs(u))), supn
-            if supn > supn_prev and residual > 0.97**3 * tol:
-                shrink = math.floor(0.97 * (tol / residual) ** (1.0 / 3.0) * 1024.0) / 1024.0
-                dt, consec = dt * shrink, 0
+            order, aim = (4, 0.8) if fourth else (2, 0.97)
+            tail = tail and supn > supn_prev
+            if supn > supn_prev and residual > aim ** (order + 1) * tol:
+                shrink = math.floor(aim * (tol / residual) ** (1.0 / (order + 1)) * 1024.0) / 1024.0
+                dt, consec, tail = dt * shrink, 0, True
             elif consec >= 5:
                 dt, consec = min(dt * 1.25, cfg.dt_max), 0
             if supn >= cfg.blowup_threshold:
@@ -513,7 +545,7 @@ def _mixed_mode_run(factor, cfg):
     (0.25, _DECAY16, (127, 3)),
     (0.25, _DECAY16_LONG, (359, 11)),
     (0.25, _DECAY16_CAPPED, (395, 11)),
-    (1.7, _COLLAPSE16, (2581, 0)),
+    (1.7, _COLLAPSE16, (1991, 0)),
 ], ids=["blowup", "decay", "decay-uncapped", "decay-capped", "collapse"])
 def test_simulate_matches_reference_loop(factor, cfg, counts):
     u0, p, r = _mixed_mode_datum(factor)
@@ -522,7 +554,12 @@ def test_simulate_matches_reference_loop(factor, cfg, counts):
     assert traj.outcome.kind == kind
     assert (traj.step_count, traj.rejected_steps) == (steps, rejected)
     assert counts is None or (steps, rejected) == counts
-    assert traj.kernel_evals == evals == 1 + sum(
+    # every trial state is finite here: an RK4 trial costs 5 evaluations and
+    # is not among the RKL2 stage counts
+    by_stepper = traj.steps_by_stepper
+    assert sum(map(sum, by_stepper.values())) == steps + rejected
+    assert sum(map(sum, traj.steps_by_stages.values())) == sum(by_stepper["rkl2"])
+    assert traj.kernel_evals == evals == 1 + 5 * sum(by_stepper["rk4"]) + sum(
         s * (acc + rej) for s, (acc, rej) in traj.steps_by_stages.items())
     if t_b is None:
         assert traj.outcome.t_b is None
@@ -531,15 +568,21 @@ def test_simulate_matches_reference_loop(factor, cfg, counts):
     assert traj.J == pytest.approx(internal, rel=1e-12, abs=0.0)
 
 
+# the 16^2 mixed-mode run's escape time to ||u||_inf = 1e4, converged in the
+# tolerance: RK4 steps in the tail at energy_tol 1e-8 and 1e-10 and RKL2 steps
+# alone at 1e-10 agree on it to 1e-7.  Explicit Euler at 1e-8 had given
+# 0.0019190019618725354, 5.5e-5 off it.
+_T_B_CONVERGED = 0.00191889571
+
+
 def test_shrink_on_growth_cuts_blowup_tail():
     # the grow-and-halve rule without the shrink took 1,943 accepted and 139
-    # rejected steps on this run and reached the threshold at
-    # t_b = 0.0019189537871855374
+    # rejected RKL2 steps on this run
     traj = _mixed_mode_run(1.7, _BLOWUP16)
     assert traj.outcome.kind == BLOWUP_DETECTED
     assert traj.step_count + traj.rejected_steps <= 0.8 * (1943 + 139)
     assert type(traj.outcome.t_b) is float
-    assert traj.outcome.t_b == pytest.approx(0.0019189537871855374, rel=1e-4, abs=0.0)
+    assert traj.outcome.t_b == pytest.approx(_T_B_CONVERGED, rel=1e-5, abs=0.0)
     assert traj.max_rel_residual <= _BLOWUP16.energy_tol
     by_decade = traj.steps_by_decade
     assert sum(acc for acc, _ in by_decade.values()) == traj.step_count
@@ -548,14 +591,14 @@ def test_shrink_on_growth_cuts_blowup_tail():
     assert sorted(by_decade) == list(range(min(by_decade), 4))
 
 
-def test_escape_time_matches_fine_euler():
-    # explicit Euler at energy_tol 1e-8 reaches the threshold at
-    # t_b = 0.0019190019618725354 after 219,800 kernel evaluations; Euler at
-    # the default 1e-6 was 6.7e-4 off after 15,328, a second-order step is
-    # within 1e-4 at a fifth of that
+def test_escape_time_matches_converged_reference():
+    # at the default energy_tol 1e-6, RKL2 steps alone were 4.6e-5 off the
+    # converged escape time after 2,891 kernel evaluations and explicit Euler
+    # 6.7e-4 off after 15,328; with RK4 steps in the tail the run is within
+    # 1e-5 at under 1,100
     traj = _mixed_mode_run(1.7, _BLOWUP16)
-    assert traj.outcome.t_b == pytest.approx(0.0019190019618725354, rel=1e-4, abs=0.0)
-    assert traj.kernel_evals <= 15328 / 5
+    assert traj.outcome.t_b == pytest.approx(_T_B_CONVERGED, rel=1e-5, abs=0.0)
+    assert traj.kernel_evals <= 1100
 
 
 def test_dt_collapse_through_shrink_reported():
@@ -580,9 +623,54 @@ def test_dt_collapse_in_controlled_climb_is_blowup():
     traj = _mixed_mode_run(1.7, _COLLAPSE16)
     assert traj.I[-1] < 0.0
     assert traj.outcome.kind == BLOWUP_DETECTED
-    # the threshold run of test_escape_time_matches_fine_euler escapes at
-    # t_b = 0.0019190019618725354
-    assert traj.outcome.t_b == pytest.approx(0.0019190019618725354, rel=1e-3, abs=0.0)
+    assert traj.outcome.t_b == pytest.approx(_T_B_CONVERGED, rel=1e-5, abs=0.0)
+
+
+def test_simpson_test_is_fourth_order():
+    # on a smooth state the energy residual J(u+) - J(u) + dissipation of an
+    # RK4 step with Simpson's rule falls like dt^5, and that of a two-stage
+    # RKL2 step with the rectangle rule like dt^3; dt runs from dt_E down by
+    # halves, every residual far above the round-off of J
+    u0, p, r = _mixed_mode_datum(1.0)
+    kernel = _Kernel(u0.grid, p.values, 1e-8, r.values)
+    u = project_mean_zero(u0).values
+    J, f, _, _ = kernel(u)
+    dts = kernel.explicit_dt() * 0.5 ** np.arange(5)
+    simpson, rectangle = [], []
+    for dt in dts:
+        u4 = solver._rk4_step(kernel, u, f, dt)
+        J4, f4, _, _ = kernel(u4)
+        simpson.append(abs(J4 - J + solver._simpson_dissipation(kernel, u, f, u4, f4, dt)))
+        u2 = solver._rkl2_step(kernel, u, f, dt, 2)
+        rectangle.append(abs(kernel(u2)[0] - J + solver._rectangle_dissipation(kernel, u, u2, dt)))
+    assert min(simpson) > 100.0 * np.finfo(float).eps * abs(J)
+    slope4, slope2 = (np.polyfit(np.log(dts), np.log(res), 1)[0] for res in (simpson, rectangle))
+    assert slope4 >= 4.5
+    assert slope2 == pytest.approx(3.0, abs=0.1)
+
+
+def test_decaying_runs_take_no_rk4_step():
+    # the tail opens only on a growth shrink, which a decaying run never takes;
+    # the third run has negative_energy's weak source and negative J0
+    runs = [_mixed_mode_run(0.25, _DECAY16), _mixed_mode_run(0.25, _DECAY16_LONG)]
+    g = Grid((16, 16), (1.0, 1.0))
+    u0 = project_mean_zero(GridFunction(g, 0.05 * mode_field(g, (1, 0)).values))
+    p, r = build_field(2.5, g), build_field(1.5, g)
+    assert snapshot(u0, p, r).J < 0.0
+    runs.append(simulate(u0, p, r, SolverConfig(dt_init=1e-4, t_end=2.0)))
+    for traj in runs:
+        assert traj.outcome.kind == GLOBAL_UNTIL_TEND
+        assert traj.steps_by_stepper == {"rkl2": [traj.step_count, traj.rejected_steps],
+                                         "rk4": [0, 0]}
+
+
+def test_blowup_tail_takes_rk4_steps():
+    # the tail from the first growth shrink to the threshold is RK4 wherever
+    # dt <= dt_E; RKL2 steps open the run
+    traj = _mixed_mode_run(1.7, _BLOWUP16)
+    rkl2, rk4 = traj.steps_by_stepper["rkl2"], traj.steps_by_stepper["rk4"]
+    assert rk4[0] > rkl2[0] > 0
+    assert rkl2[0] + rk4[0] == traj.step_count
 
 
 def test_nonfinite_initial_energy_raises():
