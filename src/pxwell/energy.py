@@ -134,8 +134,9 @@ _REJECT_MARGIN = 1e-12
 class _Ray:
     """Cached quadrature data for evaluating I and J along {lambda * u}.
 
-    The gradient magnitude is formed in the grid's cached face scratch
-    (`grid._faces`), so building a ray allocates only its own arrays.
+    The gradient magnitude is formed in contiguous passes over the flat
+    values, in the face workspace its grid caches (`grid._Faces`), so
+    building a ray allocates only its own arrays.
     """
 
     def __init__(self, u: GridFunction, p: ExponentField, r: ExponentField):

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .grid import Grid, _face_slices
+from .grid import Grid
 
 __all__ = [
     "ExponentField",
@@ -159,25 +160,40 @@ def check_log_holder(
     All axis-adjacent pairs are always included; if the total number of pairs
     fits the budget the check is exhaustive, otherwise the remainder is drawn
     deterministically from the given seed.  This is an audit, not a proof.
+    The pairs depend only on the grid, the budget and the seed, so the fields
+    of one run (p and r) are scored on one sample.
     """
-    grid = field.grid
-    coords = [c.ravel() for c in grid.centers()]
-    pts = np.stack(coords, axis=1)
+    ii, jj, logs = _holder_pairs(field.grid, pair_budget, seed)
+    if not ii.size:
+        return RegularityReport(0.0, True, 0, _LOG_HOLDER_CAP)
     q = field.values.ravel()
-    n = q.size
-    if n < 2:
-        raise ValueError("need at least 2 cells")
+    moduli = np.abs(q[ii] - q[jj]) * logs
+    max_mod = float(moduli.max())
+    return RegularityReport(max_mod, bool(np.isfinite(max_mod) and max_mod <= _LOG_HOLDER_CAP),
+                            int(ii.size), _LOG_HOLDER_CAP)
 
+
+@lru_cache(maxsize=4)
+def _holder_pairs(grid: Grid, pair_budget: int, seed: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The audited cell pairs (i, j) of `check_log_holder`, flat indices, with
+    0 < |x_i - x_j| < 1, and ln(1/|x_i - x_j|) per pair; read-only, as the
+    cache shares them."""
+    pts = np.stack([c.ravel() for c in grid.centers()], axis=1)
+    n = pts.shape[0]
     total_pairs = n * (n - 1) // 2
     if total_pairs <= pair_budget:
         ii, jj = np.triu_indices(n, k=1)  # every pair, the adjacent ones among them
     else:
-        # a pair (a, b) with a < b is the integer key a * n + b; adjacent first
-        idx = np.arange(n).reshape(grid.shape)
+        # a pair (a, b) with a < b is the integer key a * n + b; adjacent
+        # first, axis by axis, a cell c and c + s for each flat stride s
+        # except across a row end
         adjacent = []
-        for axis in range(grid.dimension):
-            lo, hi, _ = _face_slices(grid.dimension, axis)
-            adjacent.append((idx[lo] * n + idx[hi]).ravel())
+        for s in grid.strides:
+            c = np.arange(n - s)
+            if s == 1:
+                c = c[(c + 1) % grid.cells[-1] != 0]
+            adjacent.append(c * n + c + s)
         keys = np.concatenate(adjacent)
         rng = np.random.default_rng(seed)
         while keys.size < pair_budget:
@@ -192,12 +208,10 @@ def check_log_holder(
 
     dist = np.linalg.norm(pts[ii] - pts[jj], axis=1)
     mask = (dist > 0.0) & (dist < 1.0)
-    if not np.any(mask):
-        return RegularityReport(0.0, True, 0, _LOG_HOLDER_CAP)
-    moduli = np.abs(q[ii[mask]] - q[jj[mask]]) * np.log(1.0 / dist[mask])
-    max_mod = float(moduli.max())
-    return RegularityReport(max_mod, bool(np.isfinite(max_mod) and max_mod <= _LOG_HOLDER_CAP),
-                            int(mask.sum()), _LOG_HOLDER_CAP)
+    out = ii[mask], jj[mask], np.log(1.0 / dist[mask])
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def check_hypotheses(p: ExponentField, r: ExponentField) -> HypothesisReport:

@@ -6,14 +6,18 @@ which is the discrete form of the homogeneous Neumann condition.  Every
 integral in the package reduces to the midpoint rule on this grid.  Face
 differences are formed where they are used, never stored as a field.
 
-The cell-RMS |grad u|^2 is formed in one place, `_cell_grad2`.  The discrete
-energy J is its cell quadrature, and the p(x)-flux is the exact L2 gradient
-of that energy.  The private `_Kernel` computes both, with the source term:
-built once per exponent pair, it evaluates a state to J(u), the right-hand
-side and the two modulars together, sharing the face differences and the
-powers between them, or to the right-hand side alone where no energy is
-read (the solver's inner stages).  `px_flux_divergence`, `dirichlet_energy`
-and the solver all call it.
+Every grid kernel runs on the C-order flat values, in the one face workspace
+a grid caches (`_Faces`): along an axis of flat stride s the face differences
+are u[s:] - u[:-s], contiguous, and a cell's two faces are the [:-s] and [s:]
+slices of a face array with zero Neumann entries at its ends.  The cell-RMS
+|grad u|^2 is formed in one place, `_Faces.grad2`.  The discrete energy J is
+its cell quadrature, and the p(x)-flux is the exact L2 gradient of that
+energy.  The private `_Kernel` computes both, with the source term: built
+once per exponent pair, it evaluates a state to J(u), the right-hand side
+and the two modulars together, sharing the face differences and the powers
+between them, or to the right-hand side alone where no energy is read (the
+solver's inner stages).  `px_flux_divergence`, `dirichlet_energy` and the
+solver all call it.
 """
 
 from __future__ import annotations
@@ -61,6 +65,12 @@ class Grid:
     @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.lengths, self.cells))
+
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """Per axis, the distance between neighbouring cells in the C-order
+        flat values."""
+        return (self.cells[1], 1) if self.dimension == 2 else (1,)
 
     @cached_property
     def cell_volume(self) -> float:
@@ -119,44 +129,73 @@ def cell_gradient_magnitude(u: GridFunction) -> np.ndarray:
     """|grad u| at cells: per-axis RMS of the two adjacent face differences,
     an outer-boundary face counting as zero (mirror ghost)."""
     mag2 = np.empty(u.grid.shape)
-    _cell_grad2(u.values, _faces(u.grid), mag2)
+    _workspace(u.grid).grad2(u.values.reshape(-1), mag2.reshape(-1))
     return np.sqrt(mag2, out=mag2)
 
 
-@lru_cache(maxsize=8)
-def _faces(grid: Grid) -> tuple[tuple, ...]:
-    """Per axis: the spacing, the face slices of `_face_slices` and a face
-    array whose two outer-boundary faces stay zero (the mirror ghost); `lo`
-    and `hi` also pick each cell's left and right face out of that array.
+class _Faces:
+    """The flat face workspace of one grid.
 
-    Built once per grid and held in a small bounded cache: the face arrays
-    are scratch that every caller on the grid overwrites within one call and
-    never reads across calls, so `cell_gradient_magnitude` (hence every ray
-    of `energy`) and every `_Kernel` on the grid share them.
+    Per axis of flat stride s (`Grid.strides`), with n cells: the spacing and
+    two face arrays of n + s entries, `g` for the face differences and `f`
+    for their squares and then the fluxes.  Entry k >= s is the face between
+    cells k - s and k, so cell c's two faces are entries c and c + s, the
+    slices [:-s] and [s:].  The s entries at each end are outer-boundary
+    faces and stay zero, the mirror ghost.  Along the last axis of a 2D grid
+    the entries at multiples of the row length `wrap` are the faces across a
+    row end, outer-boundary faces too: every write there is followed by one
+    strided write that zeroes them again.
+
+    Scratch only: every caller overwrites the interior entries it reads
+    within one call and never reads them across calls, so
+    `cell_gradient_magnitude` (hence every ray of `energy`) and every
+    `_Kernel` on the grid share one workspace, built once per grid and held
+    in a small bounded cache.
     """
-    out = []
-    for axis in range(grid.dimension):
-        shape = list(grid.shape)
-        shape[axis] += 1
-        out.append((grid.spacing[axis], *_face_slices(grid.dimension, axis), np.zeros(shape)))
-    return tuple(out)
+
+    def __init__(self, grid: Grid):
+        self.n = math.prod(grid.cells)
+        wrap = grid.cells[-1] if grid.dimension == 2 else 0
+        self.axes = tuple((s, h, wrap if s == 1 else 0, np.zeros(self.n + s), np.zeros(self.n + s))
+                          for s, h in zip(grid.strides, grid.spacing))
+        self.tmp = np.empty(self.n)
+
+    def grad2(self, u: np.ndarray, mag2: np.ndarray) -> None:
+        """The cell-RMS |grad u|^2 of the flat state u into the flat `mag2`:
+        per axis, half the sum of the squared differences on a cell's two
+        faces.  Each axis' `g` is left holding its differences."""
+        n = self.n
+        for k, (s, h, wrap, g, f) in enumerate(self.axes):
+            gi = g[s:n]
+            np.subtract(u[s:], u[:-s], out=gi)
+            gi /= h
+            if wrap:
+                g[::wrap] = 0.0
+            np.multiply(gi, gi, out=f[s:n])
+            # the first axis' sums go straight to mag2, later ones through tmp
+            np.add(f[:-s], f[s:], out=self.tmp if k else mag2)
+            if k:
+                mag2 += self.tmp
+        mag2 *= 0.5
+
+    def divergence(self, w: np.ndarray, div: np.ndarray) -> None:
+        """Add to the flat `div` the divergence of the face flux
+        (w_L + w_R) g / 2, g the differences `grad2` left."""
+        n, tmp = self.n, self.tmp
+        for s, h, wrap, g, f in self.axes:
+            flux = f[s:n]
+            np.add(w[:-s], w[s:], out=flux)
+            flux *= g[s:n]
+            if wrap:
+                f[::wrap] = 0.0
+            np.subtract(f[s:], f[:-s], out=tmp)
+            tmp *= 0.5 / h
+            div += tmp
 
 
-def _cell_grad2(uv: np.ndarray, faces: tuple[tuple, ...], mag2: np.ndarray) -> list[np.ndarray]:
-    """The cell-RMS |grad u|^2 into `mag2`: per axis, half the sum of the
-    squared differences on a cell's two faces.  Returns the interior face
-    differences per axis; the face arrays of `faces` are left holding their
-    squares."""
-    gs = []
-    mag2.fill(0.0)
-    for h, lo, hi, inner, face in faces:
-        g = uv[hi] - uv[lo]
-        g /= h
-        np.multiply(g, g, out=face[inner])
-        mag2 += face[lo] + face[hi]
-        gs.append(g)
-    mag2 *= 0.5
-    return gs
+@lru_cache(maxsize=8)
+def _workspace(grid: Grid) -> _Faces:
+    return _Faces(grid)
 
 
 class _Kernel:
@@ -174,6 +213,12 @@ class _Kernel:
     S from |u| a and its energy from |u| a / r; without `r_values` the source
     is off and S = 0.  Everything that depends only on the exponents and delta
     is computed once, here.
+
+    The kernel works on the flat values in its grid's `_Faces` workspace and
+    keeps its own flat |grad u|^2, q and w buffers, which the sums of J and G
+    and `explicit_dt` read after the call that filled them.  Each per-cell
+    operation, and their order, is that of the per-axis formulas above, so
+    every value is the same bits as with per-axis 2D slices.
     """
 
     def __init__(self, grid: Grid, p_values: np.ndarray, delta: float,
@@ -183,22 +228,22 @@ class _Kernel:
         self.shape = grid.shape
         self.vol, self.omega = grid.cell_volume, grid.volume
         self.d2 = delta * delta
-        self.faces = _faces(grid)
-        self.expo = 0.5 * (p_values - 2.0)
-        self.inv_p = 1.0 / p_values
-        self.mag2, self.q, self.w = (np.empty(grid.shape) for _ in range(3))
+        self.faces = _workspace(grid)
+        self.expo = 0.5 * (p_values.ravel() - 2.0)
+        self.inv_p = 1.0 / p_values.ravel()
+        self.mag2, self.q, self.w = (np.empty(self.faces.n) for _ in range(3))
         # sum over cells of delta^p / p, formed as q w is at a zero gradient,
         # so that the zero state's energy is exactly zero
         self.offset = 0.0
         if delta > 0.0:
-            q0 = np.full(grid.shape, self.d2)
+            q0 = np.full(self.faces.n, self.d2)
             self.offset = float(np.vdot(q0 * q0**self.expo, self.inv_p))
         # Gershgorin radius of the flux divergence at frozen weights, over w
         self.radius = 4.0 * sum(1.0 / (h * h) for h in grid.spacing)
         self.source = r_values is not None
         if self.source:
-            self.r1 = r_values - 1.0
-            self.inv_r = 1.0 / r_values
+            self.r1 = r_values.ravel() - 1.0
+            self.inv_r = 1.0 / r_values.ravel()
 
     def __call__(self, uv: np.ndarray) -> tuple[float, np.ndarray, float, float]:
         """(J, right-hand side, G, S) at the state `uv`."""
@@ -220,26 +265,23 @@ class _Kernel:
 
     def _rhs(self, uv: np.ndarray
              ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-        """The right-hand side, and |u| and a = |u|^{r-1} with the source on;
-        |grad u|^2, q and w stay in their buffers for the sums of J and G."""
-        mag2, q, w = self.mag2, self.q, self.w
-        gs = _cell_grad2(uv, self.faces, mag2)
+        """The right-hand side, and the flat |u| and a = |u|^{r-1} with the
+        source on; |grad u|^2, q and w stay in their buffers for the sums of J
+        and G."""
+        u, mag2, q, w = uv.reshape(-1), self.mag2, self.q, self.w
+        self.faces.grad2(u, mag2)
         np.add(mag2, self.d2, out=q)
         np.power(q, self.expo, out=w)
-        div = np.zeros(self.shape)
-        for (h, lo, hi, inner, face), g in zip(self.faces, gs):
-            flux = face[inner]
-            np.add(w[lo], w[hi], out=flux)
-            flux *= g
-            div += (face[hi] - face[lo]) * (0.5 / h)
-        if not self.source:
-            return div, None, None
-        au = np.abs(uv)
-        a = au**self.r1
-        s = np.copysign(a, uv)
-        s -= self.vol * s.sum() / self.omega
-        div += s
-        return div, au, a
+        div = np.zeros(u.size)
+        self.faces.divergence(w, div)
+        au = a = None
+        if self.source:
+            au = np.abs(u)
+            a = au**self.r1
+            s = np.copysign(a, u)
+            s -= self.vol * s.sum() / self.omega
+            div += s
+        return div.reshape(self.shape), au, a
 
     def explicit_dt(self) -> float:
         """0.8 of explicit Euler's stability bound 2 / rho at the state last
@@ -252,17 +294,6 @@ class _Kernel:
         weight is zero (delta = 0, p > 2 and a flat state)."""
         w_max = float(np.max(self.w))
         return 1.6 / (self.radius * w_max) if w_max > 0.0 else math.inf
-
-
-def _face_slices(dim: int, axis: int) -> tuple[tuple, tuple, tuple]:
-    """Cells left and right of each interior face, and the interior faces."""
-    lo = [slice(None)] * dim
-    hi = [slice(None)] * dim
-    lo[axis] = slice(0, -1)
-    hi[axis] = slice(1, None)
-    inner = [slice(None)] * dim
-    inner[axis] = slice(1, -1)
-    return tuple(lo), tuple(hi), tuple(inner)
 
 
 def px_flux_divergence(u: GridFunction, p, delta: float = 1e-8) -> GridFunction:
@@ -287,9 +318,10 @@ def project_mean_zero(u: GridFunction) -> GridFunction:
     return GridFunction(u.grid, _minus_mean(u.grid, u.values))
 
 
-def _minus_mean(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """`values` less their midpoint-rule mean over the grid."""
-    return values - grid.cell_volume * float(values.sum()) / grid.volume
+def _minus_mean(grid: Grid, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """`values` less their midpoint-rule mean over the grid, into `out` if
+    given."""
+    return np.subtract(values, grid.cell_volume * float(values.sum()) / grid.volume, out=out)
 
 
 def save_gridfunction_csv(u: GridFunction, path) -> None:

@@ -75,16 +75,19 @@ def _draw(grid: Grid, rng: np.random.Generator, lo: float, hi: float) -> np.ndar
 
     Draws one standard normal coefficient per mode of the kmax = 4 basis, in
     basis order, then the amplitude (also when lo == hi); the stream is that
-    of one scalar draw per mode.
+    of one scalar draw per mode.  The values are one fresh array, scaled and
+    projected in place.
     """
     _, basis = _mode_basis(grid, _KMAX)
     vals = (rng.normal(size=basis.shape[0]) @ basis).reshape(grid.shape)
     amp = np.exp(rng.uniform(np.log(lo), np.log(hi)))
-    scale = np.abs(vals).max()
+    scale = max(vals.max(), -vals.min())
     if scale == 0.0:
         vals = np.cos(np.pi * grid.centers()[0] / grid.lengths[0])
-        scale = np.abs(vals).max()
-    return _minus_mean(grid, amp * vals / scale)
+        scale = max(vals.max(), -vals.min())
+    vals *= amp
+    vals /= scale
+    return _minus_mean(grid, vals, out=vals)
 
 
 def random_field(
@@ -108,5 +111,9 @@ def witness_bank(grid: Grid, seed: int, n: int) -> list[tuple[str, GridFunction]
 
 def perturb(w: GridFunction, rng: np.random.Generator, amp: float) -> GridFunction:
     """w plus amp times a unit-amplitude draw of `random_field`, projected to
-    mean zero."""
-    return GridFunction(w.grid, _minus_mean(w.grid, w.values + amp * _draw(w.grid, rng, 1.0, 1.0)))
+    mean zero; formed in place in the draw's array, amp times the draw plus
+    w."""
+    d = _draw(w.grid, rng, 1.0, 1.0)
+    d *= amp
+    d += w.values
+    return GridFunction(w.grid, _minus_mean(w.grid, d, out=d))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from pxwell import exponents
 from pxwell.exponents import build_field, check_hypotheses, check_log_holder
 from pxwell.grid import Grid
 
@@ -177,3 +178,16 @@ def test_log_holder_matches_set_loop(cells, budget, seed):
     rep = check_log_holder(f, pair_budget=budget, seed=seed)
     assert (rep.max_log_modulus, rep.passes, rep.pairs_checked, rep.cap) == \
         _log_holder_set_loop(f, pair_budget=budget, seed=seed)
+
+
+def test_log_holder_fields_on_one_grid_share_one_sample():
+    # the sample depends only on the grid, the budget and the seed, so a run
+    # scores p and r on one draw, held read-only
+    g = Grid((32, 32), (1.0, 1.0))
+    p, r = build_field("affine:1.6+0.5x+0.9y", g), build_field("affine:3.0+0.2x+0.1y", g)
+    exponents._holder_pairs.cache_clear()
+    check_log_holder(p, seed=7)
+    check_log_holder(r, seed=7)
+    info = exponents._holder_pairs.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert not any(a.flags.writeable for a in exponents._holder_pairs(g, 20000, 7))
