@@ -318,10 +318,8 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
         enter("hypotheses")
         hyp = check_hypotheses(p, r)
         record["hypotheses"] = hyp
-        record["regularity"] = {
-            "p": check_log_holder(p, seed=seed),
-            "r": check_log_holder(r, seed=seed),
-        }
+        reg_p, reg_r = check_log_holder(p, r, seed=seed)
+        record["regularity"] = {"p": reg_p, "r": reg_r}
 
         enter("estimates")
         trials, descent, ascent = counts["trials"], counts["descent_steps"], counts["ascent_steps"]

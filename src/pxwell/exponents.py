@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -152,33 +151,36 @@ _LOG_HOLDER_CAP = 10.0
 
 def check_log_holder(
     field: ExponentField,
+    *more: ExponentField,
     pair_budget: int = 20000,
     seed: int = 0,
-) -> RegularityReport:
-    """Sampled audit of |q(x)-q(y)| * ln(1/|x-y|) over cell pairs with |x-y| < 1.
+) -> tuple[RegularityReport, ...]:
+    """Sampled audit of |q(x)-q(y)| * ln(1/|x-y|) over cell pairs with |x-y| < 1,
+    one report per field given.
 
     All axis-adjacent pairs are always included; if the total number of pairs
     fits the budget the check is exhaustive, otherwise the remainder is drawn
     deterministically from the given seed.  This is an audit, not a proof.
-    The pairs depend only on the grid, the budget and the seed, so the fields
-    of one run (p and r) are scored on one sample.
+    The fields share one grid and are scored on one sample.
     """
-    ii, jj, logs = _holder_pairs(field.grid, pair_budget, seed)
-    if not ii.size:
-        return RegularityReport(0.0, True, 0, _LOG_HOLDER_CAP)
-    q = field.values.ravel()
-    moduli = np.abs(q[ii] - q[jj]) * logs
-    max_mod = float(moduli.max())
-    return RegularityReport(max_mod, bool(np.isfinite(max_mod) and max_mod <= _LOG_HOLDER_CAP),
-                            int(ii.size), _LOG_HOLDER_CAP)
+    grid = field.grid
+    if any(f.grid is not grid and f.grid != grid for f in more):
+        raise ValueError("exponent fields must share one grid")
+    ii, jj, logs = _holder_pairs(grid, pair_budget, seed)
+    reports = []
+    for f in (field, *more):
+        q = f.values.ravel()
+        max_mod = float((np.abs(q[ii] - q[jj]) * logs).max()) if ii.size else 0.0
+        reports.append(RegularityReport(
+            max_mod, bool(np.isfinite(max_mod) and max_mod <= _LOG_HOLDER_CAP),
+            int(ii.size), _LOG_HOLDER_CAP))
+    return tuple(reports)
 
 
-@lru_cache(maxsize=4)
 def _holder_pairs(grid: Grid, pair_budget: int, seed: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The audited cell pairs (i, j) of `check_log_holder`, flat indices, with
-    0 < |x_i - x_j| < 1, and ln(1/|x_i - x_j|) per pair; read-only, as the
-    cache shares them."""
+    0 < |x_i - x_j| < 1, and ln(1/|x_i - x_j|) per pair."""
     pts = np.stack([c.ravel() for c in grid.centers()], axis=1)
     n = pts.shape[0]
     total_pairs = n * (n - 1) // 2
@@ -186,14 +188,13 @@ def _holder_pairs(grid: Grid, pair_budget: int, seed: int
         ii, jj = np.triu_indices(n, k=1)  # every pair, the adjacent ones among them
     else:
         # a pair (a, b) with a < b is the integer key a * n + b; adjacent
-        # first, axis by axis, a cell c and c + s for each flat stride s
-        # except across a row end
+        # first, axis by axis, in C order of the higher cell k
         adjacent = []
-        for s in grid.strides:
-            c = np.arange(n - s)
-            if s == 1:
-                c = c[(c + 1) % grid.cells[-1] != 0]
-            adjacent.append(c * n + c + s)
+        for s, wrap in grid.flat_neighbours:
+            k = np.arange(s, n)
+            if wrap:
+                k = k[k % wrap != 0]
+            adjacent.append((k - s) * n + k)
         keys = np.concatenate(adjacent)
         rng = np.random.default_rng(seed)
         while keys.size < pair_budget:
@@ -208,10 +209,7 @@ def _holder_pairs(grid: Grid, pair_budget: int, seed: int
 
     dist = np.linalg.norm(pts[ii] - pts[jj], axis=1)
     mask = (dist > 0.0) & (dist < 1.0)
-    out = ii[mask], jj[mask], np.log(1.0 / dist[mask])
-    for a in out:
-        a.flags.writeable = False
-    return out
+    return ii[mask], jj[mask], np.log(1.0 / dist[mask])
 
 
 def check_hypotheses(p: ExponentField, r: ExponentField) -> HypothesisReport:

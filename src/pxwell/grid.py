@@ -67,10 +67,14 @@ class Grid:
         return tuple(L / n for L, n in zip(self.lengths, self.cells))
 
     @cached_property
-    def strides(self) -> tuple[int, ...]:
-        """Per axis, the distance between neighbouring cells in the C-order
-        flat values."""
-        return (self.cells[1], 1) if self.dimension == 2 else (1,)
+    def flat_neighbours(self) -> tuple[tuple[int, int], ...]:
+        """Per axis, (s, wrap): in the C-order flat values, cells k - s and k
+        are neighbours along the axis unless wrap is nonzero and divides k.
+        wrap is the row length on the last axis of a 2D grid, where k - s
+        and k straddle a row end, and 0 on every other axis."""
+        if self.dimension == 1:
+            return ((1, 0),)
+        return ((self.cells[1], 0), (1, self.cells[1]))
 
     @cached_property
     def cell_volume(self) -> float:
@@ -136,15 +140,15 @@ def cell_gradient_magnitude(u: GridFunction) -> np.ndarray:
 class _Faces:
     """The flat face workspace of one grid.
 
-    Per axis of flat stride s (`Grid.strides`), with n cells: the spacing and
-    two face arrays of n + s entries, `g` for the face differences and `f`
-    for their squares and then the fluxes.  Entry k >= s is the face between
-    cells k - s and k, so cell c's two faces are entries c and c + s, the
-    slices [:-s] and [s:].  The s entries at each end are outer-boundary
-    faces and stay zero, the mirror ghost.  Along the last axis of a 2D grid
-    the entries at multiples of the row length `wrap` are the faces across a
-    row end, outer-boundary faces too: every write there is followed by one
-    strided write that zeroes them again.
+    Per axis of flat stride s and row-end `wrap` (`Grid.flat_neighbours`),
+    with n cells: the spacing and two face arrays of n + s entries, `g` for
+    the face differences and `f` for their squares and then the fluxes.
+    Entry k >= s is the face between cells k - s and k, so cell c's two
+    faces are entries c and c + s, the slices [:-s] and [s:].  The s entries
+    at each end are outer-boundary faces and stay zero, the mirror ghost.
+    Where `wrap` is nonzero the entries at its multiples are the faces
+    across a row end, outer-boundary faces too: every write there is
+    followed by one strided write that zeroes them again.
 
     Scratch only: every caller overwrites the interior entries it reads
     within one call and never reads them across calls, so
@@ -155,9 +159,8 @@ class _Faces:
 
     def __init__(self, grid: Grid):
         self.n = math.prod(grid.cells)
-        wrap = grid.cells[-1] if grid.dimension == 2 else 0
-        self.axes = tuple((s, h, wrap if s == 1 else 0, np.zeros(self.n + s), np.zeros(self.n + s))
-                          for s, h in zip(grid.strides, grid.spacing))
+        self.axes = tuple((s, h, wrap, np.zeros(self.n + s), np.zeros(self.n + s))
+                          for (s, wrap), h in zip(grid.flat_neighbours, grid.spacing))
         self.tmp = np.empty(self.n)
 
     def grad2(self, u: np.ndarray, mag2: np.ndarray) -> None:

@@ -3,7 +3,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pxwell import exponents
 from pxwell.exponents import build_field, check_hypotheses, check_log_holder
 from pxwell.grid import Grid
 
@@ -50,14 +49,14 @@ def test_tabulated_field():
 
 def test_log_holder_constant_zero():
     g = Grid((16,), (1.0,))
-    rep = check_log_holder(build_field(2.0, g))
+    (rep,) = check_log_holder(build_field(2.0, g))
     assert rep.max_log_modulus == 0.0 and rep.passes
 
 
 def test_log_holder_lipschitz_bounded():
     # |q(x)-q(y)| = |x-y| so the modulus is s ln(1/s) <= 1/e
     g = Grid((48,), (1.0,))
-    rep = check_log_holder(build_field("affine:2.0+1.0x", g))
+    (rep,) = check_log_holder(build_field("affine:2.0+1.0x", g))
     assert rep.passes
     assert rep.max_log_modulus <= 1.0 / np.e + 1e-12
     assert rep.pairs_checked > 0
@@ -67,9 +66,9 @@ def test_log_holder_jump_fails_on_fine_grids():
     def steep(x):
         return 2.5 + 1.2 * np.tanh((x - 0.5) / 1e-4)
 
-    coarse = check_log_holder(build_field(steep, Grid((16,), (1.0,))))
+    (coarse,) = check_log_holder(build_field(steep, Grid((16,), (1.0,))))
     fine_grid = Grid((512,), (1.0,))
-    fine = check_log_holder(build_field(steep, fine_grid))
+    (fine,) = check_log_holder(build_field(steep, fine_grid))
     # adjacent cells straddle the jump: modulus ~ 2.4 ln(n)
     h = fine_grid.spacing[0]
     q = build_field(steep, fine_grid).values
@@ -86,7 +85,7 @@ def test_log_holder_refinement_monotone():
 
     vals = []
     for n in (6, 18, 54):
-        rep = check_log_holder(build_field(q, Grid((n,), (1.0,))), pair_budget=10**6)
+        (rep,) = check_log_holder(build_field(q, Grid((n,), (1.0,))), pair_budget=10**6)
         vals.append(rep.max_log_modulus)
     assert vals[0] <= vals[1] <= vals[2]
 
@@ -169,25 +168,39 @@ def _log_holder_set_loop(field, pair_budget=20000, cap=10.0, seed=0):
     ((32, 32), 20000, 3),     # one draw batch fills the budget
     ((16, 16), 20000, 1),     # several draw batches
     ((128, 128), 20000, 0),   # adjacent pairs alone exceed the budget
+    ((12, 9), 1000, 5),       # non-square: row ends every 9 flat cells
+    ((9, 12), 1000, 5),
 ])
 def test_log_holder_matches_set_loop(cells, budget, seed):
     g = Grid(cells, (1.0,) * len(cells))
     spec = "sin:2.0+0.4*sin(3pix)" if len(cells) == 1 else "affine:1.6+0.5x+0.9y"
     # a sharp bump makes the maximum depend on which pairs are drawn
     f = build_field(build_field(spec, g).values + 0.5 * (g.centers()[0] > 0.37), g)
-    rep = check_log_holder(f, pair_budget=budget, seed=seed)
+    (rep,) = check_log_holder(f, pair_budget=budget, seed=seed)
     assert (rep.max_log_modulus, rep.passes, rep.pairs_checked, rep.cap) == \
         _log_holder_set_loop(f, pair_budget=budget, seed=seed)
 
 
-def test_log_holder_fields_on_one_grid_share_one_sample():
-    # the sample depends only on the grid, the budget and the seed, so a run
-    # scores p and r on one draw, held read-only
-    g = Grid((32, 32), (1.0, 1.0))
-    p, r = build_field("affine:1.6+0.5x+0.9y", g), build_field("affine:3.0+0.2x+0.1y", g)
-    exponents._holder_pairs.cache_clear()
-    check_log_holder(p, seed=7)
-    check_log_holder(r, seed=7)
-    info = exponents._holder_pairs.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert not any(a.flags.writeable for a in exponents._holder_pairs(g, 20000, 7))
+@pytest.mark.parametrize("cells, budget, seed", [
+    ((64,), 20000, 0),        # exhaustive
+    ((32, 32), 20000, 7),     # sampled
+    ((12, 9), 500, 2),        # sampled, non-square
+])
+def test_log_holder_fields_scored_together_match_each_alone(cells, budget, seed):
+    # a run scores p and r on one sample; together or one by one, each
+    # field's report is the same
+    g = Grid(cells, (1.0,) * len(cells))
+    spec = "sin:2.0+0.4*sin(3pix)" if len(cells) == 1 else "affine:1.6+0.5x+0.9y"
+    p = build_field(spec, g)
+    r = build_field(p.values + 1.4 + 0.5 * (g.centers()[0] > 0.37), g)
+    together = check_log_holder(p, r, pair_budget=budget, seed=seed)
+    alone = (check_log_holder(p, pair_budget=budget, seed=seed)
+             + check_log_holder(r, pair_budget=budget, seed=seed))
+    assert together == alone
+    assert together[0] != together[1]
+
+
+def test_log_holder_fields_must_share_one_grid():
+    p = build_field(2.0, Grid((8,), (1.0,)))
+    with pytest.raises(ValueError):
+        check_log_holder(p, build_field(3.0, Grid((9,), (1.0,))))
