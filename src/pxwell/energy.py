@@ -13,12 +13,14 @@ log-ratio is exactly linear when the exponents are constant.
 Along a ray d/dlambda J(lambda u) = I(lambda u) / lambda, and with r_minus >
 p_plus I changes sign exactly once, at lambda*, so J(lambda u) <= J(lambda* u)
 for every lambda.  The depth descent passes its best value to
-`find_lambda_star` as a threshold: once an iterate's J exceeds it by more than
-1e-12 times the sum of that iterate's diffusion and source energies (a margin
-for rounding), the proposal cannot win and the solve returns without
-converging.  The descent accepts and rejects exactly the proposals it would
-with full solves; only a proposal whose full solve would have failed after
-that iterate counts as rejected instead of skipped.
+the lambda* iteration as a threshold: once the first or second iterate's J
+exceeds it by more than 1e-12 times the sum of that iterate's diffusion and
+source energies (a margin for rounding), the proposal cannot win and the
+solve returns without converging.  The descent accepts and rejects exactly
+the proposals it would with full solves; only a proposal whose full solve
+would have failed after that iterate counts as rejected instead of skipped.
+A descent builds no object per proposal: its draws, its one ray and the
+lambda* iterates work in place on flat values (`_Ray`).
 
 Depth and level-set radii are sampled estimates over `witness_bank`: the
 depth upper bound is a minimum of Nehari values over witnesses (refined by
@@ -36,9 +38,9 @@ from typing import Optional
 import numpy as np
 
 from .exponents import ExponentField
-from .grid import Grid, GridFunction, cell_gradient_magnitude
+from .grid import Grid, GridFunction, _workspace
 from .norms import EmbeddingEstimate, l2_norm
-from .witnesses import perturb, witness_bank
+from .witnesses import _perturbed, witness_bank
 
 __all__ = [
     "EnergySnapshot",
@@ -135,20 +137,37 @@ class _Ray:
     """Cached quadrature data for evaluating I and J along {lambda * u}.
 
     The gradient magnitude is formed in contiguous passes over the flat
-    values, in the face workspace its grid caches (`grid._Faces`), so
-    building a ray allocates only its own arrays.
+    values, in the face workspace its grid caches (`grid._Faces`).  A ray
+    owns its flat |grad u| and |u|, two power buffers and one scratch array,
+    and `load` points it at other flat values on the same grid in place, so
+    one ray serves every proposal of a descent.  `powers` writes into the
+    power buffers and returns them: a caller uses a returned pair before the
+    next `powers` call, as `snapshot`, `ray_profile`, the lambda* iteration
+    and the rays of `classify` do.
     """
 
     def __init__(self, u: GridFunction, p: ExponentField, r: ExponentField):
         self.vol = u.grid.cell_volume
-        self.gm = cell_gradient_magnitude(u).ravel()
-        self.au = np.abs(u.values).ravel()
+        self.faces = _workspace(u.grid)
         self.pv = p.values.ravel()
         self.rv = r.values.ravel()
+        self.gm, self.au, self.gp, self.sp, self.tmp = np.empty((5, self.pv.size))
+        self.load(u.values.reshape(-1))
+
+    def load(self, values: np.ndarray) -> None:
+        """Take the ray of the flat `values`: |grad u| and |u| in place."""
+        self.faces.grad2(values, self.gm)
+        np.sqrt(self.gm, out=self.gm)
+        np.abs(values, out=self.au)
 
     def powers(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-cell integrands (lambda |grad u|)^p and (lambda |u|)^r."""
-        return (lam * self.gm) ** self.pv, (lam * self.au) ** self.rv
+        """Per-cell integrands (lambda |grad u|)^p and (lambda |u|)^r, in the
+        power buffers; at lambda = 1 without the multiply, 1.0 x == x."""
+        gp, sp = self.gp, self.sp
+        gm, au = self.gm, self.au
+        if lam != 1.0:
+            gm, au = np.multiply(gm, lam, out=gp), np.multiply(au, lam, out=sp)
+        return np.power(gm, self.pv, out=gp), np.power(au, self.rv, out=sp)
 
     def _modulars(self, gp: np.ndarray, sp: np.ndarray) -> tuple[float, float]:
         """Modulars G, S: the cell quadrature of `powers`."""
@@ -156,7 +175,9 @@ class _Ray:
 
     def _energy_terms(self, gp: np.ndarray, sp: np.ndarray) -> tuple[float, float]:
         """The diffusion and source energies, whose difference is J."""
-        return self.vol * float((gp / self.pv).sum()), self.vol * float((sp / self.rv).sum())
+        tmp = self.tmp
+        diffusion = float(np.divide(gp, self.pv, out=tmp).sum())
+        return self.vol * diffusion, self.vol * float(np.divide(sp, self.rv, out=tmp).sum())
 
     def _energy(self, gp: np.ndarray, sp: np.ndarray) -> float:
         """Energy J: the cell quadrature of `powers`."""
@@ -219,67 +240,76 @@ def find_lambda_star(
 
     Early return: d/dlambda J(lambda u) = I(lambda u) / lambda, and with
     r_minus > p_plus I changes sign once, at lambda*, so J(lambda u) <=
-    J(lambda* u) at every iterate.  Once an unconverged iterate's J exceeds a
-    finite `threshold` by more than 1e-12 times the sum of its two energy
-    terms (the diffusion and the source energy), J at the Nehari point
+    J(lambda* u) at every iterate.  Once the first or second iterate's J
+    exceeds a finite `threshold` by more than 1e-12 times the sum of its two
+    energy terms (the diffusion and the source energy), J at the Nehari point
     exceeds the threshold too, and that iterate and its J are returned
     unconverged: the margin covers the rounding of the quadrature and the
     second-order gap between J(lambda* u) and J at the converged iterate.
-    A caller that only asks whether J(lambda* u) < threshold gets the answer
-    of the full solve; a solve that returns early is not checked further.
+    Later iterates are not checked: a proposal still unrejected after one
+    Newton step is nearly always accepted, and the converged J rejects
+    whatever a later check would.  A caller that only asks whether
+    J(lambda* u) < threshold gets the answer of the full solve; a solve that
+    returns early is not checked further.
     """
     if r.p_minus <= p.p_plus:
         raise ValueError("lambda* requires r_minus > p_plus")
-    ray = _Ray(u, p, r)
-    vol = ray.vol
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = 1.0
+        return _nehari(_Ray(u, p, r), r.p_minus - p.p_plus, tol, threshold)
+
+
+def _nehari(ray: _Ray, gap: float, tol: float = 1e-10,
+            threshold: float = math.inf) -> tuple[float, float]:
+    """The Newton iteration of `find_lambda_star` on `ray`, with gap =
+    r_minus - p_plus > 0; overflow must be ignored around it."""
+    vol = ray.vol
+    lam = 1.0
+    gp, sp = ray.powers(lam)
+    gsum, ssum = float(gp.sum()), float(sp.sum())
+    a, b = vol * gsum, vol * ssum
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("degenerate trial field: non-finite modulars")
+    if a <= 0.0:
+        raise ValueError("degenerate trial field: zero gradient modular")
+    if b <= 0.0:
+        raise ValueError("degenerate trial field: zero source modular, I(lam u) > 0 for all lam")
+
+    try:
+        c = (a / b) ** (1.0 / gap)
+    except OverflowError:
+        c = math.inf
+    lo, hi = 0.9 * min(1.0, c), 1.1 * max(1.0, c)
+    if not (lo > 0.0 and hi < math.inf):
+        raise ValueError(
+            f"lambda* bracket out of range: modular ratio {a / b!r} to the power "
+            f"1/(r_minus - p_plus) = {1.0 / gap!r}"
+        )
+    for k in range(_MAX_RAY_EVALS):
+        gmod = vol * gsum
+        val = gmod - vol * ssum
+        nxt = math.nan
+        if not math.isfinite(val):
+            # a modular overflowed, which only a large lambda does
+            hi = lam
+        else:
+            if abs(val) <= tol * gmod:
+                return float(lam), ray._energy(gp, sp)
+            if k < 2 and threshold < math.inf:
+                diffusion, source = ray._energy_terms(gp, sp)
+                if diffusion - source > threshold + _REJECT_MARGIN * (diffusion + source):
+                    return float(lam), diffusion - source
+            if val > 0.0:
+                lo = lam
+            else:
+                hi = lam
+            if gsum > 0.0 and ssum > 0.0:
+                slope = float(np.dot(ray.pv, gp)) / gsum - float(np.dot(ray.rv, sp)) / ssum
+                nxt = lam * float(np.exp((np.log(ssum) - np.log(gsum)) / slope))
+        if nxt == lam or hi - lo <= _EPS * lam:
+            break
+        lam = nxt if lo < nxt < hi else float(np.sqrt(lo * hi))
         gp, sp = ray.powers(lam)
         gsum, ssum = float(gp.sum()), float(sp.sum())
-        a, b = vol * gsum, vol * ssum
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError("degenerate trial field: non-finite modulars")
-        if a <= 0.0:
-            raise ValueError("degenerate trial field: zero gradient modular")
-        if b <= 0.0:
-            raise ValueError("degenerate trial field: zero source modular, I(lam u) > 0 for all lam")
-
-        try:
-            c = (a / b) ** (1.0 / (r.p_minus - p.p_plus))
-        except OverflowError:
-            c = math.inf
-        lo, hi = 0.9 * min(1.0, c), 1.1 * max(1.0, c)
-        if not (lo > 0.0 and hi < math.inf):
-            raise ValueError(
-                f"lambda* bracket out of range: modular ratio {a / b!r} to the power "
-                f"1/(r_minus - p_plus) = {1.0 / (r.p_minus - p.p_plus)!r}"
-            )
-        for _ in range(_MAX_RAY_EVALS):
-            gmod = vol * gsum
-            val = gmod - vol * ssum
-            nxt = math.nan
-            if not math.isfinite(val):
-                # a modular overflowed, which only a large lambda does
-                hi = lam
-            else:
-                if abs(val) <= tol * gmod:
-                    return float(lam), ray._energy(gp, sp)
-                if threshold < math.inf:
-                    diffusion, source = ray._energy_terms(gp, sp)
-                    if diffusion - source > threshold + _REJECT_MARGIN * (diffusion + source):
-                        return float(lam), diffusion - source
-                if val > 0.0:
-                    lo = lam
-                else:
-                    hi = lam
-                if gsum > 0.0 and ssum > 0.0:
-                    slope = float(np.dot(ray.pv, gp)) / gsum - float(np.dot(ray.rv, sp)) / ssum
-                    nxt = lam * float(np.exp((np.log(ssum) - np.log(gsum)) / slope))
-            if nxt == lam or hi - lo <= _EPS * lam:
-                break
-            lam = nxt if lo < nxt < hi else float(np.sqrt(lo * hi))
-            gp, sp = ray.powers(lam)
-            gsum, ssum = float(gp.sum()), float(sp.sum())
     raise ValueError(
         f"lambda* not converged to tol {tol}: bracket [{lo!r}, {hi!r}] after "
         f"{_MAX_RAY_EVALS} evaluations or at rounding"
@@ -309,25 +339,33 @@ def _descend(
     solve takes the best value so far as its threshold, so a proposal that
     cannot win stops early.  Returns the best value and the number of
     proposals skipped because lambda* failed.
+
+    The proposals are flat values drawn into one of two buffers, the other
+    holding the best point, and one ray is loaded with each; every solve
+    runs inside one errstate, so a proposal that overflows is skipped.
     """
+    grid, gap = u.grid, r.p_minus - p.p_plus
+    ray = _Ray(u, p, r)
     best = J_start
-    w = u
-    scale = np.abs(w.values).max() or 1.0
+    w, trial = u.values.flatten(), np.empty(u.values.size)
+    scale = max(w.max(), -w.min()) or 1.0
     sigma = 0.3
     skipped = 0
-    for _ in range(steps):
-        trial = perturb(w, rng, sigma * scale)
-        try:
-            _, val = find_lambda_star(trial, p, r, threshold=best)
-        except ValueError:
-            skipped += 1
-            sigma *= 0.8
-            continue
-        if val < best:
-            best, w = val, trial
-            scale = np.abs(w.values).max() or 1.0
-        else:
-            sigma *= 0.8
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            _perturbed(grid, w, rng, sigma * scale, out=trial)
+            ray.load(trial)
+            try:
+                _, val = _nehari(ray, gap, threshold=best)
+            except ValueError:
+                skipped += 1
+                sigma *= 0.8
+                continue
+            if val < best:
+                best, w, trial = val, trial, w
+                scale = max(w.max(), -w.min()) or 1.0
+            else:
+                sigma *= 0.8
     return best, skipped
 
 

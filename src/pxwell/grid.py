@@ -235,12 +235,7 @@ class _Kernel:
         self.expo = 0.5 * (p_values.ravel() - 2.0)
         self.inv_p = 1.0 / p_values.ravel()
         self.mag2, self.q, self.w = (np.empty(self.faces.n) for _ in range(3))
-        # sum over cells of delta^p / p, formed as q w is at a zero gradient,
-        # so that the zero state's energy is exactly zero
-        self.offset = 0.0
-        if delta > 0.0:
-            q0 = np.full(self.faces.n, self.d2)
-            self.offset = float(np.vdot(q0 * q0**self.expo, self.inv_p))
+        self.delta = delta
         # Gershgorin radius of the flux divergence at frozen weights, over w
         self.radius = 4.0 * sum(1.0 / (h * h) for h in grid.spacing)
         self.source = r_values is not None
@@ -248,13 +243,26 @@ class _Kernel:
             self.r1 = r_values.ravel() - 1.0
             self.inv_r = 1.0 / r_values.ravel()
 
+    @cached_property
+    def offset(self) -> float:
+        """Sum over cells of delta^p / p, formed as q w is at a zero gradient,
+        so that the zero state's energy is exactly zero; computed on the
+        first call that reads J, never for the right-hand side alone."""
+        if not self.delta > 0.0:
+            return 0.0
+        q0 = np.full(self.faces.n, self.d2)
+        return float(np.vdot(q0 * q0**self.expo, self.inv_p))
+
     def __call__(self, uv: np.ndarray) -> tuple[float, np.ndarray, float, float]:
         """(J, right-hand side, G, S) at the state `uv`."""
+        # read before the right-hand side: formed after it, while the state's
+        # arrays were live, the offset took about 0.4 ms more at 128 x 128
+        offset = self.offset
         div, au, a = self._rhs(uv)
         G = self.vol * float(np.vdot(self.w, self.mag2))
         q = self.q
         q *= self.w
-        J = self.vol * (float(np.vdot(q, self.inv_p)) - self.offset)
+        J = self.vol * (float(np.vdot(q, self.inv_p)) - offset)
         S = 0.0
         if self.source:
             au *= a

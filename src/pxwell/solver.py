@@ -62,10 +62,13 @@ single steps, and `columns_csv` writes this table and every other numeric
 table of a run.
 
 The step rule: dt grows by 1.25 after five accepted steps in a row and halves
-on a rejection.  There is no cap by default (`SolverConfig.dt_max` is inf):
-in a decaying run dt grows until the residual test stops it, and since the
-stage count grows like sqrt(dt / dt_E), an s-stage step covers a dt that grows
-like s^2, so the longer the step, the fewer kernel evaluations per unit time.
+on a rejection.  In the blow-up tail growth stops at max(dt_E, dt): past
+dt_E the step would be a three-stage RKL2 trial, which the energy test
+rejected each time on the escape runs, halving dt.  There is no cap by
+default (`SolverConfig.dt_max` is inf): in a decaying run dt grows until the
+residual test stops it, and since the stage count grows like
+sqrt(dt / dt_E), an s-stage step covers a dt that grows like s^2, so the
+longer the step, the fewer kernel evaluations per unit time.
 While the sup norm grows, an accepted step also shrinks dt ahead of the
 residual.  The remainder of a step of order k grows like dt^(k+1), so when the
 step's residual exceeds aim^(k+1) of the tolerance, dt is scaled by
@@ -424,7 +427,10 @@ def simulate(
                 consec = 0
                 tail = True
             elif consec >= 5:
-                dt = min(dt * 1.25, cfg.dt_max)
+                # in the tail growth stops at dt_E, past which RK4 would
+                # give way to an RKL2 trial that fails
+                grown = min(dt * 1.25, max(dt_e, dt)) if tail else dt * 1.25
+                dt = min(grown, cfg.dt_max)
                 consec = 0
             if n == table.shape[1]:
                 table = np.concatenate((table, np.empty_like(table)), axis=1)

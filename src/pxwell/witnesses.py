@@ -12,13 +12,15 @@ one mode with the code that fills the rows, so an arbitrary wavenumber never
 builds a large basis.
 
 Every sampled estimator (B0, B, C-tilde, depth, level radii) scans the same
-`witness_bank`, and their local refinements step with `perturb`.
+`witness_bank`, and their local refinements step with `perturb`, the depth
+descent on flat values in place (`_perturbed`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from typing import Optional
 
 import numpy as np
 
@@ -69,23 +71,28 @@ def mode_catalogue(grid: Grid, kmax: int = 3) -> list[GridFunction]:
             for ks, row in zip(modes, basis) if max(ks) <= kmax]
 
 
-def _draw(grid: Grid, rng: np.random.Generator, lo: float, hi: float) -> np.ndarray:
-    """Values of a band-limited random combination of modes, peak scaled to a
-    log-uniform amplitude in [lo, hi] and projected to mean zero.
+def _draw(grid: Grid, rng: np.random.Generator, lo: float, hi: float,
+          out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Flat values of a band-limited random combination of modes, peak
+    scaled to a log-uniform amplitude in [lo, hi] and projected to mean zero.
 
     Draws one standard normal coefficient per mode of the kmax = 4 basis, in
-    basis order, then the amplitude (also when lo == hi); the stream is that
-    of one scalar draw per mode.  The values are one fresh array, scaled and
-    projected in place.
+    basis order, then the amplitude variate, one double, also when lo == hi;
+    the stream is that of one scalar draw per mode.  The unit draw
+    (lo == hi == 1) takes that double with `rng.random()`, its amplitude
+    exactly 1.  The values are formed in `out`, or in one fresh array, and
+    scaled and projected in place.
     """
     _, basis = _mode_basis(grid, _KMAX)
-    vals = (rng.normal(size=basis.shape[0]) @ basis).reshape(grid.shape)
-    amp = np.exp(rng.uniform(np.log(lo), np.log(hi)))
+    vals = np.matmul(rng.normal(size=basis.shape[0]), basis, out=out)
+    unit = lo == hi == 1.0
+    amp = rng.random() if unit else np.exp(rng.uniform(np.log(lo), np.log(hi)))
     scale = max(vals.max(), -vals.min())
     if scale == 0.0:
-        vals = np.cos(np.pi * grid.centers()[0] / grid.lengths[0])
+        vals[:] = np.cos(np.pi * grid.centers()[0] / grid.lengths[0]).ravel()
         scale = max(vals.max(), -vals.min())
-    vals *= amp
+    if not unit:
+        vals *= amp
     vals /= scale
     return _minus_mean(grid, vals, out=vals)
 
@@ -97,7 +104,7 @@ def random_field(
 ) -> GridFunction:
     """Band-limited random combination of modes with log-uniform amplitude
     (the draw of `_draw`)."""
-    return GridFunction(grid, _draw(grid, rng, *amp_range))
+    return GridFunction(grid, _draw(grid, rng, *amp_range).reshape(grid.shape))
 
 
 def witness_bank(grid: Grid, seed: int, n: int) -> list[tuple[str, GridFunction]]:
@@ -111,9 +118,17 @@ def witness_bank(grid: Grid, seed: int, n: int) -> list[tuple[str, GridFunction]
 
 def perturb(w: GridFunction, rng: np.random.Generator, amp: float) -> GridFunction:
     """w plus amp times a unit-amplitude draw of `random_field`, projected to
-    mean zero; formed in place in the draw's array, amp times the draw plus
-    w."""
-    d = _draw(w.grid, rng, 1.0, 1.0)
+    mean zero (the values of `_perturbed`)."""
+    return GridFunction(w.grid, _perturbed(w.grid, w.values.reshape(-1), rng, amp)
+                        .reshape(w.grid.shape))
+
+
+def _perturbed(grid: Grid, values: np.ndarray, rng: np.random.Generator, amp: float,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The flat values of `perturb` at the flat `values`, formed in the
+    draw's array (`out` if given): amp times the unit draw, plus the values,
+    less their mean."""
+    d = _draw(grid, rng, 1.0, 1.0, out)
     d *= amp
-    d += w.values
-    return GridFunction(w.grid, _minus_mean(w.grid, d, out=d))
+    d += values
+    return _minus_mean(grid, d, out=d)

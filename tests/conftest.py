@@ -45,9 +45,11 @@ def random_exponent(grid, rng, lo=1.2, hi=4.0):
 
 
 def fail_lambda_star_calls(monkeypatch, failing):
-    """Make `energy.find_lambda_star` raise on the given call indices; returns
-    the one-element call counter."""
-    original = energy.find_lambda_star
+    """Make the lambda* solve raise on the given call indices; returns the
+    one-element call counter.  Every solve, a `find_lambda_star` call or a
+    depth-descent proposal, runs `energy._nehari` once, so that is where the
+    failure is injected."""
+    original = energy._nehari
     calls = [0]
 
     def flaky(*args, **kwargs):
@@ -56,7 +58,7 @@ def fail_lambda_star_calls(monkeypatch, failing):
             raise ValueError("lambda* failure injected by the test")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(energy, "find_lambda_star", flaky)
+    monkeypatch.setattr(energy, "_nehari", flaky)
     return calls
 
 

@@ -195,6 +195,21 @@ def test_flat_kernel_matches_slice_kernel_bitwise(name, delta, source):
         assert _same_bits(cell_gradient_magnitude(u), _slice_gradient_magnitude(u))
 
 
+@pytest.mark.parametrize("delta", [0.0, 1e-8])
+def test_offset_formed_on_first_energy_call(delta):
+    # the right-hand side alone never forms the delta offset; the first call
+    # that reads J forms it, with the bits of the slice kernel's eager one
+    grid = GRIDS["12x9"]
+    p, r = _exponents(grid, delta)
+    kernel = _Kernel(grid, p.values, delta, r.values)
+    ref = _SliceKernel(grid, p.values, delta, r.values)
+    uv = _fields(grid, np.random.default_rng(33))[1]
+    assert _same_bits(kernel.rhs(uv), ref.rhs(uv))
+    assert "offset" not in vars(kernel)
+    _check(kernel, ref, uv)
+    assert _same_bits(kernel.offset, ref.offset)
+
+
 def test_flat_kernels_interleaved_over_two_grids_and_a_ray():
     # two grids' kernels and a ray between their calls: each call rewrites
     # the workspace entries it reads, so no call sees another's scratch

@@ -368,13 +368,14 @@ def _reference_J(uv, grid, p, r, delta):
     return J
 
 
-def _reference_simulate(u0, p, r, cfg):
+def _reference_simulate(u0, p, r, cfg, tail_cap=True):
     """An independent stepper loop: separate right-hand side and energy
     passes, J evaluated again after the mean re-zero, the RKL2 weights formed
     stage by stage from the recurrences of Meyer, Balsara and Aslam (2014),
     the stage count found by counting up, RK4 steps formed from the Butcher
     tableau with a Simpson dissipation in the blow-up tail, and the stepper's
-    dt rule.  Returns (outcome, accepted, rejected, kernel evaluations, J of
+    dt rule, whose growth stops at dt_E in the tail unless `tail_cap` is
+    false.  Returns (outcome, accepted, rejected, kernel evaluations, J of
     the datum and of every accepted state)."""
     grid = u0.grid
     vol, omega, delta = grid.cell_volume, grid.volume, cfg.delta
@@ -497,7 +498,10 @@ def _reference_simulate(u0, p, r, cfg):
                 shrink = math.floor(aim * (tol / residual) ** (1.0 / (order + 1)) * 1024.0) / 1024.0
                 dt, consec, tail = dt * shrink, 0, True
             elif consec >= 5:
-                dt, consec = min(dt * 1.25, cfg.dt_max), 0
+                grown = dt * 1.25
+                if tail and tail_cap:
+                    grown = min(grown, max(euler_dt(u), dt))
+                dt, consec = min(grown, cfg.dt_max), 0
             if supn >= cfg.blowup_threshold:
                 outcome = (BLOWUP_DETECTED, t)
                 break
@@ -671,6 +675,28 @@ def test_blowup_tail_takes_rk4_steps():
     rkl2, rk4 = traj.steps_by_stepper["rkl2"], traj.steps_by_stepper["rk4"]
     assert rk4[0] > rkl2[0] > 0
     assert rkl2[0] + rk4[0] == traj.step_count
+
+
+def test_tail_growth_stops_at_explicit_bound():
+    # blowup_2d's datum and solver settings: without the cap, dt grows past
+    # dt_E in the tail three times, and each time a three-stage RKL2 trial
+    # fails and halves dt; with it, every RKL2 trial has two stages and one
+    # step is rejected, before the tail
+    g = Grid((32, 32), (1.0, 1.0))
+    p, r = build_field("affine:1.8+0.35x+0.35y", g), build_field(4.0, g)
+    vals = sum(c * mode_field(g, ks).values for ks, c in (((1, 1), 1.0), ((2, 0), 0.3),
+                                                          ((0, 1), 0.2)))
+    u0 = project_mean_zero(GridFunction(g, 14.0 * vals / np.max(np.abs(vals))))
+    cfg = SolverConfig(dt_init=1e-6, t_end=1.0, blowup_threshold=1e5)
+    traj = simulate(u0, p, r, cfg)
+    assert traj.outcome.kind == BLOWUP_DETECTED
+    assert traj.steps_by_stages == {2: [81, 1]} and traj.rejected_steps == 1
+    assert traj.kernel_evals == 1355
+    capped = _reference_simulate(u0, p, r, cfg)
+    uncapped = _reference_simulate(u0, p, r, cfg, tail_cap=False)
+    assert capped[1:4] == (traj.step_count, 1, 1355)
+    assert capped[0][1] == pytest.approx(traj.outcome.t_b, rel=1e-12, abs=0.0)
+    assert uncapped[2:4] == (4, 1414)
 
 
 def test_nonfinite_initial_energy_raises():
