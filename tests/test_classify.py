@@ -20,13 +20,21 @@ from pxwell.classify import (
     thm53_envelope,
     thm54_bounds,
 )
-from pxwell.energy import _Ray, estimate_depth, find_lambda_star, snapshot
+from pxwell.energy import (
+    DepthEstimate,
+    LevelRadii,
+    _Ray,
+    estimate_depth,
+    find_lambda_star,
+    snapshot,
+)
 from pxwell.exponents import build_field
 from pxwell.grid import Grid, GridFunction, integrate
 from pxwell.norms import estimate_embedding
 from pxwell.ode_bounds import verify_batch
 from pxwell.ode_bounds import envelope as ode_envelope
 from pxwell.solver import SolverConfig, simulate
+from pxwell.witnesses import mode_field
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +93,87 @@ def test_diffusion_dominant_rule(setting):
     r = build_field(1.5, g)
     v = classify(GridFunction(g, 0.3 * mixed_mode(g).values), p, r, dep)
     assert v.prediction == GLOBAL and v.rule == "diffusion-dominant-global"
+
+
+_RADII_NOTE = ("supercritical large-data test uses the norm >= sampled-max direction; "
+               "small-data test uses norm <= sampled-min")
+_FAILED_FLAT = ("failed: ['p_minus < N', 'max(p_plus, 2) < r_minus', "
+                "'r_plus <= N p_minus/(N - p_minus)', 'r_plus < p_minus', "
+                "'r_minus <= min(p_plus, 2) and r_plus < 2']")
+
+
+def _rule_fields(name):
+    """A datum shape and exponents: "H" satisfies condition H, "flat" (p = r
+    = 2) fails every hypothesis, "diffusion" has r_plus < p_minus and "weak"
+    is the weak-source regime with r_plus >= p_minus."""
+    if name == "weak":
+        g = Grid((32,), (4.0,))
+        return mode_field(g, (1,)), build_field("affine:1.6+0.8x", g), build_field(1.7, g)
+    g = Grid((8, 8), (1.0, 1.0))
+    p, r = {"H": (1.8, 4.0), "flat": (2.0, 2.0), "diffusion": (2.5, 1.5)}[name]
+    return mode_field(g, (1, 1)), build_field(p, g), build_field(r, g)
+
+
+# (fields, datum scale (times lambda* under condition H), depth upper placed
+# "above", "at" or "below" J0, level radii as factors of ||u0||_2, regime,
+# prediction, rule, notes after the radii note)
+_RULE_CASES = {
+    "zero-datum-H": ("H", 0.0, "above", None, "subcritical", GLOBAL, "zero-datum",
+                     ("trivial solution",)),
+    "zero-datum-not-H": ("flat", 0.0, None, None, "diffusion-dominant", GLOBAL,
+                         "zero-datum", ("trivial solution",)),
+    "diffusion-dominant-global": (
+        "diffusion", 0.3, None, None, "diffusion-dominant", GLOBAL,
+        "diffusion-dominant-global",
+        ("source exponent below diffusion exponent: global for any energy",)),
+    "negative-energy-global": (
+        "weak", 0.5, None, None, "diffusion-dominant", GLOBAL, "negative-energy-global",
+        ("weak-source regime with negative initial energy",)),
+    "hypotheses-not-met": ("flat", 0.5, None, None, "unclassified", UNDETERMINED,
+                           "hypotheses-not-met", (_FAILED_FLAT,)),
+    "subcritical-positive-gap": ("H", 0.5, "above", None, "subcritical", GLOBAL,
+                                 "subcritical-positive-gap", ()),
+    "subcritical-negative-gap": ("H", 2.0, "above", None, "subcritical", BLOWUP,
+                                 "subcritical-negative-gap", ()),
+    "critical-nonnegative-gap": ("H", 0.5, "at", None, "critical", GLOBAL,
+                                 "critical-nonnegative-gap", ()),
+    "critical-negative-gap": ("H", 1.2, "at", None, "critical", BLOWUP,
+                              "critical-negative-gap", ()),
+    "supercritical-no-radii": ("H", 0.5, "below", None, "supercritical", UNDETERMINED,
+                               "supercritical-no-radii", ()),
+    "supercritical-small-data": ("H", 0.5, "below", (1.1, 1.2), "supercritical", GLOBAL,
+                                 "supercritical-small-data", ()),
+    "supercritical-large-data": ("H", 1.2, "below", (0.8, 0.9), "supercritical", BLOWUP,
+                                 "supercritical-large-data", ()),
+    "supercritical-between-radii": ("H", 0.5, "below", (0.9, 1.1), "supercritical",
+                                    UNDETERMINED, "supercritical-between-radii", ()),
+}
+
+
+@pytest.mark.parametrize("case", list(_RULE_CASES), ids=list(_RULE_CASES))
+def test_every_rule_pinned(case):
+    # one datum per rule that classify can return, except
+    # subcritical-on-manifold, which needs I0 = 0 exactly; the estimates are
+    # built directly, so each case fixes which side of d_hat and of the
+    # radii J0 and ||u0||_2 lie
+    fields, scale, place, radii, regime, pred, rule, notes = _RULE_CASES[case]
+    phi, p, r = _rule_fields(fields)
+    if fields == "H":
+        scale *= find_lambda_star(phi, p, r)[0]
+    u0 = GridFunction(phi.grid, scale * phi.values)
+    s0 = snapshot(u0, p, r)
+    depth = level_radii = None
+    if place is not None:
+        upper = {"above": abs(s0.J) + 1.0, "at": s0.J, "below": 0.5 * s0.J}[place]
+        depth = DepthEstimate(upper=upper, lower_formula=float("nan"), witnesses=0,
+                              B_used="none", seed=0)
+    if radii is not None:
+        l2_0 = np.sqrt(s0.l2sq)
+        level_radii = LevelRadii(s=s0.J, lambda_s=radii[0] * l2_0, Lambda_s=radii[1] * l2_0,
+                                 M_bound=None, kept=1)
+    v = classify(u0, p, r, depth, level_radii=level_radii)
+    assert (v.regime, v.prediction, v.rule) == (regime, pred, rule)
+    assert v.notes == (_RADII_NOTE, *notes)
 
 
 def test_decay_envelope_algebraic(setting):
