@@ -118,29 +118,39 @@ def classify(
 ) -> Verdict:
     """Map the initial datum to a predicted regime and outcome.
 
-    Subcritical (J0 below the sampled depth): the sign of I0 decides.
-    Critical band (|J0 - d_hat| within _CRITICAL_BAND_REL * (1 + d_hat), a
-    fixed relative half-width of 1e-3 that only this function applies):
-    I0 >= 0 gives global, I0 < 0 gives escape, even when level radii are
-    given.  Supercritical: sampled level radii decide when the norm
-    comparisons apply, otherwise undetermined.  Outside the source-dominant
-    hypotheses (condition H) the diffusion-dominant rules apply, which use no
-    depth (a given one is only recorded); under them a missing depth raises
-    ValueError.
+    One rule chain decides, and the first rule that matches gives the
+    regime, the prediction, the rule name and at most one note:
+    - A zero datum is global ("zero-datum").
+    - Outside the source-dominant hypotheses (condition H) the
+      diffusion-dominant rules apply, which use no depth (a given one is
+      only recorded): r_plus < p_minus is global, the weak-source regime
+      with J0 < 0 is global, and anything else is undetermined.
+    - Subcritical (J0 below the sampled depth): the sign of I0 decides.
+    - Critical band (|J0 - d_hat| within _CRITICAL_BAND_REL * (1 + d_hat), a
+      fixed relative half-width of 1e-3 that only this function applies):
+      I0 >= 0 gives global, I0 < 0 gives escape, even when level radii are
+      given.
+    - Supercritical: sampled level radii decide when the norm comparisons
+      apply, otherwise undetermined.
+    Under condition H a missing depth raises ValueError.
     """
     hyp = check_hypotheses(p, r)
     if hyp.condition_H and depth is None:
         raise ValueError("classification under condition H needs a depth estimate")
     s0 = snapshot(u0, p, r)
     J0, I0 = s0.J, s0.I
+    l2_0 = np.sqrt(max(s0.l2sq, 0.0))
     constants: dict[str, float] = {
         "J0": J0,
         "I0": I0,
         "grad_modular0": s0.grad_modular,
-        "l2_0": np.sqrt(max(s0.l2sq, 0.0)),
+        "l2_0": l2_0,
     }
     estimates: list[str] = []
+    d_hat = band = float("nan")
     if depth is not None:
+        d_hat = depth.upper
+        band = _CRITICAL_BAND_REL * (1.0 + d_hat)
         constants["d_hat_upper"] = depth.upper
         constants["d_hat_lower_formula"] = depth.lower_formula
         estimates.append(depth.ident)
@@ -153,78 +163,48 @@ def classify(
         constants["high_energy_blowup_flag"] = float(flag)
         estimates.append(B_est.ident)
 
+    H = hyp.condition_H
     if not np.any(u0.values):
-        return Verdict(
-            regime="subcritical" if hyp.condition_H else "diffusion-dominant",
-            prediction=GLOBAL,
-            rule="zero-datum",
-            constants=constants,
-            notes=tuple(notes + ["trivial solution"]),
-            estimates_used=tuple(estimates),
-        )
-
-    if not hyp.condition_H:
-        if hyp.r_plus_below_p_minus:
-            return Verdict(
-                regime="diffusion-dominant",
-                prediction=GLOBAL,
-                rule="diffusion-dominant-global",
-                constants=constants,
-                notes=tuple(notes + ["source exponent below diffusion exponent: global for any energy"]),
-                estimates_used=tuple(estimates),
-            )
-        if hyp.thm54_regime and J0 < 0.0:
-            return Verdict(
-                regime="diffusion-dominant",
-                prediction=GLOBAL,
-                rule="negative-energy-global",
-                constants=constants,
-                notes=tuple(notes + ["weak-source regime with negative initial energy"]),
-                estimates_used=tuple(estimates),
-            )
-        return Verdict(
-            regime="unclassified",
-            prediction=UNDETERMINED,
-            rule="hypotheses-not-met",
-            constants=constants,
-            notes=tuple(notes + [f"failed: {[d[0] for d in hyp.details if not d[3]]}"]),
-            estimates_used=tuple(estimates),
-        )
-
-    d_hat = depth.upper
-    band = _CRITICAL_BAND_REL * (1.0 + d_hat)
-    constants["critical_band"] = band
-
-    if J0 < d_hat - band:
-        regime = "subcritical"
-        if I0 > 0.0:
-            pred, rule = GLOBAL, "subcritical-positive-gap"
-        elif I0 < 0.0:
-            pred, rule = BLOWUP, "subcritical-negative-gap"
-        else:
-            pred, rule = UNDETERMINED, "subcritical-on-manifold"
-            notes.append("I0 = 0 exactly on a nonzero datum: no rule applies below the depth")
+        regime = "subcritical" if H else "diffusion-dominant"
+        pred, rule, note = GLOBAL, "zero-datum", "trivial solution"
+    elif not H and hyp.r_plus_below_p_minus:
+        regime, pred, rule = "diffusion-dominant", GLOBAL, "diffusion-dominant-global"
+        note = "source exponent below diffusion exponent: global for any energy"
+    elif not H and hyp.thm54_regime and J0 < 0.0:
+        regime, pred, rule = "diffusion-dominant", GLOBAL, "negative-energy-global"
+        note = "weak-source regime with negative initial energy"
+    elif not H:
+        regime, pred, rule = "unclassified", UNDETERMINED, "hypotheses-not-met"
+        note = f"failed: {[d[0] for d in hyp.details if not d[3]]}"
+    elif J0 < d_hat - band and I0 > 0.0:
+        regime, pred, rule, note = "subcritical", GLOBAL, "subcritical-positive-gap", None
+    elif J0 < d_hat - band and I0 < 0.0:
+        regime, pred, rule, note = "subcritical", BLOWUP, "subcritical-negative-gap", None
+    elif J0 < d_hat - band:
+        regime, pred, rule = "subcritical", UNDETERMINED, "subcritical-on-manifold"
+        note = "I0 = 0 exactly on a nonzero datum: no rule applies below the depth"
+    elif abs(J0 - d_hat) <= band and I0 >= 0.0:
+        regime, pred, rule, note = "critical", GLOBAL, "critical-nonnegative-gap", None
     elif abs(J0 - d_hat) <= band:
-        regime = "critical"
-        if I0 >= 0.0:
-            pred, rule = GLOBAL, "critical-nonnegative-gap"
-        else:
-            pred, rule = BLOWUP, "critical-negative-gap"
+        regime, pred, rule, note = "critical", BLOWUP, "critical-negative-gap", None
+    elif level_radii is None:
+        regime, pred, rule, note = "supercritical", UNDETERMINED, "supercritical-no-radii", None
+    elif I0 > 0.0 and l2_0 <= level_radii.lambda_s:
+        regime, pred, rule, note = "supercritical", GLOBAL, "supercritical-small-data", None
+    elif I0 < 0.0 and l2_0 >= level_radii.Lambda_s:
+        regime, pred, rule, note = "supercritical", BLOWUP, "supercritical-large-data", None
     else:
-        regime = "supercritical"
-        pred, rule = UNDETERMINED, "supercritical-no-radii"
-        if level_radii is not None:
-            constants["lambda_s"] = level_radii.lambda_s
-            constants["Lambda_s"] = level_radii.Lambda_s
-            estimates.append(f"radii-s{level_radii.s:.6g}")
-            l2_0 = constants["l2_0"]
-            if I0 > 0.0 and l2_0 <= level_radii.lambda_s:
-                pred, rule = GLOBAL, "supercritical-small-data"
-            elif I0 < 0.0 and l2_0 >= level_radii.Lambda_s:
-                pred, rule = BLOWUP, "supercritical-large-data"
-            else:
-                pred, rule = UNDETERMINED, "supercritical-between-radii"
+        regime, pred, rule = "supercritical", UNDETERMINED, "supercritical-between-radii"
+        note = None
 
+    if H and rule != "zero-datum":
+        constants["critical_band"] = band
+    if regime == "supercritical" and level_radii is not None:
+        constants["lambda_s"] = level_radii.lambda_s
+        constants["Lambda_s"] = level_radii.Lambda_s
+        estimates.append(f"radii-s{level_radii.s:.6g}")
+    if note is not None:
+        notes.append(note)
     if flag and pred != BLOWUP and regime in ("subcritical", "critical"):
         # arithmetic guarantees I0 < 0 whenever the flag holds, so this
         # branch is unreachable; kept as a consistency tripwire
