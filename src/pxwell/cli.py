@@ -13,9 +13,11 @@ RK4) and, for RKL2 trials, binned by their stage count.  `report` collects
 each run's verdict, outcome, step counts, accepted RK4 steps and kernel
 evaluations into `summary.csv`; a `meta.json` written before RK4 steps were
 counted leaves that column empty.
-The `[solver]` section of a `simulate` config and the `[estimates]` counts
-are parsed with the domain and exponents, so a bad value is a config error
-before any estimate runs; a negative count is a bad value, zero is not.
+The `[solver]` section of a `simulate` config, the `[estimates]` counts and
+the `[initial]` datum are read with the domain and exponents, so a bad value
+is a config error before any estimate runs.  A negative count is a bad value
+(zero is not), and so is a non-finite datum value, amplitude, mode
+coefficient or `mtarget_factor`, or an `mtarget_factor` of at most 1.
 
 The numeric tables of a run (`trajectory.csv`, `envelopes.csv`) and of
 `poincare` (`poincare.csv`) are column tables written by one writer,
@@ -55,7 +57,7 @@ from .classify import (
 from .energy import DepthEstimate, estimate_depth, estimate_level_radii, snapshot
 from .exponents import ExponentField, build_field, check_hypotheses, check_log_holder
 from .grid import Grid, GridFunction, load_gridfunction_csv, project_mean_zero
-from .norms import estimate_embedding, estimate_gn_constant, luxemburg_norm
+from .norms import estimate_embedding, luxemburg_norm
 from .solver import (
     SolverConfig,
     audit_trajectory,
@@ -187,13 +189,17 @@ def _parse_mode_terms(text: str, dim: int):
             terms.append((tuple(int(t) for t in toks[:dim]), float(toks[dim])))
         except ValueError as exc:
             raise ConfigError(f"mode term {chunk!r}: {exc}") from exc
+        if not math.isfinite(terms[-1][1]):
+            raise ConfigError(f"[initial] modes: term {chunk.strip()!r} has a non-finite coefficient")
     if not terms:
         raise ConfigError("no mode terms given")
     return terms
 
 
-def _build_initial(cfg, grid: Grid, p: ExponentField, r: ExponentField,
-                   depth: Optional[DepthEstimate]) -> GridFunction:
+def _read_initial(cfg, grid: Grid) -> GridFunction | float:
+    """The [initial] section, read and checked before any estimate runs: the
+    datum, or for kind highenergy the factor of the depth that sets its
+    energy, since that datum is built from the depth estimate."""
     kind = _get(cfg, "initial", "kind", default="zero")
     if kind == "zero":
         return GridFunction(grid, np.zeros(grid.shape))
@@ -202,9 +208,13 @@ def _build_initial(cfg, grid: Grid, p: ExponentField, r: ExponentField,
         gf = _load_csv(path, "[initial] csv")
         if gf.grid != grid:
             raise ConfigError(f"initial datum {path} does not match the domain grid")
+        if not np.all(np.isfinite(gf.values)):
+            raise ConfigError(f"[initial] csv: {path} holds a non-finite value")
         return project_mean_zero(gf)
     if kind == "modes":
         amplitude = _get(cfg, "initial", "amplitude", default="1.0", cast=float)
+        if not math.isfinite(amplitude):
+            raise ConfigError(f"[initial] amplitude must be finite, got {amplitude!r}")
         terms = _parse_mode_terms(_get(cfg, "initial", "modes", required=True), grid.dimension)
         vals = np.zeros(grid.shape)
         for ks, coef in terms:
@@ -214,15 +224,21 @@ def _build_initial(cfg, grid: Grid, p: ExponentField, r: ExponentField,
             raise ConfigError("mode combination is identically zero")
         return project_mean_zero(GridFunction(grid, amplitude * vals / peak))
     if kind == "highenergy":
-        if depth is None:
-            raise PipelineError("highenergy initial data needs a depth estimate (source-dominant regime)")
         factor = _get(cfg, "initial", "mtarget_factor", default="10.0", cast=float)
-        if r.p_minus != r.p_plus:
-            raise PipelineError("highenergy construction needs a constant source exponent")
-        return construct_high_energy_datum(
-            factor * depth.upper, grid, p, r.p_minus, depth.upper
-        )
+        if not (math.isfinite(factor) and factor > 1.0):
+            raise ConfigError(f"[initial] mtarget_factor must be finite and > 1, got {factor!r}")
+        return factor
     raise ConfigError(f"unknown initial kind {kind!r}")
+
+
+def _high_energy_datum(factor: float, grid: Grid, p: ExponentField, r: ExponentField,
+                       depth: Optional[DepthEstimate]) -> GridFunction:
+    """The highenergy datum, with energy `factor` times the depth's upper bound."""
+    if depth is None:
+        raise PipelineError("highenergy initial data needs a depth estimate (source-dominant regime)")
+    if r.p_minus != r.p_plus:
+        raise PipelineError("highenergy construction needs a constant source exponent")
+    return construct_high_energy_datum(factor * depth.upper, grid, p, r.p_minus, depth.upper)
 
 
 def _solver_config(cfg) -> SolverConfig:
@@ -310,10 +326,11 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
         grid = _build_grid(cfg)
         p = _build_exponent(cfg, grid, "p")
         r = _build_exponent(cfg, grid, "r")
-        # a bad [solver] or [estimates] value fails here, before the
-        # estimates run
+        # a bad [solver], [estimates] or [initial] value fails here, before
+        # the estimates run
         scfg = _solver_config(cfg) if do_simulate else None
         counts = _estimate_counts(cfg)
+        initial = _read_initial(cfg, grid)
 
         enter("hypotheses")
         hyp = check_hypotheses(p, r)
@@ -328,7 +345,6 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
         B = estimate_embedding(grid, p, r, trials=trials, seed=seed + 1, ascent_steps=ascent)
         record["estimates"]["B"] = B
         depth: Optional[DepthEstimate] = None
-        ctilde = None
         if r.p_minus > p.p_plus:
             depth = estimate_depth(grid, p, r, trials=trials, seed=seed,
                                    B_est=B, descent_steps=descent)
@@ -337,14 +353,10 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
                 record["events"].append(
                     f"depth estimate skipped {depth.skipped} witnesses or proposals "
                     "on which lambda* failed")
-            try:
-                ctilde = estimate_gn_constant(grid, p, r, trials=trials, seed=seed + 2)
-                record["estimates"]["Ctilde"] = ctilde
-            except ValueError as exc:
-                record["events"].append(f"interpolation constant unavailable: {exc}")
 
         enter("initial")
-        u0 = _build_initial(cfg, grid, p, r, depth)
+        u0 = (initial if isinstance(initial, GridFunction)
+              else _high_energy_datum(initial, grid, p, r, depth))
         s0 = snapshot(u0, p, r)
         record["initial"] = s0
 
@@ -352,10 +364,8 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
         radii = None
         if depth is not None and s0.J > depth.upper:
             try:
-                radii = estimate_level_radii(
-                    grid, s0.J, p, r, samples=counts["radii_samples"], seed=seed,
-                    depth_upper=depth.upper, ctilde=ctilde,
-                )
+                radii = estimate_level_radii(grid, s0.J, p, r, samples=counts["radii_samples"],
+                                             seed=seed, depth_upper=depth.upper)
                 record["estimates"]["radii"] = radii
                 if radii.skipped:
                     record["events"].append(

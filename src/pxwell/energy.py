@@ -94,13 +94,14 @@ class DepthEstimate:
 
 @dataclass(frozen=True)
 class LevelRadii:
-    """Sampled min/max L2 norms over the Nehari slice at level s; skipped
-    counts the samples dropped because lambda* failed on them."""
+    """Sampled min/max L2 norms over the Nehari slice at level s, which the
+    supercritical rules of `classify` compare with ||u0||_2; kept counts the
+    Nehari points with J <= s, skipped the samples dropped because lambda*
+    failed on them."""
 
     s: float
     lambda_s: float
     Lambda_s: float
-    M_bound: Optional[float]
     kept: int
     skipped: int = 0
 
@@ -416,31 +417,6 @@ def estimate_depth(
     )
 
 
-def level_radius_floor(
-    p: ExponentField,
-    r: ExponentField,
-    depth: float,
-    ctilde: EmbeddingEstimate,
-) -> Optional[float]:
-    """s-independent floor for the minimal L2 norm on Nehari slices.
-
-    Defined when 2 <= r_plus <= (1 + 2/N) p_minus, N the grid's dimension;
-    evaluated at the sampled interpolation constant, hence non-certified.
-    """
-    N = p.grid.dimension
-    if not (2.0 <= r.p_plus <= (1.0 + 2.0 / N) * p.p_minus):
-        return None
-    theta = ctilde.theta
-    if theta is None or not (0.0 < theta < 1.0):
-        return None
-    base = p.p_minus * r.p_plus * depth / (r.p_plus - p.p_minus)
-    e1 = 1.0 / r.p_plus - theta / p.p_minus
-    e2 = 1.0 / r.p_minus - theta / p.p_plus
-    c = 1.0 / ctilde.constant
-    return float(min((c * base**e1) ** (1.0 / (1.0 - theta)),
-                     (c * base**e2) ** (1.0 / (1.0 - theta))))
-
-
 def estimate_level_radii(
     grid: Grid,
     s: float,
@@ -449,9 +425,13 @@ def estimate_level_radii(
     samples: int = 48,
     seed: int = 0,
     depth_upper: Optional[float] = None,
-    ctilde: Optional[EmbeddingEstimate] = None,
 ) -> LevelRadii:
-    """Sampled extremes of the L2 norm over the Nehari slice {I=0, J<=s}."""
+    """Sampled extremes of the L2 norm over the Nehari slice {I=0, J<=s}.
+
+    Each witness of `witness_bank` is scaled to its Nehari point, and those
+    with J <= s give the sampled lambda_s (minimum) and Lambda_s (maximum).
+    A given `depth_upper` is checked as a precondition: s must exceed it.
+    """
     if depth_upper is not None and not (s > depth_upper):
         raise ValueError(f"level s={s} must exceed the depth upper estimate {depth_upper}")
     norms = []
@@ -468,14 +448,10 @@ def estimate_level_radii(
         raise ValueError(
             f"no sampled Nehari point has J <= {s}; increase s or the sample count"
         )
-    m_bound = None
-    if ctilde is not None and depth_upper is not None:
-        m_bound = level_radius_floor(p, r, depth_upper, ctilde)
     return LevelRadii(
         s=float(s),
         lambda_s=float(min(norms)),
         Lambda_s=float(max(norms)),
-        M_bound=m_bound,
         kept=len(norms),
         skipped=skipped,
     )

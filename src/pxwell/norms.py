@@ -286,7 +286,12 @@ def estimate_gn_constant(
 ) -> EmbeddingEstimate:
     """Sampled interpolation constant for (1+|Omega|)||w||_{r_plus} against
     ||grad w||_p^theta ||w||_2^{1-theta}, theta balanced in the grid's
-    dimension."""
+    dimension.
+
+    No pipeline stage calls it: the level-radius floor that read it held only
+    for 2 <= r_plus <= (1 + 2/N) p_minus, which no run that computes radii
+    satisfied, and was removed.  It stays public, and the benchmark's
+    per-layer table still names it."""
     theta = gn_theta(p.p_minus, r.p_plus, grid.dimension)
     if not (0.0 < theta < 1.0):
         raise ValueError(f"interpolation exponent {theta} outside (0,1); hypotheses violated")

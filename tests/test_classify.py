@@ -170,7 +170,7 @@ def test_every_rule_pinned(case):
     if radii is not None:
         l2_0 = np.sqrt(s0.l2sq)
         level_radii = LevelRadii(s=s0.J, lambda_s=radii[0] * l2_0, Lambda_s=radii[1] * l2_0,
-                                 M_bound=None, kept=1)
+                                 kept=1)
     v = classify(u0, p, r, depth, level_radii=level_radii)
     assert (v.regime, v.prediction, v.rule) == (regime, pred, rule)
     assert v.notes == (_RADII_NOTE, *notes)

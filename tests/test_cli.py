@@ -99,8 +99,26 @@ _BAD_SOLVER_LINES = ("t_end = 0", "t_end = -1", "t_end = nan", "energy_tol = -1"
 # each ran and recorded the negative count (exit 0)
 _BAD_ESTIMATES_LINES = ("trials = -5", "descent_steps = -3", "ascent_steps = -1",
                         "radii_samples = -1")
+# each exited 0 under classify with a null initial J and I, or 3 under
+# simulate at the simulate stage blaming delta, or (mtarget_factor = inf) 3 at
+# the initial stage after every estimate; nonfinite.csv holds a NaN and an inf
+_BAD_INITIAL_LINES = ("kind = modes\nmodes = 1 1.0\namplitude = nan",
+                      "kind = modes\nmodes = 1 1.0\namplitude = inf",
+                      "kind = modes\nmodes = 1 nan", "kind = highenergy\nmtarget_factor = inf",
+                      "kind = csv\ncsv = nonfinite.csv")
 _BAD_LINES = (*(_TINY + f"[solver]\n{line}\n" for line in _BAD_SOLVER_LINES),
-              *(_TINY_FIELDS + f"[estimates]\n{line}\n" for line in _BAD_ESTIMATES_LINES))
+              *(_TINY_FIELDS + f"[estimates]\n{line}\n" for line in _BAD_ESTIMATES_LINES),
+              *(_TINY + f"[initial]\n{line}\n" for line in _BAD_INITIAL_LINES))
+_BAD_IDS = tuple(line.split("\n")[-1]
+                 for line in (*_BAD_SOLVER_LINES, *_BAD_ESTIMATES_LINES, *_BAD_INITIAL_LINES))
+
+
+def _nonfinite_csv(tmp_path, monkeypatch):
+    # the datum that [initial] csv = nonfinite.csv names, in the working
+    # directory
+    _write(tmp_path, "# grid 8 1.0\n" + "\n".join(["0.5", "-0.5", "nan", "inf"] * 2),
+           name="nonfinite.csv")
+    monkeypatch.chdir(tmp_path)
 
 
 @pytest.mark.parametrize("command, text", [
@@ -123,34 +141,37 @@ _BAD_LINES = (*(_TINY + f"[solver]\n{line}\n" for line in _BAD_SOLVER_LINES),
     ("norm", f"[norm]\nfield_csv = {CONFIGS / 'sample_field.csv'}\nexponent = const:3.0\n"
              "tol = -1\n"),
     *(("simulate", text) for text in _BAD_LINES),
+    *(("classify", _TINY + f"[initial]\n{line}\n") for line in _BAD_INITIAL_LINES),
 ], ids=["simulate-cells", "simulate-exponent-csv", "norm-field-csv", "norm-exponent",
         "ode-verify-t_end", "poincare-n_quad", "ode-verify-t_end-negative",
         "ode-verify-t_end-nan", "ode-verify-t_end-inf", "ode-verify-dt-removed",
         "poincare-n_quad-small", "poincare-epsilon-below-1", "poincare-epsilons-decreasing",
         "poincare-epsilons-empty", "simulate-record_every-removed", "norm-tol-negative",
-        *("simulate-" + line.replace(" = ", "-")
-          for line in (*_BAD_SOLVER_LINES, *_BAD_ESTIMATES_LINES))])
-def test_config_value_errors_exit_2(tmp_path, capsys, command, text):
-    # an unparsable or out-of-range value, an unknown key, an unknown
-    # exponent spec or a missing file that the config names is a config
-    # error, not a traceback or a pipeline error
+        *("simulate-" + name.replace(" = ", "-") for name in _BAD_IDS),
+        *("classify-" + name.replace(" = ", "-") for name in _BAD_IDS[-len(_BAD_INITIAL_LINES):])])
+def test_config_value_errors_exit_2(tmp_path, monkeypatch, capsys, command, text):
+    # an unparsable, out-of-range or non-finite value, an unknown key, an
+    # unknown exponent spec or a missing file that the config names is a
+    # config error, not a traceback or a pipeline error
+    _nonfinite_csv(tmp_path, monkeypatch)
     path = _write(tmp_path, text)
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
 
 
-@pytest.mark.parametrize("text", _BAD_LINES,
-                         ids=(*_BAD_SOLVER_LINES, *_BAD_ESTIMATES_LINES))
+@pytest.mark.parametrize("text", _BAD_LINES, ids=_BAD_IDS)
 def test_bad_solver_value_fails_before_estimates(tmp_path, monkeypatch, text):
     # each value is a config error before the estimates run, with the
     # classifier's hypotheses: neither is reached
     def unreachable(*args, **kwargs):
-        raise AssertionError("the pipeline ran before [solver] and [estimates] were checked")
+        raise AssertionError("the pipeline ran before [solver], [estimates] and [initial] "
+                             "were checked")
 
     monkeypatch.setattr(cli, "check_hypotheses", unreachable)
     monkeypatch.setattr(cli, "estimate_embedding", unreachable)
+    _nonfinite_csv(tmp_path, monkeypatch)
     path = _write(tmp_path, text)
-    with pytest.raises(ConfigError, match=r"^\[(solver|estimates)\]"):
+    with pytest.raises(ConfigError, match=r"^\[(solver|estimates|initial)\]"):
         run(path, tmp_path / "o", quiet=True)
 
 
@@ -396,7 +417,6 @@ _PINNED_SEED0 = {
     "B0": 0.3148619624810213,
     "B": 0.34854009282279924,
     "depth": 28.619535014580052,
-    "Ctilde": 1.1610763071797496,
 }
 
 
@@ -405,7 +425,7 @@ def test_estimates_pinned(tmp_path, name):
     rec = run(CONFIGS / f"{name}.ini", tmp_path, seed=0, do_simulate=False, quiet=True)
     est = rec["estimates"]
     got = {"B0": est["B0"].constant, "B": est["B"].constant,
-           "depth": est["depth"].upper, "Ctilde": est["Ctilde"].constant}
+           "depth": est["depth"].upper}
     assert got == pytest.approx(_PINNED_SEED0, rel=1e-9)
     # the depth descent's early rejection of proposals leaves these bits alone
     assert (est["depth"].upper, est["depth"].skipped) == (28.619535014580045, 0)

@@ -14,7 +14,7 @@ from pxwell.energy import (
 )
 from pxwell.exponents import build_field
 from pxwell.grid import Grid, GridFunction, cell_gradient_magnitude, project_mean_zero
-from pxwell.norms import EmbeddingEstimate, estimate_embedding, estimate_gn_constant
+from pxwell.norms import estimate_embedding
 
 
 @pytest.fixture(scope="module")
@@ -173,20 +173,6 @@ def test_skipped_witnesses_counted(pw, monkeypatch):
     radii = estimate_level_radii(g, s_level, p, r, samples=8, seed=5)
     assert radii.skipped == 2 and calls[0] == n_candidates
     assert every.kept - 2 <= radii.kept < every.kept
-
-
-def test_level_radii_floor_when_defined():
-    # window 2 <= r_plus <= (1 + 2/N) p_minus with r_minus > p_plus
-    g = Grid((16, 16), (1.0, 1.0))
-    p = build_field(1.9, g)
-    r = build_field(3.0, g)
-    ct = estimate_gn_constant(g, p, r, trials=6, seed=2)
-    B = estimate_embedding(g, p, r, trials=4, seed=1, ascent_steps=0)
-    dep = estimate_depth(g, p, r, trials=4, seed=0, B_est=B, descent_steps=6)
-    radii = estimate_level_radii(g, 4.0 * dep.upper, p, r, samples=24, seed=5,
-                                 depth_upper=dep.upper, ctilde=ct)
-    assert radii.M_bound is not None and radii.M_bound > 0
-    assert radii.lambda_s >= radii.M_bound
 
 
 def test_depth_upper_vs_single_mode(pw):
