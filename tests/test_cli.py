@@ -100,12 +100,12 @@ _BAD_SOLVER_LINES = ("t_end = 0", "t_end = -1", "t_end = nan", "energy_tol = -1"
 _BAD_ESTIMATES_LINES = ("trials = -5", "descent_steps = -3", "ascent_steps = -1",
                         "radii_samples = -1")
 # each exited 0 under classify with a null initial J and I, or 3 under
-# simulate at the simulate stage blaming delta, or (mtarget_factor = inf) 3 at
-# the initial stage after every estimate; nonfinite.csv holds a NaN and an inf
+# simulate at the simulate stage blaming delta, or (mtarget_factor) 3 at the
+# initial stage after every estimate; nonfinite.csv holds a NaN and an inf
 _BAD_INITIAL_LINES = ("kind = modes\nmodes = 1 1.0\namplitude = nan",
                       "kind = modes\nmodes = 1 1.0\namplitude = inf",
                       "kind = modes\nmodes = 1 nan", "kind = highenergy\nmtarget_factor = inf",
-                      "kind = csv\ncsv = nonfinite.csv")
+                      "kind = highenergy\nmtarget_factor = 0.5", "kind = csv\ncsv = nonfinite.csv")
 _BAD_LINES = (*(_TINY + f"[solver]\n{line}\n" for line in _BAD_SOLVER_LINES),
               *(_TINY_FIELDS + f"[estimates]\n{line}\n" for line in _BAD_ESTIMATES_LINES),
               *(_TINY + f"[initial]\n{line}\n" for line in _BAD_INITIAL_LINES))
