@@ -119,7 +119,8 @@ def classify(
     """Map the initial datum to a predicted regime and outcome.
 
     One rule chain decides, and the first rule that matches gives the
-    regime, the prediction, the rule name and at most one note:
+    regime, the prediction, the rule name and at most one note of its own,
+    after the note on the direction of the sampled radii:
     - A zero datum is global ("zero-datum").
     - Outside the source-dominant hypotheses (condition H) the
       diffusion-dominant rules apply, which use no depth (a given one is
@@ -151,7 +152,7 @@ def classify(
     if depth is not None:
         d_hat = depth.upper
         band = _CRITICAL_BAND_REL * (1.0 + d_hat)
-        constants["d_hat_upper"] = depth.upper
+        constants["d_hat_upper"] = d_hat
         constants["d_hat_lower_formula"] = depth.lower_formula
         estimates.append(depth.ident)
     notes: list[str] = [_RADII_DIRECTION_NOTE]
