@@ -5,8 +5,9 @@ keys are hard errors so that a stored config echo pins a run completely.
 Given the same config and seed, every artifact is reproduced byte for byte.
 The JSON files are strict JSON: a non-finite number is written as null.
 Wall times and counters go to the sidecar `meta.json`, never into the
-record: the total and per-stage wall times and, for a simulated run, the
-stepper's kernel evaluations and its accepted and rejected steps, in total,
+record: the total and per-stage wall times, the depth descent's accepted
+steps and backtracks where a depth is estimated, and, for a simulated run,
+the stepper's kernel evaluations and its accepted and rejected steps, in total,
 binned by the decade floor(log10 ||u||_inf) of the state each trial step
 starts from (decade null for the zero state), binned by the stepper (RKL2 or
 RK4) and, for RKL2 trials, binned by their stage count.  `report` collects
@@ -17,7 +18,8 @@ The `[solver]` section of a `simulate` config, the `[estimates]` counts and
 the `[initial]` datum are read with the domain and exponents, so a bad value
 is a config error before any estimate runs.  A negative count is a bad value
 (zero is not), and so is a non-finite datum value, amplitude, mode
-coefficient or `mtarget_factor`, or an `mtarget_factor` of at most 1.
+coefficient or `mtarget_factor`, an `mtarget_factor` of at most 1, or kind
+`highenergy` with a non-constant source exponent or with r_minus <= p_plus.
 
 The numeric tables of a run (`trajectory.csv`, `envelopes.csv`) and of
 `poincare` (`poincare.csv`) are column tables written by one writer,
@@ -81,7 +83,7 @@ class PipelineError(RuntimeError):
 
 
 # the [estimates] counts and their defaults
-_ESTIMATE_COUNTS = {"trials": 24, "descent_steps": 50, "ascent_steps": 12, "radii_samples": 48}
+_ESTIMATE_COUNTS = {"trials": 24, "ascent_steps": 12, "radii_samples": 48}
 
 _SCHEMA: dict[str, set[str]] = {
     "domain": {"dimension", "cells", "lengths"},
@@ -196,10 +198,12 @@ def _parse_mode_terms(text: str, dim: int):
     return terms
 
 
-def _read_initial(cfg, grid: Grid) -> GridFunction | float:
+def _read_initial(cfg, grid: Grid, p: ExponentField, r: ExponentField) -> GridFunction | float:
     """The [initial] section, read and checked before any estimate runs: the
     datum, or for kind highenergy the factor of the depth that sets its
-    energy, since that datum is built from the depth estimate."""
+    energy, since that datum is built from the depth estimate; its
+    construction needs a constant source exponent and a depth, hence
+    r_minus > p_plus."""
     kind = _get(cfg, "initial", "kind", default="zero")
     if kind == "zero":
         return GridFunction(grid, np.zeros(grid.shape))
@@ -227,18 +231,14 @@ def _read_initial(cfg, grid: Grid) -> GridFunction | float:
         factor = _get(cfg, "initial", "mtarget_factor", default="10.0", cast=float)
         if not (math.isfinite(factor) and factor > 1.0):
             raise ConfigError(f"[initial] mtarget_factor must be finite and > 1, got {factor!r}")
+        if r.p_minus != r.p_plus:
+            raise ConfigError("[initial] kind highenergy needs a constant source exponent, got r "
+                              f"in [{r.p_minus!r}, {r.p_plus!r}]")
+        if not r.p_minus > p.p_plus:
+            raise ConfigError("[initial] kind highenergy needs a depth estimate, hence r_minus > "
+                              f"p_plus, got r_minus = {r.p_minus!r}, p_plus = {p.p_plus!r}")
         return factor
     raise ConfigError(f"unknown initial kind {kind!r}")
-
-
-def _high_energy_datum(factor: float, grid: Grid, p: ExponentField, r: ExponentField,
-                       depth: Optional[DepthEstimate]) -> GridFunction:
-    """The highenergy datum, with energy `factor` times the depth's upper bound."""
-    if depth is None:
-        raise PipelineError("highenergy initial data needs a depth estimate (source-dominant regime)")
-    if r.p_minus != r.p_plus:
-        raise PipelineError("highenergy construction needs a constant source exponent")
-    return construct_high_energy_datum(factor * depth.upper, grid, p, r.p_minus, depth.upper)
 
 
 def _solver_config(cfg) -> SolverConfig:
@@ -269,9 +269,12 @@ def _estimate_counts(cfg) -> dict[str, int]:
 
 def _to_jsonable(obj):
     """Plain JSON values of `obj`; a non-finite float becomes None (null),
-    since strict JSON has no NaN or Infinity."""
+    since strict JSON has no NaN or Infinity, and a dataclass drops its
+    sidecar fields."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+        # a field marked sidecar is a counter for meta.json, not the record
+        return {f.name: _to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+                if not f.metadata.get("sidecar")}
     if isinstance(obj, np.ndarray):
         return [_to_jsonable(x) for x in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
@@ -330,7 +333,7 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
         # the estimates run
         scfg = _solver_config(cfg) if do_simulate else None
         counts = _estimate_counts(cfg)
-        initial = _read_initial(cfg, grid)
+        initial = _read_initial(cfg, grid, p, r)
 
         enter("hypotheses")
         hyp = check_hypotheses(p, r)
@@ -339,24 +342,24 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
         record["regularity"] = {"p": reg_p, "r": reg_r}
 
         enter("estimates")
-        trials, descent, ascent = counts["trials"], counts["descent_steps"], counts["ascent_steps"]
+        trials, ascent = counts["trials"], counts["ascent_steps"]
         B0 = estimate_embedding(grid, p, "L2", trials=trials, seed=seed, ascent_steps=ascent)
         record["estimates"]["B0"] = B0
         B = estimate_embedding(grid, p, r, trials=trials, seed=seed + 1, ascent_steps=ascent)
         record["estimates"]["B"] = B
         depth: Optional[DepthEstimate] = None
         if r.p_minus > p.p_plus:
-            depth = estimate_depth(grid, p, r, trials=trials, seed=seed,
-                                   B_est=B, descent_steps=descent)
+            depth = estimate_depth(grid, p, r, trials=trials, seed=seed, B_est=B)
             record["estimates"]["depth"] = depth
+            meta["depth"] = {"iterations": depth.iterations, "backtracks": depth.backtracks}
             if depth.skipped:
                 record["events"].append(
-                    f"depth estimate skipped {depth.skipped} witnesses or proposals "
-                    "on which lambda* failed")
+                    f"depth estimate skipped {depth.skipped} witnesses on which lambda* failed")
 
         enter("initial")
         u0 = (initial if isinstance(initial, GridFunction)
-              else _high_energy_datum(initial, grid, p, r, depth))
+              else construct_high_energy_datum(initial * depth.upper, grid, p, r.p_minus,
+                                               depth.upper))
         s0 = snapshot(u0, p, r)
         record["initial"] = s0
 
@@ -639,7 +642,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                 return 3
             if not args.quiet:
                 print(f"depth upper={depth.upper!r} lower_formula={depth.lower_formula!r} "
-                      f"witnesses={depth.witnesses}")
+                      f"witnesses={depth.witnesses} residual={depth.residual!r} "
+                      f"iterations={depth.iterations} backtracks={depth.backtracks}")
             return 0
         if args.command == "norm":
             return _cmd_norm(args)

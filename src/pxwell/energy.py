@@ -11,36 +11,36 @@ iterate costs one pair of power sums, and a few iterates suffice because the
 log-ratio is exactly linear when the exponents are constant.
 
 Along a ray d/dlambda J(lambda u) = I(lambda u) / lambda, and with r_minus >
-p_plus I changes sign exactly once, at lambda*, so J(lambda u) <= J(lambda* u)
-for every lambda.  The depth descent passes its best value to
-the lambda* iteration as a threshold: once the first or second iterate's J
-exceeds it by more than 1e-12 times the sum of that iterate's diffusion and
-source energies (a margin for rounding), the proposal cannot win and the
-solve returns without converging.  The descent accepts and rejects exactly
-the proposals it would with full solves; only a proposal whose full solve
-would have failed after that iterate counts as rejected instead of skipped.
-A descent builds no object per proposal: its draws, its one ray and the
-lambda* iterates work in place on flat values (`_Ray`).
+p_plus I changes sign exactly once, at lambda*, so J(lambda* u) = max over
+lambda of J(lambda u) =: Phi(u).  The well depth is the infimum of Phi over
+mean-zero fields.  By the envelope theorem the gradient of Phi at a Nehari
+point u is the gradient of J there, which is minus the right-hand side of
+the grid kernel (`grid._Kernel`).  So the depth descent steps along that
+right-hand side, preconditioned by the inverse 5-point Neumann Laplacian (a
+Sobolev gradient), and retracts each step to the manifold with a full
+lambda* solve.  The preconditioner is diagonal in the grid's cosine modes:
+per axis one orthonormal cosine matrix, cached per grid (`_neumann_modes`).
 
-Depth and level-set radii are sampled estimates over `witness_bank`: the
-depth upper bound is a minimum of Nehari values over witnesses (refined by
-stochastic descent), and the analytic lower bound is evaluated at a sampled
-embedding constant, which makes it non-certified; both directions are
-reported with provenance.
+Depth and level-set radii are estimates over `witness_bank`: the depth upper
+bound is the least Nehari value over the bank and over the descents from the
+first bank draws, every one an achieved Nehari value, and the analytic lower
+bound is evaluated at a sampled embedding constant, which makes it
+non-certified; both directions are reported with provenance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .exponents import ExponentField
-from .grid import Grid, GridFunction, _workspace
+from .grid import Grid, GridFunction, _Kernel, _workspace
 from .norms import EmbeddingEstimate, l2_norm
-from .witnesses import _perturbed, witness_bank
+from .witnesses import witness_bank
 
 __all__ = [
     "EnergySnapshot",
@@ -72,12 +72,21 @@ class EnergySnapshot:
 class DepthEstimate:
     """Two-sided (non-certified) information about the well depth.
 
-    upper: best Nehari value found by sampling + descent (>= true depth).
-    lower_formula: the analytic bound evaluated at a sampled embedding
-    constant; since that constant is itself a lower bound raised to negative
-    exponents, this number is not a certified lower bound and may exceed
-    `upper`.  skipped: witnesses and descent proposals dropped because
-    lambda* failed on them.
+    upper: least Nehari value over the bank and the descents (>= true
+    depth).  lower_formula: the analytic bound evaluated at a sampled
+    embedding constant; since that constant is itself a lower bound raised
+    to negative exponents, this number is not a certified lower bound and may
+    exceed `upper`.  skipped: bank witnesses dropped because lambda* failed on
+    them.  residual: the stationarity residual at the point that gives
+    `upper`, the relative preconditioned gradient norm
+    sqrt(<g, L^-1 g> / <u, L u>), with u that Nehari point, g the kernel's
+    right-hand side there (minus the L2 gradient of J) and L the 5-point
+    Neumann Laplacian on mean-zero fields.  It is scale-free and zero at a
+    critical point of J; the descents leave it near 1e-5 on the shipped
+    exponents, against 0.1 to 0.4 at the best bank witness, and it is not
+    finite where the gradient is not.  iterations and backtracks: the
+    descents' accepted and rejected steps, counters that `cli.run` writes to
+    `meta.json`, not to the record.
     """
 
     upper: float
@@ -86,6 +95,9 @@ class DepthEstimate:
     B_used: str
     seed: int
     skipped: int = 0
+    residual: float = math.nan
+    iterations: int = field(default=0, metadata={"sidecar": True})
+    backtracks: int = field(default=0, metadata={"sidecar": True})
 
     @property
     def ident(self) -> str:
@@ -128,10 +140,6 @@ def snapshot(u: GridFunction, p: ExponentField, r: ExponentField, t: float = 0.0
 _MAX_RAY_EVALS = 100
 # rounding floor of the lambda* bracket, relative to the iterate
 _EPS = float(np.finfo(float).eps)
-# margin of find_lambda_star's early return, relative to the sum of the two
-# energy terms: it covers the rounding of J's quadrature and the gap, second
-# order in the tolerance, between J(lambda* u) and J at the converged iterate
-_REJECT_MARGIN = 1e-12
 
 
 class _Ray:
@@ -141,7 +149,7 @@ class _Ray:
     values, in the face workspace its grid caches (`grid._Faces`).  A ray
     owns its flat |grad u| and |u|, two power buffers and one scratch array,
     and `load` points it at other flat values on the same grid in place, so
-    one ray serves every proposal of a descent.  `powers` writes into the
+    one ray serves every trial step of a descent.  `powers` writes into the
     power buffers and returns them: a caller uses a returned pair before the
     next `powers` call, as `snapshot`, `ray_profile`, the lambda* iteration
     and the rays of `classify` do.
@@ -216,7 +224,6 @@ def find_lambda_star(
     p: ExponentField,
     r: ExponentField,
     tol: float = 1e-10,
-    threshold: float = math.inf,
 ) -> tuple[float, float]:
     """Nehari point of u: the scaling lambda* with I(lambda* u) = 0, and
     J(lambda* u) from the converged iterate's powers (the quadrature of
@@ -238,29 +245,14 @@ def find_lambda_star(
     on a bracket that over- or underflows, and when the tolerance is not met
     within the evaluation cap or before the bracket or the Newton step shrinks
     to rounding.
-
-    Early return: d/dlambda J(lambda u) = I(lambda u) / lambda, and with
-    r_minus > p_plus I changes sign once, at lambda*, so J(lambda u) <=
-    J(lambda* u) at every iterate.  Once the first or second iterate's J
-    exceeds a finite `threshold` by more than 1e-12 times the sum of its two
-    energy terms (the diffusion and the source energy), J at the Nehari point
-    exceeds the threshold too, and that iterate and its J are returned
-    unconverged: the margin covers the rounding of the quadrature and the
-    second-order gap between J(lambda* u) and J at the converged iterate.
-    Later iterates are not checked: a proposal still unrejected after one
-    Newton step is nearly always accepted, and the converged J rejects
-    whatever a later check would.  A caller that only asks whether
-    J(lambda* u) < threshold gets the answer of the full solve; a solve that
-    returns early is not checked further.
     """
     if r.p_minus <= p.p_plus:
         raise ValueError("lambda* requires r_minus > p_plus")
     with np.errstate(over="ignore", invalid="ignore"):
-        return _nehari(_Ray(u, p, r), r.p_minus - p.p_plus, tol, threshold)
+        return _nehari(_Ray(u, p, r), r.p_minus - p.p_plus, tol)
 
 
-def _nehari(ray: _Ray, gap: float, tol: float = 1e-10,
-            threshold: float = math.inf) -> tuple[float, float]:
+def _nehari(ray: _Ray, gap: float, tol: float = 1e-10) -> tuple[float, float]:
     """The Newton iteration of `find_lambda_star` on `ray`, with gap =
     r_minus - p_plus > 0; overflow must be ignored around it."""
     vol = ray.vol
@@ -285,7 +277,7 @@ def _nehari(ray: _Ray, gap: float, tol: float = 1e-10,
             f"lambda* bracket out of range: modular ratio {a / b!r} to the power "
             f"1/(r_minus - p_plus) = {1.0 / gap!r}"
         )
-    for k in range(_MAX_RAY_EVALS):
+    for _ in range(_MAX_RAY_EVALS):
         gmod = vol * gsum
         val = gmod - vol * ssum
         nxt = math.nan
@@ -295,10 +287,6 @@ def _nehari(ray: _Ray, gap: float, tol: float = 1e-10,
         else:
             if abs(val) <= tol * gmod:
                 return float(lam), ray._energy(gp, sp)
-            if k < 2 and threshold < math.inf:
-                diffusion, source = ray._energy_terms(gp, sp)
-                if diffusion - source > threshold + _REJECT_MARGIN * (diffusion + source):
-                    return float(lam), diffusion - source
             if val > 0.0:
                 lo = lam
             else:
@@ -325,49 +313,98 @@ def depth_lower_formula(p: ExponentField, r: ExponentField, B_constant: float) -
     return coeff * min(B_constant**e1, B_constant**e2)
 
 
-def _descend(
-    u: GridFunction,
-    p: ExponentField,
-    r: ExponentField,
-    J_start: float,
-    rng: np.random.Generator,
-    steps: int,
-) -> tuple[float, int]:
-    """Greedy perturbation descent of the Nehari value from one witness.
+# the descent: starts (the first bank draws), the first step length, the
+# relative decrease of J at which a descent stops, and caps on its trial
+# steps and on how far backtracking shrinks the step
+_DESCENT_STARTS = 4
+_STEP0 = 1.0
+_DESCENT_RTOL = 1e-9
+_DESCENT_MAX_TRIALS = 400
+_STEP_MIN = 1e-12
 
-    Pure function of (witness, rng state): per-witness seeding keeps the
-    depth estimate monotone in the number of trials.  Each proposal's lambda*
-    solve takes the best value so far as its threshold, so a proposal that
-    cannot win stops early.  Returns the best value and the number of
-    proposals skipped because lambda* failed.
 
-    The proposals are flat values drawn into one of two buffers, the other
-    holding the best point, and one ray is loaded with each; every solve
-    runs inside one errstate, so a proposal that overflows is skipped.
+@lru_cache(maxsize=8)
+def _neumann_modes(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The cosine modes of the 5-point Neumann Laplacian L = -Delta_h on
+    `grid`, with a 1D grid taken as n x 1: per axis the orthonormal cosine
+    matrix C, C[k, j] proportional to cos(pi k (j + 1/2) / n), then on the
+    n0 x n1 cells the eigenvalues mu = sum over axes of (2 sin(pi k / 2n) / h)^2
+    and their inverses, the constant mode's inverse set to zero, so that L^-1
+    acts on mean-zero fields.  Read-only: every caller on the grid shares
+    them."""
+    pad = 2 - grid.dimension
+    mats, eigs = [], []
+    for n, h in zip(grid.cells + (1,) * pad, grid.spacing + (1.0,) * pad):
+        k = np.arange(n)
+        c = math.sqrt(2.0 / n) * np.cos(np.pi * np.outer(k, k + 0.5) / n)
+        c[0] = 1.0 / math.sqrt(n)
+        mats.append(c)
+        eigs.append(((2.0 / h) * np.sin(0.5 * np.pi * k / n)) ** 2)
+    mu = np.add.outer(*eigs)
+    inv = np.zeros_like(mu)
+    inv.flat[1:] = 1.0 / mu.flat[1:]
+    for a in (*mats, mu, inv):
+        a.flags.writeable = False
+    return mats[0], mats[1], mu, inv
+
+
+def _to_modes(c0: np.ndarray, c1: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The cosine coefficients of the flat `values`."""
+    return c0 @ values.reshape(len(c0), len(c1)) @ c1.T
+
+
+def _sobolev_gradient(grid: Grid, g: np.ndarray) -> np.ndarray:
+    """L^-1 g for the flat mean-zero g: the descent direction."""
+    c0, c1, _, inv = _neumann_modes(grid)
+    return (c0.T @ (_to_modes(c0, c1, g) * inv) @ c1).reshape(-1)
+
+
+def _stationarity(grid: Grid, kernel: _Kernel, u: np.ndarray) -> float:
+    """The residual of `DepthEstimate` at the flat Nehari point u."""
+    c0, c1, mu, inv = _neumann_modes(grid)
+    g = _to_modes(c0, c1, kernel.rhs(u).reshape(-1))
+    uh = _to_modes(c0, c1, u)
+    return math.sqrt(float(np.vdot(g * inv, g)) / float(np.vdot(uh * mu, uh)))
+
+
+def _nehari_descent(grid: Grid, ray: _Ray, kernel: _Kernel, gap: float, u: np.ndarray,
+                    J: float) -> tuple[float, np.ndarray, int, int]:
+    """Preconditioned descent of Phi(v) = J(lambda*(v) v) from the flat
+    Nehari point u, J = J(u).
+
+    Each step is v = u + tau L^-1 g, g the kernel's right-hand side at u
+    (minus the gradient of Phi there, by the envelope theorem), retracted
+    to its Nehari point by a full lambda* solve on `ray`.  A step that lowers
+    J is accepted and tau grows by 1.5; a rise or a lambda* failure is a
+    backtrack and halves tau.  The descent stops once an accepted step lowers
+    J by at most `_DESCENT_RTOL` J, or after `_DESCENT_MAX_TRIALS` trial
+    steps, or when tau falls below `_STEP_MIN` or the gradient is not finite.
+    Returns the least value, its point and the accepted and rejected steps;
+    overflow, invalid values and division by zero must be ignored around it.
     """
-    grid, gap = u.grid, r.p_minus - p.p_plus
-    ray = _Ray(u, p, r)
-    best = J_start
-    w, trial = u.values.flatten(), np.empty(u.values.size)
-    scale = max(w.max(), -w.min()) or 1.0
-    sigma = 0.3
-    skipped = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
-            _perturbed(grid, w, rng, sigma * scale, out=trial)
-            ray.load(trial)
-            try:
-                _, val = _nehari(ray, gap, threshold=best)
-            except ValueError:
-                skipped += 1
-                sigma *= 0.8
-                continue
-            if val < best:
-                best, w, trial = val, trial, w
-                scale = max(w.max(), -w.min()) or 1.0
-            else:
-                sigma *= 0.8
-    return best, skipped
+    tau, steps, backtracks = _STEP0, 0, 0
+    d = _sobolev_gradient(grid, kernel.rhs(u).reshape(-1))
+    for _ in range(_DESCENT_MAX_TRIALS):
+        if tau < _STEP_MIN or not np.isfinite(d).all():
+            break
+        trial = u + tau * d
+        ray.load(trial)
+        try:
+            lam, val = _nehari(ray, gap)
+        except ValueError:
+            val = math.inf
+        if not val < J:
+            backtracks += 1
+            tau *= 0.5
+            continue
+        steps += 1
+        tau *= 1.5
+        trial *= lam
+        u, decrease, J = trial, J - val, val
+        if decrease <= _DESCENT_RTOL * J:
+            break
+        d = _sobolev_gradient(grid, kernel.rhs(u).reshape(-1))
+    return J, u, steps, backtracks
 
 
 def estimate_depth(
@@ -377,35 +414,44 @@ def estimate_depth(
     trials: int = 24,
     seed: int = 0,
     B_est: Optional[EmbeddingEstimate] = None,
-    descent_steps: int = 50,
 ) -> DepthEstimate:
-    """Sampled upper bound on the well depth plus the analytic formula bound.
+    """Upper bound on the well depth plus the analytic formula bound.
 
-    Witness draws are prefix-stable in `trials`, and the descent RNG is
-    seeded per witness index, so doubling `trials` can only lower `upper`.
+    `upper` is the least Nehari value over `witness_bank` and over the
+    preconditioned descents (`_nehari_descent`) from the Nehari points of the
+    first min(trials, 4) draws.  Witness draws are prefix-stable in `trials`
+    and so are the starts, so raising `trials` can only lower `upper`.
     """
     if r.p_minus <= p.p_plus:
         raise ValueError("depth estimation requires r_minus > p_plus")
-    upper = np.inf
-    n_ok = 0
-    skipped = 0
-    for i, (_, w) in enumerate(witness_bank(grid, seed, trials)):
-        try:
-            lam, val = find_lambda_star(w, p, r)
-        except ValueError:
-            skipped += 1
-            continue
-        n_ok += 1
-        if descent_steps > 0:
-            rng_desc = np.random.default_rng((seed, 0xDE5C, i))
-            val, lost = _descend(GridFunction(grid, lam * w.values), p, r, val, rng_desc,
-                                 descent_steps)
-            skipped += lost
-        upper = min(upper, val)
-    if n_ok < 1:
-        raise ValueError("no admissible witness produced a Nehari point")
-    if not (upper > 0.0):
-        raise ValueError(f"sampled depth upper bound is not positive: {upper}")
+    starts = {f"draw{i}" for i in range(_DESCENT_STARTS)}
+    upper, best = np.inf, None
+    n_ok = skipped = steps = backtracks = 0
+    gap = r.p_minus - p.p_plus
+    kernel = _Kernel(grid, p.values, 0.0, r.values)
+    ray = None
+    bank = witness_bank(grid, seed, trials)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for name, w in bank:
+            try:
+                lam, val = find_lambda_star(w, p, r)
+            except ValueError:
+                skipped += 1
+                continue
+            n_ok += 1
+            u = lam * w.values.reshape(-1)
+            if name in starts:
+                if ray is None:
+                    ray = _Ray(w, p, r)
+                val, u, k, b = _nehari_descent(grid, ray, kernel, gap, u, val)
+                steps, backtracks = steps + k, backtracks + b
+            if val < upper:
+                upper, best = val, u
+        if n_ok < 1:
+            raise ValueError("no admissible witness produced a Nehari point")
+        if not (upper > 0.0):
+            raise ValueError(f"sampled depth upper bound is not positive: {upper}")
+        residual = _stationarity(grid, kernel, best)
     lower = depth_lower_formula(p, r, B_est.constant) if B_est is not None else float("nan")
     return DepthEstimate(
         upper=float(upper),
@@ -414,6 +460,9 @@ def estimate_depth(
         B_used=B_est.ident if B_est is not None else "none",
         seed=seed,
         skipped=skipped,
+        residual=residual,
+        iterations=steps,
+        backtracks=backtracks,
     )
 
 

@@ -12,15 +12,15 @@ one mode with the code that fills the rows, so an arbitrary wavenumber never
 builds a large basis.
 
 Every sampled estimator (B0, B, C-tilde, depth, level radii) scans the same
-`witness_bank`, and their local refinements step with `perturb`, the depth
-descent on flat values in place (`_perturbed`).
+`witness_bank`.  The embedding ascent of `norms` steps from the bank's best
+witness with `perturb`; the depth descent of `energy` is deterministic and
+starts from the Nehari points of the bank's first draws.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Optional
 
 import numpy as np
 
@@ -71,8 +71,7 @@ def mode_catalogue(grid: Grid, kmax: int = 3) -> list[GridFunction]:
             for ks, row in zip(modes, basis) if max(ks) <= kmax]
 
 
-def _draw(grid: Grid, rng: np.random.Generator, lo: float, hi: float,
-          out: Optional[np.ndarray] = None) -> np.ndarray:
+def _draw(grid: Grid, rng: np.random.Generator, lo: float, hi: float) -> np.ndarray:
     """Flat values of a band-limited random combination of modes, peak
     scaled to a log-uniform amplitude in [lo, hi] and projected to mean zero.
 
@@ -80,11 +79,11 @@ def _draw(grid: Grid, rng: np.random.Generator, lo: float, hi: float,
     basis order, then the amplitude variate, one double, also when lo == hi;
     the stream is that of one scalar draw per mode.  The unit draw
     (lo == hi == 1) takes that double with `rng.random()`, its amplitude
-    exactly 1.  The values are formed in `out`, or in one fresh array, and
-    scaled and projected in place.
+    exactly 1.  The values are formed in one fresh array, and scaled and
+    projected in place.
     """
     _, basis = _mode_basis(grid, _KMAX)
-    vals = np.matmul(rng.normal(size=basis.shape[0]), basis, out=out)
+    vals = rng.normal(size=basis.shape[0]) @ basis
     unit = lo == hi == 1.0
     amp = rng.random() if unit else np.exp(rng.uniform(np.log(lo), np.log(hi)))
     scale = max(vals.max(), -vals.min())
@@ -118,17 +117,8 @@ def witness_bank(grid: Grid, seed: int, n: int) -> list[tuple[str, GridFunction]
 
 def perturb(w: GridFunction, rng: np.random.Generator, amp: float) -> GridFunction:
     """w plus amp times a unit-amplitude draw of `random_field`, projected to
-    mean zero (the values of `_perturbed`)."""
-    return GridFunction(w.grid, _perturbed(w.grid, w.values.reshape(-1), rng, amp)
-                        .reshape(w.grid.shape))
-
-
-def _perturbed(grid: Grid, values: np.ndarray, rng: np.random.Generator, amp: float,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The flat values of `perturb` at the flat `values`, formed in the
-    draw's array (`out` if given): amp times the unit draw, plus the values,
-    less their mean."""
-    d = _draw(grid, rng, 1.0, 1.0, out)
+    mean zero; formed in the draw's array."""
+    d = _draw(w.grid, rng, 1.0, 1.0)
     d *= amp
-    d += values
-    return _minus_mean(grid, d, out=d)
+    d += w.values.reshape(-1)
+    return GridFunction(w.grid, _minus_mean(w.grid, d, out=d).reshape(w.grid.shape))

@@ -47,7 +47,7 @@ def random_exponent(grid, rng, lo=1.2, hi=4.0):
 def fail_lambda_star_calls(monkeypatch, failing):
     """Make the lambda* solve raise on the given call indices; returns the
     one-element call counter.  Every solve, a `find_lambda_star` call or a
-    depth-descent proposal, runs `energy._nehari` once, so that is where the
+    depth-descent step, runs `energy._nehari` once, so that is where the
     failure is injected."""
     original = energy._nehari
     calls = [0]

@@ -43,7 +43,7 @@ def setting():
     p = build_field("affine:1.8+0.1x+0.1y", g)
     r = build_field(4.0, g)
     B = estimate_embedding(g, p, r, trials=6, seed=1, ascent_steps=4)
-    dep = estimate_depth(g, p, r, trials=6, seed=0, B_est=B, descent_steps=10)
+    dep = estimate_depth(g, p, r, trials=6, seed=0, B_est=B)
     return g, p, r, B, dep
 
 
@@ -334,7 +334,7 @@ def test_high_energy_flag_consistency():
     p = build_field(1.9, g)
     r = build_field(2.5, g)
     B = estimate_embedding(g, p, r, trials=6, seed=1, ascent_steps=4)
-    dep = estimate_depth(g, p, r, trials=6, seed=0, B_est=B, descent_steps=8)
+    dep = estimate_depth(g, p, r, trials=6, seed=0, B_est=B)
     phi = mixed_mode(g)
     lam, _ = find_lambda_star(phi, p, r)
     big = GridFunction(g, 3.0 * lam * phi.values)

@@ -55,6 +55,16 @@ def test_zero_config_global_verdict(tmp_path):
 
 
 _OUTCOME = {"Blowup": "BlowupDetected", "Global": "GlobalUntilTend"}
+# the rule that decides each shipped verdict at seed 0: no shipped Global
+# verdict rests on the sampled level radii (supercritical-small-data)
+_SHIPPED_RULE = {
+    "blowup_2d": "subcritical-negative-gap",
+    "high_energy": "supercritical-large-data",
+    "global_2d": "subcritical-positive-gap",
+    "diffusion_dominant": "diffusion-dominant-global",
+    "negative_energy": "diffusion-dominant-global",
+    "zero": "zero-datum",
+}
 
 
 def _strict_json(path):
@@ -73,10 +83,11 @@ def _strict_json(path):
     ("zero", "Global"),
 ])
 def test_shipped_config_agrees(tmp_path, name, verdict):
-    # every shipped simulate config: its verdict, the simulated outcome that
-    # goes with it, and a trajectory row for the datum and each accepted step
+    # every shipped simulate config: its verdict and the rule that decides
+    # it, the simulated outcome that goes with it, and a trajectory row for
+    # the datum and each accepted step
     rec = run(CONFIGS / f"{name}.ini", tmp_path, seed=0, quiet=True)
-    assert rec["verdict"].prediction == verdict
+    assert (rec["verdict"].prediction, rec["verdict"].rule) == (verdict, _SHIPPED_RULE[name])
     assert rec["outcome"].kind == _OUTCOME[verdict]
     run_dir = tmp_path / f"{name}-s0"
     _strict_json(run_dir / "record.json")
@@ -90,15 +101,20 @@ def test_shipped_config_agrees(tmp_path, name, verdict):
 # estimates
 _TINY_FIELDS = ("[domain]\ndimension = 1\ncells = 8\nlengths = 1.0\n"
                 "[exponents]\np = const:2.0\nr = const:4.0\n")
-_TINY = _TINY_FIELDS + "[estimates]\ntrials = 2\ndescent_steps = 0\nascent_steps = 0\n"
+_TINY = _TINY_FIELDS + "[estimates]\ntrials = 2\nascent_steps = 0\n"
 # each failed at the audit stage (exit 3) or, for blowup_threshold = nan,
 # ran with threshold detection off (exit 0); t_end = inf, which never
 # returned, is checked in test_solver.test_config_validation
 _BAD_SOLVER_LINES = ("t_end = 0", "t_end = -1", "t_end = nan", "energy_tol = -1",
                      "energy_tol = nan", "blowup_threshold = nan", "delta = -1", "delta = nan")
 # each ran and recorded the negative count (exit 0)
-_BAD_ESTIMATES_LINES = ("trials = -5", "descent_steps = -3", "ascent_steps = -1",
-                        "radii_samples = -1")
+_BAD_ESTIMATES_LINES = ("trials = -5", "ascent_steps = -1", "radii_samples = -1")
+# kind highenergy with a source exponent that its construction cannot take;
+# each exited 3 at the initial stage, after the estimates
+_BAD_HIGHENERGY = {
+    "highenergy-variable-r": "r = affine:4.0+0.5x",
+    "highenergy-r_minus-below-p_plus": "r = const:1.5",
+}
 # each exited 0 under classify with a null initial J and I, or 3 under
 # simulate at the simulate stage blaming delta, or (mtarget_factor) 3 at the
 # initial stage after every estimate; nonfinite.csv holds a NaN and an inf
@@ -108,9 +124,12 @@ _BAD_INITIAL_LINES = ("kind = modes\nmodes = 1 1.0\namplitude = nan",
                       "kind = highenergy\nmtarget_factor = 0.5", "kind = csv\ncsv = nonfinite.csv")
 _BAD_LINES = (*(_TINY + f"[solver]\n{line}\n" for line in _BAD_SOLVER_LINES),
               *(_TINY_FIELDS + f"[estimates]\n{line}\n" for line in _BAD_ESTIMATES_LINES),
+              *(_TINY.replace("r = const:4.0", line) + "[initial]\nkind = highenergy\n"
+                for line in _BAD_HIGHENERGY.values()),
               *(_TINY + f"[initial]\n{line}\n" for line in _BAD_INITIAL_LINES))
-_BAD_IDS = tuple(line.split("\n")[-1]
-                 for line in (*_BAD_SOLVER_LINES, *_BAD_ESTIMATES_LINES, *_BAD_INITIAL_LINES))
+_BAD_IDS = (*(line.split("\n")[-1] for line in (*_BAD_SOLVER_LINES, *_BAD_ESTIMATES_LINES)),
+            *_BAD_HIGHENERGY,
+            *(line.split("\n")[-1] for line in _BAD_INITIAL_LINES))
 
 
 def _nonfinite_csv(tmp_path, monkeypatch):
@@ -221,10 +240,16 @@ def test_record_structure(tmp_path):
     # every verdict constant traces to an estimate id or config echo
     assert rec["verdict"]["estimates_used"]
     assert "B0" in rec["estimates"] and "depth" in rec["estimates"]
+    # the depth's stationarity residual is in the record, the descent's
+    # counters only in the sidecar
+    assert 0.0 < rec["estimates"]["depth"]["residual"] < 1e-3
+    assert not {"iterations", "backtracks"} & set(rec["estimates"]["depth"])
     assert rec["trajectory_ref"] == "trajectory.csv"
     assert "wall_time_s" not in rec  # timing lives in the sidecar meta file
     meta = json.loads((tmp_path / "global_2d-s1" / "meta.json").read_text())
     assert meta["wall_time_s"] > 0
+    assert set(meta["depth"]) == {"iterations", "backtracks"}
+    assert meta["depth"]["iterations"] > 0 and meta["depth"]["backtracks"] >= 0
     stages = {"fields", "hypotheses", "estimates", "initial", "classify",
               "simulate", "audit", "envelopes"}
     assert set(meta["stage_s"]) == stages
@@ -265,6 +290,8 @@ def test_depth_subcommand(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "depth upper=" in out
+    for word in ("residual=", "iterations=", "backtracks="):
+        assert word in out
 
 
 def test_norm_subcommand(tmp_path, capsys):
@@ -358,8 +385,7 @@ def test_skipped_witnesses_reported(tmp_path, monkeypatch):
     fail_lambda_star_calls(monkeypatch, {0})
     rec = run(CONFIGS / "zero.ini", tmp_path, seed=0, do_simulate=False, quiet=True)
     assert rec["estimates"]["depth"].skipped == 1
-    assert rec["events"] == [
-        "depth estimate skipped 1 witnesses or proposals on which lambda* failed"]
+    assert rec["events"] == ["depth estimate skipped 1 witnesses on which lambda* failed"]
 
 
 def test_diffusion_dominant_pipeline(tmp_path):
@@ -411,12 +437,13 @@ def test_ode_verify_writes_plain_floats(tmp_path, capsys):
     float(worst)
 
 
-# estimates at seed 0 from the per-mode witness loop and bisection
-# root-finders; all three configs share grid and exponents
+# estimates at seed 0: B0 and B from the witness bank and its ascent, the
+# depth from the preconditioned descent; all three configs share grid and
+# exponents
 _PINNED_SEED0 = {
     "B0": 0.3148619624810213,
     "B": 0.34854009282279924,
-    "depth": 28.619535014580052,
+    "depth": 7.060845157534284,
 }
 
 
@@ -427,13 +454,12 @@ def test_estimates_pinned(tmp_path, name):
     got = {"B0": est["B0"].constant, "B": est["B"].constant,
            "depth": est["depth"].upper}
     assert got == pytest.approx(_PINNED_SEED0, rel=1e-9)
-    # the depth descent's early rejection of proposals leaves these bits alone
-    assert (est["depth"].upper, est["depth"].skipped) == (28.619535014580045, 0)
+    assert est["depth"].skipped == 0
     if name == "high_energy":
         radii = est["radii"]
         assert (radii.lambda_s, radii.Lambda_s) == pytest.approx(
-            (3.1424048841000793, 3.8465984858323425), rel=1e-9)
-        assert (radii.lambda_s, radii.Lambda_s) == (3.1424048841111145, 3.8465984857428577)
-        assert radii.kept == 3
+            (3.1424048841000793, 3.1424048841000793), rel=1e-9)
+        assert (radii.lambda_s, radii.Lambda_s) == (3.1424048841111145, 3.1424048841111154)
+        assert radii.kept == 2
     else:
         assert "radii" not in est

@@ -1,12 +1,13 @@
-"""The depth descent against its earlier per-proposal loop, bit for bit, and
-the buffers of the rays it runs on.
+"""The preconditioned depth descent: against a plain per-step loop, against
+the Nehari minimum it must reach, and the buffers of the rays it runs on.
 
-`_oracle_depth` is the earlier `estimate_depth` loop, kept here only as an
-oracle: every proposal is a fresh `GridFunction` from the earlier draw (the
-unit amplitude taken as exp(uniform(log 1, log 1)) and multiplied in), and
-its own `find_lambda_star` call, with a fresh ray and errstate.  The descent
-keeps every value and its order, so the estimate's upper bound and skipped
-count must match exactly.
+`_oracle_depth` is the descent written out plainly, kept here only as an
+oracle: every trial step is a fresh `GridFunction` with its own
+`find_lambda_star` call, the gradient is the public flux divergence plus the
+source less its mean, and the preconditioner is the pseudo-inverse of the
+assembled 5-point Neumann Laplacian instead of the cached cosine modes.  Its
+rounding differs from the descent's, so the two agree to a relative
+tolerance, not bit for bit.
 """
 
 from __future__ import annotations
@@ -16,56 +17,77 @@ import gc
 import numpy as np
 import pytest
 
-from pxwell.energy import _Ray, estimate_depth, find_lambda_star
+from pxwell.energy import (
+    _DESCENT_MAX_TRIALS,
+    _DESCENT_RTOL,
+    _DESCENT_STARTS,
+    _STEP0,
+    _STEP_MIN,
+    _Ray,
+    _sobolev_gradient,
+    estimate_depth,
+    find_lambda_star,
+)
 from pxwell.exponents import build_field
-from pxwell.grid import Grid, GridFunction, _minus_mean
-from pxwell.witnesses import _KMAX, _mode_basis, witness_bank
+from pxwell.grid import Grid, GridFunction, px_flux_divergence
+from pxwell.witnesses import witness_bank
 
 
-def _oracle_perturb(w, rng, amp):
-    _, basis = _mode_basis(w.grid, _KMAX)
-    vals = (rng.normal(size=basis.shape[0]) @ basis).reshape(w.grid.shape)
-    unit = np.exp(rng.uniform(np.log(1.0), np.log(1.0)))
-    vals *= unit
-    vals /= max(vals.max(), -vals.min())
-    d = _minus_mean(w.grid, vals, out=vals)
-    d *= amp
-    d += w.values
-    return GridFunction(w.grid, _minus_mean(w.grid, d, out=d))
+def _neumann_laplacian(grid):
+    """-Delta_h with zero boundary flux, assembled as a dense matrix on the
+    C-order flat values."""
+    def axis(n, h):
+        lap = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        lap[0, 0] = lap[-1, -1] = 1.0
+        return lap / (h * h)
+
+    mats = [axis(n, h) for n, h in zip(grid.cells, grid.spacing)]
+    if len(mats) == 1:
+        return mats[0]
+    return np.kron(mats[0], np.eye(grid.cells[1])) + np.kron(np.eye(grid.cells[0]), mats[1])
 
 
-def _oracle_descend(u, p, r, J_start, rng, steps):
-    best, w = J_start, u
-    scale = np.abs(w.values).max() or 1.0
-    sigma, skipped = 0.3, 0
-    for _ in range(steps):
-        trial = _oracle_perturb(w, rng, sigma * scale)
+def _oracle_rhs(grid, p, r, u):
+    source = np.sign(u) * np.abs(u) ** (r.values.ravel() - 1.0)
+    flux = px_flux_divergence(GridFunction(grid, u.reshape(grid.shape)), p, delta=0.0)
+    return flux.values.ravel() + source - source.mean()
+
+
+def _oracle_descent(grid, p, r, pinv, u, J):
+    tau = _STEP0
+    d = pinv @ _oracle_rhs(grid, p, r, u)
+    for _ in range(_DESCENT_MAX_TRIALS):
+        if tau < _STEP_MIN:
+            break
+        trial = u + tau * d
         try:
-            _, val = find_lambda_star(trial, p, r, threshold=best)
+            lam, val = find_lambda_star(GridFunction(grid, trial.reshape(grid.shape)), p, r)
         except ValueError:
-            skipped += 1
-            sigma *= 0.8
+            val = np.inf
+        if not val < J:
+            tau *= 0.5
             continue
-        if val < best:
-            best, w = val, trial
-            scale = np.abs(w.values).max() or 1.0
-        else:
-            sigma *= 0.8
-    return best, skipped
+        tau *= 1.5
+        u, decrease, J = lam * trial, J - val, val
+        if decrease <= _DESCENT_RTOL * J:
+            break
+        d = pinv @ _oracle_rhs(grid, p, r, u)
+    return J
 
 
-def _oracle_depth(grid, p, r, trials, seed, descent_steps):
+def _oracle_depth(grid, p, r, trials, seed):
+    pinv = np.linalg.pinv(_neumann_laplacian(grid))
+    starts = {f"draw{i}" for i in range(_DESCENT_STARTS)}
     upper, skipped = np.inf, 0
-    for i, (_, w) in enumerate(witness_bank(grid, seed, trials)):
+    for name, w in witness_bank(grid, seed, trials):
         try:
             lam, val = find_lambda_star(w, p, r)
         except ValueError:
             skipped += 1
             continue
-        rng = np.random.default_rng((seed, 0xDE5C, i))
-        val, lost = _oracle_descend(GridFunction(grid, lam * w.values), p, r, val, rng,
-                                    descent_steps)
-        upper, skipped = min(upper, val), skipped + lost
+        if name in starts:
+            val = _oracle_descent(grid, p, r, pinv, lam * w.values.ravel(), val)
+        upper = min(upper, val)
     return float(upper), skipped
 
 
@@ -82,26 +104,69 @@ _GRIDS = {
 def test_descent_matches_proposal_loop(name, variable_r, seed):
     grid, p_spec, r_spec = _GRIDS[name]
     p, r = build_field(p_spec, grid), build_field(r_spec if variable_r else "const:4.0", grid)
-    depth = estimate_depth(grid, p, r, trials=4, seed=seed, descent_steps=20)
-    assert (depth.upper, depth.skipped) == _oracle_depth(grid, p, r, 4, seed, 20)
+    depth = estimate_depth(grid, p, r, trials=4, seed=seed)
+    upper, skipped = _oracle_depth(grid, p, r, 4, seed)
+    assert depth.skipped == skipped == 0
+    assert depth.upper == pytest.approx(upper, rel=1e-8)
+    assert depth.iterations > 0 and depth.residual < 1e-3
 
 
 def test_descent_matches_proposal_loop_near_critical_source():
-    # p = 2 against r = 2.01: Nehari values near 1e197 and proposals whose
-    # powers overflow, skipped alike by both loops
+    # p = 2 against r = 2.01: Nehari values near 1e197, and every draw fails
+    # lambda*, so no descent starts and the bank alone sets the estimate
     grid = Grid((16, 16), (1.0, 1.0))
     p, r = build_field("const:2.0", grid), build_field("const:2.01", grid)
-    depth = estimate_depth(grid, p, r, trials=4, seed=0, descent_steps=20)
-    assert (depth.upper, depth.skipped) == _oracle_depth(grid, p, r, 4, 0, 20)
+    depth = estimate_depth(grid, p, r, trials=4, seed=0)
+    assert (depth.upper, depth.skipped) == _oracle_depth(grid, p, r, 4, 0)
     assert (depth.upper, depth.skipped) == (6.856296577332696e+196, 9)
+    assert depth.iterations == depth.backtracks == 0
 
 
 def test_depth_pinned_at_64():
     # global_2d's exponents on 64 x 64 at seed 0, with the shipped counts
     grid = Grid((64, 64), (1.0, 1.0))
     p, r = build_field("affine:1.8+0.35x+0.35y", grid), build_field("const:4.0", grid)
-    depth = estimate_depth(grid, p, r, trials=24, seed=0, descent_steps=50)
-    assert (depth.upper, depth.skipped) == (28.687066794522927, 0)
+    depth = estimate_depth(grid, p, r, trials=24, seed=0)
+    assert depth.upper == pytest.approx(7.080978788074116, rel=1e-9)
+    assert depth.skipped == 0
+
+
+# The discrete depth, the least Nehari value: at p = 2, r = 4 (zero.ini's
+# exponents) 8.47853 on 16 x 16 is the value of the exact embedding ascent,
+# which the constant-exponent duality inf J = (1/p - 1/r) B^{-pr/(r-p)} turns
+# into a depth.  The sampled bank minimum with the earlier stochastic
+# descent read 15.776 there, and 28.62 and 28.69 for global_2d's exponents.
+# Relative tolerance 1e-7: the three seeds agree to 3e-9.
+_DEPTHS = {
+    "p2-16": (16, "const:2.0", 8.4785300),
+    "p2-32": (32, "const:2.0", 8.5499015),
+    "global-32": (32, "affine:1.8+0.35x+0.35y", 7.0608452),
+    "global-64": (64, "affine:1.8+0.35x+0.35y", 7.0809788),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("case", list(_DEPTHS))
+def test_depth_reaches_the_nehari_minimum(case, seed):
+    n, p_spec, value = _DEPTHS[case]
+    grid = Grid((n, n), (1.0, 1.0))
+    p, r = build_field(p_spec, grid), build_field("const:4.0", grid)
+    depth = estimate_depth(grid, p, r, trials=24, seed=seed)
+    assert depth.upper == pytest.approx(value, rel=1e-7)
+    # near a critical point of J, against order one at the best bank point
+    assert depth.residual < 1e-4
+    assert estimate_depth(grid, p, r, trials=0, seed=seed).residual > 1e-2
+
+
+@pytest.mark.parametrize("grid", [Grid((40,), (1.0,)), Grid((12, 9), (1.0, 0.75)),
+                                  Grid((7, 16), (2.5, 0.3))], ids=["1d40", "12x9", "7x16"])
+def test_sobolev_gradient_inverts_the_neumann_laplacian(grid):
+    # the cosine modes invert the assembled Laplacian on mean-zero fields
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(grid.cells).ravel()
+    x -= x.mean()
+    got = _sobolev_gradient(grid, _neumann_laplacian(grid) @ x)
+    np.testing.assert_allclose(got, x, rtol=0.0, atol=1e-11 * np.abs(x).max())
 
 
 @pytest.mark.parametrize("name", list(_GRIDS))
@@ -134,7 +199,7 @@ def test_depth_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        estimate_depth(grid, p, r, trials=4, seed=0, descent_steps=20)
+        estimate_depth(grid, p, r, trials=4, seed=0)
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
         leaked = [type(o) for o in gc.garbage if type(o).__module__.startswith("pxwell")]
