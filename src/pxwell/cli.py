@@ -405,6 +405,10 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
                     {"stepper": name, "accepted": acc, "rejected": rej}
                     for name, (acc, rej) in traj.steps_by_stepper.items()
                 ],
+                "by_dt_limit": [
+                    {"limit": name, "accepted": acc}
+                    for name, acc in traj.steps_by_dt_limit.items()
+                ],
             }
 
             enter("audit")

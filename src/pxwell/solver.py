@@ -61,33 +61,48 @@ blow-up functional, delta0 and the CSV read the columns, each identity on
 single steps, and `columns_csv` writes this table and every other numeric
 table of a run.
 
-The step rule: dt grows by 1.25 after five accepted steps in a row and halves
-on a rejection.  In the blow-up tail growth stops at max(dt_E, dt): past
+The step rule: a rejection halves dt, and every accepted step scales it by a
+factor of at most 1.25, read from estimates the step already holds, so it
+costs no kernel evaluation:
+
+- The energy factor.  The remainder of a step of order k grows like
+  dt^(k+1), so aim (tol / residual)^(1/(k+1)) is the factor at which the
+  same remainder would sit at aim^(k+1) of the tolerance.  An RKL2 step has
+  k = 2 and aim 0.97; an RK4 step k = 4 and aim 0.8, whose fifth power
+  leaves the same margin in dt.
+- The error factor, on an RKL2 step outside the blow-up tail.  The RKC
+  local-error estimate ||12 (u - u+) + 6 dt (f + f+)|| / 15 of Sommeijer,
+  Shampine and Verwer (J. Comput. Appl. Math. 88, 1998), with f and f+ the
+  right-hand sides at both ends of the step, is O(dt^3), and the step's
+  change ||u+ - u|| is O(dt); the factor (0.008 / ratio)^(1/2) aims their
+  ratio at 0.008.  In a decaying run the residual sits far under its
+  tolerance once the flow slows, while the ratio keeps the step on the
+  time scale of the slowest decaying mode; the target holds audit check
+  (b), whose three-point rate is second order in the step, under 0.01 on
+  the shipped decaying configs.  The change is floored at 1024 ulps of
+  ||u|| for every explicit Euler bound in dt, the round-off of dt times a
+  right-hand side: at a steady state the change and the estimate are both
+  round-off, and their ratio would drive dt to dt_min.
+
+The factor is the least of the two and the cap, except on an accepted step on
+which the sup norm grows and the residual passes aim^(k+1) of the tolerance:
+the energy factor alone then shrinks dt, and the blow-up tail opens.  In the
+tail the admissible step falls like the source ODE's scale ||u||_inf^{2-r};
+the shrink keeps dt on it instead of sawtoothing between half and all of it
+through rejections.  In the tail growth also stops at max(dt_E, dt): past
 dt_E the step would be a three-stage RKL2 trial, which the energy test
 rejected each time on the escape runs, halving dt.  There is no cap by
 default (`SolverConfig.dt_max` is inf): in a decaying run dt grows until the
-residual test stops it, and since the stage count grows like
-sqrt(dt / dt_E), an s-stage step covers a dt that grows like s^2, so the
-longer the step, the fewer kernel evaluations per unit time.
-While the sup norm grows, an accepted step also shrinks dt ahead of the
-residual.  The remainder of a step of order k grows like dt^(k+1), so when the
-step's residual exceeds aim^(k+1) of the tolerance, dt is scaled by
-aim (tol / residual)^(1/(k+1)): the step at which the same remainder would sit
-at aim^(k+1) of the tolerance.  An RKL2 step has k = 2 and aim 0.97; an RK4
-step k = 4 and aim 0.8, whose fifth power leaves the same margin in dt.  In
-the blow-up tail the admissible step falls like the source ODE's scale
-||u||_inf^{2-r}; the shrink keeps dt on it instead of sawtoothing between
-half and all of it through rejections.  The shrink is gated on growth: in a
-decaying, stability-limited run the residual says little about the next step,
-and the grow-until-reject sawtooth takes larger steps on average there.
+estimates stop it, and since the stage count grows like sqrt(dt / dt_E), an
+s-stage step covers a dt that grows like s^2, so the longer the step, the
+fewer kernel evaluations per unit time.
 
-The step was accepted, so the shrink factor lies in [aim, 1); it is floored
-to a multiple of 2^-10.  The residual is a difference of O(|J|) sums, so its
-round-off is about eps |J| / residual ~ 1e-10 relative.  Unfloored, that
-round-off would set the last bits of dt, and two evaluations of the same J
-that sum in a different order would drift onto different trajectories;
-floored, dt depends on the residual only through comparisons, as it does
-under growth and halving.
+The factor is floored to a multiple of 2^-10.  The residual is a difference
+of O(|J|) sums, so its round-off is about eps |J| / residual ~ 1e-10
+relative.  Unfloored, that round-off would set the last bits of dt, and two
+evaluations of the same J that sum in a different order would drift onto
+different trajectories; floored, dt depends on the estimates only through
+comparisons, as it does under halving.
 
 Blow-up is declared when the sup norm crosses the configured threshold (a
 finite trigger yields a lower bound on the escape time), or when dt collapses
@@ -132,11 +147,17 @@ GLOBAL_UNTIL_TEND = "GlobalUntilTend"
 BLOWUP_DETECTED = "BlowupDetected"
 STALLED_DT = "StalledDt"
 
-# an accepted step of order k on growth aims the next step's residual at
-# aim**(k + 1) of the tolerance; the factor is taken only past that mark, and
-# floored to a multiple of 1/_GRID
+# an accepted step of order k aims the next step's residual at aim**(k + 1)
+# of the tolerance; every step factor is floored to a multiple of 1/_GRID
 _ORDER_AIM = {"rkl2": (2, 0.97), "rk4": (4, 0.8)}
 _GRID = 1024.0
+# an accepted RKL2 step outside the tail aims the next step's RKC error
+# estimate at _ERROR_AIM of its change; the change is floored at _ROUNDOFF
+# ||u|| per explicit Euler bound in the step, so a state at rest keeps dt
+_ERROR_AIM = 0.008
+_ROUNDOFF = 1024.0 * np.finfo(float).eps
+# the most a step factor grows dt
+_GROWTH = 1.25
 
 
 @dataclass(frozen=True)
@@ -148,7 +169,7 @@ class SolverConfig:
     1 + |J|, which both trial steps meet, each with its own quadrature of
     the dissipation; the sup norm blowup_threshold that declares blow-up;
     and the regularization delta of the gradient weight.  Which stepper a
-    step takes, its stage count and its shrink are not settings, and the
+    step takes, its stage count and its step factor are not settings, and the
     trajectory records every accepted state, so no setting thins it."""
 
     dt_init: float = 1e-5
@@ -210,6 +231,10 @@ class Trajectory:
     steps_by_stages: dict[int, list[int]] = field(default_factory=dict)
     # [accepted, rejected] trial steps by stepper, "rkl2" and "rk4"
     steps_by_stepper: dict[str, list[int]] = field(default_factory=dict)
+    # accepted RKL2 steps outside the blow-up tail by the factor that set the
+    # next dt: "error" (the RKC estimate), "energy" (the residual, the shrink
+    # that opens the tail included) or "growth" (the cap)
+    steps_by_dt_limit: dict[str, int] = field(default_factory=dict)
 
     @property
     def step_count(self) -> int:
@@ -299,6 +324,20 @@ def _rectangle_dissipation(kernel: _Kernel, u: np.ndarray, u_new: np.ndarray,
     return dt * kernel.vol * float(np.sum(diff * diff))
 
 
+def _rkc_estimate(u: np.ndarray, rhs: np.ndarray, u_new: np.ndarray, rhs_new: np.ndarray,
+                  dt: float) -> float:
+    """||12 (u - u_new) + 6 dt (rhs + rhs_new)|| / 15, the local-error
+    estimate of a second-order step of size dt from u to u_new, whose
+    right-hand sides are rhs and rhs_new (Sommeijer, Shampine and Verwer,
+    J. Comput. Appl. Math. 88, 1998): four fifths of the trapezoidal rule's
+    defect (u_new - u) - dt (rhs + rhs_new)/2, which is -dt^3 u'''/12 +
+    O(dt^4) on a smooth flow.  It reads values the step already holds, so it
+    costs no kernel evaluation."""
+    est = (6.0 * dt) * (rhs + rhs_new)
+    est -= 12.0 * (u_new - u)
+    return float(np.sqrt(np.vdot(est, est))) / 15.0
+
+
 def _simpson_dissipation(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, u_new: np.ndarray,
                          rhs_new: np.ndarray, dt: float) -> float:
     """The dissipation int ||du/dt||_2^2 of a step of size dt from u to u_new,
@@ -363,11 +402,11 @@ def simulate(
     max_rel_res = 0.0
     res_sum = 0.0
     drift_max = 0.0
-    consec = 0
     outcome: Optional[Outcome] = None
     by_decade: dict = {}
     by_stages: dict = {}
     by_stepper = {"rkl2": [0, 0], "rk4": [0, 0]}
+    by_dt_limit = {"error": 0, "energy": 0, "growth": 0}
     decade = _decade(supn)
     # in the blow-up tail: from the first growth shrink to the first accepted
     # step on which ||u||_inf does not grow
@@ -405,12 +444,22 @@ def simulate(
         by_stepper[stepper][slot] += 1
 
         if accepted:
+            # outside the tail an RKL2 step also reads its RKC estimate, against
+            # the step's change floored at its round-off: that of dt times the
+            # right-hand side, about eps ||u|| per explicit Euler bound in dt;
+            # the zero state has nothing to estimate
+            error = 0.0
+            estimated = stepper == "rkl2" and not tail
+            if estimated:
+                change = max(float(np.linalg.norm(u_new - u)),
+                             _ROUNDOFF * max(1.0, dt_eff / dt_e) * float(np.linalg.norm(u)))
+                if change > 0.0:
+                    error = _rkc_estimate(u, rhs, u_new, rhs_new, dt_eff) / change
             # the right-hand side has zero mean, so this is a round-off shift
             # that keeps the drift flat; the kernel's values at u_new stand
             # for the shifted state
             u = u_new - np.sum(u_new) / u_new.size
             t += dt_eff
-            consec += 1
             budget += dissipation
             res_sum += residual
             max_rel_res = max(max_rel_res, residual / (1.0 + abs(Jf)))
@@ -420,18 +469,25 @@ def simulate(
             supn, supn_prev = float(np.max(np.abs(u))), supn
             decade = _decade(supn)
             k, aim = _ORDER_AIM[stepper]
-            tail = tail and supn > supn_prev
-            if supn > supn_prev and residual > aim ** (k + 1) * tol:
-                # residual ~ dt^(k + 1): the next step at this dt would fail
-                dt *= math.floor(aim * (tol / residual) ** (1.0 / (k + 1)) * _GRID) / _GRID
-                consec = 0
-                tail = True
-            elif consec >= 5:
-                # in the tail growth stops at dt_E, past which RK4 would
-                # give way to an RKL2 trial that fails
-                grown = min(dt * 1.25, max(dt_e, dt)) if tail else dt * 1.25
-                dt = min(grown, cfg.dt_max)
-                consec = 0
+            # residual ~ dt^(k + 1): at this factor of dt the next step's
+            # residual would sit at aim^(k + 1) of the tolerance
+            energy = aim * (tol / residual) ** (1.0 / (k + 1)) if residual > 0.0 else math.inf
+            grows = supn > supn_prev
+            tail = tail and grows
+            if grows and residual > aim ** (k + 1) * tol:
+                # the next step at this dt would fail: the tail opens, or goes on
+                factor, limit, tail = energy, "energy", True
+            else:
+                factor, limit = min((_GROWTH, "growth"), (energy, "energy"))
+                if error > 0.0:
+                    # the estimate is O(dt^3), the step's change O(dt)
+                    factor, limit = min((factor, limit), ((_ERROR_AIM / error) ** 0.5, "error"))
+            if estimated:
+                by_dt_limit[limit] += 1
+            scaled = dt * (math.floor(factor * _GRID) / _GRID)
+            # in the tail growth stops at dt_E, past which RK4 would give way
+            # to an RKL2 trial that fails
+            dt = min(min(scaled, max(dt_e, dt)) if tail else scaled, cfg.dt_max)
             if n == table.shape[1]:
                 table = np.concatenate((table, np.empty_like(table)), axis=1)
             table[:, n] = t, Jf, G, S, l2sq, supn, dt_eff
@@ -441,7 +497,6 @@ def simulate(
                 break
         else:
             rejected += 1
-            consec = 0
             dt *= 0.5
         if dt < cfg.dt_min:
             # S > G is I < 0: the L2 norm is still growing
@@ -466,6 +521,7 @@ def simulate(
         steps_by_decade=by_decade,
         steps_by_stages=by_stages,
         steps_by_stepper=by_stepper,
+        steps_by_dt_limit=by_dt_limit,
     )
 
 

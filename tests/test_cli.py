@@ -269,6 +269,10 @@ def test_record_structure(tmp_path):
         row["stages"] * (row["accepted"] + row["rejected"]) for row in steps["by_stages"])
     assert sum(row["accepted"] for row in steps["by_stages"]) == steps["accepted"]
     assert sum(row["rejected"] for row in steps["by_stages"]) == steps["rejected"]
+    # every accepted RKL2 step outside the blow-up tail, here every accepted
+    # step, counts once by the factor that set the next dt
+    assert [row["limit"] for row in steps["by_dt_limit"]] == ["error", "energy", "growth"]
+    assert sum(row["accepted"] for row in steps["by_dt_limit"]) == steps["accepted"]
     decades = [row["decade"] for row in steps["by_decade"]]
     assert decades == sorted(decades) and len(set(decades)) == len(decades)
     assert sum(row["accepted"] for row in steps["by_decade"]) == steps["accepted"]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from conftest import column_trajectory, mixed_mode, random_gridfunction
 from pxwell.energy import find_lambda_star, snapshot
 from pxwell import solver
+from pxwell.cli import _build_exponent, _build_grid, _load_config, _read_initial, _solver_config
 from pxwell.exponents import build_field
 from pxwell.grid import (
     Grid,
@@ -374,9 +376,11 @@ def _reference_simulate(u0, p, r, cfg, tail_cap=True):
     stage by stage from the recurrences of Meyer, Balsara and Aslam (2014),
     the stage count found by counting up, RK4 steps formed from the Butcher
     tableau with a Simpson dissipation in the blow-up tail, and the stepper's
-    dt rule, whose growth stops at dt_E in the tail unless `tail_cap` is
-    false.  Returns (outcome, accepted, rejected, kernel evaluations, J of
-    the datum and of every accepted state)."""
+    dt rule: outside the tail an RKL2 step's next dt also follows the RKC
+    local-error estimate of Sommeijer, Shampine and Verwer (1998), formed
+    from right-hand sides evaluated again, and in the tail growth stops at
+    dt_E unless `tail_cap` is false.  Returns (outcome, accepted, rejected,
+    kernel evaluations, J of the datum and of every accepted state)."""
     grid = u0.grid
     vol, omega, delta = grid.cell_volume, grid.volume, cfg.delta
 
@@ -456,7 +460,7 @@ def _reference_simulate(u0, p, r, cfg, tail_cap=True):
     t, dt = 0.0, cfg.dt_init
     Jf = internal_J(u)
     internal = [Jf]
-    steps = rejected = consec = 0
+    steps = rejected = 0
     evals = 1
     supn = float(np.max(np.abs(u)))
     outcome = None
@@ -485,29 +489,39 @@ def _reference_simulate(u0, p, r, cfg, tail_cap=True):
             tol = cfg.energy_tol * (1.0 + abs(Jf))
             accepted = np.isfinite(J_new) and residual <= tol
         if accepted:
+            error_factor = math.inf
+            if not fourth and not tail:
+                # the estimate against the step's change, floored at 1024 ulps
+                # of ||u|| per explicit Euler bound in the step
+                f, f_new = rhs_of(u), rhs_of(u_new)
+                est = np.sqrt(np.sum((12.0 * (u - u_new) + 6.0 * dt_eff * (f + f_new)) ** 2)) / 15.0
+                floor = 1024.0 * np.finfo(float).eps * max(1.0, dt_eff / euler_dt(u))
+                change = max(np.sqrt(np.sum((u_new - u) ** 2)), floor * np.sqrt(np.sum(u * u)))
+                if est > 0.0:
+                    error_factor = math.sqrt(0.008 * change / est)
             u = u_new - np.sum(u_new) / u_new.size
             t += dt_eff
             steps += 1
-            consec += 1
             Jf = internal_J(u)
             internal.append(Jf)
             supn, supn_prev = float(np.max(np.abs(u))), supn
             order, aim = (4, 0.8) if fourth else (2, 0.97)
+            energy_factor = (aim * (tol / residual) ** (1.0 / (order + 1)) if residual > 0.0
+                             else math.inf)
             tail = tail and supn > supn_prev
             if supn > supn_prev and residual > aim ** (order + 1) * tol:
-                shrink = math.floor(aim * (tol / residual) ** (1.0 / (order + 1)) * 1024.0) / 1024.0
-                dt, consec, tail = dt * shrink, 0, True
-            elif consec >= 5:
-                grown = dt * 1.25
-                if tail and tail_cap:
-                    grown = min(grown, max(euler_dt(u), dt))
-                dt, consec = min(grown, cfg.dt_max), 0
+                factor, tail = energy_factor, True
+            else:
+                factor = min(1.25, energy_factor, error_factor)
+            dt_next = dt * math.floor(factor * 1024.0) / 1024.0
+            if tail and tail_cap:
+                dt_next = min(dt_next, max(euler_dt(u), dt))
+            dt = min(dt_next, cfg.dt_max)
             if supn >= cfg.blowup_threshold:
                 outcome = (BLOWUP_DETECTED, t)
                 break
         else:
             rejected += 1
-            consec = 0
             dt *= 0.5
         if dt < cfg.dt_min:
             growing = steps > 0 and nehari_gap(u) < 0.0
@@ -542,13 +556,12 @@ def _mixed_mode_run(factor, cfg):
     return simulate(*_mixed_mode_datum(factor), cfg)
 
 
-# the decaying run never shrinks ahead of the residual, so the counts of the
-# grow-and-halve rule stand
+# the decaying runs' (accepted, rejected) counts
 @pytest.mark.parametrize("factor, cfg, counts", [
     (1.7, _BLOWUP16, None),
-    (0.25, _DECAY16, (127, 3)),
-    (0.25, _DECAY16_LONG, (359, 11)),
-    (0.25, _DECAY16_CAPPED, (395, 11)),
+    (0.25, _DECAY16, (73, 0)),
+    (0.25, _DECAY16_LONG, (244, 0)),
+    (0.25, _DECAY16_CAPPED, (293, 0)),
     (1.7, _COLLAPSE16, (1991, 0)),
 ], ids=["blowup", "decay", "decay-uncapped", "decay-capped", "collapse"])
 def test_simulate_matches_reference_loop(factor, cfg, counts):
@@ -653,6 +666,41 @@ def test_simpson_test_is_fourth_order():
     assert slope2 == pytest.approx(3.0, abs=0.1)
 
 
+def test_rkc_estimate_is_third_order():
+    # the RKC estimate ||12 (u - u+) + 6 dt (f + f+)|| / 15 of a two-stage
+    # RKL2 step falls like dt^3 as dt halves from dt_E, every value far above
+    # the round-off of ||u||
+    u0, p, r = _mixed_mode_datum(1.0)
+    kernel = _Kernel(u0.grid, p.values, 1e-8, r.values)
+    u = project_mean_zero(u0).values
+    _, f, _, _ = kernel(u)
+    dts = kernel.explicit_dt() * 0.5 ** np.arange(5)
+    estimates = []
+    for dt in dts:
+        u2 = solver._rkl2_step(kernel, u, f, dt, 2)
+        estimates.append(solver._rkc_estimate(u, f, u2, kernel(u2)[1], dt))
+    assert min(estimates) > 1e6 * np.finfo(float).eps * np.linalg.norm(u)
+    slope = np.polyfit(np.log(dts), np.log(estimates), 1)[0]
+    assert slope == pytest.approx(3.0, abs=0.1)
+
+
+@pytest.mark.parametrize("name", ["diffusion_dominant", "negative_energy"])
+def test_steady_state_keeps_dt(name):
+    # both shipped decaying runs settle on a steady state (I -> 0 with G > 0)
+    # well before t_end 10, where the step's change and its RKC estimate are
+    # round-off; the floor on the change keeps dt from collapsing there.  The
+    # last step is cut to t_end, so it is left out
+    cfg = _load_config(Path(__file__).parent.parent / "configs" / f"{name}.ini")
+    grid = _build_grid(cfg)
+    p, r = _build_exponent(cfg, grid, "p"), _build_exponent(cfg, grid, "r")
+    scfg = dataclasses.replace(_solver_config(cfg), t_end=10.0)
+    traj = simulate(_read_initial(cfg, grid, p, r), p, r, scfg)
+    assert traj.outcome.kind == GLOBAL_UNTIL_TEND
+    assert abs(traj.I[-1]) < 1e-12 * traj.G[-1]
+    assert traj.dt[1] == scfg.dt_init
+    assert traj.dt[1:-1].min() >= traj.dt[1]
+
+
 def test_decaying_runs_take_no_rk4_step():
     # the tail opens only on a growth shrink, which a decaying run never takes;
     # the third run has negative_energy's weak source and negative J0
@@ -668,6 +716,21 @@ def test_decaying_runs_take_no_rk4_step():
                                          "rk4": [0, 0]}
 
 
+def test_dt_limits_count_rkl2_steps_outside_the_tail():
+    # every accepted RKL2 step outside the blow-up tail counts once, by the
+    # factor that set the next dt; a decaying run has no tail, and every RKL2
+    # trial of the escape run has two stages, which in the tail would make
+    # it an RK4 step, so none of them is in the tail
+    decay, escape = _mixed_mode_run(0.25, _DECAY16_LONG), _mixed_mode_run(1.7, _BLOWUP16)
+    assert set(decay.steps_by_dt_limit) == {"error", "energy", "growth"}
+    assert sum(decay.steps_by_dt_limit.values()) == decay.step_count
+    assert decay.steps_by_dt_limit["error"] > 0
+    assert set(escape.steps_by_stages) == {2}
+    assert sum(escape.steps_by_dt_limit.values()) == escape.steps_by_stepper["rkl2"][0]
+    # the shrink that opens the tail is the energy factor's
+    assert escape.steps_by_dt_limit["energy"] > 0
+
+
 def test_blowup_tail_takes_rk4_steps():
     # the tail from the first growth shrink to the threshold is RK4 wherever
     # dt <= dt_E; RKL2 steps open the run
@@ -679,9 +742,8 @@ def test_blowup_tail_takes_rk4_steps():
 
 def test_tail_growth_stops_at_explicit_bound():
     # blowup_2d's datum and solver settings: without the cap, dt grows past
-    # dt_E in the tail three times, and each time a three-stage RKL2 trial
-    # fails and halves dt; with it, every RKL2 trial has two stages and one
-    # step is rejected, before the tail
+    # dt_E in the tail, 15 trials fail and the run takes more kernel
+    # evaluations; with it, every RKL2 trial has two stages and none fails
     g = Grid((32, 32), (1.0, 1.0))
     p, r = build_field("affine:1.8+0.35x+0.35y", g), build_field(4.0, g)
     vals = sum(c * mode_field(g, ks).values for ks, c in (((1, 1), 1.0), ((2, 0), 0.3),
@@ -690,13 +752,15 @@ def test_tail_growth_stops_at_explicit_bound():
     cfg = SolverConfig(dt_init=1e-6, t_end=1.0, blowup_threshold=1e5)
     traj = simulate(u0, p, r, cfg)
     assert traj.outcome.kind == BLOWUP_DETECTED
-    assert traj.steps_by_stages == {2: [81, 1]} and traj.rejected_steps == 1
-    assert traj.kernel_evals == 1355
+    assert traj.steps_by_stages == {2: [52, 0]} and traj.rejected_steps == 0
+    assert traj.kernel_evals == 1240
+    # the escape time at energy_tol 1e-10 is 0.0027795239513
+    assert traj.outcome.t_b == pytest.approx(0.0027795239513, rel=1e-5, abs=0.0)
     capped = _reference_simulate(u0, p, r, cfg)
     uncapped = _reference_simulate(u0, p, r, cfg, tail_cap=False)
-    assert capped[1:4] == (traj.step_count, 1, 1355)
+    assert capped[1:4] == (traj.step_count, 0, 1240)
     assert capped[0][1] == pytest.approx(traj.outcome.t_b, rel=1e-12, abs=0.0)
-    assert uncapped[2:4] == (4, 1414)
+    assert uncapped[2:4] == (15, 1350)
 
 
 def test_nonfinite_initial_energy_raises():
@@ -721,7 +785,7 @@ def test_uncapped_decay_steps_past_old_cap():
     assert traj.outcome.kind == capped.outcome.kind == GLOBAL_UNTIL_TEND
     assert np.diff(capped.t).max() == pytest.approx(1e-2, rel=1e-12, abs=0.0)
     assert np.diff(traj.t).max() > 2e-2
-    assert (traj.kernel_evals, capped.kernel_evals) == (1637, 1978)
+    assert (traj.kernel_evals, capped.kernel_evals) == (1254, 1738)
     rep = audit_trajectory(traj)
     assert rep.l2_rate_ok and rep.l2_rate_max_rel_err <= solver._RATE_TOL == 0.05
     assert traj.max_rel_residual <= _DECAY16_LONG.energy_tol
