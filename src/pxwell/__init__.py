@@ -20,8 +20,6 @@ from .norms import (
     EmbeddingEstimate,
     modular,
     luxemburg_norm,
-    check_unit_ball_relations,
-    check_holder,
     estimate_embedding,
     gn_theta,
 )
@@ -30,7 +28,6 @@ from .energy import (
     DepthEstimate,
     LevelRadii,
     snapshot,
-    ray_profile,
     find_lambda_star,
     estimate_depth,
     estimate_level_radii,
@@ -39,7 +36,6 @@ from .solver import (
     SolverConfig,
     Trajectory,
     Outcome,
-    step,
     simulate,
     audit_trajectory,
     blowup_functional,
@@ -56,7 +52,7 @@ from .classify import (
     thm53_envelope,
     thm54_bounds,
 )
-from .ode_bounds import OdeParams, envelope, verify
+from .ode_bounds import OdeParams, envelope
 from . import radial_gap
 
 __version__ = "0.1.0"

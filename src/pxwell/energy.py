@@ -47,7 +47,6 @@ __all__ = [
     "DepthEstimate",
     "LevelRadii",
     "snapshot",
-    "ray_profile",
     "find_lambda_star",
     "estimate_depth",
     "estimate_level_radii",
@@ -151,8 +150,8 @@ class _Ray:
     and `load` points it at other flat values on the same grid in place, so
     one ray serves every trial step of a descent.  `powers` writes into the
     power buffers and returns them: a caller uses a returned pair before the
-    next `powers` call, as `snapshot`, `ray_profile`, the lambda* iteration
-    and the rays of `classify` do.
+    next `powers` call, as `snapshot`, the lambda* iteration and the rays of
+    `classify` do.
     """
 
     def __init__(self, u: GridFunction, p: ExponentField, r: ExponentField):
@@ -206,17 +205,6 @@ class _Ray:
         if lam == 0.0:
             return 0.0
         return self._energy(*self.powers(lam))
-
-
-def ray_profile(
-    u: GridFunction,
-    p: ExponentField,
-    r: ExponentField,
-    lambdas,
-) -> list[tuple[float, float, float]]:
-    """[(lambda, I(lambda u), J(lambda u))] by exact quadrature per lambda."""
-    ray = _Ray(u, p, r)
-    return [(float(lam), ray.I(float(lam)), ray.J(float(lam))) for lam in lambdas]
 
 
 def find_lambda_star(

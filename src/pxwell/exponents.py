@@ -104,26 +104,23 @@ def _parse_expression(expr: str) -> Callable[..., np.ndarray]:
     )
 
 
-FieldSpec = Union[float, int, str, Callable, np.ndarray]
+FieldSpec = Union[float, int, str, np.ndarray]
 
 
 def build_field(spec: FieldSpec, grid: Grid, label: str = "p") -> ExponentField:
     """Sample an exponent spec at cell centers and validate admissibility.
 
-    Accepts a constant, a ``const:``/``affine:``/``sin:`` string, a callable
-    of the coordinates, or a tabulated array (one value per cell).
+    Accepts a constant, a ``const:``/``affine:``/``sin:`` string, or a
+    tabulated array (one value per cell).
     """
-    coords = grid.centers()
     if isinstance(spec, (float, int)):
         values = np.full(grid.shape, float(spec))
     elif isinstance(spec, str):
-        values = np.broadcast_to(_parse_expression(spec)(*coords), grid.shape).astype(float)
+        values = np.broadcast_to(_parse_expression(spec)(*grid.centers()), grid.shape).astype(float)
     elif isinstance(spec, np.ndarray):
         values = np.asarray(spec, dtype=float)
         if values.shape != grid.shape:
             raise ValueError(f"tabulated field shape {values.shape} != grid {grid.shape}")
-    elif callable(spec):
-        values = np.broadcast_to(np.asarray(spec(*coords), dtype=float), grid.shape).copy()
     else:
         raise TypeError(f"unsupported exponent spec of type {type(spec)!r}")
 

@@ -37,7 +37,6 @@ __all__ = [
     "px_flux_divergence",
     "dirichlet_energy",
     "project_mean_zero",
-    "save_gridfunction_csv",
     "load_gridfunction_csv",
 ]
 
@@ -55,8 +54,8 @@ class Grid:
             raise ValueError("grid must be 1D or 2D with matching lengths")
         if any(n < 2 for n in self.cells):
             raise ValueError("need at least 2 cells per axis")
-        if any(L <= 0 for L in self.lengths):
-            raise ValueError("domain lengths must be positive")
+        if not all(0.0 < L < math.inf for L in self.lengths):
+            raise ValueError(f"domain lengths must be positive and finite, got {self.lengths!r}")
 
     @property
     def dimension(self) -> int:
@@ -119,9 +118,6 @@ class GridFunction:
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid {self.grid.shape}"
             )
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
 
 
 def integrate(f: GridFunction) -> float:
@@ -333,16 +329,6 @@ def _minus_mean(grid: Grid, values: np.ndarray, out: Optional[np.ndarray] = None
     """`values` less their midpoint-rule mean over the grid, into `out` if
     given."""
     return np.subtract(values, grid.cell_volume * float(values.sum()) / grid.volume, out=out)
-
-
-def save_gridfunction_csv(u: GridFunction, path) -> None:
-    g = u.grid
-    header = "# grid " + " ".join(str(n) for n in g.cells)
-    header += " " + " ".join(repr(float(L)) for L in g.lengths)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for v in u.values.ravel(order="C"):
-            fh.write(repr(float(v)) + "\n")
 
 
 def load_gridfunction_csv(path) -> GridFunction:

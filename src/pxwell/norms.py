@@ -2,9 +2,11 @@
 
 The modular rho(u) = integral of |u|^{q(x)} is inhomogeneous when q varies,
 so the norm is the lambda at which rho(u/lambda) = 1, found by Newton's method
-on log rho, which is convex and decreasing in log lambda.  All the modular-norm
-relations below are exact statements about the discrete measure space (cells
-with weight equal to the cell volume), so the tests can assert them tightly.
+on log rho, which is convex and decreasing in log lambda.  Modular and norm
+are exact on the discrete measure space (cells with weight equal to the cell
+volume), so the relations between them, the sign of rho - 1 against that of
+the norm - 1 and the power sandwich in q_minus and q_plus, hold to round-off
+and the tests assert them tightly.
 
 Embedding constants are sampled lower bounds obtained by maximizing Rayleigh
 quotients over witness fields; they are never certified and every consumer
@@ -25,13 +27,8 @@ from .witnesses import perturb, witness_bank
 __all__ = [
     "NormResult",
     "EmbeddingEstimate",
-    "UnitBallReport",
-    "HolderReport",
     "modular",
     "luxemburg_norm",
-    "check_unit_ball_relations",
-    "check_holder",
-    "conjugate_field",
     "estimate_embedding",
     "estimate_gn_constant",
     "gn_theta",
@@ -132,65 +129,6 @@ def luxemburg_norm(f: GridFunction, q: ExponentField, tol: float = 1e-12) -> Nor
         f"Luxemburg norm not converged to tol {tol} in {_MAX_NORM_EVALS} evaluations: "
         f"bracket [{lo!r}, {hi!r}]"
     )
-
-
-@dataclass(frozen=True)
-class UnitBallReport:
-    norm: float
-    rho: float
-    sign_consistent: bool
-    sandwich_ok: bool
-    max_rel_violation: float
-
-
-def check_unit_ball_relations(f: GridFunction, q: ExponentField, tol: float = 1e-10) -> UnitBallReport:
-    """Verify the modular-norm relations: sign agreement of (rho - 1) and
-    (||f|| - 1), and the power sandwiches with exponents q_minus/q_plus."""
-    nr = luxemburg_norm(f, q, tol=min(tol, 1e-12))
-    n, rho = nr.value, modular(f, q)
-    if n == 0.0:
-        return UnitBallReport(0.0, rho, rho == 0.0, rho == 0.0, 0.0)
-
-    band = 10.0 * max(nr.residual, tol)
-    if n > 1.0 + band:
-        sign_ok = rho > 1.0
-    elif n < 1.0 - band:
-        sign_ok = rho < 1.0
-    else:
-        sign_ok = abs(rho - 1.0) <= q.p_plus * band + tol
-
-    viol = 0.0
-    if n > 1.0:
-        lo_b, hi_b = n**q.p_minus, n**q.p_plus
-    else:
-        lo_b, hi_b = n**q.p_plus, n**q.p_minus
-    viol = max(viol, (lo_b - rho) / max(rho, 1e-300), (rho - hi_b) / max(rho, 1e-300))
-    viol = max(viol, 0.0)
-    return UnitBallReport(n, rho, bool(sign_ok), viol <= tol, float(viol))
-
-
-def conjugate_field(q: ExponentField) -> ExponentField:
-    """Pointwise conjugate exponent q' = q/(q-1)."""
-    qc = q.values / (q.values - 1.0)
-    return ExponentField(q.grid, qc, float(qc.min()), float(qc.max()), label=q.label + "'")
-
-
-@dataclass(frozen=True)
-class HolderReport:
-    lhs: float
-    rhs: float
-    ok: bool
-    slack: float
-
-
-def check_holder(u: GridFunction, v: GridFunction, q: ExponentField, tol: float = 1e-10) -> HolderReport:
-    """|integral(u v)| <= 2 ||u||_q ||v||_{q'} with the per-cell conjugate."""
-    lhs = abs(integrate(GridFunction(u.grid, u.values * v.values)))
-    nu = luxemburg_norm(u, q).value
-    nv = luxemburg_norm(v, conjugate_field(q)).value
-    rhs = 2.0 * nu * nv
-    ok = lhs <= rhs * (1.0 + tol) + 1e-300
-    return HolderReport(lhs, rhs, bool(ok), rhs - lhs)
 
 
 def l2_norm(f: GridFunction) -> float:

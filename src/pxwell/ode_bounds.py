@@ -41,7 +41,7 @@ import numpy as np
 
 from .quadrature import gauss_legendre
 
-__all__ = ["OdeParams", "envelope", "verify", "verify_batch", "rk4_min_ode"]
+__all__ = ["OdeParams", "envelope", "verify_batch", "rk4_min_ode"]
 
 
 @dataclass(frozen=True)
@@ -365,14 +365,6 @@ def _cell_excess(q: OdeParams, T: float) -> float:
     y, t = _path(q, h_star, sigma, T)
     h = h_star + sigma * h_star * np.exp(y)
     return float(max(h0 - bound(0.0), np.max(h - bound(t))))
-
-
-def verify(params: OdeParams, T: float = 12.0) -> float:
-    """Largest signed excess h(t) - envelope(t) of the equality trajectory on [0, T].
-
-    See `verify_batch`.
-    """
-    return float(verify_batch([params], T=T)[0])
 
 
 def verify_batch(batch: Sequence[OdeParams], T: float = 12.0) -> np.ndarray:

@@ -125,29 +125,20 @@ def gradient_modular_inner(epsilon: float, n_quad: int = 64) -> float:
     )
 
 
-def _function_pieces(epsilon: float, shift: float) -> tuple[tuple[float, float], ...]:
-    """Panels split at the kinks (r = 1, 2) and at interior zeros of the
-    shifted profile, where |.|^{p(r)} loses smoothness."""
-    cuts = {0.0, 1.0, 2.0, 3.0}
-    level = shift / epsilon
-    z_inner = 0.75 - level  # zero of (3/4 - r) - level
-    if 0.0 < z_inner < 1.0:
-        cuts.add(z_inner)
-    z_outer = (251.0 + 172.0 * level) / 104.0  # zero of (104 r - 251)/172 - level
-    if 2.0 < z_outer < 3.0:
-        cuts.add(z_outer)
-    ordered = sorted(cuts)
-    return tuple(zip(ordered, ordered[1:]))
+# panels of the function modular: split at the kinks (r = 1, 2) and at the
+# profile's zeros (r = 3/4, 251/104), where |.|^{p(r)} loses smoothness
+_FUNCTION_CUTS = (0.0, 0.75, 1.0, 2.0, 251.0 / 104.0, 3.0)
+_FUNCTION_PIECES = tuple(zip(_FUNCTION_CUTS, _FUNCTION_CUTS[1:]))
 
 
-def function_modular(epsilon: float, n_quad: int = 64, shift: float = 0.0) -> float:
-    """Function modular of the eps-scaled (optionally shifted) profile."""
+def function_modular(epsilon: float, n_quad: int = 64) -> float:
+    """Function modular of the eps-scaled profile."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     return _checked(
-        lambda r: np.abs(epsilon * radial_profile(r) - shift) ** exponent_profile(r),
+        lambda r: np.abs(epsilon * radial_profile(r)) ** exponent_profile(r),
         n_quad,
-        pieces=_function_pieces(epsilon, shift),
+        pieces=_FUNCTION_PIECES,
     )
 
 

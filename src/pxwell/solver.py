@@ -49,9 +49,7 @@ One kernel evaluation of a trial state gives its J, its right-hand side and
 its two modulars from the same powers; when the step is accepted they are
 reused as the current state's, and its row takes them with ||u||_2^2 and
 ||u||_inf without another quadrature.  The accepted state is then shifted to
-zero mean; the shift is round-off and the kernel's values still stand.  With
-the source off the rows report S = 0 and the diffusion energy as J: the flow
-that ran.
+zero mean; the shift is round-off and the kernel's values still stand.
 
 The run is a `Trajectory`: one column per recorded quantity, one row for the
 datum and one for every accepted state, so the run's accepted steps are its
@@ -132,7 +130,6 @@ __all__ = [
     "SolverConfig",
     "Outcome",
     "Trajectory",
-    "step",
     "simulate",
     "audit_trajectory",
     "AuditReport",
@@ -350,33 +347,15 @@ def _simpson_dissipation(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, u_new:
         + float(np.vdot(rhs_new, rhs_new)))
 
 
-def step(
-    u: GridFunction,
-    p: ExponentField,
-    r: ExponentField,
-    dt: float,
-    delta: float = 1e-8,
-    with_source: bool = True,
-) -> GridFunction:
-    """One RKL2 step of `simulate`, with the stage count its stage rule picks
-    for dt at u; the mean-corrected source keeps the spatial mean of u
-    conserved to round-off."""
-    kernel = _Kernel(u.grid, p.values, delta, r.values if with_source else None)
-    rhs = kernel.rhs(u.values)
-    s = _stages(dt, kernel.explicit_dt())
-    return GridFunction(u.grid, _rkl2_step(kernel, u.values, rhs, dt, s))
-
-
 def simulate(
     u0: GridFunction,
     p: ExponentField,
     r: ExponentField,
     cfg: SolverConfig,
-    with_source: bool = True,
 ) -> Trajectory:
     grid = u0.grid
     vol = grid.cell_volume
-    kernel = _Kernel(grid, p.values, cfg.delta, r.values if with_source else None)
+    kernel = _Kernel(grid, p.values, cfg.delta, r.values)
 
     u = project_mean_zero(u0).values
     t = 0.0

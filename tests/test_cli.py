@@ -132,6 +132,12 @@ _BAD_IDS = (*(line.split("\n")[-1] for line in (*_BAD_SOLVER_LINES, *_BAD_ESTIMA
             *(line.split("\n")[-1] for line in _BAD_INITIAL_LINES))
 
 
+# diffusion_dominant.ini with a non-finite domain length; each passed the
+# grid and exited 3 at the estimates stage, "modular is non-finite"
+_BAD_LENGTHS = {f"lengths-{v}": (CONFIGS / "diffusion_dominant.ini").read_text()
+                .replace("lengths = 1.0 1.0", f"lengths = {v} 1.0") for v in ("nan", "inf")}
+
+
 def _nonfinite_csv(tmp_path, monkeypatch):
     # the datum that [initial] csv = nonfinite.csv names, in the working
     # directory
@@ -159,6 +165,7 @@ def _nonfinite_csv(tmp_path, monkeypatch):
     ("simulate", _TINY + "[solver]\nrecord_every = 5\n"),
     ("norm", f"[norm]\nfield_csv = {CONFIGS / 'sample_field.csv'}\nexponent = const:3.0\n"
              "tol = -1\n"),
+    *(("simulate", text) for text in _BAD_LENGTHS.values()),
     *(("simulate", text) for text in _BAD_LINES),
     *(("classify", _TINY + f"[initial]\n{line}\n") for line in _BAD_INITIAL_LINES),
 ], ids=["simulate-cells", "simulate-exponent-csv", "norm-field-csv", "norm-exponent",
@@ -166,6 +173,7 @@ def _nonfinite_csv(tmp_path, monkeypatch):
         "ode-verify-t_end-nan", "ode-verify-t_end-inf", "ode-verify-dt-removed",
         "poincare-n_quad-small", "poincare-epsilon-below-1", "poincare-epsilons-decreasing",
         "poincare-epsilons-empty", "simulate-record_every-removed", "norm-tol-negative",
+        *("simulate-" + name for name in _BAD_LENGTHS),
         *("simulate-" + name.replace(" = ", "-") for name in _BAD_IDS),
         *("classify-" + name.replace(" = ", "-") for name in _BAD_IDS[-len(_BAD_INITIAL_LINES):])])
 def test_config_value_errors_exit_2(tmp_path, monkeypatch, capsys, command, text):

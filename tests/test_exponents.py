@@ -66,12 +66,14 @@ def test_log_holder_jump_fails_on_fine_grids():
     def steep(x):
         return 2.5 + 1.2 * np.tanh((x - 0.5) / 1e-4)
 
-    (coarse,) = check_log_holder(build_field(steep, Grid((16,), (1.0,))))
+    coarse_grid = Grid((16,), (1.0,))
+    (coarse,) = check_log_holder(build_field(steep(*coarse_grid.centers()), coarse_grid))
     fine_grid = Grid((512,), (1.0,))
-    (fine,) = check_log_holder(build_field(steep, fine_grid))
+    fine_field = build_field(steep(*fine_grid.centers()), fine_grid)
+    (fine,) = check_log_holder(fine_field)
     # adjacent cells straddle the jump: modulus ~ 2.4 ln(n)
     h = fine_grid.spacing[0]
-    q = build_field(steep, fine_grid).values
+    q = fine_field.values
     jumps = np.abs(np.diff(q)) * np.log(1.0 / h)
     assert fine.max_log_modulus >= jumps.max() - 1e-12
     assert not fine.passes
@@ -85,14 +87,16 @@ def test_log_holder_refinement_monotone():
 
     vals = []
     for n in (6, 18, 54):
-        (rep,) = check_log_holder(build_field(q, Grid((n,), (1.0,))), pair_budget=10**6)
+        g = Grid((n,), (1.0,))
+        (rep,) = check_log_holder(build_field(q(*g.centers()), g), pair_budget=10**6)
         vals.append(rep.max_log_modulus)
     assert vals[0] <= vals[1] <= vals[2]
 
 
 def test_hypotheses_examples():
     g = Grid((8, 8), (1.0, 1.0))
-    p = build_field(lambda x, y: 1.8 + 0.1 * (x + y) / 2, g)
+    x, y = g.centers()
+    p = build_field(1.8 + 0.1 * (x + y) / 2, g)
     r = build_field(4.0, g)
     rep = check_hypotheses(p, r)
     assert rep.condition_H

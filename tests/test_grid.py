@@ -13,7 +13,6 @@ from pxwell.grid import (
     load_gridfunction_csv,
     project_mean_zero,
     px_flux_divergence,
-    save_gridfunction_csv,
 )
 
 
@@ -25,6 +24,9 @@ def test_grid_invariants():
         Grid((1,), (1.0,))
     with pytest.raises(ValueError):
         Grid((4, 4), (1.0,))
+    for lengths in ((0.0, 1.0), (-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Grid((4, 4), lengths)
 
 
 def test_integrate_constants(grid1d):
@@ -178,10 +180,14 @@ def test_dirichlet_energy_is_flux_potential(grid2d):
 
 
 def test_csv_roundtrip(tmp_path, grid2d):
+    # a '# grid nx ny Lx Ly' header, then one shortest round-trip value per
+    # line in C order, reads back bit for bit
     rng = np.random.default_rng(3)
     u = GridFunction(grid2d, rng.standard_normal(grid2d.shape))
+    header = "# grid " + " ".join(map(str, (*grid2d.cells, *grid2d.lengths)))
     path = tmp_path / "field.csv"
-    save_gridfunction_csv(u, path)
+    path.write_text("\n".join([header, *map(repr, u.values.ravel().tolist())]) + "\n")
     back = load_gridfunction_csv(path)
     assert back.grid == grid2d
     assert np.array_equal(back.values, u.values)
+

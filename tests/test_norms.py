@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_exponent, random_gridfunction
-from pxwell.exponents import ExponentField, build_field
-from pxwell.grid import Grid, GridFunction, integrate
+from pxwell.exponents import build_field
+from pxwell.grid import Grid, GridFunction
 from pxwell.norms import (
-    check_holder,
-    check_unit_ball_relations,
-    conjugate_field,
     estimate_embedding,
     estimate_gn_constant,
     gn_theta,
@@ -101,15 +98,22 @@ def test_modular_monotone_in_lambda(grid1d):
 
 
 def test_unit_ball_relations_random():
+    # rho - 1 and ||f|| - 1 agree in sign, and rho lies between ||f||^{q_minus}
+    # and ||f||^{q_plus}, to round-off
     rng = np.random.default_rng(4)
+    band = 1e-9
     for _ in range(50):
         n = int(rng.integers(8, 64))
         g = Grid((n,), (float(rng.uniform(0.5, 2.0)),))
         f = random_gridfunction(g, rng, amp=float(rng.uniform(0.05, 20)))
         q = random_exponent(g, rng)
-        rep = check_unit_ball_relations(f, q)
-        assert rep.sign_consistent
-        assert rep.max_rel_violation <= 1e-10
+        norm, rho = luxemburg_norm(f, q).value, modular(f, q)
+        if abs(norm - 1.0) > band:
+            assert (rho > 1.0) == (norm > 1.0)
+        else:
+            assert abs(rho - 1.0) <= q.p_plus * band
+        lo, hi = sorted((norm**q.p_minus, norm**q.p_plus))
+        assert (lo - rho) / rho <= 1e-10 and (rho - hi) / rho <= 1e-10
 
 
 def test_unit_ball_forced_unit_norm(grid1d):
@@ -118,33 +122,6 @@ def test_unit_ball_forced_unit_norm(grid1d):
     f = random_gridfunction(grid1d, rng)
     unit = GridFunction(grid1d, f.values / luxemburg_norm(f, q).value)
     assert modular(unit, q) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_holder_trivials(grid1d):
-    q2 = build_field(2.0, grid1d)
-    ones = GridFunction(grid1d, np.ones(64))
-    rep = check_holder(ones, ones, q2)
-    assert rep.ok and rep.lhs == pytest.approx(1.0) and rep.rhs == pytest.approx(2.0)
-    zero = GridFunction(grid1d, np.zeros(64))
-    rep0 = check_holder(ones, zero, q2)
-    assert rep0.ok and rep0.lhs == 0.0 and rep0.rhs == 0.0
-
-
-def test_holder_random(grid1d):
-    rng = np.random.default_rng(6)
-    q3 = build_field(3.0, grid1d)
-    for _ in range(25):
-        u = random_gridfunction(grid1d, rng, amp=float(rng.uniform(0.1, 5)))
-        v = random_gridfunction(grid1d, rng, amp=float(rng.uniform(0.1, 5)))
-        rep = check_holder(u, v, q3)
-        assert rep.ok, rep
-
-
-def test_conjugate_field(grid1d):
-    q = build_field("affine:1.5+1.0x", grid1d)
-    qc = conjugate_field(q)
-    recon = qc.values / (qc.values - 1.0)
-    assert np.allclose(recon, q.values)
 
 
 def test_embedding_1d_p2_rayleigh_oracle():

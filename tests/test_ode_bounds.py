@@ -5,7 +5,7 @@ import pytest
 
 from conftest import thm53_lemma_cases
 from pxwell import cli, ode_bounds
-from pxwell.ode_bounds import OdeParams, envelope, rk4_min_ode, verify, verify_batch
+from pxwell.ode_bounds import OdeParams, envelope, rk4_min_ode, verify_batch
 
 # (C1, C2, alpha, beta, h0) whose trajectories cross the kink h = 1 before t = 4:
 # two upward (beta = 2 and 0.5 above the kink), two downward (beta = 1 and 0.5)
@@ -56,9 +56,9 @@ def test_envelope_dissipation_dominant_rate_factor():
 
 
 def test_verify_small_cases():
-    assert verify(OdeParams(1.0, 1.0, 2.0, 2.0, h0=0.5), T=8.0) <= 1e-9
-    assert verify(OdeParams(1.0, 2.0, 3.0, 2.0, h0=10.0), T=8.0) <= 1e-6
-    assert verify(OdeParams(2.0, 1.0, 3.0, 0.5, h0=4.0), T=8.0) <= 1e-6
+    assert verify_batch([OdeParams(1.0, 1.0, 2.0, 2.0, h0=0.5)], T=8.0)[0] <= 1e-9
+    assert verify_batch([OdeParams(1.0, 2.0, 3.0, 2.0, h0=10.0)], T=8.0)[0] <= 1e-6
+    assert verify_batch([OdeParams(2.0, 1.0, 3.0, 0.5, h0=4.0)], T=8.0)[0] <= 1e-6
 
 
 def test_equilibrium_at_threshold():
@@ -90,20 +90,10 @@ def test_kink_crossing_accuracy():
     # trajectory crosses h = 1 where the min switches branch
     q = OdeParams(0.5, 1.0, 3.0, 2.0, h0=0.1)
     bound, _ = envelope(q)
-    violation = verify(q, T=10.0)  # must not raise on panel agreement
+    violation = verify_batch([q], T=10.0)[0]  # must not raise on panel agreement
     assert violation <= 1e-6
     t, path = rk4_min_ode(q.C1, q.C2, q.alpha, q.beta, q.h0, T=10.0, dt=1e-3)
     assert path[0, 0] < 1.0 < path[-1, 0]
-
-
-def test_verify_batch_matches_scalar():
-    batch = [
-        OdeParams(0.5, 1.0, 2.0, 0.5, h0=0.1),
-        OdeParams(1.0, 2.0, 3.0, 2.0, h0=4.0),
-    ]
-    vals = verify_batch(batch, T=6.0)
-    for q, v in zip(batch, vals):
-        assert verify(q, T=6.0) == pytest.approx(v, abs=1e-12)
 
 
 def test_kink_split_keeps_fourth_order():
@@ -127,7 +117,7 @@ def test_verify_rejects_non_finite_trajectory(h0):
     q = OdeParams(1.0, 1.0, 3.0, 2.0, h0=h0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="not finite"):
-            verify(q, T=1.0)
+            verify_batch([q], T=1.0)
 
 
 @pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
@@ -181,10 +171,10 @@ def test_panel_guard_needs_bisection(monkeypatch):
     # the h0 = 1e-4 lemma cell starts 1e-4 from the singular point s = 0 of
     # s^alpha; its first panels pass the 8/16-node agreement only once bisected
     _, q = thm53_lemma_cases()[0]
-    assert verify(q) <= 1e-6
+    assert verify_batch([q])[0] <= 1e-6
     monkeypatch.setattr(ode_bounds, "_MAX_BISECTIONS", 0)
     with pytest.raises(ValueError, match="panels disagree"):
-        verify(q)
+        verify_batch([q])
 
 
 def test_verify_from_zero():
