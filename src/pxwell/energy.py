@@ -192,15 +192,6 @@ class _Ray:
         diffusion, source = self._energy_terms(gp, sp)
         return diffusion - source
 
-    def modulars(self, lam: float) -> tuple[float, float]:
-        if lam == 0.0:
-            return 0.0, 0.0
-        return self._modulars(*self.powers(lam))
-
-    def I(self, lam: float) -> float:
-        g, s = self.modulars(lam)
-        return g - s
-
     def J(self, lam: float) -> float:
         if lam == 0.0:
             return 0.0

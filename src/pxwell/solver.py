@@ -17,11 +17,15 @@ remainder and halving dt on rejection always wins eventually.
 Each stepper has its own quadrature of the dissipation.  An RKL2 step takes
 the rectangle dt ||(u+ - u)/dt||^2, which misses the dissipation by O(dt^3)
 even on the exact flow: the remainder of a second-order step.  An RK4 step
-takes Simpson's rule (dt/6)(||f||^2 + 4 ||f_m||^2 + ||f+||^2), where f and
-f+ are the right-hand sides at u and u+ and f_m the right-hand side at the
-midpoint u_m = (u + u+)/2 + dt (f - f+)/8 of the step's cubic Hermite
-interpolant (Hairer, Norsett and Wanner, Solving ODEs I); on the exact flow
-it misses by O(dt^5), so the test does not cap a fourth-order step.
+takes the exact int ||p'||^2 of the step's cubic Hermite interpolant p
+through u and u+ with slopes f and f+, the right-hand sides at both ends
+(Hairer, Norsett and Wanner, Solving ODEs I).  With D = (u+ - u)/dt,
+A = f - D and B = f+ - D it is dt (||D||^2 + (2/15)(||A||^2 + ||B||^2)
+- (1/15) <A, B>), a closed form in values the step already holds; on the
+exact flow it misses by O(dt^5), so the test does not cap a fourth-order
+step.  The rectangle stays on RKL2 steps: the Hermite form there took audit
+check (b) of the shipped `diffusion_dominant` past 0.01, to 0.0105 at 32^2
+and 0.0108 at 64^2.
 
 An s-stage RKL2 step is the three-term Legendre recurrence of the scheme,
 with the weights mu_j, nu_j, mu~_j and gamma~_j of `_rkl2_weights`.  Its
@@ -33,8 +37,8 @@ of the scheme's real stability interval, where dt_E is the kernel's explicit
 Euler bound at the current state (`_Kernel.explicit_dt`).  In the
 accuracy-limited blow-up tail s stays at 2 or near it; in a decaying,
 stability-limited run dt grows past dt_E and s grows like its square root.
-An RK4 step also reuses the current right-hand side: three inner stages,
-the trial state, and the Simpson midpoint make five kernel evaluations.
+An RK4 step also reuses the current right-hand side: three inner stages and
+the trial state make four kernel evaluations.
 Every stage is a combination of the current state and zero-mean right-hand
 sides, so the mean is conserved.
 
@@ -217,9 +221,9 @@ class Trajectory:
     residual_sum: float
     mean_drift_max: float
     rejected_steps: int = 0
-    # one for the datum, s per s-stage RKL2 trial step and 5 per RK4 trial
-    # step (three stages, the state and the Simpson midpoint); a trial whose
-    # state is not finite is rejected unevaluated and costs s - 1 or 3
+    # one for the datum, s per s-stage RKL2 trial step and 4 per RK4 trial
+    # step (three stages and the state); a trial whose state is not finite is
+    # rejected unevaluated and costs s - 1 or 3
     kernel_evals: int = 0
     # [accepted, rejected] trial steps by floor(log10 ||u||_inf) of the state
     # they start from; the key is None for the zero state
@@ -335,16 +339,20 @@ def _rkc_estimate(u: np.ndarray, rhs: np.ndarray, u_new: np.ndarray, rhs_new: np
     return float(np.sqrt(np.vdot(est, est))) / 15.0
 
 
-def _simpson_dissipation(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, u_new: np.ndarray,
+def _hermite_dissipation(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, u_new: np.ndarray,
                          rhs_new: np.ndarray, dt: float) -> float:
-    """The dissipation int ||du/dt||_2^2 of a step of size dt from u to u_new,
-    whose right-hand sides are rhs and rhs_new, by Simpson's rule, O(dt^5) off
-    on the exact flow; the midpoint is the cubic Hermite interpolant's, and
-    its right-hand side costs one kernel evaluation."""
-    mid = kernel.rhs(0.5 * (u + u_new) + (0.125 * dt) * (rhs - rhs_new))
-    return dt / 6.0 * kernel.vol * (
-        float(np.vdot(rhs, rhs)) + 4.0 * float(np.vdot(mid, mid))
-        + float(np.vdot(rhs_new, rhs_new)))
+    """The dissipation int ||p'||_2^2 of the cubic Hermite interpolant p of a
+    step of size dt from u to u_new, whose right-hand sides are rhs and
+    rhs_new, in closed form: dt (||D||^2 + (2/15)(||A||^2 + ||B||^2)
+    - (1/15) <A, B>), with D = (u_new - u)/dt, A = rhs - D and B = rhs_new - D,
+    since p' = D + A (1 - th)(1 - 3 th) + B th (3 th - 2) at th = t/dt.  It is
+    O(dt^5) off on the exact flow and reads values the step already holds, so
+    it costs no kernel evaluation."""
+    d = (u_new - u) / dt
+    a, b = rhs - d, rhs_new - d
+    return dt * kernel.vol * (
+        float(np.vdot(d, d)) + (2.0 / 15.0) * (float(np.vdot(a, a)) + float(np.vdot(b, b)))
+        - (1.0 / 15.0) * float(np.vdot(a, b)))
 
 
 def simulate(
@@ -404,13 +412,12 @@ def simulate(
         accepted = False
         if np.all(np.isfinite(u_new)):
             J_new, rhs_new, G_new, S_new = kernel(u_new)
-            # read before the Simpson midpoint's evaluation replaces the
-            # kernel's weights at u_new
+            # read while the kernel still holds its weights at u_new: the next
+            # trial's stages replace them
             dt_e_new = kernel.explicit_dt()
             evals += 1
             if stepper == "rk4":
-                dissipation = _simpson_dissipation(kernel, u, rhs, u_new, rhs_new, dt_eff)
-                evals += 1
+                dissipation = _hermite_dissipation(kernel, u, rhs, u_new, rhs_new, dt_eff)
             else:
                 dissipation = _rectangle_dissipation(kernel, u, u_new, dt_eff)
             residual = abs(J_new - Jf + dissipation)

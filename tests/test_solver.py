@@ -380,16 +380,32 @@ def _reference_J(uv, grid, p, r, delta):
     return J
 
 
+def _gauss_hermite_dissipation(vol, u, f, u_new, f_new, dt, points):
+    """int ||p'||_2^2 over a step of size dt, for the cubic Hermite
+    interpolant p through u and u_new with slopes f and f_new, by
+    Gauss-Legendre quadrature with `points` nodes on the derivatives of the
+    Hermite basis h00, h10, h01 and h11; three nodes are exact on the
+    quartic ||p'||^2."""
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    total = 0.0
+    for x, w in zip(nodes, weights):
+        th = 0.5 * (1.0 + x)
+        dp = ((6.0 * th * th - 6.0 * th) * (u - u_new) / dt + (3.0 * th * th - 4.0 * th + 1.0) * f
+              + (3.0 * th * th - 2.0 * th) * f_new)
+        total += 0.5 * w * float(np.sum(dp * dp))
+    return dt * vol * total
+
+
 def _reference_simulate(u0, p, r, cfg, tail_cap=True):
     """An independent stepper loop: separate right-hand side and energy
     passes, J evaluated again after the mean re-zero, the RKL2 weights formed
     stage by stage from the recurrences of Meyer, Balsara and Aslam (2014),
     the stage count found by counting up, RK4 steps formed from the Butcher
-    tableau with a Simpson dissipation in the blow-up tail, and the stepper's
-    dt rule: outside the tail an RKL2 step's next dt also follows the RKC
-    local-error estimate of Sommeijer, Shampine and Verwer (1998), formed
-    from right-hand sides evaluated again, and in the tail growth stops at
-    dt_E unless `tail_cap` is false.  Returns (outcome, accepted, rejected,
+    tableau in the blow-up tail with the Hermite dissipation by Gauss-Legendre
+    quadrature, and the stepper's dt rule: outside the tail an RKL2 step's
+    next dt also follows the RKC local-error estimate of Sommeijer, Shampine
+    and Verwer (1998), formed from right-hand sides evaluated again, and in
+    the tail growth stops at dt_E unless `tail_cap` is false.  Returns (outcome, accepted, rejected,
     kernel evaluations, J of the datum and of every accepted state)."""
     grid = u0.grid
     vol, omega, delta = grid.cell_volume, grid.volume, cfg.delta
@@ -458,14 +474,6 @@ def _reference_simulate(u0, p, r, cfg, tail_cap=True):
             ks.append(rhs_of(u + sum((a * dt) * k for a, k in zip(row, ks) if a != 0.0)))
         return u + sum((b * dt) * k for b, k in zip(tableau_b, ks))
 
-    def simpson_dissipation(u, u_new, dt):
-        # Simpson's rule on ||du/dt||^2 over the step, the midpoint from the
-        # cubic Hermite interpolant through (u, f) and (u_new, f_new)
-        f, f_new = rhs_of(u), rhs_of(u_new)
-        f_mid = rhs_of(0.5 * (u + u_new) + (0.125 * dt) * (f - f_new))
-        return dt / 6.0 * vol * float(np.sum(f * f) + 4.0 * np.sum(f_mid * f_mid)
-                                      + np.sum(f_new * f_new))
-
     u = project_mean_zero(u0).values
     t, dt = 0.0, cfg.dt_init
     Jf = internal_J(u)
@@ -484,14 +492,15 @@ def _reference_simulate(u0, p, r, cfg, tail_cap=True):
         u_new = rk4(u, dt_eff) if fourth else rkl2(u, dt_eff, s)
         finite = np.all(np.isfinite(u_new))
         if fourth:
-            evals += 5 if finite else 3
+            evals += 4 if finite else 3
         else:
             evals += s if finite else s - 1
         accepted = False
         if finite:
             J_new = internal_J(u_new)
             if fourth:
-                dissipation = simpson_dissipation(u, u_new, dt_eff)
+                dissipation = _gauss_hermite_dissipation(vol, u, rhs_of(u), u_new, rhs_of(u_new),
+                                                         dt_eff, 3)
             else:
                 diff = (u_new - u) / dt_eff
                 dissipation = dt_eff * vol * float(np.sum(diff * diff))
@@ -572,7 +581,7 @@ def _mixed_mode_run(factor, cfg):
     (0.25, _DECAY16, (73, 0)),
     (0.25, _DECAY16_LONG, (244, 0)),
     (0.25, _DECAY16_CAPPED, (293, 0)),
-    (1.7, _COLLAPSE16, (1991, 0)),
+    (1.7, _COLLAPSE16, (1988, 0)),
 ], ids=["blowup", "decay", "decay-uncapped", "decay-capped", "collapse"])
 def test_simulate_matches_reference_loop(factor, cfg, counts):
     u0, p, r = _mixed_mode_datum(factor)
@@ -581,12 +590,12 @@ def test_simulate_matches_reference_loop(factor, cfg, counts):
     assert traj.outcome.kind == kind
     assert (traj.step_count, traj.rejected_steps) == (steps, rejected)
     assert counts is None or (steps, rejected) == counts
-    # every trial state is finite here: an RK4 trial costs 5 evaluations and
+    # every trial state is finite here: an RK4 trial costs 4 evaluations and
     # is not among the RKL2 stage counts
     by_stepper = traj.steps_by_stepper
     assert sum(map(sum, by_stepper.values())) == steps + rejected
     assert sum(map(sum, traj.steps_by_stages.values())) == sum(by_stepper["rkl2"])
-    assert traj.kernel_evals == evals == 1 + 5 * sum(by_stepper["rk4"]) + sum(
+    assert traj.kernel_evals == evals == 1 + 4 * sum(by_stepper["rk4"]) + sum(
         s * (acc + rej) for s, (acc, rej) in traj.steps_by_stages.items())
     if t_b is None:
         assert traj.outcome.t_b is None
@@ -628,19 +637,29 @@ def test_escape_time_matches_converged_reference():
     assert traj.kernel_evals <= 1100
 
 
-def test_dt_collapse_through_shrink_reported():
+def test_dt_collapse_through_shrink_reported(monkeypatch):
     # dt_max caps the opening steps below the admissible step, so nothing is
     # rejected and dt can only fall under dt_min through the shrink
     u0, p, r = _mixed_mode_datum(1.7)
     cfg = SolverConfig(dt_init=1e-6, dt_max=1e-6, dt_min=1e-8, t_end=1.0, energy_tol=1e-5,
                        blowup_threshold=1e30)
+    steppers = []
+    for name in ("_rk4_step", "_rkl2_step"):
+        def logged(*args, _name=name, _step=getattr(solver, name)):
+            steppers.append(_name)
+            return _step(*args)
+        monkeypatch.setattr(solver, name, logged)
     traj = simulate(u0, p, r, cfg)
     assert traj.rejected_steps == 0
     assert traj.outcome.kind == BLOWUP_DETECTED
     assert traj.outcome.t_b == traj.t[-1] < cfg.t_end
-    # the last step was at least dt_min, and a shrink by at least 0.97 took
-    # dt under it
-    assert cfg.dt_min <= traj.dt[-1] < cfg.dt_min / 0.97
+    # the last step was an RK4 step of at least dt_min, and its shrink took
+    # dt under dt_min: an accepted step has residual <= tol, so its energy
+    # factor is at least RK4's aim, floored to a multiple of 2^-10
+    assert steppers[-1] == "_rk4_step" and len(steppers) == traj.step_count
+    _, aim = solver._ORDER_AIM["rk4"]
+    least = math.floor(aim * solver._GRID) / solver._GRID
+    assert cfg.dt_min <= traj.dt[-1] < cfg.dt_min / least
     assert traj.linf[-1] < cfg.blowup_threshold
 
 
@@ -653,25 +672,32 @@ def test_dt_collapse_in_controlled_climb_is_blowup():
     assert traj.outcome.t_b == pytest.approx(_T_B_CONVERGED, rel=1e-5, abs=0.0)
 
 
-def test_simpson_test_is_fourth_order():
-    # on a smooth state the energy residual J(u+) - J(u) + dissipation of an
-    # RK4 step with Simpson's rule falls like dt^5, and that of a two-stage
-    # RKL2 step with the rectangle rule like dt^3; dt runs from dt_E down by
-    # halves, every residual far above the round-off of J
+def test_hermite_dissipation_is_exact_and_fourth_order():
+    # the closed form is the Hermite interpolant's int ||p'||^2: it matches
+    # five-point Gauss-Legendre on random end values and slopes.  On a smooth
+    # state the energy residual J(u+) - J(u) + dissipation of an RK4 step with
+    # it falls like dt^5, and that of a two-stage RKL2 step with the
+    # rectangle rule like dt^3; dt runs from dt_E down by halves, every
+    # residual far above the round-off of J
     u0, p, r = _mixed_mode_datum(1.0)
     kernel = _Kernel(u0.grid, p.values, 1e-8, r.values)
+    rng = np.random.default_rng(7)
+    for dt in (1e-6, 1e-3, 0.5):
+        u, f, u_new, f_new = rng.standard_normal((4,) + u0.grid.shape)
+        assert solver._hermite_dissipation(kernel, u, f, u_new, f_new, dt) == pytest.approx(
+            _gauss_hermite_dissipation(kernel.vol, u, f, u_new, f_new, dt, 5), rel=1e-13, abs=0.0)
     u = project_mean_zero(u0).values
     J, f, _, _ = kernel(u)
     dts = kernel.explicit_dt() * 0.5 ** np.arange(5)
-    simpson, rectangle = [], []
+    hermite, rectangle = [], []
     for dt in dts:
         u4 = solver._rk4_step(kernel, u, f, dt)
         J4, f4, _, _ = kernel(u4)
-        simpson.append(abs(J4 - J + solver._simpson_dissipation(kernel, u, f, u4, f4, dt)))
+        hermite.append(abs(J4 - J + solver._hermite_dissipation(kernel, u, f, u4, f4, dt)))
         u2 = solver._rkl2_step(kernel, u, f, dt, 2)
         rectangle.append(abs(kernel(u2)[0] - J + solver._rectangle_dissipation(kernel, u, u2, dt)))
-    assert min(simpson) > 100.0 * np.finfo(float).eps * abs(J)
-    slope4, slope2 = (np.polyfit(np.log(dts), np.log(res), 1)[0] for res in (simpson, rectangle))
+    assert min(hermite) > 100.0 * np.finfo(float).eps * abs(J)
+    slope4, slope2 = (np.polyfit(np.log(dts), np.log(res), 1)[0] for res in (hermite, rectangle))
     assert slope4 >= 4.5
     assert slope2 == pytest.approx(3.0, abs=0.1)
 
@@ -750,6 +776,10 @@ def test_blowup_tail_takes_rk4_steps():
     assert rkl2[0] + rk4[0] == traj.step_count
 
 
+# blowup_2d's escape time to ||u||_inf = 1e5 at energy_tol 1e-10
+_T_B_BLOWUP_2D = 0.002779523950889318
+
+
 def test_tail_growth_stops_at_explicit_bound():
     # blowup_2d's datum and solver settings: without the cap, dt grows past
     # dt_E in the tail, 15 trials fail and the run takes more kernel
@@ -763,14 +793,26 @@ def test_tail_growth_stops_at_explicit_bound():
     traj = simulate(u0, p, r, cfg)
     assert traj.outcome.kind == BLOWUP_DETECTED
     assert traj.steps_by_stages == {2: [52, 0]} and traj.rejected_steps == 0
-    assert traj.kernel_evals == 1240
-    # the escape time at energy_tol 1e-10 is 0.0027795239513
-    assert traj.outcome.t_b == pytest.approx(0.0027795239513, rel=1e-5, abs=0.0)
+    assert traj.kernel_evals == 977
+    assert traj.outcome.t_b == pytest.approx(_T_B_BLOWUP_2D, rel=1e-5, abs=0.0)
     capped = _reference_simulate(u0, p, r, cfg)
     uncapped = _reference_simulate(u0, p, r, cfg, tail_cap=False)
-    assert capped[1:4] == (traj.step_count, 0, 1240)
+    assert capped[1:4] == (traj.step_count, 0, 977)
     assert capped[0][1] == pytest.approx(traj.outcome.t_b, rel=1e-12, abs=0.0)
-    assert uncapped[2:4] == (15, 1350)
+    assert uncapped[2:4] == (15, 1074)
+
+
+def test_shipped_escape_config_meets_converged_escape_time():
+    # configs/blowup_2d.ini as shipped, datum and solver settings read by the
+    # command line's own parsers: its escape time is within 1e-5 of the
+    # energy_tol 1e-10 reference
+    cfg = _load_config(Path(__file__).parent.parent / "configs" / "blowup_2d.ini")
+    grid = _build_grid(cfg)
+    p, r = _build_exponent(cfg, grid, "p"), _build_exponent(cfg, grid, "r")
+    traj = simulate(_read_initial(cfg, grid, p, r), p, r, _solver_config(cfg))
+    assert traj.outcome.kind == BLOWUP_DETECTED
+    assert traj.steps_by_stepper["rk4"][0] > 0
+    assert traj.outcome.t_b == pytest.approx(_T_B_BLOWUP_2D, rel=1e-5, abs=0.0)
 
 
 def test_nonfinite_initial_energy_raises():
