@@ -7,10 +7,12 @@ The JSON files are strict JSON: a non-finite number is written as null.
 Wall times and counters go to the sidecar `meta.json`, never into the
 record: the total and per-stage wall times, the depth descent's accepted
 steps and backtracks where a depth is estimated, and, for a simulated run,
-the stepper's kernel evaluations and its accepted and rejected steps, in total,
-binned by the decade floor(log10 ||u||_inf) of the state each trial step
-starts from (decade null for the zero state), binned by the stepper (RKL2 or
-RK4) and, for RKL2 trials, binned by their stage count.  `report` collects
+the stepper's kernel evaluations and its accepted and rejected steps, in total
+and as marginals of the solver's trial tally: by the decade
+floor(log10 ||u||_inf) of the state each trial step starts from (decade null
+for the zero state), by the stepper (RKL2 or RK4), for RKL2 trials by their
+stage count, and for accepted RKL2 steps outside the blow-up tail by the
+factor that set the next dt.  `report` collects
 each run's verdict, outcome, step counts, accepted RK4 steps and kernel
 evaluations into `summary.csv`; a `meta.json` written before RK4 steps were
 counted leaves that column empty.
@@ -388,28 +390,7 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
                 "rejected_steps": traj.rejected_steps,
                 "energy_budget_used": traj.energy_budget_used,
             }
-            meta["steps"] = {
-                "accepted": traj.step_count, "rejected": traj.rejected_steps,
-                "kernel_evals": traj.kernel_evals,
-                "by_decade": [
-                    {"decade": k, "accepted": acc, "rejected": rej}
-                    for k, (acc, rej) in sorted(
-                        traj.steps_by_decade.items(),
-                        key=lambda kv: -float("inf") if kv[0] is None else kv[0])
-                ],
-                "by_stages": [
-                    {"stages": s, "accepted": acc, "rejected": rej}
-                    for s, (acc, rej) in sorted(traj.steps_by_stages.items())
-                ],
-                "by_stepper": [
-                    {"stepper": name, "accepted": acc, "rejected": rej}
-                    for name, (acc, rej) in traj.steps_by_stepper.items()
-                ],
-                "by_dt_limit": [
-                    {"limit": name, "accepted": acc}
-                    for name, acc in traj.steps_by_dt_limit.items()
-                ],
-            }
+            meta["steps"] = _steps_meta(traj)
 
             enter("audit")
             d_for_audit = depth.upper if depth is not None else None
@@ -438,6 +419,26 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
         kindtxt = f", outcome {out.kind}" if out is not None else ""
         print(f"[{run_id}] verdict {pred} ({record['verdict'].rule}){kindtxt}")
     return record
+
+
+def _steps_meta(traj) -> dict:
+    """meta.json's `steps` block: the totals, then rows of marginals of the
+    trial tally.  RK4 trials have no stage count, and `by_dt_limit` counts
+    the accepted RKL2 steps outside the blow-up tail, the only ones with a
+    limit."""
+    def rows(name, counts, columns=("accepted", "rejected")):
+        return [{name: key, **dict(zip(columns, n))} for key, n in counts.items()]
+    stages = traj.steps_by("stages")
+    stages.pop(None, None)
+    return {
+        "accepted": traj.step_count, "rejected": traj.rejected_steps,
+        "kernel_evals": traj.kernel_evals,
+        "by_decade": rows("decade", traj.steps_by("decade")),
+        "by_stages": rows("stages", stages),
+        "by_stepper": rows("stepper", traj.steps_by("stepper", ("rkl2", "rk4"))),
+        "by_dt_limit": rows("limit", traj.steps_by("limit", ("error", "energy", "growth")),
+                            ("accepted",)),
+    }
 
 
 def _envelope_table(record, traj, p, r, depth, B0, B) -> dict[str, np.ndarray]:

@@ -181,16 +181,12 @@ class _Ray:
         """Modulars G, S: the cell quadrature of `powers`."""
         return self.vol * float(gp.sum()), self.vol * float(sp.sum())
 
-    def _energy_terms(self, gp: np.ndarray, sp: np.ndarray) -> tuple[float, float]:
-        """The diffusion and source energies, whose difference is J."""
-        tmp = self.tmp
-        diffusion = float(np.divide(gp, self.pv, out=tmp).sum())
-        return self.vol * diffusion, self.vol * float(np.divide(sp, self.rv, out=tmp).sum())
-
     def _energy(self, gp: np.ndarray, sp: np.ndarray) -> float:
-        """Energy J: the cell quadrature of `powers`."""
-        diffusion, source = self._energy_terms(gp, sp)
-        return diffusion - source
+        """Energy J: the cell quadrature of `powers`, the diffusion energy less
+        the source energy."""
+        tmp = self.tmp
+        diffusion = self.vol * float(np.divide(gp, self.pv, out=tmp).sum())
+        return diffusion - self.vol * float(np.divide(sp, self.rv, out=tmp).sum())
 
     def J(self, lam: float) -> float:
         if lam == 0.0:

@@ -61,7 +61,13 @@ rows less one.  ||u||_2^2 is reduced once per state; the l2sq column, the
 drift check and audit check (b) all read that one value.  The audit, the
 blow-up functional, delta0 and the CSV read the columns, each identity on
 single steps, and `columns_csv` writes this table and every other numeric
-table of a run.
+table of a run.  Its trial steps are one tally: each trial, accepted or
+not, counts once under its `Trial` key, the decade floor(log10 ||u||_inf)
+of the state it starts from, its stepper, its stage count, the factor that
+set the next dt and whether it was accepted; the rejected steps and every
+count by one of these is a marginal of the tally (`Trajectory.steps_by`).
+A trial runs with numpy's overflow and invalid-value warnings off: a state
+that overflows is not finite, and the trial is rejected unevaluated.
 
 The step rule: a rejection halves dt, and every accepted step scales it by a
 factor of at most 1.25, read from estimates the step already holds, so it
@@ -119,6 +125,7 @@ ValueError before the first step.
 
 from __future__ import annotations
 
+import collections
 import functools
 import io
 import math
@@ -159,6 +166,12 @@ _ERROR_AIM = 0.008
 _ROUNDOFF = 1024.0 * np.finfo(float).eps
 # the most a step factor grows dt
 _GROWTH = 1.25
+
+# a trial step's key in the tally: the decade of the state it starts from
+# (None for the zero state), its stepper "rkl2" or "rk4", its stage count
+# (None on RK4), the factor that set the next dt (None but on an accepted
+# RKL2 step outside the blow-up tail) and whether it was accepted
+Trial = collections.namedtuple("Trial", "decade stepper stages limit accepted")
 
 
 @dataclass(frozen=True)
@@ -206,7 +219,8 @@ class Trajectory:
     one for every accepted state: its time t, energy J, gradient and source
     modulars G and S, ||u||_2^2 and ||u||_inf, and the size dt of the step
     that reached the state (0 for the datum).  I, delta0 and the count of
-    accepted steps are derived from the columns."""
+    accepted steps are derived from the columns, and the rejected steps and
+    every marginal count of trials from the tally `trials`."""
 
     t: np.ndarray
     J: np.ndarray
@@ -220,27 +234,37 @@ class Trajectory:
     max_rel_residual: float
     residual_sum: float
     mean_drift_max: float
-    rejected_steps: int = 0
     # one for the datum, s per s-stage RKL2 trial step and 4 per RK4 trial
     # step (three stages and the state); a trial whose state is not finite is
-    # rejected unevaluated and costs s - 1 or 3
+    # rejected unevaluated and costs s - 1 or 3, whatever its key
     kernel_evals: int = 0
-    # [accepted, rejected] trial steps by floor(log10 ||u||_inf) of the state
-    # they start from; the key is None for the zero state
-    steps_by_decade: dict[Optional[int], list[int]] = field(default_factory=dict)
-    # [accepted, rejected] RKL2 trial steps by their stage count s
-    steps_by_stages: dict[int, list[int]] = field(default_factory=dict)
-    # [accepted, rejected] trial steps by stepper, "rkl2" and "rk4"
-    steps_by_stepper: dict[str, list[int]] = field(default_factory=dict)
-    # accepted RKL2 steps outside the blow-up tail by the factor that set the
-    # next dt: "error" (the RKC estimate), "energy" (the residual, the shrink
+    # the number of trial steps under each `Trial` key, every trial once; the
+    # limit is "error" (the RKC estimate), "energy" (the residual, the shrink
     # that opens the tail included) or "growth" (the cap)
-    steps_by_dt_limit: dict[str, int] = field(default_factory=dict)
+    trials: collections.Counter = field(default_factory=collections.Counter)
 
     @property
     def step_count(self) -> int:
         """The accepted steps: every row but the datum's."""
         return len(self.t) - 1
+
+    @property
+    def rejected_steps(self) -> int:
+        """The rejected trial steps, a marginal of the tally."""
+        return sum(n for trial, n in self.trials.items() if not trial.accepted)
+
+    def steps_by(self, name: str, keys: tuple = ()) -> dict:
+        """[accepted, rejected] trial steps by the field `name` of their
+        `Trial` key: for each of keys in their order, zero rows included, or
+        by default for each value the run met, None first and the rest
+        ascending."""
+        counts = {key: [0, 0] for key in keys}
+        for trial, n in self.trials.items():
+            key = getattr(trial, name)
+            if key in counts or not keys:
+                counts.setdefault(key, [0, 0])[not trial.accepted] += n
+        return counts if keys else dict(sorted(counts.items(),
+                                               key=lambda kv: (kv[0] is not None, kv[0])))
 
     @property
     def I(self) -> np.ndarray:
@@ -250,10 +274,6 @@ class Trajectory:
     def delta0(self) -> np.ndarray:
         """S/G, NaN where G vanishes."""
         return np.divide(self.S, self.G, out=np.full_like(self.G, np.nan), where=self.G > 0.0)
-
-
-def _decade(supn: float) -> Optional[int]:
-    return math.floor(math.log10(supn)) if supn > 0.0 else None
 
 
 @functools.lru_cache(maxsize=None)
@@ -384,17 +404,12 @@ def simulate(
     table[:, 0] = t, Jf, G, S, vol * float(np.vdot(u, u)), supn, 0.0
     n = 1
 
-    rejected = 0
     budget = 0.0
     max_rel_res = 0.0
     res_sum = 0.0
     drift_max = 0.0
     outcome: Optional[Outcome] = None
-    by_decade: dict = {}
-    by_stages: dict = {}
-    by_stepper = {"rkl2": [0, 0], "rk4": [0, 0]}
-    by_dt_limit = {"error": 0, "energy": 0, "growth": 0}
-    decade = _decade(supn)
+    trials: collections.Counter = collections.Counter()
     # in the blow-up tail: from the first growth shrink to the first accepted
     # step on which ||u||_inf does not grow
     tail = False
@@ -403,32 +418,31 @@ def simulate(
         dt_eff = min(dt, cfg.t_end - t)
         s = _stages(dt_eff, dt_e)
         stepper = "rk4" if tail and s == 2 else "rkl2"
-        if stepper == "rk4":
-            u_new = _rk4_step(kernel, u, rhs, dt_eff)
-            evals += 3
-        else:
-            u_new = _rkl2_step(kernel, u, rhs, dt_eff, s)
-            evals += s - 1
-        accepted = False
-        if np.all(np.isfinite(u_new)):
-            J_new, rhs_new, G_new, S_new = kernel(u_new)
-            # read while the kernel still holds its weights at u_new: the next
-            # trial's stages replace them
-            dt_e_new = kernel.explicit_dt()
-            evals += 1
+        decade = math.floor(math.log10(supn)) if supn > 0.0 else None
+        # a state that overflows is not finite and is rejected unevaluated
+        with np.errstate(over="ignore", invalid="ignore"):
             if stepper == "rk4":
-                dissipation = _hermite_dissipation(kernel, u, rhs, u_new, rhs_new, dt_eff)
+                u_new = _rk4_step(kernel, u, rhs, dt_eff)
+                evals += 3
             else:
-                dissipation = _rectangle_dissipation(kernel, u, u_new, dt_eff)
-            residual = abs(J_new - Jf + dissipation)
-            tol = cfg.energy_tol * (1.0 + abs(Jf))
-            accepted = math.isfinite(J_new) and residual <= tol
-        slot = 0 if accepted else 1  # of [accepted, rejected]
-        by_decade.setdefault(decade, [0, 0])[slot] += 1
-        if stepper == "rkl2":
-            by_stages.setdefault(s, [0, 0])[slot] += 1
-        by_stepper[stepper][slot] += 1
+                u_new = _rkl2_step(kernel, u, rhs, dt_eff, s)
+                evals += s - 1
+            accepted = False
+            if np.all(np.isfinite(u_new)):
+                J_new, rhs_new, G_new, S_new = kernel(u_new)
+                # read while the kernel still holds its weights at u_new: the
+                # next trial's stages replace them
+                dt_e_new = kernel.explicit_dt()
+                evals += 1
+                if stepper == "rk4":
+                    dissipation = _hermite_dissipation(kernel, u, rhs, u_new, rhs_new, dt_eff)
+                else:
+                    dissipation = _rectangle_dissipation(kernel, u, u_new, dt_eff)
+                residual = abs(J_new - Jf + dissipation)
+                tol = cfg.energy_tol * (1.0 + abs(Jf))
+                accepted = math.isfinite(J_new) and residual <= tol
 
+        limit = None
         if accepted:
             # outside the tail an RKL2 step also reads its RKC estimate, against
             # the step's change floored at its round-off: that of dt times the
@@ -453,7 +467,6 @@ def simulate(
             l2sq = vol * float(np.vdot(u, u))
             drift_max = max(drift_max, abs(vol * float(np.sum(u))) / (1.0 + np.sqrt(l2sq)))
             supn, supn_prev = float(np.max(np.abs(u))), supn
-            decade = _decade(supn)
             k, aim = _ORDER_AIM[stepper]
             # residual ~ dt^(k + 1): at this factor of dt the next step's
             # residual would sit at aim^(k + 1) of the tolerance
@@ -468,8 +481,7 @@ def simulate(
                 if error > 0.0:
                     # the estimate is O(dt^3), the step's change O(dt)
                     factor, limit = min((factor, limit), ((_ERROR_AIM / error) ** 0.5, "error"))
-            if estimated:
-                by_dt_limit[limit] += 1
+            limit = limit if estimated else None
             scaled = dt * (math.floor(factor * _GRID) / _GRID)
             # in the tail growth stops at dt_E, past which RK4 would give way
             # to an RKL2 trial that fails
@@ -478,12 +490,13 @@ def simulate(
                 table = np.concatenate((table, np.empty_like(table)), axis=1)
             table[:, n] = t, Jf, G, S, l2sq, supn, dt_eff
             n += 1
-            if supn >= cfg.blowup_threshold:
-                outcome = Outcome(BLOWUP_DETECTED, t_b=t)
-                break
         else:
-            rejected += 1
             dt *= 0.5
+        # every trial counts once, before either break
+        trials[Trial(decade, stepper, None if stepper == "rk4" else s, limit, accepted)] += 1
+        if accepted and supn >= cfg.blowup_threshold:
+            outcome = Outcome(BLOWUP_DETECTED, t_b=t)
+            break
         if dt < cfg.dt_min:
             # S > G is I < 0: the L2 norm is still growing
             if n > 1 and S > G:
@@ -502,12 +515,8 @@ def simulate(
         max_rel_residual=max_rel_res,
         residual_sum=res_sum,
         mean_drift_max=drift_max,
-        rejected_steps=rejected,
         kernel_evals=evals,
-        steps_by_decade=by_decade,
-        steps_by_stages=by_stages,
-        steps_by_stepper=by_stepper,
-        steps_by_dt_limit=by_dt_limit,
+        trials=trials,
     )
 
 

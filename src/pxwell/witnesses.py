@@ -78,20 +78,17 @@ def _draw(grid: Grid, rng: np.random.Generator, lo: float, hi: float) -> np.ndar
     Draws one standard normal coefficient per mode of the kmax = 4 basis, in
     basis order, then the amplitude variate, one double, also when lo == hi;
     the stream is that of one scalar draw per mode.  The unit draw
-    (lo == hi == 1) takes that double with `rng.random()`, its amplitude
-    exactly 1.  The values are formed in one fresh array, and scaled and
-    projected in place.
+    (lo == hi == 1) has amplitude exp(0), exactly 1.  The values are formed
+    in one fresh array, and scaled and projected in place.
     """
     _, basis = _mode_basis(grid, _KMAX)
     vals = rng.normal(size=basis.shape[0]) @ basis
-    unit = lo == hi == 1.0
-    amp = rng.random() if unit else np.exp(rng.uniform(np.log(lo), np.log(hi)))
+    amp = np.exp(rng.uniform(np.log(lo), np.log(hi)))
     scale = max(vals.max(), -vals.min())
     if scale == 0.0:
         vals[:] = np.cos(np.pi * grid.centers()[0] / grid.lengths[0]).ravel()
         scale = max(vals.max(), -vals.min())
-    if not unit:
-        vals *= amp
+    vals *= amp
     vals /= scale
     return _minus_mean(grid, vals, out=vals)
 

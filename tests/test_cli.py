@@ -65,6 +65,16 @@ _SHIPPED_RULE = {
     "negative_energy": "diffusion-dominant-global",
     "zero": "zero-datum",
 }
+# each shipped config's seed-0 step counts from meta.json: accepted,
+# rejected, kernel evaluations and accepted RK4 steps
+_SHIPPED_COUNTS = {
+    "blowup_2d": (270, 0, 977, 218),
+    "high_energy": (270, 1, 895, 176),
+    "global_2d": (141, 0, 660, 0),
+    "diffusion_dominant": (120, 0, 1380, 0),
+    "negative_energy": (57, 0, 873, 0),
+    "zero": (22, 0, 76, 0),
+}
 
 
 def _strict_json(path):
@@ -84,8 +94,8 @@ def _strict_json(path):
 ])
 def test_shipped_config_agrees(tmp_path, name, verdict):
     # every shipped simulate config: its verdict and the rule that decides
-    # it, the simulated outcome that goes with it, and a trajectory row for
-    # the datum and each accepted step
+    # it, the simulated outcome that goes with it, a trajectory row for the
+    # datum and each accepted step, and its step counts
     rec = run(CONFIGS / f"{name}.ini", tmp_path, seed=0, quiet=True)
     assert (rec["verdict"].prediction, rec["verdict"].rule) == (verdict, _SHIPPED_RULE[name])
     assert rec["outcome"].kind == _OUTCOME[verdict]
@@ -94,6 +104,10 @@ def test_shipped_config_agrees(tmp_path, name, verdict):
     meta = _strict_json(run_dir / "meta.json")
     header, *rows = (run_dir / "trajectory.csv").read_text().strip().split("\n")
     assert len(rows) == meta["steps"]["accepted"] + 1
+    steps = meta["steps"]
+    rk4 = [row["accepted"] for row in steps["by_stepper"] if row["stepper"] == "rk4"]
+    assert (steps["accepted"], steps["rejected"], steps["kernel_evals"], *rk4) == (
+        _SHIPPED_COUNTS[name])
 
 
 # a zero datum on 8 cells with two-witness estimates: the [solver] and
@@ -267,7 +281,7 @@ def test_record_structure(tmp_path):
     assert steps["accepted"] == rec["residuals"]["step_count"]
     assert steps["rejected"] == rec["residuals"]["rejected_steps"]
     # an s-stage RKL2 trial step costs s kernel evaluations and an RK4 trial
-    # step 5; this decaying run takes no RK4 step
+    # step 4; this decaying run takes no RK4 step
     stages = [row["stages"] for row in steps["by_stages"]]
     assert stages == sorted(stages) and len(set(stages)) == len(stages) and stages[0] >= 2
     assert steps["by_stepper"] == [
