@@ -28,8 +28,12 @@ The numeric tables of a run (`trajectory.csv`, `envelopes.csv`) and of
 `solver.columns_csv`; `ode_verify.csv`, with its string `branch` column,
 is written in place.
 
-Exit codes: 0 success, 2 config error, 3 pipeline error, 4 assertion or
-acceptance failure.
+Every output directory is made after the config has been read and checked
+and before the work starts, so a config error leaves no directory behind.
+
+Exit codes: 0 success, 2 config error, bad argument (such as a negative
+`--seed`) or output path that cannot be made or written, 3 pipeline error,
+4 assertion or acceptance failure.
 """
 
 from __future__ import annotations
@@ -224,7 +228,10 @@ def _read_initial(cfg, grid: Grid, p: ExponentField, r: ExponentField) -> GridFu
         terms = _parse_mode_terms(_get(cfg, "initial", "modes", required=True), grid.dimension)
         vals = np.zeros(grid.shape)
         for ks, coef in terms:
-            vals += coef * mode_field(grid, ks).values
+            try:
+                vals += coef * mode_field(grid, ks).values
+            except ValueError as exc:
+                raise ConfigError(f"[initial] modes: {exc}") from exc
         peak = np.max(np.abs(vals))
         if peak == 0.0:
             raise ConfigError("mode combination is identically zero")
@@ -290,6 +297,14 @@ def _to_jsonable(obj):
     return obj
 
 
+def _out_dir(path) -> Path:
+    """`path` as a directory, made with its parents; an OSError when it
+    cannot be is an output error (exit 2)."""
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(_to_jsonable(payload), sort_keys=True, indent=2,
                                allow_nan=False) + "\n")
@@ -305,18 +320,6 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
     config_path = Path(config_path)
     cfg = _load_config(config_path)
     run_id = f"{config_path.stem}-s{seed}"
-    run_dir = Path(out_dir) / run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
-
-    record: dict = {
-        "id": run_id,
-        "seed": seed,
-        "config_echo": cfg,
-        "estimates": {},
-        "envelopes": [],
-        "events": [],
-    }
-
     stage_s: dict[str, float] = {}
     stage, t_stage = "fields", time.monotonic()
 
@@ -326,17 +329,26 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
         stage_s[stage] = now - t_stage
         stage, t_stage = name, now
 
+    # a bad value in any section is a config error here, before the run
+    # directory is made or an estimate runs
+    grid = _build_grid(cfg)
+    p = _build_exponent(cfg, grid, "p")
+    r = _build_exponent(cfg, grid, "r")
+    scfg = _solver_config(cfg) if do_simulate else None
+    counts = _estimate_counts(cfg)
+    initial = _read_initial(cfg, grid, p, r)
+    run_dir = _out_dir(Path(out_dir) / run_id)
+
+    record: dict = {
+        "id": run_id,
+        "seed": seed,
+        "config_echo": cfg,
+        "estimates": {},
+        "envelopes": [],
+        "events": [],
+    }
     meta: dict = {"stage_s": stage_s}
     try:
-        grid = _build_grid(cfg)
-        p = _build_exponent(cfg, grid, "p")
-        r = _build_exponent(cfg, grid, "r")
-        # a bad [solver], [estimates] or [initial] value fails here, before
-        # the estimates run
-        scfg = _solver_config(cfg) if do_simulate else None
-        counts = _estimate_counts(cfg)
-        initial = _read_initial(cfg, grid, p, r)
-
         enter("hypotheses")
         hyp = check_hypotheses(p, r)
         record["hypotheses"] = hyp
@@ -402,8 +414,6 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
             (run_dir / "trajectory.csv").write_text(trajectory_csv(traj))
             record["trajectory_ref"] = "trajectory.csv"
             (run_dir / "envelopes.csv").write_text(columns_csv(env_table))
-    except (ConfigError,):
-        raise
     except Exception as exc:
         record["events"].append(f"pipeline failure at stage {stage}: {exc}")
         _write_json(run_dir / "record.json", record)
@@ -500,15 +510,14 @@ def _cmd_norm(args) -> int:
     tol = _get(cfg, "norm", "tol", default="1e-12", cast=float)
     if not 0.0 < tol < np.inf:
         raise ConfigError(f"[norm] tol must be positive and finite, got {tol!r}")
+    out = _out_dir(args.out) if args.out else None
     try:
         result = luxemburg_norm(gf, q, tol=tol)
     except ValueError as exc:
         raise PipelineError(f"luxemburg norm: {exc}") from exc
     if not args.quiet:
         print(f"value={result.value!r} iterations={result.iterations} residual={result.residual!r}")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         _write_json(out / "norm.json", result)
     return 0
 
@@ -532,9 +541,9 @@ def _cmd_ode_verify(args) -> int:
     t_end = _get(cfg, "ode", "t_end", default="12.0", cast=float)
     if not 0.0 < t_end < np.inf:
         raise ConfigError(f"[ode] t_end must be positive and finite, got {t_end!r}")
+    out = _out_dir(args.out) if args.out else None
     batch = _ode_grid()
     violations = ode_bounds.verify_batch(batch, T=t_end)
-    out = Path(args.out) if args.out else None
     lines = ["C1,C2,alpha,beta,h0,branch,max_violation"]
     worst = -np.inf
     for q, v in zip(batch, violations):
@@ -545,7 +554,6 @@ def _cmd_ode_verify(args) -> int:
         )
         worst = max(worst, float(v))
     if out:
-        out.mkdir(parents=True, exist_ok=True)
         (out / "ode_verify.csv").write_text("\n".join(lines) + "\n")
     scale = 1e-6
     if not args.quiet:
@@ -561,14 +569,13 @@ def _cmd_poincare(args) -> int:
         radial_gap.check_sweep(epsilons, n_quad)
     except ValueError as exc:
         raise ConfigError(f"[poincare] {exc}") from exc
+    out = _out_dir(args.out) if args.out else None
     try:
         rows = radial_gap.quotient_sweep(epsilons, n_quad=n_quad)
     except AssertionError as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 4
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         (out / "poincare.csv").write_text(columns_csv(
             {f.name: [getattr(row, f.name) for row in rows]
              for f in dataclasses.fields(radial_gap.SweepRow)}))
@@ -608,6 +615,14 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A `--seed` value: an integer >= 0, as numpy's generators need."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="pxwell",
@@ -621,7 +636,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=needs_config)
         sp.add_argument("--out", default="runs")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_seed, default=0)
         sp.add_argument("--quiet", action="store_true")
 
     try:
@@ -664,6 +679,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except PipelineError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     except AssertionError as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return 4

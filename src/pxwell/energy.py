@@ -189,8 +189,7 @@ class _Ray:
         return diffusion - self.vol * float(np.divide(sp, self.rv, out=tmp).sum())
 
     def J(self, lam: float) -> float:
-        if lam == 0.0:
-            return 0.0
+        """J(lam u); J(0) is exactly 0, as 0^p = 0 for every exponent p > 1."""
         return self._energy(*self.powers(lam))
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "exponent_profile",
     "radial_profile",
     "radial_slope",
-    "continuity_gaps",
     "profile_mean",
     "gradient_modular",
     "gradient_modular_inner",
@@ -55,16 +54,6 @@ def radial_profile(rr: np.ndarray) -> np.ndarray:
 def radial_slope(rr: np.ndarray) -> np.ndarray:
     rr = np.asarray(rr, dtype=float)
     return np.where(rr < 1.0, -1.0, np.where(rr < 2.0, 0.0, _SLOPE_OUTER))
-
-
-def continuity_gaps() -> dict[str, float]:
-    """Jumps of the exponent and function values at the interface radii."""
-    return {
-        "p_at_1": abs((1.5 + 1.0) - 2.5),
-        "p_at_2": abs(2.5 - (4.5 - 2.0)),
-        "u_at_1": abs((0.75 - 1.0) - (-0.25)),
-        "u_at_2": abs((-0.25) - (104.0 * 2.0 - 251.0) / 172.0),
-    }
 
 
 def _panel_quad(fn, lo: float, hi: float, n: int) -> float:

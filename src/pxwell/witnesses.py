@@ -85,9 +85,6 @@ def _draw(grid: Grid, rng: np.random.Generator, lo: float, hi: float) -> np.ndar
     vals = rng.normal(size=basis.shape[0]) @ basis
     amp = np.exp(rng.uniform(np.log(lo), np.log(hi)))
     scale = max(vals.max(), -vals.min())
-    if scale == 0.0:
-        vals[:] = np.cos(np.pi * grid.centers()[0] / grid.lengths[0]).ravel()
-        scale = max(vals.max(), -vals.min())
     vals *= amp
     vals /= scale
     return _minus_mean(grid, vals, out=vals)

@@ -45,7 +45,6 @@ KEEP = {
     ("classify", "prop48_check"): "Prop. 4.8's large-data test, a verdict rule to come",
     ("norms", "modular"): "the oracle of luxemburg_norm's tests",
     ("ode_bounds", "rk4_min_ode"): "the oracle of verify_batch's quadrature",
-    ("radial_gap", "continuity_gaps"): "closed form: the profiles are continuous",
     ("radial_gap", "gradient_modular_inner"): "oracle: the inner ball's gradient modular",
     ("radial_gap", "shell_modular_exact"): "closed form of the middle shell's modular",
 }
@@ -102,6 +101,12 @@ def test_every_public_function_is_used():
     allowed = USES | ENTRY_POINTS | KEEP.keys() | set(BENCHMARKED)
     unused = [f"{m}.{f}" for m, f in PUBLIC if (m, f) not in allowed]
     assert unused == [], "exported, but nothing runs them: delete them or say why in KEEP"
+
+
+def test_package_root_exports_no_names():
+    # one import path per public name, its module: the root holds its
+    # submodules and nothing public besides
+    assert sorted(n for n in vars(pxwell) if not n.startswith("_") and n not in MODULES) == []
 
 
 def test_keep_list_is_current():

@@ -177,6 +177,7 @@ def _nonfinite_csv(tmp_path, monkeypatch):
     ("poincare", "[poincare]\nepsilons = 10 5\n"),
     ("poincare", "[poincare]\nepsilons =\n"),
     ("simulate", _TINY + "[solver]\nrecord_every = 5\n"),
+    ("simulate", _TINY + "[initial]\nkind = modes\nmodes = 0 1.0\n"),
     ("norm", f"[norm]\nfield_csv = {CONFIGS / 'sample_field.csv'}\nexponent = const:3.0\n"
              "tol = -1\n"),
     *(("simulate", text) for text in _BAD_LENGTHS.values()),
@@ -186,18 +187,53 @@ def _nonfinite_csv(tmp_path, monkeypatch):
         "ode-verify-t_end", "poincare-n_quad", "ode-verify-t_end-negative",
         "ode-verify-t_end-nan", "ode-verify-t_end-inf", "ode-verify-dt-removed",
         "poincare-n_quad-small", "poincare-epsilon-below-1", "poincare-epsilons-decreasing",
-        "poincare-epsilons-empty", "simulate-record_every-removed", "norm-tol-negative",
+        "poincare-epsilons-empty", "simulate-record_every-removed", "simulate-modes-all-zero",
+        "norm-tol-negative",
         *("simulate-" + name for name in _BAD_LENGTHS),
         *("simulate-" + name.replace(" = ", "-") for name in _BAD_IDS),
         *("classify-" + name.replace(" = ", "-") for name in _BAD_IDS[-len(_BAD_INITIAL_LINES):])])
 def test_config_value_errors_exit_2(tmp_path, monkeypatch, capsys, command, text):
     # an unparsable, out-of-range or non-finite value, an unknown key, an
     # unknown exponent spec or a missing file that the config names is a
-    # config error, not a traceback or a pipeline error
+    # config error, not a traceback or a pipeline error, and leaves no
+    # output directory behind (the all-zero mode exited 3 at stage fields,
+    # and every simulate case left an empty run directory)
     _nonfinite_csv(tmp_path, monkeypatch)
     path = _write(tmp_path, text)
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config", ["global_2d", "zero"])
+def test_negative_seed_exit_2(tmp_path, capsys, config):
+    # numpy's generators take no negative seed: the value is rejected when
+    # the arguments are parsed, before anything is written (it was a
+    # pipeline error at stage hypotheses that left a record.json)
+    out = tmp_path / "o"
+    assert main(["classify", "--config", str(CONFIGS / f"{config}.ini"), "--out", str(out),
+                 "--seed", "-1", "--quiet"]) == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "ode-verify", "poincare"])
+def test_out_path_that_is_a_file_exit_2(tmp_path, monkeypatch, capsys, command):
+    # the output directory is made before the work starts, so an --out that
+    # names a file is a one-line output error before any work, not a
+    # traceback (classify) or one after the whole batch (ode-verify)
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the work ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "check_hypotheses", unreachable)
+    monkeypatch.setattr(cli.ode_bounds, "verify_batch", unreachable)
+    monkeypatch.setattr(cli.radial_gap, "quotient_sweep", unreachable)
+    out = _write(tmp_path, "taken\n", name="taken")
+    config = ["--config", str(CONFIGS / "zero.ini")] if command == "classify" else []
+    assert main([command, *config, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1, err
+    assert out.read_text() == "taken\n"
 
 
 @pytest.mark.parametrize("text", _BAD_LINES, ids=_BAD_IDS)

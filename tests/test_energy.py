@@ -5,6 +5,7 @@ import pytest
 
 from conftest import fail_lambda_star_calls, mixed_mode, random_gridfunction
 from pxwell.energy import (
+    _Ray,
     estimate_depth,
     estimate_level_radii,
     depth_lower_formula,
@@ -27,6 +28,13 @@ def test_snapshot_zero(pw):
     s = snapshot(GridFunction(g, np.zeros(g.shape)), p, r)
     assert s.J == 0.0 and s.I == 0.0 and s.l2sq == 0.0
     assert np.isnan(s.delta0)
+
+
+def test_ray_energy_at_zero_scaling_is_zero(pw):
+    # 0^p = 0 for every exponent p > 1, so J(0 u) is exactly 0 with no case
+    # of its own
+    g, p, r = pw
+    assert _Ray(mixed_mode(g), p, r).J(0.0) == 0.0
 
 
 def test_snapshot_direct_summation_oracle():
