@@ -28,12 +28,17 @@ The numeric tables of a run (`trajectory.csv`, `envelopes.csv`) and of
 `solver.columns_csv`; `ode_verify.csv`, with its string `branch` column,
 is written in place.
 
-Every output directory is made after the config has been read and checked
-and before the work starts, so a config error leaves no directory behind.
+Every command writes its output under `--out` (an empty `--out` is the
+working directory).  Every output directory is made after the config has
+been read and checked and before the work starts, so a config error leaves
+no directory behind.
 
 Exit codes: 0 success, 2 config error, bad argument (such as a negative
 `--seed`) or output path that cannot be made or written, 3 pipeline error,
-4 assertion or acceptance failure.
+4 assertion or acceptance failure, such as a `simulate` outcome that
+contradicts its decided verdict (a Global verdict that ends BlowupDetected
+or a Blowup verdict that ends GlobalUntilTend), which the record's events
+name and which exits only after `record.json` and `meta.json` are written.
 """
 
 from __future__ import annotations
@@ -67,6 +72,8 @@ from .exponents import ExponentField, build_field, check_hypotheses, check_log_h
 from .grid import Grid, GridFunction, load_gridfunction_csv, project_mean_zero
 from .norms import estimate_embedding, luxemburg_norm
 from .solver import (
+    BLOWUP_DETECTED,
+    GLOBAL_UNTIL_TEND,
     SolverConfig,
     audit_trajectory,
     blowup_functional,
@@ -89,7 +96,7 @@ class PipelineError(RuntimeError):
 
 
 # the [estimates] counts and their defaults
-_ESTIMATE_COUNTS = {"trials": 24, "ascent_steps": 12, "radii_samples": 48}
+_ESTIMATE_COUNTS = {"trials": 24, "ascent_steps": 12}
 
 _SCHEMA: dict[str, set[str]] = {
     "domain": {"dimension", "cells", "lengths"},
@@ -380,15 +387,8 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
         enter("classify")
         radii = None
         if depth is not None and s0.J > depth.upper:
-            try:
-                radii = estimate_level_radii(grid, s0.J, p, r, samples=counts["radii_samples"],
-                                             seed=seed, depth_upper=depth.upper)
-                record["estimates"]["radii"] = radii
-                if radii.skipped:
-                    record["events"].append(
-                        f"level radii skipped {radii.skipped} samples on which lambda* failed")
-            except ValueError as exc:
-                record["events"].append(f"level radii unavailable: {exc}")
+            radii = estimate_level_radii(depth, s0.J)
+            record["estimates"]["radii"] = radii
         record["verdict"] = classify(u0, p, r, depth, level_radii=radii, B_est=B)
 
         if do_simulate:
@@ -403,6 +403,10 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
                 "energy_budget_used": traj.energy_budget_used,
             }
             meta["steps"] = _steps_meta(traj)
+
+            contradiction = _contradiction(record)
+            if contradiction:
+                record["events"].append(contradiction)
 
             enter("audit")
             d_for_audit = depth.upper if depth is not None else None
@@ -429,6 +433,16 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
         kindtxt = f", outcome {out.kind}" if out is not None else ""
         print(f"[{run_id}] verdict {pred} ({record['verdict'].rule}){kindtxt}")
     return record
+
+
+def _contradiction(record) -> Optional[str]:
+    """The event of a simulated outcome that contradicts a decided verdict,
+    a Global verdict that ends BlowupDetected or a Blowup verdict that ends
+    GlobalUntilTend, else None."""
+    prediction, kind = record["verdict"].prediction, record["outcome"].kind
+    if (prediction, kind) in ((GLOBAL, BLOWUP_DETECTED), (BLOWUP, GLOBAL_UNTIL_TEND)):
+        return f"outcome {kind} contradicts verdict {prediction}"
+    return None
 
 
 def _steps_meta(traj) -> dict:
@@ -510,15 +524,14 @@ def _cmd_norm(args) -> int:
     tol = _get(cfg, "norm", "tol", default="1e-12", cast=float)
     if not 0.0 < tol < np.inf:
         raise ConfigError(f"[norm] tol must be positive and finite, got {tol!r}")
-    out = _out_dir(args.out) if args.out else None
+    out = _out_dir(args.out)
     try:
         result = luxemburg_norm(gf, q, tol=tol)
     except ValueError as exc:
         raise PipelineError(f"luxemburg norm: {exc}") from exc
     if not args.quiet:
         print(f"value={result.value!r} iterations={result.iterations} residual={result.residual!r}")
-    if out:
-        _write_json(out / "norm.json", result)
+    _write_json(out / "norm.json", result)
     return 0
 
 
@@ -541,7 +554,7 @@ def _cmd_ode_verify(args) -> int:
     t_end = _get(cfg, "ode", "t_end", default="12.0", cast=float)
     if not 0.0 < t_end < np.inf:
         raise ConfigError(f"[ode] t_end must be positive and finite, got {t_end!r}")
-    out = _out_dir(args.out) if args.out else None
+    out = _out_dir(args.out)
     batch = _ode_grid()
     violations = ode_bounds.verify_batch(batch, T=t_end)
     lines = ["C1,C2,alpha,beta,h0,branch,max_violation"]
@@ -553,8 +566,7 @@ def _cmd_ode_verify(args) -> int:
             + f",{branch},{float(v)!r}"
         )
         worst = max(worst, float(v))
-    if out:
-        (out / "ode_verify.csv").write_text("\n".join(lines) + "\n")
+    (out / "ode_verify.csv").write_text("\n".join(lines) + "\n")
     scale = 1e-6
     if not args.quiet:
         print(f"{len(batch)} cells, worst signed violation {worst!r} (tolerance {scale})")
@@ -569,16 +581,15 @@ def _cmd_poincare(args) -> int:
         radial_gap.check_sweep(epsilons, n_quad)
     except ValueError as exc:
         raise ConfigError(f"[poincare] {exc}") from exc
-    out = _out_dir(args.out) if args.out else None
+    out = _out_dir(args.out)
     try:
         rows = radial_gap.quotient_sweep(epsilons, n_quad=n_quad)
     except AssertionError as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 4
-    if out:
-        (out / "poincare.csv").write_text(columns_csv(
-            {f.name: [getattr(row, f.name) for row in rows]
-             for f in dataclasses.fields(radial_gap.SweepRow)}))
+    (out / "poincare.csv").write_text(columns_csv(
+        {f.name: [getattr(row, f.name) for row in rows]
+         for f in dataclasses.fields(radial_gap.SweepRow)}))
     if not args.quiet:
         for row in rows:
             print(f"eps={row.epsilon:g} quotient={row.quotient!r} bound={row.bound!r}")
@@ -649,8 +660,11 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         if args.command == "simulate":
-            run(args.config, args.out, seed=args.seed, do_simulate=True, quiet=args.quiet)
-            return 0
+            rec = run(args.config, args.out, seed=args.seed, do_simulate=True, quiet=args.quiet)
+            contradiction = _contradiction(rec)
+            if contradiction:
+                print(f"acceptance failure: {contradiction}", file=sys.stderr)
+            return 4 if contradiction else 0
         if args.command == "classify":
             run(args.config, args.out, seed=args.seed, do_simulate=False, quiet=args.quiet)
             return 0

@@ -21,11 +21,12 @@ Sobolev gradient), and retracts each step to the manifold with a full
 lambda* solve.  The preconditioner is diagonal in the grid's cosine modes:
 per axis one orthonormal cosine matrix, cached per grid (`_neumann_modes`).
 
-Depth and level-set radii are estimates over `witness_bank`: the depth upper
-bound is the least Nehari value over the bank and over the descents from the
-first bank draws, every one an achieved Nehari value, and the analytic lower
-bound is evaluated at a sampled embedding constant, which makes it
-non-certified; both directions are reported with provenance.
+The depth is an estimate over `witness_bank`: its upper bound is the least
+Nehari value over the bank and over the descents from the first bank draws,
+every one an achieved Nehari value, and the analytic lower bound is evaluated
+at a sampled embedding constant, which makes it non-certified; both
+directions are reported with provenance.  The level-set radii read the Nehari
+points that the depth estimate reached, so they scan nothing of their own.
 """
 
 from __future__ import annotations
@@ -85,7 +86,10 @@ class DepthEstimate:
     exponents, against 0.1 to 0.4 at the best bank witness, and it is not
     finite where the gradient is not.  iterations and backtracks: the
     descents' accepted and rejected steps, counters that `cli.run` writes to
-    `meta.json`, not to the record.
+    `meta.json`, not to the record.  nehari_points: (J, ||.||_2) of every
+    Nehari point reached, each bank witness's and each descent's end, which
+    `estimate_level_radii` reads; like the counters it stays out of the
+    record.
     """
 
     upper: float
@@ -97,6 +101,8 @@ class DepthEstimate:
     residual: float = math.nan
     iterations: int = field(default=0, metadata={"sidecar": True})
     backtracks: int = field(default=0, metadata={"sidecar": True})
+    nehari_points: tuple[tuple[float, float], ...] = field(
+        default=(), repr=False, metadata={"sidecar": True})
 
     @property
     def ident(self) -> str:
@@ -107,14 +113,12 @@ class DepthEstimate:
 class LevelRadii:
     """Sampled min/max L2 norms over the Nehari slice at level s, which the
     supercritical rules of `classify` compare with ||u0||_2; kept counts the
-    Nehari points with J <= s, skipped the samples dropped because lambda*
-    failed on them."""
+    Nehari points with J <= s."""
 
     s: float
     lambda_s: float
     Lambda_s: float
     kept: int
-    skipped: int = 0
 
 
 def snapshot(u: GridFunction, p: ExponentField, r: ExponentField, t: float = 0.0) -> EnergySnapshot:
@@ -400,7 +404,8 @@ def estimate_depth(
         raise ValueError("depth estimation requires r_minus > p_plus")
     starts = {f"draw{i}" for i in range(_DESCENT_STARTS)}
     upper, best = np.inf, None
-    n_ok = skipped = steps = backtracks = 0
+    skipped = steps = backtracks = 0
+    points = []
     gap = r.p_minus - p.p_plus
     kernel = _Kernel(grid, p.values, 0.0, r.values)
     ray = None
@@ -412,16 +417,17 @@ def estimate_depth(
             except ValueError:
                 skipped += 1
                 continue
-            n_ok += 1
             u = lam * w.values.reshape(-1)
+            points.append((val, l2_norm(GridFunction(grid, lam * w.values))))
             if name in starts:
                 if ray is None:
                     ray = _Ray(w, p, r)
                 val, u, k, b = _nehari_descent(grid, ray, kernel, gap, u, val)
                 steps, backtracks = steps + k, backtracks + b
+                points.append((val, l2_norm(GridFunction(grid, u.reshape(grid.shape)))))
             if val < upper:
                 upper, best = val, u
-        if n_ok < 1:
+        if not points:
             raise ValueError("no admissible witness produced a Nehari point")
         if not (upper > 0.0):
             raise ValueError(f"sampled depth upper bound is not positive: {upper}")
@@ -437,44 +443,20 @@ def estimate_depth(
         residual=residual,
         iterations=steps,
         backtracks=backtracks,
+        nehari_points=tuple(points),
     )
 
 
-def estimate_level_radii(
-    grid: Grid,
-    s: float,
-    p: ExponentField,
-    r: ExponentField,
-    samples: int = 48,
-    seed: int = 0,
-    depth_upper: Optional[float] = None,
-) -> LevelRadii:
+def estimate_level_radii(depth: DepthEstimate, s: float) -> LevelRadii:
     """Sampled extremes of the L2 norm over the Nehari slice {I=0, J<=s}.
 
-    Each witness of `witness_bank` is scaled to its Nehari point, and those
-    with J <= s give the sampled lambda_s (minimum) and Lambda_s (maximum).
-    A given `depth_upper` is checked as a precondition: s must exceed it.
+    The Nehari points that `depth` reached with J <= s give the sampled
+    lambda_s (minimum) and Lambda_s (maximum).  s must exceed `depth.upper`,
+    so the point that gives the upper bound is always kept.  lambda_s is an
+    achieved Nehari norm, so it is an upper bound on the infimum over the
+    slice, and the small-data rule that reads it stays non-certified.
     """
-    if depth_upper is not None and not (s > depth_upper):
-        raise ValueError(f"level s={s} must exceed the depth upper estimate {depth_upper}")
-    norms = []
-    skipped = 0
-    for _, w in witness_bank(grid, seed, samples):
-        try:
-            lam, val = find_lambda_star(w, p, r)
-        except ValueError:
-            skipped += 1
-            continue
-        if val <= s:
-            norms.append(l2_norm(GridFunction(grid, lam * w.values)))
-    if not norms:
-        raise ValueError(
-            f"no sampled Nehari point has J <= {s}; increase s or the sample count"
-        )
-    return LevelRadii(
-        s=float(s),
-        lambda_s=float(min(norms)),
-        Lambda_s=float(max(norms)),
-        kept=len(norms),
-        skipped=skipped,
-    )
+    if not s > depth.upper:
+        raise ValueError(f"level s={s} must exceed the depth upper estimate {depth.upper}")
+    norms = [norm for J, norm in depth.nehari_points if J <= s]
+    return LevelRadii(s=float(s), lambda_s=min(norms), Lambda_s=max(norms), kept=len(norms))

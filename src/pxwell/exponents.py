@@ -184,25 +184,25 @@ def _holder_pairs(grid: Grid, pair_budget: int, seed: int
     if total_pairs <= pair_budget:
         ii, jj = np.triu_indices(n, k=1)  # every pair, the adjacent ones among them
     else:
-        # a pair (a, b) with a < b is the integer key a * n + b; adjacent
-        # first, axis by axis, in C order of the higher cell k
-        adjacent = []
+        # a pair (a, b) with a < b is the integer key a * n + b, kept in an
+        # ordered dict: adjacent first, axis by axis, in C order of the
+        # higher cell k, then unseen draws in order of first draw, up to the
+        # budget
+        keys: dict[int, None] = {}
         for s, wrap in grid.flat_neighbours:
             k = np.arange(s, n)
             if wrap:
                 k = k[k % wrap != 0]
-            adjacent.append((k - s) * n + k)
-        keys = np.concatenate(adjacent)
+            keys.update(dict.fromkeys(((k - s) * n + k).tolist()))
         rng = np.random.default_rng(seed)
-        while keys.size < pair_budget:
+        while len(keys) < pair_budget:
             draw = rng.integers(0, n, size=(pair_budget, 2))
             drawn = draw.min(axis=1) * n + draw.max(axis=1)
-            drawn = drawn[draw[:, 0] != draw[:, 1]]
-            # unseen pairs in order of first draw, up to the budget
-            uniq, first = np.unique(drawn, return_index=True)
-            new = drawn[np.sort(first[~np.isin(uniq, keys)])]
-            keys = np.concatenate([keys, new[: pair_budget - keys.size]])
-        ii, jj = np.divmod(keys, n)
+            for key in drawn[draw[:, 0] != draw[:, 1]].tolist():
+                keys.setdefault(key)
+                if len(keys) == pair_budget:
+                    break
+        ii, jj = np.divmod(np.fromiter(keys, dtype=np.intp, count=len(keys)), n)
 
     dist = np.linalg.norm(pts[ii] - pts[jj], axis=1)
     mask = (dist > 0.0) & (dist < 1.0)

@@ -11,10 +11,11 @@ random draw is then one coefficient vector times that matrix, and
 one mode with the code that fills the rows, so an arbitrary wavenumber never
 builds a large basis.
 
-Every sampled estimator (B0, B, C-tilde, depth, level radii) scans the same
+Every sampled estimator (B0, B, C-tilde, depth) scans the same
 `witness_bank`.  The embedding ascent of `norms` steps from the bank's best
 witness with `perturb`; the depth descent of `energy` is deterministic and
-starts from the Nehari points of the bank's first draws.
+starts from the Nehari points of the bank's first draws.  The level radii
+read the Nehari points of the depth's scan and descents.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import runpy
 import sys
@@ -110,6 +111,63 @@ def test_shipped_config_agrees(tmp_path, name, verdict):
         _SHIPPED_COUNTS[name])
 
 
+def _contradicts(rec) -> bool:
+    """A decided verdict that the simulated outcome contradicts: Global that
+    ends BlowupDetected, or Blowup that ends GlobalUntilTend."""
+    prediction, kind = rec["verdict"].prediction, rec["outcome"].kind
+    return prediction in _OUTCOME and kind in _OUTCOME.values() and kind != _OUTCOME[prediction]
+
+
+# the verdict ladder: global_2d.ini at 16x16 with only the amplitude changed,
+# and the solver settings that resolve each rung's blow-up time
+_LADDER_AMPLITUDES = (3, 4, 5, 6, 7, 8, 10, 14)
+_LADDER_EDITS = (("cells = 32 32", "cells = 16 16"),
+                 ("dt_init = 1e-5", "dt_init = 1e-6\nblowup_threshold = 1e5"))
+
+
+def test_verdict_ladder(tmp_path):
+    # no decided verdict is contradicted by its simulated outcome along the
+    # family; Undetermined never fails (amplitudes 6, 7 and 8 were Global by
+    # supercritical-small-data and blew up, at t_b 0.02511, 0.01461, 0.01006)
+    base = (CONFIGS / "global_2d.ini").read_text()
+    for old, new in _LADDER_EDITS:
+        assert base.count(old) == 1, old
+        base = base.replace(old, new)
+    assert base.count("amplitude = 1.8") == 1 and base.count("t_end = 0.1") == 1
+    contradicted, undetermined = [], 0
+    for amp in _LADDER_AMPLITUDES:
+        path = _write(tmp_path, base.replace("amplitude = 1.8", f"amplitude = {amp}"),
+                      name=f"ladder{amp}.ini")
+        rec = run(path, tmp_path, seed=0, quiet=True)
+        undetermined += rec["verdict"].prediction == "Undetermined"
+        if _contradicts(rec):
+            contradicted.append(f"amplitude {amp}: {rec['verdict'].prediction} "
+                                f"({rec['verdict'].rule}) ended {rec['outcome'].kind}")
+    assert not contradicted, (f"{contradicted}; {undetermined} of {len(_LADDER_AMPLITUDES)} "
+                              "rungs Undetermined")
+
+
+def test_contradicted_verdict_exit_4(tmp_path, monkeypatch, capsys):
+    # a Global verdict on blowup_2d, which blows up: the run names the
+    # contradiction in its events and exits 4 after writing its record and
+    # meta (it exited 0)
+    real = cli.classify
+
+    def global_verdict(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), prediction="Global")
+
+    monkeypatch.setattr(cli, "classify", global_verdict)
+    assert main(["simulate", "--config", str(CONFIGS / "blowup_2d.ini"),
+                 "--out", str(tmp_path), "--quiet"]) == 4
+    assert capsys.readouterr().err == (
+        "acceptance failure: outcome BlowupDetected contradicts verdict Global\n")
+    run_dir = tmp_path / "blowup_2d-s0"
+    rec = _strict_json(run_dir / "record.json")
+    assert rec["outcome"]["kind"] == "BlowupDetected"
+    assert rec["events"] == ["outcome BlowupDetected contradicts verdict Global"]
+    assert _strict_json(run_dir / "meta.json")["steps"]["accepted"] > 0
+
+
 # a zero datum on 8 cells with two-witness estimates: the [solver] and
 # [estimates] sections are read with the domain and exponents, before the
 # estimates
@@ -122,7 +180,7 @@ _TINY = _TINY_FIELDS + "[estimates]\ntrials = 2\nascent_steps = 0\n"
 _BAD_SOLVER_LINES = ("t_end = 0", "t_end = -1", "t_end = nan", "energy_tol = -1",
                      "energy_tol = nan", "blowup_threshold = nan", "delta = -1", "delta = nan")
 # each ran and recorded the negative count (exit 0)
-_BAD_ESTIMATES_LINES = ("trials = -5", "ascent_steps = -1", "radii_samples = -1")
+_BAD_ESTIMATES_LINES = ("trials = -5", "ascent_steps = -1")
 # kind highenergy with a source exponent that its construction cannot take;
 # each exited 3 at the initial stage, after the estimates
 _BAD_HIGHENERGY = {
@@ -177,6 +235,7 @@ def _nonfinite_csv(tmp_path, monkeypatch):
     ("poincare", "[poincare]\nepsilons = 10 5\n"),
     ("poincare", "[poincare]\nepsilons =\n"),
     ("simulate", _TINY + "[solver]\nrecord_every = 5\n"),
+    ("simulate", _TINY + "radii_samples = 48\n"),
     ("simulate", _TINY + "[initial]\nkind = modes\nmodes = 0 1.0\n"),
     ("norm", f"[norm]\nfield_csv = {CONFIGS / 'sample_field.csv'}\nexponent = const:3.0\n"
              "tol = -1\n"),
@@ -187,7 +246,8 @@ def _nonfinite_csv(tmp_path, monkeypatch):
         "ode-verify-t_end", "poincare-n_quad", "ode-verify-t_end-negative",
         "ode-verify-t_end-nan", "ode-verify-t_end-inf", "ode-verify-dt-removed",
         "poincare-n_quad-small", "poincare-epsilon-below-1", "poincare-epsilons-decreasing",
-        "poincare-epsilons-empty", "simulate-record_every-removed", "simulate-modes-all-zero",
+        "poincare-epsilons-empty", "simulate-record_every-removed",
+        "simulate-radii_samples-removed", "simulate-modes-all-zero",
         "norm-tol-negative",
         *("simulate-" + name for name in _BAD_LENGTHS),
         *("simulate-" + name.replace(" = ", "-") for name in _BAD_IDS),
@@ -372,6 +432,18 @@ def test_poincare_subcommand(tmp_path):
     assert len(text.strip().split("\n")) == 5
 
 
+@pytest.mark.parametrize("command, written", [
+    ("norm", "norm.json"), ("ode-verify", "ode_verify.csv"), ("poincare", "poincare.csv")])
+def test_empty_out_writes_to_working_directory(tmp_path, monkeypatch, command, written):
+    # an empty --out is the working directory, as for classify; it was a mode
+    # that wrote nothing
+    monkeypatch.chdir(tmp_path)
+    norm = f"[norm]\nfield_csv = {CONFIGS / 'sample_field.csv'}\nexponent = const:3.0\n"
+    config = ["--config", str(_write(tmp_path, norm))] if command == "norm" else []
+    assert main([command, *config, "--out", "", "--quiet"]) == 0
+    assert (tmp_path / written).is_file()
+
+
 def test_poincare_failed_bound_exit_4(tmp_path, monkeypatch, capsys):
     # a quotient above its closed-form bound fails the sweep with exit code 4
     monkeypatch.setattr(radial_gap, "quotient_bound", lambda eps: 1e-9)
@@ -518,10 +590,12 @@ def test_estimates_pinned(tmp_path, name):
     assert got == pytest.approx(_PINNED_SEED0, rel=1e-9)
     assert est["depth"].skipped == 0
     if name == "high_energy":
+        # lambda_s is the norm of a descent's end (the depth's own Nehari
+        # point), Lambda_s that of a bank witness
         radii = est["radii"]
         assert (radii.lambda_s, radii.Lambda_s) == pytest.approx(
-            (3.1424048841000793, 3.1424048841000793), rel=1e-9)
-        assert (radii.lambda_s, radii.Lambda_s) == (3.1424048841111145, 3.1424048841111154)
-        assert radii.kept == 2
+            (1.3192325206692523, 3.1424048841000793), rel=1e-9)
+        assert (radii.lambda_s, radii.Lambda_s) == (1.3192325206692523, 3.1424048841111154)
+        assert radii.kept == 6
     else:
         assert "radii" not in est

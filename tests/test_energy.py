@@ -156,36 +156,40 @@ def test_level_radii(pw):
     dep = estimate_depth(g, p, r, trials=4, seed=0, B_est=B)
     s1 = 3.0 * dep.upper
     s2 = 9.0 * dep.upper
-    r1 = estimate_level_radii(g, s1, p, r, samples=24, seed=5, depth_upper=dep.upper)
-    r2 = estimate_level_radii(g, s2, p, r, samples=24, seed=5, depth_upper=dep.upper)
+    r1 = estimate_level_radii(dep, s1)
+    r2 = estimate_level_radii(dep, s2)
     assert 0 < r1.lambda_s <= r1.Lambda_s
     # nested samples: weaker level keeps a superset
     assert r2.lambda_s <= r1.lambda_s
     assert r2.Lambda_s >= r1.Lambda_s
+    assert 1 <= r1.kept <= r2.kept
+    # above the depth the point that gives it is kept, so lambda_s is at most
+    # its norm
+    (best_norm,) = {norm for J, norm in dep.nehari_points if J == dep.upper}
+    assert r1.lambda_s <= best_norm
+    assert estimate_level_radii(dep, np.nextafter(dep.upper, np.inf)).lambda_s == best_norm
     with pytest.raises(ValueError, match="exceed"):
-        estimate_level_radii(g, 0.5 * dep.upper, p, r, samples=4, seed=5, depth_upper=dep.upper)
+        estimate_level_radii(dep, 0.5 * dep.upper)
+    with pytest.raises(ValueError, match="exceed"):
+        estimate_level_radii(dep, dep.upper)
 
 
 def test_skipped_witnesses_counted(pw, monkeypatch):
     g, p, r = pw
     clean = estimate_depth(g, p, r, trials=2, seed=3)
     assert clean.skipped == 0
+    # a Nehari point for each of the 8 catalogue witnesses and 2 draws, and
+    # one for the end of each draw's descent
+    assert len(clean.nehari_points) == 8 + 2 + 2
     # calls 0 and 1 are catalogue witnesses, call 9 a descent step: a failed
     # step is a backtrack, not a skipped witness
     fail_lambda_star_calls(monkeypatch, {0, 1, 9})
     failed = estimate_depth(g, p, r, trials=2, seed=3)
     assert failed.skipped == 2 and failed.backtracks >= 1
-    monkeypatch.undo()
-    s_level = 9.0 * clean.upper
-    calls = fail_lambda_star_calls(monkeypatch, set())
-    every = estimate_level_radii(g, s_level, p, r, samples=8, seed=5)
-    assert every.skipped == 0
-    n_candidates = calls[0]
-    monkeypatch.undo()
-    calls = fail_lambda_star_calls(monkeypatch, {2, n_candidates - 1})
-    radii = estimate_level_radii(g, s_level, p, r, samples=8, seed=5)
-    assert radii.skipped == 2 and calls[0] == n_candidates
-    assert every.kept - 2 <= radii.kept < every.kept
+    # each skipped witness adds no point, and the other catalogue points are
+    # those of the clean run
+    assert len(failed.nehari_points) == len(clean.nehari_points) - 2
+    assert failed.nehari_points[:6] == clean.nehari_points[2:8]
 
 
 def test_depth_upper_vs_single_mode(pw):

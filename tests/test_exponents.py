@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pxwell
 from pxwell.exponents import build_field, check_hypotheses, check_log_holder
 from pxwell.grid import Grid
 
@@ -202,6 +208,22 @@ def test_log_holder_fields_scored_together_match_each_alone(cells, budget, seed)
              + check_log_holder(r, pair_budget=budget, seed=seed))
     assert together == alone
     assert together[0] != together[1]
+
+
+def test_log_holder_leaves_numpy_ma_unimported():
+    # the sampled pair selection keeps its keys in a dict; np.unique and
+    # np.isin, which it used, import numpy.ma on a process's first call
+    code = ("import sys\n"
+            "from pxwell.exponents import build_field, check_log_holder\n"
+            "from pxwell.grid import Grid\n"
+            "g = Grid((32, 32), (1.0, 1.0))\n"
+            "(rep,) = check_log_holder(build_field('affine:1.6+0.5x+0.9y', g))\n"
+            "print(rep.pairs_checked, 'numpy.ma' in sys.modules)\n")
+    src = str(Path(pxwell.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    pairs, imported = proc.stdout.split()
+    assert int(pairs) > 0 and imported == "False"
 
 
 def test_log_holder_fields_must_share_one_grid():
