@@ -16,18 +16,20 @@ factor that set the next dt.  `report` collects
 each run's verdict, outcome, step counts, accepted RK4 steps and kernel
 evaluations into `summary.csv`; a `meta.json` written before RK4 steps were
 counted leaves that column empty.
-The `[solver]` section of a `simulate` config, the `[estimates]` counts and
-the `[initial]` datum are read with the domain and exponents, so a bad value
-is a config error before any estimate runs.  A negative count is a bad value
-(zero is not), and so is a non-finite datum value, amplitude, mode
-coefficient or `mtarget_factor`, an `mtarget_factor` of at most 1, or kind
-`highenergy` with a non-constant source exponent or with r_minus <= p_plus.
+The `[solver]` section and the `[initial]` datum are read with the domain
+and exponents on every run, `classify` and `depth` included, so a bad value
+is a config error before any estimate runs.  A non-finite datum value,
+amplitude, mode coefficient or `mtarget_factor` is a bad value, and so is an
+`mtarget_factor` of at most 1, or kind `highenergy` with a non-constant
+source exponent or with r_minus <= p_plus.
 
 The numeric tables of a run (`trajectory.csv`, `envelopes.csv`) and of
 `poincare` (`poincare.csv`) are column tables written by one writer,
 `solver.columns_csv`; `ode_verify.csv`, with its string `branch` column,
 is written in place.
 
+`simulate`, `classify`, `depth` and `norm` each require `--config`;
+`ode-verify`, `poincare` and `report` read no config and refuse one.
 Every command writes its output under `--out` (an empty `--out` is the
 working directory).  Every output directory is made after the config has
 been read and checked and before the work starts, so a config error leaves
@@ -95,18 +97,12 @@ class PipelineError(RuntimeError):
     pass
 
 
-# the [estimates] counts and their defaults
-_ESTIMATE_COUNTS = {"trials": 24, "ascent_steps": 12}
-
 _SCHEMA: dict[str, set[str]] = {
     "domain": {"dimension", "cells", "lengths"},
     "exponents": {"p", "r"},
     "initial": {"kind", "amplitude", "modes", "csv", "mtarget_factor"},
-    "estimates": set(_ESTIMATE_COUNTS),
     "solver": {f.name for f in dataclasses.fields(SolverConfig)},
     "norm": {"field_csv", "exponent", "tol"},
-    "ode": {"t_end"},
-    "poincare": {"epsilons", "n_quad"},
 }
 
 
@@ -271,18 +267,6 @@ def _solver_config(cfg) -> SolverConfig:
         raise ConfigError(f"[solver]: {exc}") from exc
 
 
-def _estimate_counts(cfg) -> dict[str, int]:
-    """The [estimates] counts, each an integer >= 0; an absent key keeps its
-    default."""
-    counts = {}
-    for key, default in _ESTIMATE_COUNTS.items():
-        value = _get(cfg, "estimates", key, default=default, cast=int)
-        if value < 0:
-            raise ConfigError(f"[estimates] {key} must be >= 0, got {value}")
-        counts[key] = value
-    return counts
-
-
 def _to_jsonable(obj):
     """Plain JSON values of `obj`; a non-finite float becomes None (null),
     since strict JSON has no NaN or Infinity, and a dataclass drops its
@@ -341,8 +325,7 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
     grid = _build_grid(cfg)
     p = _build_exponent(cfg, grid, "p")
     r = _build_exponent(cfg, grid, "r")
-    scfg = _solver_config(cfg) if do_simulate else None
-    counts = _estimate_counts(cfg)
+    scfg = _solver_config(cfg)
     initial = _read_initial(cfg, grid, p, r)
     run_dir = _out_dir(Path(out_dir) / run_id)
 
@@ -363,14 +346,13 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
         record["regularity"] = {"p": reg_p, "r": reg_r}
 
         enter("estimates")
-        trials, ascent = counts["trials"], counts["ascent_steps"]
-        B0 = estimate_embedding(grid, p, "L2", trials=trials, seed=seed, ascent_steps=ascent)
+        B0 = estimate_embedding(grid, p, "L2", seed=seed)
         record["estimates"]["B0"] = B0
-        B = estimate_embedding(grid, p, r, trials=trials, seed=seed + 1, ascent_steps=ascent)
+        B = estimate_embedding(grid, p, r, seed=seed + 1)
         record["estimates"]["B"] = B
         depth: Optional[DepthEstimate] = None
         if r.p_minus > p.p_plus:
-            depth = estimate_depth(grid, p, r, trials=trials, seed=seed, B_est=B)
+            depth = estimate_depth(grid, p, r, seed=seed, B_est=B)
             record["estimates"]["depth"] = depth
             meta["depth"] = {"iterations": depth.iterations, "backtracks": depth.backtracks}
             if depth.skipped:
@@ -550,13 +532,9 @@ def _ode_grid() -> list[ode_bounds.OdeParams]:
 
 
 def _cmd_ode_verify(args) -> int:
-    cfg = _load_config(Path(args.config)) if args.config else {}
-    t_end = _get(cfg, "ode", "t_end", default="12.0", cast=float)
-    if not 0.0 < t_end < np.inf:
-        raise ConfigError(f"[ode] t_end must be positive and finite, got {t_end!r}")
     out = _out_dir(args.out)
     batch = _ode_grid()
-    violations = ode_bounds.verify_batch(batch, T=t_end)
+    violations = ode_bounds.verify_batch(batch)
     lines = ["C1,C2,alpha,beta,h0,branch,max_violation"]
     worst = -np.inf
     for q, v in zip(batch, violations):
@@ -574,26 +552,15 @@ def _cmd_ode_verify(args) -> int:
 
 
 def _cmd_poincare(args) -> int:
-    cfg = _load_config(Path(args.config)) if args.config else {}
-    epsilons = list(_get(cfg, "poincare", "epsilons", default="1e2 1e3 1e4 1e6", cast=_floats))
-    n_quad = _get(cfg, "poincare", "n_quad", default="64", cast=int)
-    try:
-        radial_gap.check_sweep(epsilons, n_quad)
-    except ValueError as exc:
-        raise ConfigError(f"[poincare] {exc}") from exc
     out = _out_dir(args.out)
-    try:
-        rows = radial_gap.quotient_sweep(epsilons, n_quad=n_quad)
-    except AssertionError as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        return 4
+    rows = radial_gap.quotient_sweep()
     (out / "poincare.csv").write_text(columns_csv(
         {f.name: [getattr(row, f.name) for row in rows]
          for f in dataclasses.fields(radial_gap.SweepRow)}))
     if not args.quiet:
         for row in rows:
             print(f"eps={row.epsilon:g} quotient={row.quotient!r} bound={row.bound!r}")
-        print(f"profile mean over the big ball: {radial_gap.profile_mean(n_quad)!r}")
+        print(f"profile mean over the big ball: {radial_gap.profile_mean()!r}")
     return 0
 
 
@@ -640,12 +607,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         description="Variable-exponent diffusion laboratory: simulate, classify, verify.",
     )
     sub = parser.add_subparsers(dest="command")
-    for name, needs_config in (
-        ("simulate", True), ("classify", True), ("depth", True), ("norm", True),
-        ("ode-verify", False), ("poincare", False), ("report", False),
-    ):
+    configured = ("simulate", "classify", "depth", "norm")
+    for name in (*configured, "ode-verify", "poincare", "report"):
         sp = sub.add_parser(name)
-        sp.add_argument("--config", required=needs_config)
+        if name in configured:
+            sp.add_argument("--config", required=True)
         sp.add_argument("--out", default="runs")
         sp.add_argument("--seed", type=_seed, default=0)
         sp.add_argument("--quiet", action="store_true")

@@ -13,6 +13,7 @@ agreement check on every reported value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,6 @@ __all__ = [
     "function_modular",
     "shell_modular_exact",
     "quotient_sweep",
-    "check_sweep",
     "SweepRow",
 ]
 
@@ -156,13 +156,15 @@ class SweepRow:
 
 def quotient_bound(epsilon: float) -> float:
     """960 (eps - 1) / (7 eps ln eps)."""
-    return 960.0 * (epsilon - 1.0) / (7.0 * epsilon * np.log(epsilon))
+    return 960.0 * (epsilon - 1.0) / (7.0 * epsilon * math.log(epsilon))
 
 
-def check_sweep(epsilons, n_quad: int) -> list[float]:
-    """The sweep's epsilons as floats; ValueError unless there is at least
-    one, each is finite and exceeds 1, they strictly increase, and n_quad is
-    at least 64."""
+def quotient_sweep(epsilons=(1e2, 1e3, 1e4, 1e6), n_quad: int = 64) -> list[SweepRow]:
+    """Quotients along an increasing epsilon sweep, checked against the
+    closed-form bound and for strict decrease from e^2 on; the default sweep
+    is the one `pxwell poincare` writes to `poincare.csv`.  Raises
+    ValueError unless there is at least one epsilon, each is finite and
+    exceeds 1, they strictly increase, and n_quad is at least 64."""
     eps = [float(e) for e in epsilons]
     if not eps:
         raise ValueError("no epsilons given")
@@ -172,14 +174,6 @@ def check_sweep(epsilons, n_quad: int) -> list[float]:
         raise ValueError(f"epsilons must be finite and exceed 1, got {eps}")
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError(f"epsilons must be strictly increasing, got {eps}")
-    return eps
-
-
-def quotient_sweep(epsilons, n_quad: int = 64) -> list[SweepRow]:
-    """Quotients along an increasing epsilon sweep, checked against the
-    closed-form bound and for strict decrease from e^2 on.  Raises
-    ValueError on inputs that `check_sweep` rejects."""
-    eps = check_sweep(epsilons, n_quad)
     rows = []
     for e in eps:
         num = gradient_modular(e, n_quad)

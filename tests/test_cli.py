@@ -35,6 +35,15 @@ def test_unknown_section_rejected(tmp_path):
         _load_config(path)
 
 
+def test_every_section_is_set_by_a_shipped_config():
+    # a section that no shipped config sets is a knob that nothing uses
+    # ([estimates], [ode] and [poincare] were)
+    shipped = set()
+    for path in CONFIGS.glob("*.ini"):
+        shipped.update(_load_config(path))
+    assert set(cli._SCHEMA) - shipped == set()
+
+
 def test_missing_required_key(tmp_path):
     path = _write(tmp_path, "[domain]\ndimension = 2\ncells = 8 8\n")
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -168,19 +177,15 @@ def test_contradicted_verdict_exit_4(tmp_path, monkeypatch, capsys):
     assert _strict_json(run_dir / "meta.json")["steps"]["accepted"] > 0
 
 
-# a zero datum on 8 cells with two-witness estimates: the [solver] and
-# [estimates] sections are read with the domain and exponents, before the
-# estimates
-_TINY_FIELDS = ("[domain]\ndimension = 1\ncells = 8\nlengths = 1.0\n"
-                "[exponents]\np = const:2.0\nr = const:4.0\n")
-_TINY = _TINY_FIELDS + "[estimates]\ntrials = 2\nascent_steps = 0\n"
+# a zero datum on 8 cells: the [solver] and [initial] sections are read with
+# the domain and exponents, before the estimates
+_TINY = ("[domain]\ndimension = 1\ncells = 8\nlengths = 1.0\n"
+         "[exponents]\np = const:2.0\nr = const:4.0\n")
 # each failed at the audit stage (exit 3) or, for blowup_threshold = nan,
 # ran with threshold detection off (exit 0); t_end = inf, which never
 # returned, is checked in test_solver.test_config_validation
 _BAD_SOLVER_LINES = ("t_end = 0", "t_end = -1", "t_end = nan", "energy_tol = -1",
                      "energy_tol = nan", "blowup_threshold = nan", "delta = -1", "delta = nan")
-# each ran and recorded the negative count (exit 0)
-_BAD_ESTIMATES_LINES = ("trials = -5", "ascent_steps = -1")
 # kind highenergy with a source exponent that its construction cannot take;
 # each exited 3 at the initial stage, after the estimates
 _BAD_HIGHENERGY = {
@@ -195,11 +200,10 @@ _BAD_INITIAL_LINES = ("kind = modes\nmodes = 1 1.0\namplitude = nan",
                       "kind = modes\nmodes = 1 nan", "kind = highenergy\nmtarget_factor = inf",
                       "kind = highenergy\nmtarget_factor = 0.5", "kind = csv\ncsv = nonfinite.csv")
 _BAD_LINES = (*(_TINY + f"[solver]\n{line}\n" for line in _BAD_SOLVER_LINES),
-              *(_TINY_FIELDS + f"[estimates]\n{line}\n" for line in _BAD_ESTIMATES_LINES),
               *(_TINY.replace("r = const:4.0", line) + "[initial]\nkind = highenergy\n"
                 for line in _BAD_HIGHENERGY.values()),
               *(_TINY + f"[initial]\n{line}\n" for line in _BAD_INITIAL_LINES))
-_BAD_IDS = (*(line.split("\n")[-1] for line in (*_BAD_SOLVER_LINES, *_BAD_ESTIMATES_LINES)),
+_BAD_IDS = (*_BAD_SOLVER_LINES,
             *_BAD_HIGHENERGY,
             *(line.split("\n")[-1] for line in _BAD_INITIAL_LINES))
 
@@ -224,45 +228,49 @@ def _nonfinite_csv(tmp_path, monkeypatch):
                  "[exponents]\np = missing.csv\nr = const:4.0\n"),
     ("norm", "[norm]\nfield_csv = missing.csv\nexponent = const:3.0\n"),
     ("norm", f"[norm]\nfield_csv = {CONFIGS / 'sample_field.csv'}\nexponent = bogus:1\n"),
-    ("ode-verify", "[ode]\nt_end = twelve\n"),
-    ("poincare", "[poincare]\nn_quad = x\n"),
-    ("ode-verify", "[ode]\nt_end = -1\n"),
-    ("ode-verify", "[ode]\nt_end = nan\n"),
-    ("ode-verify", "[ode]\nt_end = inf\n"),
-    ("ode-verify", "[ode]\ndt = 1e-3\n"),
-    ("poincare", "[poincare]\nn_quad = 8\n"),
-    ("poincare", "[poincare]\nepsilons = 0.5 2\n"),
-    ("poincare", "[poincare]\nepsilons = 10 5\n"),
-    ("poincare", "[poincare]\nepsilons =\n"),
     ("simulate", _TINY + "[solver]\nrecord_every = 5\n"),
-    ("simulate", _TINY + "radii_samples = 48\n"),
+    ("simulate", _TINY + "[estimates]\nradii_samples = 48\n"),
+    ("simulate", _TINY + "[estimates]\ntrials = 24\nascent_steps = 12\n"),
+    ("simulate", _TINY + "[ode]\nt_end = 12.0\n"),
+    ("simulate", _TINY + "[poincare]\nn_quad = 64\n"),
     ("simulate", _TINY + "[initial]\nkind = modes\nmodes = 0 1.0\n"),
     ("norm", f"[norm]\nfield_csv = {CONFIGS / 'sample_field.csv'}\nexponent = const:3.0\n"
              "tol = -1\n"),
     *(("simulate", text) for text in _BAD_LENGTHS.values()),
     *(("simulate", text) for text in _BAD_LINES),
     *(("classify", _TINY + f"[initial]\n{line}\n") for line in _BAD_INITIAL_LINES),
+    *(("classify", _TINY + f"[solver]\n{line}\n") for line in _BAD_SOLVER_LINES),
 ], ids=["simulate-cells", "simulate-exponent-csv", "norm-field-csv", "norm-exponent",
-        "ode-verify-t_end", "poincare-n_quad", "ode-verify-t_end-negative",
-        "ode-verify-t_end-nan", "ode-verify-t_end-inf", "ode-verify-dt-removed",
-        "poincare-n_quad-small", "poincare-epsilon-below-1", "poincare-epsilons-decreasing",
-        "poincare-epsilons-empty", "simulate-record_every-removed",
-        "simulate-radii_samples-removed", "simulate-modes-all-zero",
-        "norm-tol-negative",
+        "simulate-record_every-removed", "simulate-radii_samples-removed",
+        "simulate-estimates-removed", "simulate-ode-removed", "simulate-poincare-removed",
+        "simulate-modes-all-zero", "norm-tol-negative",
         *("simulate-" + name for name in _BAD_LENGTHS),
         *("simulate-" + name.replace(" = ", "-") for name in _BAD_IDS),
-        *("classify-" + name.replace(" = ", "-") for name in _BAD_IDS[-len(_BAD_INITIAL_LINES):])])
+        *("classify-" + name.replace(" = ", "-") for name in _BAD_IDS[-len(_BAD_INITIAL_LINES):]),
+        *("classify-" + name.replace(" = ", "-") for name in _BAD_SOLVER_LINES)])
 def test_config_value_errors_exit_2(tmp_path, monkeypatch, capsys, command, text):
     # an unparsable, out-of-range or non-finite value, an unknown key, an
     # unknown exponent spec or a missing file that the config names is a
     # config error, not a traceback or a pipeline error, and leaves no
     # output directory behind (the all-zero mode exited 3 at stage fields,
-    # and every simulate case left an empty run directory)
+    # every simulate case left an empty run directory, and classify, which
+    # did not read [solver], exited 0 on each bad [solver] value)
     _nonfinite_csv(tmp_path, monkeypatch)
     path = _write(tmp_path, text)
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["ode-verify", "poincare", "report"])
+def test_config_flag_refused_exit_2(tmp_path, capsys, command):
+    # these commands read no config: --config is a usage error before
+    # anything is written
+    out = tmp_path / "o"
+    assert main([command, "--config", str(CONFIGS / "zero.ini"), "--out", str(out),
+                 "--quiet"]) == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("config", ["global_2d", "zero"])
@@ -301,14 +309,13 @@ def test_bad_solver_value_fails_before_estimates(tmp_path, monkeypatch, text):
     # each value is a config error before the estimates run, with the
     # classifier's hypotheses: neither is reached
     def unreachable(*args, **kwargs):
-        raise AssertionError("the pipeline ran before [solver], [estimates] and [initial] "
-                             "were checked")
+        raise AssertionError("the pipeline ran before [solver] and [initial] were checked")
 
     monkeypatch.setattr(cli, "check_hypotheses", unreachable)
     monkeypatch.setattr(cli, "estimate_embedding", unreachable)
     _nonfinite_csv(tmp_path, monkeypatch)
     path = _write(tmp_path, text)
-    with pytest.raises(ConfigError, match=r"^\[(solver|estimates|initial)\]"):
+    with pytest.raises(ConfigError, match=r"^\[(solver|initial)\]"):
         run(path, tmp_path / "o", quiet=True)
 
 
@@ -333,8 +340,7 @@ def test_nonfinite_initial_energy_exit_3(tmp_path, capsys):
                  name="flat.csv")
     path = _write(tmp_path, "[domain]\ndimension = 2\ncells = 16 16\nlengths = 1.0 1.0\n"
                   "[exponents]\np = const:1.5\nr = const:4.0\n"
-                  f"[initial]\nkind = csv\ncsv = {csv}\n"
-                  "[estimates]\ntrials = 4\nascent_steps = 2\n[solver]\ndelta = 0.0\n")
+                  f"[initial]\nkind = csv\ncsv = {csv}\n[solver]\ndelta = 0.0\n")
     with np.errstate(all="ignore"):
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
     assert code == 3
@@ -424,12 +430,15 @@ def test_norm_subcommand(tmp_path, capsys):
     assert (tmp_path / "norm.json").exists()
 
 
-def test_poincare_subcommand(tmp_path):
-    code = main(["poincare", "--out", str(tmp_path), "--quiet"])
+def test_poincare_subcommand(tmp_path, capsys):
+    code = main(["poincare", "--out", str(tmp_path)])
     assert code == 0
     text = (tmp_path / "poincare.csv").read_text()
     assert text.startswith("epsilon,numerator,denominator,quotient,bound")
     assert len(text.strip().split("\n")) == 5
+    # each bound prints as a plain float (it printed as np.float64(...))
+    out = capsys.readouterr().out
+    assert out.count("bound=") == 4 and "np.float64(" not in out
 
 
 @pytest.mark.parametrize("command, written", [
@@ -445,10 +454,11 @@ def test_empty_out_writes_to_working_directory(tmp_path, monkeypatch, command, w
 
 
 def test_poincare_failed_bound_exit_4(tmp_path, monkeypatch, capsys):
-    # a quotient above its closed-form bound fails the sweep with exit code 4
+    # a quotient above its closed-form bound fails the sweep with exit code 4,
+    # before poincare.csv is written
     monkeypatch.setattr(radial_gap, "quotient_bound", lambda eps: 1e-9)
     assert main(["poincare", "--out", str(tmp_path), "--quiet"]) == 4
-    assert "sweep failed: quotient" in capsys.readouterr().err
+    assert "assertion failure: quotient" in capsys.readouterr().err
     assert not (tmp_path / "poincare.csv").exists()
 
 

@@ -24,6 +24,13 @@ def test_params_validation():
         OdeParams(C1=1.0, C2=1.0, alpha=2.0, beta=1.0, h0=-1.0)
 
 
+@pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf],
+                         ids=["t_end-zero", "t_end-negative", "t_end-nan", "t_end-inf"])
+def test_verify_batch_rejects_bad_horizon(T):
+    with pytest.raises(ValueError, match="T must be positive and finite"):
+        verify_batch([OdeParams(1.0, 1.0, 2.0, 1.0, h0=0.5)], T=T)
+
+
 def test_envelope_saturated_branch():
     q = OdeParams(C1=1.0, C2=1.0, alpha=3.0, beta=2.0, h0=0.5)
     bound, branch = envelope(q)

@@ -89,3 +89,19 @@ def test_quotient_sweep():
 def test_sweep_rejects_unsorted():
     with pytest.raises(ValueError):
         quotient_sweep([10.0, 5.0])
+
+
+@pytest.mark.parametrize("epsilons, n_quad, message", [
+    ((1e2,), 8, "n_quad must be at least 64"),
+    ((0.5, 2.0), 64, "epsilons must be finite and exceed 1"),
+    ((1e2, np.inf), 64, "epsilons must be finite and exceed 1"),
+    ((), 64, "no epsilons given"),
+], ids=["n_quad-small", "epsilon-below-1", "epsilon-inf", "epsilons-empty"])
+def test_sweep_rejects(epsilons, n_quad, message):
+    with pytest.raises(ValueError, match=message):
+        quotient_sweep(epsilons, n_quad=n_quad)
+
+
+def test_default_sweep():
+    # the sweep that `pxwell poincare` writes
+    assert [row.epsilon for row in quotient_sweep()] == [1e2, 1e3, 1e4, 1e6]
