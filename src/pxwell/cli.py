@@ -36,7 +36,9 @@ been read and checked and before the work starts, so a config error leaves
 no directory behind.
 
 Exit codes: 0 success, 2 config error, bad argument (such as a negative
-`--seed`) or output path that cannot be made or written, 3 pipeline error,
+`--seed`) or output path that cannot be made or written, 3 pipeline error
+(among them a quadrature guard that fails in `ode-verify` or `poincare`,
+which exits before `ode_verify.csv` or `poincare.csv` is written),
 4 assertion or acceptance failure, such as a `simulate` outcome that
 contradicts its decided verdict (a Global verdict that ends BlowupDetected
 or a Blowup verdict that ends GlobalUntilTend), which the record's events
@@ -534,7 +536,11 @@ def _ode_grid() -> list[ode_bounds.OdeParams]:
 def _cmd_ode_verify(args) -> int:
     out = _out_dir(args.out)
     batch = _ode_grid()
-    violations = ode_bounds.verify_batch(batch)
+    counts: dict[str, int] = {}
+    try:
+        violations = ode_bounds.verify_batch(batch, counts=counts)
+    except ValueError as exc:
+        raise PipelineError(f"ode falsifier: {exc}") from exc
     lines = ["C1,C2,alpha,beta,h0,branch,max_violation"]
     worst = -np.inf
     for q, v in zip(batch, violations):
@@ -547,20 +553,25 @@ def _cmd_ode_verify(args) -> int:
     (out / "ode_verify.csv").write_text("\n".join(lines) + "\n")
     scale = 1e-6
     if not args.quiet:
-        print(f"{len(batch)} cells, worst signed violation {worst!r} (tolerance {scale})")
+        print(f"{len(batch)} cells, {counts['panels']} panels, {counts['bisected']} bisected, "
+              f"worst signed violation {worst!r} (tolerance {scale})")
     return 0 if worst <= scale else 4
 
 
 def _cmd_poincare(args) -> int:
     out = _out_dir(args.out)
-    rows = radial_gap.quotient_sweep()
+    try:
+        rows = radial_gap.quotient_sweep()
+        mean = None if args.quiet else radial_gap.profile_mean()
+    except ValueError as exc:
+        raise PipelineError(f"poincare sweep: {exc}") from exc
     (out / "poincare.csv").write_text(columns_csv(
         {f.name: [getattr(row, f.name) for row in rows]
          for f in dataclasses.fields(radial_gap.SweepRow)}))
     if not args.quiet:
         for row in rows:
             print(f"eps={row.epsilon:g} quotient={row.quotient!r} bound={row.bound!r}")
-        print(f"profile mean over the big ball: {radial_gap.profile_mean()!r}")
+        print(f"profile mean over the big ball: {mean!r}")
     return 0
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -462,6 +463,29 @@ def test_poincare_failed_bound_exit_4(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "poincare.csv").exists()
 
 
+def test_poincare_quadrature_failure_exit_3(tmp_path, monkeypatch, capsys):
+    # a node-doubling guard that cannot be met is a pipeline error before
+    # poincare.csv is written (it escaped main as a ValueError traceback)
+    monkeypatch.setattr(radial_gap, "_REL_TOL", 0.0)
+    assert main(["poincare", "--out", str(tmp_path), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pipeline error: poincare sweep: quadrature disagreement")
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "poincare.csv").exists()
+
+
+def test_ode_falsifier_failure_exit_3(tmp_path, monkeypatch, capsys):
+    # a panel guard that cannot be met is a pipeline error before
+    # ode_verify.csv is written (it escaped main as a ValueError traceback)
+    monkeypatch.setattr(cli.ode_bounds, "_AGREEMENT", 0.0)
+    monkeypatch.setattr(cli.ode_bounds, "_MAX_BISECTIONS", 0)
+    assert main(["ode-verify", "--out", str(tmp_path), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pipeline error: ode falsifier: quadrature panels disagree")
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "ode_verify.csv").exists()
+
+
 def test_report_subcommand(tmp_path):
     rec = run(CONFIGS / "zero.ini", tmp_path, seed=0, quiet=True)
     run(CONFIGS / "zero.ini", tmp_path, seed=1, do_simulate=False, quiet=True)
@@ -577,7 +601,10 @@ def test_ode_verify_writes_plain_floats(tmp_path, capsys):
     for line in lines[1:]:
         for field in line.split(",")[after_branch:]:
             float(field)
-    worst = capsys.readouterr().out.split("worst signed violation ")[1].split()[0]
+    out = capsys.readouterr().out
+    # the line also gives the falsifier's panels and the bisections among them
+    assert re.match(r"216 cells, \d+ panels, \d+ bisected, worst signed violation ", out), out
+    worst = out.split("worst signed violation ")[1].split()[0]
     float(worst)
 
 

@@ -176,12 +176,33 @@ def test_lowered_envelope_is_caught(monkeypatch, tmp_path):
 
 def test_panel_guard_needs_bisection(monkeypatch):
     # the h0 = 1e-4 lemma cell starts 1e-4 from the singular point s = 0 of
-    # s^alpha; its first panels pass the 8/16-node agreement only once bisected
+    # s^alpha; its first panels pass the 4/8-node agreement only once bisected
     _, q = thm53_lemma_cases()[0]
     assert verify_batch([q])[0] <= 1e-6
     monkeypatch.setattr(ode_bounds, "_MAX_BISECTIONS", 0)
     with pytest.raises(ValueError, match="panels disagree"):
         verify_batch([q])
+
+
+def test_smaller_rule_pair_loses_nothing(monkeypatch):
+    # the shipped 4/8-node guard against a 16/32-node one, on the ode-verify
+    # batch and the Thm 5.3 lemma cells: both sample h at the same panel
+    # ends, and every cell's excess agrees to 1e-14
+    batch = cli._ode_grid() + [q for _, q in thm53_lemma_cases()]
+    shipped = verify_batch(batch)
+    monkeypatch.setattr(ode_bounds, "_NODES", 16)
+    finer = verify_batch(batch)
+    assert np.max(np.abs(shipped - finer)) <= 1e-14
+
+
+def test_guard_is_live_on_the_shipped_batch():
+    # the guard bisects at least one panel of the ode-verify batch, and the
+    # counts come back through the one verify_batch call
+    counts = {}
+    excess = verify_batch(cli._ode_grid(), counts=counts)
+    assert excess.shape == (216,)
+    assert set(counts) == {"panels", "bisected"}
+    assert 1 <= counts["bisected"] < counts["panels"]
 
 
 def test_verify_from_zero():
