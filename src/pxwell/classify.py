@@ -26,7 +26,7 @@ from .energy import (
     snapshot,
 )
 from .grid import Grid, GridFunction
-from .norms import EmbeddingEstimate, l2_norm
+from .norms import l2_norm
 from .solver import Trajectory
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "construct_high_energy_datum",
     "thm53_envelope",
     "thm54_bounds",
-    "high_energy_blowup_flag",
 ]
 
 GLOBAL = "Global"
@@ -77,44 +76,12 @@ class Envelope:
     eval: Callable[[np.ndarray], np.ndarray]
 
 
-def high_energy_blowup_flag(
-    J0: float,
-    grad_mod0: float,
-    p: ExponentField,
-    r: ExponentField,
-    B_hat: float,
-) -> tuple[bool, dict[str, float]]:
-    """Sufficient escape test: initial energy below the threshold E1 while the
-    initial diffusion modular exceeds alpha1 (both built from B_hat + 1), under
-    the stricter source-exponent window it requires, N the grid's dimension.
-
-    The thresholds exist only for r_minus > p_plus (the exponent of B1 has
-    p_plus - r_minus in its denominator); below that order the test cannot
-    hold and only `hypotheses_hold = 0` is recorded."""
-    if r.p_minus <= p.p_plus:
-        return False, {"hypotheses_hold": 0.0}
-    N = p.grid.dimension
-    B1 = B_hat + 1.0
-    alpha1 = B1 ** (r.p_plus * p.p_plus / (p.p_plus - r.p_minus))
-    E1 = (r.p_minus - p.p_plus) / (p.p_plus * r.p_minus) * alpha1
-    window_hi = (2.0 * N + (N + 2.0) * p.p_minus) / (2.0 * N)
-    hyp = (
-        max(1.0, 2.0 * N / (N + 2.0)) < p.p_minus < N
-        and max(p.p_plus, 2.0) < r.p_minus
-        and r.p_plus <= window_hi
-    )
-    flag = bool(hyp and J0 < E1 and grad_mod0 > alpha1)
-    return flag, {"alpha1": alpha1, "E1": E1, "B1": B1, "window_hi": window_hi,
-                  "hypotheses_hold": float(hyp)}
-
-
 def classify(
     u0: GridFunction,
     p: ExponentField,
     r: ExponentField,
     depth: Optional[DepthEstimate] = None,
     level_radii: Optional[LevelRadii] = None,
-    B_est: Optional[EmbeddingEstimate] = None,
 ) -> Verdict:
     """Map the initial datum to a predicted regime and outcome.
 
@@ -156,13 +123,6 @@ def classify(
         constants["d_hat_lower_formula"] = depth.lower_formula
         estimates.append(depth.ident)
     notes: list[str] = [_RADII_DIRECTION_NOTE]
-
-    flag = False
-    if B_est is not None:
-        flag, flag_consts = high_energy_blowup_flag(J0, s0.grad_modular, p, r, B_est.constant)
-        constants.update(flag_consts)
-        constants["high_energy_blowup_flag"] = float(flag)
-        estimates.append(B_est.ident)
 
     H = hyp.condition_H
     if not np.any(u0.values):
@@ -206,10 +166,6 @@ def classify(
         estimates.append(f"radii-s{level_radii.s:.6g}")
     if note is not None:
         notes.append(note)
-    if flag and pred != BLOWUP and regime in ("subcritical", "critical"):
-        # arithmetic guarantees I0 < 0 whenever the flag holds, so this
-        # branch is unreachable; kept as a consistency tripwire
-        notes.append("high-energy escape flag contradicts the threshold rule")
     return Verdict(regime, pred, rule, constants, notes=tuple(notes),
                    estimates_used=tuple(estimates))
 

@@ -288,16 +288,29 @@ def _guarded_panels(g, hi: np.ndarray, lo: np.ndarray):
     return hi[order], lo[order], vals[order]
 
 
-def _time_density(sigma: float, A: float, B: float, g: float):
-    """dt/dy on one side of the kink, with u = |h - h*| / h* = e^y.
+def _near_density(sigma: float, A: float, g: float):
+    """dt/dy between the kink and h*, with u = |h - h*| / h* = e^y.
 
-    f(h) = h* (B - A expm1(g log1p(sigma u))), with A = C1 h*^{g-1} and B the
-    offset (C2 - C1 h*^g) / h*, which is 0 on the side of h*; so dt/dy =
-    sigma u h* / -f(h) has no cancellation as u -> 0.
+    f(h) = -h* A expm1(g log1p(sigma u)), with A = C1 h*^{g-1}, since
+    C1 h*^g = C2 on this side of the kink; so dt/dy = sigma u h* / -f(h)
+    has no cancellation as u -> 0.
     """
     def density(y):
         su = sigma * np.exp(y)
-        return su / (A * np.expm1(g * np.log1p(su)) - B)
+        return su / (A * np.expm1(g * np.log1p(su)))
+
+    return density
+
+
+def _far_density(sigma: float, h_star: float, C1: float, C2: float, g: float):
+    """dt/dy between h0 and the kink, with f(h) = C2 - C1 h^g evaluated
+    directly.  This segment stays on the far side of the kink from h*, so
+    there is no limit u -> 0 to protect, while the near segment's form with
+    an offset (C2 - C1 h*^g) / h* cancels when C1 h*^g >> C2.
+    """
+    def density(y):
+        su = sigma * np.exp(y)
+        return su * h_star / (C1 * (h_star * (1.0 + su)) ** g - C2)
 
     return density
 
@@ -329,18 +342,17 @@ def _path(q: OdeParams, h_star: float, sigma: float, T: float, counts: dict):
     gamma = b if h_star > 1.0 or (h_star == 1.0 and sigma > 0.0) else a
     y = float(np.log(abs(h0 - h_star) / h_star))
     y_tail = min(float(np.log(_TAIL)), y)
-    segments = []  # (y from, y to, exponent, offset of f)
-    if (h0 - 1.0) * (h_star - 1.0) < 0.0:  # crosses the kink at y_kink
+    segments = []  # (y from, y to, dt/dy)
+    if min(h0, h_star) < 1.0 < max(h0, h_star):  # crosses the kink at y_kink
         far = a if h0 < 1.0 else b
         y_kink = float(np.log(abs(1.0 - h_star) / h_star))
-        segments.append((y, y_kink, far, C2 - C1 * h_star**far))
+        segments.append((y, y_kink, _far_density(sigma, h_star, C1, C2, far)))
         y = y_kink
-    segments.append((y, y_tail, gamma, 0.0))
+    segments.append((y, y_tail, _near_density(sigma, C1 * h_star ** (gamma - 1.0), gamma)))
 
     t = 0.0
     ys, ts = [], []
-    for y_from, y_to, g, offset in segments:
-        density = _time_density(sigma, C1 * h_star ** (g - 1.0), offset / h_star, g)
+    for y_from, y_to, density in segments:
         n = max(int(np.ceil((y_from - y_to) / _PANEL_WIDTH)), 0)
         edges = np.linspace(y_from, y_to, n + 1)
         for k in range(0, n, _CHUNK):
@@ -369,7 +381,9 @@ def _cell_excess(q: OdeParams, T: float, counts: dict) -> float:
     h_star = _threshold(q.C1, q.C2, q.alpha, q.beta)
     if h0 == h_star:  # the trajectory rests at the equilibrium
         return float(np.max(h_star - bound(np.array([0.0, T]))))
-    if not np.isfinite(_rhs(np.float64(h0), q.C1, q.C2, q.alpha, q.beta)):
+    with np.errstate(over="ignore"):  # h0^alpha may overflow where h0^beta does not
+        rhs0 = _rhs(np.float64(h0), q.C1, q.C2, q.alpha, q.beta)
+    if not np.isfinite(rhs0):
         raise ValueError(f"h' is not finite at h0 = {h0!r}; the trajectory overflows")
     sigma = 1.0 if h0 > h_star else -1.0
     y, t = _path(q, h_star, sigma, T, counts)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import column_trajectory, mixed_mode, thm53_lemma_cases
+from pxwell import classify as classify_module
 from pxwell.classify import (
     BLOWUP,
     GLOBAL,
@@ -14,7 +15,6 @@ from pxwell.classify import (
     classify,
     construct_high_energy_datum,
     decay_envelope,
-    high_energy_blowup_flag,
     inequality_317_check,
     prop48_check,
     thm53_envelope,
@@ -49,7 +49,7 @@ def setting():
 
 def test_zero_datum_global(setting):
     g, p, r, B, dep = setting
-    v = classify(GridFunction(g, np.zeros(g.shape)), p, r, dep, B_est=B)
+    v = classify(GridFunction(g, np.zeros(g.shape)), p, r, dep)
     assert v.prediction == GLOBAL and v.rule == "zero-datum"
     assert not v.certified
 
@@ -62,13 +62,13 @@ def test_ray_scaled_verdicts(setting):
     small = GridFunction(g, 0.15 * lam * phi.values)
     s = snapshot(small, p, r)
     assert s.I > 0 and s.J < dep.upper
-    v = classify(small, p, r, dep, B_est=B)
+    v = classify(small, p, r, dep)
     assert v.regime == "subcritical" and v.prediction == GLOBAL
 
     big = GridFunction(g, 1.8 * lam * phi.values)
     sb = snapshot(big, p, r)
     assert sb.I < 0 and sb.J < dep.upper
-    vb = classify(big, p, r, dep, B_est=B)
+    vb = classify(big, p, r, dep)
     assert vb.regime == "subcritical" and vb.prediction == BLOWUP
     # Remark-style sharpness: a subcritical datum with I != 0 is never undetermined
     assert v.prediction != UNDETERMINED and vb.prediction != UNDETERMINED
@@ -78,13 +78,13 @@ def test_condition_H_needs_depth(setting):
     g, p, r, B, dep = setting
     u = GridFunction(g, 0.3 * mixed_mode(g).values)
     with pytest.raises(ValueError, match="depth"):
-        classify(u, p, r, B_est=B)
+        classify(u, p, r)
 
 
 def test_classify_deterministic(setting):
     g, p, r, B, dep = setting
     u = GridFunction(g, 0.3 * mixed_mode(g).values)
-    assert classify(u, p, r, dep, B_est=B) == classify(u, p, r, dep, B_est=B)
+    assert classify(u, p, r, dep) == classify(u, p, r, dep)
 
 
 def test_diffusion_dominant_rule(setting):
@@ -135,6 +135,9 @@ _RULE_CASES = {
                                  "subcritical-positive-gap", ()),
     "subcritical-negative-gap": ("H", 2.0, "above", None, "subcritical", BLOWUP,
                                  "subcritical-negative-gap", ()),
+    "subcritical-on-manifold": (
+        "H", 0.5, "above", None, "subcritical", UNDETERMINED, "subcritical-on-manifold",
+        ("I0 = 0 exactly on a nonzero datum: no rule applies below the depth",)),
     "critical-nonnegative-gap": ("H", 0.5, "at", None, "critical", GLOBAL,
                                  "critical-nonnegative-gap", ()),
     "critical-negative-gap": ("H", 1.2, "at", None, "critical", BLOWUP,
@@ -151,12 +154,15 @@ _RULE_CASES = {
 
 
 @pytest.mark.parametrize("case", list(_RULE_CASES), ids=list(_RULE_CASES))
-def test_every_rule_pinned(case):
-    # one datum per rule that classify can return, except
-    # subcritical-on-manifold, which needs I0 = 0 exactly; the estimates are
-    # built directly, so each case fixes which side of d_hat and of the
-    # radii J0 and ||u0||_2 lie
+def test_every_rule_pinned(case, monkeypatch):
+    # one datum per rule that classify can return; the estimates are built
+    # directly, so each case fixes which side of d_hat and of the radii J0
+    # and ||u0||_2 lie, and subcritical-on-manifold, which needs I0 = 0
+    # exactly, reads a snapshot whose I is set to 0
     fields, scale, place, radii, regime, pred, rule, notes = _RULE_CASES[case]
+    if rule == "subcritical-on-manifold":
+        monkeypatch.setattr(classify_module, "snapshot",
+                            lambda *args: dataclasses.replace(snapshot(*args), I=0.0))
     phi, p, r = _rule_fields(fields)
     if fields == "H":
         scale *= find_lambda_star(phi, p, r)[0]
@@ -328,29 +334,6 @@ def test_high_energy_bisection_stops_at_rounding(monkeypatch):
     assert 0 < calls[0] <= 80
 
 
-def test_high_energy_flag_consistency():
-    # the flag's source-exponent window in 2D forces r_plus <= 1 + p_minus
-    g = Grid((24, 24), (1.0, 1.0))
-    p = build_field(1.9, g)
-    r = build_field(2.5, g)
-    B = estimate_embedding(g, p, r, trials=6, seed=1, ascent_steps=4)
-    dep = estimate_depth(g, p, r, trials=6, seed=0, B_est=B)
-    phi = mixed_mode(g)
-    lam, _ = find_lambda_star(phi, p, r)
-    big = GridFunction(g, 3.0 * lam * phi.values)
-    s = snapshot(big, p, r)
-    flag, consts = high_energy_blowup_flag(s.J, s.grad_modular, p, r, B.constant)
-    assert consts["hypotheses_hold"] == 1.0
-    assert flag  # deep negative energy with large diffusion modular
-    assert s.I < 0  # arithmetic consequence of the flag
-    v = classify(big, p, r, dep, B_est=B)
-    assert v.prediction == BLOWUP  # flag never contradicts the threshold verdict
-    small = GridFunction(g, 1e-2 * phi.values)
-    ssm = snapshot(small, p, r)
-    flag2, _ = high_energy_blowup_flag(ssm.J, ssm.grad_modular, p, r, B.constant)
-    assert not flag2
-
-
 def test_thm53_envelope_cases():
     g = Grid((8, 8), (1.0, 1.0))
     p = build_field(2.5, g)
@@ -427,7 +410,7 @@ def test_thm54_bounds_pinch_and_limits():
 
 def test_verdict_serializable(setting):
     g, p, r, B, dep = setting
-    v = classify(GridFunction(g, 0.2 * mixed_mode(g).values), p, r, dep, B_est=B)
+    v = classify(GridFunction(g, 0.2 * mixed_mode(g).values), p, r, dep)
     d = dataclasses.asdict(v)
     assert d["certified"] is False
     assert "J0" in d["constants"] and "d_hat_upper" in d["constants"]

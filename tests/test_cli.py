@@ -76,6 +76,19 @@ _SHIPPED_RULE = {
     "negative_energy": "diffusion-dominant-global",
     "zero": "zero-datum",
 }
+# the keys of each shipped verdict's constants: the datum's four, the depth's
+# two when one was estimated, the critical band under condition H and the
+# level radii on a supercritical datum
+_DATUM_KEYS = {"J0", "I0", "grad_modular0", "l2_0"}
+_DEPTH_KEYS = _DATUM_KEYS | {"d_hat_upper", "d_hat_lower_formula"}
+_SHIPPED_CONSTANTS = {
+    "blowup_2d": _DEPTH_KEYS | {"critical_band"},
+    "high_energy": _DEPTH_KEYS | {"critical_band", "lambda_s", "Lambda_s"},
+    "global_2d": _DEPTH_KEYS | {"critical_band"},
+    "diffusion_dominant": _DATUM_KEYS,
+    "negative_energy": _DATUM_KEYS,
+    "zero": _DEPTH_KEYS,
+}
 # each shipped config's seed-0 step counts from meta.json: accepted,
 # rejected, kernel evaluations and accepted RK4 steps
 _SHIPPED_COUNTS = {
@@ -104,11 +117,13 @@ def _strict_json(path):
     ("zero", "Global"),
 ])
 def test_shipped_config_agrees(tmp_path, name, verdict):
-    # every shipped simulate config: its verdict and the rule that decides
-    # it, the simulated outcome that goes with it, a trajectory row for the
-    # datum and each accepted step, and its step counts
+    # every shipped simulate config: its verdict, the rule that decides it
+    # and the constants it records, the simulated outcome that goes with it,
+    # a trajectory row for the datum and each accepted step, and its step
+    # counts
     rec = run(CONFIGS / f"{name}.ini", tmp_path, seed=0, quiet=True)
     assert (rec["verdict"].prediction, rec["verdict"].rule) == (verdict, _SHIPPED_RULE[name])
+    assert set(rec["verdict"].constants) == _SHIPPED_CONSTANTS[name]
     assert rec["outcome"].kind == _OUTCOME[verdict]
     run_dir = tmp_path / f"{name}-s0"
     _strict_json(run_dir / "record.json")
@@ -575,9 +590,16 @@ def test_weak_source_verdict_cites_no_depth(tmp_path, name):
     assert not [e for e in verdict["estimates_used"] if e.startswith("depth-")]
 
 
-# r_minus = p_plus zeroes the denominator of the escape flag's alpha1
-# exponent, and r_minus just below p_plus makes it about -4000 times too big
-@pytest.mark.parametrize("r_field", ["const:2.0", "const:1.999"])
+# r_minus = p_plus, where no depth is estimated and condition H fails, and
+# r_minus just below p_plus, where r_plus < p_minus decides: the prediction
+# and rule of each
+_SOURCE_ORDER_VERDICT = {
+    "const:2.0": ("Undetermined", "hypotheses-not-met"),
+    "const:1.999": ("Global", "diffusion-dominant-global"),
+}
+
+
+@pytest.mark.parametrize("r_field", list(_SOURCE_ORDER_VERDICT))
 def test_source_order_at_or_below_diffusion_classifies(tmp_path, r_field):
     path = _write(tmp_path, "[domain]\ndimension = 2\ncells = 8 8\nlengths = 1.0 1.0\n"
                   f"[exponents]\np = const:2.0\nr = {r_field}\n"
@@ -585,11 +607,7 @@ def test_source_order_at_or_below_diffusion_classifies(tmp_path, r_field):
                   name="edge.ini")
     assert main(["classify", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
     verdict = json.loads((tmp_path / "edge-s0" / "record.json").read_text())["verdict"]
-    assert verdict["constants"]["hypotheses_hold"] == 0.0
-    assert verdict["constants"]["high_energy_blowup_flag"] == 0.0
-    assert "alpha1" not in verdict["constants"] and "E1" not in verdict["constants"]
-    if r_field == "const:2.0":
-        assert (verdict["prediction"], verdict["rule"]) == ("Undetermined", "hypotheses-not-met")
+    assert (verdict["prediction"], verdict["rule"]) == _SOURCE_ORDER_VERDICT[r_field]
 
 
 def test_ode_verify_writes_plain_floats(tmp_path, capsys):

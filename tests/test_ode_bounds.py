@@ -122,9 +122,8 @@ def test_verify_rejects_non_finite_trajectory(h0):
     # h0^beta overflows at 1e160, where the time integrand would silently
     # read -0.0; inf is never finite
     q = OdeParams(1.0, 1.0, 3.0, 2.0, h0=h0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="not finite"):
-            verify_batch([q], T=1.0)
+    with pytest.raises(ValueError, match="not finite"):
+        verify_batch([q], T=1.0)
 
 
 @pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
@@ -196,13 +195,44 @@ def test_smaller_rule_pair_loses_nothing(monkeypatch):
 
 
 def test_guard_is_live_on_the_shipped_batch():
-    # the guard bisects at least one panel of the ode-verify batch, and the
-    # counts come back through the one verify_batch call
+    # the guard bisects panels of the ode-verify batch, and the counts come
+    # back through the one verify_batch call
     counts = {}
     excess = verify_batch(cli._ode_grid(), counts=counts)
     assert excess.shape == (216,)
-    assert set(counts) == {"panels", "bisected"}
-    assert 1 <= counts["bisected"] < counts["panels"]
+    assert counts == {"panels": 167055, "bisected": 19}
+
+
+def _random_box(seed: int, n: int) -> list[OdeParams]:
+    """n cells from a wide box: C1 and C2 log-uniform in [1e-3, 1e3], alpha
+    in [0.05, 10], beta in [0.02, alpha] (beta = alpha on a fifth of the
+    cells and min(alpha, 1) on another fifth), h0 = h* e^U with U in [-8, 8]."""
+    rng = np.random.default_rng(seed)
+    C1 = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    C2 = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    alpha = rng.uniform(0.05, 10.0, n)
+    beta = rng.uniform(0.02, alpha)
+    pick = rng.random(n)
+    beta = np.where(pick < 0.2, alpha, np.where(pick < 0.4, np.minimum(alpha, 1.0), beta))
+    growth = np.exp(rng.uniform(-8.0, 8.0, n))
+    return [OdeParams(c1, c2, a, b, h0=ode_bounds._threshold(c1, c2, a, b) * e)
+            for c1, c2, a, b, e in zip(*(x.tolist() for x in (C1, C2, alpha, beta, growth)))]
+
+
+def test_random_box_is_resolved():
+    # far from the ode-verify grid: cells with h0 < 1 < h*, where C1 h*^alpha
+    # can dwarf C2 on the segment before the kink, and two cells whose h0^alpha
+    # overflows while h' stays finite; every excess is judged relative to the
+    # scale of h, since some cells reach h ~ 1e50
+    batch = _random_box(7, 400) + [
+        OdeParams(0.0025089064536793436, 3.705773057420265, 8.659853945035318,
+                  0.06944095399705531, 6.201538632050025e45),
+        OdeParams(0.0014742509270723914, 10.77777912901272, 5.29333889894243,
+                  0.021004323139707584, 2.689559890500493e184),
+    ]
+    excess = verify_batch(batch)
+    scale = [max(1.0, q.h0, ode_bounds._threshold(q.C1, q.C2, q.alpha, q.beta)) for q in batch]
+    assert np.all(excess <= 1e-9 * np.array(scale))
 
 
 def test_verify_from_zero():
