@@ -107,7 +107,7 @@ def classify(
         raise ValueError("classification under condition H needs a depth estimate")
     s0 = snapshot(u0, p, r)
     J0, I0 = s0.J, s0.I
-    l2_0 = np.sqrt(max(s0.l2sq, 0.0))
+    l2_0 = np.sqrt(s0.l2sq)
     constants: dict[str, float] = {
         "J0": J0,
         "I0": I0,
@@ -286,26 +286,23 @@ def prop48_check(u0: GridFunction, p: ExponentField, r_const: float) -> bool:
 
 
 def _support_profile(grid: Grid, cell_lo: int, cell_hi: int, periods: int) -> np.ndarray:
-    """Full-period sine bump on cells [cell_lo, cell_hi) of the first axis;
-    exactly mean-zero under the midpoint rule."""
-    n = grid.cells[0]
-    vals_1d = np.zeros(n)
+    """Full-period sine bump on cells [cell_lo, cell_hi) of the first axis,
+    constant along the others; exactly mean-zero under the midpoint rule."""
     m = cell_hi - cell_lo
-    j = np.arange(m)
-    vals_1d[cell_lo:cell_hi] = np.sin(2.0 * np.pi * periods * (j + 0.5) / m)
-    if grid.dimension == 1:
-        return vals_1d
-    return np.repeat(vals_1d[:, None], grid.cells[1], axis=1)
+    bump = np.sin(2.0 * np.pi * periods * (np.arange(m) + 0.5) / m)
+    vals = np.zeros(grid.shape)
+    vals[cell_lo:cell_hi] = bump.reshape(m, *(1,) * (grid.dimension - 1))
+    return vals
 
 
 def construct_high_energy_datum(
     M_target: float,
-    grid: Grid,
     p: ExponentField,
     r_const: float,
     depth_upper: float,
 ) -> GridFunction:
-    """Initial datum with prescribed (arbitrarily large) energy that still escapes.
+    """Initial datum on p's grid with prescribed (arbitrarily large) energy
+    that still escapes.
 
     Two bumps with disjoint supports separated by a 2-cell gap, so the
     discrete energies add exactly: the first is scaled until its energy is
@@ -318,6 +315,7 @@ def construct_high_energy_datum(
         raise ValueError("M_target must exceed the depth upper estimate")
     if not (r_const > p.p_plus):
         raise ValueError("needs constant source exponent above p_plus")
+    grid = p.grid
     r_field = build_field(float(r_const), grid, label="r")
     n = grid.cells[0]
     half = n // 2
@@ -329,20 +327,17 @@ def construct_high_energy_datum(
         * grid.volume ** ((r_const - 2.0) / 2.0) * M_target
     )
 
-    alpha = 1.0
     v = GridFunction(grid, left)
     ray_v = _Ray(v, p, r_field)
-    ok = False
+    l2_v = l2_norm(v)
+    alpha = 1.0
     for _ in range(200):
-        Jv = ray_v.J(alpha)
-        l2r = (alpha * l2_norm(v)) ** r_const
-        if Jv <= 0.0 and l2r > threshold:
-            ok = True
+        J_alpha_v = ray_v.J(alpha)
+        if J_alpha_v <= 0.0 and (alpha * l2_v) ** r_const > threshold:
             break
         alpha *= 2.0
-    if not ok:
+    else:
         raise ValueError("could not scale the first bump to nonpositive energy and large mass")
-    J_alpha_v = ray_v.J(alpha)
     J_omega_target = M_target - J_alpha_v
 
     for periods in range(1, 40):

@@ -386,14 +386,14 @@ def _nehari_descent(grid: Grid, ray: _Ray, kernel: _Kernel, gap: float, u: np.nd
 
 
 def estimate_depth(
-    grid: Grid,
     p: ExponentField,
     r: ExponentField,
     trials: int = 24,
     seed: int = 0,
     B_est: Optional[EmbeddingEstimate] = None,
 ) -> DepthEstimate:
-    """Upper bound on the well depth plus the analytic formula bound.
+    """Upper bound on the well depth plus the analytic formula bound, over
+    fields on p's grid (r must live there too).
 
     `upper` is the least Nehari value over `witness_bank` and over the
     preconditioned descents (`_nehari_descent`) from the Nehari points of the
@@ -402,6 +402,7 @@ def estimate_depth(
     """
     if r.p_minus <= p.p_plus:
         raise ValueError("depth estimation requires r_minus > p_plus")
+    grid = p.grid
     starts = {f"draw{i}" for i in range(_DESCENT_STARTS)}
     upper, best = np.inf, None
     skipped = steps = backtracks = 0

@@ -230,15 +230,10 @@ def check_hypotheses(p: ExponentField, r: ExponentField) -> HypothesisReport:
     rhs3 = max(p.p_plus, 2.0)
     c3 = rhs3 < r.p_minus
     details.append(("max(p_plus, 2) < r_minus", rhs3, r.p_minus, c3))
-    if p.p_minus < N:
-        crit = N * p.p_minus / (N - p.p_minus)
-        c4 = r.p_plus <= crit
-        details.append(("r_plus <= N p_minus/(N - p_minus)", r.p_plus, crit, c4))
-        critical_sobolev: Optional[float] = crit
-    else:
-        c4 = False
-        critical_sobolev = None
-        details.append(("r_plus <= N p_minus/(N - p_minus)", r.p_plus, float("nan"), False))
+    # the critical exponent is finite only when p_minus < N; a NaN fails c4
+    crit = N * p.p_minus / (N - p.p_minus) if c2 else float("nan")
+    c4 = r.p_plus <= crit
+    details.append(("r_plus <= N p_minus/(N - p_minus)", r.p_plus, crit, c4))
 
     rpbpm = r.p_plus < p.p_minus
     details.append(("r_plus < p_minus", r.p_plus, p.p_minus, rpbpm))
@@ -249,6 +244,6 @@ def check_hypotheses(p: ExponentField, r: ExponentField) -> HypothesisReport:
         condition_H=bool(c1 and c2 and c3 and c4),
         r_plus_below_p_minus=bool(rpbpm),
         thm54_regime=bool(t54),
-        critical_sobolev=critical_sobolev,
+        critical_sobolev=crit if c2 else None,
         details=details,
     )

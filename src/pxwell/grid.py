@@ -77,17 +77,11 @@ class Grid:
 
     @cached_property
     def cell_volume(self) -> float:
-        vol = 1.0
-        for h in self.spacing:
-            vol *= h
-        return vol
+        return math.prod(self.spacing)
 
     @cached_property
     def volume(self) -> float:
-        vol = 1.0
-        for L in self.lengths:
-            vol *= L
-        return vol
+        return math.prod(self.lengths)
 
     def axis_centers(self, axis: int) -> np.ndarray:
         h = self.spacing[axis]
@@ -96,8 +90,6 @@ class Grid:
     def centers(self) -> list[np.ndarray]:
         """Cell-center coordinate arrays, broadcast to the grid shape."""
         axes = [self.axis_centers(a) for a in range(self.dimension)]
-        if self.dimension == 1:
-            return axes
         return list(np.meshgrid(*axes, indexing="ij"))
 
     @property
@@ -337,16 +329,14 @@ def load_gridfunction_csv(path) -> GridFunction:
         if not header.startswith("# grid"):
             raise ValueError(f"{path}: missing '# grid' header")
         parts = header.split()[2:]
-        if len(parts) == 2:
-            cells, lengths = (int(parts[0]),), (float(parts[1]),)
-        elif len(parts) == 4:
-            cells = (int(parts[0]), int(parts[1]))
-            lengths = (float(parts[2]), float(parts[3]))
-        else:
+        if len(parts) not in (2, 4):
             raise ValueError(f"{path}: header must be '# grid nx [ny] Lx [Ly]'")
+        dim = len(parts) // 2
+        cells = tuple(map(int, parts[:dim]))
+        lengths = tuple(map(float, parts[dim:]))
         data = np.array([float(line) for line in fh if line.strip()])
     grid = Grid(cells, lengths)
-    n_expected = int(np.prod(cells))
+    n_expected = math.prod(cells)
     if data.size != n_expected:
         raise ValueError(f"{path}: expected {n_expected} values, found {data.size}")
     return GridFunction(grid, data.reshape(cells, order="C"))

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .exponents import ExponentField, build_field
-from .grid import Grid, GridFunction, cell_gradient_magnitude, integrate
+from .grid import GridFunction, cell_gradient_magnitude, integrate
 from .witnesses import perturb, witness_bank
 
 __all__ = [
@@ -135,10 +135,10 @@ def l2_norm(f: GridFunction) -> float:
     return float(np.sqrt(integrate(GridFunction(f.grid, f.values**2))))
 
 
-def gradient_norm(f: GridFunction, p: ExponentField, tol: float = 1e-12) -> float:
+def gradient_norm(f: GridFunction, p: ExponentField) -> float:
     """Luxemburg norm of the cell gradient magnitude."""
     gm = GridFunction(f.grid, cell_gradient_magnitude(f))
-    return luxemburg_norm(gm, p, tol=tol).value
+    return luxemburg_norm(gm, p).value
 
 
 def _target_norm(w: GridFunction, target: Union[ExponentField, str]) -> float:
@@ -150,7 +150,6 @@ def _target_norm(w: GridFunction, target: Union[ExponentField, str]) -> float:
 
 
 def estimate_embedding(
-    grid: Grid,
     p: ExponentField,
     target: Union[ExponentField, str],
     trials: int = 24,
@@ -159,6 +158,7 @@ def estimate_embedding(
 ) -> EmbeddingEstimate:
     """Best sampled quotient ||w||_target / ||grad w||_p over mean-zero witnesses.
 
+    The witnesses are drawn on p's grid, where a target field must live too.
     The draw sequence is prefix-stable in `trials` for a fixed seed, so
     enlarging the witness set can only increase the estimate.  A short
     perturbation-ascent refinement from the best witness follows; its RNG is
@@ -174,7 +174,7 @@ def estimate_embedding(
             return -np.inf  # degenerate witness: constant after projection
         return _target_norm(w, target) / denom
 
-    best, w, best_id = _best_quotient(witness_bank(grid, seed, trials), quotient)
+    best, w, best_id = _best_quotient(witness_bank(p.grid, seed, trials), quotient)
     rng_ascent = np.random.default_rng((seed, 0xA5CE17))
     if ascent_steps > 0:
         sigma = 0.5
@@ -217,20 +217,20 @@ def gn_theta(p_minus: float, r_plus: float, N: int) -> float:
 
 
 def estimate_gn_constant(
-    grid: Grid,
     p: ExponentField,
     r: ExponentField,
     trials: int = 32,
     seed: int = 0,
 ) -> EmbeddingEstimate:
     """Sampled interpolation constant for (1+|Omega|)||w||_{r_plus} against
-    ||grad w||_p^theta ||w||_2^{1-theta}, theta balanced in the grid's
-    dimension.
+    ||grad w||_p^theta ||w||_2^{1-theta} over witnesses on p's grid, theta
+    balanced in the grid's dimension.
 
     No pipeline stage calls it: the level-radius floor that read it held only
     for 2 <= r_plus <= (1 + 2/N) p_minus, which no run that computes radii
     satisfied, and was removed.  It stays public, and the benchmark's
     per-layer table still names it."""
+    grid = p.grid
     theta = gn_theta(p.p_minus, r.p_plus, grid.dimension)
     if not (0.0 < theta < 1.0):
         raise ValueError(f"interpolation exponent {theta} outside (0,1); hypotheses violated")

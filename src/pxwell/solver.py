@@ -632,7 +632,7 @@ def columns_csv(table: dict[str, np.ndarray]) -> str:
 def trajectory_csv(traj: Trajectory) -> str:
     """The trajectory's columns, I, delta0 and the L2 norm as CSV."""
     return columns_csv({
-        "t": traj.t, "l2": np.sqrt(np.maximum(traj.l2sq, 0.0)), "linf": traj.linf,
+        "t": traj.t, "l2": np.sqrt(traj.l2sq), "linf": traj.linf,
         "grad_modular": traj.G, "source_modular": traj.S, "J": traj.J, "I": traj.I,
         "delta0": traj.delta0, "dt": traj.dt,
     })

@@ -25,15 +25,16 @@ from pxwell.energy import (
     LevelRadii,
     _Ray,
     estimate_depth,
+    estimate_level_radii,
     find_lambda_star,
     snapshot,
 )
 from pxwell.exponents import build_field
-from pxwell.grid import Grid, GridFunction, integrate
+from pxwell.grid import Grid, GridFunction, integrate, project_mean_zero
 from pxwell.norms import estimate_embedding
 from pxwell.ode_bounds import verify_batch
 from pxwell.ode_bounds import envelope as ode_envelope
-from pxwell.solver import SolverConfig, simulate
+from pxwell.solver import BLOWUP_DETECTED, GLOBAL_UNTIL_TEND, SolverConfig, simulate
 from pxwell.witnesses import mode_field
 
 
@@ -42,8 +43,8 @@ def setting():
     g = Grid((24, 24), (1.0, 1.0))
     p = build_field("affine:1.8+0.1x+0.1y", g)
     r = build_field(4.0, g)
-    B = estimate_embedding(g, p, r, trials=6, seed=1, ascent_steps=4)
-    dep = estimate_depth(g, p, r, trials=6, seed=0, B_est=B)
+    B = estimate_embedding(p, r, trials=6, seed=1, ascent_steps=4)
+    dep = estimate_depth(p, r, trials=6, seed=0, B_est=B)
     return g, p, r, B, dep
 
 
@@ -296,15 +297,15 @@ def test_prop48_trivial_cases(setting):
     assert snapshot(tiny, p, r).J > 0
     assert not prop48_check(tiny, p, 4.0)
     with pytest.raises(ValueError, match="constant"):
-        construct_high_energy_datum(30.0, g, p, r_const=p.p_plus, depth_upper=20.0)
+        construct_high_energy_datum(30.0, p, r_const=p.p_plus, depth_upper=20.0)
     with pytest.raises(ValueError, match="exceed"):
-        construct_high_energy_datum(10.0, g, p, r_const=4.0, depth_upper=20.0)
+        construct_high_energy_datum(10.0, p, r_const=4.0, depth_upper=20.0)
 
 
 def test_high_energy_datum_pipeline(setting):
-    g, p, r, B, dep = setting
+    _, p, r, _, dep = setting
     M = 10.0 * dep.upper
-    u = construct_high_energy_datum(M, g, p, 4.0, dep.upper)
+    u = construct_high_energy_datum(M, p, 4.0, dep.upper)
     s = snapshot(u, p, r)
     assert s.J == pytest.approx(M, rel=1e-6)
     assert prop48_check(u, p, 4.0)
@@ -329,7 +330,7 @@ def test_high_energy_bisection_stops_at_rounding(monkeypatch):
         return ray_J(self, lam)
 
     monkeypatch.setattr(_Ray, "J", counting)
-    u = construct_high_energy_datum(10.0 * d_hat, g, p, 4.0, d_hat)
+    u = construct_high_energy_datum(10.0 * d_hat, p, 4.0, d_hat)
     assert snapshot(u, p, build_field(4.0, g)).J == pytest.approx(10.0 * d_hat, rel=1e-6)
     assert 0 < calls[0] <= 80
 
@@ -415,3 +416,45 @@ def test_verdict_serializable(setting):
     assert d["certified"] is False
     assert "J0" in d["constants"] and "d_hat_upper" in d["constants"]
     assert any("sampled-max" in n for n in d["notes"])
+
+
+def test_decided_verdicts_bracket_the_family_threshold():
+    # global_2d.ini's family a v at 16 x 16 (its exponents and modes, v of
+    # peak 1 and mean zero): the outcome switches once, at a*, bracketed by
+    # 14 halvings of [5, 6] (5.223145-5.223206 at seed 0); every Global
+    # verdict on a = 0.25, 0.5, ..., 16 lies below the bracket and every
+    # Blowup verdict above it (highest Global 3.25, lowest Blowup 10.25)
+    g = Grid((16, 16), (1.0, 1.0))
+    p = build_field("affine:1.8+0.35x+0.35y", g)
+    r = build_field("const:4.0", g)
+    vals = sum(c * mode_field(g, ks).values for ks, c in (((1, 1), 1.0), ((2, 0), 0.3),
+                                                          ((0, 1), 0.2)))
+    v = project_mean_zero(GridFunction(g, vals / np.max(np.abs(vals)))).values
+    cfg = SolverConfig(dt_init=1e-6, blowup_threshold=1e5, t_end=1.0)
+
+    def blows_up(a: float) -> bool:
+        kind = simulate(GridFunction(g, a * v), p, r, cfg).outcome.kind
+        assert kind in (BLOWUP_DETECTED, GLOBAL_UNTIL_TEND), (a, kind)
+        return kind == BLOWUP_DETECTED
+
+    lo, hi = 5.0, 6.0
+    assert not blows_up(lo) and blows_up(hi)
+    for _ in range(14):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if blows_up(mid) else (mid, hi)
+    a_star = 0.5 * (lo + hi)
+
+    depth = estimate_depth(p, r, seed=0)
+    verdicts = {}
+    for a in (0.25 * k for k in range(1, 65)):
+        u0 = GridFunction(g, a * v)
+        J0 = snapshot(u0, p, r).J
+        radii = estimate_level_radii(depth, J0) if J0 > depth.upper else None
+        verdicts[a] = classify(u0, p, r, depth, level_radii=radii).prediction
+    a_G = max(a for a, pred in verdicts.items() if pred == GLOBAL)
+    a_B = min(a for a, pred in verdicts.items() if pred == BLOWUP)
+    print(f"a* in [{lo:.6f}, {hi:.6f}]: a_G/a* = {a_G / a_star:.3f}, "
+          f"a_B/a* = {a_B / a_star:.3f}")
+    wrong = [(a, pred) for a, pred in verdicts.items()
+             if (pred == GLOBAL and not a < lo) or (pred == BLOWUP and not a > hi)]
+    assert not wrong, f"decided verdicts on the wrong side of a* in [{lo}, {hi}]: {wrong}"

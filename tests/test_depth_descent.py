@@ -104,7 +104,7 @@ _GRIDS = {
 def test_descent_matches_proposal_loop(name, variable_r, seed):
     grid, p_spec, r_spec = _GRIDS[name]
     p, r = build_field(p_spec, grid), build_field(r_spec if variable_r else "const:4.0", grid)
-    depth = estimate_depth(grid, p, r, trials=4, seed=seed)
+    depth = estimate_depth(p, r, trials=4, seed=seed)
     upper, skipped = _oracle_depth(grid, p, r, 4, seed)
     assert depth.skipped == skipped == 0
     assert depth.upper == pytest.approx(upper, rel=1e-8)
@@ -116,7 +116,7 @@ def test_descent_matches_proposal_loop_near_critical_source():
     # lambda*, so no descent starts and the bank alone sets the estimate
     grid = Grid((16, 16), (1.0, 1.0))
     p, r = build_field("const:2.0", grid), build_field("const:2.01", grid)
-    depth = estimate_depth(grid, p, r, trials=4, seed=0)
+    depth = estimate_depth(p, r, trials=4, seed=0)
     assert (depth.upper, depth.skipped) == _oracle_depth(grid, p, r, 4, 0)
     assert (depth.upper, depth.skipped) == (6.856296577332696e+196, 9)
     assert depth.iterations == depth.backtracks == 0
@@ -126,7 +126,7 @@ def test_depth_pinned_at_64():
     # global_2d's exponents on 64 x 64 at seed 0, with the shipped counts
     grid = Grid((64, 64), (1.0, 1.0))
     p, r = build_field("affine:1.8+0.35x+0.35y", grid), build_field("const:4.0", grid)
-    depth = estimate_depth(grid, p, r, trials=24, seed=0)
+    depth = estimate_depth(p, r, trials=24, seed=0)
     assert depth.upper == pytest.approx(7.080978788074116, rel=1e-9)
     assert depth.skipped == 0
 
@@ -151,11 +151,11 @@ def test_depth_reaches_the_nehari_minimum(case, seed):
     n, p_spec, value = _DEPTHS[case]
     grid = Grid((n, n), (1.0, 1.0))
     p, r = build_field(p_spec, grid), build_field("const:4.0", grid)
-    depth = estimate_depth(grid, p, r, trials=24, seed=seed)
+    depth = estimate_depth(p, r, trials=24, seed=seed)
     assert depth.upper == pytest.approx(value, rel=1e-7)
     # near a critical point of J, against order one at the best bank point
     assert depth.residual < 1e-4
-    assert estimate_depth(grid, p, r, trials=0, seed=seed).residual > 1e-2
+    assert estimate_depth(p, r, trials=0, seed=seed).residual > 1e-2
 
 
 @pytest.mark.parametrize("grid", [Grid((40,), (1.0,)), Grid((12, 9), (1.0, 0.75)),
@@ -199,7 +199,7 @@ def test_depth_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        estimate_depth(grid, p, r, trials=4, seed=0)
+        estimate_depth(p, r, trials=4, seed=0)
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
         leaked = [type(o) for o in gc.garbage if type(o).__module__.startswith("pxwell")]

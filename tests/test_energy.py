@@ -109,10 +109,10 @@ def test_depth_lower_formula_at_unit_B():
 
 
 def test_depth_estimate_positive_and_monotone(pw):
-    g, p, r = pw
-    B = estimate_embedding(g, p, r, trials=4, seed=1, ascent_steps=0)
-    d1 = estimate_depth(g, p, r, trials=2, seed=3, B_est=B)
-    d2 = estimate_depth(g, p, r, trials=4, seed=3, B_est=B)
+    _, p, r = pw
+    B = estimate_embedding(p, r, trials=4, seed=1, ascent_steps=0)
+    d1 = estimate_depth(p, r, trials=2, seed=3, B_est=B)
+    d2 = estimate_depth(p, r, trials=4, seed=3, B_est=B)
     assert d1.upper > 0 and d2.upper > 0
     assert d2.upper <= d1.upper  # min over a superset of candidates
     assert d1.lower_formula == pytest.approx(depth_lower_formula(p, r, B.constant))
@@ -151,9 +151,9 @@ def test_bounded_slice_identity(pw):
 
 
 def test_level_radii(pw):
-    g, p, r = pw
-    B = estimate_embedding(g, p, r, trials=4, seed=1, ascent_steps=0)
-    dep = estimate_depth(g, p, r, trials=4, seed=0, B_est=B)
+    _, p, r = pw
+    B = estimate_embedding(p, r, trials=4, seed=1, ascent_steps=0)
+    dep = estimate_depth(p, r, trials=4, seed=0, B_est=B)
     s1 = 3.0 * dep.upper
     s2 = 9.0 * dep.upper
     r1 = estimate_level_radii(dep, s1)
@@ -175,8 +175,8 @@ def test_level_radii(pw):
 
 
 def test_skipped_witnesses_counted(pw, monkeypatch):
-    g, p, r = pw
-    clean = estimate_depth(g, p, r, trials=2, seed=3)
+    _, p, r = pw
+    clean = estimate_depth(p, r, trials=2, seed=3)
     assert clean.skipped == 0
     # a Nehari point for each of the 8 catalogue witnesses and 2 draws, and
     # one for the end of each draw's descent
@@ -184,7 +184,7 @@ def test_skipped_witnesses_counted(pw, monkeypatch):
     # calls 0 and 1 are catalogue witnesses, call 9 a descent step: a failed
     # step is a backtrack, not a skipped witness
     fail_lambda_star_calls(monkeypatch, {0, 1, 9})
-    failed = estimate_depth(g, p, r, trials=2, seed=3)
+    failed = estimate_depth(p, r, trials=2, seed=3)
     assert failed.skipped == 2 and failed.backtracks >= 1
     # each skipped witness adds no point, and the other catalogue points are
     # those of the clean run
@@ -198,7 +198,7 @@ def test_depth_upper_vs_single_mode(pw):
     u = mixed_mode(g)
     lam, _ = find_lambda_star(u, p, r)
     J_mode = snapshot(GridFunction(g, lam * u.values), p, r).J
-    dep = estimate_depth(g, p, r, trials=4, seed=0)
+    dep = estimate_depth(p, r, trials=4, seed=0)
     assert dep.upper <= J_mode + 1e-9
 
 
@@ -227,17 +227,17 @@ def test_depth_skips_overflowing_witnesses(monkeypatch):
     p, r = build_field("const:2.0", g), build_field("const:2.005", g)
     bank = [("low", mode_field(g, (1, 0))), ("high", mode_field(g, (8, 8)))]
     monkeypatch.setattr(energy, "witness_bank", lambda grid, seed, n: bank)
-    depth = estimate_depth(g, p, r, trials=0, seed=0)
+    depth = estimate_depth(p, r, trials=0, seed=0)
     assert depth.skipped == 1
     assert depth.upper == find_lambda_star(bank[0][1], p, r)[1]
     monkeypatch.undo()
     # on the unit square every bank witness fails, and the estimate says so
     g = Grid((32, 32), (1.0, 1.0))
     with pytest.raises(ValueError, match="no admissible witness"):
-        estimate_depth(g, build_field("const:2.0", g), build_field("const:2.005", g), seed=0)
+        estimate_depth(build_field("const:2.0", g), build_field("const:2.005", g), seed=0)
 
 
 def test_depth_near_critical_source_is_warning_free():
     g = Grid((32, 32), (1.0, 1.0))
-    depth = estimate_depth(g, build_field("const:2.0", g), build_field("const:2.01", g), seed=0)
+    depth = estimate_depth(build_field("const:2.0", g), build_field("const:2.01", g), seed=0)
     assert 0.0 < depth.upper < np.inf and depth.skipped > 0

@@ -119,6 +119,19 @@ def test_hypotheses_examples():
     assert not rep3.condition_H  # p_minus < N impossible with p > 1, N = 1
 
 
+@pytest.mark.parametrize("cells, p_minus", [((8, 8), 2.0), ((8, 8), 2.5), ((8,), 1.5)])
+def test_critical_exponent_undefined_without_p_minus_below_N(cells, p_minus):
+    # with p_minus >= N the critical Sobolev exponent does not exist: its row
+    # holds NaN and fails, and the report has no critical exponent
+    g = Grid(cells, (1.0,) * len(cells))
+    rep = check_hypotheses(build_field(p_minus, g), build_field(4.0, g))
+    rows = {row[0]: row for row in rep.details}
+    _, r_plus, crit, ok = rows["r_plus <= N p_minus/(N - p_minus)"]
+    assert r_plus == 4.0 and np.isnan(crit) and ok is False
+    assert rep.critical_sobolev is None
+    assert not rep.condition_H
+
+
 def test_hypotheses_monotone_in_r():
     g = Grid((8,), (1.0,))
     p = build_field(2.5, g)

@@ -16,6 +16,12 @@ from pxwell.grid import (
 )
 
 
+def test_centers_1d_is_the_axis():
+    g = Grid((5,), (2.0,))
+    (x,) = g.centers()
+    assert np.array_equal(x, g.axis_centers(0))
+
+
 def test_grid_invariants():
     g = Grid((8, 4), (2.0, 1.0))
     assert g.cell_volume == pytest.approx(2.0 / 8 * 1.0 / 4)
@@ -191,3 +197,23 @@ def test_csv_roundtrip(tmp_path, grid2d):
     assert back.grid == grid2d
     assert np.array_equal(back.values, u.values)
 
+
+@pytest.mark.parametrize("header, cells, lengths", [
+    ("# grid 3 2.0", (3,), (2.0,)),
+    ("# grid 3 2 2.0 0.5", (3, 2), (2.0, 0.5)),
+])
+def test_csv_header_1d_and_2d(tmp_path, header, cells, lengths):
+    # the header gives the cells, then the lengths, one per axis
+    n = int(np.prod(cells))
+    path = tmp_path / "field.csv"
+    path.write_text("\n".join([header, *map(repr, np.arange(n, dtype=float).tolist())]) + "\n")
+    back = load_gridfunction_csv(path)
+    assert back.grid == Grid(cells, lengths)
+    assert np.array_equal(back.values, np.arange(n, dtype=float).reshape(cells))
+
+
+def test_csv_header_with_three_parts_is_refused(tmp_path):
+    path = tmp_path / "field.csv"
+    path.write_text("# grid 3 2 2.0\n" + "0.0\n" * 6)
+    with pytest.raises(ValueError, match=r"header must be '# grid nx \[ny\] Lx \[Ly\]'"):
+        load_gridfunction_csv(path)

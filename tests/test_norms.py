@@ -141,7 +141,7 @@ def test_embedding_1d_p2_rayleigh_oracle():
     lam1 = np.sort(evals)[1]  # first nonzero Neumann eigenvalue
     optimum = 1.0 / np.sqrt(lam1)
 
-    est = estimate_embedding(g, p2, "L2", trials=8, seed=9)
+    est = estimate_embedding(p2, "L2", trials=8, seed=9)
     assert est.constant <= optimum * (1 + 1e-9)
     assert est.constant >= 0.95 / np.pi
     assert abs(optimum - 1.0 / np.pi) < 1e-3
@@ -150,9 +150,9 @@ def test_embedding_1d_p2_rayleigh_oracle():
 def test_embedding_monotone_in_trials():
     g = Grid((16, 16), (1.0, 1.0))
     p = build_field("affine:1.8+0.35x+0.35y", g)
-    c1 = estimate_embedding(g, p, "L2", trials=4, seed=7, ascent_steps=0).constant
-    c2 = estimate_embedding(g, p, "L2", trials=8, seed=7, ascent_steps=0).constant
-    c3 = estimate_embedding(g, p, "L2", trials=16, seed=7, ascent_steps=0).constant
+    c1 = estimate_embedding(p, "L2", trials=4, seed=7, ascent_steps=0).constant
+    c2 = estimate_embedding(p, "L2", trials=8, seed=7, ascent_steps=0).constant
+    c3 = estimate_embedding(p, "L2", trials=16, seed=7, ascent_steps=0).constant
     assert c1 <= c2 <= c3
 
 
@@ -167,13 +167,13 @@ def test_gn_constant_rejects_degenerate_theta():
     p = build_field(2.0, g)
     r2 = build_field(2.0, g)
     with pytest.raises(ValueError, match="outside"):
-        estimate_gn_constant(g, p, r2)
+        estimate_gn_constant(p, r2)
 
 
 def test_gn_constant_bounds_witnesses():
     g = Grid((12, 12), (1.0, 1.0))
     p = build_field("affine:1.8+0.1x+0.1y", g)
     r = build_field(4.0, g)
-    est = estimate_gn_constant(g, p, r, trials=6, seed=1)
+    est = estimate_gn_constant(p, r, trials=6, seed=1)
     assert est.kind == "Ctilde" and est.theta is not None and 0 < est.theta < 1
     assert est.constant > 0

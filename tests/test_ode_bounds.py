@@ -159,9 +159,11 @@ def test_quadrature_matches_rk4_oracle(which):
     assert np.max(np.abs(verify_batch(batch, T=T) - _rk4_excess(batch, T, 1e-3))) <= 1e-12
 
 
-def test_lowered_envelope_is_caught(monkeypatch, tmp_path):
+def test_lowered_envelope_is_caught(monkeypatch, tmp_path, capsys):
     # an envelope 1e-6 below the printed one is reported as violated by at
-    # least 1e-6, and ode-verify then fails with exit code 4
+    # least 1e-6, and ode-verify then fails with exit code 4 after writing
+    # its table, with one stderr line that names the worst violation and the
+    # tolerance, under --quiet too
     printed = ode_bounds.envelope
 
     def lowered(q):
@@ -169,8 +171,14 @@ def test_lowered_envelope_is_caught(monkeypatch, tmp_path):
         return (lambda t: bound(t) - 1e-6), branch
 
     monkeypatch.setattr(ode_bounds, "envelope", lowered)
-    assert np.max(verify_batch(cli._ode_grid())) >= 1e-6
+    worst = float(np.max(verify_batch(cli._ode_grid())))
+    assert worst >= 1e-6
     assert cli.main(["ode-verify", "--out", str(tmp_path), "--quiet"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"assertion failure: worst signed violation {worst!r} "
+                   "exceeds the tolerance 1e-06\n")
+    assert (tmp_path / "ode_verify.csv").read_text().count("\n") == 217
 
 
 def test_panel_guard_needs_bisection(monkeypatch):
