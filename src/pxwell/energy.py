@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exponents import ExponentField
+from .exponents import ExponentField, _require_one_grid
 from .grid import Grid, GridFunction, _Kernel, _workspace
 from .norms import EmbeddingEstimate, l2_norm
 from .witnesses import witness_bank
@@ -393,13 +393,14 @@ def estimate_depth(
     B_est: Optional[EmbeddingEstimate] = None,
 ) -> DepthEstimate:
     """Upper bound on the well depth plus the analytic formula bound, over
-    fields on p's grid (r must live there too).
+    fields on p's grid (r must live there too, or ValueError is raised).
 
     `upper` is the least Nehari value over `witness_bank` and over the
     preconditioned descents (`_nehari_descent`) from the Nehari points of the
     first min(trials, 4) draws.  Witness draws are prefix-stable in `trials`
     and so are the starts, so raising `trials` can only lower `upper`.
     """
+    _require_one_grid(p, r)
     if r.p_minus <= p.p_plus:
         raise ValueError("depth estimation requires r_minus > p_plus")
     grid = p.grid

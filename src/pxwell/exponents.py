@@ -8,6 +8,7 @@ are tested with zero tolerance.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
@@ -142,6 +143,12 @@ def build_field(spec: FieldSpec, grid: Grid, label: str = "p") -> ExponentField:
     )
 
 
+def _require_one_grid(field: ExponentField, *more: ExponentField) -> None:
+    """Raise ValueError unless every field lives on `field`'s grid."""
+    if any(f.grid is not field.grid and f.grid != field.grid for f in more):
+        raise ValueError("exponent fields must share one grid")
+
+
 # the largest |q(x) - q(y)| ln(1/|x - y|) a passing audit allows
 _LOG_HOLDER_CAP = 10.0
 
@@ -160,10 +167,8 @@ def check_log_holder(
     deterministically from the given seed.  This is an audit, not a proof.
     The fields share one grid and are scored on one sample.
     """
-    grid = field.grid
-    if any(f.grid is not grid and f.grid != grid for f in more):
-        raise ValueError("exponent fields must share one grid")
-    ii, jj, logs = _holder_pairs(grid, pair_budget, seed)
+    _require_one_grid(field, *more)
+    ii, jj, logs = _holder_pairs(field.grid, pair_budget, seed)
     reports = []
     for f in (field, *more):
         q = f.values.ravel()
@@ -176,35 +181,60 @@ def check_log_holder(
 
 def _holder_pairs(grid: Grid, pair_budget: int, seed: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The audited cell pairs (i, j) of `check_log_holder`, flat indices, with
-    0 < |x_i - x_j| < 1, and ln(1/|x_i - x_j|) per pair."""
-    pts = np.stack([c.ravel() for c in grid.centers()], axis=1)
-    n = pts.shape[0]
-    total_pairs = n * (n - 1) // 2
-    if total_pairs <= pair_budget:
+    """The audited cell pairs (i, j) of `check_log_holder`, flat indices
+    i < j, with 0 < |x_i - x_j| < 1, and ln(1/|x_i - x_j|) per pair.
+
+    If every pair fits the budget, every pair.  Otherwise every axis-adjacent
+    pair, axis by axis in C order of the higher cell, then, until the budget
+    is reached, the first draw of each pair not yet taken, in draw order,
+    from batches of `pair_budget` cell pairs drawn by `default_rng(seed)`;
+    diagonal draws are skipped.
+    """
+    n = math.prod(grid.cells)
+    if n * (n - 1) // 2 <= pair_budget:
         ii, jj = np.triu_indices(n, k=1)  # every pair, the adjacent ones among them
     else:
-        # a pair (a, b) with a < b is the integer key a * n + b, kept in an
-        # ordered dict: adjacent first, axis by axis, in C order of the
-        # higher cell k, then unseen draws in order of first draw, up to the
-        # budget
-        keys: dict[int, None] = {}
+        # a pair (a, b) with a < b is the integer key a * n + b
+        keys = []
         for s, wrap in grid.flat_neighbours:
             k = np.arange(s, n)
             if wrap:
                 k = k[k % wrap != 0]
-            keys.update(dict.fromkeys(((k - s) * n + k).tolist()))
+            keys.append((k - s) * n + k)
+        need = pair_budget - sum(k.size for k in keys)
+        drawn = np.empty(0, dtype=np.int64)
         rng = np.random.default_rng(seed)
-        while len(keys) < pair_budget:
+        while need > 0:
             draw = rng.integers(0, n, size=(pair_budget, 2))
-            drawn = draw.min(axis=1) * n + draw.max(axis=1)
-            for key in drawn[draw[:, 0] != draw[:, 1]].tolist():
-                keys.setdefault(key)
-                if len(keys) == pair_budget:
-                    break
-        ii, jj = np.divmod(np.fromiter(keys, dtype=np.intp, count=len(keys)), n)
+            lo, hi = np.minimum(draw[:, 0], draw[:, 1]), np.maximum(draw[:, 0], draw[:, 1])
+            gap = hi - lo
+            fresh = gap != 0
+            for s, wrap in grid.flat_neighbours:
+                adjacent = gap == s
+                if wrap:
+                    adjacent &= hi % wrap != 0
+                fresh &= ~adjacent
+            # the keys taken so far, then this batch's: a key's first
+            # position is the least position in its run of the sorted pool,
+            # and a first position in this batch is a new pair
+            pool = np.concatenate((drawn, lo[fresh] * n + hi[fresh]))
+            order = np.argsort(pool)
+            runs = np.flatnonzero(np.diff(pool[order], prepend=-1))  # keys are >= 1
+            first = np.zeros(pool.size, dtype=bool)
+            first[np.minimum.reduceat(order, runs)] = True
+            new = np.flatnonzero(first[drawn.size:])[:need] + drawn.size
+            drawn = np.concatenate((drawn, pool[new]))
+            need -= new.size
+        keys.append(drawn)
+        ii, jj = np.divmod(np.concatenate(keys), n)
 
-    dist = np.linalg.norm(pts[ii] - pts[jj], axis=1)
+    # |x_i - x_j| from the centre coordinates axis by axis: the bits of
+    # np.linalg.norm over the stacked coordinates
+    sq = 0.0
+    for c in grid.centers():
+        d = c.ravel()[ii] - c.ravel()[jj]
+        sq = sq + d * d
+    dist = np.sqrt(sq)
     mask = (dist > 0.0) & (dist < 1.0)
     return ii[mask], jj[mask], np.log(1.0 / dist[mask])
 
@@ -216,8 +246,7 @@ def check_hypotheses(p: ExponentField, r: ExponentField) -> HypothesisReport:
     Strictness is as written; extrema are exact over the sample so no
     tolerance is applied.
     """
-    if p.grid is not r.grid and p.grid != r.grid:
-        raise ValueError("exponent fields must share one grid")
+    _require_one_grid(p, r)
     N = p.grid.dimension
 
     lower = max(1.0, 2.0 * N / (N + 2.0))

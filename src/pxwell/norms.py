@@ -20,7 +20,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .exponents import ExponentField, build_field
+from .exponents import ExponentField, _require_one_grid, build_field
 from .grid import GridFunction, cell_gradient_magnitude, integrate
 from .witnesses import perturb, witness_bank
 
@@ -75,6 +75,7 @@ def modular(f: GridFunction, q: ExponentField) -> float:
 
 # cap on modular evaluations in luxemburg_norm; Newton needs about five
 _MAX_NORM_EVALS = 200
+_EPS = float(np.finfo(float).eps)
 
 
 def luxemburg_norm(f: GridFunction, q: ExponentField, tol: float = 1e-12) -> NormResult:
@@ -100,10 +101,12 @@ def luxemburg_norm(f: GridFunction, q: ExponentField, tol: float = 1e-12) -> Nor
     qv = q.values.ravel()
     vol = f.grid.cell_volume
     lam = 1.0
+    # w is the iterate's |f/lambda|^q, formed in place; s its sum
     with np.errstate(over="ignore"):
         # an overflow is the inadmissible field that the check below rejects
         w = av**qv
-    rho = vol * float(np.sum(w))
+    s = float(np.sum(w))
+    rho = vol * s
     if not np.isfinite(rho):
         raise ValueError("modular is non-finite; input field not admissible")
 
@@ -119,12 +122,13 @@ def luxemburg_norm(f: GridFunction, q: ExponentField, tol: float = 1e-12) -> Nor
             hi = lam
         nxt = float("nan")
         if rho > 0.0:
-            nxt = lam * float(np.exp(np.log(rho) * np.sum(w) / np.dot(qv, w)))
-        if nxt == lam or hi - lo <= np.finfo(float).eps * lam:
+            nxt = lam * float(np.exp(np.log(rho) * s / np.dot(qv, w)))
+        if nxt == lam or hi - lo <= _EPS * lam:
             return NormResult(float(lam), evaluations, abs(res))
         lam = nxt if lo < nxt < hi else float(np.sqrt(lo * hi))
-        w = (av / lam) ** qv
-        rho = vol * float(np.sum(w))
+        np.power(np.divide(av, lam, out=w), qv, out=w)
+        s = float(np.sum(w))
+        rho = vol * s
     raise ValueError(
         f"Luxemburg norm not converged to tol {tol} in {_MAX_NORM_EVALS} evaluations: "
         f"bracket [{lo!r}, {hi!r}]"
@@ -158,15 +162,17 @@ def estimate_embedding(
 ) -> EmbeddingEstimate:
     """Best sampled quotient ||w||_target / ||grad w||_p over mean-zero witnesses.
 
-    The witnesses are drawn on p's grid, where a target field must live too.
-    The draw sequence is prefix-stable in `trials` for a fixed seed, so
-    enlarging the witness set can only increase the estimate.  A short
-    perturbation-ascent refinement from the best witness follows; its RNG is
-    independent of the draws.  The result is a lower bound on the optimal
-    constant and is labeled as such.  The defaults, 24 draws and 12 ascent
-    steps, are the ones every `pxwell` run uses.
+    The witnesses are drawn on p's grid, where a target field must live too
+    (ValueError otherwise).  The draw sequence is prefix-stable in `trials`
+    for a fixed seed, so enlarging the witness set can only increase the
+    estimate.  A short perturbation-ascent refinement from the best witness
+    follows; its RNG is independent of the draws.  The result is a lower
+    bound on the optimal constant and is labeled as such.  The defaults, 24
+    draws and 12 ascent steps, are the ones every `pxwell` run uses.
     """
     kind = "B0" if isinstance(target, str) else "B"
+    if kind == "B":
+        _require_one_grid(p, target)
 
     def quotient(w: GridFunction) -> float:
         denom = gradient_norm(w, p)

@@ -119,6 +119,16 @@ def test_depth_estimate_positive_and_monotone(pw):
     assert d1.B_used == B.ident
 
 
+@pytest.mark.parametrize("cells, lengths", [((16, 16), (2.0, 2.0)), ((9, 9), (1.0, 1.0))])
+def test_depth_rejects_r_off_p_grid(cells, lengths):
+    # an r of equal shape on a larger square would be read cell by cell on
+    # p's grid; an r of another shape would leave no Nehari point
+    p = build_field("affine:1.8+0.35x+0.35y", Grid((16, 16), (1.0, 1.0)))
+    r = build_field("affine:4.0+0.5x", Grid(cells, lengths), label="r")
+    with pytest.raises(ValueError, match="share one grid"):
+        estimate_depth(p, r, seed=1)
+
+
 def test_nehari_energy_identity(pw):
     # on the manifold J >= (r_minus - p_plus)/(p_plus r_minus) * grad modular
     g, p, r = pw

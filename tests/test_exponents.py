@@ -185,6 +185,15 @@ def _log_holder_set_loop(field, pair_budget=20000, cap=10.0, seed=0):
     return max_mod, bool(np.isfinite(max_mod) and max_mod <= cap), int(mask.sum()), cap
 
 
+def _assert_matches_set_loop(g, budget, seed):
+    spec = "sin:2.0+0.4*sin(3pix)" if g.dimension == 1 else "affine:1.6+0.5x+0.9y"
+    # a sharp bump makes the maximum depend on which pairs are drawn
+    f = build_field(build_field(spec, g).values + 0.5 * (g.centers()[0] > 0.37), g)
+    (rep,) = check_log_holder(f, pair_budget=budget, seed=seed)
+    assert (rep.max_log_modulus, rep.passes, rep.pairs_checked, rep.cap) == \
+        _log_holder_set_loop(f, pair_budget=budget, seed=seed)
+
+
 @pytest.mark.parametrize("cells, budget, seed", [
     ((64,), 20000, 0),        # exhaustive
     ((200,), 20000, 0),       # exhaustive, 19900 pairs
@@ -193,15 +202,18 @@ def _log_holder_set_loop(field, pair_budget=20000, cap=10.0, seed=0):
     ((128, 128), 20000, 0),   # adjacent pairs alone exceed the budget
     ((12, 9), 1000, 5),       # non-square: row ends every 9 flat cells
     ((9, 12), 1000, 5),
+    ((300,), 20000, 2),       # sampled 1D
+    ((64, 64), 5000, 123),    # adjacent pairs with row-end wraps exceed the budget
+    ((4,), 4, 0),             # the first draw batch holds only taken pairs
 ])
 def test_log_holder_matches_set_loop(cells, budget, seed):
-    g = Grid(cells, (1.0,) * len(cells))
-    spec = "sin:2.0+0.4*sin(3pix)" if len(cells) == 1 else "affine:1.6+0.5x+0.9y"
-    # a sharp bump makes the maximum depend on which pairs are drawn
-    f = build_field(build_field(spec, g).values + 0.5 * (g.centers()[0] > 0.37), g)
-    (rep,) = check_log_holder(f, pair_budget=budget, seed=seed)
-    assert (rep.max_log_modulus, rep.passes, rep.pairs_checked, rep.cap) == \
-        _log_holder_set_loop(f, pair_budget=budget, seed=seed)
+    _assert_matches_set_loop(Grid(cells, (1.0,) * len(cells)), budget, seed)
+
+
+@pytest.mark.parametrize("budget, seed", [(5000, 0), (20000, 7)])
+def test_log_holder_matches_set_loop_on_side_3(budget, seed):
+    # on the square of side 3 the pairs at distance >= 1 are masked out
+    _assert_matches_set_loop(Grid((16, 16), (3.0, 3.0)), budget, seed)
 
 
 @pytest.mark.parametrize("cells, budget, seed", [
@@ -224,8 +236,9 @@ def test_log_holder_fields_scored_together_match_each_alone(cells, budget, seed)
 
 
 def test_log_holder_leaves_numpy_ma_unimported():
-    # the sampled pair selection keeps its keys in a dict; np.unique and
-    # np.isin, which it used, import numpy.ma on a process's first call
+    # the sampled pair selection finds first draws with argsort; np.unique
+    # and np.isin, which it once used, import numpy.ma on a process's first
+    # call
     code = ("import sys\n"
             "from pxwell.exponents import build_field, check_log_holder\n"
             "from pxwell.grid import Grid\n"

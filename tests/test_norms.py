@@ -5,14 +5,16 @@ import pytest
 
 from conftest import random_exponent, random_gridfunction
 from pxwell.exponents import build_field
-from pxwell.grid import Grid, GridFunction
+from pxwell.grid import Grid, GridFunction, cell_gradient_magnitude
 from pxwell.norms import (
+    NormResult,
     estimate_embedding,
     estimate_gn_constant,
     gn_theta,
     luxemburg_norm,
     modular,
 )
+from pxwell.witnesses import witness_bank
 
 
 def test_modular_trivials(grid1d):
@@ -66,6 +68,52 @@ def test_luxemburg_variable_exponent_oracle():
     oracle = 0.5 * (lo + hi)
     assert nr.value == pytest.approx(oracle, rel=1e-4)  # quadrature-level agreement
     assert abs(fine_modular(nr.value) - 1.0) < 1e-3
+
+
+def _luxemburg_reference(f, q, tol=1e-12):
+    """The Newton loop as it was written before it reduced each modular once
+    and formed its iterates in place, kept as an oracle for luxemburg_norm."""
+    av = np.abs(f.values).ravel()
+    if not np.any(av):
+        return NormResult(0.0, 0, 0.0)
+    qv = q.values.ravel()
+    vol = f.grid.cell_volume
+    lam = 1.0
+    w = av**qv
+    rho = vol * float(np.sum(w))
+    lo, hi = sorted((rho ** (1.0 / q.p_minus), rho ** (1.0 / q.p_plus)))
+    lo, hi = 0.5 * lo, 2.0 * hi
+    for evaluations in range(1, 201):
+        res = rho - 1.0
+        if abs(res) <= tol:
+            return NormResult(float(lam), evaluations, abs(res))
+        if res > 0.0:
+            lo = lam
+        else:
+            hi = lam
+        nxt = float("nan")
+        if rho > 0.0:
+            nxt = lam * float(np.exp(np.log(rho) * np.sum(w) / np.dot(qv, w)))
+        if nxt == lam or hi - lo <= np.finfo(float).eps * lam:
+            return NormResult(float(lam), evaluations, abs(res))
+        lam = nxt if lo < nxt < hi else float(np.sqrt(lo * hi))
+        w = (av / lam) ** qv
+        rho = vol * float(np.sum(w))
+    raise AssertionError("reference loop did not converge")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_luxemburg_matches_reference_loop(seed):
+    # |grad w| in L^{p(x)} with global_2d's p and w in L^4, over the 16x16
+    # bank: value, evaluation count and residual are the reference's bits
+    g = Grid((16, 16), (1.0, 1.0))
+    p = build_field("affine:1.8+0.35x+0.35y", g)
+    r = build_field(4.0, g)
+    for _, w in witness_bank(g, seed, 24):
+        for f, q in ((GridFunction(g, cell_gradient_magnitude(w)), p), (w, r)):
+            before = f.values.copy()
+            assert luxemburg_norm(f, q) == _luxemburg_reference(f, q)
+            assert np.array_equal(f.values, before)
 
 
 def test_luxemburg_zero_and_nonfinite(grid1d):
@@ -145,6 +193,14 @@ def test_embedding_1d_p2_rayleigh_oracle():
     assert est.constant <= optimum * (1 + 1e-9)
     assert est.constant >= 0.95 / np.pi
     assert abs(optimum - 1.0 / np.pi) < 1e-3
+
+
+@pytest.mark.parametrize("cells, lengths", [((16, 16), (2.0, 2.0)), ((9, 9), (1.0, 1.0))])
+def test_embedding_rejects_target_off_p_grid(cells, lengths):
+    p = build_field("affine:1.8+0.35x+0.35y", Grid((16, 16), (1.0, 1.0)))
+    r = build_field("affine:4.0+0.5x", Grid(cells, lengths), label="r")
+    with pytest.raises(ValueError, match="share one grid"):
+        estimate_embedding(p, r, seed=1)
 
 
 def test_embedding_monotone_in_trials():
