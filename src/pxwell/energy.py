@@ -38,8 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from .exponents import ExponentField, _require_one_grid
-from .grid import Grid, GridFunction, _Kernel, _workspace
+from .exponents import ExponentField
+from .grid import Grid, GridFunction, _Kernel, _require_one_grid, _workspace
 from .norms import EmbeddingEstimate, l2_norm
 from .witnesses import witness_bank
 
@@ -128,8 +128,9 @@ def snapshot(u: GridFunction, p: ExponentField, r: ExponentField, t: float = 0.0
     delta0 is the source/diffusion modular ratio (NaN when the gradient
     modular vanishes).  `solver.simulate` records J, the two modulars and
     ||u||_2^2 as columns from its kernel, which regularizes the gradient by
-    its delta.
+    its delta.  u, p and r must share one grid.
     """
+    _require_one_grid(u, p, r)
     ray = _Ray(u, p, r)
     gp, sp = ray.powers(1.0)
     gmod, smod = ray._modulars(gp, sp)
@@ -222,8 +223,9 @@ def find_lambda_star(
     the next iterate to the midpoint.  Raises ValueError on degenerate input,
     on a bracket that over- or underflows, and when the tolerance is not met
     within the evaluation cap or before the bracket or the Newton step shrinks
-    to rounding.
+    to rounding, or when u, p and r do not share one grid.
     """
+    _require_one_grid(u, p, r)
     if r.p_minus <= p.p_plus:
         raise ValueError("lambda* requires r_minus > p_plus")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, _require_one_grid
 
 __all__ = [
     "ExponentField",
@@ -141,12 +141,6 @@ def build_field(spec: FieldSpec, grid: Grid, label: str = "p") -> ExponentField:
         p_plus=float(values.max()),
         label=label,
     )
-
-
-def _require_one_grid(field: ExponentField, *more: ExponentField) -> None:
-    """Raise ValueError unless every field lives on `field`'s grid."""
-    if any(f.grid is not field.grid and f.grid != field.grid for f in more):
-        raise ValueError("exponent fields must share one grid")
 
 
 # the largest |q(x) - q(y)| ln(1/|x - y|) a passing audit allows

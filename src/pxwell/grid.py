@@ -18,6 +18,14 @@ and the two modulars together, sharing the face differences and the powers
 between them, or to the right-hand side alone where no energy is read (the
 solver's inner stages).  `px_flux_divergence`, `dirichlet_energy` and the
 solver all call it.
+
+Every array a kernel pass writes starts on a 64-byte cache line (`_aligned`):
+NumPy's AVX-512 loops store a line at a time, and on an AVX-512 host (NumPy
+2.4 dispatching AVX512_SPR) an `np.add` on 4,096 doubles took 2.6 us into a
+line-aligned output against 4.1-4.7 us into one 8, 16 or 32 bytes off, and
+at most 15 % more when only an input was off.  malloc aligns to 16 bytes, so
+the face slices [s:] of plain arrays on the stride-1 axis were always 8 bytes
+off a line, and any other buffer was on one only by the heap's state.
 """
 
 from __future__ import annotations
@@ -117,6 +125,26 @@ def integrate(f: GridFunction) -> float:
     return f.grid.cell_volume * float(np.sum(f.values))
 
 
+def _require_one_grid(field, *more) -> None:
+    """Raise ValueError unless every argument lives on `field`'s grid; each
+    is a `GridFunction` or an exponent field, anything with a `.grid`."""
+    if any(f.grid is not field.grid and f.grid != field.grid for f in more):
+        raise ValueError("fields must share one grid")
+
+
+# doubles per 64-byte cache line
+_LINE = 8
+
+
+def _aligned(n: int, count: int, first: int = 0) -> list[np.ndarray]:
+    """`count` float arrays of n entries carved from one `np.empty` block,
+    entry `first` of each on a 64-byte boundary, uninitialised."""
+    stride = -(-n // _LINE) * _LINE
+    block = np.empty(count * stride + _LINE - 1)
+    start = (-(block.__array_interface__["data"][0] // block.itemsize) - first) % _LINE
+    return [block[k: k + n] for k in range(start, start + count * stride, stride)]
+
+
 def cell_gradient_magnitude(u: GridFunction) -> np.ndarray:
     """|grad u| at cells: per-axis RMS of the two adjacent face differences,
     an outer-boundary face counting as zero (mirror ghost)."""
@@ -143,13 +171,21 @@ class _Faces:
     `cell_gradient_magnitude` (hence every ray of `energy`) and every
     `_Kernel` on the grid share one workspace, built once per grid and held
     in a small bounded cache.
+
+    Entry s of each face array and entry 0 of `tmp` sit on a 64-byte line,
+    so every write into g[s:n], f[s:n] and `tmp` starts on one (see the
+    module docstring for why).
     """
 
     def __init__(self, grid: Grid):
-        self.n = math.prod(grid.cells)
-        self.axes = tuple((s, h, wrap, np.zeros(self.n + s), np.zeros(self.n + s))
-                          for (s, wrap), h in zip(grid.flat_neighbours, grid.spacing))
-        self.tmp = np.empty(self.n)
+        n = self.n = math.prod(grid.cells)
+        axes = []
+        for (s, wrap), h in zip(grid.flat_neighbours, grid.spacing):
+            g, f = _aligned(n + s, 2, s)
+            g[:s] = g[n:] = f[:s] = f[n:] = 0.0
+            axes.append((s, h, wrap, g, f))
+        self.axes = tuple(axes)
+        self.tmp = _aligned(n, 1)[0]
 
     def grad2(self, u: np.ndarray, mag2: np.ndarray) -> None:
         """The cell-RMS |grad u|^2 of the flat state u into the flat `mag2`:
@@ -207,27 +243,32 @@ class _Kernel:
 
     The kernel works on the flat values in its grid's `_Faces` workspace and
     keeps its own flat |grad u|^2, q and w buffers, which the sums of J and G
-    and `explicit_dt` read after the call that filled them.  Each per-cell
-    operation, and their order, is that of the per-axis formulas above, so
-    every value is the same bits as with per-axis 2D slices.
+    and `explicit_dt` read after the call that filled them, and with the
+    source on three for |u|, a and sign(u) a.  They are carved from one block
+    with each on a 64-byte line, like the workspace (see the module
+    docstring), so a construction allocates once.  Each per-cell operation,
+    and their order, is that of the per-axis formulas above, so every value
+    is the same bits as with per-axis 2D slices.
     """
 
     def __init__(self, grid: Grid, p_values: np.ndarray, delta: float,
                  r_values: Optional[np.ndarray] = None):
-        if delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not 0.0 <= delta < math.inf:
+            raise ValueError(f"delta must be nonnegative and finite, got {delta!r}")
         self.shape = grid.shape
         self.vol, self.omega = grid.cell_volume, grid.volume
         self.d2 = delta * delta
         self.faces = _workspace(grid)
         self.expo = 0.5 * (p_values.ravel() - 2.0)
         self.inv_p = 1.0 / p_values.ravel()
-        self.mag2, self.q, self.w = (np.empty(self.faces.n) for _ in range(3))
         self.delta = delta
         # Gershgorin radius of the flux divergence at frozen weights, over w
         self.radius = 4.0 * sum(1.0 / (h * h) for h in grid.spacing)
         self.source = r_values is not None
+        buffers = _aligned(self.faces.n, 6 if self.source else 3)
+        self.mag2, self.q, self.w = buffers[:3]
         if self.source:
+            self.au, self.a, self.sa = buffers[3:]
             self.r1 = r_values.ravel() - 1.0
             self.inv_r = 1.0 / r_values.ravel()
 
@@ -235,52 +276,52 @@ class _Kernel:
     def offset(self) -> float:
         """Sum over cells of delta^p / p, formed as q w is at a zero gradient,
         so that the zero state's energy is exactly zero; computed on the
-        first call that reads J, never for the right-hand side alone."""
+        first call that reads J, never for the right-hand side alone.  It is
+        formed in the q and w buffers, which the next right-hand side
+        overwrites."""
         if not self.delta > 0.0:
             return 0.0
-        q0 = np.full(self.faces.n, self.d2)
-        return float(np.vdot(q0 * q0**self.expo, self.inv_p))
+        q, w = self.q, self.w
+        q.fill(self.d2)
+        np.power(q, self.expo, out=w)
+        return float(np.vdot(np.multiply(q, w, out=q), self.inv_p))
 
     def __call__(self, uv: np.ndarray) -> tuple[float, np.ndarray, float, float]:
         """(J, right-hand side, G, S) at the state `uv`."""
-        # read before the right-hand side: formed after it, while the state's
-        # arrays were live, the offset took about 0.4 ms more at 128 x 128
+        # read before the right-hand side, which overwrites the buffers the
+        # offset is formed in
         offset = self.offset
-        div, au, a = self._rhs(uv)
+        div = self.rhs(uv)
         G = self.vol * float(np.vdot(self.w, self.mag2))
         q = self.q
         q *= self.w
         J = self.vol * (float(np.vdot(q, self.inv_p)) - offset)
         S = 0.0
         if self.source:
-            au *= a
+            au = self.au
+            au *= self.a
             S = self.vol * float(au.sum())
             J -= self.vol * float(np.vdot(au, self.inv_r))
         return J, div, G, S
 
     def rhs(self, uv: np.ndarray) -> np.ndarray:
-        """The right-hand side at `uv` without J, G and S."""
-        return self._rhs(uv)[0]
-
-    def _rhs(self, uv: np.ndarray
-             ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-        """The right-hand side, and the flat |u| and a = |u|^{r-1} with the
-        source on; |grad u|^2, q and w stay in their buffers for the sums of J
-        and G."""
+        """The right-hand side at `uv`; |grad u|^2, q and w, and with the
+        source on |u| and a = |u|^{r-1}, stay in their buffers for the sums of
+        J, G and S."""
         u, mag2, q, w = uv.reshape(-1), self.mag2, self.q, self.w
         self.faces.grad2(u, mag2)
         np.add(mag2, self.d2, out=q)
         np.power(q, self.expo, out=w)
         div = np.zeros(u.size)
         self.faces.divergence(w, div)
-        au = a = None
         if self.source:
-            au = np.abs(u)
-            a = au**self.r1
-            s = np.copysign(a, u)
-            s -= self.vol * s.sum() / self.omega
-            div += s
-        return div.reshape(self.shape), au, a
+            au, a, sa = self.au, self.a, self.sa
+            np.abs(u, out=au)
+            np.power(au, self.r1, out=a)
+            np.copysign(a, u, out=sa)
+            sa -= self.vol * sa.sum() / self.omega
+            div += sa
+        return div.reshape(self.shape)
 
     def explicit_dt(self) -> float:
         """0.8 of explicit Euler's stability bound 2 / rho at the state last
@@ -301,14 +342,16 @@ def px_flux_divergence(u: GridFunction, p, delta: float = 1e-8) -> GridFunction:
     The face flux is (w_L + w_R) g / 2 with g the face difference and
     w = (|grad u|^2 + delta^2)^{(p - 2)/2} in the two adjacent cells, |grad u|
     the cell-RMS gradient; delta regularizes the singular case p < 2 at
-    vanishing gradients.
+    vanishing gradients.  u and p must share one grid.
     """
+    _require_one_grid(u, p)
     return GridFunction(u.grid, _Kernel(u.grid, p.values, delta).rhs(u.values))
 
 
 def dirichlet_energy(u: GridFunction, p, delta: float = 1e-8) -> float:
     """Cell-RMS potential sum (q w - delta^p) / p, q = |grad u|^2 + delta^2,
-    whose L2 gradient is -px_flux_divergence."""
+    whose L2 gradient is -px_flux_divergence; u and p must share one grid."""
+    _require_one_grid(u, p)
     return _Kernel(u.grid, p.values, delta)(u.values)[0]
 
 

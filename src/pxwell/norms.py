@@ -20,8 +20,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .exponents import ExponentField, _require_one_grid, build_field
-from .grid import GridFunction, cell_gradient_magnitude, integrate
+from .exponents import ExponentField, build_field
+from .grid import GridFunction, _require_one_grid, cell_gradient_magnitude, integrate
 from .witnesses import perturb, witness_bank
 
 __all__ = [
@@ -90,9 +90,11 @@ def luxemburg_norm(f: GridFunction, q: ExponentField, tol: float = 1e-12) -> Nor
     or leaves it is replaced by the bracket's geometric midpoint.  When the
     bracket or the Newton step shrinks to rounding first, the last iterate is
     returned with its true residual.  `iterations` counts modular
-    evaluations.  Returns 0 for the zero field; raises ValueError on a
-    non-finite modular or when the evaluation cap is reached.
+    evaluations.  Returns 0 for the zero field; raises ValueError when f and
+    q do not share one grid, on a non-finite modular or when the evaluation
+    cap is reached.
     """
+    _require_one_grid(f, q)
     if tol <= 0:
         raise ValueError("tol must be positive")
     av = np.abs(f.values).ravel()

@@ -135,7 +135,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .exponents import ExponentField
-from .grid import GridFunction, _Kernel, project_mean_zero
+from .grid import GridFunction, _Kernel, _require_one_grid, project_mean_zero
 
 __all__ = [
     "SolverConfig",
@@ -381,6 +381,7 @@ def simulate(
     r: ExponentField,
     cfg: SolverConfig,
 ) -> Trajectory:
+    _require_one_grid(u0, p, r)
     grid = u0.grid
     vol = grid.cell_volume
     kernel = _Kernel(grid, p.values, cfg.delta, r.values)

@@ -251,3 +251,14 @@ def test_depth_near_critical_source_is_warning_free():
     g = Grid((32, 32), (1.0, 1.0))
     depth = estimate_depth(build_field("const:2.0", g), build_field("const:2.01", g), seed=0)
     assert 0.0 < depth.upper < np.inf and depth.skipped > 0
+
+
+@pytest.mark.parametrize("entry", [snapshot, find_lambda_star])
+def test_ray_entries_reject_exponents_off_u_grid(entry):
+    # p and r of equal shape on a larger square would be read cell by cell
+    # on u's grid: J and lambda* came out different, without an error
+    u = mixed_mode(Grid((16, 16), (1.0, 1.0)))
+    side2 = Grid((16, 16), (2.0, 2.0))
+    p = build_field("affine:1.8+0.35x+0.35y", side2)
+    with pytest.raises(ValueError, match="share one grid"):
+        entry(u, p, build_field(4.0, side2, label="r"))

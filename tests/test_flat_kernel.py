@@ -18,7 +18,7 @@ import pytest
 
 from pxwell.energy import _Ray
 from pxwell.exponents import build_field
-from pxwell.grid import Grid, GridFunction, _Kernel, cell_gradient_magnitude
+from pxwell.grid import Grid, GridFunction, _aligned, _Kernel, cell_gradient_magnitude
 
 
 def _face_slices(dim, axis):
@@ -233,3 +233,64 @@ def test_flat_kernels_interleaved_over_two_grids_and_a_ray():
             assert _same_bits(kernel.rhs(uv), ref.rhs(uv))
             assert _same_bits(ray.gm,
                               _slice_gradient_magnitude(GridFunction(grid, wv)).ravel())
+
+
+def _on_line(a):
+    return a.__array_interface__["data"][0] % 64 == 0
+
+
+@pytest.mark.parametrize("name", list(GRIDS))
+@pytest.mark.parametrize("source", [True, False], ids=["source", "no-source"])
+def test_kernel_writes_start_on_cache_lines(name, source):
+    # every array a kernel pass writes starts on a 64-byte line: each face
+    # array at entry s, the workspace's tmp and the kernel's cell buffers
+    grid = GRIDS[name]
+    p, r = _exponents(grid, 1e-8)
+    kernel = _Kernel(grid, p.values, 1e-8, r.values if source else None)
+    faces = kernel.faces
+    written = [faces.tmp, kernel.mag2, kernel.q, kernel.w]
+    written += [a[s:] for s, _, _, g, f in faces.axes for a in (g, f)]
+    if source:
+        written += [kernel.au, kernel.a, kernel.sa]
+    assert len(written) == 4 + 2 * grid.dimension + 3 * source
+    assert all(_on_line(a) for a in written)
+
+
+@pytest.mark.parametrize("name", list(GRIDS))
+@pytest.mark.parametrize("source", [True, False], ids=["source", "no-source"])
+def test_flat_kernel_bitwise_on_a_state_off_a_line(name, source):
+    # the oracle on states that start 8 bytes past a cache line, where the
+    # kernel reads u[s:] and u[:-s] at other offsets than a fresh array's
+    grid = GRIDS[name]
+    p, r = _exponents(grid, 1e-8)
+    kernel = _Kernel(grid, p.values, 1e-8, r.values if source else None)
+    ref = _SliceKernel(grid, p.values, 1e-8, r.values if source else None)
+    shifted = _aligned(math.prod(grid.shape) + 1, 1)[0][1:].reshape(grid.shape)
+    assert shifted.__array_interface__["data"][0] % 64 == 8
+    for uv in _fields(grid, np.random.default_rng(34)):
+        shifted[...] = uv
+        _check(kernel, ref, shifted)
+
+
+def test_two_kernels_of_one_grid_in_turn():
+    # two kernels on one grid share its face workspace; each pass rewrites
+    # the entries it reads, so a kernel called after the other still matches
+    # its oracle, and its weights survive the other's pass
+    grid = GRIDS["9x7"]
+    pairs = []
+    for delta, source in ((1e-8, True), (0.0, False)):
+        p, r = _exponents(grid, delta)
+        rv = r.values if source else None
+        pairs.append((_Kernel(grid, p.values, delta, rv), _SliceKernel(grid, p.values, delta, rv)))
+    assert pairs[0][0].faces is pairs[1][0].faces
+    rng = np.random.default_rng(35)
+    for _ in range(3):
+        uvs = _fields(grid, rng)[1:3]
+        outs = [kernel(uv) for (kernel, _), uv in zip(pairs, uvs)]
+        for (kernel, ref), uv, (J, div, G, S) in zip(pairs, uvs, outs):
+            J_r, div_r, G_r, S_r = ref(uv)
+            assert _same_bits([J, G, S, kernel.explicit_dt()],
+                              [J_r, G_r, S_r, ref.explicit_dt()])
+            assert _same_bits(div, div_r)
+        for (kernel, ref), uv in zip(pairs, reversed(uvs)):
+            assert _same_bits(kernel.rhs(uv), ref.rhs(uv))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -217,3 +219,23 @@ def test_csv_header_with_three_parts_is_refused(tmp_path):
     path.write_text("# grid 3 2 2.0\n" + "0.0\n" * 6)
     with pytest.raises(ValueError, match=r"header must be '# grid nx \[ny\] Lx \[Ly\]'"):
         load_gridfunction_csv(path)
+
+
+@pytest.mark.parametrize("entry", [px_flux_divergence, dirichlet_energy])
+def test_kernel_entries_reject_p_off_u_grid(entry):
+    # a p of equal shape on a larger square would be read cell by cell on
+    # u's grid
+    u = GridFunction(Grid((16, 16), (1.0, 1.0)), np.random.default_rng(3).standard_normal((16, 16)))
+    with pytest.raises(ValueError, match="share one grid"):
+        entry(u, build_field("affine:1.8+0.35x+0.35y", Grid((16, 16), (2.0, 2.0))))
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -1e-3])
+@pytest.mark.parametrize("entry", [px_flux_divergence, dirichlet_energy])
+def test_kernel_entries_reject_delta_out_of_range(entry, delta):
+    # a NaN delta gave a NaN energy and an infinite one a non-finite flux,
+    # with at most a numpy warning
+    g = Grid((16, 16), (1.0, 1.0))
+    u = GridFunction(g, np.random.default_rng(4).standard_normal(g.shape))
+    with pytest.raises(ValueError, match="delta must be nonnegative and finite"):
+        entry(u, build_field("affine:1.8+0.35x+0.35y", g), delta)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import random_exponent, random_gridfunction
+from conftest import mixed_mode, random_exponent, random_gridfunction
 from pxwell.exponents import build_field
 from pxwell.grid import Grid, GridFunction, cell_gradient_magnitude
 from pxwell.norms import (
@@ -11,6 +11,7 @@ from pxwell.norms import (
     estimate_embedding,
     estimate_gn_constant,
     gn_theta,
+    gradient_norm,
     luxemburg_norm,
     modular,
 )
@@ -233,3 +234,13 @@ def test_gn_constant_bounds_witnesses():
     est = estimate_gn_constant(p, r, trials=6, seed=1)
     assert est.kind == "Ctilde" and est.theta is not None and 0 < est.theta < 1
     assert est.constant > 0
+
+
+@pytest.mark.parametrize("entry", [luxemburg_norm, gradient_norm])
+def test_norms_reject_exponent_off_field_grid(entry):
+    # q of equal shape on a larger square would be read cell by cell on f's
+    # grid; gradient_norm reaches the check through luxemburg_norm
+    f = mixed_mode(Grid((16, 16), (1.0, 1.0)))
+    q = build_field("affine:1.8+0.35x+0.35y", Grid((16, 16), (2.0, 2.0)))
+    with pytest.raises(ValueError, match="share one grid"):
+        entry(f, q)

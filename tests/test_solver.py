@@ -889,3 +889,12 @@ def test_dt_column_is_the_step_that_reached_the_row():
     traj = _mixed_mode_run(0.25, _DECAY16_LONG)
     assert traj.dt[0] == 0.0 and traj.t[-1] == _DECAY16_LONG.t_end
     assert traj.dt[1:] == pytest.approx(np.diff(traj.t), rel=1e-9, abs=0.0)
+
+
+def test_simulate_rejects_exponents_off_datum_grid():
+    # p of equal shape on a larger square would be read cell by cell on the
+    # datum's grid: the run went on with other weights, without an error
+    g = Grid((16, 16), (1.0, 1.0))
+    p = build_field("affine:1.8+0.35x+0.35y", Grid((16, 16), (2.0, 2.0)))
+    with pytest.raises(ValueError, match="share one grid"):
+        simulate(mixed_mode(g), p, build_field(4.0, g, label="r"), SolverConfig(t_end=0.01))
