@@ -162,11 +162,15 @@ def _floats(text: str) -> tuple[float, ...]:
 
 
 def _load_csv(path: str, what: str) -> GridFunction:
-    """A grid function from a file that the config names."""
+    """A grid function from a file that the config names, every value
+    finite."""
     try:
-        return load_gridfunction_csv(path)
+        gf = load_gridfunction_csv(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
+    if not np.all(np.isfinite(gf.values)):
+        raise ConfigError(f"{what}: {path} holds a non-finite value")
+    return gf
 
 
 def _build_grid(cfg) -> Grid:
@@ -230,8 +234,6 @@ def _read_initial(cfg, grid: Grid, p: ExponentField, r: ExponentField) -> GridFu
         gf = _load_csv(path, "[initial] csv")
         if gf.grid != grid:
             raise ConfigError(f"initial datum {path} does not match the domain grid")
-        if not np.all(np.isfinite(gf.values)):
-            raise ConfigError(f"[initial] csv: {path} holds a non-finite value")
         return project_mean_zero(gf)
     if kind == "modes":
         amplitude = _get(cfg, "initial", "amplitude", default="1.0", cast=float)

@@ -9,7 +9,12 @@ differences are formed where they are used, never stored as a field.
 Every grid kernel runs on the C-order flat values, in the one face workspace
 a grid caches (`_Faces`): along an axis of flat stride s the face differences
 are u[s:] - u[:-s], contiguous, and a cell's two faces are the [:-s] and [s:]
-slices of a face array with zero Neumann entries at its ends.  The cell-RMS
+slices of a face array with zero Neumann entries at its ends.  The
+differences stay raw, never divided by h: each sum over a cell's faces is
+formed across the axes and scaled once by 0.5 / h^2, so a 2D right-hand side
+with the source on takes 24 full array passes.  With every spacing a power
+of two that scaling is exact, and every value has the bits of differences
+divided by h at each face up to the sign of a zero.  The cell-RMS
 |grad u|^2 is formed in one place, `_Faces.grad2`.  The discrete energy J is
 its cell quadrature, and the p(x)-flux is the exact L2 gradient of that
 energy.  The private `_Kernel` computes both, with the source term: built
@@ -157,14 +162,25 @@ class _Faces:
     """The flat face workspace of one grid.
 
     Per axis of flat stride s and row-end `wrap` (`Grid.flat_neighbours`),
-    with n cells: the spacing and two face arrays of n + s entries, `g` for
-    the face differences and `f` for their squares and then the fluxes.
+    with n cells: the axis' weight `rel` = (h_0 / h)^2 against the first
+    axis' spacing h_0 (1.0 on every grid with square cells) and two face
+    arrays of n + s entries, `g` for the raw face differences
+    d = u[s:] - u[:-s] and `f` for their squares and then the fluxes.
     Entry k >= s is the face between cells k - s and k, so cell c's two
     faces are entries c and c + s, the slices [:-s] and [s:].  The s entries
     at each end are outer-boundary faces and stay zero, the mirror ghost.
     Where `wrap` is nonzero the entries at its multiples are the faces
     across a row end, outer-boundary faces too: every write there is
     followed by one strided write that zeroes them again.
+
+    The differences are never divided by h.  Each sum over a cell's faces
+    is formed across the axes first, from raw differences (the first axis
+    writing the output directly, a later axis through `tmp`, scaled by its
+    `rel` when that is not 1), and scaled once by `scale` = 0.5 / h_0^2.
+    When every spacing is a power of two each of these scalings is exact,
+    so every value has the bits of differences divided by h at each face,
+    except that a divergence whose terms are all zeros may be -0.0 where a
+    sum begun from +0.0 would be +0.0.
 
     Scratch only: every caller overwrites the interior entries it reads
     within one call and never reads them across calls, so
@@ -179,45 +195,53 @@ class _Faces:
 
     def __init__(self, grid: Grid):
         n = self.n = math.prod(grid.cells)
+        h0 = grid.spacing[0]
+        self.scale = 0.5 / (h0 * h0)
         axes = []
         for (s, wrap), h in zip(grid.flat_neighbours, grid.spacing):
             g, f = _aligned(n + s, 2, s)
             g[:s] = g[n:] = f[:s] = f[n:] = 0.0
-            axes.append((s, h, wrap, g, f))
+            axes.append((s, (h0 / h) ** 2, wrap, g, f))
         self.axes = tuple(axes)
         self.tmp = _aligned(n, 1)[0]
+
+    def _accumulate(self, k: int, rel: float, out: np.ndarray) -> None:
+        """Add axis k's sum, left in `tmp`, into `out` with its weight; the
+        first axis wrote `out` directly."""
+        if k:
+            if rel != 1.0:
+                self.tmp *= rel
+            out += self.tmp
 
     def grad2(self, u: np.ndarray, mag2: np.ndarray) -> None:
         """The cell-RMS |grad u|^2 of the flat state u into the flat `mag2`:
         per axis, half the sum of the squared differences on a cell's two
-        faces.  Each axis' `g` is left holding its differences."""
+        faces over h^2.  Each axis' `g` is left holding its raw
+        differences."""
         n = self.n
-        for k, (s, h, wrap, g, f) in enumerate(self.axes):
+        for k, (s, rel, wrap, g, f) in enumerate(self.axes):
             gi = g[s:n]
             np.subtract(u[s:], u[:-s], out=gi)
-            gi /= h
             if wrap:
                 g[::wrap] = 0.0
             np.multiply(gi, gi, out=f[s:n])
-            # the first axis' sums go straight to mag2, later ones through tmp
             np.add(f[:-s], f[s:], out=self.tmp if k else mag2)
-            if k:
-                mag2 += self.tmp
-        mag2 *= 0.5
+            self._accumulate(k, rel, mag2)
+        mag2 *= self.scale
 
     def divergence(self, w: np.ndarray, div: np.ndarray) -> None:
-        """Add to the flat `div` the divergence of the face flux
-        (w_L + w_R) g / 2, g the differences `grad2` left."""
-        n, tmp = self.n, self.tmp
-        for s, h, wrap, g, f in self.axes:
+        """Write into the flat `div` the divergence of the face flux
+        (w_L + w_R) d / (2 h), d the raw differences `grad2` left."""
+        n = self.n
+        for k, (s, rel, wrap, g, f) in enumerate(self.axes):
             flux = f[s:n]
             np.add(w[:-s], w[s:], out=flux)
             flux *= g[s:n]
             if wrap:
                 f[::wrap] = 0.0
-            np.subtract(f[s:], f[:-s], out=tmp)
-            tmp *= 0.5 / h
-            div += tmp
+            np.subtract(f[s:], f[:-s], out=self.tmp if k else div)
+            self._accumulate(k, rel, div)
+        div *= self.scale
 
 
 @lru_cache(maxsize=8)
@@ -246,9 +270,14 @@ class _Kernel:
     and `explicit_dt` read after the call that filled them, and with the
     source on three for |u|, a and sign(u) a.  They are carved from one block
     with each on a 64-byte line, like the workspace (see the module
-    docstring), so a construction allocates once.  Each per-cell operation,
-    and their order, is that of the per-axis formulas above, so every value
-    is the same bits as with per-axis 2D slices.
+    docstring), so a construction allocates once.  A right-hand side makes
+    these passes over the cells, 2D with square cells and the source on:
+    |grad u|^2 in 8 (`_Faces.grad2`), q and w in 2, the divergence in 8
+    (`_Faces.divergence`, which writes the returned array, so it is not
+    zeroed first) and the source in 6 (|u|, a, sign(u) a, its sum, less its
+    mean, added): 24 in all.  Each per-cell operation, and their order, is
+    that of per-axis formulas on 2D slices in the same arithmetic, so every
+    value is the same bits as with such slices.
     """
 
     def __init__(self, grid: Grid, p_values: np.ndarray, delta: float,
@@ -312,7 +341,7 @@ class _Kernel:
         self.faces.grad2(u, mag2)
         np.add(mag2, self.d2, out=q)
         np.power(q, self.expo, out=w)
-        div = np.zeros(u.size)
+        div = np.empty(u.size)
         self.faces.divergence(w, div)
         if self.source:
             au, a, sa = self.au, self.a, self.sa

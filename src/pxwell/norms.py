@@ -67,9 +67,9 @@ class EmbeddingEstimate:
 
 
 def modular(f: GridFunction, q: ExponentField) -> float:
-    """integral of |f|^{q(x)} with the per-cell exponent."""
-    if f.values.shape != q.values.shape:
-        raise ValueError("field and exponent live on different grids")
+    """integral of |f|^{q(x)} with the per-cell exponent; f and q must
+    share one grid."""
+    _require_one_grid(f, q)
     return f.grid.cell_volume * float(np.sum(np.abs(f.values) ** q.values))
 
 

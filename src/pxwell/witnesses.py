@@ -59,9 +59,11 @@ def _mode_basis(grid: Grid, kmax: int) -> tuple[tuple[tuple[int, ...], ...], np.
 
 
 def mode_field(grid: Grid, ks: tuple[int, ...]) -> GridFunction:
-    """Product of cosine modes, one wavenumber per axis; not all zero."""
-    if all(k == 0 for k in ks):
-        raise ValueError("all-zero mode is constant, not a witness")
+    """Product of cosine modes, one wavenumber per axis, not constant on the
+    grid: cos(k pi x / L) is +-1 at every center when k is a multiple of
+    2 n, n the axis' cells (0 included), so some axis must have another k."""
+    if all(k % (2 * n) == 0 for k, n in zip(ks, grid.cells)):
+        raise ValueError(f"mode {tuple(ks)} is constant on a grid of {grid.cells} cells")
     return GridFunction(grid, _mode_values(grid, ks))
 
 

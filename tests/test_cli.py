@@ -13,6 +13,8 @@ import pytest
 from conftest import fail_lambda_star_calls
 from pxwell import cli, radial_gap
 from pxwell.cli import ConfigError, _load_config, main, run
+from pxwell.grid import Grid
+from pxwell.witnesses import mode_field
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -344,6 +346,49 @@ def test_inadmissible_norm_field_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("pipeline error: ") and "not admissible" in err
     assert not (tmp_path / "o" / "norm.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_norm_field_exit_2(tmp_path, capsys, value):
+    # a non-finite value in the field is a config error before the output
+    # directory is made (it exited 3, "modular is non-finite", after it)
+    csv = _write(tmp_path, "# grid 8 1.0\n" + "\n".join(["0.5", "-0.5", value, "1.0"] * 2),
+                 name="field.csv")
+    path = _write(tmp_path, f"[norm]\nfield_csv = {csv}\nexponent = const:3.0\n")
+    assert main(["norm", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: [norm] field_csv: {csv} holds a non-finite value\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "classify"])
+@pytest.mark.parametrize("modes", ["16 0 1.0", "0 -32 1.0", "16 16 1.0; 0 48 2.0"])
+def test_mode_constant_on_grid_exit_2(tmp_path, capsys, command, modes):
+    # at 8x8 cells a wavenumber that is a multiple of 16 on every axis (0
+    # included) samples cos(k pi x / L) = +-1 at every center: the datum
+    # projected to zero, and "16 0 1.0" exited 0 with verdict zero-datum
+    path = _write(tmp_path, "[domain]\ndimension = 2\ncells = 8 8\nlengths = 1.0 1.0\n"
+                  "[exponents]\np = const:2.0\nr = const:4.0\n"
+                  f"[initial]\nkind = modes\nmodes = {modes}\namplitude = 5.0\n")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [initial] modes: mode (") and err.count("\n") == 1
+    assert "is constant on a grid of (8, 8) cells" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_mode_aliased_to_a_nonconstant_mode_runs(tmp_path):
+    # (16, 1) at 8x8 is minus the mode (0, 1), so the datum stands; k = 8
+    # on 3 cells is not a multiple of 6 either
+    grid = Grid((8, 8), (1.0, 1.0))
+    assert np.allclose(mode_field(grid, (16, 1)).values, -mode_field(grid, (0, 1)).values,
+                       rtol=0.0, atol=1e-12)
+    assert np.ptp(mode_field(Grid((3, 3), (1.0, 1.0)), (8, 8)).values) > 0.5
+    path = _write(tmp_path, "[domain]\ndimension = 2\ncells = 8 8\nlengths = 1.0 1.0\n"
+                  "[exponents]\np = const:2.0\nr = const:4.0\n"
+                  "[initial]\nkind = modes\nmodes = 16 1 1.0\namplitude = 0.1\n")
+    rec = run(path, tmp_path / "o", do_simulate=False, quiet=True)
+    assert rec["verdict"].rule != "zero-datum"
 
 
 def test_nonfinite_initial_energy_exit_3(tmp_path, capsys):

@@ -1,11 +1,16 @@
-"""The flat-workspace grid kernels against the per-axis slice kernel they
-replaced, bit for bit.
+"""The flat-workspace grid kernels against per-axis slice kernels.
 
-`_SliceKernel` and `_slice_gradient_magnitude` are the earlier kernel, kept
-here only as an oracle: per axis they difference 2D slice views and keep face
-arrays whose outer-boundary faces stay zero.  The flat kernel keeps every
-per-cell operation and its order, so every output must match through its
-int64 bits, signed zeros included.
+`_SliceKernel` and `_slice_gradient_magnitude` are the earlier per-axis
+kernel, kept here only as an oracle: per axis they difference 2D slice views
+and keep face arrays whose outer-boundary faces stay zero.  By default they
+use the flat kernel's arithmetic (raw face differences, each sum over a
+cell's faces formed across the axes and scaled once by 0.5 / h_0^2), so
+every output must match through its int64 bits, signed zeros included.
+With `divided=True` they use the arithmetic the flat kernel had before:
+each difference divided by its h and each axis' flux difference scaled by
+0.5 / h, summed into zeros.  When every spacing is a power of two those
+scalings are exact, so that second oracle must match bit for bit up to the
+sign of a zero; on the other grids it must agree to a relative 1e-13.
 """
 
 from __future__ import annotations
@@ -33,41 +38,63 @@ def _face_slices(dim, axis):
 
 
 def _slice_faces(grid):
+    """Per axis: h, the weight (h_0 / h)^2, the face slices and a face array
+    with zero outer-boundary faces."""
     out = []
-    for axis in range(grid.dimension):
+    h0 = grid.spacing[0]
+    for axis, h in enumerate(grid.spacing):
         shape = list(grid.shape)
         shape[axis] += 1
-        out.append((grid.spacing[axis], *_face_slices(grid.dimension, axis), np.zeros(shape)))
+        out.append((h, (h0 / h) ** 2, *_face_slices(grid.dimension, axis), np.zeros(shape)))
     return tuple(out)
 
 
-def _slice_grad2(uv, faces, mag2):
+def _face_sum(k, rel, term, out, divided):
+    """Add axis k's face sum `term` into `out`: in the flat kernel's
+    arithmetic the first axis writes `out` and a later one is weighted by
+    rel; divided, every axis is added into zeros."""
+    if divided:
+        out += term
+    elif k == 0:
+        out[...] = term
+    else:
+        if rel != 1.0:
+            term *= rel
+        out += term
+
+
+def _slice_grad2(uv, faces, mag2, divided=False):
     gs = []
     mag2.fill(0.0)
-    for h, lo, hi, inner, face in faces:
+    for k, (h, rel, lo, hi, inner, face) in enumerate(faces):
         g = uv[hi] - uv[lo]
-        g /= h
+        if divided:
+            g /= h
         np.multiply(g, g, out=face[inner])
-        mag2 += face[lo] + face[hi]
+        _face_sum(k, rel, face[lo] + face[hi], mag2, divided)
         gs.append(g)
-    mag2 *= 0.5
+    h0 = faces[0][0]
+    mag2 *= 0.5 if divided else 0.5 / (h0 * h0)
     return gs
 
 
-def _slice_gradient_magnitude(u):
+def _slice_gradient_magnitude(u, divided=False):
     mag2 = np.empty(u.grid.shape)
-    _slice_grad2(u.values, _slice_faces(u.grid), mag2)
+    _slice_grad2(u.values, _slice_faces(u.grid), mag2, divided)
     return np.sqrt(mag2, out=mag2)
 
 
 class _SliceKernel:
-    """The per-axis slice kernel: J, right-hand side, G and S."""
+    """The per-axis slice kernel: J, right-hand side, G and S; with
+    `divided`, in the arithmetic of differences divided by h."""
 
-    def __init__(self, grid, p_values, delta, r_values: Optional[np.ndarray] = None):
+    def __init__(self, grid, p_values, delta, r_values: Optional[np.ndarray] = None,
+                 divided=False):
         self.shape = grid.shape
         self.vol, self.omega = grid.cell_volume, grid.volume
         self.d2 = delta * delta
         self.faces = _slice_faces(grid)
+        self.divided = divided
         self.expo = 0.5 * (p_values - 2.0)
         self.inv_p = 1.0 / p_values
         self.mag2, self.q, self.w = (np.empty(grid.shape) for _ in range(3))
@@ -98,16 +125,22 @@ class _SliceKernel:
         return self._rhs(uv)[0]
 
     def _rhs(self, uv):
-        mag2, q, w = self.mag2, self.q, self.w
-        gs = _slice_grad2(uv, self.faces, mag2)
+        mag2, q, w, divided = self.mag2, self.q, self.w, self.divided
+        gs = _slice_grad2(uv, self.faces, mag2, divided)
         np.add(mag2, self.d2, out=q)
         np.power(q, self.expo, out=w)
         div = np.zeros(self.shape)
-        for (h, lo, hi, inner, face), g in zip(self.faces, gs):
+        for k, ((h, rel, lo, hi, inner, face), g) in enumerate(zip(self.faces, gs)):
             flux = face[inner]
             np.add(w[lo], w[hi], out=flux)
             flux *= g
-            div += (face[hi] - face[lo]) * (0.5 / h)
+            diff = face[hi] - face[lo]
+            if divided:
+                diff *= 0.5 / h
+            _face_sum(k, rel, diff, div, divided)
+        if not divided:
+            h0 = self.faces[0][0]
+            div *= 0.5 / (h0 * h0)
         if not self.source:
             return div, None, None
         au = np.abs(uv)
@@ -193,6 +226,84 @@ def test_flat_kernel_matches_slice_kernel_bitwise(name, delta, source):
         assert all(_same_bits(a, b) for a, b in zip(fortran, kernel(uv)))
         u = GridFunction(grid, uv)
         assert _same_bits(cell_gradient_magnitude(u), _slice_gradient_magnitude(u))
+
+
+# grids whose every spacing is a power of two (16x8 with h = 1/16 and 1/32,
+# so its second axis has weight 4), and the exponent pairs of the shipped
+# configs: p = 2.5, r = 1.5 and the affine p (on 1D its x part) with r = 4,
+# each at the solver's delta and the constant pair also at delta = 0
+DYADIC = {
+    "16x16": Grid((16, 16), (1.0, 1.0)),
+    "32x32": Grid((32, 32), (1.0, 1.0)),
+    "64x64": Grid((64, 64), (1.0, 1.0)),
+    "1d-64": Grid((64,), (1.0,)),
+    "16x8": Grid((16, 8), (1.0, 0.25)),
+}
+SHIPPED_EXPONENTS = [("const:2.5", "const:1.5", 0.0), ("const:2.5", "const:1.5", 1e-8),
+                     ("affine:1.8+0.35x+0.35y", "const:4.0", 1e-8)]
+
+
+def _zero_sign_aside(a, b):
+    # x + 0.0 is x, except -0.0 + 0.0 = +0.0
+    return _same_bits(np.add(a, 0.0), np.add(b, 0.0))
+
+
+@pytest.mark.parametrize("name", list(DYADIC))
+@pytest.mark.parametrize("p_spec, r_spec, delta", SHIPPED_EXPONENTS,
+                         ids=["2.5-1.5-delta0", "2.5-1.5", "affine-4"])
+@pytest.mark.parametrize("source", [True, False], ids=["source", "no-source"])
+def test_flat_kernel_matches_divided_differences_on_dyadic_grids(name, p_spec, r_spec,
+                                                                 delta, source):
+    # with power-of-two spacings, raw differences scaled once per sum give
+    # the bits of differences divided by h at every face, up to zero signs
+    grid = DYADIC[name]
+    if grid.dimension == 1:
+        p_spec = p_spec.replace("+0.35y", "")
+    p, r = build_field(p_spec, grid), build_field(r_spec, grid, label="r")
+    rv = r.values if source else None
+    kernel = _Kernel(grid, p.values, delta, rv)
+    ref = _SliceKernel(grid, p.values, delta, rv, divided=True)
+    for uv in _fields(grid, np.random.default_rng(36)):
+        J, div, G, S = kernel(uv)
+        J_r, div_r, G_r, S_r = ref(uv)
+        assert _zero_sign_aside([J, G, S], [J_r, G_r, S_r])
+        assert _zero_sign_aside(div, div_r)
+        assert _same_bits(kernel.explicit_dt(), ref.explicit_dt())
+        assert _zero_sign_aside(kernel.rhs(uv), ref.rhs(uv))
+        u = GridFunction(grid, uv)
+        assert _same_bits(cell_gradient_magnitude(u), _slice_gradient_magnitude(u, divided=True))
+
+
+# the worst relative difference measured off dyadic spacings is 4e-16
+_OFF_DYADIC_RTOL = 1e-14
+
+
+def _near(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    # equal values, an infinite dt among them, are near
+    return a.shape == b.shape and (np.array_equal(a, b) or np.max(np.abs(a - b))
+                                   <= _OFF_DYADIC_RTOL * np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("name", ["1d", "12x9", "9x7"])
+@pytest.mark.parametrize("delta", [0.0, 1e-8])
+@pytest.mark.parametrize("source", [True, False], ids=["source", "no-source"])
+def test_flat_kernel_near_divided_differences_off_dyadic_grids(name, delta, source):
+    # off power-of-two spacings the two arithmetics round differently: every
+    # output agrees to a relative 1e-14, each array in its max norm
+    grid = GRIDS[name]
+    p, r = _exponents(grid, delta)
+    rv = r.values if source else None
+    kernel = _Kernel(grid, p.values, delta, rv)
+    ref = _SliceKernel(grid, p.values, delta, rv, divided=True)
+    for uv in _fields(grid, np.random.default_rng(37)):
+        J, div, G, S = kernel(uv)
+        J_r, div_r, G_r, S_r = ref(uv)
+        assert all(_near(x, x_r) for x, x_r in ((J, J_r), (G, G_r), (S, S_r)))
+        assert _near(div, div_r)
+        assert _near(kernel.explicit_dt(), ref.explicit_dt())
+        u = GridFunction(grid, uv)
+        assert _near(cell_gradient_magnitude(u), _slice_gradient_magnitude(u, divided=True))
 
 
 @pytest.mark.parametrize("delta", [0.0, 1e-8])

@@ -236,10 +236,11 @@ def test_gn_constant_bounds_witnesses():
     assert est.constant > 0
 
 
-@pytest.mark.parametrize("entry", [luxemburg_norm, gradient_norm])
+@pytest.mark.parametrize("entry", [luxemburg_norm, gradient_norm, modular])
 def test_norms_reject_exponent_off_field_grid(entry):
     # q of equal shape on a larger square would be read cell by cell on f's
-    # grid; gradient_norm reaches the check through luxemburg_norm
+    # grid; gradient_norm reaches the check through luxemburg_norm (modular
+    # compared only the shapes, and returned a value)
     f = mixed_mode(Grid((16, 16), (1.0, 1.0)))
     q = build_field("affine:1.8+0.35x+0.35y", Grid((16, 16), (2.0, 2.0)))
     with pytest.raises(ValueError, match="share one grid"):
