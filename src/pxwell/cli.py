@@ -41,7 +41,9 @@ no directory behind.
 Exit codes: 0 success, 2 config error, bad argument (such as a negative
 `--seed`) or output path that cannot be made or written, 3 pipeline error
 (among them a quadrature guard that fails in `ode-verify` or `poincare`,
-which exits before `ode_verify.csv` or `poincare.csv` is written),
+which exits before `ode_verify.csv` or `poincare.csv` is written, and a
+`record.json` or `meta.json` that `report` cannot parse, which exits before
+`summary.csv` is written),
 4 assertion or acceptance failure, such as a `simulate` outcome that
 contradicts its decided verdict (a Global verdict that ends BlowupDetected
 or a Blowup verdict that ends GlobalUntilTend), which the record's events
@@ -585,6 +587,15 @@ def _cmd_poincare(args) -> int:
     return 0
 
 
+def _read_json(path: Path):
+    """A run's JSON file; one that does not parse (say, left truncated by a
+    run killed while writing it) is a pipeline error."""
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:
+        raise PipelineError(f"{path}: {exc}") from exc
+
+
 def _cmd_report(args) -> int:
     out = Path(args.out)
     records = sorted(out.glob("*/record.json"))
@@ -593,12 +604,12 @@ def _cmd_report(args) -> int:
         return 3
     lines = ["id,prediction,rule,outcome,J0,I0,accepted,rejected,rk4_accepted,kernel_evals"]
     for rec_path in records:
-        rec = json.loads(rec_path.read_text())
+        rec = _read_json(rec_path)
         verdict = rec.get("verdict", {})
         outcome = (rec.get("outcome") or {}).get("kind", "")
         init = rec.get("initial", {})
         meta_path = rec_path.with_name("meta.json")
-        meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
+        meta = _read_json(meta_path) if meta_path.exists() else {}
         steps = meta.get("steps", {})  # absent for classify-only runs
         rk4 = next((row["accepted"] for row in steps.get("by_stepper", ())
                     if row["stepper"] == "rk4"), "")

@@ -27,12 +27,6 @@ trajectory follows its linearisation, |s - h*| proportional to
 exp(f'(h*) t).  The excess is taken at t = 0, at every panel end reached
 before T, and at h(T), which a Newton solve in y finds inside the panel that
 holds T.
-
-`rk4_min_ode` is an independent classical RK4 integrator of the same ODE,
-with each step that crosses h = 1 split at the crossing (event location, as
-in Hairer, Norsett and Wanner, Solving Ordinary Differential Equations I,
-Sec. II.6).  The falsifier does not use it; it is the reference the
-quadrature is tested against.
 """
 
 from __future__ import annotations
@@ -44,7 +38,7 @@ import numpy as np
 
 from .quadrature import gauss_legendre
 
-__all__ = ["OdeParams", "envelope", "verify_batch", "rk4_min_ode"]
+__all__ = ["OdeParams", "envelope", "verify_batch"]
 
 
 @dataclass(frozen=True)
@@ -118,112 +112,6 @@ def envelope(params: OdeParams) -> tuple[Callable[[np.ndarray], np.ndarray], str
 def _rhs(h: np.ndarray, C1: np.ndarray, C2: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     hp = np.maximum(h, 0.0)
     return C2 - C1 * np.minimum(hp**a, hp**b)
-
-
-def _rk4(h, dt, C1, C2, a, b):
-    """One classical RK4 step of size dt (a scalar or one per cell)."""
-    k1 = _rhs(h, C1, C2, a, b)
-    k2 = _rhs(h + 0.5 * dt * k1, C1, C2, a, b)
-    k3 = _rhs(h + 0.5 * dt * k2, C1, C2, a, b)
-    k4 = _rhs(h + dt * k3, C1, C2, a, b)
-    return h + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-# Secant and bisection iterations allowed to locate one crossing of h = 1.
-# Bisection alone reaches the rounding level of tau in about 50 halvings, and
-# the safeguard below bisects at least every second iteration.
-_CROSSING_MAX_ITER = 120
-
-
-def _crossing_time(h, h_new, dt, C1, C2, a, b):
-    """The tau in (0, dt) at which the RK4 step from h reaches h = 1, per cell.
-
-    A bracketed secant on g(tau) = RK4(h, tau) - 1, whose sign changes between
-    g(0) = h - 1 and g(dt) = h_new - 1; an iteration bisects instead when the
-    secant point leaves the bracket or the previous iteration failed to halve
-    it.  Raises ValueError when a cell has not converged within the cap.
-    """
-    tol = 4.0 * np.finfo(float).eps
-    lo, hi = np.zeros_like(h), dt.copy()
-    g_lo, g_hi = h - 1.0, h_new - 1.0
-    halved = np.ones(h.size, dtype=bool)
-    tau = np.empty_like(h)
-    todo = np.arange(h.size)
-    for _ in range(_CROSSING_MAX_ITER):
-        l, u, gl, gu = lo[todo], hi[todo], g_lo[todo], g_hi[todo]
-        mid = 0.5 * (l + u)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = l - gl * (u - l) / (gu - gl)
-        t = np.where(halved[todo] & (t > l) & (t < u), t, mid)
-        g = _rk4(h[todo], t, C1[todo], C2[todo], a[todo], b[todo]) - 1.0
-        right = np.sign(g) == np.sign(gl)  # the root lies in (t, u)
-        new_l, new_u = np.where(right, t, l), np.where(right, u, t)
-        lo[todo], hi[todo] = new_l, new_u
-        g_lo[todo], g_hi[todo] = np.where(right, g, gl), np.where(right, gu, g)
-        halved[todo] = new_u - new_l <= 0.5 * (u - l)
-        done = (np.abs(g) <= tol) | (new_u - new_l <= tol * dt[todo])
-        tau[todo[done]] = t[done]
-        todo = todo[~done]
-        if todo.size == 0:
-            return tau
-    raise ValueError(
-        f"crossing of h = 1 not located within {_CROSSING_MAX_ITER} iterations"
-    )
-
-
-def _step(h, dt, C1, C2, a, b):
-    """One RK4 step of size dt (a scalar or one per cell), split at h = 1.
-
-    The right-hand side is only C0 at h = 1, where the min switches branch.
-    A cell whose step crosses that kink is stepped to the crossing time tau
-    (`_crossing_time`), set to h = 1, and stepped on by dt - tau, so neither
-    part straddles the kink and RK4 keeps its smooth order.
-    """
-    h_new = _rk4(h, dt, C1, C2, a, b)
-    side = (h - 1.0) * (h_new - 1.0)
-    # one reduction per step; fmin skips a NaN cell so it cannot hide a crossing
-    if np.fmin.reduce(side) < 0.0:
-        sel = np.flatnonzero((side < 0.0) & (np.abs(h_new - h) > 1e-12))
-        if not np.all(np.isfinite(h_new[sel])):
-            raise ValueError("RK4 state is not finite; the trajectory overflows")
-        dt_sel = np.broadcast_to(dt, h.shape)[sel]
-        coef = (C1[sel], C2[sel], a[sel], b[sel])
-        tau = _crossing_time(h[sel], h_new[sel], dt_sel, *coef)
-        h_new[sel] = _rk4(np.ones(sel.size), dt_sel - tau, *coef)
-    return h_new
-
-
-def rk4_min_ode(
-    C1: np.ndarray,
-    C2: np.ndarray,
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    h0: np.ndarray,
-    T: float,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized RK4 for the equality ODE over a parameter batch.
-
-    The five inputs broadcast against each other, so scalar parameters with
-    an array of h0 integrate one cell per h0.
-
-    A step that carries an element across h = 1 (the kink of the min) is
-    split at the crossing: RK4 to the located crossing time, then RK4 from
-    h = 1 for the rest of the step, so the crossing does not degrade the
-    global order.  Raises ValueError if a crossing step overflows.
-    Returns (times, h_path) with h_path of shape (n_steps + 1, batch).
-    """
-    C1, C2, a, b, h = (
-        np.array(x, dtype=float, ndmin=1) for x in np.broadcast_arrays(C1, C2, alpha, beta, h0)
-    )
-    n_steps = int(round(T / dt))
-    times = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    path = np.empty((n_steps + 1, h.size))
-    path[0] = h
-    for k in range(n_steps):
-        h = _step(h, dt, C1, C2, a, b)
-        path[k + 1] = h
-    return times, path
 
 
 # The falsifier's panels in y = log(|h - h*| / h*): their width, the node

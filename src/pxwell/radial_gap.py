@@ -26,17 +26,17 @@ __all__ = [
     "radial_slope",
     "profile_mean",
     "gradient_modular",
-    "gradient_modular_inner",
     "function_modular",
-    "shell_modular_exact",
     "quotient_sweep",
     "SweepRow",
 ]
 
 _PIECES = ((0.0, 1.0), (1.0, 2.0), (2.0, 3.0))
 _SLOPE_OUTER = 104.0 / 172.0
-# Fewest Gauss nodes per panel that resolve the gradient modular.
-_MIN_N_QUAD = 64
+# Gauss nodes per panel of every reported integral (the guard doubles them),
+# and the epsilons of the sweep that `pxwell poincare` writes.
+_N_QUAD = 64
+_EPSILONS = (1e2, 1e3, 1e4, 1e6)
 
 
 def exponent_profile(rr: np.ndarray) -> np.ndarray:
@@ -88,30 +88,17 @@ def _checked(fn, n_quad: int, pieces=_PIECES) -> float:
     return fine
 
 
-def profile_mean(n_quad: int = 64) -> float:
+def profile_mean() -> float:
     """Mean of the unscaled radial function over the big ball (analytically 0)."""
     vol = 4.0 / 3.0 * np.pi * 27.0
-    return _checked(radial_profile, n_quad) / vol
+    return _checked(radial_profile, _N_QUAD) / vol
 
 
-def gradient_modular(epsilon: float, n_quad: int = 64) -> float:
+def gradient_modular(epsilon: float) -> float:
     """Gradient modular of the eps-scaled profile over the big ball."""
     if epsilon <= 1.0:
         raise ValueError("epsilon must exceed 1")
-    if n_quad < _MIN_N_QUAD:
-        raise ValueError(f"n_quad must be at least {_MIN_N_QUAD}")
-    return _checked(lambda r: np.abs(epsilon * radial_slope(r)) ** exponent_profile(r), n_quad)
-
-
-def gradient_modular_inner(epsilon: float, n_quad: int = 64) -> float:
-    """Contribution of the inner ball alone (the middle shell contributes 0)."""
-    if epsilon <= 1.0:
-        raise ValueError("epsilon must exceed 1")
-    return _checked(
-        lambda r: np.abs(epsilon * radial_slope(r)) ** exponent_profile(r),
-        n_quad,
-        pieces=(_PIECES[0],),
-    )
+    return _checked(lambda r: np.abs(epsilon * radial_slope(r)) ** exponent_profile(r), _N_QUAD)
 
 
 # panels of the function modular: split at the kinks (r = 1, 2) and at the
@@ -120,29 +107,15 @@ _FUNCTION_CUTS = (0.0, 0.75, 1.0, 2.0, 251.0 / 104.0, 3.0)
 _FUNCTION_PIECES = tuple(zip(_FUNCTION_CUTS, _FUNCTION_CUTS[1:]))
 
 
-def function_modular(epsilon: float, n_quad: int = 64) -> float:
+def function_modular(epsilon: float) -> float:
     """Function modular of the eps-scaled profile."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     return _checked(
         lambda r: np.abs(epsilon * radial_profile(r)) ** exponent_profile(r),
-        n_quad,
+        _N_QUAD,
         pieces=_FUNCTION_PIECES,
     )
-
-
-def function_modular_shell(epsilon: float, n_quad: int = 64) -> float:
-    """Middle-shell contribution; closed form is (7 pi / 24) eps^{5/2}."""
-    return _checked(
-        lambda r: np.abs(epsilon * radial_profile(r)) ** exponent_profile(r),
-        n_quad,
-        pieces=(_PIECES[1],),
-    )
-
-
-def shell_modular_exact(epsilon: float) -> float:
-    """(4 pi / 3)(2^3 - 1^3) (eps/4)^{5/2} = (7 pi / 24) eps^{5/2}."""
-    return 7.0 * np.pi / 24.0 * epsilon**2.5
 
 
 @dataclass(frozen=True)
@@ -159,25 +132,16 @@ def quotient_bound(epsilon: float) -> float:
     return 960.0 * (epsilon - 1.0) / (7.0 * epsilon * math.log(epsilon))
 
 
-def quotient_sweep(epsilons=(1e2, 1e3, 1e4, 1e6), n_quad: int = 64) -> list[SweepRow]:
-    """Quotients along an increasing epsilon sweep, checked against the
-    closed-form bound and for strict decrease from e^2 on; the default sweep
-    is the one `pxwell poincare` writes to `poincare.csv`.  Raises
-    ValueError unless there is at least one epsilon, each is finite and
-    exceeds 1, they strictly increase, and n_quad is at least 64."""
-    eps = [float(e) for e in epsilons]
-    if not eps:
-        raise ValueError("no epsilons given")
-    if n_quad < _MIN_N_QUAD:
-        raise ValueError(f"n_quad must be at least {_MIN_N_QUAD}, got {n_quad}")
-    if not all(1.0 < e < np.inf for e in eps):
-        raise ValueError(f"epsilons must be finite and exceed 1, got {eps}")
-    if any(b <= a for a, b in zip(eps, eps[1:])):
-        raise ValueError(f"epsilons must be strictly increasing, got {eps}")
+def quotient_sweep() -> list[SweepRow]:
+    """Quotients at epsilon = 1e2, 1e3, 1e4 and 1e6, the sweep that
+    `pxwell poincare` writes to `poincare.csv`, each integral on 64 Gauss
+    nodes per panel checked against 128.  Raises AssertionError when a
+    quotient exceeds its closed-form bound or, from e^2 on, fails to
+    decrease strictly, and ValueError when a node-doubling check fails."""
     rows = []
-    for e in eps:
-        num = gradient_modular(e, n_quad)
-        den = function_modular(e, n_quad)
+    for e in _EPSILONS:
+        num = gradient_modular(e)
+        den = function_modular(e)
         q = num / den
         bound = quotient_bound(e)
         if q > bound:

@@ -59,11 +59,16 @@ def _mode_basis(grid: Grid, kmax: int) -> tuple[tuple[tuple[int, ...], ...], np.
 
 
 def mode_field(grid: Grid, ks: tuple[int, ...]) -> GridFunction:
-    """Product of cosine modes, one wavenumber per axis, not constant on the
-    grid: cos(k pi x / L) is +-1 at every center when k is a multiple of
-    2 n, n the axis' cells (0 included), so some axis must have another k."""
+    """Product of cosine modes, one wavenumber per axis, neither constant nor
+    zero on the grid: with n the axis' cells, cos(k pi x / L) is +-1 at every
+    center when k is a multiple of 2 n (0 included), so some axis must have
+    another k, and 0 at every center when k is an odd multiple of n, so no
+    axis may have such a k."""
     if all(k % (2 * n) == 0 for k, n in zip(ks, grid.cells)):
         raise ValueError(f"mode {tuple(ks)} is constant on a grid of {grid.cells} cells")
+    if any(k % (2 * n) == n for k, n in zip(ks, grid.cells)):
+        raise ValueError(f"mode {tuple(ks)} vanishes at every center of a grid of "
+                         f"{grid.cells} cells")
     return GridFunction(grid, _mode_values(grid, ks))
 
 

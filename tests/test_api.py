@@ -44,9 +44,6 @@ ENTRY_POINTS = {("cli", "main"), ("cli", "run")}
 KEEP = {
     ("classify", "prop48_check"): "Prop. 4.8's large-data test, a verdict rule to come",
     ("norms", "modular"): "the oracle of luxemburg_norm's tests",
-    ("ode_bounds", "rk4_min_ode"): "the oracle of verify_batch's quadrature",
-    ("radial_gap", "gradient_modular_inner"): "oracle: the inner ball's gradient modular",
-    ("radial_gap", "shell_modular_exact"): "closed form of the middle shell's modular",
 }
 
 

@@ -174,6 +174,22 @@ def test_verdict_ladder(tmp_path):
                               "rungs Undetermined")
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: the decay envelope starts below J0")
+def test_small_datum_within_decay_envelopes(tmp_path):
+    # global_2d.ini at amplitude 0.3 decays, so its J and gradient modular
+    # must stay under the closed-form envelopes on every row; J exceeded
+    # J_bound on 61 of 61 rows (worst ratio 50.7) and grad_modular exceeded
+    # grad_bound on 59 of 61 (worst 16.2)
+    base = (CONFIGS / "global_2d.ini").read_text()
+    assert base.count("amplitude = 1.8") == 1
+    path = _write(tmp_path, base.replace("amplitude = 1.8", "amplitude = 0.3"), name="small.ini")
+    run(path, tmp_path, seed=0, quiet=True)
+    table = np.genfromtxt(tmp_path / "small-s0" / "envelopes.csv", delimiter=",", names=True)
+    assert table.size > 0
+    assert np.all(table["J"] <= table["J_bound"])
+    assert np.all(table["grad_modular"] <= table["grad_bound"])
+
+
 def test_contradicted_verdict_exit_4(tmp_path, monkeypatch, capsys):
     # a Global verdict on blowup_2d, which blows up: the run names the
     # contradiction in its events and exits 4 after writing its record and
@@ -199,6 +215,9 @@ def test_contradicted_verdict_exit_4(tmp_path, monkeypatch, capsys):
 # the domain and exponents, before the estimates
 _TINY = ("[domain]\ndimension = 1\ncells = 8\nlengths = 1.0\n"
          "[exponents]\np = const:2.0\nr = const:4.0\n")
+# an 8 x 8 square with p = 2, r = 4
+_SQUARE_8 = ("[domain]\ndimension = 2\ncells = 8 8\nlengths = 1.0 1.0\n"
+             "[exponents]\np = const:2.0\nr = const:4.0\n")
 # each failed at the audit stage (exit 3) or, for blowup_threshold = nan,
 # ran with threshold detection off (exit 0); t_end = inf, which never
 # returned, is checked in test_solver.test_config_validation
@@ -252,6 +271,11 @@ def _nonfinite_csv(tmp_path, monkeypatch):
     ("simulate", _TINY + "[ode]\nt_end = 12.0\n"),
     ("simulate", _TINY + "[poincare]\nn_quad = 64\n"),
     ("simulate", _TINY + "[initial]\nkind = modes\nmodes = 0 1.0\n"),
+    # a wavenumber that is an odd multiple of 8 is zero at every center: the
+    # datum was rounding noise scaled to the amplitude, and k = 8 exited 0
+    # with J0 = 208.6
+    *(("classify", _SQUARE_8 + f"[initial]\nkind = modes\nmodes = {k} 0 1.0\namplitude = 5.0\n")
+      for k in (8, 24)),
     ("norm", f"[norm]\nfield_csv = {CONFIGS / 'sample_field.csv'}\nexponent = const:3.0\n"
              "tol = -1\n"),
     *(("simulate", text) for text in _BAD_LENGTHS.values()),
@@ -261,7 +285,8 @@ def _nonfinite_csv(tmp_path, monkeypatch):
 ], ids=["simulate-cells", "simulate-exponent-csv", "norm-field-csv", "norm-exponent",
         "simulate-record_every-removed", "simulate-radii_samples-removed",
         "simulate-estimates-removed", "simulate-ode-removed", "simulate-poincare-removed",
-        "simulate-modes-all-zero", "norm-tol-negative",
+        "simulate-modes-all-zero", "classify-modes-vanishing-8", "classify-modes-vanishing-24",
+        "norm-tol-negative",
         *("simulate-" + name for name in _BAD_LENGTHS),
         *("simulate-" + name.replace(" = ", "-") for name in _BAD_IDS),
         *("classify-" + name.replace(" = ", "-") for name in _BAD_IDS[-len(_BAD_INITIAL_LINES):]),
@@ -367,9 +392,8 @@ def test_mode_constant_on_grid_exit_2(tmp_path, capsys, command, modes):
     # at 8x8 cells a wavenumber that is a multiple of 16 on every axis (0
     # included) samples cos(k pi x / L) = +-1 at every center: the datum
     # projected to zero, and "16 0 1.0" exited 0 with verdict zero-datum
-    path = _write(tmp_path, "[domain]\ndimension = 2\ncells = 8 8\nlengths = 1.0 1.0\n"
-                  "[exponents]\np = const:2.0\nr = const:4.0\n"
-                  f"[initial]\nkind = modes\nmodes = {modes}\namplitude = 5.0\n")
+    path = _write(tmp_path,
+                  _SQUARE_8 + f"[initial]\nkind = modes\nmodes = {modes}\namplitude = 5.0\n")
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: [initial] modes: mode (") and err.count("\n") == 1
@@ -384,9 +408,8 @@ def test_mode_aliased_to_a_nonconstant_mode_runs(tmp_path):
     assert np.allclose(mode_field(grid, (16, 1)).values, -mode_field(grid, (0, 1)).values,
                        rtol=0.0, atol=1e-12)
     assert np.ptp(mode_field(Grid((3, 3), (1.0, 1.0)), (8, 8)).values) > 0.5
-    path = _write(tmp_path, "[domain]\ndimension = 2\ncells = 8 8\nlengths = 1.0 1.0\n"
-                  "[exponents]\np = const:2.0\nr = const:4.0\n"
-                  "[initial]\nkind = modes\nmodes = 16 1 1.0\namplitude = 0.1\n")
+    path = _write(tmp_path,
+                  _SQUARE_8 + "[initial]\nkind = modes\nmodes = 16 1 1.0\namplitude = 0.1\n")
     rec = run(path, tmp_path / "o", do_simulate=False, quiet=True)
     assert rec["verdict"].rule != "zero-datum"
 
@@ -582,6 +605,21 @@ def test_report_reads_meta_without_stepper_counts(tmp_path):
     summary = dict(zip(header.split(","), row.split(",")))
     assert summary["rk4_accepted"] == ""
     assert summary["kernel_evals"] == str(meta["steps"]["kernel_evals"])
+
+
+@pytest.mark.parametrize("name", ["record.json", "meta.json"])
+def test_report_truncated_json_exit_3(tmp_path, capsys, name):
+    # a run killed while writing leaves a file cut short: a pipeline error
+    # naming the file, before summary.csv is written (it exited 1 with a
+    # JSONDecodeError traceback)
+    run(CONFIGS / "zero.ini", tmp_path, seed=0, do_simulate=False, quiet=True)
+    path = tmp_path / "zero-s0" / name
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+    assert main(["report", "--out", str(tmp_path), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"pipeline error: {path}: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "summary.csv").exists()
 
 
 def test_json_writes_non_finite_as_null(tmp_path):

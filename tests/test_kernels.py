@@ -173,6 +173,16 @@ def test_pure_modes_match_mode_loop(grid):
     assert np.array_equal(mode_field(grid, ks).values, _mode_field_loop(grid, ks))
 
 
+@pytest.mark.parametrize("ks", [(8, 0), (24, 1), (3, -40)])
+def test_mode_field_rejects_vanishing_mode(ks):
+    # an odd multiple of an axis' cells samples cos(k pi x / L) = 0 at every
+    # center of that axis, so the field is rounding noise
+    grid = Grid((8, 8), (1.0, 1.0))
+    assert np.max(np.abs(_mode_field_loop(grid, ks))) < 1e-14
+    with pytest.raises(ValueError, match=r"vanishes at every center of a grid of \(8, 8\) cells"):
+        mode_field(grid, ks)
+
+
 @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d"])
 def test_witness_bank_catalogue_then_draws(grid):
     bank = witness_bank(grid, seed=5, n=7)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import thm53_lemma_cases
+from oracles import rk4_min_ode
 from pxwell import cli, ode_bounds
-from pxwell.ode_bounds import OdeParams, envelope, rk4_min_ode, verify_batch
+from pxwell.ode_bounds import OdeParams, envelope, verify_batch
 
 # (C1, C2, alpha, beta, h0) whose trajectories cross the kink h = 1 before t = 4:
 # two upward (beta = 2 and 0.5 above the kink), two downward (beta = 1 and 0.5)
