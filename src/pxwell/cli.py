@@ -10,12 +10,13 @@ steps and backtracks where a depth is estimated, and, for a simulated run,
 the stepper's kernel evaluations and its accepted and rejected steps, in total
 and as marginals of the solver's trial tally: by the decade
 floor(log10 ||u||_inf) of the state each trial step starts from (decade null
-for the zero state), by the stepper (RKL2 or RK4), for RKL2 trials by their
-stage count, and for accepted RKL2 steps outside the blow-up tail by the
+for the zero state), by the stepper (RKC2 or RK4), for RKC2 trials by their
+stage count, and for accepted RKC2 steps outside the blow-up tail by the
 factor that set the next dt.  `report` collects
-each run's verdict, outcome, step counts, accepted RK4 steps and kernel
-evaluations into `summary.csv`; a `meta.json` written before RK4 steps were
-counted leaves that column empty.
+each run's verdict, outcome, step counts, accepted RK4 steps, kernel
+evaluations and the worst relative error of audit check (b)
+(`audit_rate_err`, empty for a classify-only run) into `summary.csv`; a
+`meta.json` written before RK4 steps were counted leaves that column empty.
 The `[solver]` section and the `[initial]` datum are read with the domain
 and exponents on every run, `classify` and `depth` included, so a bad value
 is a config error before any estimate runs.  A non-finite datum value,
@@ -42,7 +43,8 @@ Exit codes: 0 success, 2 config error, bad argument (such as a negative
 `--seed`) or output path that cannot be made or written, 3 pipeline error
 (among them a quadrature guard that fails in `ode-verify` or `poincare`,
 which exits before `ode_verify.csv` or `poincare.csv` is written, and a
-`record.json` or `meta.json` that `report` cannot parse, which exits before
+`record.json` or `meta.json` that `report` cannot parse or that holds no
+JSON object, or a record without a string `id`, which exits before
 `summary.csv` is written),
 4 assertion or acceptance failure, such as a `simulate` outcome that
 contradicts its decided verdict (a Global verdict that ends BlowupDetected
@@ -442,7 +444,7 @@ def _contradiction(record) -> Optional[str]:
 def _steps_meta(traj) -> dict:
     """meta.json's `steps` block: the totals, then rows of marginals of the
     trial tally.  RK4 trials have no stage count, and `by_dt_limit` counts
-    the accepted RKL2 steps outside the blow-up tail, the only ones with a
+    the accepted RKC2 steps outside the blow-up tail, the only ones with a
     limit."""
     def rows(name, counts, columns=("accepted", "rejected")):
         return [{name: key, **dict(zip(columns, n))} for key, n in counts.items()]
@@ -453,7 +455,7 @@ def _steps_meta(traj) -> dict:
         "kernel_evals": traj.kernel_evals,
         "by_decade": rows("decade", traj.steps_by("decade")),
         "by_stages": rows("stages", stages),
-        "by_stepper": rows("stepper", traj.steps_by("stepper", ("rkl2", "rk4"))),
+        "by_stepper": rows("stepper", traj.steps_by("stepper", ("rkc2", "rk4"))),
         "by_dt_limit": rows("limit", traj.steps_by("limit", ("error", "energy", "growth")),
                             ("accepted",)),
     }
@@ -587,13 +589,17 @@ def _cmd_poincare(args) -> int:
     return 0
 
 
-def _read_json(path: Path):
-    """A run's JSON file; one that does not parse (say, left truncated by a
-    run killed while writing it) is a pipeline error."""
+def _read_json(path: Path) -> dict:
+    """A run's JSON object; a file that does not parse (say, left truncated
+    by a run killed while writing it) or holds anything but an object is a
+    pipeline error."""
     try:
-        return json.loads(path.read_text())
+        obj = json.loads(path.read_text())
     except ValueError as exc:
         raise PipelineError(f"{path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise PipelineError(f"{path}: not a JSON object")
+    return obj
 
 
 def _cmd_report(args) -> int:
@@ -602,9 +608,12 @@ def _cmd_report(args) -> int:
     if not records:
         print(f"no records under {out}", file=sys.stderr)
         return 3
-    lines = ["id,prediction,rule,outcome,J0,I0,accepted,rejected,rk4_accepted,kernel_evals"]
+    lines = ["id,prediction,rule,outcome,J0,I0,accepted,rejected,rk4_accepted,kernel_evals,"
+             "audit_rate_err"]
     for rec_path in records:
         rec = _read_json(rec_path)
+        if not isinstance(rec.get("id"), str):
+            raise PipelineError(f"{rec_path}: no string id")
         verdict = rec.get("verdict", {})
         outcome = (rec.get("outcome") or {}).get("kind", "")
         init = rec.get("initial", {})
@@ -613,11 +622,13 @@ def _cmd_report(args) -> int:
         steps = meta.get("steps", {})  # absent for classify-only runs
         rk4 = next((row["accepted"] for row in steps.get("by_stepper", ())
                     if row["stepper"] == "rk4"), "")
+        # absent for classify-only runs, null where the error is not finite
+        rate_err = rec.get("audit", {}).get("l2_rate_max_rel_err")
         lines.append(
             f"{rec['id']},{verdict.get('prediction','')},{verdict.get('rule','')},"
             f"{outcome},{init.get('J','')},{init.get('I','')},"
             f"{steps.get('accepted','')},{steps.get('rejected','')},{rk4},"
-            f"{steps.get('kernel_evals','')}"
+            f"{steps.get('kernel_evals','')},{'' if rate_err is None else rate_err}"
         )
         if not args.quiet:
             print(lines[-1])

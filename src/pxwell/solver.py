@@ -1,10 +1,11 @@
 """Time integration of the nonlocal Neumann diffusion problem.
 
-Two explicit trial steps with energy-residual step control: second-order
-Runge-Kutta-Legendre steps (RKL2: Meyer, Balsara and Aslam, J. Comput. Phys.
-257, 2014) everywhere but the blow-up tail, and classical fourth-order
-Runge-Kutta steps (RK4) in it.  A step is accepted only if the discrete
-energy identity
+Two explicit trial steps with energy-residual step control: damped
+second-order Runge-Kutta-Chebyshev steps (RKC2: Sommeijer, Shampine and
+Verwer, J. Comput. Appl. Math. 88, 1998; Verwer, Sommeijer and Hundsdorfer,
+J. Comput. Phys. 201, 2004) everywhere but the blow-up tail, and classical
+fourth-order Runge-Kutta steps (RK4) in it.  A step is accepted only if the
+discrete energy identity
 
     J(u+) - J(u) + int_0^dt ||du/dt||_2^2  ~  0
 
@@ -14,7 +15,7 @@ potential of `grid.dirichlet_energy` minus the source energy, the J that
 right-hand side exactly, so the residual is a pure time-discretization
 remainder and halving dt on rejection always wins eventually.
 
-Each stepper has its own quadrature of the dissipation.  An RKL2 step takes
+Each stepper has its own quadrature of the dissipation.  An RKC2 step takes
 the rectangle dt ||(u+ - u)/dt||^2, which misses the dissipation by O(dt^3)
 even on the exact flow: the remainder of a second-order step.  An RK4 step
 takes the exact int ||p'||^2 of the step's cubic Hermite interpolant p
@@ -23,18 +24,30 @@ through u and u+ with slopes f and f+, the right-hand sides at both ends
 A = f - D and B = f+ - D it is dt (||D||^2 + (2/15)(||A||^2 + ||B||^2)
 - (1/15) <A, B>), a closed form in values the step already holds; on the
 exact flow it misses by O(dt^5), so the test does not cap a fourth-order
-step.  The rectangle stays on RKL2 steps: the Hermite form there took audit
-check (b) of the shipped `diffusion_dominant` past 0.01, to 0.0105 at 32^2
-and 0.0108 at 64^2.
+step.  The rectangle stays on RKC2 steps: there the Hermite form reads
+audit check (b) of the shipped `diffusion_dominant` at 0.0091 at 32^2 and
+64^2, against the rectangle's 0.0083, nearer the 0.01 under which the error
+factor (below) holds it, and it changes which steps are accepted.
 
-An s-stage RKL2 step is the three-term Legendre recurrence of the scheme,
-with the weights mu_j, nu_j, mu~_j and gamma~_j of `_rkl2_weights`.  Its
-first stage reuses the current state's right-hand side, so a trial step costs
-s kernel evaluations: s - 1 inner stages, which need the right-hand side
-alone, and the trial state itself.  The stage count is not a setting.  For
-the step dt it is the least s >= 2 with dt <= dt_E (s^2 + s - 2)/4, the width
-of the scheme's real stability interval, where dt_E is the kernel's explicit
-Euler bound at the current state (`_Kernel.explicit_dt`).  In the
+An s-stage RKC2 step is the three-term Chebyshev recurrence of the scheme,
+with the weights mu_j, nu_j, mu~_j and gamma~_j of `_rkc2_weights`, formed
+from the Chebyshev polynomials T_j at w0 = 1 + eps/s^2 with the damping
+eps = 2/13 (`_DAMPING`, not a setting).  Its stability polynomial is
+a_s + b_s T_s(w0 + w1 z), second order, and bounded by 1 in modulus while
+w0 + w1 z >= -1, that is on the real interval [-beta(s), 0] with
+beta(s) = (1 + w0)/w1, about 0.653 s^2; the Runge-Kutta-Legendre scheme
+(RKL2: Meyer, Balsara and Aslam, J. Comput. Phys. 257, 2014) covers
+(s^2 + s - 2)/2, about 0.5 s^2, with the same recurrence.  At s = 2 the
+polynomial is 1 + z + z^2/2 whatever the damping, and its interval is
+exactly 2, not the formula's 1.963: with 1.963, a step at the tail's cap
+dt = dt_E (below) would take three stages instead of RK4, and `blowup_2d`
+took 12 such trials, each rejected, and 1,069 kernel evaluations instead of
+981.  The first stage
+reuses the current state's right-hand side, so a trial step costs s kernel
+evaluations: s - 1 inner stages, which need the right-hand side alone, and
+the trial state itself.  The stage count is not a setting.  For the step dt
+it is the least s >= 2 with dt <= dt_E beta(s)/2, where dt_E is the kernel's
+explicit Euler bound at the current state (`_Kernel.explicit_dt`).  In the
 accuracy-limited blow-up tail s stays at 2 or near it; in a decaying,
 stability-limited run dt grows past dt_E and s grows like its square root.
 An RK4 step also reuses the current right-hand side: three inner stages and
@@ -46,8 +59,8 @@ The blow-up tail starts on the accepted step at which the growth shrink
 (below) fires, and ends at the first accepted step on which ||u||_inf does
 not grow.  Inside it, a step is RK4 wherever the stage rule would pick s = 2,
 that is dt <= dt_E, well inside RK4's real stability interval of about
-2.79 / rho = 1.74 dt_E; elsewhere it is RKL2.  A decaying run never shrinks
-on growth, so it takes exactly the RKL2 steps it would take alone.
+2.79 / rho = 1.74 dt_E; elsewhere it is RKC2.  A decaying run never shrinks
+on growth, so it takes exactly the RKC2 steps it would take alone.
 
 One kernel evaluation of a trial state gives its J, its right-hand side and
 its two modulars from the same powers; when the step is accepted they are
@@ -75,10 +88,10 @@ costs no kernel evaluation:
 
 - The energy factor.  The remainder of a step of order k grows like
   dt^(k+1), so aim (tol / residual)^(1/(k+1)) is the factor at which the
-  same remainder would sit at aim^(k+1) of the tolerance.  An RKL2 step has
+  same remainder would sit at aim^(k+1) of the tolerance.  An RKC2 step has
   k = 2 and aim 0.97; an RK4 step k = 4 and aim 0.8, whose fifth power
   leaves the same margin in dt.
-- The error factor, on an RKL2 step outside the blow-up tail.  The RKC
+- The error factor, on an RKC2 step outside the blow-up tail.  The RKC
   local-error estimate ||12 (u - u+) + 6 dt (f + f+)|| / 15 of Sommeijer,
   Shampine and Verwer (J. Comput. Appl. Math. 88, 1998), with f and f+ the
   right-hand sides at both ends of the step, is O(dt^3), and the step's
@@ -98,8 +111,8 @@ the energy factor alone then shrinks dt, and the blow-up tail opens.  In the
 tail the admissible step falls like the source ODE's scale ||u||_inf^{2-r};
 the shrink keeps dt on it instead of sawtoothing between half and all of it
 through rejections.  In the tail growth also stops at max(dt_E, dt): past
-dt_E the step would be a three-stage RKL2 trial, which the energy test
-rejected each time on the escape runs, halving dt.  There is no cap by
+dt_E the step would be a three-stage RKC2 trial, which the energy test
+rejects on the escape runs, halving dt.  There is no cap by
 default (`SolverConfig.dt_max` is inf): in a decaying run dt grows until the
 estimates stop it, and since the stage count grows like sqrt(dt / dt_E), an
 s-stage step covers a dt that grows like s^2, so the longer the step, the
@@ -157,20 +170,23 @@ STALLED_DT = "StalledDt"
 
 # an accepted step of order k aims the next step's residual at aim**(k + 1)
 # of the tolerance; every step factor is floored to a multiple of 1/_GRID
-_ORDER_AIM = {"rkl2": (2, 0.97), "rk4": (4, 0.8)}
+_ORDER_AIM = {"rkc2": (2, 0.97), "rk4": (4, 0.8)}
 _GRID = 1024.0
-# an accepted RKL2 step outside the tail aims the next step's RKC error
+# an accepted RKC2 step outside the tail aims the next step's RKC error
 # estimate at _ERROR_AIM of its change; the change is floored at _ROUNDOFF
 # ||u|| per explicit Euler bound in the step, so a state at rest keeps dt
 _ERROR_AIM = 0.008
 _ROUNDOFF = 1024.0 * np.finfo(float).eps
 # the most a step factor grows dt
 _GROWTH = 1.25
+# the damping eps of the RKC2 polynomial, whose Chebyshev argument is
+# w0 + w1 z with w0 = 1 + eps/s^2
+_DAMPING = 2.0 / 13.0
 
 # a trial step's key in the tally: the decade of the state it starts from
-# (None for the zero state), its stepper "rkl2" or "rk4", its stage count
+# (None for the zero state), its stepper "rkc2" or "rk4", its stage count
 # (None on RK4), the factor that set the next dt (None but on an accepted
-# RKL2 step outside the blow-up tail) and whether it was accepted
+# RKC2 step outside the blow-up tail) and whether it was accepted
 Trial = collections.namedtuple("Trial", "decade stepper stages limit accepted")
 
 
@@ -234,7 +250,7 @@ class Trajectory:
     max_rel_residual: float
     residual_sum: float
     mean_drift_max: float
-    # one for the datum, s per s-stage RKL2 trial step and 4 per RK4 trial
+    # one for the datum, s per s-stage RKC2 trial step and 4 per RK4 trial
     # step (three stages and the state); a trial whose state is not finite is
     # rejected unevaluated and costs s - 1 or 3, whatever its key
     kernel_evals: int = 0
@@ -277,39 +293,54 @@ class Trajectory:
 
 
 @functools.lru_cache(maxsize=None)
-def _rkl2_weights(s: int) -> np.ndarray:
-    """The s-stage RKL2 scheme's weights, one row per stage: (mu~_1, 0, 0, 0),
-    then (mu_j, nu_j, mu~_j, gamma~_j) for j = 2..s, with b_0 = b_1 = 1/3,
-    b_j = (j^2 + j - 2) / (2j(j + 1)) and w_1 = 4 / (s^2 + s - 2),
-    mu~_1 = w_1 b_1, mu_j = (2j - 1)/j b_j/b_{j-1}, nu_j = -(j - 1)/j
-    b_j/b_{j-2}, mu~_j = w_1 mu_j and gamma~_j = -(1 - b_{j-1}) mu~_j.  A
-    decaying run meets dozens of stage counts, so each cached rule is one
-    float array rather than tuples of Python floats, which would take about
-    six times the memory."""
-    b = [1.0 / 3.0] * 2 + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(2, s + 1)]
-    w1 = 4.0 / (s * s + s - 2)
+def _rkc2_weights(s: int) -> tuple[np.ndarray, float]:
+    """The s-stage RKC2 scheme's weights, one row per stage, and the width
+    beta(s) of its real stability interval.  The rows are (mu~_1, 0, 0, 0),
+    then (mu_j, nu_j, mu~_j, gamma~_j) for j = 2..s: with the Chebyshev
+    values T_j, T_j' and T_j'' at w0 = 1 + eps/s^2, w1 = T_s'/T_s'',
+    b_j = T_j''/T_j'^2 (b_0 = b_1 = b_2) and a_j = 1 - b_j T_j, they are
+    mu~_1 = b_1 w1, mu_j = 2 b_j w0/b_{j-1}, nu_j = -b_j/b_{j-2},
+    mu~_j = 2 b_j w1/b_{j-1} and gamma~_j = -a_{j-1} mu~_j.  beta(s) is
+    (1 + w0)/w1, where w0 + w1 z reaches -1, and 2 for s = 2, whose
+    polynomial is 1 + z + z^2/2 at any damping.  A decaying run meets dozens
+    of stage counts, so each cached rule is one float array rather than
+    tuples of Python floats, which would take about six times the memory."""
+    w0 = 1.0 + _DAMPING / (s * s)
+    T, dT, d2T = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
+    for j in range(2, s + 1):
+        T.append(2.0 * w0 * T[j - 1] - T[j - 2])
+        dT.append(2.0 * T[j - 1] + 2.0 * w0 * dT[j - 1] - dT[j - 2])
+        d2T.append(4.0 * dT[j - 1] + 2.0 * w0 * d2T[j - 1] - d2T[j - 2])
+    w1 = dT[s] / d2T[s]
+    b = [d2T[j] / (dT[j] * dT[j]) for j in range(2, s + 1)]
+    b = b[:1] * 2 + b
     rows = [(b[1] * w1, 0.0, 0.0, 0.0)]
     for j in range(2, s + 1):
-        mu = (2 * j - 1) / j * b[j] / b[j - 1]
-        nu = -(j - 1) / j * b[j] / b[j - 2]
-        rows.append((mu, nu, w1 * mu, -(1.0 - b[j - 1]) * w1 * mu))
-    return np.array(rows)
+        mut = 2.0 * b[j] * w1 / b[j - 1]
+        rows.append((2.0 * b[j] * w0 / b[j - 1], -b[j] / b[j - 2], mut,
+                     -(1.0 - b[j - 1] * T[j - 1]) * mut))
+    return np.array(rows), 2.0 if s == 2 else (1.0 + w0) / w1
 
 
 def _stages(dt: float, dt_e: float) -> int:
-    """The least s >= 2 whose stability interval dt_e (s^2 + s - 2)/4 holds dt."""
-    return max(2, math.ceil(0.5 * (math.sqrt(9.0 + 16.0 * (dt / dt_e)) - 1.0)))
+    """The least s >= 2 whose stability interval dt_e beta(s)/2 holds dt.
+    RKL2's interval (s^2 + s - 2)/2 is at most beta(s), so the search starts
+    at RKL2's closed-form count and steps down."""
+    s = max(2, math.ceil(0.5 * (math.sqrt(9.0 + 16.0 * (dt / dt_e)) - 1.0)))
+    while s > 2 and dt <= 0.5 * dt_e * _rkc2_weights(s - 1)[1]:
+        s -= 1
+    return s
 
 
-def _rkl2_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float,
+def _rkc2_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float,
                s: int) -> np.ndarray:
-    """The s-stage RKL2 state from u, whose right-hand side is rhs; it costs
+    """The s-stage RKC2 state from u, whose right-hand side is rhs; it costs
     s - 1 kernel evaluations, one per inner stage.  Subtracting u from the
     stage recurrence Y_j = mu Y_{j-1} + nu Y_{j-2} + (1 - mu - nu) u + ...
     leaves one on the increments d_j = Y_j - u, whose round-off scales with
     the step rather than with the state: the blow-up tail amplifies a change
     in the last bit of the state many times over."""
-    (mu1, *_), *rows = _rkl2_weights(s).tolist()
+    (mu1, *_), *rows = _rkc2_weights(s)[0].tolist()
     prev, d = 0.0, (mu1 * dt) * rhs
     for mu, nu, mut, gt in rows:
         inc = kernel.rhs(u + d)
@@ -323,7 +354,7 @@ def _rkl2_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float,
 
 def _rk4_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float) -> np.ndarray:
     """The classical RK4 state from u, whose right-hand side is rhs; it costs
-    three kernel evaluations, one per inner stage.  As in `_rkl2_step` the
+    three kernel evaluations, one per inner stage.  As in `_rkc2_step` the
     increment is summed before it is added to u, with the tableau's weights
     b = (1/6, 1/3, 1/3, 1/6) times dt."""
     k2 = kernel.rhs(u + (0.5 * dt) * rhs)
@@ -418,7 +449,7 @@ def simulate(
     while t < cfg.t_end:
         dt_eff = min(dt, cfg.t_end - t)
         s = _stages(dt_eff, dt_e)
-        stepper = "rk4" if tail and s == 2 else "rkl2"
+        stepper = "rk4" if tail and s == 2 else "rkc2"
         decade = math.floor(math.log10(supn)) if supn > 0.0 else None
         # a state that overflows is not finite and is rejected unevaluated
         with np.errstate(over="ignore", invalid="ignore"):
@@ -426,7 +457,7 @@ def simulate(
                 u_new = _rk4_step(kernel, u, rhs, dt_eff)
                 evals += 3
             else:
-                u_new = _rkl2_step(kernel, u, rhs, dt_eff, s)
+                u_new = _rkc2_step(kernel, u, rhs, dt_eff, s)
                 evals += s - 1
             accepted = False
             if np.all(np.isfinite(u_new)):
@@ -445,12 +476,12 @@ def simulate(
 
         limit = None
         if accepted:
-            # outside the tail an RKL2 step also reads its RKC estimate, against
+            # outside the tail an RKC2 step also reads its RKC estimate, against
             # the step's change floored at its round-off: that of dt times the
             # right-hand side, about eps ||u|| per explicit Euler bound in dt;
             # the zero state has nothing to estimate
             error = 0.0
-            estimated = stepper == "rkl2" and not tail
+            estimated = stepper == "rkc2" and not tail
             if estimated:
                 change = max(float(np.linalg.norm(u_new - u)),
                              _ROUNDOFF * max(1.0, dt_eff / dt_e) * float(np.linalg.norm(u)))
@@ -485,7 +516,7 @@ def simulate(
             limit = limit if estimated else None
             scaled = dt * (math.floor(factor * _GRID) / _GRID)
             # in the tail growth stops at dt_E, past which RK4 would give way
-            # to an RKL2 trial that fails
+            # to an RKC2 trial that fails
             dt = min(min(scaled, max(dt_e, dt)) if tail else scaled, cfg.dt_max)
             if n == table.shape[1]:
                 table = np.concatenate((table, np.empty_like(table)), axis=1)

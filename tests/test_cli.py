@@ -94,12 +94,12 @@ _SHIPPED_CONSTANTS = {
 # each shipped config's seed-0 step counts from meta.json: accepted,
 # rejected, kernel evaluations and accepted RK4 steps
 _SHIPPED_COUNTS = {
-    "blowup_2d": (270, 0, 977, 218),
+    "blowup_2d": (271, 0, 981, 219),
     "high_energy": (270, 1, 895, 176),
-    "global_2d": (141, 0, 660, 0),
-    "diffusion_dominant": (120, 0, 1380, 0),
-    "negative_energy": (57, 0, 873, 0),
-    "zero": (22, 0, 76, 0),
+    "global_2d": (143, 0, 643, 0),
+    "diffusion_dominant": (123, 0, 1276, 0),
+    "negative_energy": (58, 0, 800, 0),
+    "zero": (22, 0, 73, 0),
 }
 
 
@@ -466,18 +466,18 @@ def test_record_structure(tmp_path):
     steps = meta["steps"]
     assert steps["accepted"] == rec["residuals"]["step_count"]
     assert steps["rejected"] == rec["residuals"]["rejected_steps"]
-    # an s-stage RKL2 trial step costs s kernel evaluations and an RK4 trial
+    # an s-stage RKC2 trial step costs s kernel evaluations and an RK4 trial
     # step 4; this decaying run takes no RK4 step
     stages = [row["stages"] for row in steps["by_stages"]]
     assert stages == sorted(stages) and len(set(stages)) == len(stages) and stages[0] >= 2
     assert steps["by_stepper"] == [
-        {"stepper": "rkl2", "accepted": steps["accepted"], "rejected": steps["rejected"]},
+        {"stepper": "rkc2", "accepted": steps["accepted"], "rejected": steps["rejected"]},
         {"stepper": "rk4", "accepted": 0, "rejected": 0}]
     assert steps["kernel_evals"] == 1 + sum(
         row["stages"] * (row["accepted"] + row["rejected"]) for row in steps["by_stages"])
     assert sum(row["accepted"] for row in steps["by_stages"]) == steps["accepted"]
     assert sum(row["rejected"] for row in steps["by_stages"]) == steps["rejected"]
-    # every accepted RKL2 step outside the blow-up tail, here every accepted
+    # every accepted RKC2 step outside the blow-up tail, here every accepted
     # step, counts once by the factor that set the next dt
     assert [row["limit"] for row in steps["by_dt_limit"]] == ["error", "energy", "growth"]
     assert sum(row["accepted"] for row in steps["by_dt_limit"]) == steps["accepted"]
@@ -575,7 +575,8 @@ def test_report_subcommand(tmp_path):
     code = main(["report", "--out", str(tmp_path), "--quiet"])
     assert code == 0
     header, *rows = (tmp_path / "summary.csv").read_text().strip().split("\n")
-    assert header == "id,prediction,rule,outcome,J0,I0,accepted,rejected,rk4_accepted,kernel_evals"
+    assert header == ("id,prediction,rule,outcome,J0,I0,accepted,rejected,rk4_accepted,"
+                      "kernel_evals,audit_rate_err")
     simulated, classified = (dict(zip(header.split(","), row.split(","))) for row in rows)
     assert simulated["id"] == "zero-s0" and simulated["prediction"] == "Global"
     residuals = rec["residuals"]
@@ -585,8 +586,9 @@ def test_report_subcommand(tmp_path):
         str(residuals["step_count"]), str(residuals["rejected_steps"]), "0",
         str(meta["steps"]["kernel_evals"]))
     assert classified["id"] == "zero-s1" and classified["outcome"] == ""
+    assert float(simulated["audit_rate_err"]) == rec["audit"].l2_rate_max_rel_err
     assert (classified["accepted"], classified["rejected"], classified["rk4_accepted"],
-            classified["kernel_evals"]) == ("", "", "", "")
+            classified["kernel_evals"], classified["audit_rate_err"]) == ("", "", "", "", "")
     # the zero datum never leaves the zero state
     assert meta["steps"]["by_decade"] == [
         {"decade": None, "accepted": residuals["step_count"], "rejected": 0}]
@@ -619,6 +621,26 @@ def test_report_truncated_json_exit_3(tmp_path, capsys, name):
     assert main(["report", "--out", str(tmp_path), "--quiet"]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"pipeline error: {path}: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("record.json", "{}", "no string id"),
+    ("record.json", "[]", "not a JSON object"),
+    ("record.json", '{"id": 7}', "no string id"),
+    ("meta.json", "[]", "not a JSON object"),
+], ids=["record-empty-object", "record-list", "record-numeric-id", "meta-list"])
+def test_report_unusable_json_exit_3(tmp_path, capsys, name, text, message):
+    # a file that parses but holds no JSON object, or a record without a
+    # string id, is a pipeline error naming the file, before summary.csv is
+    # written (a record {} exited 1 with a KeyError traceback, and [] with an
+    # AttributeError one)
+    run(CONFIGS / "zero.ini", tmp_path, seed=0, do_simulate=False, quiet=True)
+    path = tmp_path / "zero-s0" / name
+    path.write_text(text)
+    assert main(["report", "--out", str(tmp_path), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"pipeline error: {path}: {message}\n"
     assert not (tmp_path / "summary.csv").exists()
 
 

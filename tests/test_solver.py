@@ -59,18 +59,18 @@ def test_config_validation():
     assert SolverConfig(delta=0.0, blowup_threshold=math.inf).delta == 0.0
 
 
-def _rkl2(u, p, r, dt, delta=1e-8):
-    """One RKL2 step of `simulate` from u, with the stage count that its stage
+def _rkc2(u, p, r, dt, delta=1e-8):
+    """One RKC2 step of `simulate` from u, with the stage count that its stage
     rule picks for dt at u."""
     kernel = _Kernel(u.grid, p.values, delta, r.values)
     rhs = kernel.rhs(u.values)
     s = solver._stages(dt, kernel.explicit_dt())
-    return GridFunction(u.grid, solver._rkl2_step(kernel, u.values, rhs, dt, s))
+    return GridFunction(u.grid, solver._rkc2_step(kernel, u.values, rhs, dt, s))
 
 
 def test_step_zero_fixed_point(setup2d):
     g, p, r = setup2d
-    out = _rkl2(GridFunction(g, np.zeros(g.shape)), p, r, dt=1e-3)
+    out = _rkc2(GridFunction(g, np.zeros(g.shape)), p, r, dt=1e-3)
     assert np.all(out.values == 0.0)
 
 
@@ -90,7 +90,7 @@ def test_step_r2_p2_oracle():
     kernel = _Kernel(g, p2.values, 0.0, r2.values)
     kernel(u.values)
     assert solver._stages(dt, kernel.explicit_dt()) == 2
-    out = _rkl2(u, p2, r2, dt, delta=0.0)
+    out = _rkc2(u, p2, r2, dt, delta=0.0)
     Lu = L(u.values)
     expect = u.values + dt * Lu + 0.5 * dt * dt * L(Lu)
     assert np.max(np.abs(out.values - expect)) <= 1e-15
@@ -101,9 +101,59 @@ def test_step_mean_conservation(setup2d):
     rng = np.random.default_rng(2)
     for _ in range(5):
         u = project_mean_zero(random_gridfunction(g, rng, amp=2.0))
-        out = _rkl2(u, p, r, dt=1e-5)
+        out = _rkc2(u, p, r, dt=1e-5)
         scale = 1.0 + np.abs(out.values).max()
         assert abs(integrate(out)) <= 1e-13 * scale
+
+
+class _Scalar:
+    """The scalar problem y' = z y as a kernel, one z per component."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def rhs(self, v):
+        return self.z * v
+
+
+def _stability_polynomial(s, z):
+    """P_s(z): one s-stage `_rkc2_step` of y' = z y from y = 1 at dt = 1."""
+    one = np.ones_like(z)
+    return solver._rkc2_step(_Scalar(z), one, z, 1.0, s)
+
+
+def test_rkc2_polynomial_is_stable_and_second_order():
+    # the weights run on y' = z y: P_s is at most 1 in modulus on
+    # [-beta(s), 0], agrees with 1 + z + z^2/2 up to O(z^3) (the defect falls
+    # eightfold as z halves), and is exactly that at s = 2, whose interval is
+    # 2; beta(s) covers RKL2's (s^2 + s - 2)/2, so a step never takes more
+    # stages than it did under RKL2
+    small = np.array([-1e-2, -5e-3])
+    quadratic = 1.0 + small + 0.5 * small**2
+    for s in range(2, 65):
+        beta = solver._rkc2_weights(s)[1]
+        z = np.linspace(-beta, 0.0, 2000)
+        assert np.abs(_stability_polynomial(s, z)).max() <= 1.0 + 1e-12
+        defect = _stability_polynomial(s, small) - quadratic
+        if s == 2:
+            assert beta == 2.0
+            assert np.abs(defect).max() <= 1e-15
+        else:
+            assert beta >= (s * s + s - 2) / 2.0
+            assert defect[0] / defect[1] == pytest.approx(8.0, rel=0.02)
+
+
+def test_stage_count_is_the_least_whose_interval_holds_the_step():
+    # on a sweep of dt/dt_E, each interval's end included: the chosen s
+    # holds dt, and s - 1 does not
+    betas = np.array([solver._rkc2_weights(s)[1] for s in range(2, 65)])
+    ratios = np.concatenate([np.geomspace(1e-3, 0.5 * betas[-1], 2000), 0.5 * betas])
+    for dt_e in (1.0, 3.7e-5):
+        for ratio in ratios:
+            dt = ratio * dt_e
+            s = solver._stages(dt, dt_e)
+            assert dt <= 0.5 * dt_e * solver._rkc2_weights(s)[1]
+            assert s == 2 or dt > 0.5 * dt_e * solver._rkc2_weights(s - 1)[1]
 
 
 def test_simulate_zero_datum(setup2d):
@@ -400,17 +450,34 @@ def _gauss_hermite_dissipation(vol, u, f, u_new, f_new, dt, points):
     return dt * vol * total
 
 
+@functools.lru_cache(maxsize=None)
+def _chebyshev_rkc2(s):
+    """The s-stage RKC2 scheme at damping eps = 2/13 (Verwer, Sommeijer and
+    Hundsdorfer, J. Comput. Phys. 201, 2004), from the Chebyshev polynomials
+    of `numpy.polynomial.chebyshev` and their derivatives at w0 = 1 + eps/s^2:
+    (w0, w1, T_j(w0), b_j, beta) with w1 = T_s'/T_s'', b_j = T_j''/T_j'^2
+    for j >= 2, b_0 = b_1 = b_2, and the stability interval's width
+    beta = (1 + w0)/w1, or 2 for the two-stage polynomial 1 + z + z^2/2."""
+    w0 = 1.0 + (2.0 / 13.0) / s**2
+    basis = [np.polynomial.chebyshev.Chebyshev.basis(j) for j in range(s + 1)]
+    T = [float(t(w0)) for t in basis]
+    b = [float(t.deriv(2)(w0) / t.deriv(1)(w0) ** 2) for t in basis[2:]]
+    w1 = float(basis[s].deriv(1)(w0) / basis[s].deriv(2)(w0))
+    return w0, w1, T, b[:1] * 2 + b, 2.0 if s == 2 else (1.0 + w0) / w1
+
+
 def _reference_simulate(u0, p, r, cfg, tail_cap=True):
     """An independent stepper loop: separate right-hand side and energy
-    passes, J evaluated again after the mean re-zero, the RKL2 weights formed
-    stage by stage from the recurrences of Meyer, Balsara and Aslam (2014),
-    the stage count found by counting up, RK4 steps formed from the Butcher
-    tableau in the blow-up tail with the Hermite dissipation by Gauss-Legendre
-    quadrature, and the stepper's dt rule: outside the tail an RKL2 step's
-    next dt also follows the RKC local-error estimate of Sommeijer, Shampine
-    and Verwer (1998), formed from right-hand sides evaluated again, and in
-    the tail growth stops at dt_E unless `tail_cap` is false.  Returns (outcome, accepted, rejected,
-    kernel evaluations, J of the datum and of every accepted state)."""
+    passes, J evaluated again after the mean re-zero, the RKC2 weights formed
+    stage by stage from Chebyshev polynomials of `numpy.polynomial.chebyshev`
+    (`_chebyshev_rkc2`), the stage count found by counting up, RK4 steps
+    formed from the Butcher tableau in the blow-up tail with the Hermite
+    dissipation by Gauss-Legendre quadrature, and the stepper's dt rule:
+    outside the tail an RKC2 step's next dt also follows the RKC local-error
+    estimate of Sommeijer, Shampine and Verwer (1998), formed from
+    right-hand sides evaluated again, and in the tail growth stops at dt_E
+    unless `tail_cap` is false.  Returns (outcome, accepted, rejected, kernel
+    evaluations, J of the datum and of every accepted state)."""
     grid = u0.grid
     vol, omega, delta = grid.cell_volume, grid.volume, cfg.delta
 
@@ -447,20 +514,17 @@ def _reference_simulate(u0, p, r, cfg, tail_cap=True):
         radius = 4.0 * float(weights(uv).max()) * sum(h**-2 for h in grid.spacing)
         return 0.8 * 2.0 / radius
 
-    def b(j):
-        return 1.0 / 3.0 if j < 2 else (j * j + j - 2) / (2.0 * j * (j + 1))
-
-    def rkl2(u, dt, s):
+    def rkc2(u, dt, s):
         # Y_j = mu Y_{j-1} + nu Y_{j-2} + (1 - mu - nu) u + mu~ dt L(Y_{j-1})
         # + gamma~ dt L(u), run on the increments Y_j - u
-        w1 = 4.0 / (s * s + s - 2)
+        w0, w1, T, b, _ = _chebyshev_rkc2(s)
         m0 = rhs_of(u)
-        older, old = np.zeros_like(u), b(1) * w1 * dt * m0
+        older, old = np.zeros_like(u), b[1] * w1 * dt * m0
         for j in range(2, s + 1):
-            mu = (2 * j - 1) / j * b(j) / b(j - 1)
-            nu = -(j - 1) / j * b(j) / b(j - 2)
-            mu_t = mu * w1
-            gamma_t = -(1.0 - b(j - 1)) * mu_t
+            mu = 2.0 * b[j] * w0 / b[j - 1]
+            nu = -b[j] / b[j - 2]
+            mu_t = 2.0 * b[j] * w1 / b[j - 1]
+            gamma_t = -(1.0 - b[j - 1] * T[j - 1]) * mu_t
             # summed in the stepper's order: the blow-up amplifies a one-ulp
             # difference in the state like the square of the growth of ||u||_inf
             new = (mu_t * dt) * rhs_of(u + old) + (gamma_t * dt) * m0 + mu * old + nu * older
@@ -490,10 +554,10 @@ def _reference_simulate(u0, p, r, cfg, tail_cap=True):
     while t < cfg.t_end:
         dt_eff = min(dt, cfg.t_end - t)
         s = 2
-        while dt_eff > euler_dt(u) * (s * s + s - 2) / 4.0:
+        while dt_eff > euler_dt(u) * _chebyshev_rkc2(s)[4] / 2.0:
             s += 1
         fourth = tail and s == 2
-        u_new = rk4(u, dt_eff) if fourth else rkl2(u, dt_eff, s)
+        u_new = rk4(u, dt_eff) if fourth else rkc2(u, dt_eff, s)
         finite = np.all(np.isfinite(u_new))
         if fourth:
             evals += 4 if finite else 3
@@ -583,8 +647,8 @@ def _mixed_mode_run(factor, cfg):
 @pytest.mark.parametrize("factor, cfg, counts", [
     (1.7, _BLOWUP16, None),
     (0.25, _DECAY16, (73, 0)),
-    (0.25, _DECAY16_LONG, (244, 0)),
-    (0.25, _DECAY16_CAPPED, (293, 0)),
+    (0.25, _DECAY16_LONG, (246, 0)),
+    (0.25, _DECAY16_CAPPED, (295, 0)),
     (1.7, _COLLAPSE16, (1988, 0)),
 ], ids=["blowup", "decay", "decay-uncapped", "decay-capped", "collapse"])
 def test_simulate_matches_reference_loop(factor, cfg, counts):
@@ -609,41 +673,42 @@ def test_simulate_matches_reference_loop(factor, cfg, counts):
 
 def _trial_cost(traj):
     """The kernel evaluations of the trajectory's trials if every trial state
-    is finite: 4 per RK4 trial and s per s-stage RKL2 trial."""
+    is finite: 4 per RK4 trial and s per s-stage RKC2 trial."""
     return sum(n * (4 if trial.stepper == "rk4" else trial.stages)
                for trial, n in traj.trials.items())
 
 
 def test_overflowing_trial_is_rejected_without_a_warning(monkeypatch):
-    # the first trial of this datum, 7 RKL2 stages at dt 1e-2, overflows: it
-    # is rejected unevaluated at a cost of s - 1 = 6 evaluations, and numpy
+    # the first trial of this datum, 9 RKC2 stages at dt 2e-2, overflows: it
+    # is rejected unevaluated at a cost of s - 1 = 8 evaluations, and numpy
     # warns of nothing on the way
     g = Grid((16, 16), (1.0, 1.0))
     u0 = GridFunction(g, 50.0 * mode_field(g, (1, 1)).values)
-    cfg = SolverConfig(dt_init=1e-2, blowup_threshold=1e30)
+    cfg = SolverConfig(dt_init=2e-2, blowup_threshold=1e30)
     finite = []
 
-    def logged(kernel, u, rhs, dt, s, _step=solver._rkl2_step):
+    def logged(kernel, u, rhs, dt, s, _step=solver._rkc2_step):
         u_new = _step(kernel, u, rhs, dt, s)
         finite.append((s, bool(np.all(np.isfinite(u_new)))))
         return u_new
 
-    monkeypatch.setattr(solver, "_rkl2_step", logged)
+    monkeypatch.setattr(solver, "_rkc2_step", logged)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = simulate(u0, build_field(2.0, g), build_field(4.0, g), cfg)
     assert traj.outcome.kind == BLOWUP_DETECTED
-    assert (traj.step_count, traj.rejected_steps) == (358, 13)
-    assert sum(traj.trials.values()) == 358 + 13
-    assert [row for row in finite if not row[1]] == [finite[0]] == [(7, False)]
-    assert traj.trials[solver.Trial(1, "rkl2", 7, None, False)] == 1
-    assert traj.kernel_evals == 1 + _trial_cost(traj) - 1 == 1461
+    assert (traj.step_count, traj.rejected_steps) == (358, 14)
+    assert sum(traj.trials.values()) == 358 + 14
+    assert [row for row in finite if not row[1]] == [finite[0]] == [(9, False)]
+    assert traj.trials[solver.Trial(1, "rkc2", 9, None, False)] == 1
+    assert traj.kernel_evals == 1 + _trial_cost(traj) - 1 == 1470
 
 
 # the 16^2 mixed-mode run's escape time to ||u||_inf = 1e4, converged in the
 # tolerance: RK4 steps in the tail at energy_tol 1e-8 and 1e-10 and RKL2 steps
-# alone at 1e-10 agree on it to 1e-7.  Explicit Euler at 1e-8 had given
-# 0.0019190019618725354, 5.5e-5 off it.
+# (the Runge-Kutta-Legendre steps that RKC2 replaced) alone at 1e-10 agree on
+# it to 1e-7.  Explicit Euler at 1e-8 had given 0.0019190019618725354, 5.5e-5
+# off it.
 _T_B_CONVERGED = 0.00191889571
 
 
@@ -680,7 +745,7 @@ def test_dt_collapse_through_shrink_reported(monkeypatch):
     cfg = SolverConfig(dt_init=1e-6, dt_max=1e-6, dt_min=1e-8, t_end=1.0, energy_tol=1e-5,
                        blowup_threshold=1e30)
     steppers = []
-    for name in ("_rk4_step", "_rkl2_step"):
+    for name in ("_rk4_step", "_rkc2_step"):
         def logged(*args, _name=name, _step=getattr(solver, name)):
             steppers.append(_name)
             return _step(*args)
@@ -712,7 +777,7 @@ def test_hermite_dissipation_is_exact_and_fourth_order():
     # the closed form is the Hermite interpolant's int ||p'||^2: it matches
     # five-point Gauss-Legendre on random end values and slopes.  On a smooth
     # state the energy residual J(u+) - J(u) + dissipation of an RK4 step with
-    # it falls like dt^5, and that of a two-stage RKL2 step with the
+    # it falls like dt^5, and that of a two-stage RKC2 step with the
     # rectangle rule like dt^3; dt runs from dt_E down by halves, every
     # residual far above the round-off of J
     u0, p, r = _mixed_mode_datum(1.0)
@@ -730,7 +795,7 @@ def test_hermite_dissipation_is_exact_and_fourth_order():
         u4 = solver._rk4_step(kernel, u, f, dt)
         J4, f4, _, _ = kernel(u4)
         hermite.append(abs(J4 - J + solver._hermite_dissipation(kernel, u, f, u4, f4, dt)))
-        u2 = solver._rkl2_step(kernel, u, f, dt, 2)
+        u2 = solver._rkc2_step(kernel, u, f, dt, 2)
         rectangle.append(abs(kernel(u2)[0] - J + solver._rectangle_dissipation(kernel, u, u2, dt)))
     assert min(hermite) > 100.0 * np.finfo(float).eps * abs(J)
     slope4, slope2 = (np.polyfit(np.log(dts), np.log(res), 1)[0] for res in (hermite, rectangle))
@@ -740,7 +805,7 @@ def test_hermite_dissipation_is_exact_and_fourth_order():
 
 def test_rkc_estimate_is_third_order():
     # the RKC estimate ||12 (u - u+) + 6 dt (f + f+)|| / 15 of a two-stage
-    # RKL2 step falls like dt^3 as dt halves from dt_E, every value far above
+    # RKC2 step falls like dt^3 as dt halves from dt_E, every value far above
     # the round-off of ||u||
     u0, p, r = _mixed_mode_datum(1.0)
     kernel = _Kernel(u0.grid, p.values, 1e-8, r.values)
@@ -749,7 +814,7 @@ def test_rkc_estimate_is_third_order():
     dts = kernel.explicit_dt() * 0.5 ** np.arange(5)
     estimates = []
     for dt in dts:
-        u2 = solver._rkl2_step(kernel, u, f, dt, 2)
+        u2 = solver._rkc2_step(kernel, u, f, dt, 2)
         estimates.append(solver._rkc_estimate(u, f, u2, kernel(u2)[1], dt))
     assert min(estimates) > 1e6 * np.finfo(float).eps * np.linalg.norm(u)
     slope = np.polyfit(np.log(dts), np.log(estimates), 1)[0]
@@ -784,13 +849,13 @@ def test_decaying_runs_take_no_rk4_step():
     runs.append(simulate(u0, p, r, SolverConfig(dt_init=1e-4, t_end=2.0)))
     for traj in runs:
         assert traj.outcome.kind == GLOBAL_UNTIL_TEND
-        assert traj.steps_by("stepper", ("rkl2", "rk4")) == {
-            "rkl2": [traj.step_count, traj.rejected_steps], "rk4": [0, 0]}
+        assert traj.steps_by("stepper", ("rkc2", "rk4")) == {
+            "rkc2": [traj.step_count, traj.rejected_steps], "rk4": [0, 0]}
 
 
-def test_dt_limits_count_rkl2_steps_outside_the_tail():
-    # every accepted RKL2 step outside the blow-up tail counts once, by the
-    # factor that set the next dt; a decaying run has no tail, and every RKL2
+def test_dt_limits_count_rkc2_steps_outside_the_tail():
+    # every accepted RKC2 step outside the blow-up tail counts once, by the
+    # factor that set the next dt; a decaying run has no tail, and every RKC2
     # trial of the escape run has two stages, which in the tail would make
     # it an RK4 step, so none of them is in the tail; any other trial has
     # the limit None
@@ -802,18 +867,18 @@ def test_dt_limits_count_rkl2_steps_outside_the_tail():
     assert set(escape.steps_by("stages")) == {None, 2}
     by_limit = escape.steps_by("limit", limits)
     assert all(rej == 0 for _, rej in by_limit.values())
-    assert sum(acc for acc, _ in by_limit.values()) == escape.steps_by("stepper")["rkl2"][0]
+    assert sum(acc for acc, _ in by_limit.values()) == escape.steps_by("stepper")["rkc2"][0]
     # the shrink that opens the tail is the energy factor's
     assert by_limit["energy"][0] > 0
 
 
 def test_blowup_tail_takes_rk4_steps():
     # the tail from the first growth shrink to the threshold is RK4 wherever
-    # dt <= dt_E; RKL2 steps open the run
+    # dt <= dt_E; RKC2 steps open the run
     traj = _mixed_mode_run(1.7, _BLOWUP16)
-    rkl2, rk4 = traj.steps_by("stepper")["rkl2"], traj.steps_by("stepper")["rk4"]
-    assert rk4[0] > rkl2[0] > 0
-    assert rkl2[0] + rk4[0] == traj.step_count
+    rkc2, rk4 = traj.steps_by("stepper")["rkc2"], traj.steps_by("stepper")["rk4"]
+    assert rk4[0] > rkc2[0] > 0
+    assert rkc2[0] + rk4[0] == traj.step_count
 
 
 # blowup_2d's escape time to ||u||_inf = 1e5 at energy_tol 1e-10
@@ -822,8 +887,8 @@ _T_B_BLOWUP_2D = 0.002779523950889318
 
 def test_tail_growth_stops_at_explicit_bound():
     # blowup_2d's datum and solver settings: without the cap, dt grows past
-    # dt_E in the tail, 15 trials fail and the run takes more kernel
-    # evaluations; with it, every RKL2 trial has two stages and none fails
+    # dt_E in the tail, 16 trials fail and the run takes more kernel
+    # evaluations; with it, every RKC2 trial has two stages and none fails
     g = Grid((32, 32), (1.0, 1.0))
     p, r = build_field("affine:1.8+0.35x+0.35y", g), build_field(4.0, g)
     vals = sum(c * mode_field(g, ks).values for ks, c in (((1, 1), 1.0), ((2, 0), 0.3),
@@ -832,14 +897,14 @@ def test_tail_growth_stops_at_explicit_bound():
     cfg = SolverConfig(dt_init=1e-6, t_end=1.0, blowup_threshold=1e5)
     traj = simulate(u0, p, r, cfg)
     assert traj.outcome.kind == BLOWUP_DETECTED
-    assert traj.steps_by("stages") == {None: [218, 0], 2: [52, 0]} and traj.rejected_steps == 0
-    assert traj.kernel_evals == 977
+    assert traj.steps_by("stages") == {None: [219, 0], 2: [52, 0]} and traj.rejected_steps == 0
+    assert traj.kernel_evals == 981
     assert traj.outcome.t_b == pytest.approx(_T_B_BLOWUP_2D, rel=1e-5, abs=0.0)
     capped = _reference_simulate(u0, p, r, cfg)
     uncapped = _reference_simulate(u0, p, r, cfg, tail_cap=False)
-    assert capped[1:4] == (traj.step_count, 0, 977)
+    assert capped[1:4] == (traj.step_count, 0, 981)
     assert capped[0][1] == pytest.approx(traj.outcome.t_b, rel=1e-12, abs=0.0)
-    assert uncapped[2:4] == (15, 1074)
+    assert uncapped[2:4] == (16, 1085)
 
 
 def test_shipped_escape_config_meets_converged_escape_time():
@@ -877,7 +942,7 @@ def test_uncapped_decay_steps_past_old_cap():
     assert traj.outcome.kind == capped.outcome.kind == GLOBAL_UNTIL_TEND
     assert np.diff(capped.t).max() == pytest.approx(1e-2, rel=1e-12, abs=0.0)
     assert np.diff(traj.t).max() > 2e-2
-    assert (traj.kernel_evals, capped.kernel_evals) == (1254, 1738)
+    assert (traj.kernel_evals, capped.kernel_evals) == (1189, 1634)
     rep = audit_trajectory(traj)
     assert rep.l2_rate_ok and rep.l2_rate_max_rel_err <= solver._RATE_TOL == 0.05
     assert traj.max_rel_residual <= _DECAY16_LONG.energy_tol
