@@ -602,6 +602,18 @@ def _read_json(path: Path) -> dict:
     return obj
 
 
+def _block(obj: dict, key: str, path: Path) -> dict:
+    """The object under `key` of a run's JSON object `obj`, read from `path`:
+    absent or null reads as empty, anything else but an object is a
+    pipeline error."""
+    block = obj.get(key)
+    if block is None:
+        return {}
+    if not isinstance(block, dict):
+        raise PipelineError(f"{path}: {key} is not an object")
+    return block
+
+
 def _cmd_report(args) -> int:
     out = Path(args.out)
     records = sorted(out.glob("*/record.json"))
@@ -614,16 +626,17 @@ def _cmd_report(args) -> int:
         rec = _read_json(rec_path)
         if not isinstance(rec.get("id"), str):
             raise PipelineError(f"{rec_path}: no string id")
-        verdict = rec.get("verdict", {})
-        outcome = (rec.get("outcome") or {}).get("kind", "")
-        init = rec.get("initial", {})
+        verdict, init = _block(rec, "verdict", rec_path), _block(rec, "initial", rec_path)
+        outcome = _block(rec, "outcome", rec_path).get("kind", "")
         meta_path = rec_path.with_name("meta.json")
         meta = _read_json(meta_path) if meta_path.exists() else {}
-        steps = meta.get("steps", {})  # absent for classify-only runs
-        rk4 = next((row["accepted"] for row in steps.get("by_stepper", ())
-                    if row["stepper"] == "rk4"), "")
+        steps = _block(meta, "steps", meta_path)  # absent for classify-only runs
+        rows = steps.get("by_stepper") or []
+        if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
+            raise PipelineError(f"{meta_path}: steps.by_stepper is not a list of objects")
+        rk4 = next((row.get("accepted", "") for row in rows if row.get("stepper") == "rk4"), "")
         # absent for classify-only runs, null where the error is not finite
-        rate_err = rec.get("audit", {}).get("l2_rate_max_rel_err")
+        rate_err = _block(rec, "audit", rec_path).get("l2_rate_max_rel_err")
         lines.append(
             f"{rec['id']},{verdict.get('prediction','')},{verdict.get('rule','')},"
             f"{outcome},{init.get('J','')},{init.get('I','')},"

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .exponents import ExponentField
-from .grid import Grid, GridFunction, _Kernel, _require_one_grid, _workspace
+from .grid import Grid, GridFunction, _Kernel, _require_one_grid, _run, _workspace
 from .norms import EmbeddingEstimate, l2_norm
 from .witnesses import witness_bank
 
@@ -149,8 +149,9 @@ _EPS = float(np.finfo(float).eps)
 class _Ray:
     """Cached quadrature data for evaluating I and J along {lambda * u}.
 
-    The gradient magnitude is formed in contiguous passes over the flat
-    values, in the face workspace its grid caches (`grid._Faces`).  A ray
+    The gradient magnitude is formed by the bound `grad2` passes of the face
+    workspace its grid caches (`grid._Faces`), the same passes as a kernel's
+    and `cell_gradient_magnitude`'s, from the values loaded into it.  A ray
     owns its flat |grad u| and |u|, two power buffers and one scratch array,
     and `load` points it at other flat values on the same grid in place, so
     one ray serves every trial step of a descent.  `powers` writes into the
@@ -169,8 +170,10 @@ class _Ray:
 
     def load(self, values: np.ndarray) -> None:
         """Take the ray of the flat `values`: |grad u| and |u| in place."""
-        self.faces.grad2(values, self.gm)
-        np.sqrt(self.gm, out=self.gm)
+        faces = self.faces
+        faces.load(values)
+        _run(faces.grad2)
+        np.sqrt(faces.mag2, out=self.gm)
         np.abs(values, out=self.au)
 
     def powers(self, lam: float) -> tuple[np.ndarray, np.ndarray]:

@@ -15,14 +15,27 @@ formed across the axes and scaled once by 0.5 / h^2, so a 2D right-hand side
 with the source on takes 24 full array passes.  With every spacing a power
 of two that scaling is exact, and every value has the bits of differences
 divided by h at each face up to the sign of a zero.  The cell-RMS
-|grad u|^2 is formed in one place, `_Faces.grad2`.  The discrete energy J is
-its cell quadrature, and the p(x)-flux is the exact L2 gradient of that
-energy.  The private `_Kernel` computes both, with the source term: built
-once per exponent pair, it evaluates a state to J(u), the right-hand side
-and the two modulars together, sharing the face differences and the powers
-between them, or to the right-hand side alone where no energy is read (the
-solver's inner stages).  `px_flux_divergence`, `dirichlet_energy` and the
-solver all call it.
+|grad u|^2 is formed in one place, the workspace's `grad2` passes.  The
+discrete energy J is its cell quadrature, and the p(x)-flux is the exact L2
+gradient of that energy.  The private `_Kernel` computes both, with the
+source term: built once per exponent pair, it evaluates a state to J(u), the
+right-hand side and the two modulars together, sharing the face differences
+and the powers between them, or to the right-hand side alone where no energy
+is read (the solver's inner stages).  `px_flux_divergence`,
+`dirichlet_energy` and the solver all call it.
+
+The passes are bound once, as a program: a tuple of (ufunc, in, in, out) over
+fixed views of the workspace's and the kernel's buffers, run by `_run` with
+positional outs, so a call slices nothing.  The passes read the state from
+the workspace's state buffer `x`.  What reads only the workspace is bound
+once per grid, in `_Faces`: the `grad2` passes from `x` to |grad u|^2, and
+per axis the divergence passes after the flux's weight sum.  What reads a
+kernel's own weights w, and its q and w passes, is bound per kernel, so that
+building a kernel binds four views on a 2D grid and allocates one block.
+A full evaluation (`_Kernel.rhs`, `_Kernel.__call__`) copies its state into
+`x` and allocates one array, the right-hand side it returns; an inner stage
+(`_Kernel.stage`) reads a state its caller formed in `x` and writes into
+the caller's buffer, and allocates nothing.
 
 Every array a kernel pass writes starts on a 64-byte cache line (`_aligned`):
 NumPy's AVX-512 loops store a line at a time, and on an AVX-512 host (NumPy
@@ -153,13 +166,24 @@ def _aligned(n: int, count: int, first: int = 0) -> list[np.ndarray]:
 def cell_gradient_magnitude(u: GridFunction) -> np.ndarray:
     """|grad u| at cells: per-axis RMS of the two adjacent face differences,
     an outer-boundary face counting as zero (mirror ghost)."""
-    mag2 = np.empty(u.grid.shape)
-    _workspace(u.grid).grad2(u.values.reshape(-1), mag2.reshape(-1))
-    return np.sqrt(mag2, out=mag2)
+    faces = _workspace(u.grid)
+    faces.load(u.values)
+    _run(faces.grad2)
+    return np.sqrt(faces.mag2).reshape(u.grid.shape)
+
+
+# +0.0, the one input of the passes that zero a strided set of faces
+_ZERO = np.zeros(())
+
+
+def _run(program: tuple) -> None:
+    """Run the bound passes (ufunc, in, in, out) in order."""
+    for ufunc, a, b, out in program:
+        ufunc(a, b, out)
 
 
 class _Faces:
-    """The flat face workspace of one grid.
+    """The flat face workspace of one grid, with the passes bound on it.
 
     Per axis of flat stride s and row-end `wrap` (`Grid.flat_neighbours`),
     with n cells: the axis' weight `rel` = (h_0 / h)^2 against the first
@@ -171,77 +195,79 @@ class _Faces:
     at each end are outer-boundary faces and stay zero, the mirror ghost.
     Where `wrap` is nonzero the entries at its multiples are the faces
     across a row end, outer-boundary faces too: every write there is
-    followed by one strided write that zeroes them again.
+    followed by one strided pass that zeroes them again.  Four cell arrays
+    complete it: the state `x` that every pass reads, the cell-RMS
+    |grad u|^2 `mag2`, the unscaled divergence `div` and the scratch `tmp`.
 
     The differences are never divided by h.  Each sum over a cell's faces
     is formed across the axes first, from raw differences (the first axis
-    writing the output directly, a later axis through `tmp`, scaled by its
-    `rel` when that is not 1), and scaled once by `scale` = 0.5 / h_0^2.
+    writing its cell array directly, a later axis through `tmp`, scaled by
+    its `rel` when that is not 1), and scaled once by `scale` = 0.5 / h_0^2.
     When every spacing is a power of two each of these scalings is exact,
     so every value has the bits of differences divided by h at each face,
     except that a divergence whose terms are all zeros may be -0.0 where a
     sum begun from +0.0 would be +0.0.
 
-    Scratch only: every caller overwrites the interior entries it reads
-    within one call and never reads them across calls, so
+    Two programs are bound here.  `grad2` forms mag2 from x: per axis, half
+    the sum of the squared differences on a cell's two faces over h^2,
+    leaving each axis' raw differences in its `g`.  `flux` holds per axis
+    the face flux array f[s:n] and the passes that follow its weight sum
+    (w_L + w_R), which a kernel binds on its own w: the flux times the
+    differences `grad2` left, and the sum of the fluxes' differences into
+    `div`, so that the divergence of the face flux (w_L + w_R) d / (2 h) is
+    `scale` div.
+
+    Scratch only: every caller loads x and overwrites the interior entries
+    it reads within one call, and never reads them across calls, so
     `cell_gradient_magnitude` (hence every ray of `energy`) and every
     `_Kernel` on the grid share one workspace, built once per grid and held
     in a small bounded cache.
 
-    Entry s of each face array and entry 0 of `tmp` sit on a 64-byte line,
-    so every write into g[s:n], f[s:n] and `tmp` starts on one (see the
-    module docstring for why).
+    Entry s of each face array and entry 0 of each cell array sit on a
+    64-byte line, so every write into g[s:n], f[s:n] and the cell arrays
+    starts on one (see the module docstring for why).
     """
 
     def __init__(self, grid: Grid):
         n = self.n = math.prod(grid.cells)
         h0 = grid.spacing[0]
-        self.scale = 0.5 / (h0 * h0)
-        axes = []
-        for (s, wrap), h in zip(grid.flat_neighbours, grid.spacing):
+        scale = self.scale = 0.5 / (h0 * h0)
+        self.x, self.mag2, self.div, self.tmp = x, mag2, div, tmp = _aligned(n, 4)
+        axes, grad2, flux = [], [], []
+        for k, ((s, wrap), h) in enumerate(zip(grid.flat_neighbours, grid.spacing)):
+            rel = (h0 / h) ** 2
             g, f = _aligned(n + s, 2, s)
             g[:s] = g[n:] = f[:s] = f[n:] = 0.0
-            axes.append((s, (h0 / h) ** 2, wrap, g, f))
-        self.axes = tuple(axes)
-        self.tmp = _aligned(n, 1)[0]
-
-    def _accumulate(self, k: int, rel: float, out: np.ndarray) -> None:
-        """Add axis k's sum, left in `tmp`, into `out` with its weight; the
-        first axis wrote `out` directly."""
-        if k:
-            if rel != 1.0:
-                self.tmp *= rel
-            out += self.tmp
-
-    def grad2(self, u: np.ndarray, mag2: np.ndarray) -> None:
-        """The cell-RMS |grad u|^2 of the flat state u into the flat `mag2`:
-        per axis, half the sum of the squared differences on a cell's two
-        faces over h^2.  Each axis' `g` is left holding its raw
-        differences."""
-        n = self.n
-        for k, (s, rel, wrap, g, f) in enumerate(self.axes):
-            gi = g[s:n]
-            np.subtract(u[s:], u[:-s], out=gi)
+            axes.append((s, rel, wrap, g, f))
+            gi, fi = g[s:n], f[s:n]
+            grad2.append((np.subtract, x[s:], x[:-s], gi))
             if wrap:
-                g[::wrap] = 0.0
-            np.multiply(gi, gi, out=f[s:n])
-            np.add(f[:-s], f[s:], out=self.tmp if k else mag2)
-            self._accumulate(k, rel, mag2)
-        mag2 *= self.scale
-
-    def divergence(self, w: np.ndarray, div: np.ndarray) -> None:
-        """Write into the flat `div` the divergence of the face flux
-        (w_L + w_R) d / (2 h), d the raw differences `grad2` left."""
-        n = self.n
-        for k, (s, rel, wrap, g, f) in enumerate(self.axes):
-            flux = f[s:n]
-            np.add(w[:-s], w[s:], out=flux)
-            flux *= g[s:n]
+                grad2.append((np.add, _ZERO, _ZERO, g[::wrap]))
+            grad2.append((np.multiply, gi, gi, fi))
+            grad2 += self._summed(k, rel, f[:-s], f[s:], np.add, mag2)
+            ops = [(np.multiply, fi, gi, fi)]
             if wrap:
-                f[::wrap] = 0.0
-            np.subtract(f[s:], f[:-s], out=self.tmp if k else div)
-            self._accumulate(k, rel, div)
-        div *= self.scale
+                ops.append((np.add, _ZERO, _ZERO, f[::wrap]))
+            ops += self._summed(k, rel, f[s:], f[:-s], np.subtract, div)
+            flux.append((fi, tuple(ops)))
+        grad2.append((np.multiply, mag2, scale, mag2))
+        self.axes, self.grad2, self.flux = tuple(axes), tuple(grad2), tuple(flux)
+
+    def _summed(self, k: int, rel: float, a: np.ndarray, b: np.ndarray, ufunc,
+                out: np.ndarray) -> list[tuple]:
+        """The passes that sum axis k's face term ufunc(a, b) into `out`: the
+        first axis writes `out` directly, a later one goes through `tmp` and
+        is added with its weight."""
+        if not k:
+            return [(ufunc, a, b, out)]
+        ops = [(ufunc, a, b, self.tmp)]
+        if rel != 1.0:
+            ops.append((np.multiply, self.tmp, rel, self.tmp))
+        return ops + [(np.add, out, self.tmp, out)]
+
+    def load(self, values: np.ndarray) -> None:
+        """Copy the state `values`, read in C order, into x."""
+        np.copyto(self.x, values.reshape(-1))
 
 
 @lru_cache(maxsize=8)
@@ -265,19 +291,27 @@ class _Kernel:
     is off and S = 0.  Everything that depends only on the exponents and delta
     is computed once, here.
 
-    The kernel works on the flat values in its grid's `_Faces` workspace and
-    keeps its own flat |grad u|^2, q and w buffers, which the sums of J and G
-    and `explicit_dt` read after the call that filled them, and with the
-    source on three for |u|, a and sign(u) a.  They are carved from one block
-    with each on a 64-byte line, like the workspace (see the module
-    docstring), so a construction allocates once.  A right-hand side makes
-    these passes over the cells, 2D with square cells and the source on:
-    |grad u|^2 in 8 (`_Faces.grad2`), q and w in 2, the divergence in 8
-    (`_Faces.divergence`, which writes the returned array, so it is not
-    zeroed first) and the source in 6 (|u|, a, sign(u) a, its sum, less its
-    mean, added): 24 in all.  Each per-cell operation, and their order, is
-    that of per-axis formulas on 2D slices in the same arithmetic, so every
-    value is the same bits as with such slices.
+    The kernel works on the flat values in its grid's `_Faces` workspace,
+    whose state buffer it exposes as `state`, and reads |grad u|^2 from the
+    workspace's `mag2`.  It keeps its own flat q and w buffers, which the
+    sums of J and G and `explicit_dt` read after the call that filled them,
+    and with the source on three for |u|, a and sign(u) a.  They and the
+    per-cell (p - 2)/2 and 1/p, and with the source r - 1 and 1/r, are
+    carved from one block with each on a 64-byte line, like the workspace
+    (see the module docstring), so a construction allocates once, and a
+    kernel built per call, as in `px_flux_divergence`, frees one block and
+    keeps the right-hand side it returned.  Its `program` is the
+    workspace's `grad2` passes, its own q and w passes and, per axis, its own
+    weight sum into the face flux followed by the workspace's flux passes for
+    that axis.  A right-hand side makes these passes over the cells, 2D with
+    square cells and the source on: |grad u|^2 in 8, q and w in 2, the
+    divergence in 8 and the source in 6 (|u|, a, sign(u) a, its sum, less
+    its mean, added to the scaled divergence): 24 in all.  The last pass,
+    the source's addition or without the source the divergence's scaling,
+    writes the caller's array.
+    Each per-cell operation, and their order, is that of per-axis formulas on
+    2D slices in the same arithmetic, so every value is the same bits as with
+    such slices.
     """
 
     def __init__(self, grid: Grid, p_values: np.ndarray, delta: float,
@@ -287,19 +321,28 @@ class _Kernel:
         self.shape = grid.shape
         self.vol, self.omega = grid.cell_volume, grid.volume
         self.d2 = delta * delta
-        self.faces = _workspace(grid)
-        self.expo = 0.5 * (p_values.ravel() - 2.0)
-        self.inv_p = 1.0 / p_values.ravel()
+        faces = self.faces = _workspace(grid)
+        self.state, self.mag2 = faces.x, faces.mag2
         self.delta = delta
         # Gershgorin radius of the flux divergence at frozen weights, over w
         self.radius = 4.0 * sum(1.0 / (h * h) for h in grid.spacing)
         self.source = r_values is not None
-        buffers = _aligned(self.faces.n, 6 if self.source else 3)
-        self.mag2, self.q, self.w = buffers[:3]
+        buffers = _aligned(faces.n, 9 if self.source else 4)
+        self.expo, self.inv_p, q, w = buffers[:4]
+        self.q, self.w = q, w
+        pv = p_values.ravel()
+        np.multiply(np.subtract(pv, 2.0, out=self.expo), 0.5, out=self.expo)
+        np.divide(1.0, pv, out=self.inv_p)
+        program = faces.grad2 + ((np.add, faces.mag2, self.d2, q), (np.power, q, self.expo, w))
+        for (s, *_), (flux, ops) in zip(faces.axes, faces.flux):
+            program += ((np.add, w[:-s], w[s:], flux),) + ops
         if self.source:
-            self.au, self.a, self.sa = buffers[3:]
-            self.r1 = r_values.ravel() - 1.0
-            self.inv_r = 1.0 / r_values.ravel()
+            self.r1, self.inv_r, self.au, self.a, self.sa = buffers[4:]
+            rv = r_values.ravel()
+            np.subtract(rv, 1.0, out=self.r1)
+            np.divide(1.0, rv, out=self.inv_r)
+            program += ((np.multiply, faces.div, faces.scale, faces.div),)
+        self.program = program
 
     @cached_property
     def offset(self) -> float:
@@ -334,23 +377,26 @@ class _Kernel:
         return J, div, G, S
 
     def rhs(self, uv: np.ndarray) -> np.ndarray:
-        """The right-hand side at `uv`; |grad u|^2, q and w, and with the
-        source on |u| and a = |u|^{r-1}, stay in their buffers for the sums of
-        J, G and S."""
-        u, mag2, q, w = uv.reshape(-1), self.mag2, self.q, self.w
-        self.faces.grad2(u, mag2)
-        np.add(mag2, self.d2, out=q)
-        np.power(q, self.expo, out=w)
-        div = np.empty(u.size)
-        self.faces.divergence(w, div)
-        if self.source:
-            au, a, sa = self.au, self.a, self.sa
-            np.abs(u, out=au)
-            np.power(au, self.r1, out=a)
-            np.copysign(a, u, out=sa)
-            sa -= self.vol * sa.sum() / self.omega
-            div += sa
-        return div.reshape(self.shape)
+        """The right-hand side at `uv`, in a new array of the grid's shape;
+        |grad u|^2, q and w, and with the source on |u| and a = |u|^{r-1},
+        stay in their buffers for the sums of J, G and S (|grad u|^2, in the
+        workspace, until the next call on the grid)."""
+        self.faces.load(uv)
+        return self.stage(np.empty(self.faces.n)).reshape(self.shape)
+
+    def stage(self, out: np.ndarray) -> np.ndarray:
+        """The right-hand side at the flat state in `state`, written into the
+        flat `out` and returned; no array is allocated."""
+        _run(self.program)
+        faces = self.faces
+        if not self.source:
+            return np.multiply(faces.div, faces.scale, out)
+        x, au, a, sa = faces.x, self.au, self.a, self.sa
+        np.abs(x, out=au)
+        np.power(au, self.r1, out=a)
+        np.copysign(a, x, out=sa)
+        sa -= self.vol * sa.sum() / self.omega
+        return np.add(faces.div, sa, out)
 
     def explicit_dt(self) -> float:
         """0.8 of explicit Euler's stability bound 2 / rho at the state last

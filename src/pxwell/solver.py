@@ -53,7 +53,10 @@ stability-limited run dt grows past dt_E and s grows like its square root.
 An RK4 step also reuses the current right-hand side: three inner stages and
 the trial state make four kernel evaluations.
 Every stage is a combination of the current state and zero-mean right-hand
-sides, so the mean is conserved.
+sides, so the mean is conserved.  An inner stage of either stepper forms its
+state in the kernel's state buffer and its slope and increment in buffers
+made once per run (`_work`), so it allocates no array; the trial state and
+its right-hand side are new arrays, which the run keeps.
 
 The blow-up tail starts on the accepted step at which the growth shrink
 (below) fires, and ends at the first accepted step on which ||u||_inf does
@@ -148,7 +151,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .exponents import ExponentField
-from .grid import GridFunction, _Kernel, _require_one_grid, project_mean_zero
+from .grid import GridFunction, _aligned, _Kernel, _require_one_grid, project_mean_zero
 
 __all__ = [
     "SolverConfig",
@@ -332,40 +335,63 @@ def _stages(dt: float, dt_e: float) -> int:
     return s
 
 
-def _rkc2_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float,
-               s: int) -> np.ndarray:
-    """The s-stage RKC2 state from u, whose right-hand side is rhs; it costs
-    s - 1 kernel evaluations, one per inner stage.  Subtracting u from the
-    stage recurrence Y_j = mu Y_{j-1} + nu Y_{j-2} + (1 - mu - nu) u + ...
-    leaves one on the increments d_j = Y_j - u, whose round-off scales with
-    the step rather than with the state: the blow-up tail amplifies a change
-    in the last bit of the state many times over."""
+def _work(n: int) -> list[np.ndarray]:
+    """The steppers' flat buffers for n cells, made once per run: RKC2 takes
+    all four, RK4 the first three."""
+    return _aligned(n, 4)
+
+
+def _rkc2_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float, s: int,
+               work: Optional[list[np.ndarray]] = None) -> np.ndarray:
+    """The s-stage RKC2 state from u, whose right-hand side is rhs, in a new
+    array; it costs s - 1 kernel evaluations, one per inner stage.
+    Subtracting u from the stage recurrence Y_j = mu Y_{j-1} + nu Y_{j-2} +
+    (1 - mu - nu) u + ... leaves one on the increments d_j = Y_j - u, whose
+    round-off scales with the step rather than with the state: the blow-up
+    tail amplifies a change in the last bit of the state many times over.
+    Each stage forms u + d_{j-1} in the kernel's state buffer and its
+    increment in the `work` buffers (`_work`, made here when not given), so
+    an inner stage allocates nothing."""
     (mu1, *_), *rows = _rkc2_weights(s)[0].tolist()
-    prev, d = 0.0, (mu1 * dt) * rhs
+    uf, f = u.reshape(-1), rhs.reshape(-1)
+    d, prev, inc, tmp = work if work is not None else _work(uf.size)
+    x = kernel.state
+    np.multiply(f, mu1 * dt, out=d)
+    # d_0 = Y_0 - u = 0 enters the first stage's recurrence
+    prev.fill(0.0)
     for mu, nu, mut, gt in rows:
-        inc = kernel.rhs(u + d)
+        np.add(uf, d, out=x)
+        kernel.stage(inc)
         inc *= mut * dt
-        inc += (gt * dt) * rhs
-        inc += mu * d
-        inc += nu * prev
-        prev, d = d, inc
-    return u + d
+        inc += np.multiply(f, gt * dt, out=tmp)
+        inc += np.multiply(d, mu, out=tmp)
+        inc += np.multiply(prev, nu, out=tmp)
+        prev, d, inc = d, inc, prev
+    return (uf + d).reshape(u.shape)
 
 
-def _rk4_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float) -> np.ndarray:
-    """The classical RK4 state from u, whose right-hand side is rhs; it costs
-    three kernel evaluations, one per inner stage.  As in `_rkc2_step` the
-    increment is summed before it is added to u, with the tableau's weights
-    b = (1/6, 1/3, 1/3, 1/6) times dt."""
-    k2 = kernel.rhs(u + (0.5 * dt) * rhs)
-    k3 = kernel.rhs(u + (0.5 * dt) * k2)
-    k4 = kernel.rhs(u + dt * k3)
+def _rk4_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float,
+              work: Optional[list[np.ndarray]] = None) -> np.ndarray:
+    """The classical RK4 state from u, whose right-hand side is rhs, in a new
+    array; it costs three kernel evaluations, one per inner stage.  As in
+    `_rkc2_step` the increment is summed before it is added to u, with the
+    tableau's weights b = (1/6, 1/3, 1/3, 1/6) times dt, each term as soon as
+    its stage slope is formed: the slope buffer then takes the next one."""
+    uf, f = u.reshape(-1), rhs.reshape(-1)
+    k, d, tmp = (work if work is not None else _work(uf.size))[:3]
+    x = kernel.state
     b1, b2 = 1.0 / 6.0 * dt, 1.0 / 3.0 * dt
-    d = b1 * rhs
-    d += b2 * k2
-    d += b2 * k3
-    d += b1 * k4
-    return u + d
+    np.add(uf, np.multiply(f, 0.5 * dt, out=x), out=x)
+    kernel.stage(k)
+    np.multiply(f, b1, out=d)
+    d += np.multiply(k, b2, out=tmp)
+    np.add(uf, np.multiply(k, 0.5 * dt, out=x), out=x)
+    kernel.stage(k)
+    d += np.multiply(k, b2, out=tmp)
+    np.add(uf, np.multiply(k, dt, out=x), out=x)
+    kernel.stage(k)
+    d += np.multiply(k, b1, out=tmp)
+    return (uf + d).reshape(u.shape)
 
 
 def _rectangle_dissipation(kernel: _Kernel, u: np.ndarray, u_new: np.ndarray,
@@ -416,6 +442,7 @@ def simulate(
     grid = u0.grid
     vol = grid.cell_volume
     kernel = _Kernel(grid, p.values, cfg.delta, r.values)
+    work = _work(kernel.faces.n)
 
     u = project_mean_zero(u0).values
     t = 0.0
@@ -454,10 +481,10 @@ def simulate(
         # a state that overflows is not finite and is rejected unevaluated
         with np.errstate(over="ignore", invalid="ignore"):
             if stepper == "rk4":
-                u_new = _rk4_step(kernel, u, rhs, dt_eff)
+                u_new = _rk4_step(kernel, u, rhs, dt_eff, work)
                 evals += 3
             else:
-                u_new = _rkc2_step(kernel, u, rhs, dt_eff, s)
+                u_new = _rkc2_step(kernel, u, rhs, dt_eff, s, work)
                 evals += s - 1
             accepted = False
             if np.all(np.isfinite(u_new)):

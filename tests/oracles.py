@@ -11,6 +11,13 @@ falsifier's quadrature is tested against.
 split the radial modulars of `radial_gap` by ball and shell, so the sweep's
 integrals can be checked piece by piece and against the middle shell's
 closed form.
+
+`rkc2_step` and `rk4_step` are one step of the solver's two steppers in
+expression form: each stage state and each product a new array, and every
+right-hand side from the `rhs(u)` of the kernel they are given.  The
+solver's steppers form their stages in preallocated buffers; run on the
+per-axis slice kernel of `tests/test_flat_kernel.py` these must give their
+states bit for bit, since every elementwise operation has the same operands.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import numpy as np
 
 from pxwell.ode_bounds import _rhs
 from pxwell.radial_gap import _PIECES, _checked, exponent_profile, radial_profile, radial_slope
+from pxwell.solver import _rkc2_weights
 
 
 def _rk4(h, dt, C1, C2, a, b):
@@ -150,3 +158,32 @@ def function_modular_shell(epsilon: float, n_quad: int = 64) -> float:
 def shell_modular_exact(epsilon: float) -> float:
     """(4 pi / 3)(2^3 - 1^3) (eps/4)^{5/2} = (7 pi / 24) eps^{5/2}."""
     return 7.0 * np.pi / 24.0 * epsilon**2.5
+
+
+def rkc2_step(kernel, u, rhs, dt, s):
+    """One s-stage RKC2 step from u, whose right-hand side is rhs: the
+    recurrence on the increments d_j = Y_j - u with the solver's weights."""
+    (mu1, *_), *rows = _rkc2_weights(s)[0].tolist()
+    prev, d = 0.0, (mu1 * dt) * rhs
+    for mu, nu, mut, gt in rows:
+        inc = kernel.rhs(u + d)
+        inc *= mut * dt
+        inc += (gt * dt) * rhs
+        inc += mu * d
+        inc += nu * prev
+        prev, d = d, inc
+    return u + d
+
+
+def rk4_step(kernel, u, rhs, dt):
+    """One classical RK4 step from u, whose right-hand side is rhs, its
+    increment summed before it is added to u."""
+    k2 = kernel.rhs(u + (0.5 * dt) * rhs)
+    k3 = kernel.rhs(u + (0.5 * dt) * k2)
+    k4 = kernel.rhs(u + dt * k3)
+    b1, b2 = 1.0 / 6.0 * dt, 1.0 / 3.0 * dt
+    d = b1 * rhs
+    d += b2 * k2
+    d += b2 * k3
+    d += b1 * k4
+    return u + d

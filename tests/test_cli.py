@@ -644,6 +644,42 @@ def test_report_unusable_json_exit_3(tmp_path, capsys, name, text, message):
     assert not (tmp_path / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("name, block, value, message", [
+    ("record.json", "verdict", [], "verdict is not an object"),
+    ("record.json", "outcome", "BlowupDetected", "outcome is not an object"),
+    ("record.json", "initial", 1.5, "initial is not an object"),
+    ("record.json", "audit", [], "audit is not an object"),
+    ("meta.json", "steps", [], "steps is not an object"),
+    ("meta.json", "steps", {"by_stepper": [5]}, "steps.by_stepper is not a list of objects"),
+    ("meta.json", "steps", {"by_stepper": {"rk4": 1}}, "steps.by_stepper is not a list of objects"),
+], ids=["verdict-list", "outcome-string", "initial-number", "audit-list", "steps-list",
+        "by-stepper-number-row", "by-stepper-object"])
+def test_report_malformed_block_exit_3(tmp_path, capsys, name, block, value, message):
+    # a block that is neither an object nor null is a pipeline error naming
+    # the file, before summary.csv is written ({"id": "x", "verdict": []}
+    # exited 1 with an AttributeError traceback)
+    run(CONFIGS / "zero.ini", tmp_path, seed=0, quiet=True)
+    path = tmp_path / "zero-s0" / name
+    obj = json.loads(path.read_text())
+    obj[block] = value
+    path.write_text(json.dumps(obj))
+    assert main(["report", "--out", str(tmp_path), "--quiet"]) == 3
+    assert capsys.readouterr().err == f"pipeline error: {path}: {message}\n"
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_report_null_blocks_read_as_empty(tmp_path):
+    # a null block reads as an absent one: its columns are empty ("audit":
+    # null exited 1 with an AttributeError traceback)
+    run(CONFIGS / "zero.ini", tmp_path, seed=0, quiet=True)
+    run_dir = tmp_path / "zero-s0"
+    (run_dir / "record.json").write_text(json.dumps(
+        {"id": "x", "verdict": None, "outcome": None, "initial": None, "audit": None}))
+    (run_dir / "meta.json").write_text(json.dumps({"steps": {"by_stepper": None}}))
+    assert main(["report", "--out", str(tmp_path), "--quiet"]) == 0
+    assert (tmp_path / "summary.csv").read_text().splitlines()[1] == "x" + "," * 10
+
+
 def test_json_writes_non_finite_as_null(tmp_path):
     path = tmp_path / "x.json"
     cli._write_json(path, {"a": float("nan"), "b": [np.inf, -np.inf, np.float64("nan")],

@@ -20,7 +20,9 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from oracles import rk4_step, rkc2_step
 
+from pxwell import solver
 from pxwell.energy import _Ray
 from pxwell.exponents import build_field
 from pxwell.grid import Grid, GridFunction, _aligned, _Kernel, cell_gradient_magnitude
@@ -405,3 +407,30 @@ def test_two_kernels_of_one_grid_in_turn():
             assert _same_bits(div, div_r)
         for (kernel, ref), uv in zip(pairs, reversed(uvs)):
             assert _same_bits(kernel.rhs(uv), ref.rhs(uv))
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("p_spec, r_spec", [("affine:1.8+0.35x+0.35y", "const:4.0"),
+                                            ("const:2.5", "const:1.5")],
+                         ids=["affine-4", "2.5-1.5"])
+def test_steppers_match_expression_form_bitwise(n, p_spec, r_spec):
+    # the steppers form their stages in the kernel's state buffer and one
+    # set of work buffers, reused from step to step; their states match the
+    # expression form on the slice kernel bit for bit, each RKC2 step at the
+    # longest dt its stage count holds
+    grid = Grid((n, n), (1.0, 1.0))
+    p, r = build_field(p_spec, grid), build_field(r_spec, grid, label="r")
+    kernel = _Kernel(grid, p.values, 1e-8, r.values)
+    ref = _SliceKernel(grid, p.values, 1e-8, r.values)
+    u = _fields(grid, np.random.default_rng(38))[1]
+    f = kernel(u)[1]
+    f_ref = ref.rhs(u)
+    assert _same_bits(f, f_ref)
+    dt_e = kernel.explicit_dt()
+    work = solver._work(u.size)
+    for s in (2, 3, 17, 45):
+        dt = 0.5 * dt_e * solver._rkc2_weights(s)[1]
+        u_new = solver._rkc2_step(kernel, u, f, dt, s, work)
+        assert np.isfinite(u_new).all() and _same_bits(u_new, rkc2_step(ref, u, f_ref, dt, s))
+    u_new = solver._rk4_step(kernel, u, f, dt_e, work)
+    assert np.isfinite(u_new).all() and _same_bits(u_new, rk4_step(ref, u, f_ref, dt_e))

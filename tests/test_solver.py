@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import column_trajectory, mixed_mode, random_gridfunction
-from pxwell.energy import find_lambda_star, snapshot
+from pxwell.energy import _Ray, find_lambda_star, snapshot
 from pxwell import solver
 from pxwell.cli import _build_exponent, _build_grid, _load_config, _read_initial, _solver_config
 from pxwell.exponents import build_field
@@ -106,14 +106,42 @@ def test_step_mean_conservation(setup2d):
         assert abs(integrate(out)) <= 1e-13 * scale
 
 
+def test_returned_states_and_slopes_outlive_the_buffers(setup2d):
+    # a right-hand side that kernel(u) returns and a state that a step
+    # returns are new arrays: later stages in the same work buffers, a second
+    # kernel's evaluation and a ray's load on the same grid leave them bit
+    # for bit as they were
+    g, p, r = setup2d
+    kernel = _Kernel(g, p.values, 1e-8, r.values)
+    other = _Kernel(g, build_field(2.5, g).values, 0.0, build_field(1.5, g).values)
+    rng = np.random.default_rng(8)
+    u = project_mean_zero(random_gridfunction(g, rng)).values
+    _, f, _, _ = kernel(u)
+    work = solver._work(u.size)
+    dt_e = kernel.explicit_dt()
+    u_new = solver._rkc2_step(kernel, u, f, 3.0 * dt_e, 3, work)
+    u_rk4 = solver._rk4_step(kernel, u, f, dt_e, work)
+    kept = [(a, a.view(np.int64).copy()) for a in (f, u_new, u_rk4)]
+    solver._rkc2_step(kernel, u_new, f, 10.0 * dt_e, 5, work)
+    solver._rk4_step(kernel, u_rk4, f, dt_e, work)
+    kernel(u_new)
+    other(rng.standard_normal(g.shape))
+    _Ray(GridFunction(g, rng.standard_normal(g.shape)), p, r).load(u_rk4.reshape(-1) + 1.0)
+    assert all(np.array_equal(a.view(np.int64), bits) for a, bits in kept)
+    buffers = [kernel.state, kernel.faces.div, kernel.faces.tmp, kernel.q, kernel.w, *work]
+    assert not any(np.shares_memory(a, b) for a, _ in kept for b in buffers)
+
+
 class _Scalar:
-    """The scalar problem y' = z y as a kernel, one z per component."""
+    """The scalar problem y' = z y as a kernel, one z per component: each
+    stage writes z y at the state the stepper formed in `state`."""
 
     def __init__(self, z):
         self.z = z
+        self.state = np.empty_like(z)
 
-    def rhs(self, v):
-        return self.z * v
+    def stage(self, out):
+        return np.multiply(self.z, self.state, out=out)
 
 
 def _stability_polynomial(s, z):
@@ -687,8 +715,8 @@ def test_overflowing_trial_is_rejected_without_a_warning(monkeypatch):
     cfg = SolverConfig(dt_init=2e-2, blowup_threshold=1e30)
     finite = []
 
-    def logged(kernel, u, rhs, dt, s, _step=solver._rkc2_step):
-        u_new = _step(kernel, u, rhs, dt, s)
+    def logged(kernel, u, rhs, dt, s, work, _step=solver._rkc2_step):
+        u_new = _step(kernel, u, rhs, dt, s, work)
         finite.append((s, bool(np.all(np.isfinite(u_new)))))
         return u_new
 
