@@ -566,6 +566,7 @@ def _cmd_ode_verify(args) -> int:
     scale = 1e-6
     if not args.quiet:
         print(f"{len(batch)} cells, {counts['panels']} panels, {counts['bisected']} bisected, "
+              f"{counts['evaluations']} evaluations, "
               f"worst signed violation {worst!r} (tolerance {scale})")
     if not worst <= scale:
         raise AssertionError(f"worst signed violation {worst!r} exceeds the tolerance {scale}")

@@ -13,14 +13,17 @@ f is autonomous and decreasing, so the trajectory moves monotonically toward
 the equilibrium h* (the threshold above) and its clock is a quadrature,
 t(h) = int_{h0}^{h} ds / f(s).  In y = log(|s - h*| / h*) the integrand
 dt/dy = -(s - h*) / f(s) is smooth and bounded, because f'(h*) != 0.  It is
-integrated on Gauss-Legendre panels of width 0.02 in y, with a panel end at
-the kink s = 1 where the min switches branch.  The accuracy guard is panel
-agreement: a panel whose 4-node and 8-node values differ by more than 1e-12
-(relative) is bisected, and one that still differs after 40 bisections
-raises ValueError; the 8-node value is the one kept.  The n-node error
-falls like (width/2)^{2n} (Davis and Rabinowitz, Methods of Numerical
-Integration, 2nd ed., 1984), so on most panels this narrow both values sit
-at round-off.  Near h*, f is formed without cancellation as
+integrated on panels of width 0.02 in y, with a panel end at the kink
+s = 1 where the min switches branch, each by the 9-node Gauss-Kronrod rule
+and its embedded 4-node Gauss rule, from one evaluation of dt/dy at the 9
+nodes.  The accuracy guard is panel agreement: a panel whose Gauss and
+Kronrod values differ by more than 1e-12 (relative) is bisected, and one
+that still differs after 40 bisections raises ValueError; the Kronrod value
+is the one kept.  The 4-node Gauss error falls like (width/2)^8 and the
+Kronrod rule is exact to degree 13 (Davis and Rabinowitz, Methods of
+Numerical Integration, 2nd ed., 1984), so |Kronrod - Gauss| estimates the
+Gauss error, and on most panels this narrow both values sit at round-off.
+Near h*, f is formed without cancellation as
 -C1 h*^g expm1(g log1p((s - h*)/h*)), with g the exponent on the side of
 h = 1 that the trajectory approaches h* from.  Below |s - h*| = 4 eps h* the
 trajectory follows its linearisation, |s - h*| proportional to
@@ -36,7 +39,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import gauss_legendre
+from .quadrature import gauss_kronrod
 
 __all__ = ["OdeParams", "envelope", "verify_batch"]
 
@@ -115,7 +118,7 @@ def _rhs(h: np.ndarray, C1: np.ndarray, C2: np.ndarray, a: np.ndarray, b: np.nda
 
 
 # The falsifier's panels in y = log(|h - h*| / h*): their width, the node
-# count of the coarse rule (the fine rule has twice as many), the relative
+# count of the Gauss rule (its Kronrod extension has 2 _NODES + 1), the relative
 # agreement each panel must reach, and the bisections a panel may take to
 # reach it.
 _PANEL_WIDTH = 0.02
@@ -131,34 +134,39 @@ _TAIL = 4.0 * np.finfo(float).eps
 _NEWTON_MAX_ITER = 30
 
 
-def _panel_sums(g, lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    """The n-point Gauss-Legendre value of int_lo^hi g(y) dy, per panel.
+def _panel_sums(g, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The _NODES-point Gauss and (2 _NODES + 1)-point Kronrod values of
+    int_lo^hi g(y) dy, per panel, from one evaluation of g at the Kronrod
+    nodes, whose first _NODES rows are the Gauss nodes.
 
     The nodes are laid out node-major, one row per node and one column per
     panel, so every ufunc in g runs along the long panel axis.
     """
-    x, w = gauss_legendre(n)
+    x, kronrod, gauss = gauss_kronrod(_NODES)
     half = 0.5 * (hi - lo)
-    y = 0.5 * (hi + lo) + half * x[:, None]
-    return half * (w @ g(y))
+    values = g(0.5 * (hi + lo) + half * x[:, None])
+    return half * (gauss @ values[:_NODES]), half * (kronrod @ values)
 
 
 def _guarded_panels(g, hi: np.ndarray, lo: np.ndarray):
     """Panels tiling [lo[-1], hi[0]] in descending y, with their integrals of g.
 
-    A panel whose 4-node and 8-node values differ by more than _AGREEMENT
-    (relative to the 8-node value) is split in two and both halves are
-    checked again.  Raises ValueError when a value is not finite, when a
-    panel still disagrees after _MAX_BISECTIONS splits, or when more than
-    _CHUNK panels disagree at once.  Returns (hi, lo, 8-node values).
+    hi and lo are the panel ends in descending y.  A panel whose Gauss and
+    Kronrod values differ by more than _AGREEMENT (relative to the Kronrod
+    value) is split in two and both halves are checked again.  Raises
+    ValueError when a value is not finite, when a panel still disagrees
+    after _MAX_BISECTIONS splits, or when more than _CHUNK panels disagree
+    at once.  Returns (hi, lo, Kronrod values); when no panel was split,
+    these are the given panels in their given order.
     """
     parts = []
     for _ in range(_MAX_BISECTIONS + 1):
-        coarse = _panel_sums(g, lo, hi, _NODES)
-        fine = _panel_sums(g, lo, hi, 2 * _NODES)
+        coarse, fine = _panel_sums(g, lo, hi)
         if not np.all(np.isfinite(fine)):
             raise ValueError("trajectory time is not finite on a quadrature panel")
         ok = np.abs(fine - coarse) <= _AGREEMENT * np.abs(fine)
+        if not parts and ok.all():
+            return hi, lo, fine
         parts.append((hi[ok], lo[ok], fine[ok]))
         if ok.all() or np.count_nonzero(~ok) > _CHUNK:
             break
@@ -203,11 +211,21 @@ def _far_density(sigma: float, h_star: float, C1: float, C2: float, g: float):
     return density
 
 
+def _counted(density, counts: dict):
+    """density, adding the number of points it is evaluated at to
+    counts["evaluations"]."""
+    def evaluate(y):
+        counts["evaluations"] += np.size(y)
+        return density(y)
+
+    return evaluate
+
+
 def _solve_time(density, lo: float, hi: float, t_hi: float, t_lo: float, T: float) -> float:
     """The y in [lo, hi] at which t_hi + int_y^hi density reaches T (Newton)."""
     y = hi - (hi - lo) * (T - t_hi) / (t_lo - t_hi)
     for _ in range(_NEWTON_MAX_ITER):
-        resid = t_hi + _panel_sums(density, np.array([y]), np.array([hi]), 2 * _NODES)[0] - T
+        resid = t_hi + _panel_sums(density, np.array([y]), np.array([hi]))[1][0] - T
         if abs(resid) <= 4.0 * np.finfo(float).eps * T:
             return y
         y_new = min(max(y + resid / float(density(y)), lo), hi)
@@ -223,7 +241,8 @@ def _path(q: OdeParams, h_star: float, sigma: float, T: float, counts: dict):
     Integrates dt/dy panel by panel from h0 toward h*, one segment on each
     side of the kink, and stops in the panel that holds T.  Past the tail
     threshold the trajectory follows its linearisation at h*.  Adds the
-    panels integrated and the bisections among them to counts.
+    panels integrated, the bisections among them and the points at which
+    dt/dy is evaluated to counts.
     """
     C1, C2, a, b, h0 = q.C1, q.C2, q.alpha, q.beta, q.h0
     # the exponent of the min on the side of h = 1 that h approaches h* from
@@ -241,6 +260,7 @@ def _path(q: OdeParams, h_star: float, sigma: float, T: float, counts: dict):
     t = 0.0
     ys, ts = [], []
     for y_from, y_to, density in segments:
+        density = _counted(density, counts)
         n = max(int(np.ceil((y_from - y_to) / _PANEL_WIDTH)), 0)
         edges = np.linspace(y_from, y_to, n + 1)
         for k in range(0, n, _CHUNK):
@@ -285,12 +305,14 @@ def verify_batch(
     """Largest signed excess h(t) - envelope(t) on [0, T] for each cell of the batch.
 
     Each cell's trajectory is the quadrature t(h) = int_{h0}^{h} ds / f(s) in
-    y = log(|s - h*| / h*), on Gauss-Legendre panels that end at the kink
-    h = 1 and are bisected until their 4-node and 8-node values agree to
+    y = log(|s - h*| / h*), on panels that end at the kink h = 1 and are
+    bisected until their 4-node Gauss and 9-node Kronrod values agree to
     1e-12 (relative); see the module docstring.  The excess is taken at
     t = 0, at each panel end before T and at h(T).  A `counts` dict, when
     given, receives the guard's work over the batch: "panels", the panels
-    integrated, and "bisected", the bisections among them.  Raises
+    integrated, "bisected", the bisections among them, and "evaluations",
+    the points at which dt/dy was evaluated (panels that were bisected and
+    the search for h(T) included).  Raises
     ValueError when T is not positive and finite, when h' is not finite at
     h0 (the trajectory overflows), when the panel agreement is not reached,
     or when the Newton search for h(T) does not converge ("h(T) not
@@ -298,7 +320,7 @@ def verify_batch(
     """
     if not 0.0 < T < np.inf:
         raise ValueError(f"T must be positive and finite, got {T!r}")
-    tally = {"panels": 0, "bisected": 0}
+    tally = {"panels": 0, "bisected": 0, "evaluations": 0}
     excess = np.array([_cell_excess(q, T, tally) for q in batch], dtype=float)
     if counts is not None:
         counts.update(tally)

@@ -56,20 +56,21 @@ def radial_slope(rr: np.ndarray) -> np.ndarray:
     return np.where(rr < 1.0, -1.0, np.where(rr < 2.0, 0.0, _SLOPE_OUTER))
 
 
-def _panel_quad(fn, lo: float, hi: float, n: int) -> float:
-    nodes, weights = gauss_legendre(n)
-    x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-    return 0.5 * (hi - lo) * float(np.sum(weights * fn(x)))
-
-
-def _radial_integral(fn, n_quad: int, pieces=_PIECES) -> float:
-    """4 pi int r^2 fn(r) dr with piece-aligned Gauss panels."""
-    total = sum(_panel_quad(lambda r: r * r * fn(r), lo, hi, n_quad) for lo, hi in pieces)
-    return 4.0 * np.pi * total
-
-
 # allowed node-doubling disagreement, relative to the integral of |fn|
 _REL_TOL = 1e-8
+
+
+def _radial_integrals(fn, n_quad: int, pieces) -> tuple[float, float]:
+    """4 pi int r^2 fn(r) dr and 4 pi int r^2 |fn(r)| dr with piece-aligned
+    Gauss panels, both from one evaluation of fn per piece."""
+    nodes, weights = gauss_legendre(n_quad)
+    total = scale = 0.0
+    for lo, hi in pieces:
+        r = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+        values = r * r * fn(r)  # r * r >= 0, so |values| is r * r * |fn(r)| bit for bit
+        total += 0.5 * (hi - lo) * float(np.sum(weights * values))
+        scale += 0.5 * (hi - lo) * float(np.sum(weights * np.abs(values)))
+    return 4.0 * np.pi * total, 4.0 * np.pi * scale
 
 
 def _checked(fn, n_quad: int, pieces=_PIECES) -> float:
@@ -78,9 +79,8 @@ def _checked(fn, n_quad: int, pieces=_PIECES) -> float:
     Agreement is measured against the integral of |fn|, so exact cancellation
     (a genuinely zero integral) does not trip the guard.
     """
-    coarse = _radial_integral(fn, n_quad, pieces)
-    fine = _radial_integral(fn, 2 * n_quad, pieces)
-    scale = _radial_integral(lambda r: np.abs(fn(r)), 2 * n_quad, pieces)
+    coarse, _ = _radial_integrals(fn, n_quad, pieces)
+    fine, scale = _radial_integrals(fn, 2 * n_quad, pieces)
     if abs(fine - coarse) > _REL_TOL * (abs(scale) + 1e-300):
         raise ValueError(
             f"quadrature disagreement {abs(fine - coarse):.3e} at n={n_quad}; integrand not resolved"

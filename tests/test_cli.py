@@ -761,8 +761,10 @@ def test_ode_verify_writes_plain_floats(tmp_path, capsys):
         for field in line.split(",")[after_branch:]:
             float(field)
     out = capsys.readouterr().out
-    # the line also gives the falsifier's panels and the bisections among them
-    assert re.match(r"216 cells, \d+ panels, \d+ bisected, worst signed violation ", out), out
+    # the line also gives the falsifier's panels, the bisections among them
+    # and the points at which it evaluated dt/dy
+    assert re.match(r"216 cells, \d+ panels, \d+ bisected, \d+ evaluations, "
+                    r"worst signed violation ", out), out
     worst = out.split("worst signed violation ")[1].split()[0]
     float(worst)
 

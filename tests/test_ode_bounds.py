@@ -184,7 +184,8 @@ def test_lowered_envelope_is_caught(monkeypatch, tmp_path, capsys):
 
 def test_panel_guard_needs_bisection(monkeypatch):
     # the h0 = 1e-4 lemma cell starts 1e-4 from the singular point s = 0 of
-    # s^alpha; its first panels pass the 4/8-node agreement only once bisected
+    # s^alpha; its first panels pass the Gauss-Kronrod 4/9 agreement only
+    # once bisected
     _, q = thm53_lemma_cases()[0]
     assert verify_batch([q])[0] <= 1e-6
     monkeypatch.setattr(ode_bounds, "_MAX_BISECTIONS", 0)
@@ -193,23 +194,27 @@ def test_panel_guard_needs_bisection(monkeypatch):
 
 
 def test_smaller_rule_pair_loses_nothing(monkeypatch):
-    # the shipped 4/8-node guard against a 16/32-node one, on the ode-verify
-    # batch and the Thm 5.3 lemma cells: both sample h at the same panel
-    # ends, and every cell's excess agrees to 1e-14
+    # the shipped Gauss-Kronrod 4/9 guard against a 16/33 one, on the
+    # ode-verify batch and the Thm 5.3 lemma cells: both sample h at the same
+    # panel ends, and every cell's excess agrees to 1e-14; the finer run
+    # evaluates more points, so it did not compare the shipped rule with itself
     batch = cli._ode_grid() + [q for _, q in thm53_lemma_cases()]
-    shipped = verify_batch(batch)
+    shipped_counts, finer_counts = {}, {}
+    shipped = verify_batch(batch, counts=shipped_counts)
     monkeypatch.setattr(ode_bounds, "_NODES", 16)
-    finer = verify_batch(batch)
+    finer = verify_batch(batch, counts=finer_counts)
     assert np.max(np.abs(shipped - finer)) <= 1e-14
+    assert finer_counts["evaluations"] > 3 * shipped_counts["evaluations"]
 
 
 def test_guard_is_live_on_the_shipped_batch():
     # the guard bisects panels of the ode-verify batch, and the counts come
-    # back through the one verify_batch call
+    # back through the one verify_batch call: 9 points on each of the
+    # 167,055 + 19 panels integrated, and 1,823 in the searches for h(T)
     counts = {}
     excess = verify_batch(cli._ode_grid(), counts=counts)
     assert excess.shape == (216,)
-    assert counts == {"panels": 167055, "bisected": 19}
+    assert counts == {"panels": 167055, "bisected": 19, "evaluations": 1505489}
 
 
 def _random_box(seed: int, n: int) -> list[OdeParams]:
