@@ -290,8 +290,6 @@ def _to_jsonable(obj):
         # a field marked sidecar is a counter for meta.json, not the record
         return {f.name: _to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)
                 if not f.metadata.get("sidecar")}
-    if isinstance(obj, np.ndarray):
-        return [_to_jsonable(x) for x in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):

@@ -15,19 +15,14 @@ potential of `grid.dirichlet_energy` minus the source energy, the J that
 right-hand side exactly, so the residual is a pure time-discretization
 remainder and halving dt on rejection always wins eventually.
 
-Each stepper has its own quadrature of the dissipation.  An RKC2 step takes
-the rectangle dt ||(u+ - u)/dt||^2, which misses the dissipation by O(dt^3)
-even on the exact flow: the remainder of a second-order step.  An RK4 step
-takes the exact int ||p'||^2 of the step's cubic Hermite interpolant p
-through u and u+ with slopes f and f+, the right-hand sides at both ends
-(Hairer, Norsett and Wanner, Solving ODEs I).  With D = (u+ - u)/dt,
-A = f - D and B = f+ - D it is dt (||D||^2 + (2/15)(||A||^2 + ||B||^2)
-- (1/15) <A, B>), a closed form in values the step already holds; on the
-exact flow it misses by O(dt^5), so the test does not cap a fourth-order
-step.  The rectangle stays on RKC2 steps: there the Hermite form reads
-audit check (b) of the shipped `diffusion_dominant` at 0.0091 at 32^2 and
-64^2, against the rectangle's 0.0083, nearer the 0.01 under which the error
-factor (below) holds it, and it changes which steps are accepted.
+Both steppers share one quadrature of the dissipation: the exact
+int ||p'||^2 of the step's cubic Hermite interpolant p through u and u+ with
+slopes f and f+, the right-hand sides at both ends (Hairer, Norsett and
+Wanner, Solving ODEs I).  With D = (u+ - u)/dt, A = f - D and B = f+ - D it
+is dt (||D||^2 + (2/15)(||A||^2 + ||B||^2) - (1/15) <A, B>), a closed form
+in values the step already holds.  On the exact flow it misses by O(dt^5),
+so the residual is the step's own remainder, O(dt^3) on an RKC2 step and
+O(dt^5) on an RK4 step, and the test does not cap a fourth-order step.
 
 An s-stage RKC2 step is the three-term Chebyshev recurrence of the scheme,
 with the weights mu_j, nu_j, mu~_j and gamma~_j of `_rkc2_weights`, formed
@@ -199,8 +194,8 @@ class SolverConfig:
     which dt collapses and the run ends; dt_max, a cap on dt that is off (inf)
     by default and set only to hold dt under the admissible step; the final
     time t_end; the energy-residual tolerance energy_tol, relative to
-    1 + |J|, which both trial steps meet, each with its own quadrature of
-    the dissipation; the sup norm blowup_threshold that declares blow-up;
+    1 + |J|, which both trial steps meet with one quadrature of the
+    dissipation; the sup norm blowup_threshold that declares blow-up;
     and the regularization delta of the gradient weight.  Which stepper a
     step takes, its stage count and its step factor are not settings, and the
     trajectory records every accepted state, so no setting thins it."""
@@ -342,7 +337,7 @@ def _work(n: int) -> list[np.ndarray]:
 
 
 def _rkc2_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float, s: int,
-               work: Optional[list[np.ndarray]] = None) -> np.ndarray:
+               work: list[np.ndarray]) -> np.ndarray:
     """The s-stage RKC2 state from u, whose right-hand side is rhs, in a new
     array; it costs s - 1 kernel evaluations, one per inner stage.
     Subtracting u from the stage recurrence Y_j = mu Y_{j-1} + nu Y_{j-2} +
@@ -350,11 +345,11 @@ def _rkc2_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float, s: in
     round-off scales with the step rather than with the state: the blow-up
     tail amplifies a change in the last bit of the state many times over.
     Each stage forms u + d_{j-1} in the kernel's state buffer and its
-    increment in the `work` buffers (`_work`, made here when not given), so
-    an inner stage allocates nothing."""
+    increment in the `work` buffers (`_work`), so an inner stage allocates
+    nothing."""
     (mu1, *_), *rows = _rkc2_weights(s)[0].tolist()
     uf, f = u.reshape(-1), rhs.reshape(-1)
-    d, prev, inc, tmp = work if work is not None else _work(uf.size)
+    d, prev, inc, tmp = work
     x = kernel.state
     np.multiply(f, mu1 * dt, out=d)
     # d_0 = Y_0 - u = 0 enters the first stage's recurrence
@@ -371,14 +366,14 @@ def _rkc2_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float, s: in
 
 
 def _rk4_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float,
-              work: Optional[list[np.ndarray]] = None) -> np.ndarray:
+              work: list[np.ndarray]) -> np.ndarray:
     """The classical RK4 state from u, whose right-hand side is rhs, in a new
     array; it costs three kernel evaluations, one per inner stage.  As in
     `_rkc2_step` the increment is summed before it is added to u, with the
     tableau's weights b = (1/6, 1/3, 1/3, 1/6) times dt, each term as soon as
     its stage slope is formed: the slope buffer then takes the next one."""
     uf, f = u.reshape(-1), rhs.reshape(-1)
-    k, d, tmp = (work if work is not None else _work(uf.size))[:3]
+    k, d, tmp = work[:3]
     x = kernel.state
     b1, b2 = 1.0 / 6.0 * dt, 1.0 / 3.0 * dt
     np.add(uf, np.multiply(f, 0.5 * dt, out=x), out=x)
@@ -392,14 +387,6 @@ def _rk4_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float,
     kernel.stage(k)
     d += np.multiply(k, b1, out=tmp)
     return (uf + d).reshape(u.shape)
-
-
-def _rectangle_dissipation(kernel: _Kernel, u: np.ndarray, u_new: np.ndarray,
-                           dt: float) -> float:
-    """dt ||(u_new - u)/dt||_2^2: the dissipation of a step of size dt by
-    the rectangle rule, O(dt^3) off on the exact flow."""
-    diff = (u_new - u) / dt
-    return dt * kernel.vol * float(np.sum(diff * diff))
 
 
 def _rkc_estimate(u: np.ndarray, rhs: np.ndarray, u_new: np.ndarray, rhs_new: np.ndarray,
@@ -493,10 +480,7 @@ def simulate(
                 # next trial's stages replace them
                 dt_e_new = kernel.explicit_dt()
                 evals += 1
-                if stepper == "rk4":
-                    dissipation = _hermite_dissipation(kernel, u, rhs, u_new, rhs_new, dt_eff)
-                else:
-                    dissipation = _rectangle_dissipation(kernel, u, u_new, dt_eff)
+                dissipation = _hermite_dissipation(kernel, u, rhs, u_new, rhs_new, dt_eff)
                 residual = abs(J_new - Jf + dissipation)
                 tol = cfg.energy_tol * (1.0 + abs(Jf))
                 accepted = math.isfinite(J_new) and residual <= tol

@@ -4,11 +4,11 @@ Products of cos(k pi x / L) are exactly mean-zero under the midpoint rule
 (for 1 <= k < 2n), so the witness families used by the embedding, depth and
 level-set estimators stay in the zero-mean class to round-off.
 
-Every mode with wavenumbers up to kmax is built once per (grid, kmax) into a
-read-only basis matrix, one mode per row, held in a small bounded cache.  A
-random draw is then one coefficient vector times that matrix, and
-`mode_catalogue` reads rows of the same matrix.  `mode_field` evaluates its
-one mode with the code that fills the rows, so an arbitrary wavenumber never
+Every mode with wavenumbers up to 4 is built once per grid into a read-only
+basis matrix, one mode per row, held in a small bounded cache.  A random
+draw is then one coefficient vector times that matrix, and `mode_catalogue`
+reads its rows with wavenumbers up to 2.  `mode_field` evaluates its one
+mode with the code that fills the rows, so an arbitrary wavenumber never
 builds a large basis.
 
 Every sampled estimator (B0, B, C-tilde, depth) scans the same
@@ -29,8 +29,10 @@ from .grid import Grid, GridFunction, _minus_mean
 
 __all__ = ["mode_field", "mode_catalogue", "random_field", "witness_bank", "perturb"]
 
-# wavenumber band of random_field; mode_catalogue shares its basis
+# wavenumber band of random_field; mode_catalogue shares its basis and takes
+# the modes up to _CATALOGUE_KMAX
 _KMAX = 4
+_CATALOGUE_KMAX = 2
 
 
 def _mode_values(grid: Grid, ks: tuple[int, ...]) -> np.ndarray:
@@ -43,14 +45,14 @@ def _mode_values(grid: Grid, ks: tuple[int, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _mode_basis(grid: Grid, kmax: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+def _mode_basis(grid: Grid) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     """Wavenumber tuples and the (modes x cells) matrix of their fields.
 
-    Rows are the non-constant modes with every wavenumber <= kmax, in
+    Rows are the non-constant modes with every wavenumber <= _KMAX, in
     itertools.product order.  The matrix is shared by every caller, so it is
-    read-only; at 64x64 and kmax 4 it holds 24 x 4096 floats.
+    read-only; at 64x64 it holds 24 x 4096 floats.
     """
-    modes = tuple(ks for ks in product(range(kmax + 1), repeat=grid.dimension) if any(ks))
+    modes = tuple(ks for ks in product(range(_KMAX + 1), repeat=grid.dimension) if any(ks))
     basis = np.empty((len(modes), int(np.prod(grid.shape))))
     for row, ks in zip(basis, modes):
         row[:] = _mode_values(grid, ks).ravel()
@@ -72,11 +74,11 @@ def mode_field(grid: Grid, ks: tuple[int, ...]) -> GridFunction:
     return GridFunction(grid, _mode_values(grid, ks))
 
 
-def mode_catalogue(grid: Grid, kmax: int = 3) -> list[GridFunction]:
-    """All pure modes with wavenumbers up to kmax (deterministic order)."""
-    modes, basis = _mode_basis(grid, max(_KMAX, kmax))
+def mode_catalogue(grid: Grid) -> list[GridFunction]:
+    """All pure modes with wavenumbers up to 2 (deterministic order)."""
+    modes, basis = _mode_basis(grid)
     return [GridFunction(grid, row.reshape(grid.shape))
-            for ks, row in zip(modes, basis) if max(ks) <= kmax]
+            for ks, row in zip(modes, basis) if max(ks) <= _CATALOGUE_KMAX]
 
 
 def _draw(grid: Grid, rng: np.random.Generator, lo: float, hi: float) -> np.ndarray:
@@ -89,7 +91,7 @@ def _draw(grid: Grid, rng: np.random.Generator, lo: float, hi: float) -> np.ndar
     (lo == hi == 1) has amplitude exp(0), exactly 1.  The values are formed
     in one fresh array, and scaled and projected in place.
     """
-    _, basis = _mode_basis(grid, _KMAX)
+    _, basis = _mode_basis(grid)
     vals = rng.normal(size=basis.shape[0]) @ basis
     amp = np.exp(rng.uniform(np.log(lo), np.log(hi)))
     scale = max(vals.max(), -vals.min())
@@ -109,9 +111,9 @@ def random_field(
 
 
 def witness_bank(grid: Grid, seed: int, n: int) -> list[tuple[str, GridFunction]]:
-    """The kmax = 2 catalogue as mode<i>, then n draws of `random_field` from
+    """The catalogue as mode<i>, then n draws of `random_field` from
     default_rng(seed) as draw<i>; prefix-stable in n."""
-    bank = [(f"mode{i}", w) for i, w in enumerate(mode_catalogue(grid, kmax=2))]
+    bank = [(f"mode{i}", w) for i, w in enumerate(mode_catalogue(grid))]
     rng = np.random.default_rng(seed)
     bank.extend((f"draw{i}", random_field(grid, rng)) for i in range(n))
     return bank

@@ -94,10 +94,10 @@ _SHIPPED_CONSTANTS = {
 # each shipped config's seed-0 step counts from meta.json: accepted,
 # rejected, kernel evaluations and accepted RK4 steps
 _SHIPPED_COUNTS = {
-    "blowup_2d": (271, 0, 981, 219),
-    "high_energy": (270, 1, 895, 176),
-    "global_2d": (143, 0, 643, 0),
-    "diffusion_dominant": (123, 0, 1276, 0),
+    "blowup_2d": (266, 0, 969, 218),
+    "high_energy": (260, 1, 873, 175),
+    "global_2d": (117, 0, 566, 0),
+    "diffusion_dominant": (107, 0, 1208, 0),
     "negative_energy": (58, 0, 800, 0),
     "zero": (22, 0, 73, 0),
 }
@@ -121,12 +121,14 @@ def _strict_json(path):
 def test_shipped_config_agrees(tmp_path, name, verdict):
     # every shipped simulate config: its verdict, the rule that decides it
     # and the constants it records, the simulated outcome that goes with it,
-    # a trajectory row for the datum and each accepted step, and its step
-    # counts
+    # a trajectory row for the datum and each accepted step, its step counts,
+    # and audit check (b) under the 0.01 at which the solver's error factor
+    # aims to hold it
     rec = run(CONFIGS / f"{name}.ini", tmp_path, seed=0, quiet=True)
     assert (rec["verdict"].prediction, rec["verdict"].rule) == (verdict, _SHIPPED_RULE[name])
     assert set(rec["verdict"].constants) == _SHIPPED_CONSTANTS[name]
     assert rec["outcome"].kind == _OUTCOME[verdict]
+    assert rec["audit"].l2_rate_max_rel_err < 0.01
     run_dir = tmp_path / f"{name}-s0"
     _strict_json(run_dir / "record.json")
     meta = _strict_json(run_dir / "meta.json")
@@ -683,9 +685,8 @@ def test_report_null_blocks_read_as_empty(tmp_path):
 def test_json_writes_non_finite_as_null(tmp_path):
     path = tmp_path / "x.json"
     cli._write_json(path, {"a": float("nan"), "b": [np.inf, -np.inf, np.float64("nan")],
-                           "c": np.array([1.5, np.nan]), "d": 2.0})
-    assert _strict_json(path) == {"a": None, "b": [None, None, None], "c": [1.5, None],
-                                  "d": 2.0}
+                           "d": 2.0})
+    assert _strict_json(path) == {"a": None, "b": [None, None, None], "d": 2.0}
     # the zero datum's delta0 = S/G is undefined: null in the record, which
     # the report still reads
     run(CONFIGS / "zero.ini", tmp_path, seed=0, do_simulate=False, quiet=True)

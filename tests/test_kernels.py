@@ -163,12 +163,11 @@ def test_shared_face_scratch_between_rays_and_kernels(grid):
 
 @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d"])
 def test_pure_modes_match_mode_loop(grid):
-    for kmax in (2, 3, 6):
-        cat = mode_catalogue(grid, kmax=kmax)
-        modes = [ks for ks in product(range(kmax + 1), repeat=grid.dimension) if any(ks)]
-        assert len(cat) == len(modes)
-        for w, ks in zip(cat, modes):
-            assert np.array_equal(w.values, _mode_field_loop(grid, ks))
+    cat = mode_catalogue(grid)
+    modes = [ks for ks in product(range(3), repeat=grid.dimension) if any(ks)]
+    assert len(cat) == len(modes)
+    for w, ks in zip(cat, modes):
+        assert np.array_equal(w.values, _mode_field_loop(grid, ks))
     ks = (7,) if grid.dimension == 1 else (0, 9)
     assert np.array_equal(mode_field(grid, ks).values, _mode_field_loop(grid, ks))
 
@@ -186,7 +185,7 @@ def test_mode_field_rejects_vanishing_mode(ks):
 @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d"])
 def test_witness_bank_catalogue_then_draws(grid):
     bank = witness_bank(grid, seed=5, n=7)
-    cat = mode_catalogue(grid, kmax=2)
+    cat = mode_catalogue(grid)
     assert [label for label, _ in bank] == (
         [f"mode{i}" for i in range(len(cat))] + [f"draw{i}" for i in range(7)])
     for (_, w), ref in zip(bank, cat):
@@ -203,7 +202,7 @@ def test_witness_bank_catalogue_then_draws(grid):
 
 def _nehari_witnesses(grid):
     rng = np.random.default_rng(4)
-    return mode_catalogue(grid, kmax=2) + [random_field(grid, rng) for _ in range(32)]
+    return mode_catalogue(grid) + [random_field(grid, rng) for _ in range(32)]
 
 
 @pytest.mark.parametrize("r_spec", ["const:4.0", "affine:3.4+0.4x+0.3y"])

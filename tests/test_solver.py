@@ -65,7 +65,8 @@ def _rkc2(u, p, r, dt, delta=1e-8):
     kernel = _Kernel(u.grid, p.values, delta, r.values)
     rhs = kernel.rhs(u.values)
     s = solver._stages(dt, kernel.explicit_dt())
-    return GridFunction(u.grid, solver._rkc2_step(kernel, u.values, rhs, dt, s))
+    return GridFunction(u.grid, solver._rkc2_step(kernel, u.values, rhs, dt, s,
+                                                  solver._work(u.values.size)))
 
 
 def test_step_zero_fixed_point(setup2d):
@@ -147,7 +148,7 @@ class _Scalar:
 def _stability_polynomial(s, z):
     """P_s(z): one s-stage `_rkc2_step` of y' = z y from y = 1 at dt = 1."""
     one = np.ones_like(z)
-    return solver._rkc2_step(_Scalar(z), one, z, 1.0, s)
+    return solver._rkc2_step(_Scalar(z), one, z, 1.0, s, solver._work(z.size))
 
 
 def test_rkc2_polynomial_is_stable_and_second_order():
@@ -499,8 +500,9 @@ def _reference_simulate(u0, p, r, cfg, tail_cap=True):
     passes, J evaluated again after the mean re-zero, the RKC2 weights formed
     stage by stage from Chebyshev polynomials of `numpy.polynomial.chebyshev`
     (`_chebyshev_rkc2`), the stage count found by counting up, RK4 steps
-    formed from the Butcher tableau in the blow-up tail with the Hermite
-    dissipation by Gauss-Legendre quadrature, and the stepper's dt rule:
+    formed from the Butcher tableau in the blow-up tail, the Hermite
+    dissipation of every step by Gauss-Legendre quadrature, and the
+    stepper's dt rule:
     outside the tail an RKC2 step's next dt also follows the RKC local-error
     estimate of Sommeijer, Shampine and Verwer (1998), formed from
     right-hand sides evaluated again, and in the tail growth stops at dt_E
@@ -594,12 +596,8 @@ def _reference_simulate(u0, p, r, cfg, tail_cap=True):
         accepted = False
         if finite:
             J_new = internal_J(u_new)
-            if fourth:
-                dissipation = _gauss_hermite_dissipation(vol, u, rhs_of(u), u_new, rhs_of(u_new),
-                                                         dt_eff, 3)
-            else:
-                diff = (u_new - u) / dt_eff
-                dissipation = dt_eff * vol * float(np.sum(diff * diff))
+            dissipation = _gauss_hermite_dissipation(vol, u, rhs_of(u), u_new, rhs_of(u_new),
+                                                     dt_eff, 3)
             residual = abs(J_new - Jf + dissipation)
             tol = cfg.energy_tol * (1.0 + abs(Jf))
             accepted = np.isfinite(J_new) and residual <= tol
@@ -674,9 +672,9 @@ def _mixed_mode_run(factor, cfg):
 # the decaying runs' (accepted, rejected) counts
 @pytest.mark.parametrize("factor, cfg, counts", [
     (1.7, _BLOWUP16, None),
-    (0.25, _DECAY16, (73, 0)),
-    (0.25, _DECAY16_LONG, (246, 0)),
-    (0.25, _DECAY16_CAPPED, (295, 0)),
+    (0.25, _DECAY16, (66, 0)),
+    (0.25, _DECAY16_LONG, (208, 0)),
+    (0.25, _DECAY16_CAPPED, (259, 0)),
     (1.7, _COLLAPSE16, (1988, 0)),
 ], ids=["blowup", "decay", "decay-uncapped", "decay-capped", "collapse"])
 def test_simulate_matches_reference_loop(factor, cfg, counts):
@@ -725,11 +723,11 @@ def test_overflowing_trial_is_rejected_without_a_warning(monkeypatch):
         warnings.simplefilter("error")
         traj = simulate(u0, build_field(2.0, g), build_field(4.0, g), cfg)
     assert traj.outcome.kind == BLOWUP_DETECTED
-    assert (traj.step_count, traj.rejected_steps) == (358, 14)
-    assert sum(traj.trials.values()) == 358 + 14
+    assert (traj.step_count, traj.rejected_steps) == (355, 13)
+    assert sum(traj.trials.values()) == 355 + 13
     assert [row for row in finite if not row[1]] == [finite[0]] == [(9, False)]
     assert traj.trials[solver.Trial(1, "rkc2", 9, None, False)] == 1
-    assert traj.kernel_evals == 1 + _trial_cost(traj) - 1 == 1470
+    assert traj.kernel_evals == 1 + _trial_cost(traj) - 1 == 1460
 
 
 # the 16^2 mixed-mode run's escape time to ||u||_inf = 1e4, converged in the
@@ -760,10 +758,10 @@ def test_escape_time_matches_converged_reference():
     # at the default energy_tol 1e-6, RKL2 steps alone were 4.6e-5 off the
     # converged escape time after 2,891 kernel evaluations and explicit Euler
     # 6.7e-4 off after 15,328; with RK4 steps in the tail the run is within
-    # 1e-5 after 629 at every seed
+    # 1e-5 after 627 at every seed
     traj = _mixed_mode_run(1.7, _BLOWUP16)
     assert traj.outcome.t_b == pytest.approx(_T_B_CONVERGED, rel=1e-5, abs=0.0)
-    assert traj.kernel_evals == 629
+    assert traj.kernel_evals == 627
 
 
 def test_dt_collapse_through_shrink_reported(monkeypatch):
@@ -806,8 +804,8 @@ def test_hermite_dissipation_is_exact_and_fourth_order():
     # five-point Gauss-Legendre on random end values and slopes.  On a smooth
     # state the energy residual J(u+) - J(u) + dissipation of an RK4 step with
     # it falls like dt^5, and that of a two-stage RKC2 step with the
-    # rectangle rule like dt^3; dt runs from dt_E down by halves, every
-    # residual far above the round-off of J
+    # rectangle rule dt ||(u2 - u)/dt||^2 like dt^3; dt runs from dt_E down by
+    # halves, every residual far above the round-off of J
     u0, p, r = _mixed_mode_datum(1.0)
     kernel = _Kernel(u0.grid, p.values, 1e-8, r.values)
     rng = np.random.default_rng(7)
@@ -818,17 +816,40 @@ def test_hermite_dissipation_is_exact_and_fourth_order():
     u = project_mean_zero(u0).values
     J, f, _, _ = kernel(u)
     dts = kernel.explicit_dt() * 0.5 ** np.arange(5)
+    work = solver._work(u.size)
     hermite, rectangle = [], []
     for dt in dts:
-        u4 = solver._rk4_step(kernel, u, f, dt)
+        u4 = solver._rk4_step(kernel, u, f, dt, work)
         J4, f4, _, _ = kernel(u4)
         hermite.append(abs(J4 - J + solver._hermite_dissipation(kernel, u, f, u4, f4, dt)))
-        u2 = solver._rkc2_step(kernel, u, f, dt, 2)
-        rectangle.append(abs(kernel(u2)[0] - J + solver._rectangle_dissipation(kernel, u, u2, dt)))
+        u2 = solver._rkc2_step(kernel, u, f, dt, 2, work)
+        diff = (u2 - u) / dt
+        rectangle.append(abs(kernel(u2)[0] - J + dt * kernel.vol * float(np.sum(diff * diff))))
     assert min(hermite) > 100.0 * np.finfo(float).eps * abs(J)
     slope4, slope2 = (np.polyfit(np.log(dts), np.log(res), 1)[0] for res in (hermite, rectangle))
     assert slope4 >= 4.5
     assert slope2 == pytest.approx(3.0, abs=0.1)
+
+
+@pytest.mark.parametrize("factor, cfg, steppers", [
+    (0.25, _DECAY16, {"rkc2"}),
+    (1.7, _BLOWUP16, {"rkc2", "rk4"}),
+], ids=["decay", "escape"])
+def test_every_trial_takes_the_hermite_dissipation(monkeypatch, factor, cfg, steppers):
+    # one energy test for both steppers: the decaying run takes RKC2 trials
+    # alone, the escape run RKC2 and RK4 trials, and every trial state is
+    # finite, so each trial is evaluated and reads the Hermite dissipation once
+    calls = [0]
+
+    def counted(*args, _rule=solver._hermite_dissipation):
+        calls[0] += 1
+        return _rule(*args)
+
+    monkeypatch.setattr(solver, "_hermite_dissipation", counted)
+    traj = simulate(*_mixed_mode_datum(factor), cfg)
+    assert traj.kernel_evals == 1 + _trial_cost(traj)
+    assert calls[0] == sum(traj.trials.values())
+    assert set(traj.steps_by("stepper")) == steppers
 
 
 def test_rkc_estimate_is_third_order():
@@ -840,9 +861,10 @@ def test_rkc_estimate_is_third_order():
     u = project_mean_zero(u0).values
     _, f, _, _ = kernel(u)
     dts = kernel.explicit_dt() * 0.5 ** np.arange(5)
+    work = solver._work(u.size)
     estimates = []
     for dt in dts:
-        u2 = solver._rkc2_step(kernel, u, f, dt, 2)
+        u2 = solver._rkc2_step(kernel, u, f, dt, 2, work)
         estimates.append(solver._rkc_estimate(u, f, u2, kernel(u2)[1], dt))
     assert min(estimates) > 1e6 * np.finfo(float).eps * np.linalg.norm(u)
     slope = np.polyfit(np.log(dts), np.log(estimates), 1)[0]
@@ -925,14 +947,14 @@ def test_tail_growth_stops_at_explicit_bound():
     cfg = SolverConfig(dt_init=1e-6, t_end=1.0, blowup_threshold=1e5)
     traj = simulate(u0, p, r, cfg)
     assert traj.outcome.kind == BLOWUP_DETECTED
-    assert traj.steps_by("stages") == {None: [219, 0], 2: [52, 0]} and traj.rejected_steps == 0
-    assert traj.kernel_evals == 981
+    assert traj.steps_by("stages") == {None: [218, 0], 2: [48, 0]} and traj.rejected_steps == 0
+    assert traj.kernel_evals == 969
     assert traj.outcome.t_b == pytest.approx(_T_B_BLOWUP_2D, rel=1e-5, abs=0.0)
     capped = _reference_simulate(u0, p, r, cfg)
     uncapped = _reference_simulate(u0, p, r, cfg, tail_cap=False)
-    assert capped[1:4] == (traj.step_count, 0, 981)
+    assert capped[1:4] == (traj.step_count, 0, 969)
     assert capped[0][1] == pytest.approx(traj.outcome.t_b, rel=1e-12, abs=0.0)
-    assert uncapped[2:4] == (16, 1085)
+    assert uncapped[2:4] == (16, 1077)
 
 
 def test_shipped_escape_config_meets_converged_escape_time():
@@ -970,7 +992,7 @@ def test_uncapped_decay_steps_past_old_cap():
     assert traj.outcome.kind == capped.outcome.kind == GLOBAL_UNTIL_TEND
     assert np.diff(capped.t).max() == pytest.approx(1e-2, rel=1e-12, abs=0.0)
     assert np.diff(traj.t).max() > 2e-2
-    assert (traj.kernel_evals, capped.kernel_evals) == (1189, 1634)
+    assert (traj.kernel_evals, capped.kernel_evals) == (1103, 1564)
     rep = audit_trajectory(traj)
     assert rep.l2_rate_ok and rep.l2_rate_max_rel_err <= solver._RATE_TOL == 0.05
     assert traj.max_rel_residual <= _DECAY16_LONG.energy_tol
