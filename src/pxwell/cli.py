@@ -355,7 +355,7 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
         enter("hypotheses")
         hyp = check_hypotheses(p, r)
         record["hypotheses"] = hyp
-        reg_p, reg_r = check_log_holder(p, r, seed=seed)
+        reg_p, reg_r = check_log_holder(p, r)
         record["regularity"] = {"p": reg_p, "r": reg_r}
 
         enter("estimates")

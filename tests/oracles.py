@@ -18,6 +18,10 @@ right-hand side from the `rhs(u)` of the kernel they are given.  The
 solver's steppers form their stages in preallocated buffers; run on the
 per-axis slice kernel of `tests/test_flat_kernel.py` these must give their
 states bit for bit, since every elementwise operation has the same operands.
+
+`log_holder_all_pairs` is the log-Hölder modulus that
+`exponents.check_log_holder` reads by offset class, taken pair by pair with
+distances from the cell centers.
 """
 
 from __future__ import annotations
@@ -187,3 +191,19 @@ def rk4_step(kernel, u, rhs, dt):
     d += b2 * k3
     d += b1 * k4
     return u + d
+
+
+def log_holder_all_pairs(field):
+    """The largest |q(x) - q(y)| ln(1/|x - y|) over every pair of cell
+    centers with 0 < |x - y| < 1, 0.0 when no pair is that close: each cell
+    against every later one in C order."""
+    pts = np.stack([c.ravel() for c in field.grid.centers()], axis=1)
+    q = field.values.ravel()
+    best = 0.0
+    for i in range(q.size - 1):
+        dist = np.sqrt(((pts[i + 1:] - pts[i]) ** 2).sum(axis=1))
+        near = (dist > 0.0) & (dist < 1.0)
+        if near.any():
+            mod = np.abs(q[i + 1:][near] - q[i]) * np.log(1.0 / dist[near])
+            best = max(best, float(mod.max()))
+    return best

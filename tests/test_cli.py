@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import fail_lambda_star_calls
+from oracles import log_holder_all_pairs
 from pxwell import cli, radial_gap
 from pxwell.cli import ConfigError, _load_config, main, run
 from pxwell.grid import Grid
@@ -123,9 +124,16 @@ def test_shipped_config_agrees(tmp_path, name, verdict):
     # and the constants it records, the simulated outcome that goes with it,
     # a trajectory row for the datum and each accepted step, its step counts,
     # and audit check (b) under the 0.01 at which the solver's error factor
-    # aims to hold it
-    rec = run(CONFIGS / f"{name}.ini", tmp_path, seed=0, quiet=True)
+    # aims to hold it; both exponents pass the log-Hölder audit, whose
+    # reading on p is the modulus over every pair of cells
+    path = CONFIGS / f"{name}.ini"
+    rec = run(path, tmp_path, seed=0, quiet=True)
     assert (rec["verdict"].prediction, rec["verdict"].rule) == (verdict, _SHIPPED_RULE[name])
+    assert rec["regularity"]["p"].passes and rec["regularity"]["r"].passes
+    cfg = _load_config(path)
+    p = cli._build_exponent(cfg, cli._build_grid(cfg), "p")
+    assert rec["regularity"]["p"].max_log_modulus == pytest.approx(
+        log_holder_all_pairs(p), rel=1e-14, abs=0.0)
     assert set(rec["verdict"].constants) == _SHIPPED_CONSTANTS[name]
     assert rec["outcome"].kind == _OUTCOME[verdict]
     assert rec["audit"].l2_rate_max_rel_err < 0.01

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import pxwell
+from oracles import log_holder_all_pairs
 from pxwell.exponents import build_field, check_hypotheses, check_log_holder
 from pxwell.grid import Grid
 
@@ -65,7 +66,6 @@ def test_log_holder_lipschitz_bounded():
     (rep,) = check_log_holder(build_field("affine:2.0+1.0x", g))
     assert rep.passes
     assert rep.max_log_modulus <= 1.0 / np.e + 1e-12
-    assert rep.pairs_checked > 0
 
 
 def test_log_holder_jump_fails_on_fine_grids():
@@ -77,24 +77,26 @@ def test_log_holder_jump_fails_on_fine_grids():
     fine_grid = Grid((512,), (1.0,))
     fine_field = build_field(steep(*fine_grid.centers()), fine_grid)
     (fine,) = check_log_holder(fine_field)
-    # adjacent cells straddle the jump: modulus ~ 2.4 ln(n)
+    # adjacent cells straddle the jump: modulus ~ 2.4 ln(n), read at the
+    # closest pairs
     h = fine_grid.spacing[0]
     q = fine_field.values
     jumps = np.abs(np.diff(q)) * np.log(1.0 / h)
-    assert fine.max_log_modulus >= jumps.max() - 1e-12
+    assert fine.max_log_modulus == jumps.max()
     assert not fine.passes
     assert coarse.max_log_modulus < fine.max_log_modulus
 
 
 def test_log_holder_refinement_monotone():
-    # nested cell centers under factor-3 refinement, exhaustive pairs
+    # nested cell centers under factor-3 refinement: the finer grid holds
+    # every pair of the coarser
     def q(x):
         return 2.0 + 0.8 * np.sin(3 * np.pi * x)
 
     vals = []
     for n in (6, 18, 54):
         g = Grid((n,), (1.0,))
-        (rep,) = check_log_holder(build_field(q(*g.centers()), g), pair_budget=10**6)
+        (rep,) = check_log_holder(build_field(q(*g.centers()), g))
         vals.append(rep.max_log_modulus)
     assert vals[0] <= vals[1] <= vals[2]
 
@@ -146,110 +148,91 @@ def test_hypotheses_monotone_in_r():
         assert low or not high  # raising r cannot flip false -> true
 
 
-def _log_holder_set_loop(field, pair_budget=20000, cap=10.0, seed=0):
-    """The pair selection as a Python set of (a, b) tuples, kept as an oracle
-    for the integer-key selection in check_log_holder."""
-    grid = field.grid
-    pts = np.stack([c.ravel() for c in grid.centers()], axis=1)
-    q = field.values.ravel()
-    n = q.size
-    pairs = set()
-    idx = np.arange(n).reshape(grid.shape)
-    for axis in range(grid.dimension):
-        lo = [slice(None)] * grid.dimension
-        hi = [slice(None)] * grid.dimension
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        for a, b in zip(idx[tuple(lo)].ravel(), idx[tuple(hi)].ravel()):
-            pairs.add((int(a), int(b)))
-    if n * (n - 1) // 2 <= pair_budget:
-        ii, jj = np.triu_indices(n, k=1)
-        pairs.update(zip(ii.tolist(), jj.tolist()))
-    else:
-        rng = np.random.default_rng(seed)
-        while len(pairs) < pair_budget:
-            draw = rng.integers(0, n, size=(pair_budget, 2))
-            for a, b in draw:
-                if a == b:
-                    continue
-                pairs.add((int(min(a, b)), int(max(a, b))))
-                if len(pairs) >= pair_budget:
-                    break
-    ii = np.fromiter((a for a, _ in pairs), dtype=int)
-    jj = np.fromiter((b for _, b in pairs), dtype=int)
-    dist = np.linalg.norm(pts[ii] - pts[jj], axis=1)
-    mask = (dist > 0.0) & (dist < 1.0)
-    if not np.any(mask):
-        return 0.0, True, 0, cap
-    max_mod = float((np.abs(q[ii[mask]] - q[jj[mask]]) * np.log(1.0 / dist[mask])).max())
-    return max_mod, bool(np.isfinite(max_mod) and max_mod <= cap), int(mask.sum()), cap
+_FIELDS_1D = {
+    "affine": "affine:1.6+0.5x",
+    "sin": "sin:2.2+0.3*sin(8pix)",
+    "const": 2.0,
+}
+_FIELDS_2D = {**_FIELDS_1D, "affine": "affine:1.6+0.5x+0.9y"}
 
 
-def _assert_matches_set_loop(g, budget, seed):
-    spec = "sin:2.0+0.4*sin(3pix)" if g.dimension == 1 else "affine:1.6+0.5x+0.9y"
-    # a sharp bump makes the maximum depend on which pairs are drawn
-    f = build_field(build_field(spec, g).values + 0.5 * (g.centers()[0] > 0.37), g)
-    (rep,) = check_log_holder(f, pair_budget=budget, seed=seed)
-    assert (rep.max_log_modulus, rep.passes, rep.pairs_checked, rep.cap) == \
-        _log_holder_set_loop(f, pair_budget=budget, seed=seed)
+def _audit_field(g, kind):
+    """An exponent field of the given kind on g: one of `_FIELDS_1D` or
+    `_FIELDS_2D`, uniform noise from a fixed seed, or the affine field with a
+    step of 0.5 across x = 0.37."""
+    fields = _FIELDS_1D if g.dimension == 1 else _FIELDS_2D
+    if kind == "random":
+        return build_field(np.random.default_rng(11).uniform(1.5, 3.5, g.shape), g)
+    if kind == "step":
+        step = 0.5 * (g.centers()[0] > 0.37)
+        return build_field(build_field(fields["affine"], g).values + step, g)
+    return build_field(fields[kind], g)
 
 
-@pytest.mark.parametrize("cells, budget, seed", [
-    ((64,), 20000, 0),        # exhaustive
-    ((200,), 20000, 0),       # exhaustive, 19900 pairs
-    ((32, 32), 20000, 3),     # one draw batch fills the budget
-    ((16, 16), 20000, 1),     # several draw batches
-    ((128, 128), 20000, 0),   # adjacent pairs alone exceed the budget
-    ((12, 9), 1000, 5),       # non-square: row ends every 9 flat cells
-    ((9, 12), 1000, 5),
-    ((300,), 20000, 2),       # sampled 1D
-    ((64, 64), 5000, 123),    # adjacent pairs with row-end wraps exceed the budget
-    ((4,), 4, 0),             # the first draw batch holds only taken pairs
-])
-def test_log_holder_matches_set_loop(cells, budget, seed):
-    _assert_matches_set_loop(Grid(cells, (1.0,) * len(cells)), budget, seed)
+@pytest.mark.parametrize("kind", ["affine", "sin", "const", "random", "step"])
+@pytest.mark.parametrize("cells, lengths", [
+    ((32, 32), (1.0, 1.0)),
+    ((64, 64), (1.0, 1.0)),
+    ((12, 9), (1.0, 1.0)),
+    ((16, 16), (3.0, 3.0)),    # the pairs at distance >= 1 are left out
+    ((20, 30), (1.0, 0.7)),    # cells that are not square
+    ((64,), (1.0,)),
+    ((300,), (1.0,)),
+], ids=["32x32", "64x64", "12x9", "16x16-side3", "20x30-1x0.7", "64", "300"])
+def test_log_holder_matches_all_pairs(cells, lengths, kind):
+    f = _audit_field(Grid(cells, lengths), kind)
+    (rep,) = check_log_holder(f)
+    assert rep.max_log_modulus == pytest.approx(log_holder_all_pairs(f), rel=1e-14, abs=0.0)
+    assert rep.passes == (rep.max_log_modulus <= rep.cap)
 
 
-@pytest.mark.parametrize("budget, seed", [(5000, 0), (20000, 7)])
-def test_log_holder_matches_set_loop_on_side_3(budget, seed):
-    # on the square of side 3 the pairs at distance >= 1 are masked out
-    _assert_matches_set_loop(Grid((16, 16), (3.0, 3.0)), budget, seed)
+def test_log_holder_without_close_pairs_reads_zero():
+    # the two cell centers are 1.5 apart, so no pair enters the audit
+    g = Grid((2,), (3.0,))
+    f = build_field(np.array([1.5, 3.5]), g)
+    (rep,) = check_log_holder(f)
+    assert rep.max_log_modulus == log_holder_all_pairs(f) == 0.0 and rep.passes
 
 
-@pytest.mark.parametrize("cells, budget, seed", [
-    ((64,), 20000, 0),        # exhaustive
-    ((32, 32), 20000, 7),     # sampled
-    ((12, 9), 500, 2),        # sampled, non-square
-])
-def test_log_holder_fields_scored_together_match_each_alone(cells, budget, seed):
-    # a run scores p and r on one sample; together or one by one, each
+@pytest.mark.parametrize("spec", ["sin:2.2+0.3*sin(8pix)", "affine:1.8+0.35x+0.35y"])
+def test_log_holder_is_invariant_under_the_square_symmetries(spec):
+    # the eight images of a field under the rotations and reflections of the
+    # square have one modulus, bit for bit
+    g = Grid((64, 64), (1.0, 1.0))
+    q = build_field(spec, g).values
+    images = [np.rot90(v, k) for v in (q, q.T) for k in range(4)]
+    reports = [check_log_holder(build_field(np.ascontiguousarray(v), g))[0] for v in images]
+    assert all(rep == reports[0] for rep in reports)
+
+
+@pytest.mark.parametrize("cells", [(64,), (32, 32), (12, 9)])
+def test_log_holder_fields_scored_together_match_each_alone(cells):
+    # a run scores p and r on one offset table; together or one by one, each
     # field's report is the same
     g = Grid(cells, (1.0,) * len(cells))
     spec = "sin:2.0+0.4*sin(3pix)" if len(cells) == 1 else "affine:1.6+0.5x+0.9y"
     p = build_field(spec, g)
     r = build_field(p.values + 1.4 + 0.5 * (g.centers()[0] > 0.37), g)
-    together = check_log_holder(p, r, pair_budget=budget, seed=seed)
-    alone = (check_log_holder(p, pair_budget=budget, seed=seed)
-             + check_log_holder(r, pair_budget=budget, seed=seed))
+    together = check_log_holder(p, r)
+    alone = check_log_holder(p) + check_log_holder(r)
     assert together == alone
     assert together[0] != together[1]
 
 
 def test_log_holder_leaves_numpy_ma_unimported():
-    # the sampled pair selection finds first draws with argsort; np.unique
-    # and np.isin, which it once used, import numpy.ma on a process's first
-    # call
+    # the audit takes array slices and reductions only; np.unique and np.isin
+    # would import numpy.ma on a process's first call
     code = ("import sys\n"
             "from pxwell.exponents import build_field, check_log_holder\n"
             "from pxwell.grid import Grid\n"
             "g = Grid((32, 32), (1.0, 1.0))\n"
             "(rep,) = check_log_holder(build_field('affine:1.6+0.5x+0.9y', g))\n"
-            "print(rep.pairs_checked, 'numpy.ma' in sys.modules)\n")
+            "print(rep.max_log_modulus, 'numpy.ma' in sys.modules)\n")
     src = str(Path(pxwell.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
-    pairs, imported = proc.stdout.split()
-    assert int(pairs) > 0 and imported == "False"
+    modulus, imported = proc.stdout.split()
+    assert float(modulus) > 0.0 and imported == "False"
 
 
 def test_log_holder_fields_must_share_one_grid():

@@ -852,6 +852,41 @@ def test_every_trial_takes_the_hermite_dissipation(monkeypatch, factor, cfg, ste
     assert set(traj.steps_by("stepper")) == steppers
 
 
+_SYMMETRY_RUNS = pytest.mark.parametrize("factor, cfg", [(0.25, _DECAY16), (1.7, _BLOWUP16)],
+                                         ids=["decay", "escape"])
+
+
+@_SYMMETRY_RUNS
+def test_negated_datum_takes_the_same_steps_bit_for_bit(factor, cfg):
+    # the equation is odd in u: from -u0 every accepted state is the negated
+    # state, so every column of the table has the same bits
+    u0, p, r = _mixed_mode_datum(factor)
+    neg = simulate(GridFunction(u0.grid, -u0.values), p, r, cfg)
+    traj = _mixed_mode_run(factor, cfg)
+    for name in ("t", "J", "G", "S", "l2sq", "linf", "dt"):
+        assert np.array_equal(getattr(neg, name), getattr(traj, name)), name
+    assert neg.outcome == traj.outcome
+
+
+@_SYMMETRY_RUNS
+def test_transposed_datum_takes_the_same_steps(factor, cfg):
+    # the reflection of the square in its diagonal, with p's values carried
+    # along: the sums run in another order, so the energies agree to rounding
+    # and the step sequence exactly
+    u0, p, r = _mixed_mode_datum(factor)
+    g = u0.grid
+    flip = simulate(GridFunction(g, np.ascontiguousarray(u0.values.T)),
+                    build_field(np.ascontiguousarray(p.values.T), g), r, cfg)
+    traj = _mixed_mode_run(factor, cfg)
+    assert (flip.step_count, flip.rejected_steps, flip.kernel_evals) == (
+        traj.step_count, traj.rejected_steps, traj.kernel_evals)
+    assert flip.outcome.kind == traj.outcome.kind
+    assert (flip.outcome.t_b is None) == (traj.outcome.t_b is None)
+    if traj.outcome.t_b is not None:
+        assert flip.outcome.t_b == pytest.approx(traj.outcome.t_b, rel=1e-10, abs=0.0)
+    assert flip.J == pytest.approx(traj.J, rel=1e-10, abs=0.0)
+
+
 def test_rkc_estimate_is_third_order():
     # the RKC estimate ||12 (u - u+) + 6 dt (f + f+)|| / 15 of a two-stage
     # RKC2 step falls like dt^3 as dt halves from dt_E, every value far above
