@@ -2,12 +2,15 @@
 
 J(u) is the diffusion energy minus the source energy, I(u) the difference of
 the corresponding modulars; the Nehari manifold is {I = 0}.  The modulars are
-inhomogeneous under scaling when the exponents vary, so every ray evaluation
-I(lambda u), J(lambda u) is a full quadrature, done in one place, the private
+inhomogeneous under scaling when the exponents vary, but (lambda g)^p =
+lambda^p g^p, so grouped by the exponents' levels (`ExponentField.level_sums`)
+each is a sum over levels of A_k lambda^{P_k}.  A ray is one cell quadrature,
+which forms the level sums A_k, and every evaluation I(lambda u), J(lambda u)
+along it is a sum over the levels; both are done in one place, the private
 `_Ray`, for `snapshot` too.  The Nehari scaling lambda* is found by Newton's
 method on the log-ratio of the two modulars in log lambda: the derivative is
-a difference of exponent means weighted by the powered integrands, so each
-iterate costs one pair of power sums, and a few iterates suffice because the
+a difference of exponent means weighted by the powered level sums, so each
+iterate costs one power per level, and a few iterates suffice because the
 log-ratio is exactly linear when the exponents are constant.
 
 Along a ray d/dlambda J(lambda u) = I(lambda u) / lambda, and with r_minus >
@@ -152,49 +155,49 @@ class _Ray:
     The gradient magnitude is formed by the bound `grad2` passes of the face
     workspace its grid caches (`grid._Faces`), the same passes as a kernel's
     and `cell_gradient_magnitude`'s, from the values loaded into it.  A ray
-    owns its flat |grad u| and |u|, two power buffers and one scratch array,
-    and `load` points it at other flat values on the same grid in place, so
-    one ray serves every trial step of a descent.  `powers` writes into the
-    power buffers and returns them: a caller uses a returned pair before the
-    next `powers` call, as `snapshot`, the lambda* iteration and the rays of
-    `classify` do.
+    owns its flat |grad u| and |u|, and `load` points it at other flat
+    values on the same grid in place, so one ray serves every trial step of
+    a descent.  `load` raises each cell to its exponent once, in the
+    workspace's scratch `tmp`, and sums the powers over the exponents' level
+    sets (`ExponentField.level_sums`), prescaled by an exact power of two.
+    `powers` scales those sums to any lambda, as (lambda g)^p = lambda^p g^p
+    exactly in the reals, so a level's term overflows only where lambda
+    times the largest |grad u| or |u|, raised to the level, does: a caller
+    treats a non-finite modular as a cap on lambda.
     """
 
     def __init__(self, u: GridFunction, p: ExponentField, r: ExponentField):
         self.vol = u.grid.cell_volume
         self.faces = _workspace(u.grid)
-        self.pv = p.values.ravel()
-        self.rv = r.values.ravel()
-        self.gm, self.au, self.gp, self.sp, self.tmp = np.empty((5, self.pv.size))
+        self.p, self.r = p, r
+        self.P, self.R = p.levels, r.levels
+        self.gm, self.au = np.empty((2, u.values.size))
         self.load(u.values.reshape(-1))
 
     def load(self, values: np.ndarray) -> None:
-        """Take the ray of the flat `values`: |grad u| and |u| in place."""
+        """Take the ray of the flat `values`: |grad u| and |u| in place, and
+        the level sums of |grad u|^p and |u|^r."""
         faces = self.faces
         faces.load(values)
         _run(faces.grad2)
         np.sqrt(faces.mag2, out=self.gm)
         np.abs(values, out=self.au)
+        self.grad = self.p.level_sums(self.gm, out=faces.tmp)
+        self.source = self.r.level_sums(self.au, out=faces.tmp)
 
     def powers(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-cell integrands (lambda |grad u|)^p and (lambda |u|)^r, in the
-        power buffers; at lambda = 1 without the multiply, 1.0 x == x."""
-        gp, sp = self.gp, self.sp
-        gm, au = self.gm, self.au
-        if lam != 1.0:
-            gm, au = np.multiply(gm, lam, out=gp), np.multiply(au, lam, out=sp)
-        return np.power(gm, self.pv, out=gp), np.power(au, self.rv, out=sp)
+        """Per-level integrals of (lambda |grad u|)^p and (lambda |u|)^r, per
+        cell volume, over the levels P and R."""
+        return self.grad.at(lam), self.source.at(lam)
 
     def _modulars(self, gp: np.ndarray, sp: np.ndarray) -> tuple[float, float]:
-        """Modulars G, S: the cell quadrature of `powers`."""
+        """Modulars G, S: the sums of `powers` over the levels."""
         return self.vol * float(gp.sum()), self.vol * float(sp.sum())
 
     def _energy(self, gp: np.ndarray, sp: np.ndarray) -> float:
-        """Energy J: the cell quadrature of `powers`, the diffusion energy less
-        the source energy."""
-        tmp = self.tmp
-        diffusion = self.vol * float(np.divide(gp, self.pv, out=tmp).sum())
-        return diffusion - self.vol * float(np.divide(sp, self.rv, out=tmp).sum())
+        """Energy J from `powers`, the diffusion energy less the source
+        energy."""
+        return self.vol * float((gp / self.P).sum()) - self.vol * float((sp / self.R).sum())
 
     def J(self, lam: float) -> float:
         """J(lam u); J(0) is exactly 0, as 0^p = 0 for every exponent p > 1."""
@@ -208,25 +211,28 @@ def find_lambda_star(
     tol: float = 1e-10,
 ) -> tuple[float, float]:
     """Nehari point of u: the scaling lambda* with I(lambda* u) = 0, and
-    J(lambda* u) from the converged iterate's powers (the quadrature of
-    `_Ray.J`).
+    J(lambda* u) from the converged iterate's powers (the sum of `_Ray.J`).
 
     Valid in the source-dominant regime r_minus > p_plus.  Newton's method
     from lambda = 1 on f(s) = log G(e^s u) - log S(e^s u), s = log lambda,
     with G, S the gradient and source modulars; f'(s) is the mean of p under
-    the weights (lambda |grad u|)^p minus the mean of r under (lambda |u|)^r,
-    so f and f' come from one pair of power sums.  It stops at the first
-    iterate with |I| <= tol * G.
+    the weights (lambda |grad u|)^p minus the mean of r under (lambda |u|)^r.
+    The ray raises each cell to its exponent once, and every iterate forms f
+    and f' from its level sums (`_Ray.powers`), one power per level.  It
+    stops at the first iterate with |I| <= tol * G.
 
     The power bounds I(lam u) >= lam^{p_plus} a - lam^{r_minus} b for lam < 1
     (and the reverse for lam >= 1) bracket the root; every evaluation shrinks
     the bracket, and an iterate that is not finite or leaves it is replaced by
-    the bracket's geometric midpoint.  Overflow is not warned about: an
-    evaluation whose modulars overflow caps the bracket from above and sends
-    the next iterate to the midpoint.  Raises ValueError on degenerate input,
-    on a bracket that over- or underflows, and when the tolerance is not met
-    within the evaluation cap or before the bracket or the Newton step shrinks
-    to rounding, or when u, p and r do not share one grid.
+    the bracket's geometric midpoint.  Overflow is not warned about: a
+    modular overflows where lambda times the largest |grad u| or |u|, raised
+    to a level, does (`_Ray`), and such an evaluation caps the bracket from
+    above and sends the next iterate to the midpoint, so it cannot pass
+    silently.
+    Raises ValueError on degenerate input, on a bracket that over- or
+    underflows, and when the tolerance is not met within the evaluation cap
+    or before the bracket or the Newton step shrinks to rounding, or when u,
+    p and r do not share one grid.
     """
     _require_one_grid(u, p, r)
     if r.p_minus <= p.p_plus:
@@ -275,7 +281,7 @@ def _nehari(ray: _Ray, gap: float, tol: float = 1e-10) -> tuple[float, float]:
             else:
                 hi = lam
             if gsum > 0.0 and ssum > 0.0:
-                slope = float(np.dot(ray.pv, gp)) / gsum - float(np.dot(ray.rv, sp)) / ssum
+                slope = float(np.dot(ray.P, gp)) / gsum - float(np.dot(ray.R, sp)) / ssum
                 nxt = lam * float(np.exp((np.log(ssum) - np.log(gsum)) / slope))
         if nxt == lam or hi - lo <= _EPS * lam:
             break

@@ -13,9 +13,11 @@ the grid, with no sample, seed or budget.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from functools import cached_property, partial
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -31,12 +33,31 @@ __all__ = [
 ]
 
 
+class LevelSums(NamedTuple):
+    """The powers g^q of a nonnegative cell array g, summed over the level
+    sets of an exponent q: `sums[k]` is the sum of (g / scale)^{levels[k]}
+    over the cells where q equals `levels[k]`.  `scale` is the power of two
+    just above max g, so no sum overflows and only cells below max g times
+    about 1e-308^{1/q} underflow.  As (lam g)^q = (lam scale)^q (g / scale)^q
+    in the reals, `at` gives every level's share of a modular at any lam."""
+
+    levels: np.ndarray
+    sums: np.ndarray
+    scale: float
+
+    def at(self, lam: float) -> np.ndarray:
+        """Per-level sums of (lam g)^q: sums (lam scale)^levels, where lam
+        scale is exact and overflows only within a factor 2 of lam max g."""
+        return self.sums * (lam * self.scale) ** self.levels
+
+
 @dataclass(frozen=True)
 class ExponentField:
-    """Spatially varying exponent with cached extrema.
+    """Spatially varying exponent with cached extrema and level sets.
 
     Every sampled value must exceed 1 (admissible continuous exponent);
-    construction rejects anything else.
+    construction rejects anything else.  The field holds a read-only copy of
+    its values, so its cached level layout cannot go stale.
     """
 
     grid: Grid
@@ -46,7 +67,47 @@ class ExponentField:
     label: str = "p"
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        values = np.array(self.values, dtype=float)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """The distinct values, ascending (read-only); the flat values; and
+        the sum of a flat cell array over each level.  Flat values already
+        ascending (a constant, or one rising along the flat order) sum each
+        level's run with `np.add.reduceat`; others bin each cell by its
+        level with `np.bincount`, in cell order.  Both are deterministic, and
+        neither is a serial sum over one bin, which a constant's bincount is
+        at several times the cost."""
+        flat = self.values.ravel()
+        if np.all(flat[:-1] <= flat[1:]):
+            starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+            levels = flat[starts]
+            sum_levels = partial(np.add.reduceat, indices=starts)
+        else:
+            levels, index = np.unique(flat, return_inverse=True)
+            sum_levels = partial(np.bincount, index, minlength=levels.size)
+        levels.flags.writeable = False
+        return levels, flat, sum_levels
+
+    @property
+    def levels(self) -> np.ndarray:
+        """The distinct values, ascending: a modular sums its per-cell powers
+        over these level sets, so along a ray it scales level by level
+        (`level_sums`).  Read-only."""
+        return self._layout[0]
+
+    def level_sums(self, base: np.ndarray, out: Optional[np.ndarray] = None) -> LevelSums:
+        """`LevelSums` of the flat nonnegative cell array `base`, each cell
+        divided by the power of two just above max base (clamped to the
+        normal range, so the division is exact but where a quotient is
+        subnormal) and raised to its exponent once, in `out` (which may be
+        `base`), then summed over each level."""
+        levels, flat, sum_levels = self._layout
+        scale = math.ldexp(1.0, min(max(math.frexp(base.max())[1], -1022), 1023))
+        out = np.multiply(base, 1.0 / scale, out=out)
+        return LevelSums(levels, sum_levels(np.power(out, flat, out=out)), scale)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 The modular rho(u) = integral of |u|^{q(x)} is inhomogeneous when q varies,
 so the norm is the lambda at which rho(u/lambda) = 1, found by Newton's method
-on log rho, which is convex and decreasing in log lambda.  Modular and norm
+on log rho, which is convex and decreasing in log lambda.  Grouped by the
+levels Q of q (`ExponentField.level_sums`), rho(u/lambda) is the sum over
+levels of A_k lambda^{-Q_k}, so each cell is raised to its exponent once per
+norm and each Newton iterate costs one power per level.  Modular and norm
 are exact on the discrete measure space (cells with weight equal to the cell
 volume), so the relations between them, the sign of rho - 1 against that of
 the norm - 1 and the power sandwich in q_minus and q_plus, hold to round-off
@@ -84,15 +87,21 @@ def luxemburg_norm(f: GridFunction, q: ExponentField, tol: float = 1e-12) -> Nor
     Newton's method from lambda = 1 on log rho(f/lambda) in t = log lambda,
     whose derivative is minus the mean of q under the weights |f/lambda|^q.
     The function is convex and decreasing, so after the first step the
-    iterates rise monotonically to the root.  The power relations between
-    norm and modular bracket the root, widened by a factor 2 for rounding;
-    every evaluation shrinks the bracket, and an iterate that is not finite
-    or leaves it is replaced by the bracket's geometric midpoint.  When the
-    bracket or the Newton step shrinks to rounding first, the last iterate is
-    returned with its true residual.  `iterations` counts modular
-    evaluations.  Returns 0 for the zero field; raises ValueError when f and
-    q do not share one grid, on a non-finite modular or when the evaluation
-    cap is reached.
+    iterates rise monotonically to the root.  |f|^q is formed once and
+    summed over the level sets of q (`ExponentField.level_sums`), prescaled
+    by the power of two just above max |f|, so every iterate's weights are
+    the level sums times (scale / lambda)^Q, one power per level, and near
+    the root neither factor over- or underflows unless |f/lambda|^q would.
+    The power relations between norm and modular bracket the root, widened
+    by a factor 2 for rounding; every evaluation shrinks the bracket, and an
+    iterate that is not finite or leaves it is replaced by the bracket's
+    geometric midpoint.  When the bracket or the Newton step shrinks to
+    rounding first, the last iterate is returned with its true residual if
+    that is finite, and ValueError is raised if not.  `iterations` counts
+    modular evaluations.  Returns 0 for the zero field; raises ValueError
+    when f and q do not share one grid, on a non-finite modular of f, when
+    the evaluation cap is reached, or when the bracket shrinks to rounding
+    at a non-finite modular.
     """
     _require_one_grid(f, q)
     if tol <= 0:
@@ -100,40 +109,44 @@ def luxemburg_norm(f: GridFunction, q: ExponentField, tol: float = 1e-12) -> Nor
     av = np.abs(f.values).ravel()
     if not np.any(av):
         return NormResult(0.0, 0, 0.0)
-    qv = q.values.ravel()
+    sums = q.level_sums(av, out=av)
+    Q = sums.levels
     vol = f.grid.cell_volume
     lam = 1.0
-    # w is the iterate's |f/lambda|^q, formed in place; s its sum
-    with np.errstate(over="ignore"):
-        # an overflow is the inadmissible field that the check below rejects
-        w = av**qv
-    s = float(np.sum(w))
-    rho = vol * s
-    if not np.isfinite(rho):
-        raise ValueError("modular is non-finite; input field not admissible")
-
-    lo, hi = sorted((rho ** (1.0 / q.p_minus), rho ** (1.0 / q.p_plus)))
-    lo, hi = 0.5 * lo, 2.0 * hi
-    for evaluations in range(1, _MAX_NORM_EVALS + 1):
-        res = rho - 1.0
-        if abs(res) <= tol:
-            return NormResult(float(lam), evaluations, abs(res))
-        if res > 0.0:
-            lo = lam
-        else:
-            hi = lam
-        nxt = float("nan")
-        if rho > 0.0:
-            nxt = lam * float(np.exp(np.log(rho) * s / np.dot(qv, w)))
-        if nxt == lam or hi - lo <= _EPS * lam:
-            return NormResult(float(lam), evaluations, abs(res))
-        lam = nxt if lo < nxt < hi else float(np.sqrt(lo * hi))
-        np.power(np.divide(av, lam, out=w), qv, out=w)
+    # w is the iterate's level sums of |f/lambda|^q, s their sum.  An overflow
+    # makes the modular non-finite: the first check rejects it, and in the
+    # loop it never meets the tolerance, so the loop ends in the ValueError
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = sums.at(1.0)
         s = float(np.sum(w))
         rho = vol * s
+        if not np.isfinite(rho):
+            raise ValueError("modular is non-finite; input field not admissible")
+
+        lo, hi = sorted((rho ** (1.0 / q.p_minus), rho ** (1.0 / q.p_plus)))
+        lo, hi = 0.5 * lo, 2.0 * hi
+        for evaluations in range(1, _MAX_NORM_EVALS + 1):
+            res = rho - 1.0
+            if abs(res) <= tol:
+                return NormResult(float(lam), evaluations, abs(res))
+            if res > 0.0:
+                lo = lam
+            else:
+                hi = lam
+            nxt = float("nan")
+            if rho > 0.0:
+                nxt = lam * float(np.exp(np.log(rho) * s / np.dot(Q, w)))
+            if nxt == lam or hi - lo <= _EPS * lam:
+                if np.isfinite(res):
+                    return NormResult(float(lam), evaluations, abs(res))
+                break
+            lam = nxt if lo < nxt < hi else float(np.sqrt(lo * hi))
+            w = sums.at(1.0 / lam)
+            s = float(np.sum(w))
+            rho = vol * s
     raise ValueError(
-        f"Luxemburg norm not converged to tol {tol} in {_MAX_NORM_EVALS} evaluations: "
-        f"bracket [{lo!r}, {hi!r}]"
+        f"Luxemburg norm not converged to tol {tol}: bracket [{lo!r}, {hi!r}] after "
+        f"{_MAX_NORM_EVALS} evaluations or at rounding with a non-finite modular"
     )
 
 

@@ -802,7 +802,7 @@ def test_estimates_pinned(tmp_path, name):
         radii = est["radii"]
         assert (radii.lambda_s, radii.Lambda_s) == pytest.approx(
             (1.3192325206692523, 3.1424048841000793), rel=1e-9)
-        assert (radii.lambda_s, radii.Lambda_s) == (1.3192325206692523, 3.1424048841111154)
+        assert (radii.lambda_s, radii.Lambda_s) == (1.3192325206692517, 3.1424048841111163)
         assert radii.kept == 6
     else:
         assert "radii" not in est

@@ -1,5 +1,5 @@
 """The preconditioned depth descent: against a plain per-step loop, against
-the Nehari minimum it must reach, and the buffers of the rays it runs on.
+the Nehari minimum it must reach, and the level sums of the rays it runs on.
 
 `_oracle_depth` is the descent written out plainly, kept here only as an
 oracle: every trial step is a fresh `GridFunction` with its own
@@ -118,7 +118,7 @@ def test_descent_matches_proposal_loop_near_critical_source():
     p, r = build_field("const:2.0", grid), build_field("const:2.01", grid)
     depth = estimate_depth(p, r, trials=4, seed=0)
     assert (depth.upper, depth.skipped) == _oracle_depth(grid, p, r, 4, 0)
-    assert (depth.upper, depth.skipped) == (6.856296577332696e+196, 9)
+    assert (depth.upper, depth.skipped) == (6.856296577332908e+196, 9)
     assert depth.iterations == depth.backtracks == 0
 
 
@@ -169,14 +169,32 @@ def test_sobolev_gradient_inverts_the_neumann_laplacian(grid):
     np.testing.assert_allclose(got, x, rtol=0.0, atol=1e-11 * np.abs(x).max())
 
 
-@pytest.mark.parametrize("name", list(_GRIDS))
-def test_ray_powers_fill_its_buffers(name):
-    # powers writes (lam |grad u|)^p and (lam |u|)^r into the ray's two
-    # buffers, bit for bit, lam = 1 without the multiply included; load
-    # takes other values in place
+def _exponent_pair(name, kind, rng):
+    """On grid `name`, its affine pair, a random tabulated pair (one level
+    per cell) or a constant pair (one level each)."""
     grid, p_spec, r_spec = _GRIDS[name]
-    p, r = build_field(p_spec, grid), build_field(r_spec, grid)
+    if kind == "tabulated":
+        return (build_field(1.5 + rng.random(grid.shape), grid),
+                build_field(3.0 + rng.random(grid.shape), grid))
+    if kind == "constant":
+        return build_field(2.0, grid), build_field(4.0, grid)
+    return build_field(p_spec, grid), build_field(r_spec, grid)
+
+
+@pytest.mark.parametrize("kind", ["affine", "tabulated", "constant"])
+@pytest.mark.parametrize("name", list(_GRIDS))
+def test_ray_level_sums_match_cells(name, kind):
+    # the level sums give G, S, the exponent-weighted sums of the Newton
+    # slope and J as the per-cell sums of (lam |grad u|)^p and (lam |u|)^r,
+    # to 1e-13 relative (J relative to its two terms); load takes other
+    # values in place, bit for bit a fresh ray's |grad u| and |u|
+    grid = _GRIDS[name][0]
     rng = np.random.default_rng(7)
+    p, r = _exponent_pair(name, kind, rng)
+    levels = {"tabulated": p.values.size, "constant": 1}
+    if kind in levels:
+        assert p.levels.size == r.levels.size == levels[kind]
+    pv, rv, vol = p.values.ravel(), r.values.ravel(), grid.cell_volume
     u, v = (GridFunction(grid, rng.standard_normal(grid.shape)) for _ in range(2))
     ray = _Ray(u, p, r)
     for values in (u, v):
@@ -184,11 +202,14 @@ def test_ray_powers_fill_its_buffers(name):
             ray.load(v.values.reshape(-1))
         fresh = _Ray(values, p, r)
         assert np.array_equal(ray.gm, fresh.gm) and np.array_equal(ray.au, fresh.au)
-        for lam in (1.0, 0.37, 2.5, np.nextafter(1.0, 2.0)):
+        for lam in (1.0, 0.37, 2.5, np.nextafter(1.0, 2.0), 1e-3, 1e3):
+            gcell, scell = (lam * fresh.gm) ** pv, (lam * fresh.au) ** rv
             gp, sp = ray.powers(lam)
-            assert gp is ray.gp and sp is ray.sp
-            assert np.array_equal(gp, (lam * fresh.gm) ** p.values.ravel())
-            assert np.array_equal(sp, (lam * fresh.au) ** r.values.ravel())
+            got = [*ray._modulars(gp, sp), np.dot(ray.P, gp), np.dot(ray.R, sp)]
+            want = [vol * gcell.sum(), vol * scell.sum(), np.dot(pv, gcell), np.dot(rv, scell)]
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+            terms = vol * (gcell / pv).sum(), vol * (scell / rv).sum()
+            assert abs(ray.J(lam) - (terms[0] - terms[1])) <= 1e-13 * sum(terms)
 
 
 def test_depth_leaves_no_cyclic_garbage():

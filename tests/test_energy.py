@@ -94,6 +94,20 @@ def test_lambda_star_analytic_roots():
     assert find_lambda_star(on_manifold, p2, r4)[0] == pytest.approx(1.0, rel=1e-8)
 
 
+@pytest.mark.parametrize("p_spec", ["const:2.0", "affine:1.8+0.35x+0.35y", "sin:2.0+0.3*sin(2pix)"])
+def test_lambda_star_scales_with_the_field(p_spec):
+    # lambda*(c u) = lambda*(u) / c with the same Nehari point, hence the same
+    # J, to the Newton tolerance, for every scale whose powers stay finite
+    g = Grid((16, 16), (1.0, 1.0))
+    p, r = build_field(p_spec, g), build_field(4.0, g)
+    u = mixed_mode(g)
+    lam, J = find_lambda_star(u, p, r)
+    for c in (1e-75, 1e-20, 1e-3, 1e3, 1e20, 1e75):
+        lam_c, J_c = find_lambda_star(GridFunction(g, c * u.values), p, r)
+        assert c * lam_c == pytest.approx(lam, rel=1e-10)
+        assert J_c == pytest.approx(J, rel=1e-10)
+
+
 def test_lambda_star_preconditions(pw):
     g, p, r = pw
     with pytest.raises(ValueError, match="degenerate"):

@@ -54,6 +54,39 @@ def test_tabulated_field():
     assert f.p_minus == 1.5 and f.p_plus == 4.0 and f.label == "r"
 
 
+def test_values_are_a_read_only_copy():
+    # the field's levels are cached, so its values must not change under
+    # them: writing raises, and the caller's tabulated array stays writable
+    g = Grid((3, 2), (1.0, 1.0))
+    vals = np.array([[1.5, 2.0], [2.5, 2.0], [3.5, 1.5]])
+    f = build_field(vals, g)
+    with pytest.raises(ValueError, match="read-only"):
+        f.values[0, 0] = 9.0
+    vals[0, 0] = 9.0
+    assert vals.flags.writeable and f.values[0, 0] == 1.5
+    assert f.levels.tolist() == [1.5, 2.0, 2.5, 3.5]
+    assert f.levels is f.levels and not f.levels.flags.writeable
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e100])
+def test_level_sums_by_level(scale):
+    # each level's sum of base^q, in level order and for a field already in
+    # it; prescaled by the power of two just above max base, so at(1 / scale)
+    # is exact where (scale base)^q itself under- or overflows
+    g = Grid((3, 2), (1.0, 1.0))
+    base = scale * np.array([0.3, 1.7, 2.0, 0.0, 5.0, 0.9])
+    cases = [
+        (np.array([[1.5, 2.0], [2.5, 2.0], [3.5, 1.5]]),
+         [0.3**1.5 + 0.9**1.5, 1.7**2, 2.0**2.5, 5.0**3.5]),
+        (np.full((3, 2), 2.0), [float(np.sum((base / scale) ** 2))]),
+    ]
+    for vals, want in cases:
+        sums = build_field(vals, g).level_sums(base)
+        assert np.frexp(sums.scale)[0] == 0.5 and sums.scale / 2 <= base.max() < sums.scale
+        assert sums.levels.tolist() == sorted(set(vals.ravel().tolist()))
+        np.testing.assert_allclose(sums.at(1.0 / scale), want, rtol=1e-14, atol=0.0)
+
+
 def test_log_holder_constant_zero():
     g = Grid((16,), (1.0,))
     (rep,) = check_log_holder(build_field(2.0, g))
