@@ -32,10 +32,13 @@ once per grid, in `_Faces`: the `grad2` passes from `x` to |grad u|^2, and
 per axis the divergence passes after the flux's weight sum.  What reads a
 kernel's own weights w, and its q and w passes, is bound per kernel, so that
 building a kernel binds four views on a 2D grid and allocates one block.
-A full evaluation (`_Kernel.rhs`, `_Kernel.__call__`) copies its state into
-`x` and allocates one array, the right-hand side it returns; an inner stage
-(`_Kernel.stage`) reads a state its caller formed in `x` and writes into
-the caller's buffer, and allocates nothing.
+A full evaluation (`_Kernel.evaluate`) copies its state into `x`, writes the
+right-hand side into the caller's flat buffer and returns J and the
+modulars, and an inner stage (`_Kernel.stage`) reads a state its caller
+formed in `x` and writes into the caller's buffer: neither allocates an
+array.  `_Kernel.__call__`, and `_Kernel.rhs` for the right-hand side alone,
+wrap them for callers that keep no buffers and allocate one array each, the
+right-hand side they return.
 
 Every array a kernel pass writes starts on a 64-byte cache line (`_aligned`):
 NumPy's AVX-512 loops store a line at a time, and on an AVX-512 host (NumPy
@@ -300,13 +303,16 @@ class _Kernel:
     carved from one block with each on a 64-byte line, like the workspace
     (see the module docstring), so a construction allocates once, and a
     kernel built per call, as in `px_flux_divergence`, frees one block and
-    keeps the right-hand side it returned.  Its `program` is the
-    workspace's `grad2` passes, its own q and w passes and, per axis, its own
-    weight sum into the face flux followed by the workspace's flux passes for
-    that axis.  A right-hand side makes these passes over the cells, 2D with
-    square cells and the source on: |grad u|^2 in 8, q and w in 2, the
-    divergence in 8 and the source in 6 (|u|, a, sign(u) a, its sum, less
-    its mean, added to the scaled divergence): 24 in all.  The last pass,
+    keeps the right-hand side it returned.  `evaluate` is the one full
+    evaluation, into the caller's buffer; `__call__` and `rhs` are its
+    allocating wrappers, the latter without the sums of J, G and S.  Its
+    `program` is the workspace's `grad2` passes, its own q and w passes and,
+    per axis, its own weight sum into the face flux followed by the
+    workspace's flux passes for that axis.  A right-hand side makes these
+    passes over the cells, 2D with square cells and the source on:
+    |grad u|^2 in 8, q and w in 2, the divergence in 8 and the source in 6
+    (|u|, a, sign(u) a, its sum, less its mean, added to the scaled
+    divergence): 24 in all.  The last pass,
     the source's addition or without the source the divergence's scaling,
     writes the caller's array.
     Each per-cell operation, and their order, is that of per-axis formulas on
@@ -358,12 +364,15 @@ class _Kernel:
         np.power(q, self.expo, out=w)
         return float(np.vdot(np.multiply(q, w, out=q), self.inv_p))
 
-    def __call__(self, uv: np.ndarray) -> tuple[float, np.ndarray, float, float]:
-        """(J, right-hand side, G, S) at the state `uv`."""
+    def evaluate(self, uv: np.ndarray, out: np.ndarray) -> tuple[float, float, float]:
+        """(J, G, S) at the state `uv`, which is copied into `state` first,
+        with its right-hand side written into the flat `out`, a buffer of
+        the caller's; no array is allocated."""
         # read before the right-hand side, which overwrites the buffers the
         # offset is formed in
         offset = self.offset
-        div = self.rhs(uv)
+        self.faces.load(uv)
+        self.stage(out)
         G = self.vol * float(np.vdot(self.w, self.mag2))
         q = self.q
         q *= self.w
@@ -374,13 +383,21 @@ class _Kernel:
             au *= self.a
             S = self.vol * float(au.sum())
             J -= self.vol * float(np.vdot(au, self.inv_r))
-        return J, div, G, S
+        return J, G, S
+
+    def __call__(self, uv: np.ndarray) -> tuple[float, np.ndarray, float, float]:
+        """(J, right-hand side, G, S) at the state `uv`, the right-hand side
+        in a new array of the grid's shape (`evaluate`)."""
+        div = np.empty(self.faces.n)
+        J, G, S = self.evaluate(uv, div)
+        return J, div.reshape(self.shape), G, S
 
     def rhs(self, uv: np.ndarray) -> np.ndarray:
-        """The right-hand side at `uv`, in a new array of the grid's shape;
+        """The right-hand side at `uv` alone, in a new array of the grid's
+        shape: the first half of `evaluate`, without the sums of J, G and S.
         |grad u|^2, q and w, and with the source on |u| and a = |u|^{r-1},
-        stay in their buffers for the sums of J, G and S (|grad u|^2, in the
-        workspace, until the next call on the grid)."""
+        stay in their buffers (|grad u|^2, in the workspace, until the next
+        call on the grid)."""
         self.faces.load(uv)
         return self.stage(np.empty(self.faces.n)).reshape(self.shape)
 
@@ -407,7 +424,7 @@ class _Kernel:
         spectral radius on every state measured; the energy-residual test,
         not this bound, decides whether a step stands.  Infinite when every
         weight is zero (delta = 0, p > 2 and a flat state)."""
-        w_max = float(np.max(self.w))
+        w_max = float(self.w.max())
         return 1.6 / (self.radius * w_max) if w_max > 0.0 else math.inf
 
 

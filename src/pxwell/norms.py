@@ -79,6 +79,10 @@ def modular(f: GridFunction, q: ExponentField) -> float:
 # cap on modular evaluations in luxemburg_norm; Newton needs about five
 _MAX_NORM_EVALS = 200
 _EPS = float(np.finfo(float).eps)
+# a sampled quotient replaces the best one only if it beats it by more than
+# this relative margin: witnesses that tie in exact arithmetic, such as modes
+# (1,0) and (0,1) on a square, then keep the first whatever their last bits
+_QUOTIENT_TIE = 1e-12
 
 
 def luxemburg_norm(f: GridFunction, q: ExponentField, tol: float = 1e-12) -> NormResult:
@@ -181,7 +185,10 @@ def estimate_embedding(
     (ValueError otherwise).  The draw sequence is prefix-stable in `trials`
     for a fixed seed, so enlarging the witness set can only increase the
     estimate.  A short perturbation-ascent refinement from the best witness
-    follows; its RNG is independent of the draws.  The result is a lower
+    follows; its RNG is independent of the draws.  A draw or a perturbation
+    replaces the best witness only if its quotient beats the best one by more
+    than `_QUOTIENT_TIE` relative, so witnesses that tie in exact arithmetic
+    do not trade places on last-bit rounding.  The result is a lower
     bound on the optimal constant and is labeled as such.  The defaults, 24
     draws and 12 ascent steps, are the ones every `pxwell` run uses.
     """
@@ -203,7 +210,7 @@ def estimate_embedding(
         for _ in range(ascent_steps):
             trial = perturb(w, rng_ascent, sigma * scale)
             qv = quotient(trial)
-            if qv > best:
+            if _beats(qv, best):
                 best, w = qv, trial
                 best_id += "+asc"
             else:
@@ -211,18 +218,26 @@ def estimate_embedding(
     return EmbeddingEstimate(float(best), kind, None, trials, seed, best_id)
 
 
+def _beats(qv: float, best: float) -> bool:
+    """Whether the quotient qv replaces the best one: by more than
+    `_QUOTIENT_TIE` relative, so a tie to rounding keeps the incumbent."""
+    return qv > best * (1.0 + _QUOTIENT_TIE)
+
+
 def _best_quotient(
     bank: list[tuple[str, GridFunction]],
     quotient: Callable[[GridFunction], float],
 ) -> tuple[float, GridFunction, str]:
-    """Largest quotient over the bank, with its witness and label; a
-    degenerate witness scores -inf.  Raises when every witness is degenerate."""
+    """The largest quotient over the bank to within `_QUOTIENT_TIE`
+    relative, with its witness and label: of quotients that tie to that
+    margin the first is kept.  A degenerate witness scores -inf.  Raises
+    when every witness is degenerate."""
     best = -np.inf
     best_w: Optional[GridFunction] = None
     best_id = ""
     for ident, w in bank:
         qv = quotient(w)
-        if qv > best:
+        if _beats(qv, best):
             best, best_w, best_id = qv, w, ident
     if not np.isfinite(best):
         raise ValueError("no admissible witness found (all degenerate)")

@@ -50,8 +50,16 @@ the trial state make four kernel evaluations.
 Every stage is a combination of the current state and zero-mean right-hand
 sides, so the mean is conserved.  An inner stage of either stepper forms its
 state in the kernel's state buffer and its slope and increment in buffers
-made once per run (`_work`), so it allocates no array; the trial state and
-its right-hand side are new arrays, which the run keeps.
+made once per run (`_work`).  The run holds four more flat buffers, made
+once and each on a 64-byte line (`grid._aligned`): the state, the trial
+state and the right-hand sides at both.  A stepper writes the trial state
+into its buffer and the kernel's full evaluation (`_Kernel.evaluate`) its
+right-hand side into the free one; an accepted step shifts the trial state
+to zero mean into the state's buffer and swaps the two right-hand sides.
+The trial's checks (finiteness, the dissipation, the RKC estimate against
+the step's change, the drift and ||u||_inf) share one change u+ - u and take
+the work buffers, idle once the step has returned, as scratch, so no trial
+allocates an array.
 
 The blow-up tail starts on the accepted step at which the growth shrink
 (below) fires, and ends at the first accepted step on which ||u||_inf does
@@ -146,7 +154,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .exponents import ExponentField
-from .grid import GridFunction, _aligned, _Kernel, _require_one_grid, project_mean_zero
+from .grid import GridFunction, _aligned, _Kernel, _minus_mean, _require_one_grid
 
 __all__ = [
     "SolverConfig",
@@ -331,21 +339,23 @@ def _stages(dt: float, dt_e: float) -> int:
 
 
 def _work(n: int) -> list[np.ndarray]:
-    """The steppers' flat buffers for n cells, made once per run: RKC2 takes
-    all four, RK4 the first three."""
+    """The steppers' flat scratch buffers for n cells, made once per run:
+    RKC2 takes all four, RK4 the first three.  Once a step has returned they
+    are idle, and the trial's checks take them (`simulate`)."""
     return _aligned(n, 4)
 
 
 def _rkc2_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float, s: int,
-               work: list[np.ndarray]) -> np.ndarray:
-    """The s-stage RKC2 state from u, whose right-hand side is rhs, in a new
-    array; it costs s - 1 kernel evaluations, one per inner stage.
+               work: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """The s-stage RKC2 state from u, whose right-hand side is rhs, written
+    into the flat `out` and returned in u's shape; it costs s - 1 kernel
+    evaluations, one per inner stage.
     Subtracting u from the stage recurrence Y_j = mu Y_{j-1} + nu Y_{j-2} +
     (1 - mu - nu) u + ... leaves one on the increments d_j = Y_j - u, whose
     round-off scales with the step rather than with the state: the blow-up
     tail amplifies a change in the last bit of the state many times over.
     Each stage forms u + d_{j-1} in the kernel's state buffer and its
-    increment in the `work` buffers (`_work`), so an inner stage allocates
+    increment in the `work` buffers (`_work`), so a step allocates
     nothing."""
     (mu1, *_), *rows = _rkc2_weights(s)[0].tolist()
     uf, f = u.reshape(-1), rhs.reshape(-1)
@@ -362,13 +372,14 @@ def _rkc2_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float, s: in
         inc += np.multiply(d, mu, out=tmp)
         inc += np.multiply(prev, nu, out=tmp)
         prev, d, inc = d, inc, prev
-    return (uf + d).reshape(u.shape)
+    return np.add(uf, d, out=out).reshape(u.shape)
 
 
 def _rk4_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float,
-              work: list[np.ndarray]) -> np.ndarray:
-    """The classical RK4 state from u, whose right-hand side is rhs, in a new
-    array; it costs three kernel evaluations, one per inner stage.  As in
+              work: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """The classical RK4 state from u, whose right-hand side is rhs, written
+    into the flat `out` and returned in u's shape; it costs three kernel
+    evaluations, one per inner stage, and allocates nothing.  As in
     `_rkc2_step` the increment is summed before it is added to u, with the
     tableau's weights b = (1/6, 1/3, 1/3, 1/6) times dt, each term as soon as
     its stage slope is formed: the slope buffer then takes the next one."""
@@ -386,34 +397,42 @@ def _rk4_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float,
     np.add(uf, np.multiply(k, dt, out=x), out=x)
     kernel.stage(k)
     d += np.multiply(k, b1, out=tmp)
-    return (uf + d).reshape(u.shape)
+    return np.add(uf, d, out=out).reshape(u.shape)
 
 
-def _rkc_estimate(u: np.ndarray, rhs: np.ndarray, u_new: np.ndarray, rhs_new: np.ndarray,
-                  dt: float) -> float:
+def _rkc_estimate(change: np.ndarray, rhs: np.ndarray, rhs_new: np.ndarray, dt: float,
+                  scratch: list[np.ndarray]) -> float:
     """||12 (u - u_new) + 6 dt (rhs + rhs_new)|| / 15, the local-error
-    estimate of a second-order step of size dt from u to u_new, whose
-    right-hand sides are rhs and rhs_new (Sommeijer, Shampine and Verwer,
-    J. Comput. Appl. Math. 88, 1998): four fifths of the trapezoidal rule's
-    defect (u_new - u) - dt (rhs + rhs_new)/2, which is -dt^3 u'''/12 +
-    O(dt^4) on a smooth flow.  It reads values the step already holds, so it
-    costs no kernel evaluation."""
-    est = (6.0 * dt) * (rhs + rhs_new)
-    est -= 12.0 * (u_new - u)
+    estimate of a second-order step of size dt from u to u_new, whose change
+    u_new - u is `change` and whose right-hand sides are rhs and rhs_new
+    (Sommeijer, Shampine and Verwer, J. Comput. Appl. Math. 88, 1998): four
+    fifths of the trapezoidal rule's defect (u_new - u) - dt (rhs + rhs_new)/2,
+    which is -dt^3 u'''/12 + O(dt^4) on a smooth flow.  It reads values the
+    step already holds, so it costs no kernel evaluation, and it is formed in
+    the first two `scratch` buffers, of change's shape, so it allocates
+    nothing."""
+    est, tmp = scratch[:2]
+    np.add(rhs, rhs_new, out=est)
+    est *= 6.0 * dt
+    est -= np.multiply(change, 12.0, out=tmp)
     return float(np.sqrt(np.vdot(est, est))) / 15.0
 
 
-def _hermite_dissipation(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, u_new: np.ndarray,
-                         rhs_new: np.ndarray, dt: float) -> float:
+def _hermite_dissipation(kernel: _Kernel, change: np.ndarray, rhs: np.ndarray,
+                         rhs_new: np.ndarray, dt: float, scratch: list[np.ndarray]) -> float:
     """The dissipation int ||p'||_2^2 of the cubic Hermite interpolant p of a
-    step of size dt from u to u_new, whose right-hand sides are rhs and
-    rhs_new, in closed form: dt (||D||^2 + (2/15)(||A||^2 + ||B||^2)
-    - (1/15) <A, B>), with D = (u_new - u)/dt, A = rhs - D and B = rhs_new - D,
-    since p' = D + A (1 - th)(1 - 3 th) + B th (3 th - 2) at th = t/dt.  It is
+    step of size dt from u to u_new, whose change u_new - u is `change` and
+    whose right-hand sides are rhs and rhs_new, in closed form:
+    dt (||D||^2 + (2/15)(||A||^2 + ||B||^2) - (1/15) <A, B>), with
+    D = (u_new - u)/dt, A = rhs - D and B = rhs_new - D, since
+    p' = D + A (1 - th)(1 - 3 th) + B th (3 th - 2) at th = t/dt.  It is
     O(dt^5) off on the exact flow and reads values the step already holds, so
-    it costs no kernel evaluation."""
-    d = (u_new - u) / dt
-    a, b = rhs - d, rhs_new - d
+    it costs no kernel evaluation; D, A and B are formed in the three
+    `scratch` buffers, of change's shape, so it allocates nothing."""
+    d, a, b = scratch
+    np.divide(change, dt, out=d)
+    np.subtract(rhs, d, out=a)
+    np.subtract(rhs_new, d, out=b)
     return dt * kernel.vol * (
         float(np.vdot(d, d)) + (2.0 / 15.0) * (float(np.vdot(a, a)) + float(np.vdot(b, b)))
         - (1.0 / 15.0) * float(np.vdot(a, b)))
@@ -425,16 +444,30 @@ def simulate(
     r: ExponentField,
     cfg: SolverConfig,
 ) -> Trajectory:
+    """The run from the datum u0, shifted to zero mean, under the exponents
+    p and r (on u0's grid, ValueError otherwise) and the settings cfg, until
+    t_end, blow-up or a collapse of dt (see the module docstring).  Its
+    states and right-hand sides live in buffers made once per call, so no
+    step allocates an array; only the trajectory's table grows, doubled
+    when full."""
     _require_one_grid(u0, p, r)
     grid = u0.grid
     vol = grid.cell_volume
     kernel = _Kernel(grid, p.values, cfg.delta, r.values)
     work = _work(kernel.faces.n)
+    # once a step has returned, the trial's checks take the work buffers: the
+    # step's change u_new - u, which they share, in the first and their
+    # scratch in the other three, the finiteness flags in the second's bytes
+    change, *scratch = work
+    finite = scratch[0].view(np.bool_)[:kernel.faces.n]
+    # the state, the trial state and the right-hand sides at both, the last
+    # two swapped on every accepted step
+    u, u_new, rhs, rhs_new = _aligned(kernel.faces.n, 4)
 
-    u = project_mean_zero(u0).values
+    _minus_mean(grid, u0.values, out=u.reshape(grid.shape))
     t = 0.0
     dt = cfg.dt_init
-    Jf, rhs, G, S = kernel(u)
+    Jf, G, S = kernel.evaluate(u, rhs)
     evals = 1
     if not all(map(math.isfinite, (Jf, G, S))):
         raise ValueError(
@@ -442,7 +475,7 @@ def simulate(
             f"delta={cfg.delta!r}, p_minus={p.p_minus!r}; delta = 0 with "
             "p_minus < 2 gives a cell with a zero gradient an infinite weight")
     dt_e = kernel.explicit_dt()
-    supn = float(np.max(np.abs(u)))
+    supn = float(np.abs(u, out=scratch[0]).max())
     # the trajectory's table, transposed: one buffer row per column, in the
     # order of its fields, and one buffer column per state, the datum's first;
     # doubled in length when full
@@ -468,19 +501,20 @@ def simulate(
         # a state that overflows is not finite and is rejected unevaluated
         with np.errstate(over="ignore", invalid="ignore"):
             if stepper == "rk4":
-                u_new = _rk4_step(kernel, u, rhs, dt_eff, work)
+                _rk4_step(kernel, u, rhs, dt_eff, work, u_new)
                 evals += 3
             else:
-                u_new = _rkc2_step(kernel, u, rhs, dt_eff, s, work)
+                _rkc2_step(kernel, u, rhs, dt_eff, s, work, u_new)
                 evals += s - 1
             accepted = False
-            if np.all(np.isfinite(u_new)):
-                J_new, rhs_new, G_new, S_new = kernel(u_new)
+            if np.isfinite(u_new, out=finite).all():
+                J_new, G_new, S_new = kernel.evaluate(u_new, rhs_new)
                 # read while the kernel still holds its weights at u_new: the
                 # next trial's stages replace them
                 dt_e_new = kernel.explicit_dt()
                 evals += 1
-                dissipation = _hermite_dissipation(kernel, u, rhs, u_new, rhs_new, dt_eff)
+                np.subtract(u_new, u, out=change)
+                dissipation = _hermite_dissipation(kernel, change, rhs, rhs_new, dt_eff, scratch)
                 residual = abs(J_new - Jf + dissipation)
                 tol = cfg.energy_tol * (1.0 + abs(Jf))
                 accepted = math.isfinite(J_new) and residual <= tol
@@ -494,22 +528,23 @@ def simulate(
             error = 0.0
             estimated = stepper == "rkc2" and not tail
             if estimated:
-                change = max(float(np.linalg.norm(u_new - u)),
-                             _ROUNDOFF * max(1.0, dt_eff / dt_e) * float(np.linalg.norm(u)))
-                if change > 0.0:
-                    error = _rkc_estimate(u, rhs, u_new, rhs_new, dt_eff) / change
+                size = max(math.sqrt(change.dot(change)),
+                           _ROUNDOFF * max(1.0, dt_eff / dt_e) * math.sqrt(u.dot(u)))
+                if size > 0.0:
+                    error = _rkc_estimate(change, rhs, rhs_new, dt_eff, scratch) / size
             # the right-hand side has zero mean, so this is a round-off shift
             # that keeps the drift flat; the kernel's values at u_new stand
             # for the shifted state
-            u = u_new - np.sum(u_new) / u_new.size
+            np.subtract(u_new, u_new.sum() / u_new.size, out=u)
             t += dt_eff
             budget += dissipation
             res_sum += residual
             max_rel_res = max(max_rel_res, residual / (1.0 + abs(Jf)))
-            Jf, rhs, G, S, dt_e = J_new, rhs_new, G_new, S_new, dt_e_new
+            Jf, G, S, dt_e = J_new, G_new, S_new, dt_e_new
+            rhs, rhs_new = rhs_new, rhs
             l2sq = vol * float(np.vdot(u, u))
-            drift_max = max(drift_max, abs(vol * float(np.sum(u))) / (1.0 + np.sqrt(l2sq)))
-            supn, supn_prev = float(np.max(np.abs(u))), supn
+            drift_max = max(drift_max, abs(vol * float(u.sum())) / (1.0 + np.sqrt(l2sq)))
+            supn, supn_prev = float(np.abs(u, out=scratch[0]).max()), supn
             k, aim = _ORDER_AIM[stepper]
             # residual ~ dt^(k + 1): at this factor of dt the next step's
             # residual would sit at aim^(k + 1) of the tolerance

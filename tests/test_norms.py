@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import mixed_mode, random_exponent, random_gridfunction
+from pxwell import norms
 from pxwell.exponents import build_field
 from pxwell.grid import Grid, GridFunction, cell_gradient_magnitude
 from pxwell.norms import (
@@ -236,6 +237,22 @@ def test_embedding_monotone_in_trials():
     c2 = estimate_embedding(p, "L2", trials=8, seed=7, ascent_steps=0).constant
     c3 = estimate_embedding(p, "L2", trials=16, seed=7, ascent_steps=0).constant
     assert c1 <= c2 <= c3
+
+
+def test_best_quotient_keeps_the_first_of_a_rounding_tie():
+    # modes (1,0) and (0,1) tie in exact arithmetic on a square, and a
+    # last-bit change of a norm used to trade them: a quotient 4e-16 above
+    # the incumbent does not replace it, and the best is still the first
+    g = Grid((8, 8), (1.0, 1.0))
+    bank = [(ident, GridFunction(g, np.zeros(g.shape))) for ident in ("a", "b", "c")]
+    quotients = {"a": 1.0, "b": 1.0 + 4e-16, "c": 0.5}
+    by_id = {id(w): quotients[ident] for ident, w in bank}
+    best, w, ident = norms._best_quotient(bank, lambda w: by_id[id(w)])
+    assert (best, ident) == (1.0, "a") and w is bank[0][1]
+    # a margin of 1e-12 relative: a quotient past it still wins
+    quotients["b"] = 1.0 + 1e-11
+    by_id = {id(w): quotients[ident] for ident, w in bank}
+    assert norms._best_quotient(bank, lambda w: by_id[id(w)])[2] == "b"
 
 
 def test_gn_theta_examples():

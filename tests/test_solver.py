@@ -17,6 +17,7 @@ from pxwell.exponents import build_field
 from pxwell.grid import (
     Grid,
     GridFunction,
+    _aligned,
     _Kernel,
     integrate,
     project_mean_zero,
@@ -66,7 +67,8 @@ def _rkc2(u, p, r, dt, delta=1e-8):
     rhs = kernel.rhs(u.values)
     s = solver._stages(dt, kernel.explicit_dt())
     return GridFunction(u.grid, solver._rkc2_step(kernel, u.values, rhs, dt, s,
-                                                  solver._work(u.values.size)))
+                                                  solver._work(u.values.size),
+                                                  np.empty(u.values.size)))
 
 
 def test_step_zero_fixed_point(setup2d):
@@ -108,26 +110,27 @@ def test_step_mean_conservation(setup2d):
 
 
 def test_returned_states_and_slopes_outlive_the_buffers(setup2d):
-    # a right-hand side that kernel(u) returns and a state that a step
-    # returns are new arrays: later stages in the same work buffers, a second
-    # kernel's evaluation and a ray's load on the same grid leave them bit
-    # for bit as they were
+    # a right-hand side that the kernel writes into a caller's buffer and a
+    # state that a step writes into one stay there: later stages in the same
+    # work buffers, a second kernel's evaluation and a ray's load on the same
+    # grid leave them bit for bit as they were
     g, p, r = setup2d
     kernel = _Kernel(g, p.values, 1e-8, r.values)
     other = _Kernel(g, build_field(2.5, g).values, 0.0, build_field(1.5, g).values)
     rng = np.random.default_rng(8)
-    u = project_mean_zero(random_gridfunction(g, rng)).values
-    _, f, _, _ = kernel(u)
+    u = project_mean_zero(random_gridfunction(g, rng)).values.reshape(-1)
+    f, f_new, u_new, u_rk4, spare = _aligned(u.size, 5)
+    kernel.evaluate(u, f)
     work = solver._work(u.size)
     dt_e = kernel.explicit_dt()
-    u_new = solver._rkc2_step(kernel, u, f, 3.0 * dt_e, 3, work)
-    u_rk4 = solver._rk4_step(kernel, u, f, dt_e, work)
+    solver._rkc2_step(kernel, u, f, 3.0 * dt_e, 3, work, u_new)
+    solver._rk4_step(kernel, u, f, dt_e, work, u_rk4)
     kept = [(a, a.view(np.int64).copy()) for a in (f, u_new, u_rk4)]
-    solver._rkc2_step(kernel, u_new, f, 10.0 * dt_e, 5, work)
-    solver._rk4_step(kernel, u_rk4, f, dt_e, work)
-    kernel(u_new)
+    solver._rkc2_step(kernel, u_new, f, 10.0 * dt_e, 5, work, spare)
+    solver._rk4_step(kernel, u_rk4, f, dt_e, work, spare)
+    kernel.evaluate(u_new, f_new)
     other(rng.standard_normal(g.shape))
-    _Ray(GridFunction(g, rng.standard_normal(g.shape)), p, r).load(u_rk4.reshape(-1) + 1.0)
+    _Ray(GridFunction(g, rng.standard_normal(g.shape)), p, r).load(u_rk4 + 1.0)
     assert all(np.array_equal(a.view(np.int64), bits) for a, bits in kept)
     buffers = [kernel.state, kernel.faces.div, kernel.faces.tmp, kernel.q, kernel.w, *work]
     assert not any(np.shares_memory(a, b) for a, _ in kept for b in buffers)
@@ -148,7 +151,7 @@ class _Scalar:
 def _stability_polynomial(s, z):
     """P_s(z): one s-stage `_rkc2_step` of y' = z y from y = 1 at dt = 1."""
     one = np.ones_like(z)
-    return solver._rkc2_step(_Scalar(z), one, z, 1.0, s, solver._work(z.size))
+    return solver._rkc2_step(_Scalar(z), one, z, 1.0, s, solver._work(z.size), np.empty(z.size))
 
 
 def test_rkc2_polynomial_is_stable_and_second_order():
@@ -424,9 +427,9 @@ def test_recorded_snapshots_are_snapshots_of_the_state(monkeypatch, factor):
     last = {}
 
     class LastState(_Kernel):
-        def __call__(self, uv):
-            last["u"] = uv.copy()
-            return super().__call__(uv)
+        def evaluate(self, uv, out):
+            last["u"] = uv.reshape(self.shape).copy()
+            return super().evaluate(uv, out)
 
     monkeypatch.setattr(solver, "_Kernel", LastState)
     for t_k in traj.t[1:]:
@@ -713,8 +716,8 @@ def test_overflowing_trial_is_rejected_without_a_warning(monkeypatch):
     cfg = SolverConfig(dt_init=2e-2, blowup_threshold=1e30)
     finite = []
 
-    def logged(kernel, u, rhs, dt, s, work, _step=solver._rkc2_step):
-        u_new = _step(kernel, u, rhs, dt, s, work)
+    def logged(kernel, u, rhs, dt, s, work, out, _step=solver._rkc2_step):
+        u_new = _step(kernel, u, rhs, dt, s, work, out)
         finite.append((s, bool(np.all(np.isfinite(u_new)))))
         return u_new
 
@@ -809,9 +812,11 @@ def test_hermite_dissipation_is_exact_and_fourth_order():
     u0, p, r = _mixed_mode_datum(1.0)
     kernel = _Kernel(u0.grid, p.values, 1e-8, r.values)
     rng = np.random.default_rng(7)
+    scratch = list(np.empty((3,) + u0.grid.shape))
     for dt in (1e-6, 1e-3, 0.5):
         u, f, u_new, f_new = rng.standard_normal((4,) + u0.grid.shape)
-        assert solver._hermite_dissipation(kernel, u, f, u_new, f_new, dt) == pytest.approx(
+        closed = solver._hermite_dissipation(kernel, u_new - u, f, f_new, dt, scratch)
+        assert closed == pytest.approx(
             _gauss_hermite_dissipation(kernel.vol, u, f, u_new, f_new, dt, 5), rel=1e-13, abs=0.0)
     u = project_mean_zero(u0).values
     J, f, _, _ = kernel(u)
@@ -819,10 +824,11 @@ def test_hermite_dissipation_is_exact_and_fourth_order():
     work = solver._work(u.size)
     hermite, rectangle = [], []
     for dt in dts:
-        u4 = solver._rk4_step(kernel, u, f, dt, work)
+        u4 = solver._rk4_step(kernel, u, f, dt, work, np.empty(u.size))
         J4, f4, _, _ = kernel(u4)
-        hermite.append(abs(J4 - J + solver._hermite_dissipation(kernel, u, f, u4, f4, dt)))
-        u2 = solver._rkc2_step(kernel, u, f, dt, 2, work)
+        hermite.append(abs(J4 - J + solver._hermite_dissipation(kernel, u4 - u, f, f4, dt,
+                                                                scratch)))
+        u2 = solver._rkc2_step(kernel, u, f, dt, 2, work, np.empty(u.size))
         diff = (u2 - u) / dt
         rectangle.append(abs(kernel(u2)[0] - J + dt * kernel.vol * float(np.sum(diff * diff))))
     assert min(hermite) > 100.0 * np.finfo(float).eps * abs(J)
@@ -857,6 +863,43 @@ _SYMMETRY_RUNS = pytest.mark.parametrize("factor, cfg", [(0.25, _DECAY16), (1.7,
 
 
 @_SYMMETRY_RUNS
+def test_trials_run_in_buffers_made_once_per_run(monkeypatch, factor, cfg):
+    # a trial allocates no grid array: every full evaluation of a trial
+    # state reads it from one buffer and writes its right-hand side into one
+    # of two, which an accepted step swaps, and the datum's goes into one of
+    # them too; each buffer starts on a 64-byte line, and the kernel's
+    # allocating entries are never called
+    states, slopes, wrappers = [], [], []
+
+    def address(a):
+        return a.__array_interface__["data"][0]
+
+    class Logged(_Kernel):
+        def evaluate(self, uv, out):
+            states.append(address(uv))
+            slopes.append(address(out))
+            return super().evaluate(uv, out)
+
+        def __call__(self, uv):
+            wrappers.append("__call__")
+            return super().__call__(uv)
+
+        def rhs(self, uv):
+            wrappers.append("rhs")
+            return super().rhs(uv)
+
+    monkeypatch.setattr(solver, "_Kernel", Logged)
+    traj = simulate(*_mixed_mode_datum(factor), cfg)
+    # every trial state of these runs is finite, so each is evaluated
+    assert len(states) == 1 + sum(traj.trials.values())
+    assert not wrappers
+    datum, trials = states[0], set(states[1:])
+    assert len(trials) == 1 and datum not in trials
+    assert len(set(slopes)) == 2
+    assert all(a % 64 == 0 for a in {datum, *trials, *slopes})
+
+
+@_SYMMETRY_RUNS
 def test_negated_datum_takes_the_same_steps_bit_for_bit(factor, cfg):
     # the equation is odd in u: from -u0 every accepted state is the negated
     # state, so every column of the table has the same bits
@@ -887,6 +930,40 @@ def test_transposed_datum_takes_the_same_steps(factor, cfg):
     assert flip.J == pytest.approx(traj.J, rel=1e-10, abs=0.0)
 
 
+# the six images of the square under D4 besides the identity and the
+# transpose, each a map of the cell values' index grid
+_D4_IMAGES = {
+    "rot90": lambda a: np.rot90(a, 1),
+    "rot180": lambda a: np.rot90(a, 2),
+    "rot270": lambda a: np.rot90(a, 3),
+    "flip-x": lambda a: a[::-1, :],
+    "flip-y": lambda a: a[:, ::-1],
+    "anti-diagonal": lambda a: np.rot90(a, 2).T,
+}
+
+
+@pytest.mark.parametrize("image", sorted(_D4_IMAGES))
+@_SYMMETRY_RUNS
+def test_square_symmetric_datum_takes_the_same_steps(factor, cfg, image):
+    # every other symmetry of the square, with p's values carried along, as
+    # the transpose above: the same step sequence and outcome, J, ||u||_2^2
+    # and t_b to rounding (measured: J within 1.1e-15 relative, ||u||_2^2
+    # within 5.3e-16, t_b the same bits)
+    u0, p, r = _mixed_mode_datum(factor)
+    g, move = u0.grid, _D4_IMAGES[image]
+    moved = simulate(GridFunction(g, np.ascontiguousarray(move(u0.values))),
+                     build_field(np.ascontiguousarray(move(p.values)), g), r, cfg)
+    traj = _mixed_mode_run(factor, cfg)
+    assert (moved.step_count, moved.rejected_steps, moved.kernel_evals) == (
+        traj.step_count, traj.rejected_steps, traj.kernel_evals)
+    assert moved.outcome.kind == traj.outcome.kind
+    assert (moved.outcome.t_b is None) == (traj.outcome.t_b is None)
+    if traj.outcome.t_b is not None:
+        assert moved.outcome.t_b == pytest.approx(traj.outcome.t_b, rel=1e-10, abs=0.0)
+    assert moved.J == pytest.approx(traj.J, rel=1e-10, abs=0.0)
+    assert moved.l2sq == pytest.approx(traj.l2sq, rel=1e-10, abs=0.0)
+
+
 def test_rkc_estimate_is_third_order():
     # the RKC estimate ||12 (u - u+) + 6 dt (f + f+)|| / 15 of a two-stage
     # RKC2 step falls like dt^3 as dt halves from dt_E, every value far above
@@ -897,10 +974,11 @@ def test_rkc_estimate_is_third_order():
     _, f, _, _ = kernel(u)
     dts = kernel.explicit_dt() * 0.5 ** np.arange(5)
     work = solver._work(u.size)
+    scratch = list(np.empty((2,) + u.shape))
     estimates = []
     for dt in dts:
-        u2 = solver._rkc2_step(kernel, u, f, dt, 2, work)
-        estimates.append(solver._rkc_estimate(u, f, u2, kernel(u2)[1], dt))
+        u2 = solver._rkc2_step(kernel, u, f, dt, 2, work, np.empty(u.size))
+        estimates.append(solver._rkc_estimate(u2 - u, f, kernel(u2)[1], dt, scratch))
     assert min(estimates) > 1e6 * np.finfo(float).eps * np.linalg.norm(u)
     slope = np.polyfit(np.log(dts), np.log(estimates), 1)[0]
     assert slope == pytest.approx(3.0, abs=0.1)
