@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .exponents import ExponentField
-from .grid import Grid, GridFunction, _Kernel, _require_one_grid, _run, _workspace
+from .grid import Grid, GridFunction, _Kernel, _require_one_grid, _workspace
 from .norms import EmbeddingEstimate, l2_norm
 from .witnesses import witness_bank
 
@@ -152,12 +152,12 @@ _EPS = float(np.finfo(float).eps)
 class _Ray:
     """Cached quadrature data for evaluating I and J along {lambda * u}.
 
-    The gradient magnitude is formed by the bound `grad2` passes of the face
-    workspace its grid caches (`grid._Faces`), the same passes as a kernel's
-    and `cell_gradient_magnitude`'s, from the values loaded into it.  A ray
-    owns its flat |grad u| and |u|, and `load` points it at other flat
-    values on the same grid in place, so one ray serves every trial step of
-    a descent.  `load` raises each cell to its exponent once, in the
+    The gradient magnitude and |u| are formed by the compiled `grad2` loop of
+    the face workspace its grid caches (`grid._Faces`), the same loop as a
+    kernel's and `cell_gradient_magnitude`'s, from the values loaded into
+    it.  A ray owns its flat |grad u| and |u|, and `load` points it at other
+    flat values on the same grid in place, so one ray serves every trial
+    step of a descent.  `load` raises each cell to its exponent once, in the
     workspace's scratch `tmp`, and sums the powers over the exponents' level
     sets (`ExponentField.level_sums`), prescaled by an exact power of two.
     `powers` scales those sums to any lambda, as (lambda g)^p = lambda^p g^p
@@ -172,6 +172,7 @@ class _Ray:
         self.p, self.r = p, r
         self.P, self.R = p.levels, r.levels
         self.gm, self.au = np.empty((2, u.values.size))
+        self.au_at = self.au.ctypes.data
         self.load(u.values.reshape(-1))
 
     def load(self, values: np.ndarray) -> None:
@@ -179,9 +180,8 @@ class _Ray:
         the level sums of |grad u|^p and |u|^r."""
         faces = self.faces
         faces.load(values)
-        _run(faces.grad2)
+        faces.gradient(au=self.au_at)
         np.sqrt(faces.mag2, out=self.gm)
-        np.abs(values, out=self.au)
         self.grad = self.p.level_sums(self.gm, out=faces.tmp)
         self.source = self.r.level_sums(self.au, out=faces.tmp)
 

@@ -7,15 +7,14 @@ integral in the package reduces to the midpoint rule on this grid.  Face
 differences are formed where they are used, never stored as a field.
 
 Every grid kernel runs on the C-order flat values, in the one face workspace
-a grid caches (`_Faces`): along an axis of flat stride s the face differences
-are u[s:] - u[:-s], contiguous, and a cell's two faces are the [:-s] and [s:]
-slices of a face array with zero Neumann entries at its ends.  The
+a grid caches (`_Faces`): along an axis of flat stride s the face
+differences are u[k] - u[k - s], and cell c's two faces are entries c and
+c + s of a face array with zero Neumann entries at its ends.  The
 differences stay raw, never divided by h: each sum over a cell's faces is
-formed across the axes and scaled once by 0.5 / h^2, so a 2D right-hand side
-with the source on takes 24 full array passes.  With every spacing a power
-of two that scaling is exact, and every value has the bits of differences
-divided by h at each face up to the sign of a zero.  The cell-RMS
-|grad u|^2 is formed in one place, the workspace's `grad2` passes.  The
+formed across the axes and scaled once by 0.5 / h^2.  With every spacing a
+power of two that scaling is exact, and every value has the bits of
+differences divided by h at each face up to the sign of a zero.  The
+cell-RMS |grad u|^2 is formed in one place, the compiled `grad2` loop.  The
 discrete energy J is its cell quadrature, and the p(x)-flux is the exact L2
 gradient of that energy.  The private `_Kernel` computes both, with the
 source term: built once per exponent pair, it evaluates a state to J(u), the
@@ -24,23 +23,27 @@ and the powers between them, or to the right-hand side alone where no energy
 is read (the solver's inner stages).  `px_flux_divergence`,
 `dirichlet_energy` and the solver all call it.
 
-The passes are bound once, as a program: a tuple of (ufunc, in, in, out) over
-fixed views of the workspace's and the kernel's buffers, run by `_run` with
-positional outs, so a call slices nothing.  The passes read the state from
-the workspace's state buffer `x`.  What reads only the workspace is bound
-once per grid, in `_Faces`: the `grad2` passes from `x` to |grad u|^2, and
-per axis the divergence passes after the flux's weight sum.  What reads a
-kernel's own weights w, and its q and w passes, is bound per kernel, so that
-building a kernel binds four views on a 2D grid and allocates one block.
-A full evaluation (`_Kernel.evaluate`) copies its state into `x`, writes the
-right-hand side into the caller's flat buffer and returns J and the
-modulars, and an inner stage (`_Kernel.stage`) reads a state its caller
-formed in `x` and writes into the caller's buffer: neither allocates an
-array.  `_Kernel.__call__`, and `_Kernel.rhs` for the right-hand side alone,
-wrap them for callers that keep no buffers and allocate one array each, the
-right-hand side they return.
+What runs compiled and what stays NumPy.  The elementwise passes, the face
+differences, the sums over a cell's faces, the fluxes, the source's sign and
+its shift, run as loops in `_loops.c` (built and loaded by `_loops`), each
+over all the cells and every axis in one call, through addresses taken once
+per buffer.  The two powers per cell, w = q^{(p - 2)/2} and a = |u|^{r - 1},
+and every reduction (the source's sum, the sums of J, G and S, max w) stay
+NumPy calls: they are most of an evaluation's time, and a loop of our own
+would round them otherwise.  No bit can change: each loop makes the
+operations of the NumPy passes it replaced, on the same operands and in the
+same order, built without fused multiply-adds or fast-math, and the slice
+oracles of `tests/test_flat_kernel.py` hold every output to them.  A
+right-hand side with the source on is then four compiled calls, two powers
+and one sum.  A full evaluation (`_Kernel.evaluate`) copies its state into
+the workspace's `x`, writes the right-hand side into the caller's flat
+buffer and returns J and the modulars, and an inner stage
+(`_Kernel.stage`) reads a state its caller formed in `x` and writes into
+the caller's buffer: neither allocates an array.  `_Kernel.__call__`, and `_Kernel.rhs` for the
+right-hand side alone, wrap them for callers that keep no buffers and
+allocate one array each, the right-hand side they return.
 
-Every array a kernel pass writes starts on a 64-byte cache line (`_aligned`):
+Every array a kernel writes starts on a 64-byte cache line (`_aligned`):
 NumPy's AVX-512 loops store a line at a time, and on an AVX-512 host (NumPy
 2.4 dispatching AVX512_SPR) an `np.add` on 4,096 doubles took 2.6 us into a
 line-aligned output against 4.1-4.7 us into one 8, 16 or 32 bytes off, and
@@ -51,12 +54,15 @@ off a line, and any other buffer was on one only by the heap's state.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
+
+from . import _loops
 
 __all__ = [
     "Grid",
@@ -171,54 +177,41 @@ def cell_gradient_magnitude(u: GridFunction) -> np.ndarray:
     an outer-boundary face counting as zero (mirror ghost)."""
     faces = _workspace(u.grid)
     faces.load(u.values)
-    _run(faces.grad2)
+    faces.gradient()
     return np.sqrt(faces.mag2).reshape(u.grid.shape)
 
 
-# +0.0, the one input of the passes that zero a strided set of faces
-_ZERO = np.zeros(())
-
-
-def _run(program: tuple) -> None:
-    """Run the bound passes (ufunc, in, in, out) in order."""
-    for ufunc, a, b, out in program:
-        ufunc(a, b, out)
-
-
 class _Faces:
-    """The flat face workspace of one grid, with the passes bound on it.
+    """The flat face workspace of one grid, described once to the compiled
+    loops (`_loops.Faces`).
 
     Per axis of flat stride s and row-end `wrap` (`Grid.flat_neighbours`),
     with n cells: the axis' weight `rel` = (h_0 / h)^2 against the first
     axis' spacing h_0 (1.0 on every grid with square cells) and two face
     arrays of n + s entries, `g` for the raw face differences
-    d = u[s:] - u[:-s] and `f` for their squares and then the fluxes.
+    d = u[s:] - u[:-s] and `f` for the face fluxes.
     Entry k >= s is the face between cells k - s and k, so cell c's two
-    faces are entries c and c + s, the slices [:-s] and [s:].  The s entries
-    at each end are outer-boundary faces and stay zero, the mirror ghost.
-    Where `wrap` is nonzero the entries at its multiples are the faces
-    across a row end, outer-boundary faces too: every write there is
-    followed by one strided pass that zeroes them again.  Four cell arrays
-    complete it: the state `x` that every pass reads, the cell-RMS
-    |grad u|^2 `mag2`, the unscaled divergence `div` and the scratch `tmp`.
+    faces are entries c and c + s.  The s entries at each end are
+    outer-boundary faces and stay zero, the mirror ghost.  Where `wrap` is
+    nonzero the entries at its multiples are the faces across a row end,
+    outer-boundary faces too: every loop that writes a face array writes
+    +0.0 there.  Four cell arrays complete it: the state `x` that every loop
+    reads, the cell-RMS |grad u|^2 `mag2`, the divergence `div` and the
+    scratch `tmp`, which only `energy._Ray` uses.
 
     The differences are never divided by h.  Each sum over a cell's faces
     is formed across the axes first, from raw differences (the first axis
-    writing its cell array directly, a later axis through `tmp`, scaled by
-    its `rel` when that is not 1), and scaled once by `scale` = 0.5 / h_0^2.
-    When every spacing is a power of two each of these scalings is exact,
-    so every value has the bits of differences divided by h at each face,
-    except that a divergence whose terms are all zeros may be -0.0 where a
-    sum begun from +0.0 would be +0.0.
+    writing its cell array directly, a later one weighted by its `rel`), and
+    scaled once by `scale` = 0.5 / h_0^2.  When every spacing is a power of
+    two each of these scalings is exact, so every value has the bits of
+    differences divided by h at each face, except that a divergence whose
+    terms are all zeros may be -0.0 where a sum begun from +0.0 would be
+    +0.0.
 
-    Two programs are bound here.  `grad2` forms mag2 from x: per axis, half
-    the sum of the squared differences on a cell's two faces over h^2,
-    leaving each axis' raw differences in its `g`.  `flux` holds per axis
-    the face flux array f[s:n] and the passes that follow its weight sum
-    (w_L + w_R), which a kernel binds on its own w: the flux times the
-    differences `grad2` left, and the sum of the fluxes' differences into
-    `div`, so that the divergence of the face flux (w_L + w_R) d / (2 h) is
-    `scale` div.
+    `gradient` runs the compiled `grad2` loop: mag2 from x, per axis half the
+    sum of the squared differences on a cell's two faces over h^2, leaving
+    each axis' raw differences in its `g`.  A kernel's `flux` loop then reads
+    those differences and its own weights w.
 
     Scratch only: every caller loads x and overwrites the interior entries
     it reads within one call, and never reads them across calls, so
@@ -235,42 +228,30 @@ class _Faces:
         n = self.n = math.prod(grid.cells)
         h0 = grid.spacing[0]
         scale = self.scale = 0.5 / (h0 * h0)
-        self.x, self.mag2, self.div, self.tmp = x, mag2, div, tmp = _aligned(n, 4)
-        axes, grad2, flux = [], [], []
-        for k, ((s, wrap), h) in enumerate(zip(grid.flat_neighbours, grid.spacing)):
-            rel = (h0 / h) ** 2
+        self.x, self.mag2, self.div, self.tmp = x, mag2, div, _ = _aligned(n, 4)
+        axes = []
+        for (s, wrap), h in zip(grid.flat_neighbours, grid.spacing):
             g, f = _aligned(n + s, 2, s)
             g[:s] = g[n:] = f[:s] = f[n:] = 0.0
-            axes.append((s, rel, wrap, g, f))
-            gi, fi = g[s:n], f[s:n]
-            grad2.append((np.subtract, x[s:], x[:-s], gi))
-            if wrap:
-                grad2.append((np.add, _ZERO, _ZERO, g[::wrap]))
-            grad2.append((np.multiply, gi, gi, fi))
-            grad2 += self._summed(k, rel, f[:-s], f[s:], np.add, mag2)
-            ops = [(np.multiply, fi, gi, fi)]
-            if wrap:
-                ops.append((np.add, _ZERO, _ZERO, f[::wrap]))
-            ops += self._summed(k, rel, f[s:], f[:-s], np.subtract, div)
-            flux.append((fi, tuple(ops)))
-        grad2.append((np.multiply, mag2, scale, mag2))
-        self.axes, self.grad2, self.flux = tuple(axes), tuple(grad2), tuple(flux)
-
-    def _summed(self, k: int, rel: float, a: np.ndarray, b: np.ndarray, ufunc,
-                out: np.ndarray) -> list[tuple]:
-        """The passes that sum axis k's face term ufunc(a, b) into `out`: the
-        first axis writes `out` directly, a later one goes through `tmp` and
-        is added with its weight."""
-        if not k:
-            return [(ufunc, a, b, out)]
-        ops = [(ufunc, a, b, self.tmp)]
-        if rel != 1.0:
-            ops.append((np.multiply, self.tmp, rel, self.tmp))
-        return ops + [(np.add, out, self.tmp, out)]
+            axes.append((s, (h0 / h) ** 2, wrap, g, f))
+        self.axes = tuple(axes)
+        # the loops read the buffers through these addresses; the workspace
+        # holds the buffers
+        self.plan = _loops.Faces(n, len(axes), scale, x.ctypes.data, mag2.ctypes.data,
+                                 div.ctypes.data, (_loops.Axis * 2)(*(
+                                     _loops.Axis(s, wrap, rel, g.ctypes.data, f.ctypes.data)
+                                     for s, rel, wrap, g, f in axes)))
+        self.address = ctypes.addressof(self.plan)
 
     def load(self, values: np.ndarray) -> None:
         """Copy the state `values`, read in C order, into x."""
         np.copyto(self.x, values.reshape(-1))
+
+    def gradient(self, d2: float = 0.0, q: Optional[int] = None,
+                 au: Optional[int] = None) -> None:
+        """|grad u|^2 of the loaded state into `mag2`; with the address `q`,
+        also q = |grad u|^2 + d2 there, and with the address `au`, |u|."""
+        _loops.lib.grad2(self.address, d2, q, au)
 
 
 @lru_cache(maxsize=8)
@@ -305,19 +286,18 @@ class _Kernel:
     kernel built per call, as in `px_flux_divergence`, frees one block and
     keeps the right-hand side it returned.  `evaluate` is the one full
     evaluation, into the caller's buffer; `__call__` and `rhs` are its
-    allocating wrappers, the latter without the sums of J, G and S.  Its
-    `program` is the workspace's `grad2` passes, its own q and w passes and,
-    per axis, its own weight sum into the face flux followed by the
-    workspace's flux passes for that axis.  A right-hand side makes these
-    passes over the cells, 2D with square cells and the source on:
-    |grad u|^2 in 8, q and w in 2, the divergence in 8 and the source in 6
-    (|u|, a, sign(u) a, its sum, less its mean, added to the scaled
-    divergence): 24 in all.  The last pass,
-    the source's addition or without the source the divergence's scaling,
-    writes the caller's array.
-    Each per-cell operation, and their order, is that of per-axis formulas on
-    2D slices in the same arithmetic, so every value is the same bits as with
-    such slices.
+    allocating wrappers, the latter without the sums of J, G and S.
+
+    A right-hand side (`stage`) runs the workspace's compiled `grad2` loop,
+    which also writes q and, with the source on, |u|; the NumPy power
+    w = q^{(p - 2)/2}; the compiled `flux` loop, which writes the scaled
+    divergence of the face fluxes (w_L + w_R) g; and with the source on the
+    NumPy power a = |u|^{r - 1}, the compiled sign(u) a, its NumPy sum and
+    the compiled shift by its mean, added to the divergence.  The last loop,
+    the flux's without the source and the shift's with it, writes the
+    caller's array.  Each per-cell operation, and their order, is that of
+    per-axis formulas on 2D slices in the same arithmetic, so every value is
+    the same bits as with such slices.
     """
 
     def __init__(self, grid: Grid, p_values: np.ndarray, delta: float,
@@ -334,21 +314,19 @@ class _Kernel:
         self.radius = 4.0 * sum(1.0 / (h * h) for h in grid.spacing)
         self.source = r_values is not None
         buffers = _aligned(faces.n, 9 if self.source else 4)
-        self.expo, self.inv_p, q, w = buffers[:4]
-        self.q, self.w = q, w
+        self.expo, self.inv_p, self.q, self.w = buffers[:4]
         pv = p_values.ravel()
         np.multiply(np.subtract(pv, 2.0, out=self.expo), 0.5, out=self.expo)
         np.divide(1.0, pv, out=self.inv_p)
-        program = faces.grad2 + ((np.add, faces.mag2, self.d2, q), (np.power, q, self.expo, w))
-        for (s, *_), (flux, ops) in zip(faces.axes, faces.flux):
-            program += ((np.add, w[:-s], w[s:], flux),) + ops
+        # the addresses of the buffers the compiled loops write, read once
+        self.q_at, self.w_at = self.q.ctypes.data, self.w.ctypes.data
+        self.au_at = None
         if self.source:
             self.r1, self.inv_r, self.au, self.a, self.sa = buffers[4:]
             rv = r_values.ravel()
             np.subtract(rv, 1.0, out=self.r1)
             np.divide(1.0, rv, out=self.inv_r)
-            program += ((np.multiply, faces.div, faces.scale, faces.div),)
-        self.program = program
+            self.au_at, self.a_at, self.sa_at = (b.ctypes.data for b in buffers[6:])
 
     @cached_property
     def offset(self) -> float:
@@ -404,16 +382,19 @@ class _Kernel:
     def stage(self, out: np.ndarray) -> np.ndarray:
         """The right-hand side at the flat state in `state`, written into the
         flat `out` and returned; no array is allocated."""
-        _run(self.program)
-        faces = self.faces
+        faces, lib = self.faces, _loops.lib
+        dest = _loops.address(out, faces.n)
+        faces.gradient(self.d2, self.q_at, self.au_at)
+        np.power(self.q, self.expo, out=self.w)
         if not self.source:
-            return np.multiply(faces.div, faces.scale, out)
-        x, au, a, sa = faces.x, self.au, self.a, self.sa
-        np.abs(x, out=au)
-        np.power(au, self.r1, out=a)
-        np.copysign(a, x, out=sa)
-        sa -= self.vol * sa.sum() / self.omega
-        return np.add(faces.div, sa, out)
+            lib.flux(faces.address, self.w_at, dest)
+            return out
+        np.power(self.au, self.r1, out=self.a)
+        plan, n = faces.plan, faces.n
+        lib.flux(faces.address, self.w_at, plan.div)
+        lib.source_sign(n, self.a_at, plan.x, self.sa_at)
+        lib.source_add(n, plan.div, self.sa_at, self.vol * self.sa.sum() / self.omega, dest)
+        return out
 
     def explicit_dt(self) -> float:
         """0.8 of explicit Euler's stability bound 2 / rho at the state last

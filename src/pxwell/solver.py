@@ -50,12 +50,15 @@ the trial state make four kernel evaluations.
 Every stage is a combination of the current state and zero-mean right-hand
 sides, so the mean is conserved.  An inner stage of either stepper forms its
 state in the kernel's state buffer and its slope and increment in buffers
-made once per run (`_work`).  The run holds four more flat buffers, made
-once and each on a 64-byte line (`grid._aligned`): the state, the trial
-state and the right-hand sides at both.  A stepper writes the trial state
-into its buffer and the kernel's full evaluation (`_Kernel.evaluate`) its
-right-hand side into the free one; an accepted step shifts the trial state
-to zero mean into the state's buffer and swaps the two right-hand sides.
+made once per run (`_work`); the sums that combine the stages run as
+compiled loops (`_loops.c`), each with the bits of the NumPy passes it
+replaced, and the kernel's powers and every reduction stay NumPy.  The run
+holds four more flat buffers, made once and each on a 64-byte line
+(`grid._aligned`): the state, the trial state and the right-hand sides at
+both.  A stepper writes the trial state into its buffer and the kernel's
+full evaluation (`_Kernel.evaluate`) its right-hand side into the free one;
+an accepted step shifts the trial state to zero mean into the state's
+buffer and swaps the two right-hand sides.
 The trial's checks (finiteness, the dissipation, the RKC estimate against
 the step's change, the drift and ||u||_inf) share one change u+ - u and take
 the work buffers, idle once the step has returned, as scratch, so no trial
@@ -153,6 +156,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import _loops
 from .exponents import ExponentField
 from .grid import GridFunction, _aligned, _Kernel, _minus_mean, _require_one_grid
 
@@ -340,8 +344,8 @@ def _stages(dt: float, dt_e: float) -> int:
 
 def _work(n: int) -> list[np.ndarray]:
     """The steppers' flat scratch buffers for n cells, made once per run:
-    RKC2 takes all four, RK4 the first three.  Once a step has returned they
-    are idle, and the trial's checks take them (`simulate`)."""
+    RKC2 takes the first three, RK4 the first two.  Once a step has returned
+    they are idle, and the trial's checks take all four (`simulate`)."""
     return _aligned(n, 4)
 
 
@@ -354,25 +358,29 @@ def _rkc2_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float, s: in
     (1 - mu - nu) u + ... leaves one on the increments d_j = Y_j - u, whose
     round-off scales with the step rather than with the state: the blow-up
     tail amplifies a change in the last bit of the state many times over.
-    Each stage forms u + d_{j-1} in the kernel's state buffer and its
-    increment in the `work` buffers (`_work`), so a step allocates
-    nothing."""
+    Each stage's slope goes into a `work` buffer (`_work`); one compiled
+    loop (`_loops.c`, `rkc2_inc`) then forms, in place, the increment
+    ((slope mu~_j dt + f gamma~_j dt) + d_{j-1} mu_j) + d_{j-2} nu_j and the
+    next stage's state u + d_j in the kernel's state buffer, or the step's
+    in `out`, so a step allocates nothing.  Each value has the bits of the
+    NumPy passes that formed these sums term by term: the loop makes the
+    same operations in the same order, without fused multiply-adds."""
     (mu1, *_), *rows = _rkc2_weights(s)[0].tolist()
     uf, f = u.reshape(-1), rhs.reshape(-1)
-    d, prev, inc, tmp = work
-    x = kernel.state
-    np.multiply(f, mu1 * dt, out=d)
+    n, lib, at = uf.size, _loops.lib, _loops.address
+    ua, fa, xa, oa = (at(a, n) for a in (uf, f, kernel.state, out))
+    d, prev, inc = ((a, at(a, n)) for a in work[:3])
+    # d_1 = f mu~_1 dt and the first inner stage's state u + d_1
+    lib.step_start(n, ua, fa, mu1 * dt, mu1 * dt, xa, d[1])
     # d_0 = Y_0 - u = 0 enters the first stage's recurrence
-    prev.fill(0.0)
-    for mu, nu, mut, gt in rows:
-        np.add(uf, d, out=x)
-        kernel.stage(inc)
-        inc *= mut * dt
-        inc += np.multiply(f, gt * dt, out=tmp)
-        inc += np.multiply(d, mu, out=tmp)
-        inc += np.multiply(prev, nu, out=tmp)
+    prev[0].fill(0.0)
+    for j, (mu, nu, mut, gt) in enumerate(rows, 2):
+        kernel.stage(inc[0])
+        # the last stage's increment gives the step's state
+        lib.rkc2_inc(n, inc[1], mut * dt, fa, gt * dt, d[1], mu, prev[1], nu, ua,
+                     xa if j < s else oa)
         prev, d, inc = d, inc, prev
-    return np.add(uf, d, out=out).reshape(u.shape)
+    return out.reshape(u.shape)
 
 
 def _rk4_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float,
@@ -382,22 +390,24 @@ def _rk4_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float,
     evaluations, one per inner stage, and allocates nothing.  As in
     `_rkc2_step` the increment is summed before it is added to u, with the
     tableau's weights b = (1/6, 1/3, 1/3, 1/6) times dt, each term as soon as
-    its stage slope is formed: the slope buffer then takes the next one."""
+    its stage slope is formed: the slope buffer then takes the next one.
+    One compiled loop per stage (`_loops.c`) adds the term and forms the
+    next stage's state u + k c, or the step's u + d, in the same operations
+    and order as NumPy passes, so each value has their bits."""
     uf, f = u.reshape(-1), rhs.reshape(-1)
-    k, d, tmp = work[:3]
-    x = kernel.state
+    n, lib, at = uf.size, _loops.lib, _loops.address
+    ua, fa, xa, oa = (at(a, n) for a in (uf, f, kernel.state, out))
+    k, d = work[:2]
+    ka, da = at(k, n), at(d, n)
     b1, b2 = 1.0 / 6.0 * dt, 1.0 / 3.0 * dt
-    np.add(uf, np.multiply(f, 0.5 * dt, out=x), out=x)
+    lib.step_start(n, ua, fa, 0.5 * dt, b1, xa, da)
     kernel.stage(k)
-    np.multiply(f, b1, out=d)
-    d += np.multiply(k, b2, out=tmp)
-    np.add(uf, np.multiply(k, 0.5 * dt, out=x), out=x)
+    lib.rk4_acc(n, da, ka, b2, ua, 0.5 * dt, xa)
     kernel.stage(k)
-    d += np.multiply(k, b2, out=tmp)
-    np.add(uf, np.multiply(k, dt, out=x), out=x)
+    lib.rk4_acc(n, da, ka, b2, ua, dt, xa)
     kernel.stage(k)
-    d += np.multiply(k, b1, out=tmp)
-    return np.add(uf, d, out=out).reshape(u.shape)
+    lib.rk4_last(n, da, ka, b1, ua, oa)
+    return out.reshape(u.shape)
 
 
 def _rkc_estimate(change: np.ndarray, rhs: np.ndarray, rhs_new: np.ndarray, dt: float,
