@@ -40,7 +40,7 @@ typedef struct {
 typedef struct {
     long n, naxes;
     double scale;      /* 0.5 / h_0^2 */
-    double *x, *mag2, *div;
+    double *x, *mag2;
     axis_t axis[2];
 } faces_t;
 
@@ -52,15 +52,14 @@ static void zero_row_ends(const axis_t *a, long n, double *face)
 }
 
 /* Sums the cell terms of axis k into out: the first axis writes out, a
-   later one is weighted by its rel and added to acc, and the last one
+   later one is weighted by its rel and added to out, and the last one
    scales the sum.  The term of cell c is, from the face differences g,
    g[c]^2 + g[c + s]^2, the sum of its faces' squares, or, with flux, from
    the face fluxes f[c + s] - f[c], its right less its left flux.  A product
    by 1.0 returns its operand's bits, so a weight of 1 and an axis that is
    not the last multiply by 1.0 where the NumPy passes skipped the
    product. */
-static inline void cell_sums(const faces_t *F, long k, int flux, const double *acc,
-                             double *out)
+static inline void cell_sums(const faces_t *F, long k, int flux, double *out)
 {
     const long n = F->n, s = F->axis[k].s;
     const double *g = F->axis[k].g, *f = F->axis[k].f, rel = F->axis[k].rel;
@@ -71,7 +70,7 @@ static inline void cell_sums(const faces_t *F, long k, int flux, const double *a
             out[c] = TERM * scale;
     else
         for (long c = 0; c < n; c++)
-            out[c] = (acc[c] + TERM * rel) * scale;
+            out[c] = (out[c] + TERM * rel) * scale;
 #undef TERM
 }
 
@@ -90,7 +89,7 @@ CLONED void grad2(const faces_t *F, double d2, double *q, double *au)
         for (long j = s; j < n; j++)
             g[j] = x[j] - x[j - s];
         zero_row_ends(a, n, g);
-        cell_sums(F, k, 0, F->mag2, F->mag2);
+        cell_sums(F, k, 0, F->mag2);
     }
     if (q)
         for (long c = 0; c < n; c++)
@@ -102,8 +101,7 @@ CLONED void grad2(const faces_t *F, double d2, double *q, double *au)
 
 /* The scaled divergence of the face flux (w_L + w_R) g into out, from the
    differences g that `grad2` left: per axis the fluxes f, each cell's
-   right less left flux, summed across the axes (through div) and scaled
-   once.  out may be div. */
+   right less left flux, summed across the axes in out and scaled once. */
 CLONED void flux(const faces_t *F, const double *w, double *out)
 {
     const long n = F->n;
@@ -115,7 +113,7 @@ CLONED void flux(const faces_t *F, const double *w, double *out)
         for (long j = s; j < n; j++)
             f[j] = (w[j - s] + w[j]) * g[j];
         zero_row_ends(a, n, f);
-        cell_sums(F, k, 1, F->div, k == F->naxes - 1 ? out : F->div);
+        cell_sums(F, k, 1, out);
     }
 }
 
@@ -126,11 +124,12 @@ CLONED void source_sign(long n, const double *a, const double *x, double *sa)
         sa[c] = copysign(a[c], x[c]);
 }
 
-/* The source less its mean m, added to the divergence: div + (sa - m). */
-CLONED void source_add(long n, const double *div, const double *sa, double m, double *out)
+/* The source less its mean m, added to the divergence in out:
+   out + (sa - m). */
+CLONED void source_add(long n, double *out, const double *sa, double m)
 {
     for (long c = 0; c < n; c++)
-        out[c] = div[c] + (sa[c] - m);
+        out[c] = out[c] + (sa[c] - m);
 }
 
 /* A step's first stage state x = u + f c and its first increment d = f b. */

@@ -46,14 +46,14 @@ class Faces(ctypes.Structure):
     """A face workspace, `faces_t` in `_loops.c`: the addresses of its
     buffers, taken once."""
     _fields_ = [("n", _N), ("naxes", _N), ("scale", _D), ("x", _P), ("mag2", _P),
-                ("div", _P), ("axis", Axis * 2)]
+                ("axis", Axis * 2)]
 
 
 _SIGNATURES = {
     "grad2": (_P, _D, _P, _P),
     "flux": (_P, _P, _P),
     "source_sign": (_N, _P, _P, _P),
-    "source_add": (_N, _P, _P, _D, _P),
+    "source_add": (_N, _P, _P, _D),
     "step_start": (_N, _P, _P, _D, _D, _P, _P),
     "rkc2_inc": (_N, _P, _D, _P, _D, _P, _D, _P, _D, _P, _P),
     "rk4_acc": (_N, _P, _P, _D, _P, _D, _P),

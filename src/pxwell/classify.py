@@ -17,9 +17,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ode_bounds
-from .exponents import ExponentField, build_field, check_hypotheses
+from .exponents import ExponentField, HypothesisReport, build_field
 from .energy import (
     DepthEstimate,
+    EnergySnapshot,
     LevelRadii,
     _Ray,
     find_lambda_star,
@@ -47,7 +48,7 @@ GLOBAL = "Global"
 BLOWUP = "Blowup"
 UNDETERMINED = "Undetermined"
 
-# half-width of the critical band around the sampled depth, relative to 1 + d_hat
+# half-width of the critical band around the sampled depth, relative to d_hat
 _CRITICAL_BAND_REL = 1e-3
 # allowance of the (3.17) gap check, relative to 1 + |bound|
 _TOL_317 = 1e-9
@@ -77,35 +78,37 @@ class Envelope:
 
 
 def classify(
-    u0: GridFunction,
-    p: ExponentField,
-    r: ExponentField,
+    s0: EnergySnapshot,
+    hyp: HypothesisReport,
     depth: Optional[DepthEstimate] = None,
     level_radii: Optional[LevelRadii] = None,
 ) -> Verdict:
-    """Map the initial datum to a predicted regime and outcome.
+    """Map the initial datum, through its energy snapshot s0 and the
+    exponents' hypothesis report, to a predicted regime and outcome.
 
-    One rule chain decides, and the first rule that matches gives the
-    regime, the prediction, the rule name and at most one note of its own,
-    after the note on the direction of the sampled radii:
-    - A zero datum is global ("zero-datum").
+    One rule chain decides from these numbers and the estimates, and the
+    first rule that matches gives the regime, the prediction, the rule name
+    and at most one note of its own, after the note on the direction of the
+    sampled radii:
+    - A zero datum, ||u0||_2^2 = 0, is global ("zero-datum"); so is a datum
+      whose squares all underflow.
     - Outside the source-dominant hypotheses (condition H) the
       diffusion-dominant rules apply, which use no depth (a given one is
       only recorded): r_plus < p_minus is global, the weak-source regime
       with J0 < 0 is global, and anything else is undetermined.
     - Subcritical (J0 below the sampled depth): the sign of I0 decides.
-    - Critical band (|J0 - d_hat| within _CRITICAL_BAND_REL * (1 + d_hat), a
-      fixed relative half-width of 1e-3 that only this function applies):
+    - Critical band (|J0 - d_hat| within _CRITICAL_BAND_REL * d_hat, a
+      half-width of 1e-3 of the depth that only this function applies):
       I0 >= 0 gives global, I0 < 0 gives escape, even when level radii are
-      given.
+      given.  Each comparison of the chain is between quantities that
+      scale together under a change of the unit of length, so no verdict
+      depends on that unit.
     - Supercritical: sampled level radii decide when the norm comparisons
       apply, otherwise undetermined.
     Under condition H a missing depth raises ValueError.
     """
-    hyp = check_hypotheses(p, r)
     if hyp.condition_H and depth is None:
         raise ValueError("classification under condition H needs a depth estimate")
-    s0 = snapshot(u0, p, r)
     J0, I0 = s0.J, s0.I
     l2_0 = np.sqrt(s0.l2sq)
     constants: dict[str, float] = {
@@ -118,14 +121,14 @@ def classify(
     d_hat = band = float("nan")
     if depth is not None:
         d_hat = depth.upper
-        band = _CRITICAL_BAND_REL * (1.0 + d_hat)
+        band = _CRITICAL_BAND_REL * d_hat
         constants["d_hat_upper"] = d_hat
         constants["d_hat_lower_formula"] = depth.lower_formula
         estimates.append(depth.ident)
     notes: list[str] = [_RADII_DIRECTION_NOTE]
 
     H = hyp.condition_H
-    if not np.any(u0.values):
+    if s0.l2sq == 0.0:
         regime = "subcritical" if H else "diffusion-dominant"
         pred, rule, note = GLOBAL, "zero-datum", "trivial solution"
     elif not H and hyp.r_plus_below_p_minus:

@@ -383,7 +383,7 @@ def run(config_path, out_dir, seed: int = 0, do_simulate: bool = True,
         if depth is not None and s0.J > depth.upper:
             radii = estimate_level_radii(depth, s0.J)
             record["estimates"]["radii"] = radii
-        record["verdict"] = classify(u0, p, r, depth, level_radii=radii)
+        record["verdict"] = classify(s0, hyp, depth, level_radii=radii)
 
         if do_simulate:
             enter("simulate")

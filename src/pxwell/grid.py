@@ -195,9 +195,10 @@ class _Faces:
     outer-boundary faces and stay zero, the mirror ghost.  Where `wrap` is
     nonzero the entries at its multiples are the faces across a row end,
     outer-boundary faces too: every loop that writes a face array writes
-    +0.0 there.  Four cell arrays complete it: the state `x` that every loop
-    reads, the cell-RMS |grad u|^2 `mag2`, the divergence `div` and the
-    scratch `tmp`, which only `energy._Ray` uses.
+    +0.0 there.  Three cell arrays complete it: the state `x` that every loop
+    reads, the cell-RMS |grad u|^2 `mag2` and the scratch `tmp`, which only
+    `energy._Ray` uses.  A kernel's divergence needs no array here: the
+    `flux` loop sums it across the axes in the caller's buffer.
 
     The differences are never divided by h.  Each sum over a cell's faces
     is formed across the axes first, from raw differences (the first axis
@@ -228,7 +229,7 @@ class _Faces:
         n = self.n = math.prod(grid.cells)
         h0 = grid.spacing[0]
         scale = self.scale = 0.5 / (h0 * h0)
-        self.x, self.mag2, self.div, self.tmp = x, mag2, div, _ = _aligned(n, 4)
+        self.x, self.mag2, self.tmp = x, mag2, _ = _aligned(n, 3)
         axes = []
         for (s, wrap), h in zip(grid.flat_neighbours, grid.spacing):
             g, f = _aligned(n + s, 2, s)
@@ -238,7 +239,7 @@ class _Faces:
         # the loops read the buffers through these addresses; the workspace
         # holds the buffers
         self.plan = _loops.Faces(n, len(axes), scale, x.ctypes.data, mag2.ctypes.data,
-                                 div.ctypes.data, (_loops.Axis * 2)(*(
+                                 (_loops.Axis * 2)(*(
                                      _loops.Axis(s, wrap, rel, g.ctypes.data, f.ctypes.data)
                                      for s, rel, wrap, g, f in axes)))
         self.address = ctypes.addressof(self.plan)
@@ -291,13 +292,12 @@ class _Kernel:
     A right-hand side (`stage`) runs the workspace's compiled `grad2` loop,
     which also writes q and, with the source on, |u|; the NumPy power
     w = q^{(p - 2)/2}; the compiled `flux` loop, which writes the scaled
-    divergence of the face fluxes (w_L + w_R) g; and with the source on the
-    NumPy power a = |u|^{r - 1}, the compiled sign(u) a, its NumPy sum and
-    the compiled shift by its mean, added to the divergence.  The last loop,
-    the flux's without the source and the shift's with it, writes the
-    caller's array.  Each per-cell operation, and their order, is that of
-    per-axis formulas on 2D slices in the same arithmetic, so every value is
-    the same bits as with such slices.
+    divergence of the face fluxes (w_L + w_R) g into the caller's array;
+    and with the source on the NumPy power a = |u|^{r - 1}, the compiled
+    sign(u) a, its NumPy sum and the compiled shift by its mean, added to
+    the divergence in place.  Each per-cell operation, and their order, is
+    that of per-axis formulas on 2D slices in the same arithmetic, so every
+    value is the same bits as with such slices.
     """
 
     def __init__(self, grid: Grid, p_values: np.ndarray, delta: float,
@@ -381,19 +381,19 @@ class _Kernel:
 
     def stage(self, out: np.ndarray) -> np.ndarray:
         """The right-hand side at the flat state in `state`, written into the
-        flat `out` and returned; no array is allocated."""
+        flat `out` and returned; no array is allocated.  `out` must not be
+        `state`: the source's sign reads the state after the flux has
+        written `out`."""
         faces, lib = self.faces, _loops.lib
         dest = _loops.address(out, faces.n)
         faces.gradient(self.d2, self.q_at, self.au_at)
         np.power(self.q, self.expo, out=self.w)
-        if not self.source:
-            lib.flux(faces.address, self.w_at, dest)
-            return out
-        np.power(self.au, self.r1, out=self.a)
-        plan, n = faces.plan, faces.n
-        lib.flux(faces.address, self.w_at, plan.div)
-        lib.source_sign(n, self.a_at, plan.x, self.sa_at)
-        lib.source_add(n, plan.div, self.sa_at, self.vol * self.sa.sum() / self.omega, dest)
+        lib.flux(faces.address, self.w_at, dest)
+        if self.source:
+            n = faces.n
+            np.power(self.au, self.r1, out=self.a)
+            lib.source_sign(n, self.a_at, faces.plan.x, self.sa_at)
+            lib.source_add(n, dest, self.sa_at, self.vol * self.sa.sum() / self.omega)
         return out
 
     def explicit_dt(self) -> float:

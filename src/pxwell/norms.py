@@ -30,7 +30,6 @@ from .witnesses import perturb, witness_bank
 __all__ = [
     "NormResult",
     "EmbeddingEstimate",
-    "modular",
     "luxemburg_norm",
     "estimate_embedding",
     "estimate_gn_constant",
@@ -67,13 +66,6 @@ class EmbeddingEstimate:
     @property
     def ident(self) -> str:
         return f"{self.kind}-s{self.seed}-t{self.trials}"
-
-
-def modular(f: GridFunction, q: ExponentField) -> float:
-    """integral of |f|^{q(x)} with the per-cell exponent; f and q must
-    share one grid."""
-    _require_one_grid(f, q)
-    return f.grid.cell_volume * float(np.sum(np.abs(f.values) ** q.values))
 
 
 # cap on modular evaluations in luxemburg_norm; Newton needs about five

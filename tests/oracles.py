@@ -22,6 +22,9 @@ states bit for bit, since every elementwise operation has the same operands.
 `log_holder_all_pairs` is the log-Hölder modulus that
 `exponents.check_log_holder` reads by offset class, taken pair by pair with
 distances from the cell centers.
+
+`modular` is the modular integral of |f|^{q(x)}, one power per cell, that
+`norms.luxemburg_norm` forms from level sums.
 """
 
 from __future__ import annotations
@@ -207,3 +210,9 @@ def log_holder_all_pairs(field):
             mod = np.abs(q[i + 1:][near] - q[i]) * np.log(1.0 / dist[near])
             best = max(best, float(mod.max()))
     return best
+
+
+def modular(f, q):
+    """The integral of |f|^{q(x)} by the midpoint rule, each cell raised to
+    its own exponent; f and q live on one grid."""
+    return f.grid.cell_volume * float(np.sum(np.abs(f.values) ** q.values))

@@ -43,7 +43,6 @@ ENTRY_POINTS = {("cli", "main"), ("cli", "run")}
 # exported functions that nothing in src/pxwell calls, each with its reason
 KEEP = {
     ("classify", "prop48_check"): "Prop. 4.8's large-data test, a verdict rule to come",
-    ("norms", "modular"): "the oracle of luxemburg_norm's tests",
 }
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conftest import column_trajectory, mixed_mode, thm53_lemma_cases
-from pxwell import classify as classify_module
 from pxwell.classify import (
     BLOWUP,
     GLOBAL,
@@ -29,7 +28,7 @@ from pxwell.energy import (
     find_lambda_star,
     snapshot,
 )
-from pxwell.exponents import build_field
+from pxwell.exponents import build_field, check_hypotheses
 from pxwell.grid import Grid, GridFunction, integrate, project_mean_zero
 from pxwell.norms import estimate_embedding
 from pxwell.ode_bounds import verify_batch
@@ -50,7 +49,8 @@ def setting():
 
 def test_zero_datum_global(setting):
     g, p, r, B, dep = setting
-    v = classify(GridFunction(g, np.zeros(g.shape)), p, r, dep)
+    s0 = snapshot(GridFunction(g, np.zeros(g.shape)), p, r)
+    v = classify(s0, check_hypotheses(p, r), dep)
     assert v.prediction == GLOBAL and v.rule == "zero-datum"
     assert not v.certified
 
@@ -59,17 +59,18 @@ def test_ray_scaled_verdicts(setting):
     g, p, r, B, dep = setting
     phi = mixed_mode(g)
     lam, _ = find_lambda_star(phi, p, r)
+    hyp = check_hypotheses(p, r)
 
     small = GridFunction(g, 0.15 * lam * phi.values)
     s = snapshot(small, p, r)
     assert s.I > 0 and s.J < dep.upper
-    v = classify(small, p, r, dep)
+    v = classify(s, hyp, dep)
     assert v.regime == "subcritical" and v.prediction == GLOBAL
 
     big = GridFunction(g, 1.8 * lam * phi.values)
     sb = snapshot(big, p, r)
     assert sb.I < 0 and sb.J < dep.upper
-    vb = classify(big, p, r, dep)
+    vb = classify(sb, hyp, dep)
     assert vb.regime == "subcritical" and vb.prediction == BLOWUP
     # Remark-style sharpness: a subcritical datum with I != 0 is never undetermined
     assert v.prediction != UNDETERMINED and vb.prediction != UNDETERMINED
@@ -79,20 +80,22 @@ def test_condition_H_needs_depth(setting):
     g, p, r, B, dep = setting
     u = GridFunction(g, 0.3 * mixed_mode(g).values)
     with pytest.raises(ValueError, match="depth"):
-        classify(u, p, r)
+        classify(snapshot(u, p, r), check_hypotheses(p, r))
 
 
 def test_classify_deterministic(setting):
     g, p, r, B, dep = setting
     u = GridFunction(g, 0.3 * mixed_mode(g).values)
-    assert classify(u, p, r, dep) == classify(u, p, r, dep)
+    first = classify(snapshot(u, p, r), check_hypotheses(p, r), dep)
+    assert classify(snapshot(u, p, r), check_hypotheses(p, r), dep) == first
 
 
 def test_diffusion_dominant_rule(setting):
     g, _, _, _, dep = setting
     p = build_field(2.5, g)
     r = build_field(1.5, g)
-    v = classify(GridFunction(g, 0.3 * mixed_mode(g).values), p, r, dep)
+    u = GridFunction(g, 0.3 * mixed_mode(g).values)
+    v = classify(snapshot(u, p, r), check_hypotheses(p, r), dep)
     assert v.prediction == GLOBAL and v.rule == "diffusion-dominant-global"
 
 
@@ -155,15 +158,12 @@ _RULE_CASES = {
 
 
 @pytest.mark.parametrize("case", list(_RULE_CASES), ids=list(_RULE_CASES))
-def test_every_rule_pinned(case, monkeypatch):
+def test_every_rule_pinned(case):
     # one datum per rule that classify can return; the estimates are built
     # directly, so each case fixes which side of d_hat and of the radii J0
     # and ||u0||_2 lie, and subcritical-on-manifold, which needs I0 = 0
-    # exactly, reads a snapshot whose I is set to 0
+    # exactly, is classified from the datum's snapshot with I set to 0
     fields, scale, place, radii, regime, pred, rule, notes = _RULE_CASES[case]
-    if rule == "subcritical-on-manifold":
-        monkeypatch.setattr(classify_module, "snapshot",
-                            lambda *args: dataclasses.replace(snapshot(*args), I=0.0))
     phi, p, r = _rule_fields(fields)
     if fields == "H":
         scale *= find_lambda_star(phi, p, r)[0]
@@ -178,7 +178,9 @@ def test_every_rule_pinned(case, monkeypatch):
         l2_0 = np.sqrt(s0.l2sq)
         level_radii = LevelRadii(s=s0.J, lambda_s=radii[0] * l2_0, Lambda_s=radii[1] * l2_0,
                                  kept=1)
-    v = classify(u0, p, r, depth, level_radii=level_radii)
+    if rule == "subcritical-on-manifold":
+        s0 = dataclasses.replace(s0, I=0.0)
+    v = classify(s0, check_hypotheses(p, r), depth, level_radii=level_radii)
     assert (v.regime, v.prediction, v.rule) == (regime, pred, rule)
     assert v.notes == (_RADII_NOTE, *notes)
 
@@ -411,7 +413,8 @@ def test_thm54_bounds_pinch_and_limits():
 
 def test_verdict_serializable(setting):
     g, p, r, B, dep = setting
-    v = classify(GridFunction(g, 0.2 * mixed_mode(g).values), p, r, dep)
+    u = GridFunction(g, 0.2 * mixed_mode(g).values)
+    v = classify(snapshot(u, p, r), check_hypotheses(p, r), dep)
     d = dataclasses.asdict(v)
     assert d["certified"] is False
     assert "J0" in d["constants"] and "d_hat_upper" in d["constants"]
@@ -445,12 +448,12 @@ def test_decided_verdicts_bracket_the_family_threshold():
     a_star = 0.5 * (lo + hi)
 
     depth = estimate_depth(p, r, seed=0)
+    hyp = check_hypotheses(p, r)
     verdicts = {}
     for a in (0.25 * k for k in range(1, 65)):
-        u0 = GridFunction(g, a * v)
-        J0 = snapshot(u0, p, r).J
-        radii = estimate_level_radii(depth, J0) if J0 > depth.upper else None
-        verdicts[a] = classify(u0, p, r, depth, level_radii=radii).prediction
+        s0 = snapshot(GridFunction(g, a * v), p, r)
+        radii = estimate_level_radii(depth, s0.J) if s0.J > depth.upper else None
+        verdicts[a] = classify(s0, hyp, depth, level_radii=radii).prediction
     a_G = max(a for a, pred in verdicts.items() if pred == GLOBAL)
     a_B = min(a for a, pred in verdicts.items() if pred == BLOWUP)
     print(f"a* in [{lo:.6f}, {hi:.6f}]: a_G/a* = {a_G / a_star:.3f}, "

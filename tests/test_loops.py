@@ -130,16 +130,15 @@ def test_kernel_loops_give_the_numpy_passes_bits_on_special_values(name):
             fs, div = _numpy_flux(faces, w)
             assert _same(out, div)
             assert all(_same(f, axis[4]) for f, axis in zip(fs, faces.axes))
-            # into the workspace's own divergence, as with the source on
-            _loops.lib.flux(faces.address, _address(w), faces.plan.div)
-            assert _same(faces.div, div)
 
             a, sa = _special(rng, n), np.empty(n)
             _loops.lib.source_sign(n, _address(a), faces.plan.x, _address(sa))
             assert _same(sa, np.copysign(a, x))
             for m in (float(rng.standard_normal()), 0.0, -0.0, np.inf, np.nan, 1e300):
-                _loops.lib.source_add(n, faces.plan.div, _address(sa), m, _address(out))
-                assert _same(out, np.add(div, np.subtract(sa, m)))
+                # in place, on a copy of the divergence
+                shifted = div.copy()
+                _loops.lib.source_add(n, _address(shifted), _address(sa), m)
+                assert _same(shifted, np.add(div, np.subtract(sa, m)))
 
 
 @pytest.mark.parametrize("name", list(SPECIAL_GRIDS))

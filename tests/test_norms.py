@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import mixed_mode, random_exponent, random_gridfunction
+from oracles import modular
 from pxwell import norms
 from pxwell.exponents import build_field
 from pxwell.grid import Grid, GridFunction, cell_gradient_magnitude
@@ -14,7 +15,6 @@ from pxwell.norms import (
     gn_theta,
     gradient_norm,
     luxemburg_norm,
-    modular,
 )
 from pxwell.witnesses import witness_bank
 
@@ -278,11 +278,10 @@ def test_gn_constant_bounds_witnesses():
     assert est.constant > 0
 
 
-@pytest.mark.parametrize("entry", [luxemburg_norm, gradient_norm, modular])
+@pytest.mark.parametrize("entry", [luxemburg_norm, gradient_norm])
 def test_norms_reject_exponent_off_field_grid(entry):
     # q of equal shape on a larger square would be read cell by cell on f's
-    # grid; gradient_norm reaches the check through luxemburg_norm (modular
-    # compared only the shapes, and returned a value)
+    # grid; gradient_norm reaches the check through luxemburg_norm
     f = mixed_mode(Grid((16, 16), (1.0, 1.0)))
     q = build_field("affine:1.8+0.35x+0.35y", Grid((16, 16), (2.0, 2.0)))
     with pytest.raises(ValueError, match="share one grid"):
