@@ -43,17 +43,17 @@ class Axis(ctypes.Structure):
 
 
 class Faces(ctypes.Structure):
-    """A face workspace, `faces_t` in `_loops.c`: the addresses of its
-    buffers, taken once."""
-    _fields_ = [("n", _N), ("naxes", _N), ("scale", _D), ("x", _P), ("mag2", _P),
-                ("axis", Axis * 2)]
+    """A face workspace, `faces_t` in `_loops.c`: its grid's volumes and
+    the addresses of its buffers, taken once."""
+    _fields_ = [("n", _N), ("naxes", _N), ("scale", _D), ("vol", _D), ("omega", _D),
+                ("x", _P), ("mag2", _P), ("axis", Axis * 2)]
 
 
+# each loop's argument types; every loop returns nothing but `rhs`, which
+# returns the source's mean
 _SIGNATURES = {
     "grad2": (_P, _D, _P, _P),
-    "flux": (_P, _P, _P),
-    "source_sign": (_N, _P, _P, _P),
-    "source_add": (_N, _P, _P, _D),
+    "rhs": (_P, _P, _P, _P),
     "step_start": (_N, _P, _P, _D, _D, _P, _P),
     "rkc2_inc": (_N, _P, _D, _P, _D, _P, _D, _P, _D, _P, _P),
     "rk4_acc": (_N, _P, _P, _D, _P, _D, _P),
@@ -111,7 +111,7 @@ def _load(path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     for name, argtypes in _SIGNATURES.items():
         fn = getattr(lib, name)
-        fn.argtypes, fn.restype = argtypes, None
+        fn.argtypes, fn.restype = argtypes, _D if name == "rhs" else None
     return lib
 
 

@@ -23,25 +23,30 @@ and the powers between them, or to the right-hand side alone where no energy
 is read (the solver's inner stages).  `px_flux_divergence`,
 `dirichlet_energy` and the solver all call it.
 
-What runs compiled and what stays NumPy.  The elementwise passes, the face
-differences, the sums over a cell's faces, the fluxes, the source's sign and
-its shift, run as loops in `_loops.c` (built and loaded by `_loops`), each
-over all the cells and every axis in one call, through addresses taken once
-per buffer.  The two powers per cell, w = q^{(p - 2)/2} and a = |u|^{r - 1},
-and every reduction (the source's sum, the sums of J, G and S, max w) stay
-NumPy calls: they are most of an evaluation's time, and a loop of our own
-would round them otherwise.  No bit can change: each loop makes the
-operations of the NumPy passes it replaced, on the same operands and in the
-same order, built without fused multiply-adds or fast-math, and the slice
-oracles of `tests/test_flat_kernel.py` hold every output to them.  A
-right-hand side with the source on is then four compiled calls, two powers
-and one sum.  A full evaluation (`_Kernel.evaluate`) copies its state into
-the workspace's `x`, writes the right-hand side into the caller's flat
-buffer and returns J and the modulars, and an inner stage
-(`_Kernel.stage`) reads a state its caller formed in `x` and writes into
-the caller's buffer: neither allocates an array.  `_Kernel.__call__`, and `_Kernel.rhs` for the
-right-hand side alone, wrap them for callers that keep no buffers and
-allocate one array each, the right-hand side they return.
+What runs compiled and what stays NumPy.  The elementwise passes (the face
+differences, the sums over a cell's faces, the fluxes, the source's sign
+and its shift by its mean) and the source's sum run as loops in `_loops.c`
+(built and loaded by `_loops`), each over all the cells and every axis in
+one call, through addresses taken once per buffer; the sum runs in the
+order of NumPy's pairwise sum, so it has `np.sum`'s bits.  The two powers
+per cell, w = q^{(p - 2)/2} and a = |u|^{r - 1}, and the other reductions
+(the sums of J, G and S, max w) stay NumPy calls: the powers are most of an
+evaluation's time, and a loop of our own would round them otherwise.  No
+bit can change: each loop makes the operations of the NumPy passes it
+replaced, on the same operands and in the same order, built without fused
+multiply-adds or fast-math, and the slice oracles of
+`tests/test_flat_kernel.py` hold every output to them.  A right-hand side
+with the source on is then two compiled calls and two powers.  A full
+evaluation (`_Kernel.evaluate`) copies its state into the workspace's `x`,
+writes the right-hand side to the address of the caller's flat buffer and
+returns J and the modulars, and an inner stage (`_Kernel.stage`) reads a
+state its caller formed in `x` and writes to such an address: neither
+allocates an array or takes an address.  A caller takes its buffers'
+addresses once, through `_Kernel.address`, which refuses a buffer that is
+not contiguous float64 of the grid's size or that overlaps the state or a
+kernel buffer.  `_Kernel.__call__`, and `_Kernel.rhs` for the right-hand
+side alone, wrap them for callers that keep no buffers and allocate one
+array each, the right-hand side they return.
 
 Every array a kernel writes starts on a 64-byte cache line (`_aligned`):
 NumPy's AVX-512 loops store a line at a time, and on an AVX-512 host (NumPy
@@ -198,7 +203,11 @@ class _Faces:
     +0.0 there.  Three cell arrays complete it: the state `x` that every loop
     reads, the cell-RMS |grad u|^2 `mag2` and the scratch `tmp`, which only
     `energy._Ray` uses.  A kernel's divergence needs no array here: the
-    `flux` loop sums it across the axes in the caller's buffer.
+    `rhs` loop sums it across the axes in the caller's buffer.  The
+    workspace also gives the loops the cell volume and the domain's, for
+    the source's mean, and keeps in `spans` the address and size of each
+    memory block its buffers are carved from, which no kernel output may
+    overlap.
 
     The differences are never divided by h.  Each sum over a cell's faces
     is formed across the axes first, from raw differences (the first axis
@@ -211,7 +220,7 @@ class _Faces:
 
     `gradient` runs the compiled `grad2` loop: mag2 from x, per axis half the
     sum of the squared differences on a cell's two faces over h^2, leaving
-    each axis' raw differences in its `g`.  A kernel's `flux` loop then reads
+    each axis' raw differences in its `g`.  A kernel's `rhs` loop then reads
     those differences and its own weights w.
 
     Scratch only: every caller loads x and overwrites the interior entries
@@ -238,11 +247,16 @@ class _Faces:
         self.axes = tuple(axes)
         # the loops read the buffers through these addresses; the workspace
         # holds the buffers
-        self.plan = _loops.Faces(n, len(axes), scale, x.ctypes.data, mag2.ctypes.data,
+        self.plan = _loops.Faces(n, len(axes), scale, grid.cell_volume, grid.volume,
+                                 x.ctypes.data, mag2.ctypes.data,
                                  (_loops.Axis * 2)(*(
                                      _loops.Axis(s, wrap, rel, g.ctypes.data, f.ctypes.data)
                                      for s, rel, wrap, g, f in axes)))
         self.address = ctypes.addressof(self.plan)
+        # the (address, size) of each block the buffers are carved from: x's,
+        # and each axis'
+        self.spans = tuple((b.ctypes.data, b.nbytes)
+                           for b in (x.base, *(g.base for _, _, _, g, _ in axes)))
 
     def load(self, values: np.ndarray) -> None:
         """Copy the state `values`, read in C order, into x."""
@@ -280,24 +294,26 @@ class _Kernel:
     whose state buffer it exposes as `state`, and reads |grad u|^2 from the
     workspace's `mag2`.  It keeps its own flat q and w buffers, which the
     sums of J and G and `explicit_dt` read after the call that filled them,
-    and with the source on three for |u|, a and sign(u) a.  They and the
+    and with the source on two for |u| and a.  They and the
     per-cell (p - 2)/2 and 1/p, and with the source r - 1 and 1/r, are
     carved from one block with each on a 64-byte line, like the workspace
     (see the module docstring), so a construction allocates once, and a
     kernel built per call, as in `px_flux_divergence`, frees one block and
     keeps the right-hand side it returned.  `evaluate` is the one full
-    evaluation, into the caller's buffer; `__call__` and `rhs` are its
-    allocating wrappers, the latter without the sums of J, G and S.
+    evaluation, into a buffer of the caller's whose address `address` has
+    checked; `__call__` and `rhs` are its allocating wrappers, the latter
+    without the sums of J, G and S.
 
-    A right-hand side (`stage`) runs the workspace's compiled `grad2` loop,
-    which also writes q and, with the source on, |u|; the NumPy power
-    w = q^{(p - 2)/2}; the compiled `flux` loop, which writes the scaled
-    divergence of the face fluxes (w_L + w_R) g into the caller's array;
-    and with the source on the NumPy power a = |u|^{r - 1}, the compiled
-    sign(u) a, its NumPy sum and the compiled shift by its mean, added to
-    the divergence in place.  Each per-cell operation, and their order, is
-    that of per-axis formulas on 2D slices in the same arithmetic, so every
-    value is the same bits as with such slices.
+    A right-hand side (`stage`) is four calls: the workspace's compiled
+    `grad2` loop, which also writes q and, with the source on, |u|; the
+    NumPy power w = q^{(p - 2)/2}; with the source on, the NumPy power
+    a = |u|^{r - 1}; and the compiled `rhs` loop, which writes into the
+    caller's buffer the scaled divergence of the face fluxes
+    (w_L + w_R) g and, with the source on, adds sign(u) a less its mean,
+    the sum of sign(u) a taken in the order of NumPy's pairwise sum.  Each
+    per-cell operation, and their order, is that of per-axis formulas on 2D
+    slices in the same arithmetic, so every value is the same bits as with
+    such slices.
     """
 
     def __init__(self, grid: Grid, p_values: np.ndarray, delta: float,
@@ -305,28 +321,30 @@ class _Kernel:
         if not 0.0 <= delta < math.inf:
             raise ValueError(f"delta must be nonnegative and finite, got {delta!r}")
         self.shape = grid.shape
-        self.vol, self.omega = grid.cell_volume, grid.volume
+        self.vol = grid.cell_volume
         self.d2 = delta * delta
         faces = self.faces = _workspace(grid)
-        self.state, self.mag2 = faces.x, faces.mag2
+        self.n, self.state, self.state_at, self.mag2 = faces.n, faces.x, faces.plan.x, faces.mag2
         self.delta = delta
         # Gershgorin radius of the flux divergence at frozen weights, over w
         self.radius = 4.0 * sum(1.0 / (h * h) for h in grid.spacing)
         self.source = r_values is not None
-        buffers = _aligned(faces.n, 9 if self.source else 4)
+        buffers = _aligned(faces.n, 8 if self.source else 4)
+        block = buffers[0].base
+        self.spans = (*faces.spans, (block.ctypes.data, block.nbytes))
         self.expo, self.inv_p, self.q, self.w = buffers[:4]
         pv = p_values.ravel()
         np.multiply(np.subtract(pv, 2.0, out=self.expo), 0.5, out=self.expo)
         np.divide(1.0, pv, out=self.inv_p)
         # the addresses of the buffers the compiled loops write, read once
         self.q_at, self.w_at = self.q.ctypes.data, self.w.ctypes.data
-        self.au_at = None
+        self.au_at = self.a_at = None
         if self.source:
-            self.r1, self.inv_r, self.au, self.a, self.sa = buffers[4:]
+            self.r1, self.inv_r, self.au, self.a = buffers[4:]
             rv = r_values.ravel()
             np.subtract(rv, 1.0, out=self.r1)
             np.divide(1.0, rv, out=self.inv_r)
-            self.au_at, self.a_at, self.sa_at = (b.ctypes.data for b in buffers[6:])
+            self.au_at, self.a_at = self.au.ctypes.data, self.a.ctypes.data
 
     @cached_property
     def offset(self) -> float:
@@ -342,15 +360,27 @@ class _Kernel:
         np.power(q, self.expo, out=w)
         return float(np.vdot(np.multiply(q, w, out=q), self.inv_p))
 
-    def evaluate(self, uv: np.ndarray, out: np.ndarray) -> tuple[float, float, float]:
+    def address(self, out: np.ndarray) -> int:
+        """The address of the flat buffer `out`, checked to be a contiguous
+        float64 buffer of n entries (`_loops.address`) that shares no memory
+        with the state or a buffer of the kernel's or its workspace's, which
+        a stage reads after it has begun to write its output; ValueError
+        otherwise.  A caller that keeps its buffers takes their addresses
+        here once."""
+        at = _loops.address(out, self.n)
+        if any(lo < at + out.nbytes and at < lo + size for lo, size in self.spans):
+            raise ValueError("a kernel's output must not share memory with its state or buffers")
+        return at
+
+    def evaluate(self, uv: np.ndarray, dest: int) -> tuple[float, float, float]:
         """(J, G, S) at the state `uv`, which is copied into `state` first,
-        with its right-hand side written into the flat `out`, a buffer of
-        the caller's; no array is allocated."""
+        with its right-hand side written to the address `dest` of a buffer
+        of the caller's (`address`); no array is allocated."""
         # read before the right-hand side, which overwrites the buffers the
         # offset is formed in
         offset = self.offset
         self.faces.load(uv)
-        self.stage(out)
+        self.stage(dest)
         G = self.vol * float(np.vdot(self.w, self.mag2))
         q = self.q
         q *= self.w
@@ -366,8 +396,8 @@ class _Kernel:
     def __call__(self, uv: np.ndarray) -> tuple[float, np.ndarray, float, float]:
         """(J, right-hand side, G, S) at the state `uv`, the right-hand side
         in a new array of the grid's shape (`evaluate`)."""
-        div = np.empty(self.faces.n)
-        J, G, S = self.evaluate(uv, div)
+        div = np.empty(self.n)
+        J, G, S = self.evaluate(uv, self.address(div))
         return J, div.reshape(self.shape), G, S
 
     def rhs(self, uv: np.ndarray) -> np.ndarray:
@@ -376,25 +406,22 @@ class _Kernel:
         |grad u|^2, q and w, and with the source on |u| and a = |u|^{r-1},
         stay in their buffers (|grad u|^2, in the workspace, until the next
         call on the grid)."""
+        div = np.empty(self.n)
         self.faces.load(uv)
-        return self.stage(np.empty(self.faces.n)).reshape(self.shape)
+        self.stage(self.address(div))
+        return div.reshape(self.shape)
 
-    def stage(self, out: np.ndarray) -> np.ndarray:
-        """The right-hand side at the flat state in `state`, written into the
-        flat `out` and returned; no array is allocated.  `out` must not be
-        `state`: the source's sign reads the state after the flux has
-        written `out`."""
-        faces, lib = self.faces, _loops.lib
-        dest = _loops.address(out, faces.n)
+    def stage(self, dest: int) -> None:
+        """The right-hand side at the flat state in `state`, written to the
+        address `dest` of a buffer checked by `address`: the compiled
+        `grad2`, the powers w and, with the source on, a, and the compiled
+        `rhs`.  No array is allocated and no address taken."""
+        faces = self.faces
         faces.gradient(self.d2, self.q_at, self.au_at)
         np.power(self.q, self.expo, out=self.w)
-        lib.flux(faces.address, self.w_at, dest)
         if self.source:
-            n = faces.n
             np.power(self.au, self.r1, out=self.a)
-            lib.source_sign(n, self.a_at, faces.plan.x, self.sa_at)
-            lib.source_add(n, dest, self.sa_at, self.vol * self.sa.sum() / self.omega)
-        return out
+        _loops.lib.rhs(faces.address, self.w_at, self.a_at, dest)
 
     def explicit_dt(self) -> float:
         """0.8 of explicit Euler's stability bound 2 / rho at the state last

@@ -52,13 +52,16 @@ sides, so the mean is conserved.  An inner stage of either stepper forms its
 state in the kernel's state buffer and its slope and increment in buffers
 made once per run (`_work`); the sums that combine the stages run as
 compiled loops (`_loops.c`), each with the bits of the NumPy passes it
-replaced, and the kernel's powers and every reduction stay NumPy.  The run
+replaced, and the kernel's powers and most reductions stay NumPy.  The run
 holds four more flat buffers, made once and each on a 64-byte line
 (`grid._aligned`): the state, the trial state and the right-hand sides at
 both.  A stepper writes the trial state into its buffer and the kernel's
 full evaluation (`_Kernel.evaluate`) its right-hand side into the free one;
 an accepted step shifts the trial state to zero mean into the state's
-buffer and swaps the two right-hand sides.
+buffer and swaps the two right-hand sides, and their addresses with them.
+The run takes those eight buffers' addresses once, checked by
+`_Kernel.address`, and the steppers and the kernel read and write through
+them, so no step and no stage takes an address.
 The trial's checks (finiteness, the dissipation, the RKC estimate against
 the step's change, the drift and ||u||_inf) share one change u+ - u and take
 the work buffers, idle once the step has returned, as scratch, so no trial
@@ -148,6 +151,7 @@ ValueError before the first step.
 from __future__ import annotations
 
 import collections
+import ctypes
 import functools
 import io
 import math
@@ -349,65 +353,60 @@ def _work(n: int) -> list[np.ndarray]:
     return _aligned(n, 4)
 
 
-def _rkc2_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float, s: int,
-               work: list[np.ndarray], out: np.ndarray) -> np.ndarray:
-    """The s-stage RKC2 state from u, whose right-hand side is rhs, written
-    into the flat `out` and returned in u's shape; it costs s - 1 kernel
-    evaluations, one per inner stage.
+def _rkc2_step(kernel: _Kernel, u: int, rhs: int, dt: float, s: int, work: list[int],
+               out: int) -> None:
+    """The s-stage RKC2 state from the flat state u, whose right-hand side is
+    rhs, written into out; each is the address of a buffer of the kernel's n
+    cells, taken once by the caller (`_Kernel.address`), and so are the
+    `work` buffers' (`_work`).  It costs s - 1 kernel evaluations, one per
+    inner stage.
     Subtracting u from the stage recurrence Y_j = mu Y_{j-1} + nu Y_{j-2} +
     (1 - mu - nu) u + ... leaves one on the increments d_j = Y_j - u, whose
     round-off scales with the step rather than with the state: the blow-up
     tail amplifies a change in the last bit of the state many times over.
-    Each stage's slope goes into a `work` buffer (`_work`); one compiled
-    loop (`_loops.c`, `rkc2_inc`) then forms, in place, the increment
+    Each stage's slope goes into a work buffer; one compiled loop
+    (`_loops.c`, `rkc2_inc`) then forms, in place, the increment
     ((slope mu~_j dt + f gamma~_j dt) + d_{j-1} mu_j) + d_{j-2} nu_j and the
     next stage's state u + d_j in the kernel's state buffer, or the step's
-    in `out`, so a step allocates nothing.  Each value has the bits of the
-    NumPy passes that formed these sums term by term: the loop makes the
-    same operations in the same order, without fused multiply-adds."""
+    in `out`, so a step allocates nothing and takes no address.  Each value
+    has the bits of the NumPy passes that formed these sums term by term:
+    the loop makes the same operations in the same order, without fused
+    multiply-adds."""
     (mu1, *_), *rows = _rkc2_weights(s)[0].tolist()
-    uf, f = u.reshape(-1), rhs.reshape(-1)
-    n, lib, at = uf.size, _loops.lib, _loops.address
-    ua, fa, xa, oa = (at(a, n) for a in (uf, f, kernel.state, out))
-    d, prev, inc = ((a, at(a, n)) for a in work[:3])
+    n, lib, x = kernel.n, _loops.lib, kernel.state_at
+    d, prev, inc = work[:3]
     # d_1 = f mu~_1 dt and the first inner stage's state u + d_1
-    lib.step_start(n, ua, fa, mu1 * dt, mu1 * dt, xa, d[1])
-    # d_0 = Y_0 - u = 0 enters the first stage's recurrence
-    prev[0].fill(0.0)
+    lib.step_start(n, u, rhs, mu1 * dt, mu1 * dt, x, d)
+    # d_0 = Y_0 - u = +0.0, all bits clear, enters the first stage's recurrence
+    ctypes.memset(prev, 0, n * 8)
     for j, (mu, nu, mut, gt) in enumerate(rows, 2):
-        kernel.stage(inc[0])
+        kernel.stage(inc)
         # the last stage's increment gives the step's state
-        lib.rkc2_inc(n, inc[1], mut * dt, fa, gt * dt, d[1], mu, prev[1], nu, ua,
-                     xa if j < s else oa)
+        lib.rkc2_inc(n, inc, mut * dt, rhs, gt * dt, d, mu, prev, nu, u, x if j < s else out)
         prev, d, inc = d, inc, prev
-    return out.reshape(u.shape)
 
 
-def _rk4_step(kernel: _Kernel, u: np.ndarray, rhs: np.ndarray, dt: float,
-              work: list[np.ndarray], out: np.ndarray) -> np.ndarray:
-    """The classical RK4 state from u, whose right-hand side is rhs, written
-    into the flat `out` and returned in u's shape; it costs three kernel
-    evaluations, one per inner stage, and allocates nothing.  As in
-    `_rkc2_step` the increment is summed before it is added to u, with the
+def _rk4_step(kernel: _Kernel, u: int, rhs: int, dt: float, work: list[int],
+              out: int) -> None:
+    """The classical RK4 state from the flat state u, whose right-hand side
+    is rhs, written into out, each an address as in `_rkc2_step`; it costs
+    three kernel evaluations, one per inner stage, and allocates nothing.  As
+    in `_rkc2_step` the increment is summed before it is added to u, with the
     tableau's weights b = (1/6, 1/3, 1/3, 1/6) times dt, each term as soon as
     its stage slope is formed: the slope buffer then takes the next one.
     One compiled loop per stage (`_loops.c`) adds the term and forms the
     next stage's state u + k c, or the step's u + d, in the same operations
     and order as NumPy passes, so each value has their bits."""
-    uf, f = u.reshape(-1), rhs.reshape(-1)
-    n, lib, at = uf.size, _loops.lib, _loops.address
-    ua, fa, xa, oa = (at(a, n) for a in (uf, f, kernel.state, out))
+    n, lib, x = kernel.n, _loops.lib, kernel.state_at
     k, d = work[:2]
-    ka, da = at(k, n), at(d, n)
     b1, b2 = 1.0 / 6.0 * dt, 1.0 / 3.0 * dt
-    lib.step_start(n, ua, fa, 0.5 * dt, b1, xa, da)
+    lib.step_start(n, u, rhs, 0.5 * dt, b1, x, d)
     kernel.stage(k)
-    lib.rk4_acc(n, da, ka, b2, ua, 0.5 * dt, xa)
+    lib.rk4_acc(n, d, k, b2, u, 0.5 * dt, x)
     kernel.stage(k)
-    lib.rk4_acc(n, da, ka, b2, ua, dt, xa)
+    lib.rk4_acc(n, d, k, b2, u, dt, x)
     kernel.stage(k)
-    lib.rk4_last(n, da, ka, b1, ua, oa)
-    return out.reshape(u.shape)
+    lib.rk4_last(n, d, k, b1, u, out)
 
 
 def _rkc_estimate(change: np.ndarray, rhs: np.ndarray, rhs_new: np.ndarray, dt: float,
@@ -464,20 +463,24 @@ def simulate(
     grid = u0.grid
     vol = grid.cell_volume
     kernel = _Kernel(grid, p.values, cfg.delta, r.values)
-    work = _work(kernel.faces.n)
+    work = _work(kernel.n)
     # once a step has returned, the trial's checks take the work buffers: the
     # step's change u_new - u, which they share, in the first and their
     # scratch in the other three, the finiteness flags in the second's bytes
     change, *scratch = work
-    finite = scratch[0].view(np.bool_)[:kernel.faces.n]
+    finite = scratch[0].view(np.bool_)[:kernel.n]
     # the state, the trial state and the right-hand sides at both, the last
     # two swapped on every accepted step
-    u, u_new, rhs, rhs_new = _aligned(kernel.faces.n, 4)
+    u, u_new, rhs, rhs_new = _aligned(kernel.n, 4)
+    # their addresses and the work buffers', taken and checked once: the
+    # steps and the kernel read and write through them
+    u_at, u_new_at, rhs_at, rhs_new_at, *work_at = map(kernel.address,
+                                                       (u, u_new, rhs, rhs_new, *work))
 
     _minus_mean(grid, u0.values, out=u.reshape(grid.shape))
     t = 0.0
     dt = cfg.dt_init
-    Jf, G, S = kernel.evaluate(u, rhs)
+    Jf, G, S = kernel.evaluate(u, rhs_at)
     evals = 1
     if not all(map(math.isfinite, (Jf, G, S))):
         raise ValueError(
@@ -511,14 +514,14 @@ def simulate(
         # a state that overflows is not finite and is rejected unevaluated
         with np.errstate(over="ignore", invalid="ignore"):
             if stepper == "rk4":
-                _rk4_step(kernel, u, rhs, dt_eff, work, u_new)
+                _rk4_step(kernel, u_at, rhs_at, dt_eff, work_at, u_new_at)
                 evals += 3
             else:
-                _rkc2_step(kernel, u, rhs, dt_eff, s, work, u_new)
+                _rkc2_step(kernel, u_at, rhs_at, dt_eff, s, work_at, u_new_at)
                 evals += s - 1
             accepted = False
             if np.isfinite(u_new, out=finite).all():
-                J_new, G_new, S_new = kernel.evaluate(u_new, rhs_new)
+                J_new, G_new, S_new = kernel.evaluate(u_new, rhs_new_at)
                 # read while the kernel still holds its weights at u_new: the
                 # next trial's stages replace them
                 dt_e_new = kernel.explicit_dt()
@@ -551,7 +554,7 @@ def simulate(
             res_sum += residual
             max_rel_res = max(max_rel_res, residual / (1.0 + abs(Jf)))
             Jf, G, S, dt_e = J_new, G_new, S_new, dt_e_new
-            rhs, rhs_new = rhs_new, rhs
+            rhs, rhs_new, rhs_at, rhs_new_at = rhs_new, rhs, rhs_new_at, rhs_at
             l2sq = vol * float(np.vdot(u, u))
             drift_max = max(drift_max, abs(vol * float(u.sum())) / (1.0 + np.sqrt(l2sq)))
             supn, supn_prev = float(np.abs(u, out=scratch[0]).max()), supn

@@ -8,7 +8,11 @@ output must have the bits of the NumPy passes, in the order the kernel and
 the steppers ran them, signed zeros included.  A NaN must sit where the
 passes put one; its payload is not compared, since IEEE 754 leaves open
 which NaN operand a sum of two propagates and compilers commute the
-operands of a sum.
+operands of a sum.  The source's sum in `rhs` must have the bits of
+`np.sum` on lengths that reach every branch of NumPy's pairwise sum, on
+terms that a sum in another order rounds otherwise.  These cases run on the
+loaded library and on one built without target clones; a kernel's and the
+steppers' outputs must have the same bits from both.
 
 The loader's tests build into a temporary cache directory: a second build
 of the same source runs no compiler, a changed source builds a new library
@@ -21,9 +25,11 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import step
 from test_flat_kernel import GRIDS, _bits, _exponents, _fields
 
 from pxwell import _loops, solver
@@ -108,44 +114,114 @@ def _numpy_flux(faces, w):
     return fs, np.multiply(div, faces.scale)
 
 
+@pytest.fixture(scope="module", params=["dispatched", "baseline"])
+def lib(request, tmp_path_factory):
+    """The loaded library, and the one built without target clones, the
+    baseline instruction set alone."""
+    if request.param == "dispatched":
+        return _loops.lib
+    return _loops._load(_loops._build(SOURCE, _loops._FLAGS + ("-DLOOPS_NO_CLONES",),
+                                      tmp_path_factory.mktemp("baseline")))
+
+
+def _numpy_mean(faces, sa):
+    """The source's mean as the NumPy passes formed it: vol sum / omega."""
+    return faces.plan.vol * np.sum(sa) / faces.plan.omega
+
+
 @pytest.mark.parametrize("name", list(SPECIAL_GRIDS))
-def test_kernel_loops_give_the_numpy_passes_bits_on_special_values(name):
+def test_kernel_loops_give_the_numpy_passes_bits_on_special_values(lib, name):
     faces = _Faces(SPECIAL_GRIDS[name])
     n = faces.n
     rng = np.random.default_rng(44)
     q, au, out = np.empty(n), np.empty(n), np.empty(n)
+    finite = SPECIAL[np.isfinite(SPECIAL)]
     with np.errstate(all="ignore"):
         for _ in range(4):
             x = _special(rng, n)
             faces.load(x)
             d2 = float(rng.choice([0.0, 1e-16, 5e-324]))
-            faces.gradient(d2, _address(q), _address(au))
             gs, mag2 = _numpy_grad2(faces, x)
-            assert _same(faces.mag2, mag2)
-            assert all(_same(g, axis[3]) for g, axis in zip(gs, faces.axes))
-            assert _same(q, np.add(mag2, d2)) and _same(au, np.abs(x))
+            # q and |u| together, each alone and neither, as the kernels
+            # with and without the source, a ray and the gradient magnitude
+            # ask for them
+            for with_q, with_au in ((1, 1), (1, 0), (0, 1), (0, 0)):
+                q.fill(7.0)
+                au.fill(7.0)
+                lib.grad2(faces.address, d2, _address(q) if with_q else None,
+                          _address(au) if with_au else None)
+                assert _same(faces.mag2, mag2)
+                assert all(_same(g, axis[3]) for g, axis in zip(gs, faces.axes))
+                assert _same(q, np.add(mag2, d2) if with_q else np.full(n, 7.0))
+                assert _same(au, np.abs(x) if with_au else np.full(n, 7.0))
 
             w = _special(rng, n)
-            _loops.lib.flux(faces.address, _address(w), _address(out))
+            assert lib.rhs(faces.address, _address(w), None, _address(out)) == 0.0
             fs, div = _numpy_flux(faces, w)
             assert _same(out, div)
             assert all(_same(f, axis[4]) for f, axis in zip(fs, faces.axes))
 
-            a, sa = _special(rng, n), np.empty(n)
-            _loops.lib.source_sign(n, _address(a), faces.plan.x, _address(sa))
-            assert _same(sa, np.copysign(a, x))
-            for m in (float(rng.standard_normal()), 0.0, -0.0, np.inf, np.nan, 1e300):
-                # in place, on a copy of the divergence
-                shifted = div.copy()
-                _loops.lib.source_add(n, _address(shifted), _address(sa), m)
-                assert _same(shifted, np.add(div, np.subtract(sa, m)))
+            # sources drawn from every special value, from the finite ones
+            # and from the signed zeros alone, and 1e308 on the cells whose
+            # state has no sign bit, so the mean is NaN, finite, zero or +inf
+            for a in (_special(rng, n), np.where(rng.random(n) < 0.5, rng.choice(finite, n),
+                                                 rng.standard_normal(n)),
+                      rng.choice([0.0, -0.0], n), np.where(np.signbit(x), 0.0, 1e308)):
+                m = lib.rhs(faces.address, _address(w), _address(a), _address(out))
+                sa = np.copysign(a, x)
+                assert _same(m, _numpy_mean(faces, sa))
+                assert _same(out, np.add(div, np.subtract(sa, _numpy_mean(faces, sa))))
+
+
+# lengths that reach every branch of NumPy's pairwise sum: under 8 terms,
+# one block of 8 to 128 with and without a rest, and the splits above 128
+SUM_LENGTHS = [1, 7, 8, 9, 127, 128, 129, 1023, 1024, 4095, 4096, 4097, 16384]
+
+
+@pytest.mark.parametrize("n", SUM_LENGTHS)
+def test_source_sum_takes_numpys_pairwise_order(lib, n):
+    # the source's mean with a cell and a domain volume of 1 is its sum, which
+    # must have the bits of np.sum on copysign(a, x).  The terms span 24
+    # decades with mixed signs, so a sum in another order rounds otherwise:
+    # on every length above 8 a sum from left to right misses np.sum's bits
+    # on at least one draw.  A NumPy that sums in another order fails here
+    one_cell = SimpleNamespace(cells=(n,), spacing=(1.0,), flat_neighbours=((1, 0),),
+                               cell_volume=1.0, volume=1.0)
+    faces = _Faces(one_cell)
+    rng = np.random.default_rng(48)
+    w, out = np.zeros(n), np.empty(n)
+    in_order = []
+    for _ in range(8):
+        x = rng.standard_normal(n)
+        a = np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-12, 12, n)
+        faces.load(x)
+        lib.grad2(faces.address, 0.0, None, None)
+        total = lib.rhs(faces.address, _address(w), _address(a), _address(out))
+        sa = np.copysign(a, x)
+        assert _same(total, np.sum(sa)), (
+            f"numpy {np.__version__} summed {n} terms in another order than the "
+            "pairwise sum of _loops.c; the seed-0 pins were measured under numpy 2.4.6")
+        in_order.append(_same(total, _left_to_right(sa)))
+    assert n <= 8 or not all(in_order)
+    # every term -0.0: np.sum adds the pairwise sum to +0.0, so it is +0.0
+    zero = np.zeros(n)
+    faces.load(-np.ones(n))
+    lib.grad2(faces.address, 0.0, None, None)
+    total = lib.rhs(faces.address, _address(w), _address(zero), _address(out))
+    assert _same(total, np.sum(np.full(n, -0.0))) and _same(total, 0.0)
+
+
+def _left_to_right(v):
+    total = 0.0
+    for t in v.tolist():
+        total += t
+    return total
 
 
 @pytest.mark.parametrize("name", list(SPECIAL_GRIDS))
-def test_stepper_loops_give_the_numpy_passes_bits_on_special_values(name):
+def test_stepper_loops_give_the_numpy_passes_bits_on_special_values(lib, name):
     n = SPECIAL_GRIDS[name].cells[0] * SPECIAL_GRIDS[name].cells[-1]
     rng = np.random.default_rng(45)
-    lib = _loops.lib
     with np.errstate(all="ignore"):
         for _ in range(4):
             u, f, k, d, prev = (_special(rng, n) for _ in range(5))
@@ -181,13 +257,33 @@ def test_a_loop_takes_only_a_contiguous_float_buffer_of_its_size():
     n = kernel.faces.n
     for out in (np.empty(n - 1), np.empty(n, dtype=np.float32), np.empty(2 * n)[::2]):
         with pytest.raises(ValueError, match="contiguous float64 buffer"):
-            kernel.stage(out)
+            kernel.address(out)
     u = _fields(grid, np.random.default_rng(47))[1]
     J, rhs, G, S = kernel(u)
     with pytest.raises(ValueError, match="contiguous float64 buffer"):
-        solver._rkc2_step(kernel, u, rhs, 1e-6, 2, solver._work(n), np.empty(n + 1))
+        step(kernel, u, rhs, 1e-6, 2, out=np.empty(n + 1))
     with pytest.raises(ValueError, match="contiguous float64 buffer"):
-        solver._rk4_step(kernel, u, rhs, 1e-6, solver._work(n - 1), np.empty(n))
+        step(kernel, u, rhs, 1e-6, work=solver._work(n - 1))
+
+
+@pytest.mark.parametrize("source", [True, False], ids=["source", "no-source"])
+def test_a_kernel_refuses_an_output_over_its_state_or_buffers(source):
+    # a stage reads the state, the face arrays and the kernel's buffers
+    # after it has begun to write its output, so an output over any of them
+    # would give a wrong right-hand side without a word: it is refused
+    grid = GRIDS["12x9"]
+    p, r = _exponents(grid, 1e-8)
+    kernel = _Kernel(grid, p.values, 1e-8, r.values if source else None)
+    faces, n = kernel.faces, kernel.n
+    inside = [kernel.state, kernel.mag2, faces.tmp, kernel.q, kernel.w, kernel.expo,
+              kernel.inv_p]
+    inside += [a[:n] for _, _, _, g, f in faces.axes for a in (g, f)]
+    if source:
+        inside += [kernel.r1, kernel.inv_r, kernel.au, kernel.a]
+    for out in inside:
+        with pytest.raises(ValueError, match="must not share memory"):
+            kernel.address(out)
+    assert kernel.address(np.empty(n)) > 0
 
 
 def _outputs(name):
@@ -206,9 +302,8 @@ def _outputs(name):
         if not np.isfinite(dt_e):
             continue
         work = solver._work(uv.size)
-        out.append(_bits(solver._rkc2_step(kernel, uv, rhs, 3.0 * dt_e, 3, work,
-                                           np.empty(uv.size))))
-        out.append(_bits(solver._rk4_step(kernel, uv, rhs, dt_e, work, np.empty(uv.size))))
+        out.append(_bits(step(kernel, uv, rhs, 3.0 * dt_e, 3, work)))
+        out.append(_bits(step(kernel, uv, rhs, dt_e, work=work)))
     return out
 
 

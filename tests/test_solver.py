@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import collections
+import ctypes
 import dataclasses
 import functools
 import math
@@ -7,11 +9,12 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import numpy._core._internal as numpy_internal
 import pytest
 
-from conftest import column_trajectory, mixed_mode, random_gridfunction
+from conftest import column_trajectory, mixed_mode, random_gridfunction, step
 from pxwell.energy import _Ray, find_lambda_star, snapshot
-from pxwell import solver
+from pxwell import _loops, solver
 from pxwell.cli import _build_exponent, _build_grid, _load_config, _read_initial, _solver_config
 from pxwell.exponents import build_field
 from pxwell.grid import (
@@ -66,9 +69,7 @@ def _rkc2(u, p, r, dt, delta=1e-8):
     kernel = _Kernel(u.grid, p.values, delta, r.values)
     rhs = kernel.rhs(u.values)
     s = solver._stages(dt, kernel.explicit_dt())
-    return GridFunction(u.grid, solver._rkc2_step(kernel, u.values, rhs, dt, s,
-                                                  solver._work(u.values.size),
-                                                  np.empty(u.values.size)))
+    return GridFunction(u.grid, step(kernel, u.values, rhs, dt, s))
 
 
 def test_step_zero_fixed_point(setup2d):
@@ -120,15 +121,15 @@ def test_returned_states_and_slopes_outlive_the_buffers(setup2d):
     rng = np.random.default_rng(8)
     u = project_mean_zero(random_gridfunction(g, rng)).values.reshape(-1)
     f, f_new, u_new, u_rk4, spare = _aligned(u.size, 5)
-    kernel.evaluate(u, f)
+    kernel.evaluate(u, kernel.address(f))
     work = solver._work(u.size)
     dt_e = kernel.explicit_dt()
-    solver._rkc2_step(kernel, u, f, 3.0 * dt_e, 3, work, u_new)
-    solver._rk4_step(kernel, u, f, dt_e, work, u_rk4)
+    step(kernel, u, f, 3.0 * dt_e, 3, work, u_new)
+    step(kernel, u, f, dt_e, work=work, out=u_rk4)
     kept = [(a, a.view(np.int64).copy()) for a in (f, u_new, u_rk4)]
-    solver._rkc2_step(kernel, u_new, f, 10.0 * dt_e, 5, work, spare)
-    solver._rk4_step(kernel, u_rk4, f, dt_e, work, spare)
-    kernel.evaluate(u_new, f_new)
+    step(kernel, u_new, f, 10.0 * dt_e, 5, work, spare)
+    step(kernel, u_rk4, f, dt_e, work=work, out=spare)
+    kernel.evaluate(u_new, kernel.address(f_new))
     other(rng.standard_normal(g.shape))
     _Ray(GridFunction(g, rng.standard_normal(g.shape)), p, r).load(u_rk4 + 1.0)
     assert all(np.array_equal(a.view(np.int64), bits) for a, bits in kept)
@@ -136,22 +137,31 @@ def test_returned_states_and_slopes_outlive_the_buffers(setup2d):
     assert not any(np.shares_memory(a, b) for a, _ in kept for b in buffers)
 
 
+def _array_at(address, n):
+    """The n doubles at `address` as an array, a view of the buffer there."""
+    return np.ctypeslib.as_array((ctypes.c_double * n).from_address(address))
+
+
 class _Scalar:
     """The scalar problem y' = z y as a kernel, one z per component: each
-    stage writes z y at the state the stepper formed in `state`."""
+    stage writes z y at the state the stepper formed in `state`, to the
+    address the stepper gives it."""
 
     def __init__(self, z):
-        self.z = z
+        self.z, self.n = z, z.size
         self.state = np.empty_like(z)
+        self.state_at = self.address(self.state)
 
-    def stage(self, out):
-        return np.multiply(self.z, self.state, out=out)
+    def address(self, a):
+        return _loops.address(a, self.n)
+
+    def stage(self, dest):
+        np.multiply(self.z, self.state, out=_array_at(dest, self.n))
 
 
 def _stability_polynomial(s, z):
     """P_s(z): one s-stage `_rkc2_step` of y' = z y from y = 1 at dt = 1."""
-    one = np.ones_like(z)
-    return solver._rkc2_step(_Scalar(z), one, z, 1.0, s, solver._work(z.size), np.empty(z.size))
+    return step(_Scalar(z), np.ones_like(z), z, 1.0, s)
 
 
 def test_rkc2_polynomial_is_stable_and_second_order():
@@ -717,9 +727,8 @@ def test_overflowing_trial_is_rejected_without_a_warning(monkeypatch):
     finite = []
 
     def logged(kernel, u, rhs, dt, s, work, out, _step=solver._rkc2_step):
-        u_new = _step(kernel, u, rhs, dt, s, work, out)
-        finite.append((s, bool(np.all(np.isfinite(u_new)))))
-        return u_new
+        _step(kernel, u, rhs, dt, s, work, out)
+        finite.append((s, bool(np.all(np.isfinite(_array_at(out, kernel.n))))))
 
     monkeypatch.setattr(solver, "_rkc2_step", logged)
     with warnings.catch_warnings():
@@ -824,11 +833,11 @@ def test_hermite_dissipation_is_exact_and_fourth_order():
     work = solver._work(u.size)
     hermite, rectangle = [], []
     for dt in dts:
-        u4 = solver._rk4_step(kernel, u, f, dt, work, np.empty(u.size))
+        u4 = step(kernel, u, f, dt, work=work)
         J4, f4, _, _ = kernel(u4)
         hermite.append(abs(J4 - J + solver._hermite_dissipation(kernel, u4 - u, f, f4, dt,
                                                                 scratch)))
-        u2 = solver._rkc2_step(kernel, u, f, dt, 2, work, np.empty(u.size))
+        u2 = step(kernel, u, f, dt, 2, work)
         diff = (u2 - u) / dt
         rectangle.append(abs(kernel(u2)[0] - J + dt * kernel.vol * float(np.sum(diff * diff))))
     assert min(hermite) > 100.0 * np.finfo(float).eps * abs(J)
@@ -877,7 +886,7 @@ def test_trials_run_in_buffers_made_once_per_run(monkeypatch, factor, cfg):
     class Logged(_Kernel):
         def evaluate(self, uv, out):
             states.append(address(uv))
-            slopes.append(address(out))
+            slopes.append(out)
             return super().evaluate(uv, out)
 
         def __call__(self, uv):
@@ -897,6 +906,40 @@ def test_trials_run_in_buffers_made_once_per_run(monkeypatch, factor, cfg):
     assert len(trials) == 1 and datum not in trials
     assert len(set(slopes)) == 2
     assert all(a % 64 == 0 for a in {datum, *trials, *slopes})
+
+
+@pytest.mark.parametrize("factor, cfg", [
+    (0.25, _DECAY16), (1.7, dataclasses.replace(_BLOWUP16, t_end=9e-4)),
+], ids=["decay", "escape"])
+def test_simulate_takes_addresses_once_per_run(monkeypatch, factor, cfg):
+    # a run takes its buffers' addresses once, at its start: no step, stage
+    # or evaluation takes one, through `_loops.address` or `ndarray.ctypes`,
+    # so a run twice as long, with more steps, takes as many.  The escape
+    # runs stop short of blow-up and take RKC2 and RK4 steps
+    calls = collections.Counter()
+
+    def address(*args, _address=_loops.address):
+        calls["_loops.address"] += 1
+        return _address(*args)
+
+    def ctypes_init(self, *args, _init=numpy_internal._ctypes.__init__):
+        calls["ndarray.ctypes"] += 1
+        _init(self, *args)
+
+    # the datum's lambda* builds the grid's workspace, which the runs share
+    datum = _mixed_mode_datum(factor)
+    monkeypatch.setattr(_loops, "address", address)
+    monkeypatch.setattr(numpy_internal._ctypes, "__init__", ctypes_init)
+    runs = []
+    for t_end in (cfg.t_end, 2.0 * cfg.t_end):
+        calls.clear()
+        traj = simulate(*datum, dataclasses.replace(cfg, t_end=t_end))
+        assert traj.outcome.kind == GLOBAL_UNTIL_TEND
+        runs.append((dict(calls), traj.step_count, set(traj.steps_by("stepper"))))
+    (short, short_steps, steppers), (long, long_steps, _) = runs
+    assert short == long and long_steps > short_steps
+    assert short["_loops.address"] == 8 and short["ndarray.ctypes"] > 0
+    assert steppers == ({"rkc2"} if factor < 1.0 else {"rkc2", "rk4"})
 
 
 @_SYMMETRY_RUNS
@@ -977,7 +1020,7 @@ def test_rkc_estimate_is_third_order():
     scratch = list(np.empty((2,) + u.shape))
     estimates = []
     for dt in dts:
-        u2 = solver._rkc2_step(kernel, u, f, dt, 2, work, np.empty(u.size))
+        u2 = step(kernel, u, f, dt, 2, work)
         estimates.append(solver._rkc_estimate(u2 - u, f, kernel(u2)[1], dt, scratch))
     assert min(estimates) > 1e6 * np.finfo(float).eps * np.linalg.norm(u)
     slope = np.polyfit(np.log(dts), np.log(estimates), 1)[0]
