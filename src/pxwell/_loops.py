@@ -49,24 +49,33 @@ class Faces(ctypes.Structure):
                 ("x", _P), ("mag2", _P), ("axis", Axis * 2)]
 
 
-# each loop's argument types; every loop returns nothing but `rhs`, which
-# returns the source's mean
+class Stepper(ctypes.Structure):
+    """A run's stepper, `stepper_t` in `_loops.c`: the addresses of its
+    kernel's workspace and buffers and of three work buffers, set once per
+    run, and the step under way, which `step_begin` sets; after a step's
+    last stage `finite` says whether its new state is finite."""
+    _fields_ = [("faces", _P), ("d2", _D), ("q", _P), ("au", _P), ("w", _P), ("a", _P),
+                ("d", _P), ("prev", _P), ("inc", _P), ("u", _P), ("f", _P), ("out", _P),
+                ("weights", _P), ("dt", _D), ("s", _N), ("finite", _N)]
+
+
+# each loop's argument types and its result: `rhs` returns the source's
+# mean and `step_stage` whether a last stage's state is finite
 _SIGNATURES = {
-    "grad2": (_P, _D, _P, _P),
-    "rhs": (_P, _P, _P, _P),
-    "step_start": (_N, _P, _P, _D, _D, _P, _P),
-    "rkc2_inc": (_N, _P, _D, _P, _D, _P, _D, _P, _D, _P, _P),
-    "rk4_acc": (_N, _P, _P, _D, _P, _D, _P),
-    "rk4_last": (_N, _P, _P, _D, _P, _P),
+    "grad2": ((_P, _D, _P, _P), None),
+    "rhs": ((_P, _P, _P, _P), _D),
+    "step_begin": ((_P, _P, _P, _P, _D, _N, _P), None),
+    "step_stage": ((_P, _N), _N),
 }
 
 
 def address(a: np.ndarray, n: int) -> int:
-    """The address of `a`, checked to be a C-contiguous float64 buffer of n
-    entries: a loop reads or writes n entries from it, whatever it is."""
-    if a.dtype != np.float64 or a.size != n or not a.flags.c_contiguous:
-        raise ValueError(f"a loop needs a contiguous float64 buffer of {n} entries, got "
-                         f"{a.dtype} {a.shape}")
+    """The address of `a`, checked to be a writeable C-contiguous float64
+    buffer of n entries: a loop reads or writes n entries from it, whatever
+    it is, and would write through a read-only one."""
+    if a.dtype != np.float64 or a.size != n or not (a.flags.c_contiguous and a.flags.writeable):
+        raise ValueError(f"a loop needs a writeable contiguous float64 buffer of {n} entries, "
+                         f"got {a.dtype} {a.shape}{'' if a.flags.writeable else ', read-only'}")
     return a.ctypes.data
 
 
@@ -109,9 +118,9 @@ def _build(source: bytes, flags: tuple[str, ...], directory: Path) -> Path:
 def _load(path: Path) -> ctypes.CDLL:
     """The library at `path`, each loop's argument types declared."""
     lib = ctypes.CDLL(str(path))
-    for name, argtypes in _SIGNATURES.items():
+    for name, (argtypes, restype) in _SIGNATURES.items():
         fn = getattr(lib, name)
-        fn.argtypes, fn.restype = argtypes, _D if name == "rhs" else None
+        fn.argtypes, fn.restype = argtypes, restype
     return lib
 
 

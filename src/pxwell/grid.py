@@ -36,17 +36,25 @@ bit can change: each loop makes the operations of the NumPy passes it
 replaced, on the same operands and in the same order, built without fused
 multiply-adds or fast-math, and the slice oracles of
 `tests/test_flat_kernel.py` hold every output to them.  A right-hand side
-with the source on is then two compiled calls and two powers.  A full
-evaluation (`_Kernel.evaluate`) copies its state into the workspace's `x`,
-writes the right-hand side to the address of the caller's flat buffer and
-returns J and the modulars, and an inner stage (`_Kernel.stage`) reads a
-state its caller formed in `x` and writes to such an address: neither
-allocates an array or takes an address.  A caller takes its buffers'
-addresses once, through `_Kernel.address`, which refuses a buffer that is
-not contiguous float64 of the grid's size or that overlaps the state or a
-kernel buffer.  `_Kernel.__call__`, and `_Kernel.rhs` for the right-hand
-side alone, wrap them for callers that keep no buffers and allocate one
-array each, the right-hand side they return.
+with the source on is then two compiled calls and the two powers, formed
+by one NumPy call over arrays that hold q and |u| side by side: `grad2`
+before the powers and `rhs` after them.  A full evaluation
+(`_Kernel.evaluate`) copies its state into the workspace's `x`, forms its
+gradient and finishes (`_Kernel.finish`): the powers, `rhs` into the
+address of the caller's flat buffer, and J and the modulars.  An inner
+stage (`_Kernel.stage`) reads a state its caller formed in `x` and writes
+to such an address; neither allocates an array or takes an address.  The
+solver's steppers go further: their compiled stages (`step_begin` and
+`step_stage` of `_loops.c`) form each stage state in `x` and its gradient,
+q and |u| in the kernel's buffers, so between two compiled calls only the
+kernel's powers (`_Kernel.powers`) run, and a step's last stage leaves the
+new state and its gradient there for `finish`.  A caller takes its
+buffers' addresses once, through `_Kernel.address`, which refuses a buffer
+that is not writeable contiguous float64 of the grid's size or that
+overlaps the state or a kernel buffer.  `_Kernel.__call__`, and
+`_Kernel.rhs` for the right-hand side alone, wrap them for callers that
+keep no buffers and allocate one array each, the right-hand side they
+return.
 
 Every array a kernel writes starts on a 64-byte cache line (`_aligned`):
 NumPy's AVX-512 loops store a line at a time, and on an AVX-512 host (NumPy
@@ -297,23 +305,27 @@ class _Kernel:
     and with the source on two for |u| and a.  They and the
     per-cell (p - 2)/2 and 1/p, and with the source r - 1 and 1/r, are
     carved from one block with each on a 64-byte line, like the workspace
-    (see the module docstring), so a construction allocates once, and a
+    (see the module docstring), and with the source each pair (q and |u|,
+    the two exponents, w and a) as one array, so that one NumPy power
+    forms w and a (`powers`); a construction allocates once, and a
     kernel built per call, as in `px_flux_divergence`, frees one block and
     keeps the right-hand side it returned.  `evaluate` is the one full
     evaluation, into a buffer of the caller's whose address `address` has
-    checked; `__call__` and `rhs` are its allocating wrappers, the latter
+    checked, and `finish` its second half, at a state whose gradient is
+    formed; `__call__` and `rhs` are its allocating wrappers, the latter
     without the sums of J, G and S.
 
-    A right-hand side (`stage`) is four calls: the workspace's compiled
+    A right-hand side (`stage`) is three calls: the workspace's compiled
     `grad2` loop, which also writes q and, with the source on, |u|; the
-    NumPy power w = q^{(p - 2)/2}; with the source on, the NumPy power
-    a = |u|^{r - 1}; and the compiled `rhs` loop, which writes into the
-    caller's buffer the scaled divergence of the face fluxes
-    (w_L + w_R) g and, with the source on, adds sign(u) a less its mean,
-    the sum of sign(u) a taken in the order of NumPy's pairwise sum.  Each
-    per-cell operation, and their order, is that of per-axis formulas on 2D
-    slices in the same arithmetic, so every value is the same bits as with
-    such slices.
+    NumPy power w = q^{(p - 2)/2} and, with the source on, a = |u|^{r - 1},
+    in one call (`powers`); and the compiled `rhs` loop,
+    which writes into the caller's buffer the scaled divergence of the face
+    fluxes (w_L + w_R) g and, with the source on, adds sign(u) a less its
+    mean, the sum of sign(u) a taken in the order of NumPy's pairwise sum.
+    A stepper's compiled stage makes the same `rhs` and `grad2` around the
+    same powers.  Each per-cell operation, and their order, is that of
+    per-axis formulas on 2D slices in the same arithmetic, so every value is
+    the same bits as with such slices.
     """
 
     def __init__(self, grid: Grid, p_values: np.ndarray, delta: float,
@@ -324,15 +336,21 @@ class _Kernel:
         self.vol = grid.cell_volume
         self.d2 = delta * delta
         faces = self.faces = _workspace(grid)
-        self.n, self.state, self.state_at, self.mag2 = faces.n, faces.x, faces.plan.x, faces.mag2
+        self.n, self.state, self.mag2 = faces.n, faces.x, faces.mag2
         self.delta = delta
         # Gershgorin radius of the flux divergence at frozen weights, over w
         self.radius = 4.0 * sum(1.0 / (h * h) for h in grid.spacing)
         self.source = r_values is not None
-        buffers = _aligned(faces.n, 8 if self.source else 4)
-        block = buffers[0].base
-        self.spans = (*faces.spans, (block.ctypes.data, block.nbytes))
-        self.expo, self.inv_p, self.q, self.w = buffers[:4]
+        # four arrays: q and |u|, (p - 2)/2 and r - 1, w and a, 1/p and 1/r,
+        # the second of each pair from entry m on, on a line, so that one
+        # NumPy power forms w and a; without the source, the first of each
+        n = faces.n
+        m = -(-n // _LINE) * _LINE if self.source else 0
+        pairs = self.qa, self.er, self.wa, _ = _aligned(m + n, 4)
+        # the entries between a pair's arrays: 1 ** 1, no warning
+        self.qa[n:m] = self.er[n:m] = 1.0
+        self.spans = (*faces.spans, (pairs[0].base.ctypes.data, pairs[0].base.nbytes))
+        self.q, self.expo, self.w, self.inv_p = (b[:n] for b in pairs)
         pv = p_values.ravel()
         np.multiply(np.subtract(pv, 2.0, out=self.expo), 0.5, out=self.expo)
         np.divide(1.0, pv, out=self.inv_p)
@@ -340,7 +358,7 @@ class _Kernel:
         self.q_at, self.w_at = self.q.ctypes.data, self.w.ctypes.data
         self.au_at = self.a_at = None
         if self.source:
-            self.r1, self.inv_r, self.au, self.a = buffers[4:]
+            self.au, self.r1, self.a, self.inv_r = (b[m:] for b in pairs)
             rv = r_values.ravel()
             np.subtract(rv, 1.0, out=self.r1)
             np.divide(1.0, rv, out=self.inv_r)
@@ -361,12 +379,12 @@ class _Kernel:
         return float(np.vdot(np.multiply(q, w, out=q), self.inv_p))
 
     def address(self, out: np.ndarray) -> int:
-        """The address of the flat buffer `out`, checked to be a contiguous
-        float64 buffer of n entries (`_loops.address`) that shares no memory
-        with the state or a buffer of the kernel's or its workspace's, which
-        a stage reads after it has begun to write its output; ValueError
-        otherwise.  A caller that keeps its buffers takes their addresses
-        here once."""
+        """The address of the flat buffer `out`, checked to be a writeable
+        contiguous float64 buffer of n entries (`_loops.address`) that
+        shares no memory with the state or a buffer of the kernel's or its
+        workspace's, which a stage reads after it has begun to write its
+        output; ValueError otherwise.  A caller that keeps its buffers takes
+        their addresses here once."""
         at = _loops.address(out, self.n)
         if any(lo < at + out.nbytes and at < lo + size for lo, size in self.spans):
             raise ValueError("a kernel's output must not share memory with its state or buffers")
@@ -376,19 +394,28 @@ class _Kernel:
         """(J, G, S) at the state `uv`, which is copied into `state` first,
         with its right-hand side written to the address `dest` of a buffer
         of the caller's (`address`); no array is allocated."""
-        # read before the right-hand side, which overwrites the buffers the
-        # offset is formed in
-        offset = self.offset
+        # read before the gradient, which fills the buffers the offset is
+        # formed in
+        self.offset
         self.faces.load(uv)
-        self.stage(dest)
+        self.faces.gradient(self.d2, self.q_at, self.au_at)
+        return self.finish(dest)
+
+    def finish(self, dest: int) -> tuple[float, float, float]:
+        """(J, G, S) at the state in `state`, whose gradient, q and |u| are
+        formed (by `evaluate`, or by a stepper's last stage), with its
+        right-hand side written to the address `dest`: the powers, the
+        compiled `rhs` and the sums.  The offset must be cached already
+        (`evaluate` and `solver._plan` cache it): it is formed in the buffers
+        that hold q."""
+        self.powers()
+        _loops.lib.rhs(self.faces.address, self.w_at, self.a_at, dest)
         G = self.vol * float(np.vdot(self.w, self.mag2))
-        q = self.q
-        q *= self.w
-        J = self.vol * (float(np.vdot(q, self.inv_p)) - offset)
+        q = np.multiply(self.q, self.w, out=self.q)
+        J = self.vol * (float(np.vdot(q, self.inv_p)) - self.offset)
         S = 0.0
         if self.source:
-            au = self.au
-            au *= self.a
+            au = np.multiply(self.au, self.a, out=self.au)
             S = self.vol * float(au.sum())
             J -= self.vol * float(np.vdot(au, self.inv_r))
         return J, G, S
@@ -414,14 +441,18 @@ class _Kernel:
     def stage(self, dest: int) -> None:
         """The right-hand side at the flat state in `state`, written to the
         address `dest` of a buffer checked by `address`: the compiled
-        `grad2`, the powers w and, with the source on, a, and the compiled
-        `rhs`.  No array is allocated and no address taken."""
-        faces = self.faces
-        faces.gradient(self.d2, self.q_at, self.au_at)
-        np.power(self.q, self.expo, out=self.w)
-        if self.source:
-            np.power(self.au, self.r1, out=self.a)
-        _loops.lib.rhs(faces.address, self.w_at, self.a_at, dest)
+        `grad2`, the powers and the compiled `rhs`.  No array is allocated
+        and no address taken."""
+        self.faces.gradient(self.d2, self.q_at, self.au_at)
+        self.powers()
+        _loops.lib.rhs(self.faces.address, self.w_at, self.a_at, dest)
+
+    def powers(self) -> None:
+        """The powers w = q^{(p - 2)/2} and, with the source on,
+        a = |u|^{r - 1}, from the q and |u| that the last `grad2` wrote: one
+        NumPy power over each pair of arrays, which gives each entry the bits
+        of a power over its array alone and saves a call's 0.75 us."""
+        np.power(self.qa, self.er, out=self.wa)
 
     def explicit_dt(self) -> float:
         """0.8 of explicit Euler's stability bound 2 / rho at the state last

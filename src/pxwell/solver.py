@@ -48,23 +48,28 @@ stability-limited run dt grows past dt_E and s grows like its square root.
 An RK4 step also reuses the current right-hand side: three inner stages and
 the trial state make four kernel evaluations.
 Every stage is a combination of the current state and zero-mean right-hand
-sides, so the mean is conserved.  An inner stage of either stepper forms its
-state in the kernel's state buffer and its slope and increment in buffers
-made once per run (`_work`); the sums that combine the stages run as
-compiled loops (`_loops.c`), each with the bits of the NumPy passes it
-replaced, and the kernel's powers and most reductions stay NumPy.  The run
-holds four more flat buffers, made once and each on a 64-byte line
-(`grid._aligned`): the state, the trial state and the right-hand sides at
-both.  A stepper writes the trial state into its buffer and the kernel's
-full evaluation (`_Kernel.evaluate`) its right-hand side into the free one;
-an accepted step shifts the trial state to zero mean into the state's
-buffer and swaps the two right-hand sides, and their addresses with them.
-The run takes those eight buffers' addresses once, checked by
+sides, so the mean is conserved.  Both steppers run as compiled stages
+(`_loops.c`): a step is one `step_begin`, which forms the first stage state
+in the kernel's state buffer, its increment, and the state's gradient, then
+per inner stage the kernel's two powers, one NumPy call (`_Kernel.powers`),
+and one `step_stage`, which forms the stage's slope, the step's increment
+and the next stage state in buffers made once per run (`_work`), and that
+state's gradient.  Each loop has the bits of the NumPy passes it replaced; the
+powers and most reductions stay NumPy.  The run describes its kernel and
+work buffers to the stages once (`_plan`).  It holds four more flat
+buffers, made once and each on a 64-byte line (`grid._aligned`): the state,
+the trial state and the right-hand sides at both.  A step's last stage
+writes the trial state into its buffer and into the kernel's state, with
+its gradient, and says whether it is finite, so the trial's evaluation
+(`_Kernel.finish`) starts at the powers and writes its right-hand side into
+the free buffer; an accepted step shifts the trial state to zero mean into
+the state's buffer and swaps the two right-hand sides, and their addresses
+with them.  The run takes those eight buffers' addresses once, checked by
 `_Kernel.address`, and the steppers and the kernel read and write through
 them, so no step and no stage takes an address.
-The trial's checks (finiteness, the dissipation, the RKC estimate against
-the step's change, the drift and ||u||_inf) share one change u+ - u and take
-the work buffers, idle once the step has returned, as scratch, so no trial
+The trial's checks (the dissipation, the RKC estimate against the step's
+change, the drift and ||u||_inf) share one change u+ - u and take the work
+buffers, idle once the step has returned, as scratch, so no trial
 allocates an array.
 
 The blow-up tail starts on the accepted step at which the growth shrink
@@ -91,8 +96,9 @@ not, counts once under its `Trial` key, the decade floor(log10 ||u||_inf)
 of the state it starts from, its stepper, its stage count, the factor that
 set the next dt and whether it was accepted; the rejected steps and every
 count by one of these is a marginal of the tally (`Trajectory.steps_by`).
-A trial runs with numpy's overflow and invalid-value warnings off: a state
-that overflows is not finite, and the trial is rejected unevaluated.
+A run steps with numpy's overflow and invalid-value warnings off, entered
+once per run: a state that overflows is not finite, and the trial is
+rejected unevaluated.
 
 The step rule: a rejection halves dt, and every accepted step scales it by a
 factor of at most 1.25, read from estimates the step already holds, so it
@@ -307,9 +313,10 @@ class Trajectory:
 
 
 @functools.lru_cache(maxsize=None)
-def _rkc2_weights(s: int) -> tuple[np.ndarray, float]:
-    """The s-stage RKC2 scheme's weights, one row per stage, and the width
-    beta(s) of its real stability interval.  The rows are (mu~_1, 0, 0, 0),
+def _rkc2_weights(s: int) -> tuple[np.ndarray, float, int]:
+    """The s-stage RKC2 scheme's weights, one row per stage, the width
+    beta(s) of its real stability interval and the rows' address, which the
+    compiled stages read.  The rows are (mu~_1, 0, 0, 0),
     then (mu_j, nu_j, mu~_j, gamma~_j) for j = 2..s: with the Chebyshev
     values T_j, T_j' and T_j'' at w0 = 1 + eps/s^2, w1 = T_s'/T_s'',
     b_j = T_j''/T_j'^2 (b_0 = b_1 = b_2) and a_j = 1 - b_j T_j, they are
@@ -318,7 +325,8 @@ def _rkc2_weights(s: int) -> tuple[np.ndarray, float]:
     (1 + w0)/w1, where w0 + w1 z reaches -1, and 2 for s = 2, whose
     polynomial is 1 + z + z^2/2 at any damping.  A decaying run meets dozens
     of stage counts, so each cached rule is one float array rather than
-    tuples of Python floats, which would take about six times the memory."""
+    tuples of Python floats, which would take about six times the memory;
+    the cache holds the array, so its address stays valid."""
     w0 = 1.0 + _DAMPING / (s * s)
     T, dT, d2T = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
     for j in range(2, s + 1):
@@ -333,7 +341,8 @@ def _rkc2_weights(s: int) -> tuple[np.ndarray, float]:
         mut = 2.0 * b[j] * w1 / b[j - 1]
         rows.append((2.0 * b[j] * w0 / b[j - 1], -b[j] / b[j - 2], mut,
                      -(1.0 - b[j - 1] * T[j - 1]) * mut))
-    return np.array(rows), 2.0 if s == 2 else (1.0 + w0) / w1
+    rows = np.array(rows)
+    return rows, 2.0 if s == 2 else (1.0 + w0) / w1, rows.__array_interface__["data"][0]
 
 
 def _stages(dt: float, dt_e: float) -> int:
@@ -348,65 +357,68 @@ def _stages(dt: float, dt_e: float) -> int:
 
 def _work(n: int) -> list[np.ndarray]:
     """The steppers' flat scratch buffers for n cells, made once per run:
-    RKC2 takes the first three, RK4 the first two.  Once a step has returned
+    the steppers take the first three (`_plan`).  Once a step has returned
     they are idle, and the trial's checks take all four (`simulate`)."""
     return _aligned(n, 4)
 
 
-def _rkc2_step(kernel: _Kernel, u: int, rhs: int, dt: float, s: int, work: list[int],
+def _plan(kernel: _Kernel, work: list[int]) -> _loops.Stepper:
+    """The compiled stages' description of a run (`_loops.Stepper`): the
+    kernel's workspace, its delta^2 and the addresses of its q, |u|, w and
+    a buffers, and of the first three work buffers, whose addresses `work`
+    the caller has taken (`_Kernel.address`).  The caller holds the
+    buffers, and passes the plan's address to the steppers.  The kernel's
+    offset is read here, if no evaluation has read it: it is formed in the
+    q and w buffers, where a step's last stage leaves its state's q for
+    `_Kernel.finish`."""
+    kernel.offset
+    return _loops.Stepper(kernel.faces.address, kernel.d2, kernel.q_at, kernel.au_at,
+                          kernel.w_at, kernel.a_at, *work[:3])
+
+
+def _rkc2_step(kernel: _Kernel, u: int, rhs: int, dt: float, s: int, plan: int,
                out: int) -> None:
     """The s-stage RKC2 state from the flat state u, whose right-hand side is
     rhs, written into out; each is the address of a buffer of the kernel's n
-    cells, taken once by the caller (`_Kernel.address`), and so are the
-    `work` buffers' (`_work`).  It costs s - 1 kernel evaluations, one per
-    inner stage.
+    cells, taken once by the caller (`_Kernel.address`), and `plan` is the
+    address of the run's stepper (`_plan`).  It costs s - 1 kernel
+    evaluations, one per inner stage.
     Subtracting u from the stage recurrence Y_j = mu Y_{j-1} + nu Y_{j-2} +
     (1 - mu - nu) u + ... leaves one on the increments d_j = Y_j - u, whose
     round-off scales with the step rather than with the state: the blow-up
     tail amplifies a change in the last bit of the state many times over.
-    Each stage's slope goes into a work buffer; one compiled loop
-    (`_loops.c`, `rkc2_inc`) then forms, in place, the increment
-    ((slope mu~_j dt + f gamma~_j dt) + d_{j-1} mu_j) + d_{j-2} nu_j and the
-    next stage's state u + d_j in the kernel's state buffer, or the step's
-    in `out`, so a step allocates nothing and takes no address.  Each value
-    has the bits of the NumPy passes that formed these sums term by term:
-    the loop makes the same operations in the same order, without fused
-    multiply-adds."""
-    (mu1, *_), *rows = _rkc2_weights(s)[0].tolist()
-    n, lib, x = kernel.n, _loops.lib, kernel.state_at
-    d, prev, inc = work[:3]
-    # d_1 = f mu~_1 dt and the first inner stage's state u + d_1
-    lib.step_start(n, u, rhs, mu1 * dt, mu1 * dt, x, d)
-    # d_0 = Y_0 - u = +0.0, all bits clear, enters the first stage's recurrence
-    ctypes.memset(prev, 0, n * 8)
-    for j, (mu, nu, mut, gt) in enumerate(rows, 2):
-        kernel.stage(inc)
-        # the last stage's increment gives the step's state
-        lib.rkc2_inc(n, inc, mut * dt, rhs, gt * dt, d, mu, prev, nu, u, x if j < s else out)
-        prev, d, inc = d, inc, prev
+    The compiled `step_begin` forms the first stage state, d_1 = f mu~_1 dt
+    and d_0 = +0.0 and the state's gradient; each inner stage is then the
+    kernel's NumPy power call and one compiled `step_stage`, which forms the
+    slope, the increment ((slope mu~_j dt + f gamma~_j dt) + d_{j-1} mu_j)
+    + d_{j-2} nu_j, the next stage state u + d_j in the kernel's state
+    buffer, or the step's in both `out` and that buffer, and its gradient.
+    So a step allocates nothing and takes no address, and after it the
+    kernel holds the new state's gradient, q and |u| (`_Kernel.finish`) and
+    the plan whether it is finite.  Each value has the bits of the NumPy
+    passes that formed these sums term by term: the loops make the same
+    operations in the same order, without fused multiply-adds."""
+    _loops.lib.step_begin(plan, u, rhs, out, dt, s, _rkc2_weights(s)[2])
+    for j in range(2, s + 1):
+        kernel.powers()
+        _loops.lib.step_stage(plan, j)
 
 
-def _rk4_step(kernel: _Kernel, u: int, rhs: int, dt: float, work: list[int],
-              out: int) -> None:
+def _rk4_step(kernel: _Kernel, u: int, rhs: int, dt: float, plan: int, out: int) -> None:
     """The classical RK4 state from the flat state u, whose right-hand side
     is rhs, written into out, each an address as in `_rkc2_step`; it costs
     three kernel evaluations, one per inner stage, and allocates nothing.  As
     in `_rkc2_step` the increment is summed before it is added to u, with the
     tableau's weights b = (1/6, 1/3, 1/3, 1/6) times dt, each term as soon as
     its stage slope is formed: the slope buffer then takes the next one.
-    One compiled loop per stage (`_loops.c`) adds the term and forms the
-    next stage's state u + k c, or the step's u + d, in the same operations
-    and order as NumPy passes, so each value has their bits."""
-    n, lib, x = kernel.n, _loops.lib, kernel.state_at
-    k, d = work[:2]
-    b1, b2 = 1.0 / 6.0 * dt, 1.0 / 3.0 * dt
-    lib.step_start(n, u, rhs, 0.5 * dt, b1, x, d)
-    kernel.stage(k)
-    lib.rk4_acc(n, d, k, b2, u, 0.5 * dt, x)
-    kernel.stage(k)
-    lib.rk4_acc(n, d, k, b2, u, dt, x)
-    kernel.stage(k)
-    lib.rk4_last(n, d, k, b1, u, out)
+    The compiled `step_begin` and `step_stage` run it as four stages of
+    RKC2's form, with no weights: each inner stage adds its term and forms
+    the next stage state u + k c, or the step's u + d, in the same
+    operations and order as NumPy passes, so each value has their bits."""
+    _loops.lib.step_begin(plan, u, rhs, out, dt, 4, None)
+    for j in (2, 3, 4):
+        kernel.powers()
+        _loops.lib.step_stage(plan, j)
 
 
 def _rkc_estimate(change: np.ndarray, rhs: np.ndarray, rhs_new: np.ndarray, dt: float,
@@ -466,9 +478,8 @@ def simulate(
     work = _work(kernel.n)
     # once a step has returned, the trial's checks take the work buffers: the
     # step's change u_new - u, which they share, in the first and their
-    # scratch in the other three, the finiteness flags in the second's bytes
+    # scratch in the other three
     change, *scratch = work
-    finite = scratch[0].view(np.bool_)[:kernel.n]
     # the state, the trial state and the right-hand sides at both, the last
     # two swapped on every accepted step
     u, u_new, rhs, rhs_new = _aligned(kernel.n, 4)
@@ -476,6 +487,8 @@ def simulate(
     # steps and the kernel read and write through them
     u_at, u_new_at, rhs_at, rhs_new_at, *work_at = map(kernel.address,
                                                        (u, u_new, rhs, rhs_new, *work))
+    plan = _plan(kernel, work_at)
+    plan_at = ctypes.addressof(plan)
 
     _minus_mean(grid, u0.values, out=u.reshape(grid.shape))
     t = 0.0
@@ -506,22 +519,26 @@ def simulate(
     # step on which ||u||_inf does not grow
     tail = False
 
-    while t < cfg.t_end:
-        dt_eff = min(dt, cfg.t_end - t)
-        s = _stages(dt_eff, dt_e)
-        stepper = "rk4" if tail and s == 2 else "rkc2"
-        decade = math.floor(math.log10(supn)) if supn > 0.0 else None
-        # a state that overflows is not finite and is rejected unevaluated
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a state that overflows is not finite and is rejected unevaluated, and
+    # no trial warns of an overflow or an invalid value: the run enters the
+    # error state once, not once per trial
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < cfg.t_end:
+            dt_eff = min(dt, cfg.t_end - t)
+            s = _stages(dt_eff, dt_e)
+            stepper = "rk4" if tail and s == 2 else "rkc2"
+            decade = math.floor(math.log10(supn)) if supn > 0.0 else None
             if stepper == "rk4":
-                _rk4_step(kernel, u_at, rhs_at, dt_eff, work_at, u_new_at)
+                _rk4_step(kernel, u_at, rhs_at, dt_eff, plan_at, u_new_at)
                 evals += 3
             else:
-                _rkc2_step(kernel, u_at, rhs_at, dt_eff, s, work_at, u_new_at)
+                _rkc2_step(kernel, u_at, rhs_at, dt_eff, s, plan_at, u_new_at)
                 evals += s - 1
             accepted = False
-            if np.isfinite(u_new, out=finite).all():
-                J_new, G_new, S_new = kernel.evaluate(u_new, rhs_new_at)
+            # the step's last stage has left u_new in the kernel's state, with
+            # its gradient, and whether it is finite in the plan
+            if plan.finite:
+                J_new, G_new, S_new = kernel.finish(rhs_new_at)
                 # read while the kernel still holds its weights at u_new: the
                 # next trial's stages replace them
                 dt_e_new = kernel.explicit_dt()
@@ -532,69 +549,70 @@ def simulate(
                 tol = cfg.energy_tol * (1.0 + abs(Jf))
                 accepted = math.isfinite(J_new) and residual <= tol
 
-        limit = None
-        if accepted:
-            # outside the tail an RKC2 step also reads its RKC estimate, against
-            # the step's change floored at its round-off: that of dt times the
-            # right-hand side, about eps ||u|| per explicit Euler bound in dt;
-            # the zero state has nothing to estimate
-            error = 0.0
-            estimated = stepper == "rkc2" and not tail
-            if estimated:
-                size = max(math.sqrt(change.dot(change)),
-                           _ROUNDOFF * max(1.0, dt_eff / dt_e) * math.sqrt(u.dot(u)))
-                if size > 0.0:
-                    error = _rkc_estimate(change, rhs, rhs_new, dt_eff, scratch) / size
-            # the right-hand side has zero mean, so this is a round-off shift
-            # that keeps the drift flat; the kernel's values at u_new stand
-            # for the shifted state
-            np.subtract(u_new, u_new.sum() / u_new.size, out=u)
-            t += dt_eff
-            budget += dissipation
-            res_sum += residual
-            max_rel_res = max(max_rel_res, residual / (1.0 + abs(Jf)))
-            Jf, G, S, dt_e = J_new, G_new, S_new, dt_e_new
-            rhs, rhs_new, rhs_at, rhs_new_at = rhs_new, rhs, rhs_new_at, rhs_at
-            l2sq = vol * float(np.vdot(u, u))
-            drift_max = max(drift_max, abs(vol * float(u.sum())) / (1.0 + np.sqrt(l2sq)))
-            supn, supn_prev = float(np.abs(u, out=scratch[0]).max()), supn
-            k, aim = _ORDER_AIM[stepper]
-            # residual ~ dt^(k + 1): at this factor of dt the next step's
-            # residual would sit at aim^(k + 1) of the tolerance
-            energy = aim * (tol / residual) ** (1.0 / (k + 1)) if residual > 0.0 else math.inf
-            grows = supn > supn_prev
-            tail = tail and grows
-            if grows and residual > aim ** (k + 1) * tol:
-                # the next step at this dt would fail: the tail opens, or goes on
-                factor, limit, tail = energy, "energy", True
+            limit = None
+            if accepted:
+                # outside the tail an RKC2 step also reads its RKC estimate, against
+                # the step's change floored at its round-off: that of dt times the
+                # right-hand side, about eps ||u|| per explicit Euler bound in dt;
+                # the zero state has nothing to estimate
+                error = 0.0
+                estimated = stepper == "rkc2" and not tail
+                if estimated:
+                    size = max(math.sqrt(change.dot(change)),
+                               _ROUNDOFF * max(1.0, dt_eff / dt_e) * math.sqrt(u.dot(u)))
+                    if size > 0.0:
+                        error = _rkc_estimate(change, rhs, rhs_new, dt_eff, scratch) / size
+                # the right-hand side has zero mean, so this is a round-off shift
+                # that keeps the drift flat; the kernel's values at u_new stand
+                # for the shifted state
+                np.subtract(u_new, u_new.sum() / u_new.size, out=u)
+                t += dt_eff
+                budget += dissipation
+                res_sum += residual
+                max_rel_res = max(max_rel_res, residual / (1.0 + abs(Jf)))
+                Jf, G, S, dt_e = J_new, G_new, S_new, dt_e_new
+                rhs, rhs_new, rhs_at, rhs_new_at = rhs_new, rhs, rhs_new_at, rhs_at
+                l2sq = vol * float(np.vdot(u, u))
+                drift_max = max(drift_max, abs(vol * float(u.sum())) / (1.0 + np.sqrt(l2sq)))
+                supn, supn_prev = float(np.abs(u, out=scratch[0]).max()), supn
+                k, aim = _ORDER_AIM[stepper]
+                # residual ~ dt^(k + 1): at this factor of dt the next step's
+                # residual would sit at aim^(k + 1) of the tolerance
+                energy = aim * (tol / residual) ** (1.0 / (k + 1)) if residual > 0.0 else math.inf
+                grows = supn > supn_prev
+                tail = tail and grows
+                if grows and residual > aim ** (k + 1) * tol:
+                    # the next step at this dt would fail: the tail opens, or goes on
+                    factor, limit, tail = energy, "energy", True
+                else:
+                    factor, limit = min((_GROWTH, "growth"), (energy, "energy"))
+                    if error > 0.0:
+                        # the estimate is O(dt^3), the step's change O(dt)
+                        factor, limit = min((factor, limit),
+                                            ((_ERROR_AIM / error) ** 0.5, "error"))
+                limit = limit if estimated else None
+                scaled = dt * (math.floor(factor * _GRID) / _GRID)
+                # in the tail growth stops at dt_E, past which RK4 would give way
+                # to an RKC2 trial that fails
+                dt = min(min(scaled, max(dt_e, dt)) if tail else scaled, cfg.dt_max)
+                if n == table.shape[1]:
+                    table = np.concatenate((table, np.empty_like(table)), axis=1)
+                table[:, n] = t, Jf, G, S, l2sq, supn, dt_eff
+                n += 1
             else:
-                factor, limit = min((_GROWTH, "growth"), (energy, "energy"))
-                if error > 0.0:
-                    # the estimate is O(dt^3), the step's change O(dt)
-                    factor, limit = min((factor, limit), ((_ERROR_AIM / error) ** 0.5, "error"))
-            limit = limit if estimated else None
-            scaled = dt * (math.floor(factor * _GRID) / _GRID)
-            # in the tail growth stops at dt_E, past which RK4 would give way
-            # to an RKC2 trial that fails
-            dt = min(min(scaled, max(dt_e, dt)) if tail else scaled, cfg.dt_max)
-            if n == table.shape[1]:
-                table = np.concatenate((table, np.empty_like(table)), axis=1)
-            table[:, n] = t, Jf, G, S, l2sq, supn, dt_eff
-            n += 1
-        else:
-            dt *= 0.5
-        # every trial counts once, before either break
-        trials[Trial(decade, stepper, None if stepper == "rk4" else s, limit, accepted)] += 1
-        if accepted and supn >= cfg.blowup_threshold:
-            outcome = Outcome(BLOWUP_DETECTED, t_b=t)
-            break
-        if dt < cfg.dt_min:
-            # S > G is I < 0: the L2 norm is still growing
-            if n > 1 and S > G:
+                dt *= 0.5
+            # every trial counts once, before either break
+            trials[Trial(decade, stepper, None if stepper == "rk4" else s, limit, accepted)] += 1
+            if accepted and supn >= cfg.blowup_threshold:
                 outcome = Outcome(BLOWUP_DETECTED, t_b=t)
-            else:
-                outcome = Outcome(STALLED_DT)
-            break
+                break
+            if dt < cfg.dt_min:
+                # S > G is I < 0: the L2 norm is still growing
+                if n > 1 and S > G:
+                    outcome = Outcome(BLOWUP_DETECTED, t_b=t)
+                else:
+                    outcome = Outcome(STALLED_DT)
+                break
 
     if outcome is None:
         outcome = Outcome(GLOBAL_UNTIL_TEND)

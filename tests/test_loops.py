@@ -4,11 +4,14 @@ replace, and the loader that builds them.
 Each loop is fed states, weights and slopes that mix random values with
 +-0.0, +-inf, NaN, subnormals and +-1e300, on a 1D grid, a square one, one
 whose second axis has weight (h_0 / h)^2 = 4 and a 3 x 5 one, and every
-output must have the bits of the NumPy passes, in the order the kernel and
-the steppers ran them, signed zeros included.  A NaN must sit where the
-passes put one; its payload is not compared, since IEEE 754 leaves open
-which NaN operand a sum of two propagates and compilers commute the
-operands of a sum.  The source's sum in `rhs` must have the bits of
+output must have the bits of the NumPy passes, in the order the kernel ran
+them, signed zeros included.  The steppers' entry points, `step_begin` and
+`step_stage`, are fed such states and slopes too, and every step must have
+the bits of the expression-form steppers of `tests/oracles.py` on the same
+kernel, with a finiteness flag that agrees with `np.isfinite`.  A NaN must
+sit where the passes put one; its payload is not compared, since IEEE 754
+leaves open which NaN operand a sum of two propagates and compilers commute
+the operands of a sum.  The source's sum in `rhs` must have the bits of
 `np.sum` on lengths that reach every branch of NumPy's pairwise sum, on
 terms that a sum in another order rounds otherwise.  These cases run on the
 loaded library and on one built without target clones; a kernel's and the
@@ -22,6 +25,7 @@ and the library appears under its final name only whole.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -30,6 +34,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import step
+from oracles import rk4_step, rkc2_step
 from test_flat_kernel import GRIDS, _bits, _exponents, _fields
 
 from pxwell import _loops, solver
@@ -218,34 +223,68 @@ def _left_to_right(v):
     return total
 
 
+def _stepped(lib, kernel, u, f, dt, s, work):
+    """The state of one step from the flat u, whose right-hand side is f,
+    driven through `step_begin` and `step_stage` of lib: RKC2 with s stages,
+    RK4 without, each inner stage after the kernel's powers; with the flag
+    the last stage returned, which every inner stage returns as 1 and which
+    the plan holds too."""
+    out, at = np.empty(u.size), kernel.address
+    plan = solver._plan(kernel, [at(b) for b in work])
+    stages = s or 4
+    lib.step_begin(ctypes.addressof(plan), at(u), at(f), at(out), dt, stages,
+                   solver._rkc2_weights(s)[2] if s else None)
+    for j in range(2, stages + 1):
+        kernel.powers()
+        flag = lib.step_stage(ctypes.addressof(plan), j)
+        assert flag == 1 or j == stages
+    assert flag == plan.finite
+    return out, bool(flag)
+
+
 @pytest.mark.parametrize("name", list(SPECIAL_GRIDS))
-def test_stepper_loops_give_the_numpy_passes_bits_on_special_values(lib, name):
-    n = SPECIAL_GRIDS[name].cells[0] * SPECIAL_GRIDS[name].cells[-1]
+def test_stepper_stages_give_the_expression_form_bits_on_special_values(lib, name,
+                                                                         monkeypatch):
+    # a step through the compiled stages has the bits of the expression-form
+    # steppers of `tests/oracles.py` on the same kernel, a NaN where they put
+    # one; its flag says whether its state is finite; and its last stage
+    # leaves that state and its gradient in the kernel, so the kernel's
+    # `finish` has the bits of a full evaluation of the state.  The oracles'
+    # right-hand sides run on the same build
+    monkeypatch.setattr(_loops, "lib", lib)
+    grid = SPECIAL_GRIDS[name]
+    p, r = _exponents(grid, 1e-8)
+    kernel = _Kernel(grid, p.values, 1e-8, r.values)
+    kernel.offset
+    n = kernel.n
     rng = np.random.default_rng(45)
+    work = solver._work(n)
+    dest, ref = np.empty(n), np.empty(n)
+    flags = set()
     with np.errstate(all="ignore"):
-        for _ in range(4):
-            u, f, k, d, prev = (_special(rng, n) for _ in range(5))
-            a, b, mu, nu, c = rng.standard_normal(5)
-            x, d_new = np.empty(n), np.empty(n)
-            lib.step_start(n, _address(u), _address(f), c, b, _address(x), _address(d_new))
-            assert _same(x, np.add(u, np.multiply(f, c))) and _same(d_new, np.multiply(f, b))
-
-            inc = k.copy()
-            lib.rkc2_inc(n, _address(inc), a, _address(f), b, _address(d), mu, _address(prev),
-                         nu, _address(u), _address(x))
-            ref = np.multiply(k, a)
-            ref += np.multiply(f, b)
-            ref += np.multiply(d, mu)
-            ref += np.multiply(prev, nu)
-            assert _same(inc, ref) and _same(x, np.add(u, ref))
-
-            acc = d.copy()
-            lib.rk4_acc(n, _address(acc), _address(k), b, _address(u), c, _address(x))
-            assert _same(acc, np.add(d, np.multiply(k, b)))
-            assert _same(x, np.add(u, np.multiply(k, c)))
-            acc = d.copy()
-            lib.rk4_last(n, _address(acc), _address(k), b, _address(u), _address(x))
-            assert _same(acc, np.add(d, np.multiply(k, b))) and _same(x, np.add(u, acc))
+        for draw in range(6):
+            # special values in about half the entries; finite ones; and
+            # finite ones but one entry, a special value
+            if draw % 3 == 0:
+                u, f = _special(rng, n), _special(rng, n)
+            else:
+                u, f = 1e-2 * rng.standard_normal(n), rng.standard_normal(n)
+                if draw % 3 == 2:
+                    f[rng.integers(n)] = rng.choice(SPECIAL)
+            dt = float(rng.choice([1e-7, 1e-3]))
+            for s in (None, 2, 3, 9):
+                out, finite = _stepped(lib, kernel, u, f, dt, s, work)
+                assert finite == np.isfinite(out).all()
+                flags.add(finite)
+                assert _same(kernel.state, out)
+                J, G, S = kernel.finish(_address(dest))
+                assert _same([J, G, S], kernel.evaluate(out.copy(), _address(ref)))
+                assert _same(dest, ref)
+                uv, fv = u.reshape(grid.shape), f.reshape(grid.shape)
+                expect = rk4_step(kernel, uv, fv, dt) if s is None else rkc2_step(kernel, uv, fv,
+                                                                                  dt, s)
+                assert _same(out, expect.reshape(-1))
+    assert flags == {True, False}
 
 
 def test_a_loop_takes_only_a_contiguous_float_buffer_of_its_size():
@@ -257,6 +296,12 @@ def test_a_loop_takes_only_a_contiguous_float_buffer_of_its_size():
     n = kernel.faces.n
     for out in (np.empty(n - 1), np.empty(n, dtype=np.float32), np.empty(2 * n)[::2]):
         with pytest.raises(ValueError, match="contiguous float64 buffer"):
+            kernel.address(out)
+    # nor a read-only one, which a loop would write through
+    frozen = np.zeros(n)
+    frozen.flags.writeable = False
+    for out in (frozen, np.frombuffer(bytes(8 * n))):
+        with pytest.raises(ValueError, match="read-only"):
             kernel.address(out)
     u = _fields(grid, np.random.default_rng(47))[1]
     J, rhs, G, S = kernel(u)

@@ -13,6 +13,7 @@ import numpy._core._internal as numpy_internal
 import pytest
 
 from conftest import column_trajectory, mixed_mode, random_gridfunction, step
+from oracles import rkc2_step
 from pxwell.energy import _Ray, find_lambda_star, snapshot
 from pxwell import _loops, solver
 from pxwell.cli import _build_exponent, _build_grid, _load_config, _read_initial, _solver_config
@@ -21,6 +22,7 @@ from pxwell.grid import (
     Grid,
     GridFunction,
     _aligned,
+    _Faces,
     _Kernel,
     integrate,
     project_mean_zero,
@@ -143,25 +145,22 @@ def _array_at(address, n):
 
 
 class _Scalar:
-    """The scalar problem y' = z y as a kernel, one z per component: each
-    stage writes z y at the state the stepper formed in `state`, to the
-    address the stepper gives it."""
+    """The scalar problem y' = z y as a kernel, one z per component, for the
+    expression-form stepper of `tests/oracles.py`: its right-hand side at v
+    is z v.  The compiled stages run the p(x)-kernel alone, so the weights
+    are tested through that stepper, which `tests/test_flat_kernel.py` and
+    `tests/test_loops.py` hold to `_rkc2_step` bit for bit."""
 
     def __init__(self, z):
-        self.z, self.n = z, z.size
-        self.state = np.empty_like(z)
-        self.state_at = self.address(self.state)
+        self.z = z
 
-    def address(self, a):
-        return _loops.address(a, self.n)
-
-    def stage(self, dest):
-        np.multiply(self.z, self.state, out=_array_at(dest, self.n))
+    def rhs(self, v):
+        return self.z * v
 
 
 def _stability_polynomial(s, z):
-    """P_s(z): one s-stage `_rkc2_step` of y' = z y from y = 1 at dt = 1."""
-    return step(_Scalar(z), np.ones_like(z), z, 1.0, s)
+    """P_s(z): one s-stage RKC2 step of y' = z y from y = 1 at dt = 1."""
+    return rkc2_step(_Scalar(z), np.ones_like(z), z, 1.0, s)
 
 
 def test_rkc2_polynomial_is_stable_and_second_order():
@@ -437,9 +436,11 @@ def test_recorded_snapshots_are_snapshots_of_the_state(monkeypatch, factor):
     last = {}
 
     class LastState(_Kernel):
-        def evaluate(self, uv, out):
-            last["u"] = uv.reshape(self.shape).copy()
-            return super().evaluate(uv, out)
+        # the datum's evaluation and every trial's end in `finish`, at the
+        # state the kernel holds
+        def finish(self, out):
+            last["u"] = self.state.reshape(self.shape).copy()
+            return super().finish(out)
 
     monkeypatch.setattr(solver, "_Kernel", LastState)
     for t_k in traj.t[1:]:
@@ -873,10 +874,10 @@ _SYMMETRY_RUNS = pytest.mark.parametrize("factor, cfg", [(0.25, _DECAY16), (1.7,
 
 @_SYMMETRY_RUNS
 def test_trials_run_in_buffers_made_once_per_run(monkeypatch, factor, cfg):
-    # a trial allocates no grid array: every full evaluation of a trial
-    # state reads it from one buffer and writes its right-hand side into one
-    # of two, which an accepted step swaps, and the datum's goes into one of
-    # them too; each buffer starts on a 64-byte line, and the kernel's
+    # a trial allocates no grid array: every trial writes its state into one
+    # buffer, and every full evaluation, the datum's and each trial state's,
+    # writes its right-hand side into one of two, which an accepted step
+    # swaps; each buffer starts on a 64-byte line, and the kernel's
     # allocating entries are never called
     states, slopes, wrappers = [], [], []
 
@@ -886,8 +887,11 @@ def test_trials_run_in_buffers_made_once_per_run(monkeypatch, factor, cfg):
     class Logged(_Kernel):
         def evaluate(self, uv, out):
             states.append(address(uv))
-            slopes.append(out)
             return super().evaluate(uv, out)
+
+        def finish(self, out):
+            slopes.append(out)
+            return super().finish(out)
 
         def __call__(self, uv):
             wrappers.append("__call__")
@@ -897,15 +901,66 @@ def test_trials_run_in_buffers_made_once_per_run(monkeypatch, factor, cfg):
             wrappers.append("rhs")
             return super().rhs(uv)
 
+    for name in ("_rk4_step", "_rkc2_step"):
+        def logged(*args, _step=getattr(solver, name)):
+            # a stepper's last argument is the address of the trial state
+            states.append(args[-1])
+            return _step(*args)
+        monkeypatch.setattr(solver, name, logged)
     monkeypatch.setattr(solver, "_Kernel", Logged)
     traj = simulate(*_mixed_mode_datum(factor), cfg)
     # every trial state of these runs is finite, so each is evaluated
-    assert len(states) == 1 + sum(traj.trials.values())
+    assert len(states) == len(slopes) == 1 + sum(traj.trials.values())
     assert not wrappers
     datum, trials = states[0], set(states[1:])
     assert len(trials) == 1 and datum not in trials
     assert len(set(slopes)) == 2
     assert all(a % 64 == 0 for a in {datum, *trials, *slopes})
+
+
+@_SYMMETRY_RUNS
+def test_an_inner_stage_is_its_power_and_one_compiled_call(monkeypatch, factor, cfg):
+    # a step is one compiled `step_begin`, then per inner stage the kernel's
+    # NumPy power, which forms w and a in one call, and one compiled
+    # `step_stage`, which also forms the next stage state's gradient; the
+    # last stage leaves the trial state and its gradient in the kernel, so a
+    # trial's evaluation is its power and one `rhs`, and no trial copies its
+    # state into the workspace or runs `grad2`: the datum's evaluation makes
+    # the one load and the one `grad2` of the run
+    calls = collections.Counter()
+
+    class Counted:
+        def __init__(self, lib):
+            self.lib = lib
+
+        def __getattr__(self, name):
+            def call(*args, _fn=getattr(self.lib, name)):
+                calls[name] += 1
+                return _fn(*args)
+            return call
+
+    def power(*args, _power=np.power, **kwargs):
+        calls["np.power"] += 1
+        return _power(*args, **kwargs)
+
+    def load(self, values, _load=_Faces.load):
+        calls["load"] += 1
+        _load(self, values)
+
+    datum = _mixed_mode_datum(factor)
+    monkeypatch.setattr(_loops, "lib", Counted(_loops.lib))
+    monkeypatch.setattr(np, "power", power)
+    monkeypatch.setattr(_Faces, "load", load)
+    traj = simulate(*datum, cfg)
+    trials = sum(traj.trials.values())
+    inner = sum(n * (3 if trial.stepper == "rk4" else trial.stages - 1)
+                for trial, n in traj.trials.items())
+    # every trial state of these runs is finite, so each is evaluated
+    assert traj.kernel_evals == 1 + inner + trials
+    # one power per evaluation, and the delta offset's, formed once, on the
+    # datum's evaluation
+    assert calls == {"load": 1, "grad2": 1, "rhs": 1 + trials, "step_begin": trials,
+                     "step_stage": inner, "np.power": 1 + traj.kernel_evals}
 
 
 @pytest.mark.parametrize("factor, cfg", [
