@@ -6,7 +6,7 @@
    multiply-adds (-ffp-contract=off) and uses no fast-math.  The one
    reduction here, the source's sum in `rhs`, runs in the order of NumPy's
    pairwise sum; no other loop reassociates a sum.  The powers and the other
-   reductions stay NumPy calls in the callers (`grid._Kernel`, `solver`).
+   reductions stay NumPy calls in the one caller, `grid._Kernel`.
    Where GCC or Clang can dispatch on the host (x86-64 Linux with glibc),
    each entry point is cloned for x86-64-v4, x86-64-v3 and the baseline;
    every clone makes the same operations, only wider.  LOOPS_NO_CLONES
@@ -14,10 +14,10 @@
 
    The entry points: `grad2` and `rhs`, the two halves of a kernel's
    right-hand side around its powers, and for the steppers `step_begin` and
-   `step_stage`, which run a whole step but its powers: a step is one
-   `step_begin`, then per inner stage the caller's powers and one
-   `step_stage`, which forms the slope (`rhs`), the increment and the next
-   stage state, and that state's `grad2`.
+   `step_stage`, which run a whole step but its powers: a step
+   (`grid._Kernel.step`) is one `step_begin`, then per inner stage the
+   kernel's powers and one `step_stage`, which forms the slope (`rhs`), the
+   increment and the next stage state, and that state's `grad2`.
 
    The face workspace (`grid._Faces`) is described once per grid by a
    `faces` struct.  Per axis of flat stride s, with n cells: face entry j
@@ -26,7 +26,8 @@
    faces and stay +0.0.  Where `wrap` is nonzero, the entries at its
    multiples straddle a row end: they are outer-boundary faces too, and
    every loop that writes a face array writes +0.0 there.  A `simulate` run
-   describes its stepper once by a `stepper` struct (`solver._plan`). */
+   describes its stepper once by a `stepper` struct
+   (`grid._Kernel.stepper`). */
 
 #include <math.h>
 #include <stddef.h>
@@ -79,7 +80,6 @@ typedef struct {
     const double *weights;    /* RKC2's rows of 4 weights; NULL on RK4 */
     double dt;
     long s;                   /* the stage count, 4 on RK4 */
-    long finite;              /* set by the last stage: is out finite */
 } stepper_t;
 
 static void zero_row_ends(const axis_t *a, long n, double *face)
@@ -267,8 +267,7 @@ INLINE uint64_t not_finite(double v)
    with c = dt / 2 at j = 2 and dt at j = 3; on the last stage
    b = (1 / 6) dt.  The last stage (j = s) writes the step's new state, u
    plus the increment, which it does not keep, to x, copies it to out, and
-   returns, and sets in `finite`, whether every entry of it is finite; an
-   inner stage returns 1.
+   returns whether every entry of it is finite; an inner stage returns 1.
    Written to out and x in one loop, the state took 3 us longer at 64^2:
    GCC versions a loop on at most 10 pairs of pointers that may overlap,
    and with both it would need 11, so it did not vectorize the loop. */
@@ -309,10 +308,8 @@ CLONED long step_stage(stepper_t *S, long j)
             bad |= not_finite(x[i]);
         }
     }
-    if (last) {
+    if (last)
         memcpy(S->out, x, n * sizeof *x);
-        S->finite = !bad;
-    }
     form_grad2(F, S->d2, S->q, S->au, !last);
     return !bad;
 }

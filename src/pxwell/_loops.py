@@ -24,9 +24,8 @@ import os
 import zlib
 from pathlib import Path
 
-import numpy as np
-
-# private: only the grid kernel and the steppers call the loops
+# private: `grid` is the one module that calls the loops, the steppers'
+# stages included (`grid._Kernel.step`)
 __all__: list[str] = []
 
 _SOURCE = Path(__file__).with_name("_loops.c")
@@ -52,11 +51,10 @@ class Faces(ctypes.Structure):
 class Stepper(ctypes.Structure):
     """A run's stepper, `stepper_t` in `_loops.c`: the addresses of its
     kernel's workspace and buffers and of three work buffers, set once per
-    run, and the step under way, which `step_begin` sets; after a step's
-    last stage `finite` says whether its new state is finite."""
+    run, and the step under way, which `step_begin` sets."""
     _fields_ = [("faces", _P), ("d2", _D), ("q", _P), ("au", _P), ("w", _P), ("a", _P),
                 ("d", _P), ("prev", _P), ("inc", _P), ("u", _P), ("f", _P), ("out", _P),
-                ("weights", _P), ("dt", _D), ("s", _N), ("finite", _N)]
+                ("weights", _P), ("dt", _D), ("s", _N)]
 
 
 # each loop's argument types and its result: `rhs` returns the source's
@@ -67,16 +65,6 @@ _SIGNATURES = {
     "step_begin": ((_P, _P, _P, _P, _D, _N, _P), None),
     "step_stage": ((_P, _N), _N),
 }
-
-
-def address(a: np.ndarray, n: int) -> int:
-    """The address of `a`, checked to be a writeable C-contiguous float64
-    buffer of n entries: a loop reads or writes n entries from it, whatever
-    it is, and would write through a read-only one."""
-    if a.dtype != np.float64 or a.size != n or not (a.flags.c_contiguous and a.flags.writeable):
-        raise ValueError(f"a loop needs a writeable contiguous float64 buffer of {n} entries, "
-                         f"got {a.dtype} {a.shape}{'' if a.flags.writeable else ', read-only'}")
-    return a.ctypes.data
 
 
 def _cache_dir() -> Path:

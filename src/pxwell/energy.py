@@ -232,9 +232,12 @@ def find_lambda_star(
     Raises ValueError on degenerate input, on a bracket that over- or
     underflows, and when the tolerance is not met within the evaluation cap
     or before the bracket or the Newton step shrinks to rounding, or when u,
-    p and r do not share one grid.
+    p and r do not share one grid or tol is not positive and finite: at an
+    infinite tol every iterate, lambda = 1 first, would pass.
     """
     _require_one_grid(u, p, r)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if r.p_minus <= p.p_plus:
         raise ValueError("lambda* requires r_minus > p_plus")
     with np.errstate(over="ignore", invalid="ignore"):

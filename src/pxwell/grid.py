@@ -20,7 +20,7 @@ gradient of that energy.  The private `_Kernel` computes both, with the
 source term: built once per exponent pair, it evaluates a state to J(u), the
 right-hand side and the two modulars together, sharing the face differences
 and the powers between them, or to the right-hand side alone where no energy
-is read (the solver's inner stages).  `px_flux_divergence`,
+is read (a step's inner stages).  `px_flux_divergence`,
 `dirichlet_energy` and the solver all call it.
 
 What runs compiled and what stays NumPy.  The elementwise passes (the face
@@ -41,19 +41,19 @@ by one NumPy call over arrays that hold q and |u| side by side: `grad2`
 before the powers and `rhs` after them.  A full evaluation
 (`_Kernel.evaluate`) copies its state into the workspace's `x`, forms its
 gradient and finishes (`_Kernel.finish`): the powers, `rhs` into the
-address of the caller's flat buffer, and J and the modulars.  An inner
-stage (`_Kernel.stage`) reads a state its caller formed in `x` and writes
-to such an address; neither allocates an array or takes an address.  The
-solver's steppers go further: their compiled stages (`step_begin` and
-`step_stage` of `_loops.c`) form each stage state in `x` and its gradient,
-q and |u| in the kernel's buffers, so between two compiled calls only the
-kernel's powers (`_Kernel.powers`) run, and a step's last stage leaves the
-new state and its gradient there for `finish`.  A caller takes its
-buffers' addresses once, through `_Kernel.address`, which refuses a buffer
-that is not writeable contiguous float64 of the grid's size or that
-overlaps the state or a kernel buffer.  `_Kernel.__call__`, and
-`_Kernel.rhs` for the right-hand side alone, wrap them for callers that
-keep no buffers and allocate one array each, the right-hand side they
+address of the caller's flat buffer, and J and the modulars; it allocates
+no array and takes no address.  The kernel also runs the solver's steps
+(`_Kernel.step`), through a stepper it describes to the loops once per run
+(`_Kernel.stepper`): their compiled stages (`step_begin` and `step_stage`
+of `_loops.c`) form each stage state in `x` and its gradient, q and |u| in
+the kernel's buffers, so between two compiled calls only the kernel's
+powers (`_Kernel.powers`) run, and a step's last stage leaves the new state
+and its gradient there for `finish`.  No other module calls the loops.  A
+caller takes its buffers' addresses once, through `_Kernel.address`, which
+refuses a buffer that is not writeable contiguous float64 of the grid's
+size or that overlaps the state or a kernel buffer.  `_Kernel.__call__`,
+and `_Kernel.rhs` for the right-hand side alone, wrap them for callers
+that keep no buffers and allocate one array each, the right-hand side they
 return.
 
 Every array a kernel writes starts on a 64-byte cache line (`_aligned`):
@@ -315,17 +315,17 @@ class _Kernel:
     formed; `__call__` and `rhs` are its allocating wrappers, the latter
     without the sums of J, G and S.
 
-    A right-hand side (`stage`) is three calls: the workspace's compiled
-    `grad2` loop, which also writes q and, with the source on, |u|; the
-    NumPy power w = q^{(p - 2)/2} and, with the source on, a = |u|^{r - 1},
-    in one call (`powers`); and the compiled `rhs` loop,
-    which writes into the caller's buffer the scaled divergence of the face
-    fluxes (w_L + w_R) g and, with the source on, adds sign(u) a less its
-    mean, the sum of sign(u) a taken in the order of NumPy's pairwise sum.
-    A stepper's compiled stage makes the same `rhs` and `grad2` around the
-    same powers.  Each per-cell operation, and their order, is that of
-    per-axis formulas on 2D slices in the same arithmetic, so every value is
-    the same bits as with such slices.
+    A right-hand side is three calls: the workspace's compiled `grad2`
+    loop, which also writes q and, with the source on, |u|; the NumPy power
+    w = q^{(p - 2)/2} and, with the source on, a = |u|^{r - 1}, in one call
+    (`powers`); and the compiled `rhs` loop, which writes into the caller's
+    buffer the scaled divergence of the face fluxes (w_L + w_R) g and, with
+    the source on, adds sign(u) a less its mean, the sum of sign(u) a taken
+    in the order of NumPy's pairwise sum.  A step (`step`) makes the same
+    `rhs` and `grad2` around the same powers in each compiled stage.  Each
+    per-cell operation, and their order, is that of per-axis formulas on 2D
+    slices in the same arithmetic, so every value is the same bits as with
+    such slices.
     """
 
     def __init__(self, grid: Grid, p_values: np.ndarray, delta: float,
@@ -380,12 +380,19 @@ class _Kernel:
 
     def address(self, out: np.ndarray) -> int:
         """The address of the flat buffer `out`, checked to be a writeable
-        contiguous float64 buffer of n entries (`_loops.address`) that
-        shares no memory with the state or a buffer of the kernel's or its
-        workspace's, which a stage reads after it has begun to write its
-        output; ValueError otherwise.  A caller that keeps its buffers takes
-        their addresses here once."""
-        at = _loops.address(out, self.n)
+        C-contiguous float64 buffer of n entries, since a loop reads or
+        writes n entries from it, whatever it is, and would write through a
+        read-only one; and to share no memory with the state or a buffer of
+        the kernel's or its workspace's, which a stage reads after it has
+        begun to write its output.  ValueError otherwise.  A caller that
+        keeps its buffers takes their addresses here once."""
+        flags = out.flags
+        if not (out.dtype == np.float64 and out.size == self.n and flags.c_contiguous
+                and flags.writeable):
+            raise ValueError(f"a loop needs a writeable contiguous float64 buffer of {self.n} "
+                             f"entries, got {out.dtype} {out.shape}"
+                             f"{'' if flags.writeable else ', read-only'}")
+        at = out.ctypes.data
         if any(lo < at + out.nbytes and at < lo + size for lo, size in self.spans):
             raise ValueError("a kernel's output must not share memory with its state or buffers")
         return at
@@ -406,8 +413,8 @@ class _Kernel:
         formed (by `evaluate`, or by a stepper's last stage), with its
         right-hand side written to the address `dest`: the powers, the
         compiled `rhs` and the sums.  The offset must be cached already
-        (`evaluate` and `solver._plan` cache it): it is formed in the buffers
-        that hold q."""
+        (`evaluate` and `stepper` cache it): it is formed in the buffers that
+        hold q."""
         self.powers()
         _loops.lib.rhs(self.faces.address, self.w_at, self.a_at, dest)
         G = self.vol * float(np.vdot(self.w, self.mag2))
@@ -429,23 +436,18 @@ class _Kernel:
 
     def rhs(self, uv: np.ndarray) -> np.ndarray:
         """The right-hand side at `uv` alone, in a new array of the grid's
-        shape: the first half of `evaluate`, without the sums of J, G and S.
+        shape: the compiled `grad2`, the powers and the compiled `rhs`, the
+        first half of `evaluate`, without the sums of J, G and S.
         |grad u|^2, q and w, and with the source on |u| and a = |u|^{r-1},
         stay in their buffers (|grad u|^2, in the workspace, until the next
         call on the grid)."""
         div = np.empty(self.n)
+        dest = self.address(div)
         self.faces.load(uv)
-        self.stage(self.address(div))
-        return div.reshape(self.shape)
-
-    def stage(self, dest: int) -> None:
-        """The right-hand side at the flat state in `state`, written to the
-        address `dest` of a buffer checked by `address`: the compiled
-        `grad2`, the powers and the compiled `rhs`.  No array is allocated
-        and no address taken."""
         self.faces.gradient(self.d2, self.q_at, self.au_at)
         self.powers()
         _loops.lib.rhs(self.faces.address, self.w_at, self.a_at, dest)
+        return div.reshape(self.shape)
 
     def powers(self) -> None:
         """The powers w = q^{(p - 2)/2} and, with the source on,
@@ -453,6 +455,52 @@ class _Kernel:
         NumPy power over each pair of arrays, which gives each entry the bits
         of a power over its array alone and saves a call's 0.75 us."""
         np.power(self.qa, self.er, out=self.wa)
+
+    def stepper(self, work: list[int]) -> int:
+        """The address of a run's stepper (`_loops.Stepper`), which `step`
+        reads: this kernel's workspace, delta^2 and the addresses of its q,
+        |u|, w and a buffers, and the first three of `work`, the addresses
+        of the caller's work buffers (`address`).  The caller holds those
+        buffers and the kernel the struct, until its next call.  The offset
+        is read first, if no evaluation has read it: it is formed in the q
+        and w buffers, where a step's last stage leaves its state's q for
+        `finish`."""
+        self.offset
+        self.plan = _loops.Stepper(self.faces.address, self.d2, self.q_at, self.au_at,
+                                   self.w_at, self.a_at, *work[:3])
+        return ctypes.addressof(self.plan)
+
+    def step(self, plan: int, u: int, f: int, out: int, dt: float, s: int,
+             weights: Optional[int]) -> bool:
+        """One step of size dt from the flat state at the address u, whose
+        right-hand side is at f, into the buffer at out, through the stepper
+        at the address `plan` (`stepper`); whether the new state is finite.
+        With the address `weights` of its rows (`solver._rkc2_weights`) it
+        is an s-stage RKC2 step, and with none (s = 4) an RK4 step.  Each
+        address is of a buffer of n cells, checked by `address`.
+
+        It is one compiled `step_begin`, which forms the first stage state
+        in `state`, the first increment (RKC2's d_1 = f mu~_1 dt and
+        d_0 = +0.0, RK4's f dt / 6) and the state's gradient, q and |u|;
+        then per inner stage the powers (`powers`) and one compiled
+        `step_stage`, which forms the stage's slope, the right-hand side,
+        the increment and the next stage state, and its gradient, q and |u|.
+        RKC2's increment is ((slope mu~_j dt + f gamma~_j dt) + d_{j-1} mu_j)
+        + d_{j-2} nu_j and its stage state u + d_j; RK4 adds each slope's
+        term of the tableau's b = (1/6, 1/3, 1/3, 1/6) dt to its increment
+        as soon as the slope is formed, and its stage state is u + k c.  The
+        last stage writes the new state, u plus the increment, into both out
+        and `state`, with its gradient, so `finish` evaluates it from the
+        powers on.  A step costs s - 1 evaluations, allocates nothing and
+        takes no address, and each value has the bits of the NumPy passes
+        that formed these sums term by term: the loops make the same
+        operations in the same order, without fused multiply-adds."""
+        lib = _loops.lib
+        lib.step_begin(plan, u, f, out, dt, s, weights)
+        for j in range(2, s + 1):
+            self.powers()
+            finite = lib.step_stage(plan, j)
+        return bool(finite)
 
     def explicit_dt(self) -> float:
         """0.8 of explicit Euler's stability bound 2 / rho at the state last

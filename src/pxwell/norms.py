@@ -95,13 +95,14 @@ def luxemburg_norm(f: GridFunction, q: ExponentField, tol: float = 1e-12) -> Nor
     rounding first, the last iterate is returned with its true residual if
     that is finite, and ValueError is raised if not.  `iterations` counts
     modular evaluations.  Returns 0 for the zero field; raises ValueError
-    when f and q do not share one grid, on a non-finite modular of f, when
-    the evaluation cap is reached, or when the bracket shrinks to rounding
-    at a non-finite modular.
+    when f and q do not share one grid, when tol is not positive and finite
+    (at an infinite one every iterate passes), on a non-finite modular of f,
+    when the evaluation cap is reached, or when the bracket shrinks to
+    rounding at a non-finite modular.
     """
     _require_one_grid(f, q)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     av = np.abs(f.values).ravel()
     if not np.any(av):
         return NormResult(0.0, 0, 0.0)

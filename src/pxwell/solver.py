@@ -48,29 +48,28 @@ stability-limited run dt grows past dt_E and s grows like its square root.
 An RK4 step also reuses the current right-hand side: three inner stages and
 the trial state make four kernel evaluations.
 Every stage is a combination of the current state and zero-mean right-hand
-sides, so the mean is conserved.  Both steppers run as compiled stages
-(`_loops.c`): a step is one `step_begin`, which forms the first stage state
-in the kernel's state buffer, its increment, and the state's gradient, then
-per inner stage the kernel's two powers, one NumPy call (`_Kernel.powers`),
-and one `step_stage`, which forms the stage's slope, the step's increment
-and the next stage state in buffers made once per run (`_work`), and that
-state's gradient.  Each loop has the bits of the NumPy passes it replaced; the
-powers and most reductions stay NumPy.  The run describes its kernel and
-work buffers to the stages once (`_plan`).  It holds four more flat
-buffers, made once and each on a 64-byte line (`grid._aligned`): the state,
-the trial state and the right-hand sides at both.  A step's last stage
-writes the trial state into its buffer and into the kernel's state, with
-its gradient, and says whether it is finite, so the trial's evaluation
-(`_Kernel.finish`) starts at the powers and writes its right-hand side into
-the free buffer; an accepted step shifts the trial state to zero mean into
-the state's buffer and swaps the two right-hand sides, and their addresses
-with them.  The run takes those eight buffers' addresses once, checked by
-`_Kernel.address`, and the steppers and the kernel read and write through
-them, so no step and no stage takes an address.
-The trial's checks (the dissipation, the RKC estimate against the step's
-change, the drift and ||u||_inf) share one change u+ - u and take the work
-buffers, idle once the step has returned, as scratch, so no trial
-allocates an array.
+sides, so the mean is conserved.  Both steppers sum a step's increment
+before they add it to u: subtracting u from the stage recurrence
+Y_j = mu Y_{j-1} + nu Y_{j-2} + (1 - mu - nu) u + ... leaves one on the
+increments d_j = Y_j - u, whose round-off scales with the step rather than
+with the state, and the blow-up tail amplifies a change in the last bit of
+the state many times over; RK4 adds each slope's term of its tableau to its
+increment as soon as the slope is formed.  The kernel runs each step, every
+stage compiled, in its own buffers and three work buffers (`_Kernel.step`,
+`_Kernel.stepper`).  A step's last stage writes the trial state into its
+buffer and into the kernel's state, with its gradient, and says whether it
+is finite, so the trial's evaluation (`_Kernel.finish`) starts at the
+powers and writes its right-hand side into the free buffer.  The run holds
+four work buffers and four more flat buffers, made once and each on a
+64-byte line (`grid._aligned`): the state, the trial state and the
+right-hand sides at both.  An accepted step shifts the trial state to zero
+mean into the state's buffer and swaps the two right-hand sides, and their
+addresses with them.  The run takes those eight buffers' addresses once,
+checked by `_Kernel.address`, and the kernel reads and writes through them,
+so no step and no stage takes an address.  The trial's checks (the
+dissipation, the RKC estimate against the step's change, the drift and
+||u||_inf) share one change u+ - u and take the work buffers, idle once the
+step has returned, as scratch, so no trial allocates an array.
 
 The blow-up tail starts on the accepted step at which the growth shrink
 (below) fires, and ends at the first accepted step on which ||u||_inf does
@@ -157,7 +156,6 @@ ValueError before the first step.
 from __future__ import annotations
 
 import collections
-import ctypes
 import functools
 import io
 import math
@@ -166,7 +164,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import _loops
 from .exponents import ExponentField
 from .grid import GridFunction, _aligned, _Kernel, _minus_mean, _require_one_grid
 
@@ -355,72 +352,6 @@ def _stages(dt: float, dt_e: float) -> int:
     return s
 
 
-def _work(n: int) -> list[np.ndarray]:
-    """The steppers' flat scratch buffers for n cells, made once per run:
-    the steppers take the first three (`_plan`).  Once a step has returned
-    they are idle, and the trial's checks take all four (`simulate`)."""
-    return _aligned(n, 4)
-
-
-def _plan(kernel: _Kernel, work: list[int]) -> _loops.Stepper:
-    """The compiled stages' description of a run (`_loops.Stepper`): the
-    kernel's workspace, its delta^2 and the addresses of its q, |u|, w and
-    a buffers, and of the first three work buffers, whose addresses `work`
-    the caller has taken (`_Kernel.address`).  The caller holds the
-    buffers, and passes the plan's address to the steppers.  The kernel's
-    offset is read here, if no evaluation has read it: it is formed in the
-    q and w buffers, where a step's last stage leaves its state's q for
-    `_Kernel.finish`."""
-    kernel.offset
-    return _loops.Stepper(kernel.faces.address, kernel.d2, kernel.q_at, kernel.au_at,
-                          kernel.w_at, kernel.a_at, *work[:3])
-
-
-def _rkc2_step(kernel: _Kernel, u: int, rhs: int, dt: float, s: int, plan: int,
-               out: int) -> None:
-    """The s-stage RKC2 state from the flat state u, whose right-hand side is
-    rhs, written into out; each is the address of a buffer of the kernel's n
-    cells, taken once by the caller (`_Kernel.address`), and `plan` is the
-    address of the run's stepper (`_plan`).  It costs s - 1 kernel
-    evaluations, one per inner stage.
-    Subtracting u from the stage recurrence Y_j = mu Y_{j-1} + nu Y_{j-2} +
-    (1 - mu - nu) u + ... leaves one on the increments d_j = Y_j - u, whose
-    round-off scales with the step rather than with the state: the blow-up
-    tail amplifies a change in the last bit of the state many times over.
-    The compiled `step_begin` forms the first stage state, d_1 = f mu~_1 dt
-    and d_0 = +0.0 and the state's gradient; each inner stage is then the
-    kernel's NumPy power call and one compiled `step_stage`, which forms the
-    slope, the increment ((slope mu~_j dt + f gamma~_j dt) + d_{j-1} mu_j)
-    + d_{j-2} nu_j, the next stage state u + d_j in the kernel's state
-    buffer, or the step's in both `out` and that buffer, and its gradient.
-    So a step allocates nothing and takes no address, and after it the
-    kernel holds the new state's gradient, q and |u| (`_Kernel.finish`) and
-    the plan whether it is finite.  Each value has the bits of the NumPy
-    passes that formed these sums term by term: the loops make the same
-    operations in the same order, without fused multiply-adds."""
-    _loops.lib.step_begin(plan, u, rhs, out, dt, s, _rkc2_weights(s)[2])
-    for j in range(2, s + 1):
-        kernel.powers()
-        _loops.lib.step_stage(plan, j)
-
-
-def _rk4_step(kernel: _Kernel, u: int, rhs: int, dt: float, plan: int, out: int) -> None:
-    """The classical RK4 state from the flat state u, whose right-hand side
-    is rhs, written into out, each an address as in `_rkc2_step`; it costs
-    three kernel evaluations, one per inner stage, and allocates nothing.  As
-    in `_rkc2_step` the increment is summed before it is added to u, with the
-    tableau's weights b = (1/6, 1/3, 1/3, 1/6) times dt, each term as soon as
-    its stage slope is formed: the slope buffer then takes the next one.
-    The compiled `step_begin` and `step_stage` run it as four stages of
-    RKC2's form, with no weights: each inner stage adds its term and forms
-    the next stage state u + k c, or the step's u + d, in the same
-    operations and order as NumPy passes, so each value has their bits."""
-    _loops.lib.step_begin(plan, u, rhs, out, dt, 4, None)
-    for j in (2, 3, 4):
-        kernel.powers()
-        _loops.lib.step_stage(plan, j)
-
-
 def _rkc_estimate(change: np.ndarray, rhs: np.ndarray, rhs_new: np.ndarray, dt: float,
                   scratch: list[np.ndarray]) -> float:
     """||12 (u - u_new) + 6 dt (rhs + rhs_new)|| / 15, the local-error
@@ -475,20 +406,19 @@ def simulate(
     grid = u0.grid
     vol = grid.cell_volume
     kernel = _Kernel(grid, p.values, cfg.delta, r.values)
-    work = _work(kernel.n)
-    # once a step has returned, the trial's checks take the work buffers: the
-    # step's change u_new - u, which they share, in the first and their
-    # scratch in the other three
+    # the steps take the first three work buffers; once a step has returned,
+    # the trial's checks take them all: the step's change u_new - u, which
+    # they share, in the first and their scratch in the other three
+    work = _aligned(kernel.n, 4)
     change, *scratch = work
     # the state, the trial state and the right-hand sides at both, the last
     # two swapped on every accepted step
     u, u_new, rhs, rhs_new = _aligned(kernel.n, 4)
     # their addresses and the work buffers', taken and checked once: the
-    # steps and the kernel read and write through them
+    # kernel reads and writes through them
     u_at, u_new_at, rhs_at, rhs_new_at, *work_at = map(kernel.address,
                                                        (u, u_new, rhs, rhs_new, *work))
-    plan = _plan(kernel, work_at)
-    plan_at = ctypes.addressof(plan)
+    plan = kernel.stepper(work_at)
 
     _minus_mean(grid, u0.values, out=u.reshape(grid.shape))
     t = 0.0
@@ -528,16 +458,12 @@ def simulate(
             s = _stages(dt_eff, dt_e)
             stepper = "rk4" if tail and s == 2 else "rkc2"
             decade = math.floor(math.log10(supn)) if supn > 0.0 else None
-            if stepper == "rk4":
-                _rk4_step(kernel, u_at, rhs_at, dt_eff, plan_at, u_new_at)
-                evals += 3
-            else:
-                _rkc2_step(kernel, u_at, rhs_at, dt_eff, s, plan_at, u_new_at)
-                evals += s - 1
+            stages, weights = (4, None) if stepper == "rk4" else (s, _rkc2_weights(s)[2])
+            # the step leaves u_new in the kernel's state, with its gradient
+            finite = kernel.step(plan, u_at, rhs_at, u_new_at, dt_eff, stages, weights)
+            evals += stages - 1
             accepted = False
-            # the step's last stage has left u_new in the kernel's state, with
-            # its gradient, and whether it is finite in the plan
-            if plan.finite:
+            if finite:
                 J_new, G_new, S_new = kernel.finish(rhs_new_at)
                 # read while the kernel still holds its weights at u_new: the
                 # next trial's stages replace them

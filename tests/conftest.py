@@ -1,14 +1,12 @@
 from __future__ import annotations
 
-import ctypes
-
 import numpy as np
 import pytest
 
 from pxwell import energy, solver
 from pxwell.classify import thm53_envelope
 from pxwell.exponents import build_field
-from pxwell.grid import Grid, GridFunction, project_mean_zero
+from pxwell.grid import Grid, GridFunction, _aligned, project_mean_zero
 from pxwell.ode_bounds import OdeParams
 from pxwell.solver import GLOBAL_UNTIL_TEND, Outcome, Trajectory
 from pxwell.witnesses import mode_field
@@ -27,20 +25,20 @@ def grid2d():
 def step(kernel, u, rhs, dt, s=None, work=None, out=None):
     """One step of `simulate`'s steppers from the state u, whose right-hand
     side is rhs, through the addresses of flat buffers that the kernel
-    checks (`_Kernel.address`) and a stepper plan on them (`solver._plan`):
-    RKC2 with s stages, RK4 without.  The work buffers (`solver._work`) and
-    `out`, which takes the new state, are made here unless given; `out` is
-    returned in u's shape."""
+    checks (`_Kernel.address`) and a stepper on them (`_Kernel.stepper`):
+    RKC2 with s stages, RK4 without.  The four work buffers
+    (`grid._aligned`) and `out`, which takes the new state, are made here
+    unless given; `out` is returned in u's shape."""
     flat, slope = u.reshape(-1), rhs.reshape(-1)
-    work = solver._work(flat.size) if work is None else work
+    work = _aligned(flat.size, 4) if work is None else work
     out = np.empty(flat.size) if out is None else out
     at = kernel.address
     u_at, rhs_at, work_at, out_at = at(flat), at(slope), list(map(at, work)), at(out)
-    plan = solver._plan(kernel, work_at)
+    plan = kernel.stepper(work_at)
     if s is None:
-        solver._rk4_step(kernel, u_at, rhs_at, dt, ctypes.addressof(plan), out_at)
+        kernel.step(plan, u_at, rhs_at, out_at, dt, 4, None)
     else:
-        solver._rkc2_step(kernel, u_at, rhs_at, dt, s, ctypes.addressof(plan), out_at)
+        kernel.step(plan, u_at, rhs_at, out_at, dt, s, solver._rkc2_weights(s)[2])
     return out.reshape(u.shape)
 
 

@@ -108,3 +108,28 @@ def test_package_root_exports_no_names():
 def test_keep_list_is_current():
     # an entry that gained a use, or whose function went, leaves KEEP
     assert [k for k in KEEP if k not in PUBLIC or k in USES] == []
+
+
+
+def _imports(path: Path) -> set[str]:
+    """Every module that the source at `path`, a module of the package,
+    imports, by its absolute name, and every name it imports from one:
+    `from . import _loops` reads as `pxwell` and `pxwell._loops`."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["pxwell" if node.level else "", node.module]))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_only_grid_calls_the_compiled_loops():
+    # one module calls the loops and holds the buffers they read: the grid
+    # kernel, which also runs the steppers' stages, so the solver keeps the
+    # scheme alone, with no address of its own
+    imports = {path.stem: _imports(path) for path in SRC.glob("*.py")}
+    assert sorted(m for m, names in imports.items() if "pxwell._loops" in names) == ["grid"]
+    assert [n for n in imports["solver"] if n.split(".")[0] == "ctypes"] == []

@@ -116,6 +116,19 @@ def test_lambda_star_preconditions(pw):
         find_lambda_star(mixed_mode(g), p, build_field(1.5, g))
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+def test_lambda_star_refuses_a_tolerance_that_is_not_positive_and_finite(tol):
+    # at tol = inf every iterate passes |I| <= tol G, so lambda = 1 came back
+    # with J(u) on a field whose lambda* is 5.9; a NaN, zero or negative tol
+    # ran to the evaluation cap
+    g = Grid((16, 16), (1.0, 1.0))
+    p2, r4 = build_field(2.0, g), build_field(4.0, g)
+    u = mixed_mode(g, ((1, 1, 1.0),))
+    assert find_lambda_star(u, p2, r4)[0] != pytest.approx(1.0, rel=1e-3)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        find_lambda_star(u, p2, r4, tol=tol)
+
+
 def test_depth_lower_formula_at_unit_B():
     g = Grid((8,), (1.0,))
     p2, r4 = build_field(2.0, g), build_field(4.0, g)

@@ -428,7 +428,7 @@ def test_steppers_match_expression_form_bitwise(n, p_spec, r_spec):
     f_ref = ref.rhs(u)
     assert _same_bits(f, f_ref)
     dt_e = kernel.explicit_dt()
-    work = solver._work(u.size)
+    work = _aligned(u.size, 4)
     for s in (2, 3, 17, 45):
         dt = 0.5 * dt_e * solver._rkc2_weights(s)[1]
         u_new = step(kernel, u, f, dt, s, work)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -38,7 +39,7 @@ from oracles import rk4_step, rkc2_step
 from test_flat_kernel import GRIDS, _bits, _exponents, _fields
 
 from pxwell import _loops, solver
-from pxwell.grid import Grid, _Faces, _Kernel
+from pxwell.grid import Grid, _aligned, _Faces, _Kernel
 
 
 SOURCE = _loops._SOURCE.read_bytes()
@@ -223,23 +224,34 @@ def _left_to_right(v):
     return total
 
 
+class _Flags:
+    """A library whose `step_stage` logs every flag it returns."""
+
+    def __init__(self, lib):
+        self.lib, self.flags = lib, []
+
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
+
+    def step_stage(self, plan, j):
+        self.flags.append(self.lib.step_stage(plan, j))
+        return self.flags[-1]
+
+
 def _stepped(lib, kernel, u, f, dt, s, work):
     """The state of one step from the flat u, whose right-hand side is f,
-    driven through `step_begin` and `step_stage` of lib: RKC2 with s stages,
-    RK4 without, each inner stage after the kernel's powers; with the flag
-    the last stage returned, which every inner stage returns as 1 and which
-    the plan holds too."""
+    through the kernel's `step` with `_loops.lib` set to lib, a `_Flags`:
+    RKC2 with s stages, RK4 without; with the flag the step returned, the
+    last stage's, which every inner stage returns as 1."""
     out, at = np.empty(u.size), kernel.address
-    plan = solver._plan(kernel, [at(b) for b in work])
+    plan = kernel.stepper([at(b) for b in work])
     stages = s or 4
-    lib.step_begin(ctypes.addressof(plan), at(u), at(f), at(out), dt, stages,
-                   solver._rkc2_weights(s)[2] if s else None)
-    for j in range(2, stages + 1):
-        kernel.powers()
-        flag = lib.step_stage(ctypes.addressof(plan), j)
-        assert flag == 1 or j == stages
-    assert flag == plan.finite
-    return out, bool(flag)
+    lib.flags.clear()
+    finite = kernel.step(plan, at(u), at(f), at(out), dt, stages,
+                         solver._rkc2_weights(s)[2] if s else None)
+    assert lib.flags[:-1] == [1] * (stages - 2) and len(lib.flags) == stages - 1
+    assert finite is bool(lib.flags[-1])
+    return out, finite
 
 
 @pytest.mark.parametrize("name", list(SPECIAL_GRIDS))
@@ -251,6 +263,7 @@ def test_stepper_stages_give_the_expression_form_bits_on_special_values(lib, nam
     # leaves that state and its gradient in the kernel, so the kernel's
     # `finish` has the bits of a full evaluation of the state.  The oracles'
     # right-hand sides run on the same build
+    lib = _Flags(lib)
     monkeypatch.setattr(_loops, "lib", lib)
     grid = SPECIAL_GRIDS[name]
     p, r = _exponents(grid, 1e-8)
@@ -258,7 +271,7 @@ def test_stepper_stages_give_the_expression_form_bits_on_special_values(lib, nam
     kernel.offset
     n = kernel.n
     rng = np.random.default_rng(45)
-    work = solver._work(n)
+    work = _aligned(n, 4)
     dest, ref = np.empty(n), np.empty(n)
     flags = set()
     with np.errstate(all="ignore"):
@@ -308,7 +321,7 @@ def test_a_loop_takes_only_a_contiguous_float_buffer_of_its_size():
     with pytest.raises(ValueError, match="contiguous float64 buffer"):
         step(kernel, u, rhs, 1e-6, 2, out=np.empty(n + 1))
     with pytest.raises(ValueError, match="contiguous float64 buffer"):
-        step(kernel, u, rhs, 1e-6, work=solver._work(n - 1))
+        step(kernel, u, rhs, 1e-6, work=_aligned(n - 1, 4))
 
 
 @pytest.mark.parametrize("source", [True, False], ids=["source", "no-source"])
@@ -346,7 +359,7 @@ def _outputs(name):
         out += [_bits([J, G, S, dt_e]), _bits(rhs), _bits(plain.rhs(uv))]
         if not np.isfinite(dt_e):
             continue
-        work = solver._work(uv.size)
+        work = _aligned(uv.size, 4)
         out.append(_bits(step(kernel, uv, rhs, 3.0 * dt_e, 3, work)))
         out.append(_bits(step(kernel, uv, rhs, dt_e, work=work)))
     return out
@@ -364,6 +377,41 @@ def test_every_clone_gives_the_same_bits(tmp_path, monkeypatch):
         monkeypatch.undo()
         assert len(plain) == len(dispatched)
         assert all(np.array_equal(a, b) for a, b in zip(plain, dispatched))
+
+
+def _c_fields(source, name):
+    """The field names of the struct typedef `name` in the C source, in
+    their declaration order."""
+    body = re.search(r"typedef struct \{([^{}]*)\} %s;" % name, source).group(1)
+    body = re.sub(r"/\*.*?\*/", "", body, flags=re.S)
+    return [re.search(r"(\w+)\s*(\[\w+\])?\s*$", part).group(1)
+            for decl in body.split(";") if decl.strip() for part in decl.split(",")]
+
+
+def test_the_structs_have_the_layout_of_their_c_declarations(tmp_path):
+    # ctypes places each field of a struct by its own declaration, so a field
+    # dropped or moved on one side only would misplace every later one
+    # without an error: each struct's size and its fields' offsets, in
+    # declaration order, are the C compiler's, read from a probe built on
+    # `_loops.c` (the layout does not depend on the clones)
+    structs = {"axis_t": _loops.Axis, "faces_t": _loops.Faces, "stepper_t": _loops.Stepper}
+    text = SOURCE.decode()
+    lines = [f'    printf("%zu", sizeof({name}));\n'
+             + "".join(f'    printf(" %zu", offsetof({name}, {field}));\n'
+                       for field in _c_fields(text, name))
+             + '    printf("\\n");\n' for name in structs]
+    probe = tmp_path / "layout.c"
+    probe.write_text(f'#include "{_loops._SOURCE}"\n#include <stdio.h>\n\n'
+                     "int main(void)\n{\n" + "".join(lines) + "    return 0;\n}\n")
+    exe = tmp_path / "layout"
+    cc = (os.environ.get("CC") or "cc").split()
+    subprocess.run([*cc, "-DLOOPS_NO_CLONES", "-o", str(exe), str(probe), "-lm"], check=True)
+    c_side = [list(map(int, line.split()))
+              for line in subprocess.run([str(exe)], capture_output=True, text=True,
+                                         check=True).stdout.splitlines()]
+    ctypes_side = [[ctypes.sizeof(cls), *(getattr(cls, field).offset for field, _ in cls._fields_)]
+                   for cls in structs.values()]
+    assert c_side == ctypes_side
 
 
 def _libraries(directory):

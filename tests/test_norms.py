@@ -152,6 +152,16 @@ def test_luxemburg_zero_and_nonfinite(grid1d):
         luxemburg_norm(bad, q)
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+def test_luxemburg_refuses_a_tolerance_that_is_not_positive_and_finite(grid1d, tol):
+    # at tol = inf the first iterate, lambda = 1, passed with a residual of
+    # 0.054 on this field, and a NaN tol ran until the Newton step shrank to
+    # rounding
+    f = random_gridfunction(grid1d, np.random.default_rng(2))
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        luxemburg_norm(f, build_field(2.0, grid1d), tol=tol)
+
+
 def test_luxemburg_homogeneity(grid1d):
     rng = np.random.default_rng(2)
     q = random_exponent(grid1d, rng)

@@ -124,7 +124,7 @@ def test_returned_states_and_slopes_outlive_the_buffers(setup2d):
     u = project_mean_zero(random_gridfunction(g, rng)).values.reshape(-1)
     f, f_new, u_new, u_rk4, spare = _aligned(u.size, 5)
     kernel.evaluate(u, kernel.address(f))
-    work = solver._work(u.size)
+    work = _aligned(u.size, 4)
     dt_e = kernel.explicit_dt()
     step(kernel, u, f, 3.0 * dt_e, 3, work, u_new)
     step(kernel, u, f, dt_e, work=work, out=u_rk4)
@@ -149,7 +149,7 @@ class _Scalar:
     expression-form stepper of `tests/oracles.py`: its right-hand side at v
     is z v.  The compiled stages run the p(x)-kernel alone, so the weights
     are tested through that stepper, which `tests/test_flat_kernel.py` and
-    `tests/test_loops.py` hold to `_rkc2_step` bit for bit."""
+    `tests/test_loops.py` hold to `_Kernel.step` bit for bit."""
 
     def __init__(self, z):
         self.z = z
@@ -727,11 +727,12 @@ def test_overflowing_trial_is_rejected_without_a_warning(monkeypatch):
     cfg = SolverConfig(dt_init=2e-2, blowup_threshold=1e30)
     finite = []
 
-    def logged(kernel, u, rhs, dt, s, work, out, _step=solver._rkc2_step):
-        _step(kernel, u, rhs, dt, s, work, out)
+    def logged(kernel, plan, u, f, out, dt, s, weights, _step=_Kernel.step):
+        flag = _step(kernel, plan, u, f, out, dt, s, weights)
         finite.append((s, bool(np.all(np.isfinite(_array_at(out, kernel.n))))))
+        return flag
 
-    monkeypatch.setattr(solver, "_rkc2_step", logged)
+    monkeypatch.setattr(_Kernel, "step", logged)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = simulate(u0, build_field(2.0, g), build_field(4.0, g), cfg)
@@ -784,11 +785,12 @@ def test_dt_collapse_through_shrink_reported(monkeypatch):
     cfg = SolverConfig(dt_init=1e-6, dt_max=1e-6, dt_min=1e-8, t_end=1.0, energy_tol=1e-5,
                        blowup_threshold=1e30)
     steppers = []
-    for name in ("_rk4_step", "_rkc2_step"):
-        def logged(*args, _name=name, _step=getattr(solver, name)):
-            steppers.append(_name)
-            return _step(*args)
-        monkeypatch.setattr(solver, name, logged)
+
+    def logged(kernel, plan, u, f, out, dt, s, weights, _step=_Kernel.step):
+        steppers.append("rk4" if weights is None else "rkc2")
+        return _step(kernel, plan, u, f, out, dt, s, weights)
+
+    monkeypatch.setattr(_Kernel, "step", logged)
     traj = simulate(u0, p, r, cfg)
     assert traj.rejected_steps == 0
     assert traj.outcome.kind == BLOWUP_DETECTED
@@ -796,7 +798,7 @@ def test_dt_collapse_through_shrink_reported(monkeypatch):
     # the last step was an RK4 step of at least dt_min, and its shrink took
     # dt under dt_min: an accepted step has residual <= tol, so its energy
     # factor is at least RK4's aim, floored to a multiple of 2^-10
-    assert steppers[-1] == "_rk4_step" and len(steppers) == traj.step_count
+    assert steppers[-1] == "rk4" and len(steppers) == traj.step_count
     _, aim = solver._ORDER_AIM["rk4"]
     least = math.floor(aim * solver._GRID) / solver._GRID
     assert cfg.dt_min <= traj.dt[-1] < cfg.dt_min / least
@@ -831,7 +833,7 @@ def test_hermite_dissipation_is_exact_and_fourth_order():
     u = project_mean_zero(u0).values
     J, f, _, _ = kernel(u)
     dts = kernel.explicit_dt() * 0.5 ** np.arange(5)
-    work = solver._work(u.size)
+    work = _aligned(u.size, 4)
     hermite, rectangle = [], []
     for dt in dts:
         u4 = step(kernel, u, f, dt, work=work)
@@ -901,12 +903,11 @@ def test_trials_run_in_buffers_made_once_per_run(monkeypatch, factor, cfg):
             wrappers.append("rhs")
             return super().rhs(uv)
 
-    for name in ("_rk4_step", "_rkc2_step"):
-        def logged(*args, _step=getattr(solver, name)):
-            # a stepper's last argument is the address of the trial state
-            states.append(args[-1])
-            return _step(*args)
-        monkeypatch.setattr(solver, name, logged)
+        def step(self, plan, u, f, out, dt, s, weights):
+            # out is the address of the trial state
+            states.append(out)
+            return super().step(plan, u, f, out, dt, s, weights)
+
     monkeypatch.setattr(solver, "_Kernel", Logged)
     traj = simulate(*_mixed_mode_datum(factor), cfg)
     # every trial state of these runs is finite, so each is evaluated
@@ -968,13 +969,13 @@ def test_an_inner_stage_is_its_power_and_one_compiled_call(monkeypatch, factor, 
 ], ids=["decay", "escape"])
 def test_simulate_takes_addresses_once_per_run(monkeypatch, factor, cfg):
     # a run takes its buffers' addresses once, at its start: no step, stage
-    # or evaluation takes one, through `_loops.address` or `ndarray.ctypes`,
+    # or evaluation takes one, through `_Kernel.address` or `ndarray.ctypes`,
     # so a run twice as long, with more steps, takes as many.  The escape
     # runs stop short of blow-up and take RKC2 and RK4 steps
     calls = collections.Counter()
 
-    def address(*args, _address=_loops.address):
-        calls["_loops.address"] += 1
+    def address(*args, _address=_Kernel.address):
+        calls["_Kernel.address"] += 1
         return _address(*args)
 
     def ctypes_init(self, *args, _init=numpy_internal._ctypes.__init__):
@@ -983,7 +984,7 @@ def test_simulate_takes_addresses_once_per_run(monkeypatch, factor, cfg):
 
     # the datum's lambda* builds the grid's workspace, which the runs share
     datum = _mixed_mode_datum(factor)
-    monkeypatch.setattr(_loops, "address", address)
+    monkeypatch.setattr(_Kernel, "address", address)
     monkeypatch.setattr(numpy_internal._ctypes, "__init__", ctypes_init)
     runs = []
     for t_end in (cfg.t_end, 2.0 * cfg.t_end):
@@ -993,7 +994,7 @@ def test_simulate_takes_addresses_once_per_run(monkeypatch, factor, cfg):
         runs.append((dict(calls), traj.step_count, set(traj.steps_by("stepper"))))
     (short, short_steps, steppers), (long, long_steps, _) = runs
     assert short == long and long_steps > short_steps
-    assert short["_loops.address"] == 8 and short["ndarray.ctypes"] > 0
+    assert short["_Kernel.address"] == 8 and short["ndarray.ctypes"] > 0
     assert steppers == ({"rkc2"} if factor < 1.0 else {"rkc2", "rk4"})
 
 
@@ -1071,7 +1072,7 @@ def test_rkc_estimate_is_third_order():
     u = project_mean_zero(u0).values
     _, f, _, _ = kernel(u)
     dts = kernel.explicit_dt() * 0.5 ** np.arange(5)
-    work = solver._work(u.size)
+    work = _aligned(u.size, 4)
     scratch = list(np.empty((2,) + u.shape))
     estimates = []
     for dt in dts:
